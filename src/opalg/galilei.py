@@ -59,7 +59,11 @@ class GridTooCoarseError(ValueError):
 
 @dataclass(frozen=True)
 class GalileiElement:
-    """Transformation (x, t) -> (R x + t v + u, t + eta)."""
+    """Transformation (x, t) -> (R x + t v + u, t + eta).
+
+    A stack of elements carries the same leading axes on every field:
+    R (..., 3, 3), v and u (..., 3), eta (...).
+    """
 
     R: np.ndarray
     v: np.ndarray
@@ -73,16 +77,30 @@ class BargmannElement:
     g: GalileiElement
 
 
+def _matvec(R: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.einsum("...ij,...j->...i", R, x)
+
+
+def _dot(x: np.ndarray, y: np.ndarray):
+    return np.einsum("...i,...i->...", x, y)
+
+
 def make_galilei(R, v, u, eta) -> GalileiElement:
+    """One element, or a stack of them along leading axes."""
     R = np.asarray(R, dtype=float)
     v = np.asarray(v, dtype=float)
     u = np.asarray(u, dtype=float)
-    if R.shape != (3, 3) or v.shape != (3,) or u.shape != (3,):
-        raise ValueError("expected a 3x3 rotation and two 3-vectors")
-    if np.max(np.abs(R.T @ R - np.eye(3))) > ROTATION_TOL or \
-            abs(np.linalg.det(R) - 1.0) > ROTATION_TOL:
+    stack = R.shape[:-2]
+    if R.shape[-2:] != (3, 3) or v.shape != stack + (3,) or \
+            u.shape != stack + (3,) or np.shape(eta) != stack:
+        raise ValueError("expected 3x3 rotations and 3-vectors over one stack")
+    gram_err = np.max(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)),
+                      axis=(-2, -1))
+    if np.any(gram_err > ROTATION_TOL) or \
+            np.any(np.abs(np.linalg.det(R) - 1.0) > ROTATION_TOL):
         raise NotARotationError("R is not a proper rotation")
-    return GalileiElement(R=R, v=v, u=u, eta=float(eta))
+    eta = float(eta) if not stack else np.asarray(eta, dtype=float)
+    return GalileiElement(R=R, v=v, u=u, eta=eta)
 
 
 def galilei_identity() -> GalileiElement:
@@ -91,16 +109,21 @@ def galilei_identity() -> GalileiElement:
 
 def galilei_compose(a: GalileiElement, b: GalileiElement) -> GalileiElement:
     """Composite transformation acting as a after b on spacetime points."""
+    eta_b = np.asarray(b.eta)[..., None]
     return GalileiElement(R=a.R @ b.R,
-                          v=a.R @ b.v + a.v,
-                          u=a.R @ b.u + b.eta * a.v + a.u,
+                          v=_matvec(a.R, b.v) + a.v,
+                          u=_matvec(a.R, b.u) + eta_b * a.v + a.u,
                           eta=a.eta + b.eta)
 
 
 def bargmann_exponent(r: GalileiElement, r2: GalileiElement) -> float:
-    """Phase cocycle xi(r, r') = (u.Rv' - v.Ru' + eta' v.Rv') / 2."""
-    Rv2 = r.R @ r2.v
-    return 0.5 * (r.u @ Rv2 - r.v @ (r.R @ r2.u) + r2.eta * (r.v @ Rv2))
+    """Phase cocycle xi(r, r') = (u.Rv' - v.Ru' + eta' v.Rv') / 2.
+
+    A float for two elements, an array over the stack for stacks.
+    """
+    Rv2 = _matvec(r.R, r2.v)
+    return 0.5 * (_dot(r.u, Rv2) - _dot(r.v, _matvec(r.R, r2.u))
+                  + r2.eta * _dot(r.v, Rv2))
 
 
 def bargmann_multiply(a: BargmannElement, b: BargmannElement) -> BargmannElement:
@@ -143,25 +166,19 @@ def momentum_grid(points_per_axis: int, p_max: float) -> MomentumGrid:
 
 def _derivative(psi: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Second-order central difference, zero beyond the boundary."""
-    out = np.zeros_like(psi)
-    src: List[slice] = [slice(None)] * 3
-    lo: List[slice] = [slice(None)] * 3
-    hi: List[slice] = [slice(None)] * 3
-    src[axis] = slice(1, -1)
-    hi[axis] = slice(2, None)
-    lo[axis] = slice(None, -2)
-    out[tuple(src)] = (psi[tuple(hi)] - psi[tuple(lo)]) / (2.0 * h)
+
+    def along(sl: slice) -> Tuple[slice, ...]:
+        idx = [slice(None)] * 3
+        idx[axis] = sl
+        return tuple(idx)
+
+    out = np.empty_like(psi, dtype=np.result_type(psi, 1.0))
+    np.subtract(psi[along(slice(2, None))], psi[along(slice(None, -2))],
+                out=out[along(slice(1, -1))])
     # one-sided contributions at the faces (outside values are zero)
-    first: List[slice] = [slice(None)] * 3
-    last: List[slice] = [slice(None)] * 3
-    first[axis] = slice(0, 1)
-    last[axis] = slice(-1, None)
-    nxt: List[slice] = [slice(None)] * 3
-    prv: List[slice] = [slice(None)] * 3
-    nxt[axis] = slice(1, 2)
-    prv[axis] = slice(-2, -1)
-    out[tuple(first)] = psi[tuple(nxt)] / (2.0 * h)
-    out[tuple(last)] = -psi[tuple(prv)] / (2.0 * h)
+    out[along(slice(0, 1))] = psi[along(slice(1, 2))]
+    np.negative(psi[along(slice(-2, -1))], out=out[along(slice(-1, None))])
+    out /= 2.0 * h
     return out
 
 
@@ -176,18 +193,25 @@ def grid_generators(mass: float, grid: MomentumGrid) -> Dict[str, Operator]:
     """
     h = grid.spacing
     p = [grid.coordinate(i) for i in range(3)]
-    p_sq = sum(pi ** 2 for pi in p)
+    energy = sum(pi ** 2 for pi in p) / (2.0 * mass)
+
+    def angular(psi, a, b):
+        """-i (p_a d_b - p_b d_a), the products formed in the stencil buffers."""
+        out = _derivative(psi, b, h)
+        out *= p[a]
+        rot = _derivative(psi, a, h)
+        rot *= p[b]
+        out -= rot
+        return -1j * out
 
     gens: Dict[str, Operator] = {}
     for i in range(3):
         gens[f"P{i + 1}"] = (lambda psi, pi=p[i]: pi * psi)
-    gens["P0"] = lambda psi: (p_sq / (2.0 * mass)) * psi
+    gens["P0"] = lambda psi: energy * psi
     for i in range(3):
         gens[f"K{i + 1}"] = (lambda psi, ax=i: 1j * mass * _derivative(psi, ax, h))
     for i, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-        gens[f"J{i + 1}"] = (
-            lambda psi, pa=p[a], pb=p[b], a=a, b=b:
-            -1j * (pa * _derivative(psi, b, h) - pb * _derivative(psi, a, h)))
+        gens[f"J{i + 1}"] = (lambda psi, a=a, b=b: angular(psi, a, b))
     gens["M"] = lambda psi: mass * psi
     return gens
 
@@ -265,33 +289,57 @@ class CommutatorReport:
         return max(self.deviations[k] for k in keys)
 
 
-def generator_commutators(mass: float, grid: MomentumGrid,
-                          test_functions: Optional[List[np.ndarray]] = None
-                          ) -> CommutatorReport:
-    """Worst deviation of every bracket from its target on smooth functions.
+def _l2(psi: np.ndarray) -> float:
+    return float(np.sqrt(np.vdot(psi, psi).real))
 
+
+_TARGETS = {(left, right): target for left, right, target in COMMUTATOR_TABLE}
+
+
+def _select_brackets(pairs: Optional[Sequence[Tuple[str, str]]]
+                     ) -> List[Tuple[str, str, Dict[str, complex]]]:
+    if pairs is None:
+        return COMMUTATOR_TABLE
+    selected = []
+    for pair in dict.fromkeys(tuple(p) for p in pairs):
+        if pair not in _TARGETS:
+            raise ValueError(f"no bracket {pair} in COMMUTATOR_TABLE")
+        selected.append((pair[0], pair[1], _TARGETS[pair]))
+    return selected
+
+
+def generator_commutators(mass: float, grid: MomentumGrid,
+                          test_functions: Optional[List[np.ndarray]] = None,
+                          pairs: Optional[Sequence[Tuple[str, str]]] = None
+                          ) -> CommutatorReport:
+    """Worst deviation of each bracket in `pairs` from its target.
+
+    `pairs` defaults to the whole COMMUTATOR_TABLE; only the generators
+    that the requested brackets and their targets name are applied.
     Deviations are relative grid-L2 norms, which refine smoothly under
     lattice halving (the sup over shifted cell-centered lattices does not).
     """
     if grid.points_per_axis < MIN_POINTS_PER_AXIS:
         raise GridTooCoarseError(
             f"need at least {MIN_POINTS_PER_AXIS} points per axis")
+    table = _select_brackets(pairs)
     gens = grid_generators(mass, grid)
+    needed = {name for left, right, target in table
+              for name in (left, right, *target)}
     if test_functions is None:
         test_functions = _default_test_functions(grid)
-    table = COMMUTATOR_TABLE
-    deviations: Dict[Tuple[str, str], float] = {k: 0.0 for k in
-                                                ((l, r) for l, r, _ in table)}
+    deviations: Dict[Tuple[str, str], float] = {(l, r): 0.0 for l, r, _ in table}
     for psi in test_functions:
-        applied = {name: gen(psi) for name, gen in gens.items()}
-        ref = float(np.sqrt(np.sum(np.abs(psi) ** 2)))
+        psi = np.asarray(psi, dtype=complex)
+        applied = {name: gens[name](psi) for name in needed}
+        ref = _l2(psi)
         for left, right, target in table:
-            got = gens[left](applied[right]) - gens[right](applied[left])
+            got = gens[left](applied[right])
+            got -= gens[right](applied[left])
             for name, coeff in target.items():
-                got = got - coeff * applied[name]
+                got -= coeff * applied[name]
             key = (left, right)
-            deviations[key] = max(deviations[key],
-                                  float(np.sqrt(np.sum(np.abs(got) ** 2))) / ref)
+            deviations[key] = max(deviations[key], _l2(got) / ref)
     return CommutatorReport(mass=mass, points_per_axis=grid.points_per_axis,
                             spacing=grid.spacing, deviations=deviations)
 
@@ -329,7 +377,8 @@ def commutator_convergence(mass: float, sizes: Sequence[int], p_max: float
     for n in sizes:
         grid = momentum_grid(n, p_max)
         reports.append(generator_commutators(
-            mass, grid, _default_test_functions(grid, count=1)))
+            mass, grid, _default_test_functions(grid, count=1),
+            pairs=CONVERGENT_BRACKETS))
     orders: Dict[Tuple[str, str], List[float]] = {}
     for pair in CONVERGENT_BRACKETS:
         errs = [rep.deviations[pair] for rep in reports]

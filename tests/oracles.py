@@ -2,7 +2,8 @@
 
 Everything here avoids the code paths of the package under test: linear
 algebra is plain Gaussian elimination, series products go through
-numpy.convolve, and shell sums are evaluated point by point.
+numpy.convolve, shell sums are evaluated point by point, and grid
+brackets apply every generator through a zero-padded stencil.
 """
 
 import numpy as np
@@ -118,3 +119,51 @@ def direct_shell_sum(points, weights, energies, values, xs, t):
             acc += w * v * np.exp(1j * (p @ x - e * t))
         out[k] = acc
     return (2.0 * np.pi) ** -1.5 * out
+
+
+def _padded_difference(psi, axis, h):
+    """Central difference with explicit zeros padded beyond both faces."""
+    width = [(0, 0)] * psi.ndim
+    width[axis] = (1, 1)
+    padded = np.pad(psi, width)
+    hi = [slice(None)] * psi.ndim
+    lo = [slice(None)] * psi.ndim
+    hi[axis] = slice(2, None)
+    lo[axis] = slice(None, -2)
+    return (padded[tuple(hi)] - padded[tuple(lo)]) / (2.0 * h)
+
+
+def bracket_deviations_reference(mass, grid, test_functions):
+    """Every generator applied to psi, then both compositions for every
+    entry of the commutator table; relative grid-L2 deviation per bracket.
+    """
+    from opalg.galilei import COMMUTATOR_TABLE
+
+    n, h = grid.points_per_axis, 2.0 * grid.p_max / grid.points_per_axis
+    axis = -grid.p_max + (np.arange(n) + 0.5) * h
+    p = [axis.reshape([n if k == i else 1 for k in range(3)]) for i in range(3)]
+    p_sq = p[0] ** 2 + p[1] ** 2 + p[2] ** 2
+
+    def D(psi, i):
+        return _padded_difference(psi, i, h)
+
+    gens = {"P0": lambda psi: (p_sq / (2.0 * mass)) * psi,
+            "M": lambda psi: mass * psi}
+    for i, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        gens[f"P{i + 1}"] = lambda psi, i=i: p[i] * psi
+        gens[f"K{i + 1}"] = lambda psi, i=i: 1j * mass * D(psi, i)
+        gens[f"J{i + 1}"] = lambda psi, a=a, b=b: \
+            -1j * (p[a] * D(psi, b) - p[b] * D(psi, a))
+
+    deviations = {(left, right): 0.0 for left, right, _ in COMMUTATOR_TABLE}
+    for psi in test_functions:
+        applied = {name: gen(psi) for name, gen in gens.items()}
+        ref = np.sqrt(np.sum(np.abs(psi) ** 2))
+        for left, right, target in COMMUTATOR_TABLE:
+            got = gens[left](applied[right]) - gens[right](applied[left])
+            for name, coeff in target.items():
+                got = got - coeff * applied[name]
+            key = (left, right)
+            deviations[key] = max(deviations[key],
+                                  float(np.sqrt(np.sum(np.abs(got) ** 2)) / ref))
+    return deviations

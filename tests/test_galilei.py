@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opalg.galilei import (CONVERGENT_BRACKETS, EXACT_BRACKETS,
-                           BargmannElement, GridTooCoarseError,
-                           NotARotationError, bargmann_exponent,
+from opalg.galilei import (COMMUTATOR_TABLE, CONVERGENT_BRACKETS,
+                           EXACT_BRACKETS, BargmannElement,
+                           GridTooCoarseError, NotARotationError,
+                           _default_test_functions, bargmann_exponent,
                            bargmann_multiply, clifford_generators,
                            commutator_convergence, degenerate_norm_structure,
                            galilei_compose, galilei_identity,
                            generator_commutators, levy_leblond_matrices,
                            levy_leblond_symbol, make_galilei, momentum_grid)
+
+from oracles import bracket_deviations_reference
 
 
 def random_element(rng):
@@ -17,6 +22,22 @@ def random_element(rng):
     if np.linalg.det(Q) < 0:
         Q[:, 0] = -Q[:, 0]
     return make_galilei(Q, rng.normal(size=3), rng.normal(size=3), rng.normal())
+
+
+def random_rotations(rng, stack):
+    Q, _ = np.linalg.qr(rng.normal(size=tuple(stack) + (3, 3)))
+    Q[np.linalg.det(Q) < 0, :, 0] *= -1.0
+    return Q
+
+
+def random_stack(rng, stack):
+    stack = tuple(stack)
+    return make_galilei(random_rotations(rng, stack), rng.normal(size=stack + (3,)),
+                        rng.normal(size=stack + (3,)), rng.normal(size=stack))
+
+
+def element_at(g, idx):
+    return make_galilei(g.R[idx], g.v[idx], g.u[idx], g.eta[idx])
 
 
 def boost(v):
@@ -59,6 +80,55 @@ class TestExponent:
     def test_rotation_validation(self):
         with pytest.raises(NotARotationError):
             make_galilei(2 * np.eye(3), np.zeros(3), np.zeros(3), 0.0)
+
+
+stack_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=2)
+
+
+class TestStackedGroupLaw:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), stack=stack_shapes)
+    def test_stack_matches_scalar_calls(self, seed, stack):
+        rng = np.random.default_rng(seed)
+        a, b = random_stack(rng, stack), random_stack(rng, stack)
+        ab = galilei_compose(a, b)
+        xi = bargmann_exponent(a, b)
+        assert xi.shape == tuple(stack)
+        for idx in np.ndindex(*stack):
+            ai, bi = element_at(a, idx), element_at(b, idx)
+            one = galilei_compose(ai, bi)
+            for field in ("R", "v", "u"):
+                assert np.max(np.abs(getattr(ab, field)[idx]
+                                     - getattr(one, field))) <= 1e-13
+            assert abs(ab.eta[idx] - one.eta) <= 1e-13
+            assert abs(xi[idx] - bargmann_exponent(ai, bi)) <= 1e-13
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 6),
+           bad=st.sampled_from(["reflection", "shear"]), data=st.data())
+    def test_one_bad_matrix_rejects_the_stack(self, seed, k, bad, data):
+        rng = np.random.default_rng(seed)
+        R = random_rotations(rng, (k,))
+        j = data.draw(st.integers(0, k - 1))
+        if bad == "reflection":
+            R[j, :, 0] *= -1.0
+        else:
+            R[j] = R[j] @ np.array([[1.0, 1e-3, 0], [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(NotARotationError):
+            make_galilei(R, np.zeros((k, 3)), np.zeros((k, 3)), np.zeros(k))
+
+    def test_scalar_calls_keep_their_types(self):
+        r = random_element(np.random.default_rng(8))
+        assert type(r.eta) is float
+        assert r.R.shape == (3, 3) and r.v.shape == (3,)
+        xi = bargmann_exponent(r, r)
+        assert isinstance(xi, float) and np.ndim(xi) == 0
+        assert isinstance(galilei_compose(r, r).eta, float)
+
+    def test_mismatched_stack_rejected(self):
+        R = random_rotations(np.random.default_rng(9), (2,))
+        with pytest.raises(ValueError):
+            make_galilei(R, np.zeros((3, 3)), np.zeros((2, 3)), np.zeros(2))
 
 
 class TestGroupLaw:
@@ -128,6 +198,45 @@ class TestGridCommutators:
         b, mb = phi.ravel()[:64], gens["M"](phi).ravel()[:64]
         acted = np.outer(ma, b) + np.outer(a, mb)
         np.testing.assert_allclose(acted, 2 * mass * np.outer(a, b), atol=1e-12)
+
+
+class TestBracketsAgainstReference:
+    @pytest.mark.parametrize("mass", [1.0, 2.0])
+    def test_default_functions_every_bracket(self, mass):
+        grid = momentum_grid(32, 10.0)
+        got = generator_commutators(mass, grid).deviations
+        want = bracket_deviations_reference(mass, grid,
+                                            _default_test_functions(grid))
+        assert got.keys() == want.keys()
+        for key, ref in want.items():
+            assert abs(got[key] - ref) <= 1e-12 * ref, key
+
+    def test_random_complex_function_every_bracket(self):
+        grid = momentum_grid(32, 10.0)
+        rng = np.random.default_rng(11)
+        psi = rng.normal(size=(32,) * 3) + 1j * rng.normal(size=(32,) * 3)
+        got = generator_commutators(1.0, grid, [psi]).deviations
+        want = bracket_deviations_reference(1.0, grid, [psi])
+        for key, ref in want.items():
+            assert abs(got[key] - ref) <= 1e-12 * ref, key
+
+    @pytest.mark.parametrize("pairs", [CONVERGENT_BRACKETS, EXACT_BRACKETS,
+                                       (("K2", "P2"), ("P0", "M"))])
+    def test_subset_returns_full_table_values(self, pairs):
+        grid = momentum_grid(32, 10.0)
+        full = generator_commutators(1.0, grid).deviations
+        sub = generator_commutators(1.0, grid, pairs=pairs).deviations
+        assert sub == {key: full[key] for key in pairs}
+
+    def test_unknown_pair_names_the_pair(self):
+        grid = momentum_grid(32, 10.0)
+        with pytest.raises(ValueError, match=r"\('P1', 'Q9'\)") as info:
+            generator_commutators(1.0, grid, pairs=[("K1", "P1"), ("P1", "Q9")])
+        assert not isinstance(info.value, KeyError)
+
+    def test_default_is_the_whole_table(self):
+        report = generator_commutators(1.0, momentum_grid(32, 10.0))
+        assert list(report.deviations) == [(l, r) for l, r, _ in COMMUTATOR_TABLE]
 
 
 class TestClifford:

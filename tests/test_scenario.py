@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opalg
 from opalg.cli import main
 from opalg.scenario import (DEFAULT_TOLERANCES, Report, ScenarioParseError,
                             UnknownCheckError, available_checks, emit_report,
@@ -185,6 +189,20 @@ class TestCli:
         assert main(["run", SMOKE, "--format", "csv", "--out", str(out1)]) == 0
         assert main(["run", SMOKE, "--format", "csv", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_module_entry_point_is_quiet(self):
+        # `python -m opalg.cli` must not find the module already imported
+        # by the package (runpy warns about that on stderr)
+        env = dict(os.environ)
+        src = str(Path(opalg.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "opalg.cli", "run", "scenarios/smoke.json"],
+            cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout
 
     def test_checks_listing(self, capsys):
         assert main(["checks"]) == 0
