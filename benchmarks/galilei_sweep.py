@@ -1,7 +1,7 @@
 """Galilei-layer timings of one or more source trees, with fitted exponents.
 
     python3 benchmarks/galilei_sweep.py --rev parent=HEAD~1 --tree change=src \
-        --repeats 3 --out BENCH_galilei.json
+        --out BENCH_galilei.json
 
 `--tree label=dir` times the source tree `dir` (the one holding `opalg/`);
 `--rev label=REV` times commit REV of this repository, extracted with
@@ -11,9 +11,11 @@ sizes: `generator_commutators` with the whole 73-bracket table on an n^3 grid, t
 triples.  Every timing is one fresh child process that imports `opalg`
 from the given tree, builds its inputs, and times one call; the trees
 take turns point by point, so a slow spell of the host falls on all of
-them.  The median over the repeats is reported, and the exponent k of
+them.  The median over REPEATS rounds is reported, and the exponent k of
 t ~ n^k is fitted by least squares on log t against log n.  Uses only
 public names that every tree has, so an older checkout can be timed too.
+The first sweep is the `generator_commutators` row of perfbench/sweep.py,
+which times only the tree it is run from.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ call()
 print(time.perf_counter() - start)
 """
 
+REPEATS = 3
 SWEEPS = (
     ("generator_commutators", "commutators", "n", (32, 64, 128),
      "all 73 brackets, two default test functions, on an n^3 grid"),
@@ -59,15 +62,6 @@ SWEEPS = (
     ("cocycle", "cocycle", "triples", (1000, 3000),
      "the galilei.cocycle scenario check through run_scenario"),
 )
-
-
-def fit(xs, ts):
-    """Slope of log t against log x."""
-    u = [math.log(x) for x in xs]
-    v = [math.log(t) for t in ts]
-    mu, mv = sum(u) / len(u), sum(v) / len(v)
-    return sum((a - mu) * (b - mv) for a, b in zip(u, v)) / \
-        sum((a - mu) ** 2 for a in u)
 
 
 def time_once(src, kind, size):
@@ -98,7 +92,6 @@ def main(argv=None):
                         help="label=path of a source tree holding opalg/")
     parser.add_argument("--rev", action="append", default=[],
                         help="label=commit of this repository")
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", help="write the JSON here (default stdout)")
     args = parser.parse_args(argv)
     revs = [r.split("=", 1) for r in args.rev]
@@ -109,10 +102,10 @@ def main(argv=None):
         trees = {label: extract(rev, os.path.join(scratch, label))
                  for label, rev in revs}
         trees.update(dirs)
-        sweeps = run_sweeps(trees, args.repeats)
+        sweeps = run_sweeps(trees)
 
     result = {"topic": "galilei", "command": " ".join(["python3"] + sys.argv),
-              "repeats": args.repeats, "statistic": "median of fresh processes",
+              "repeats": REPEATS, "statistic": "median of fresh processes",
               "trees": dict(revs + dirs), "machine": machine(), "sweeps": sweeps}
     text = json.dumps(result, indent=2) + "\n"
     if args.out:
@@ -123,11 +116,11 @@ def main(argv=None):
     return 0
 
 
-def run_sweeps(trees, repeats):
+def run_sweeps(trees):
     sweeps = {}
     for name, kind, axis, sizes, what in SWEEPS:
         times = {label: {n: [] for n in sizes} for label in trees}
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             for n in sizes:
                 for label, src in trees.items():
                     times[label][n].append(time_once(src, kind, n))
@@ -137,8 +130,9 @@ def run_sweeps(trees, repeats):
             "what": what, "axis": axis, "sizes": list(sizes),
             "median_s": medians,
             "runs_s": {label: [times[label][n] for n in sizes] for label in trees},
-            "exponent": {label: round(fit(sizes, ts), 3)
-                         for label, ts in medians.items()},
+            "exponent": {label: round(statistics.linear_regression(
+                [math.log(n) for n in sizes], [math.log(t) for t in ts]).slope, 3)
+                for label, ts in medians.items()},
         }
         print(name, json.dumps(medians), file=sys.stderr)
     return sweeps

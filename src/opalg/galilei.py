@@ -290,7 +290,9 @@ class CommutatorReport:
 
 
 def _l2(psi: np.ndarray) -> float:
-    return float(np.sqrt(np.vdot(psi, psi).real))
+    # numpy's own pairwise sum: unlike a BLAS dot, its order does not
+    # depend on the BLAS thread count, so the report's last digits do not.
+    return float(np.sqrt(np.sum(np.abs(psi) ** 2)))
 
 
 _TARGETS = {(left, right): target for left, right, target in COMMUTATOR_TABLE}
