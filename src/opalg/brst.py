@@ -12,6 +12,7 @@ for one-parameter deformations of Q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,11 +53,8 @@ __all__ = [
     "lift_vector",
     "solve_image_membership",
     "inner_product_series",
-    "apply_operator_series",
     "deform_check",
     "deformation_generators",
-    "state_from_vector",
-    "deformed_state_from_vector",
     "null_pair_toy",
     "gupta_bleuler_toy",
     "two_pair_model",
@@ -168,6 +166,37 @@ def _check_homogeneous(space: GhostGradedSpace, F: GradedOperator, tol: float = 
 
 
 # ---------------------------------------------------------------------------
+# one rank-revealing decomposition per map
+
+
+@dataclass(frozen=True)
+class _Split:
+    image: np.ndarray    # orthonormal columns
+    kernel: np.ndarray   # orthonormal columns
+    pinv: np.ndarray     # minimum-norm solution operator
+
+
+def _split(A: np.ndarray, tol: float = RANK_TOL) -> _Split:
+    """Image, kernel and pseudo-inverse of A from one SVD.
+
+    Singular values at or below tol times the largest count as zero, so the
+    rank does not depend on the scale of A; the zero map has rank 0.
+    """
+    u, s, vh = np.linalg.svd(A)
+    rank = int(np.sum(s > tol * s[0])) if s.size else 0
+    image, coimage = u[:, :rank], vh[:rank].conj().T
+    return _Split(image=image, kernel=vh[rank:].conj().T,
+                  pinv=coimage @ (image.conj().T / s[:rank, None]))
+
+
+def _require_solved(residual: np.ndarray, rhs: np.ndarray, tol: float,
+                    order: int, what: str):
+    res = float(np.linalg.norm(residual))
+    if res > tol * max(1.0, float(np.linalg.norm(rhs))):
+        raise LiftObstructionError(order, res, what)
+
+
+# ---------------------------------------------------------------------------
 # BRST structure and derivation
 
 
@@ -179,6 +208,18 @@ class BRSTStructure:
     @property
     def dim(self) -> int:
         return self.space.dim
+
+    @cached_property
+    def _charge(self) -> _Split:
+        return _split(self.Q)
+
+    @cached_property
+    def _derivation(self) -> Tuple[_Split, _Split]:
+        """s on the even-ghost operators (into the odd ones) and on the odd
+        ones (into the even ones), in the coordinates of _parity_indices."""
+        S = _s_matrix(self)
+        even, odd = _parity_indices(self.space)
+        return _split(S[np.ix_(odd, even)]), _split(S[np.ix_(even, odd)])
 
 
 def validate_brst(space: GhostGradedSpace, Q, tol: float = RANK_TOL) -> BRSTStructure:
@@ -219,35 +260,34 @@ def s_action(B: BRSTStructure, M: np.ndarray) -> np.ndarray:
 
 def brst_derivation(B: BRSTStructure, F: GradedOperator) -> GradedOperator:
     _check_homogeneous(B.space, F)
-    sign = -1.0 if F.ghost % 2 else 1.0
-    return GradedOperator(matrix=B.Q @ F.matrix - sign * F.matrix @ B.Q,
-                          ghost=F.ghost + 1)
+    return GradedOperator(matrix=s_action(B, F.matrix), ghost=F.ghost + 1)
 
 
-# ---------------------------------------------------------------------------
-# kernel/image helpers (rank-revealing SVD with a fixed threshold)
+def _s_matrix(B: BRSTStructure) -> np.ndarray:
+    """Matrix of s on row-major vectorised operators.
+
+    With Sigma = diag((-1)^parity) the graded sign of F is Sigma F Sigma, so
+    s(F) = Q F - Sigma F Sigma Q and vec(A F C) = kron(A, C^T) vec(F).
+    """
+    sigma = np.diag(1.0 - 2.0 * B.space.parities())
+    return np.kron(B.Q, np.eye(B.dim)) - np.kron(sigma, (sigma @ B.Q).T)
 
 
-def _null_space(A: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    m, n = A.shape
-    if m == 0:
-        return np.eye(n, dtype=complex)
-    u, s, vh = np.linalg.svd(A)
-    rank = int(np.sum(s > tol))
-    return vh[rank:].conj().T
+def _parity_indices(space: GhostGradedSpace) -> Tuple[np.ndarray, np.ndarray]:
+    par = space.parities()
+    flat = ((par[:, None] - par[None, :]) % 2).ravel()
+    return np.where(flat == 0)[0], np.where(flat == 1)[0]
 
 
-def _column_space(A: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    u, s, vh = np.linalg.svd(A)
-    rank = int(np.sum(s > tol))
-    return u[:, :rank]
-
-
-def _solve_consistent(A: np.ndarray, b: np.ndarray, tol: float):
-    """Least-squares solve; returns (solution, residual norm)."""
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    res = float(np.linalg.norm(A @ x - b))
-    return x, res
+def _s_preimage(B: BRSTStructure, R: np.ndarray) -> np.ndarray:
+    """Minimum-norm X with s(X) closest to R, block by block in parity."""
+    r = R.ravel()
+    x = np.zeros_like(r)
+    even, odd = _parity_indices(B.space)
+    s_even, s_odd = B._derivation
+    x[even] = s_even.pinv @ r[odd]
+    x[odd] = s_odd.pinv @ r[even]
+    return x.reshape(R.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +305,23 @@ class BRSTQuotient:
     def dim(self) -> int:
         return self.quotient_reps.shape[1]
 
+    @cached_property
+    def _basis(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Representatives followed by the image, and its pseudo-inverse."""
+        basis = np.hstack([self.quotient_reps, self.im_basis])
+        return basis, _split(basis).pinv
+
 
 def physical_space(B: BRSTStructure, tol: float = RANK_TOL) -> BRSTQuotient:
     """Kernel, image, quotient representatives and the induced product.
 
-    Verifies positivity of the product on the kernel and exactness of its
-    null vectors; representatives are chosen orthogonal to the image in the
-    rotated (positive) product for determinism.
+    Kernel and image come from the structure's cached split of Q.  Verifies
+    positivity of the product on the kernel and exactness of its null vectors
+    to tol; representatives are the kernel vectors orthogonal to the image in
+    the rotated (positive) product: the harmonic vectors.
     """
     G = B.space.krein.gram
-    ker = _null_space(B.Q, tol)
-    im = _column_space(B.Q, tol)
-    k, r = ker.shape[1], im.shape[1]
+    ker, im = B._charge.kernel, B._charge.image
 
     restricted = ker.conj().T @ G @ ker
     restricted = (restricted + restricted.conj().T) / 2
@@ -284,21 +329,14 @@ def physical_space(B: BRSTStructure, tol: float = RANK_TOL) -> BRSTQuotient:
     if np.any(eigs < -tol):
         raise PositivityViolatedError(
             f"kernel vector of norm {eigs.min():.3e} found")
-    null_dirs = vecs[:, np.abs(eigs) <= tol]
-    for j in range(null_dirs.shape[1]):
-        v = ker @ null_dirs[:, j]
-        res = np.linalg.norm(v - im @ (im.conj().T @ v))
-        if res > np.sqrt(tol):
-            raise NullNotExactError(
-                f"null kernel vector misses the image by {res:.3e}")
+    null = ker @ vecs[:, np.abs(eigs) <= tol]
+    res = np.linalg.norm(null - im @ (im.conj().T @ null), axis=0)
+    if np.any(res > np.sqrt(tol)):
+        raise NullNotExactError(
+            f"null kernel vector misses the image by {res.max():.3e}")
 
-    J = fundamental_symmetry(B.space.krein).matrix
-    W = G @ J
-    if r:
-        coeff_null = _null_space(im.conj().T @ W @ ker, tol)
-    else:
-        coeff_null = np.eye(k, dtype=complex)
-    reps = ker @ coeff_null
+    W = G @ fundamental_symmetry(B.space.krein).matrix
+    reps = ker @ _split(im.conj().T @ W @ ker).kernel
     gram = reps.conj().T @ G @ reps
     gram = (gram + gram.conj().T) / 2
     if reps.shape[1] and np.min(np.linalg.eigvalsh(gram)) <= tol:
@@ -310,8 +348,9 @@ def physical_space(B: BRSTStructure, tol: float = RANK_TOL) -> BRSTQuotient:
 def class_coordinates(quotient: BRSTQuotient, vector, tol: float = 1e-8) -> np.ndarray:
     """Coordinates of [vector] with respect to the chosen representatives."""
     v = np.asarray(vector, dtype=complex)
-    basis = np.hstack([quotient.quotient_reps, quotient.im_basis])
-    x, res = _solve_consistent(basis, v, tol)
+    basis, pinv = quotient._basis
+    x = pinv @ v
+    res = float(np.linalg.norm(basis @ x - v))
     if res > tol * max(1.0, float(np.linalg.norm(v))):
         raise ValueError(f"vector is not in the kernel (residual {res:.3e})")
     return x[: quotient.dim]
@@ -333,88 +372,65 @@ class ObservableAlgebra:
         return len(self.quotient_basis)
 
 
-def _s_matrix(B: BRSTStructure) -> np.ndarray:
-    """Matrix of the derivation on the n^2-dimensional operator space."""
-    n = B.dim
-    cols = []
-    for j in range(n * n):
-        E = np.zeros((n, n), dtype=complex)
-        E[j // n, j % n] = 1.0
-        cols.append(s_action(B, E).ravel())
-    return np.array(cols).T
-
-
-def _parity_indices(space: GhostGradedSpace) -> Tuple[np.ndarray, np.ndarray]:
-    par = space.parities()
-    flat = ((par[:, None] - par[None, :]) % 2).ravel()
-    return np.where(flat == 0)[0], np.where(flat == 1)[0]
-
-
 def observable_algebra(B: BRSTStructure, variant: str = "even_ghost",
                        tol: float = RANK_TOL) -> ObservableAlgebra:
     """Quotient ker s mod im s of the ambient matrix algebra.
 
-    variant "full" uses the whole algebra; "even_ghost" restricts both
-    kernel and image to the even-ghost part before taking the quotient,
-    and additionally verifies closure of the kernel under products and the
-    Krein adjoint.
+    s maps even-ghost operators to odd ones and back, so kernel, image and
+    quotient split into an even and an odd block, each read off the
+    structure's cached split of s.  Variant "even_ghost" is the even block
+    and verifies that the represented quotient is closed under the physical
+    adjoint; "full" is the direct sum of both blocks and verifies that the
+    kernel is closed under the Krein adjoint.  Both verify that the kernel
+    is closed under products; tol bounds these checks.
     """
     if variant not in ("even_ghost", "full"):
         raise ValueError(f"unknown variant {variant!r}")
     n = B.dim
-    S = _s_matrix(B)
-    even_idx, odd_idx = _parity_indices(B.space)
-
-    if variant == "full":
-        ker_vecs = _null_space(S, tol)
-        im_vecs = _column_space(S, tol)
-    else:
-        # s maps even to odd and vice versa, so the graded pieces split
-        ker_even_coeff = _null_space(S[:, even_idx], tol)
-        ker_vecs = np.zeros((n * n, ker_even_coeff.shape[1]), dtype=complex)
-        ker_vecs[even_idx] = ker_even_coeff
-        im_vecs = _column_space(S[:, odd_idx], tol)
-
-    # representatives of the quotient: kernel directions orthogonal to the image
-    if im_vecs.shape[1]:
-        coeff = _null_space(im_vecs.conj().T @ ker_vecs, tol)
-        quot_vecs = ker_vecs @ coeff
-    else:
-        quot_vecs = ker_vecs
-
-    ker_ops = [ker_vecs[:, j].reshape(n, n) for j in range(ker_vecs.shape[1])]
-    im_ops = [im_vecs[:, j].reshape(n, n) for j in range(im_vecs.shape[1])]
-    quot_ops = [quot_vecs[:, j].reshape(n, n) for j in range(quot_vecs.shape[1])]
+    blocks = []
+    for p in (0,) if variant == "even_ghost" else (0, 1):
+        ker, im = B._derivation[p].kernel, B._derivation[1 - p].image
+        # representatives of the quotient: kernel directions orthogonal to the image
+        quot = ker @ _split(im.conj().T @ ker).kernel
+        rows = _parity_indices(B.space)[p]
+        blocks.append([_embed(v, rows, n) for v in (ker, im, quot)])
+    ker_vecs, im_vecs, quot_vecs = (np.hstack(vecs) for vecs in zip(*blocks))
+    ker_ops, im_ops, quot_ops = (v.T.reshape(-1, n, n) for v in (ker_vecs, im_vecs, quot_vecs))
 
     _verify_product_closure(ker_vecs, ker_ops, tol)
     if variant == "full":
         _verify_adjoint_closure(B, ker_vecs, ker_ops, tol)
-    algebra = ObservableAlgebra(variant=variant, ker_basis=ker_ops,
-                                im_basis=im_ops, quotient_basis=quot_ops)
+    algebra = ObservableAlgebra(variant=variant, ker_basis=list(ker_ops),
+                                im_basis=list(im_ops), quotient_basis=list(quot_ops))
     if variant == "even_ghost":
         _verify_represented_star_closure(B, algebra, tol)
     return algebra
 
 
-def _verify_product_closure(ker_vecs: np.ndarray, ker_ops: List[np.ndarray],
-                            tol: float):
-    if not ker_ops:
-        return
-    proj = ker_vecs @ ker_vecs.conj().T
+def _embed(block: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Columns of one parity block as vectors of the n^2-dimensional operator space."""
+    out = np.zeros((n * n, block.shape[1]), dtype=complex)
+    out[rows] = block
+    return out
+
+
+def _off_span(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Norm of each row vector's component off the orthonormal columns of basis."""
+    return np.linalg.norm(rows - (rows @ basis.conj()) @ basis.T, axis=1)
+
+
+def _verify_product_closure(ker_vecs: np.ndarray, ker_ops: np.ndarray, tol: float):
     for a in ker_ops:
-        for b in ker_ops:
-            prod = (a @ b).ravel()
-            if np.linalg.norm(prod - proj @ prod) > np.sqrt(tol):
-                raise NotObservableError("kernel not closed under products")
+        products = (a @ ker_ops).reshape(ker_vecs.shape[::-1])
+        if np.any(_off_span(products, ker_vecs) > np.sqrt(tol)):
+            raise NotObservableError("kernel not closed under products")
 
 
 def _verify_adjoint_closure(B: BRSTStructure, ker_vecs: np.ndarray,
-                            ker_ops: List[np.ndarray], tol: float):
-    proj = ker_vecs @ ker_vecs.conj().T
-    for a in ker_ops:
-        adj = krein_adjoint(B.space.krein, a).ravel()
-        if np.linalg.norm(adj - proj @ adj) > np.sqrt(tol):
-            raise NotObservableError("kernel not closed under the adjoint")
+                            ker_ops: np.ndarray, tol: float):
+    adjoints = np.array([krein_adjoint(B.space.krein, a).ravel() for a in ker_ops])
+    if np.any(_off_span(adjoints.reshape(ker_vecs.shape[::-1]), ker_vecs) > np.sqrt(tol)):
+        raise NotObservableError("kernel not closed under the adjoint")
 
 
 def _verify_represented_star_closure(B: BRSTStructure, algebra: "ObservableAlgebra",
@@ -432,20 +448,15 @@ def _verify_represented_star_closure(B: BRSTStructure, algebra: "ObservableAlgeb
         return  # no physical quotient to represent on
     if quotient.dim == 0 or not algebra.quotient_basis:
         return
-    mats = []
-    for A0 in algebra.quotient_basis:
-        mats.append(representation_matrix(
-            B, quotient, GradedOperator(A0, _even_ghost_of(B.space, A0))).ravel())
-    span = np.array(mats).T
+    mats = np.array([representation_matrix(
+        B, quotient, GradedOperator(A0, _even_ghost_of(B.space, A0)))
+        for A0 in algebra.quotient_basis])
     gram = quotient.induced_gram
-    gram_inv = np.linalg.inv(gram)
-    for vec in list(span.T):
-        M = vec.reshape(quotient.dim, quotient.dim)
-        adj = (gram_inv @ M.conj().T @ gram).ravel()
-        x, res = _solve_consistent(span, adj, tol)
-        if res > np.sqrt(tol) * max(1.0, float(np.linalg.norm(adj))):
-            raise NotObservableError(
-                "represented quotient not closed under the adjoint")
+    adjoints = np.linalg.inv(gram) @ mats.conj().transpose(0, 2, 1) @ gram
+    span, targets = (m.reshape(len(mats), -1).T for m in (mats, adjoints))
+    res = np.linalg.norm(span @ (_split(span).pinv @ targets) - targets, axis=0)
+    if np.any(res > np.sqrt(tol) * np.maximum(1.0, np.linalg.norm(targets, axis=0))):
+        raise NotObservableError("represented quotient not closed under the adjoint")
 
 
 def _even_ghost_of(space: GhostGradedSpace, M: np.ndarray) -> int:
@@ -478,12 +489,8 @@ def represent(B: BRSTStructure, quotient: BRSTQuotient, A: GradedOperator,
 def representation_matrix(B: BRSTStructure, quotient: BRSTQuotient,
                           A: GradedOperator, tol: float = 1e-8) -> np.ndarray:
     d = quotient.dim
-    out = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        e = np.zeros(d, dtype=complex)
-        e[j] = 1.0
-        out[:, j] = represent(B, quotient, A, e, tol)
-    return out
+    cols = [represent(B, quotient, A, e, tol) for e in np.eye(d, dtype=complex)]
+    return np.array(cols, dtype=complex).reshape(d, d).T
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +514,6 @@ class VectorState:
     def __call__(self, A: GradedOperator) -> complex:
         image = represent(self.B, self.quotient, A, self.coords, self.tol)
         return complex(np.conj(self.coords) @ self.quotient.induced_gram @ image)
-
-
-def state_from_vector(B: BRSTStructure, quotient: BRSTQuotient, phi_coords,
-                      tol: float = 1e-8) -> VectorState:
-    return VectorState(B, quotient, phi_coords, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -568,29 +570,25 @@ def inner_product_series(space: GhostGradedSpace, a: FormalSeries,
     return FormalSeries(out)
 
 
-def apply_operator_series(op: FormalSeries, vec: FormalSeries) -> FormalSeries:
-    return series_mul(op, vec)
-
-
 def lift_vector(D: DeformedBRST, phi0, tol: float = 1e-9,
                 rng: Optional[np.random.Generator] = None) -> FormalSeries:
     """Extend a kernel vector of the base charge to the deformed kernel.
 
     Solves Q0 phi_n = -sum_{k>=1} Q_k phi_{n-k} order by order (minimum-norm
-    solution); with an rng a random base-kernel component is added at each
-    positive order to sample the solution set.
+    solution, from the base structure's cached pseudo-inverse of Q0); with an
+    rng a random base-kernel component is added at each positive order to
+    sample the solution set.
     """
     phi0 = np.asarray(phi0, dtype=complex)
     Q0 = D.charge(0)
     if np.linalg.norm(Q0 @ phi0) > tol * max(1.0, np.linalg.norm(phi0)):
         raise ValueError("phi0 is not in the kernel of the undeformed charge")
-    ker = _null_space(Q0)
+    ker, pinv = D.base._charge.kernel, D.base._charge.pinv
     coeffs = [phi0]
     for n in range(1, D.order + 1):
         rhs = -sum(D.charge(k) @ coeffs[n - k] for k in range(1, n + 1))
-        sol, res = _solve_consistent(Q0, rhs, tol)
-        if res > tol * max(1.0, float(np.linalg.norm(rhs))):
-            raise LiftObstructionError(n, res)
+        sol = pinv @ rhs
+        _require_solved(Q0 @ sol - rhs, rhs, tol, n, "lift")
         if rng is not None and ker.shape[1]:
             sol = sol + ker @ (rng.normal(size=ker.shape[1])
                                + 1j * rng.normal(size=ker.shape[1]))
@@ -605,13 +603,12 @@ def solve_image_membership(D: DeformedBRST, phi: FormalSeries,
     Solves Q0 x_n = phi_n - sum_{k>=1} Q_k x_{n-k}; raises
     LiftObstructionError at the first unsolvable order.
     """
-    Q0 = D.charge(0)
+    Q0, pinv = D.charge(0), D.base._charge.pinv
     xs: List[np.ndarray] = []
     for n in range(phi.order + 1):
         rhs = phi.coeffs[n] - sum(D.charge(k) @ xs[n - k] for k in range(1, n + 1))
-        sol, res = _solve_consistent(Q0, rhs, tol)
-        if res > tol * max(1.0, float(np.linalg.norm(rhs))):
-            raise LiftObstructionError(n, res, what="image membership")
+        sol = pinv @ rhs
+        _require_solved(Q0 @ sol - rhs, rhs, tol, n, "image membership")
         xs.append(sol)
     return FormalSeries(xs)
 
@@ -619,19 +616,16 @@ def solve_image_membership(D: DeformedBRST, phi: FormalSeries,
 def _lift_operator(D: DeformedBRST, A0: np.ndarray, tol: float = 1e-9) -> FormalSeries:
     """Extend an observable of the base theory to the deformed kernel of s."""
     base = D.base
-    n = base.dim
 
     def s_k(k: int, M: np.ndarray) -> np.ndarray:
         return D.charge(k) @ M - graded_sign_split(base.space, M) @ D.charge(k)
 
-    S0 = _s_matrix(base)
     coeffs = [np.asarray(A0, dtype=complex)]
     for m in range(1, D.order + 1):
-        rhs = -sum(s_k(k, coeffs[m - k]) for k in range(1, m + 1)).ravel()
-        sol, res = _solve_consistent(S0, rhs, tol)
-        if res > tol * max(1.0, float(np.linalg.norm(rhs))):
-            raise LiftObstructionError(m, res, what="observable lift")
-        coeffs.append(sol.reshape(n, n))
+        rhs = -sum(s_k(k, coeffs[m - k]) for k in range(1, m + 1))
+        sol = _s_preimage(base, rhs)
+        _require_solved(s_action(base, sol) - rhs, rhs, tol, m, "observable lift")
+        coeffs.append(sol)
     return FormalSeries(coeffs)
 
 
@@ -684,7 +678,7 @@ def deform_check(D: DeformedBRST, samples: int = 50,
     for j in range(ker.shape[1]):
         phi = lift_vector(D, ker[:, j], tol)
         lifts.append(phi)
-        resid = apply_operator_series(D.Q_series, phi)
+        resid = series_mul(D.Q_series, phi)
         lift_res = max(lift_res, resid.max_abs())
     report.lifted_kernel_dim = len(lifts)
     report.lift_residual = lift_res
@@ -713,12 +707,12 @@ def deform_check(D: DeformedBRST, samples: int = 50,
     for _ in range(samples):
         w = FormalSeries([rng.normal(size=n) + 1j * rng.normal(size=n)
                           for _ in range(D.order + 1)])
-        phi = apply_operator_series(D.Q_series, w)
+        phi = series_mul(D.Q_series, w)
         norm2 = inner_product_series(base.space, phi, phi)
         if norm2.max_abs() > np.sqrt(tol):
             raise NullNotExactError("image vector with nonzero formal norm")
         x = solve_image_membership(D, phi, tol)
-        recon = apply_operator_series(D.Q_series, x)
+        recon = series_mul(D.Q_series, x)
         null_res = max(null_res, (recon - phi).max_abs())
         checked += 1
     # lifts of base null vectors that stay null must also be exact
@@ -727,7 +721,7 @@ def deform_check(D: DeformedBRST, samples: int = 50,
         norm2 = inner_product_series(base.space, phi, phi)
         if norm2.max_abs() <= np.sqrt(tol):
             x = solve_image_membership(D, phi, tol)
-            recon = apply_operator_series(D.Q_series, x)
+            recon = series_mul(D.Q_series, x)
             null_res = max(null_res, (recon - phi).max_abs())
             checked += 1
     report.null_vectors_checked = checked
@@ -752,7 +746,7 @@ def deform_check(D: DeformedBRST, samples: int = 50,
         coords = np.zeros(quotient.dim, dtype=complex)
         coords[col] = 1.0
         phi = lift_vector(D, quotient.quotient_reps @ coords, tol)
-        image = apply_operator_series(A_series, phi)
+        image = series_mul(A_series, phi)
         leading = class_coordinates(quotient, image.coeffs[0], np.sqrt(tol))
         min_norm = min(min_norm, float(np.linalg.norm(leading)))
         tested += 1
@@ -779,21 +773,17 @@ def deformation_generators(B: BRSTStructure, tol: float = RANK_TOL) -> List[np.n
 
     def build(x: np.ndarray) -> np.ndarray:
         X = np.zeros((B.dim, B.dim), dtype=complex)
-        vals = x[:npar] + 1j * x[npar:]
-        for idx, (i, j) in enumerate(allowed):
-            X[i, j] = vals[idx]
+        X[tuple(allowed.T)] = x[:npar] + 1j * x[npar:]
         return X
 
     rows = []
-    for k in range(2 * npar):
-        e = np.zeros(2 * npar)
-        e[k] = 1.0
+    for e in np.eye(2 * npar):
         X = build(e)
         anti = (B.Q @ X + X @ B.Q).ravel()
         sadj = (X - krein_adjoint(K, X)).ravel()
         rows.append(np.concatenate([anti.real, anti.imag, sadj.real, sadj.imag]))
     M = np.array(rows).T
-    basis = _null_space(M, tol)
+    basis = _split(M, tol).kernel
     return [build(basis[:, j].real) for j in range(basis.shape[1])]
 
 
@@ -810,13 +800,8 @@ class DeformedVectorState:
         self.tol = tol
 
     def __call__(self, A_series: FormalSeries) -> FormalSeries:
-        image = apply_operator_series(A_series, self.phi)
+        image = series_mul(A_series, self.phi)
         return inner_product_series(self.D.base.space, self.phi, image)
-
-
-def deformed_state_from_vector(D: DeformedBRST, phi: FormalSeries,
-                               tol: float = 1e-8) -> DeformedVectorState:
-    return DeformedVectorState(D, phi, tol)
 
 
 # ---------------------------------------------------------------------------

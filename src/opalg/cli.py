@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from .scenario import (ScenarioParseError, UnknownCheckError, available_checks,
@@ -51,13 +52,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    report = run_scenario(scenario, jobs=args.jobs, seed_override=args.seed)
-    rendered = emit_report(report, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    try:  # a bad output path is a usage error, found before the run
+        sink = open(args.out, "w", encoding="utf-8") if args.out \
+            else nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    with sink as fh:
+        report = run_scenario(scenario, jobs=args.jobs, seed_override=args.seed)
+        fh.write(emit_report(report, args.format))
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 

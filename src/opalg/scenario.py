@@ -194,7 +194,10 @@ def _check_witness_roundtrip(params, ctx):
             return CheckResult(passed=False, value=f"not_positive@{verdict.failure_order}")
         redone = series.series_mul(series.series_star(verdict.witness),
                                    verdict.witness)
-        worst = max(worst, (redone - b).max_abs())
+        # witness coefficients grow like |c0|^-order: compare with the scale
+        # of the Cauchy sums, not absolutely
+        scale = max(verdict.witness.max_abs() ** 2, b.max_abs())
+        worst = max(worst, (redone - b).max_abs() / scale)
     return CheckResult(passed=worst <= tol, value=worst, tolerance=tol)
 
 
@@ -461,15 +464,22 @@ def _dump_field(path: str, grid: wigner.SliceGrid, values: np.ndarray):
 # loading and running
 
 
+def _number(kind, value, where: str):
+    """kind(value), or a ScenarioParseError naming where the value came from."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ScenarioParseError(f"{where}: expected a number, got {value!r}") from None
+
+
 def _env_tolerances() -> Dict[str, float]:
-    out = {}
-    for key, val in os.environ.items():
-        if key.startswith(ENV_PREFIX):
-            out[key[len(ENV_PREFIX):].lower()] = float(val)
-    return out
+    return {key[len(ENV_PREFIX):].lower(): _number(float, val, f"environment {key}")
+            for key, val in os.environ.items() if key.startswith(ENV_PREFIX)}
 
 
 def load_scenario(path: str) -> Scenario:
+    """Read and validate a scenario file; every malformed field raises
+    ScenarioParseError (or UnknownCheckError) naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -478,23 +488,39 @@ def load_scenario(path: str) -> Scenario:
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except OSError as exc:
         raise ScenarioParseError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ScenarioParseError(f"{path}: the top level must be an object")
     for key in ("name", "seed", "checks"):
         if key not in data:
             raise ScenarioParseError(f"{path}: missing required key {key!r}")
+    if not isinstance(data["checks"], list):
+        raise ScenarioParseError(f"{path}: checks: expected a list")
+    if not isinstance(data.get("tolerances", {}), dict):
+        raise ScenarioParseError(f"{path}: tolerances: expected an object")
     tolerances = dict(DEFAULT_TOLERANCES)
     tolerances.update(_env_tolerances())
-    tolerances.update({k: float(v) for k, v in data.get("tolerances", {}).items()})
+    tolerances.update({k: _number(float, v, f"{path}: tolerances.{k}")
+                       for k, v in data.get("tolerances", {}).items()})
     checks = []
     for i, entry in enumerate(data["checks"]):
-        if "check" not in entry:
-            raise ScenarioParseError(f"{path}: checks[{i}] has no 'check' key")
+        where = f"{path}: checks[{i}]"
+        if not isinstance(entry, dict) or not isinstance(entry.get("check"), str):
+            raise ScenarioParseError(f"{where}: expected an object with a 'check' name")
         name = entry["check"]
         if name not in _REGISTRY:
             raise UnknownCheckError(f"{path}: unknown check {name!r}")
-        checks.append(CheckSpec(check=name, params=entry.get("params", {}),
+        params = entry.get("params", {})
+        if not isinstance(params, dict):
+            raise ScenarioParseError(f"{where}.params: expected an object")
+        if name.startswith("brst.") and "model" in params \
+                and params["model"] not in list(_MODELS):
+            raise ScenarioParseError(
+                f"{where}.params.model: unknown model {params['model']!r}")
+        checks.append(CheckSpec(check=name, params=params,
                                 independent=bool(entry.get("independent", True))))
-    return Scenario(name=str(data["name"]), seed=int(data["seed"]),
-                    truncation_order=int(data.get("truncation_order", 8)),
+    return Scenario(name=str(data["name"]), seed=_number(int, data["seed"], f"{path}: seed"),
+                    truncation_order=_number(int, data.get("truncation_order", 8),
+                                             f"{path}: truncation_order"),
                     tolerances=tolerances, checks=tuple(checks))
 
 

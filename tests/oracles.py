@@ -1,9 +1,11 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here avoids the code paths of the package under test: linear
-algebra is plain Gaussian elimination, series products go through
-numpy.convolve, shell sums are evaluated point by point, and grid
-brackets apply every generator through a zero-padded stencil.
+algebra is plain Gaussian elimination, or one SVD or least-squares solve
+per question with an absolute cut (the generic BRST route), series
+products go through numpy.convolve, shell sums are evaluated point by
+point, and grid brackets apply every generator through a zero-padded
+stencil.
 """
 
 import numpy as np
@@ -76,18 +78,79 @@ def quotient_oracle(Q, G, tol=ORACLE_TOL):
     """
     Q = np.asarray(Q, dtype=complex)
     G = np.asarray(G, dtype=complex)
-    ker = null_space(Q, tol)
-    im = column_space(Q, tol)
+    reps = quotient_reps(Q, tol)
+    gram = reps.conj().T @ G @ reps
+    return null_space(Q, tol).shape[1], column_space(Q, tol).shape[1], reps.shape[1], gram
+
+
+def quotient_reps(Q, tol=ORACLE_TOL):
+    """Kernel basis columns (row reduction) independent from the image."""
+    Q = np.asarray(Q, dtype=complex)
     reps = []
-    current = im
-    for j in range(ker.shape[1]):
-        v = ker[:, j]
+    current = column_space(Q, tol)
+    for v in null_space(Q, tol).T:
         if not contains(current, v):
             reps.append(v)
             current = np.column_stack([current, v])
-    reps = np.array(reps).T if reps else np.zeros((Q.shape[0], 0), dtype=complex)
+    return np.array(reps).T if reps else np.zeros((Q.shape[0], 0), dtype=complex)
+
+
+def svd_null_space(A, tol=ORACLE_TOL):
+    """Orthonormal kernel basis from a fresh SVD, singular values cut at tol."""
+    A = np.asarray(A, dtype=complex)
+    if A.shape[0] == 0:
+        return np.eye(A.shape[1], dtype=complex)
+    _, s, vh = np.linalg.svd(A)
+    return vh[int(np.sum(s > tol)):].conj().T
+
+
+def svd_column_space(A, tol=ORACLE_TOL):
+    """Orthonormal image basis from a fresh SVD, singular values cut at tol."""
+    u, s, _ = np.linalg.svd(np.asarray(A, dtype=complex))
+    return u[:, :int(np.sum(s > tol))]
+
+
+def physical_space_svd(Q, G, W, tol=ORACLE_TOL):
+    """(ker, im, representatives, induced Gram) with one SVD per question;
+    representatives are the kernel vectors W-orthogonal to the image."""
+    ker, im = svd_null_space(Q, tol), svd_column_space(Q, tol)
+    reps = ker @ svd_null_space(im.conj().T @ W @ ker, tol) if im.shape[1] else ker
     gram = reps.conj().T @ G @ reps
-    return ker.shape[1], im.shape[1], reps.shape[1], gram
+    return ker, im, reps, (gram + gram.conj().T) / 2
+
+
+def observable_dims_svd(Q, grades, variant, tol=ORACLE_TOL):
+    """(ker, im, quotient) dimensions of s on the whole operator space
+    ("full") or on its even-ghost part ("even_ghost"), from SVDs of the
+    loop-built derivation matrix."""
+    S = super_commutator_matrix(Q, grades)
+    if variant == "full":
+        ker, im = svd_null_space(S, tol), svd_column_space(S, tol)
+    else:
+        g = np.asarray(grades)
+        parity = ((g[:, None] - g[None, :]) % 2).ravel()
+        coeff = svd_null_space(S[:, parity == 0], tol)
+        ker = np.zeros((S.shape[1], coeff.shape[1]), dtype=complex)
+        ker[parity == 0] = coeff
+        im = svd_column_space(S[:, parity == 1], tol)
+    quot = ker @ svd_null_space(im.conj().T @ ker, tol) if im.shape[1] else ker
+    return ker.shape[1], im.shape[1], quot.shape[1]
+
+
+def lstsq_series_solve(charges, targets, first=None):
+    """Order by order, x_n = the least-squares solution of
+    Q_0 x_n = t_n - sum_{k>=1} Q_k x_{n-k}; with first given, x_0 = first
+    and the solve starts at order 1.  Returns the solutions and the worst
+    residual."""
+    xs = [] if first is None else [np.asarray(first, dtype=complex)]
+    worst = 0.0
+    for n in range(len(xs), len(targets)):
+        rhs = targets[n] - sum(charges[k] @ xs[n - k]
+                               for k in range(1, min(n, len(charges) - 1) + 1))
+        x = np.linalg.lstsq(charges[0], rhs, rcond=None)[0]
+        worst = max(worst, float(np.linalg.norm(charges[0] @ x - rhs)))
+        xs.append(x)
+    return xs, worst
 
 
 def series_product_coeffs(a, b, order):

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opalg import brst
 from opalg.brst import (GradedOperator, NonHomogeneousError,
                         NotKreinSelfAdjointError, NotNilpotentError,
                         NotNormalizedError, NotObservableError,
-                        PositivityViolatedError, brst_derivation,
+                        PositivityViolatedError, VectorState, brst_derivation,
                         gupta_bleuler_toy, make_graded_space, null_pair_toy,
                         observable_algebra, operator_grade, physical_space,
                         represent, representation_matrix, s_action,
-                        state_from_vector, two_pair_model, validate_brst)
-from opalg.krein import krein_adjoint
+                        two_pair_model, validate_brst)
+from opalg.krein import fundamental_symmetry, krein_adjoint
+from opalg.series import FormalSeries, series_mul
 
-from oracles import quotient_oracle, rank, super_commutator_matrix
+from oracles import (lstsq_series_solve, observable_dims_svd,
+                     physical_space_svd, quotient_oracle, quotient_reps, rank,
+                     super_commutator_matrix)
 
 TOYS = {
     "null_pair": (null_pair_toy, 0),
@@ -323,26 +328,26 @@ class TestVectorStates:
     def test_projector_expectation(self):
         B = gupta_bleuler_toy()
         quotient = physical_space(B)
-        omega = state_from_vector(B, quotient, [1.0])
+        omega = VectorState(B, quotient, [1.0])
         assert abs(omega(GradedOperator(unit(3, 0, 0), 0)) - 1.0) < 1e-10
 
     def test_unit_expectation(self):
         B = two_pair_model()
         quotient = physical_space(B)
-        omega = state_from_vector(B, quotient, [1.0, 0.0])
+        omega = VectorState(B, quotient, [1.0, 0.0])
         assert abs(omega(GradedOperator(np.eye(6, dtype=complex), 0)) - 1.0) < 1e-10
 
     def test_unnormalized_rejected(self):
         B = gupta_bleuler_toy()
         quotient = physical_space(B)
         with pytest.raises(NotNormalizedError):
-            state_from_vector(B, quotient, [2.0])
+            VectorState(B, quotient, [2.0])
 
     def test_positivity_on_physical_sector_observables(self):
         B = two_pair_model()
         quotient = physical_space(B)
         K = B.space.krein
-        omega = state_from_vector(B, quotient, [0.6, 0.8j])
+        omega = VectorState(B, quotient, [0.6, 0.8j])
         rng = np.random.default_rng(6)
         for _ in range(50):
             M = np.zeros((6, 6), dtype=complex)
@@ -356,7 +361,7 @@ class TestVectorStates:
         B = two_pair_model()
         quotient = physical_space(B)
         K = B.space.krein
-        omega = state_from_vector(B, quotient, [1.0, 0.0])
+        omega = VectorState(B, quotient, [1.0, 0.0])
         rng = np.random.default_rng(7)
         M1 = np.zeros((6, 6), dtype=complex)
         M2 = np.zeros((6, 6), dtype=complex)
@@ -368,3 +373,121 @@ class TestVectorStates:
         assert abs(lhs - rhs) < 1e-10
         star = omega(GradedOperator(krein_adjoint(K, M1), 0))
         assert abs(star - np.conj(omega(GradedOperator(M1, 0)))) < 1e-10
+
+
+def random_pair_model(physical, pairs, seed):
+    """Physical modes plus null pairs as in two_pair_model, in a basis turned
+    by a random unitary within each ghost sector (so W = G J stays I)."""
+    n = physical + 2 * pairs
+    grades = np.array([0] * physical + [1, 0] * pairs)
+    gram = np.zeros((n, n), dtype=complex)
+    gram[:physical, :physical] = np.eye(physical)
+    Q = np.zeros((n, n), dtype=complex)
+    for a in range(physical, n, 2):
+        gram[a, a + 1] = gram[a + 1, a] = 1
+        Q[a, a + 1] = 1
+    rng = np.random.default_rng(seed)
+    U = np.zeros((n, n), dtype=complex)
+    for g in (0, 1):
+        idx = np.flatnonzero(grades == g)
+        Z = rng.normal(size=(idx.size, idx.size)) + 1j * rng.normal(size=(idx.size, idx.size))
+        U[np.ix_(idx, idx)] = np.linalg.qr(Z)[0]
+    space = make_graded_space(U.conj().T @ gram @ U, grades)
+    return validate_brst(space, U.conj().T @ Q @ U)
+
+
+pair_models = st.builds(random_pair_model, physical=st.integers(0, 2),
+                        pairs=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= rtol * scale
+
+
+class TestScaleInvariance:
+    """Rank decisions are relative: Q -> lam Q changes no quotient."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(TOYS)), exponent=st.floats(-12.0, 6.0))
+    def test_quotients_unchanged_under_rescaled_charge(self, name, exponent):
+        B = TOYS[name][0]()
+        scaled = validate_brst(B.space, 10.0 ** exponent * B.Q)
+        want, got = physical_space(B), physical_space(scaled)
+        assert got.dim == want.dim
+        np.testing.assert_allclose(got.induced_gram, want.induced_gram, atol=1e-12)
+        for variant in ("even_ghost", "full"):
+            assert observable_algebra(scaled, variant).quotient_dim == \
+                observable_algebra(B, variant).quotient_dim
+
+
+class TestOracleTwins:
+    """The cached-split route against the SVD-per-question reference and
+    the row-reduction oracles, on randomly rotated pair models."""
+
+    @pytest.mark.parametrize("make", [null_pair_toy, gupta_bleuler_toy, two_pair_model,
+                                      lambda: random_pair_model(2, 3, 0)])
+    def test_derivation_matrix_equals_loop(self, make):
+        B = make()
+        assert np.array_equal(brst._s_matrix(B),
+                              super_commutator_matrix(B.Q, B.space.ghost_grades))
+
+    @settings(max_examples=20, deadline=None)
+    @given(B=pair_models)
+    def test_physical_space(self, B):
+        G = B.space.krein.gram
+        W = G @ fundamental_symmetry(B.space.krein).matrix
+        quotient = physical_space(B)
+        ker, im, reps, gram = physical_space_svd(B.Q, G, W)
+        assert (quotient.ker_basis.shape[1], quotient.im_basis.shape[1], quotient.dim) \
+            == (ker.shape[1], im.shape[1], reps.shape[1])
+        assert_rel_close(quotient.induced_gram, gram)
+        ker_dim, im_dim, quot_dim, oracle_gram = quotient_oracle(B.Q, G)
+        assert (ker.shape[1], im.shape[1], quotient.dim) == (ker_dim, im_dim, quot_dim)
+        # the oracle's representatives, in the coordinates of ours
+        oracle_reps = quotient_reps(B.Q)
+        C = np.array([brst.class_coordinates(quotient, v) for v in oracle_reps.T]) \
+            .reshape(oracle_reps.shape[1], quotient.dim).T
+        assert_rel_close(C.conj().T @ quotient.induced_gram @ C, oracle_gram, rtol=1e-10)
+
+    @settings(max_examples=15, deadline=None)
+    @given(B=pair_models)
+    def test_observable_algebra(self, B):
+        grades = B.space.ghost_grades
+        S = super_commutator_matrix(B.Q, grades)
+        g = np.asarray(grades)
+        parity = ((g[:, None] - g[None, :]) % 2).ravel()
+        r_even, r_odd = rank(S[:, parity == 0]), rank(S[:, parity == 1])
+        oracle = {"even_ghost": (int(np.sum(parity == 0)) - r_even, r_odd),
+                  "full": (S.shape[1] - rank(S), rank(S))}
+        for variant, (ker_dim, im_dim) in oracle.items():
+            alg = observable_algebra(B, variant)
+            got = (len(alg.ker_basis), len(alg.im_basis), alg.quotient_dim)
+            assert got == observable_dims_svd(B.Q, grades, variant) \
+                == (ker_dim, im_dim, ker_dim - im_dim)
+
+    @settings(max_examples=20, deadline=None)
+    @given(B=pair_models, seed=st.integers(0, 2**32 - 1))
+    def test_lifts(self, B, seed):
+        rng = np.random.default_rng(seed)
+        gens = brst.deformation_generators(B)
+        Q1 = sum(w * gen for w, gen in zip(rng.normal(size=len(gens)), gens))
+        zeros = np.zeros_like(B.Q)
+        D = brst.validate_deformation(B, FormalSeries([B.Q, Q1, zeros, zeros]))
+        charges = list(D.Q_series.coeffs)
+        ker = physical_space(B).ker_basis
+        for phi0 in ker.T:
+            phi = brst.lift_vector(D, phi0)
+            want, res = lstsq_series_solve(charges, [np.zeros(B.dim)] * 4, first=phi0)
+            assert res < 1e-9
+            for got_n, want_n in zip(phi.coeffs, want):
+                assert_rel_close(got_n, want_n)
+        w = FormalSeries([rng.normal(size=B.dim) + 1j * rng.normal(size=B.dim)
+                          for _ in range(4)])
+        target = series_mul(D.Q_series, w)
+        x = brst.solve_image_membership(D, target)
+        want, res = lstsq_series_solve(charges, target.coeffs)
+        assert res < 1e-9
+        for got_n, want_n in zip(x.coeffs, want):
+            assert_rel_close(got_n, want_n)
+        assert (series_mul(D.Q_series, x) - target).max_abs() < 1e-9

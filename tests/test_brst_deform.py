@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from opalg.brst import (LiftObstructionError, NotNilpotentError,
-                        NotNormalizedError, apply_operator_series, deform_check,
-                        deformation_generators, deformed_state_from_vector,
-                        gupta_bleuler_toy, inner_product_series, lift_vector,
+from opalg.brst import (DeformedVectorState, LiftObstructionError,
+                        NotNilpotentError, NotNormalizedError, deform_check,
+                        deformation_generators, gupta_bleuler_toy,
+                        inner_product_series, lift_vector,
                         physical_space, solve_image_membership, two_pair_model,
                         validate_deformation)
 from opalg.krein import krein_adjoint
@@ -63,7 +63,7 @@ class TestLifts:
         for j in range(quotient.ker_basis.shape[1]):
             phi = lift_vector(D, quotient.ker_basis[:, j])
             np.testing.assert_allclose(phi.coeffs[0], quotient.ker_basis[:, j])
-            residual = apply_operator_series(D.Q_series, phi)
+            residual = series_mul(D.Q_series, phi)
             assert residual.max_abs() < 1e-9
 
     def test_membership_solver_roundtrip(self):
@@ -71,9 +71,9 @@ class TestLifts:
         rng = np.random.default_rng(0)
         w = FormalSeries([rng.normal(size=6) + 1j * rng.normal(size=6)
                           for _ in range(4)])
-        phi = apply_operator_series(D.Q_series, w)
+        phi = series_mul(D.Q_series, w)
         x = solve_image_membership(D, phi)
-        recon = apply_operator_series(D.Q_series, x)
+        recon = series_mul(D.Q_series, x)
         assert (recon - phi).max_abs() < 1e-9
 
     def test_membership_fails_outside_image(self):
@@ -137,7 +137,7 @@ class TestDeformedStates:
         D = solved_charge(two_pair_model(), 3)
         quotient = physical_space(D.base)
         phi = lift_vector(D, quotient.quotient_reps[:, 0])
-        omega = deformed_state_from_vector(D, phi)
+        omega = DeformedVectorState(D, phi)
         one = FormalSeries([np.eye(6, dtype=complex)]
                            + [np.zeros((6, 6), dtype=complex)] * 3)
         val = omega(one)
@@ -147,7 +147,7 @@ class TestDeformedStates:
         D = solved_charge(two_pair_model(), 3)
         quotient = physical_space(D.base)
         phi = lift_vector(D, quotient.quotient_reps[:, 1])
-        omega = deformed_state_from_vector(D, phi)
+        omega = DeformedVectorState(D, phi)
         rng = np.random.default_rng(5)
         K = D.base.space.krein
         for _ in range(20):
@@ -160,7 +160,7 @@ class TestDeformedStates:
         D = solved_charge(two_pair_model(), 3)
         quotient = physical_space(D.base)
         phi = lift_vector(D, quotient.quotient_reps[:, 0])
-        omega = deformed_state_from_vector(D, phi)
+        omega = DeformedVectorState(D, phi)
         rng = np.random.default_rng(6)
         K = D.base.space.krein
         A = self._observable_series(D, rng)
@@ -174,4 +174,4 @@ class TestDeformedStates:
         quotient = physical_space(D.base)
         phi = lift_vector(D, 2.0 * quotient.quotient_reps[:, 0])
         with pytest.raises(NotNormalizedError):
-            deformed_state_from_vector(D, phi)
+            DeformedVectorState(D, phi)

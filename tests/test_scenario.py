@@ -108,6 +108,17 @@ class TestRunning:
         assert "ValueError" in report.records[0].value
         assert report.records[1].status == "pass"
 
+    def test_witness_roundtrip_relative_to_coefficient_scale(self, tmp_path):
+        # witness coefficients grow like |c0|^-order; at order 16 an
+        # absolute comparison fails on rounding alone
+        path = write_scenario(tmp_path, {
+            "name": "witness", "seed": 1,
+            "checks": [{"check": "series.witness_roundtrip",
+                        "params": {"count": 20, "order": 16}}]})
+        record = run_scenario(path).records[0]
+        assert record.status == "pass"
+        assert float(record.value) <= DEFAULT_TOLERANCES["witness"]
+
     def test_deterministic_csv_bytes(self):
         first = emit_report(run_scenario(SMOKE), "csv")
         second = emit_report(run_scenario(SMOKE), "csv")
@@ -182,6 +193,29 @@ class TestCli:
         path = tmp_path / "broken.json"
         path.write_text("{")
         assert main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize("body, env, field", [
+        ({"checks": [1]}, {}, "checks[0]"),
+        ({"checks": {"check": "galilei.clifford"}}, {}, "checks"),
+        ({"seed": "abc"}, {}, "seed"),
+        ({"tolerances": {"default": "abc"}}, {}, "tolerances.default"),
+        ({}, {"OPALG_TOL_DEFAULT": "abc"}, "OPALG_TOL_DEFAULT"),
+        ({"checks": [{"check": "brst.physical_space", "params": {"model": "nope"}}]},
+         {}, "checks[0].params.model"),
+        ({}, {}, "--out"),
+    ])
+    def test_exit_two_on_malformed_input(self, tmp_path, capsys, monkeypatch,
+                                         body, env, field):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        path = write_scenario(tmp_path, {
+            "name": "bad", "seed": 1,
+            "checks": [{"check": "galilei.clifford"}], **body})
+        args = ["run", path]
+        if field == "--out":
+            args += ["--out", str(tmp_path / "missing" / "x.csv")]
+        assert main(args) == 2
+        assert field in capsys.readouterr().err
 
     def test_out_file_and_rerun_identical(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
