@@ -1,0 +1,104 @@
+"""Shared harness of the sweep scripts in this directory.
+
+A sweep script names its topic, a child program and its sweeps, and calls
+`main`.  `--tree label=dir` times the source tree `dir` (the one holding
+`opalg/`); `--rev label=REV` times commit REV of this repository, extracted
+with `git archive` into a temporary directory.  Every timing is one fresh
+child process that imports `opalg` from the given tree, builds its inputs
+and prints the seconds of one timed call; the trees take turns point by
+point, so a slow spell of the host falls on all of them.  The median over
+REPEATS rounds is reported, and the exponent k of t ~ n^k is fitted by
+least squares on log t against log n.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+REPEATS = 3
+
+
+def time_once(src, child, kind, size):
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", child, kind, str(size)],
+                         env=env, capture_output=True, text=True, check=True)
+    return float(out.stdout.strip().splitlines()[-1])
+
+
+def extract(rev, dest):
+    """Source tree of commit `rev`, unpacked under `dest`."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return os.path.join(dest, "src")
+
+
+def machine():
+    import numpy
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "cpus": os.cpu_count(), "platform": platform.platform()}
+
+
+def run_sweeps(trees, child, sweeps):
+    """sweeps: (name, kind, axis, sizes, what) tuples; the child gets kind
+    and size as its two arguments."""
+    results = {}
+    for name, kind, axis, sizes, what in sweeps:
+        times = {label: {n: [] for n in sizes} for label in trees}
+        for _ in range(REPEATS):
+            for n in sizes:
+                for label, src in trees.items():
+                    times[label][n].append(time_once(src, child, kind, n))
+        medians = {label: [statistics.median(times[label][n]) for n in sizes]
+                   for label in trees}
+        results[name] = {
+            "what": what, "axis": axis, "sizes": list(sizes),
+            "median_s": medians,
+            "runs_s": {label: [times[label][n] for n in sizes] for label in trees},
+            "exponent": {label: round(statistics.linear_regression(
+                [math.log(n) for n in sizes], [math.log(t) for t in ts]).slope, 3)
+                for label, ts in medians.items()},
+        }
+        print(name, json.dumps(medians), file=sys.stderr)
+    return results
+
+
+def main(topic, child, sweeps, description, argv=None):
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument("--tree", action="append", default=[],
+                        help="label=path of a source tree holding opalg/")
+    parser.add_argument("--rev", action="append", default=[],
+                        help="label=commit of this repository")
+    parser.add_argument("--out", help="write the JSON here (default stdout)")
+    args = parser.parse_args(argv)
+    revs = [r.split("=", 1) for r in args.rev]
+    dirs = [t.split("=", 1) for t in args.tree]
+    if not revs + dirs:
+        parser.error("give at least one --tree or --rev")
+    with tempfile.TemporaryDirectory() as scratch:
+        trees = {label: extract(rev, os.path.join(scratch, label))
+                 for label, rev in revs}
+        trees.update(dirs)
+        results = run_sweeps(trees, child, sweeps)
+
+    result = {"topic": topic, "command": " ".join(["python3"] + sys.argv),
+              "repeats": REPEATS, "statistic": "median of fresh processes",
+              "trees": dict(revs + dirs), "machine": machine(), "sweeps": results}
+    text = json.dumps(result, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .krein import KreinSpace, fundamental_symmetry, krein_adjoint, make_krein
-from .series import FormalSeries, is_positive, series_mul, series_star
+from .series import FormalSeries, _positive_rows, _star_square_rows, series_mul
 
 __all__ = [
     "GhostGradedSpace",
@@ -61,6 +61,9 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-10
+# samples per block of deform_check: bounds the stacked temporaries (and
+# with them the peak memory) while amortizing the per-call overhead
+_BLOCK = 64
 
 
 class NonHomogeneousError(ValueError):
@@ -189,11 +192,29 @@ def _split(A: np.ndarray, tol: float = RANK_TOL) -> _Split:
                   pinv=coimage @ (image.conj().T / s[:rank, None]))
 
 
-def _require_solved(residual: np.ndarray, rhs: np.ndarray, tol: float,
-                    order: int, what: str):
-    res = float(np.linalg.norm(residual))
-    if res > tol * max(1.0, float(np.linalg.norm(rhs))):
-        raise LiftObstructionError(order, res, what)
+def _unsolved(residual: np.ndarray, rhs: np.ndarray, tol: float,
+              order: int, what: str) -> Dict[int, Exception]:
+    """LiftObstructionError for each column whose residual exceeds tol
+    relative to the norm of its right-hand side."""
+    res = np.linalg.norm(residual, axis=0)
+    bad = res > tol * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
+    return {int(j): LiftObstructionError(order, float(res[j]), what)
+            for j in np.flatnonzero(bad)}
+
+
+def _raise_first(stages: Sequence[Dict[int, Exception]]):
+    """Raise the failure of the lowest failing column.
+
+    Each stage maps columns to the error one check found, and the stages
+    come in the order a single column runs its checks, so the column's
+    first failure is raised, as a sample-by-sample loop would.
+    """
+    first: Dict[int, Exception] = {}
+    for stage in stages:
+        for col, err in stage.items():
+            first.setdefault(col, err)
+    if first:
+        raise first[min(first)]
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +233,12 @@ class BRSTStructure:
     @cached_property
     def _charge(self) -> _Split:
         return _split(self.Q)
+
+    @cached_property
+    def _quotient(self) -> "BRSTQuotient":
+        """physical_space at the default tol; a failing check is raised
+        again on every access, since nothing is cached then."""
+        return _physical_space(self, RANK_TOL)
 
     @cached_property
     def _derivation(self) -> Tuple[_Split, _Split]:
@@ -318,8 +345,13 @@ def physical_space(B: BRSTStructure, tol: float = RANK_TOL) -> BRSTQuotient:
     Kernel and image come from the structure's cached split of Q.  Verifies
     positivity of the product on the kernel and exactness of its null vectors
     to tol; representatives are the kernel vectors orthogonal to the image in
-    the rotated (positive) product: the harmonic vectors.
+    the rotated (positive) product: the harmonic vectors.  The quotient at
+    the default tol is built once per structure; its arrays are read-only.
     """
+    return B._quotient if tol == RANK_TOL else _physical_space(B, tol)
+
+
+def _physical_space(B: BRSTStructure, tol: float) -> BRSTQuotient:
     G = B.space.krein.gram
     ker, im = B._charge.kernel, B._charge.image
 
@@ -341,6 +373,8 @@ def physical_space(B: BRSTStructure, tol: float = RANK_TOL) -> BRSTQuotient:
     gram = (gram + gram.conj().T) / 2
     if reps.shape[1] and np.min(np.linalg.eigvalsh(gram)) <= tol:
         raise PositivityViolatedError("induced product is not positive definite")
+    for a in (ker, im, reps, gram):
+        a.setflags(write=False)
     return BRSTQuotient(ker_basis=ker, im_basis=im,
                         quotient_reps=reps, induced_gram=gram)
 
@@ -559,15 +593,27 @@ def validate_deformation(base: BRSTStructure, Q_series: FormalSeries,
 def inner_product_series(space: GhostGradedSpace, a: FormalSeries,
                          b: FormalSeries) -> FormalSeries:
     """Indefinite product of two formal vectors, one coefficient per order."""
-    G = space.krein.gram
     order = min(a.order, b.order)
-    out = []
-    for n in range(order + 1):
-        acc = 0.0 + 0.0j
-        for k in range(n + 1):
-            acc += np.conj(a.coeffs[k]) @ G @ b.coeffs[n - k]
-        out.append(acc)
-    return FormalSeries(out)
+    A, B = (np.stack(x.coeffs[:order + 1])[..., None] for x in (a, b))
+    return FormalSeries(list(_inner_columns(space.krein.gram, A, B)[:, 0]))
+
+
+def _inner_columns(G: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Formal products (A, B), column by column: formal vectors stored as
+    (N+1, n, S) arrays, one sample per column, give an (N+1, S) array."""
+    A, GB = A.conj(), G @ B
+    return np.stack([np.einsum("kis,kis->s", A[:m + 1], GB[m::-1])
+                     for m in range(min(len(A), len(B)))])
+
+
+def _charge_times(Qs: np.ndarray, X: np.ndarray, m: int, first: int = 0) -> np.ndarray:
+    """Order-m coefficient of the charge series times the formal vectors
+    X (N+1, n, S), counting only the charge coefficients from `first` on."""
+    return np.matmul(Qs[first:m + 1], X[:m + 1 - first][::-1]).sum(axis=0)
+
+
+def _apply_charge(Qs: np.ndarray, X: np.ndarray) -> np.ndarray:
+    return np.stack([_charge_times(Qs, X, m) for m in range(min(len(Qs), len(X)))])
 
 
 def lift_vector(D: DeformedBRST, phi0, tol: float = 1e-9,
@@ -579,21 +625,40 @@ def lift_vector(D: DeformedBRST, phi0, tol: float = 1e-9,
     rng a random base-kernel component is added at each positive order to
     sample the solution set.
     """
-    phi0 = np.asarray(phi0, dtype=complex)
-    Q0 = D.charge(0)
-    if np.linalg.norm(Q0 @ phi0) > tol * max(1.0, np.linalg.norm(phi0)):
-        raise ValueError("phi0 is not in the kernel of the undeformed charge")
+    noise = None
+    if rng is not None:
+        # per order: the real parts, then the imaginary parts
+        draws = rng.normal(size=(D.order, 2, D.base._charge.kernel.shape[1]))
+        noise = (draws[:, 0] + 1j * draws[:, 1])[..., None]
+    phi, failures = _lift_columns(D, np.asarray(phi0, dtype=complex)[:, None], tol, noise)
+    _raise_first(failures)
+    return FormalSeries(list(phi[..., 0]))
+
+
+def _lift_columns(D: DeformedBRST, phi0: np.ndarray, tol: float,
+                  noise: Optional[np.ndarray] = None):
+    """lift_vector for every column of phi0 (n, S) at once.
+
+    noise (N, k, S), if given, holds the base-kernel coordinates added at
+    orders 1..N.  Returns the lifts (N+1, n, S) and, in check order, the
+    failures of each column (see _raise_first).
+    """
+    Q0, Qs = D.charge(0), np.asarray(D.Q_series.coeffs)
     ker, pinv = D.base._charge.kernel, D.base._charge.pinv
-    coeffs = [phi0]
+    off = np.linalg.norm(Q0 @ phi0, axis=0) \
+        > tol * np.maximum(1.0, np.linalg.norm(phi0, axis=0))
+    failures = [{int(j): ValueError("phi0 is not in the kernel of the undeformed charge")
+                 for j in np.flatnonzero(off)}]
+    phi = np.empty((D.order + 1,) + phi0.shape, dtype=complex)
+    phi[0] = phi0
     for n in range(1, D.order + 1):
-        rhs = -sum(D.charge(k) @ coeffs[n - k] for k in range(1, n + 1))
+        rhs = -_charge_times(Qs, phi, n, first=1)
         sol = pinv @ rhs
-        _require_solved(Q0 @ sol - rhs, rhs, tol, n, "lift")
-        if rng is not None and ker.shape[1]:
-            sol = sol + ker @ (rng.normal(size=ker.shape[1])
-                               + 1j * rng.normal(size=ker.shape[1]))
-        coeffs.append(sol)
-    return FormalSeries(coeffs)
+        failures.append(_unsolved(Q0 @ sol - rhs, rhs, tol, n, "lift"))
+        if noise is not None:
+            sol += ker @ noise[n - 1]
+        phi[n] = sol
+    return phi, failures
 
 
 def solve_image_membership(D: DeformedBRST, phi: FormalSeries,
@@ -603,14 +668,24 @@ def solve_image_membership(D: DeformedBRST, phi: FormalSeries,
     Solves Q0 x_n = phi_n - sum_{k>=1} Q_k x_{n-k}; raises
     LiftObstructionError at the first unsolvable order.
     """
-    Q0, pinv = D.charge(0), D.base._charge.pinv
-    xs: List[np.ndarray] = []
-    for n in range(phi.order + 1):
-        rhs = phi.coeffs[n] - sum(D.charge(k) @ xs[n - k] for k in range(1, n + 1))
-        sol = pinv @ rhs
-        _require_solved(Q0 @ sol - rhs, rhs, tol, n, "image membership")
-        xs.append(sol)
-    return FormalSeries(xs)
+    if phi.order > D.order:
+        raise ValueError(f"phi has order {phi.order}, above the charge's order {D.order}")
+    x, failures = _preimage_columns(D, np.stack(phi.coeffs)[..., None], tol)
+    _raise_first(failures)
+    return FormalSeries(list(x[..., 0]))
+
+
+def _preimage_columns(D: DeformedBRST, phi: np.ndarray, tol: float):
+    """solve_image_membership for every column of phi (N+1, n, S) at once;
+    returns the preimages and the failures of each column, in check order."""
+    Q0, pinv, Qs = D.charge(0), D.base._charge.pinv, np.asarray(D.Q_series.coeffs)
+    x = np.empty_like(phi)
+    failures = []
+    for n in range(len(phi)):
+        rhs = phi[n] - _charge_times(Qs, x, n, first=1)
+        x[n] = pinv @ rhs
+        failures.append(_unsolved(Q0 @ x[n] - rhs, rhs, tol, n, "image membership"))
+    return x, failures
 
 
 def _lift_operator(D: DeformedBRST, A0: np.ndarray, tol: float = 1e-9) -> FormalSeries:
@@ -624,9 +699,18 @@ def _lift_operator(D: DeformedBRST, A0: np.ndarray, tol: float = 1e-9) -> Formal
     for m in range(1, D.order + 1):
         rhs = -sum(s_k(k, coeffs[m - k]) for k in range(1, m + 1))
         sol = _s_preimage(base, rhs)
-        _require_solved(s_action(base, sol) - rhs, rhs, tol, m, "observable lift")
+        _raise_first([_unsolved((s_action(base, sol) - rhs).reshape(-1, 1),
+                                rhs.reshape(-1, 1), tol, m, "observable lift")])
         coeffs.append(sol)
     return FormalSeries(coeffs)
+
+
+def _blocks(samples: int) -> List[int]:
+    return [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
+
+
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a), initial=0.0))
 
 
 @dataclass
@@ -663,70 +747,67 @@ def deform_check(D: DeformedBRST, samples: int = 50,
           annihilates the deformed charge on re-substitution;
     (iv)  deformed observables with a nonzero undeformed class act
           nontrivially on the deformed quotient.
+
+    Samples are drawn and checked in blocks, one sample per column; the
+    random stream and the first failure raised are those of drawing and
+    checking the samples one at a time.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     base = D.base
     quotient = physical_space(base)
     report = DeformationReport(order=D.order, samples=samples)
-    ker = quotient.ker_basis
+    ker, im = quotient.ker_basis, quotient.im_basis
     G = base.space.krein.gram
+    Qs = np.asarray(D.Q_series.coeffs)
+    bound = float(np.sqrt(tol))
 
     # --- item (iii): lift a basis of the base kernel ---------------------
-    lift_res = 0.0
-    lifts = []
-    for j in range(ker.shape[1]):
-        phi = lift_vector(D, ker[:, j], tol)
-        lifts.append(phi)
-        resid = series_mul(D.Q_series, phi)
-        lift_res = max(lift_res, resid.max_abs())
-    report.lifted_kernel_dim = len(lifts)
-    report.lift_residual = lift_res
-    item_iii = lift_res <= np.sqrt(tol)
+    lifts, failures = _lift_columns(D, ker, tol)
+    _raise_first(failures)
+    report.lifted_kernel_dim = ker.shape[1]
+    report.lift_residual = _max_abs(_apply_charge(Qs, lifts))
+    item_iii = report.lift_residual <= bound
 
     # --- item (i): formal positivity on sampled kernel vectors -----------
     worst = 0.0
-    for _ in range(samples):
-        w = rng.normal(size=ker.shape[1]) + 1j * rng.normal(size=ker.shape[1])
-        phi = lift_vector(D, ker @ w, tol, rng=rng)
-        norm2 = inner_product_series(base.space, phi, phi)
-        verdict = is_positive(norm2, tol=np.sqrt(tol))
-        if not verdict.positive:
-            raise PositivityViolatedAtOrderError(verdict.failure_order)
-        if verdict.witness is not None:
-            check = series_mul(series_star(verdict.witness), verdict.witness)
-            worst = max(worst, (check - norm2).max_abs())
-        report.positivity_checked += 1
+    for size in _blocks(samples):
+        # per sample and order: real parts, then imaginary parts, of the
+        # kernel coordinates (order 0: the seed, then the added noise)
+        draws = rng.normal(size=(size, D.order + 1, 2, ker.shape[1]))
+        coords = (draws[:, :, 0] + 1j * draws[:, :, 1]).transpose(1, 2, 0)
+        phi, failures = _lift_columns(D, ker @ coords[0], tol, coords[1:])
+        norm2 = _inner_columns(G, phi, phi).T
+        positive, witness, failure = _positive_rows(norm2, tol=bound)
+        failures.append({int(j): PositivityViolatedAtOrderError(int(failure[j]))
+                         for j in np.flatnonzero(~positive)})
+        _raise_first(failures)
+        worst = max(worst, _max_abs(_star_square_rows(witness) - norm2))
+        report.positivity_checked += size
     report.positivity_worst_defect = worst
     item_i = True
 
     # --- item (ii): null vectors lie in the image -------------------------
-    n = base.dim
     null_res = 0.0
-    checked = 0
-    for _ in range(samples):
-        w = FormalSeries([rng.normal(size=n) + 1j * rng.normal(size=n)
-                          for _ in range(D.order + 1)])
-        phi = series_mul(D.Q_series, w)
-        norm2 = inner_product_series(base.space, phi, phi)
-        if norm2.max_abs() > np.sqrt(tol):
-            raise NullNotExactError("image vector with nonzero formal norm")
-        x = solve_image_membership(D, phi, tol)
-        recon = series_mul(D.Q_series, x)
-        null_res = max(null_res, (recon - phi).max_abs())
-        checked += 1
+    for size in _blocks(samples):
+        draws = rng.normal(size=(size, D.order + 1, 2, base.dim))
+        phi = _apply_charge(Qs, (draws[:, :, 0] + 1j * draws[:, :, 1]).transpose(1, 2, 0))
+        nonzero = np.max(np.abs(_inner_columns(G, phi, phi)), axis=0) > bound
+        x, failures = _preimage_columns(D, phi, tol)
+        _raise_first([{int(j): NullNotExactError("image vector with nonzero formal norm")
+                       for j in np.flatnonzero(nonzero)}] + failures)
+        null_res = max(null_res, _max_abs(_apply_charge(Qs, x) - phi))
+        report.null_vectors_checked += size
     # lifts of base null vectors that stay null must also be exact
-    for j in range(quotient.im_basis.shape[1]):
-        phi = lift_vector(D, quotient.im_basis[:, j], tol)
-        norm2 = inner_product_series(base.space, phi, phi)
-        if norm2.max_abs() <= np.sqrt(tol):
-            x = solve_image_membership(D, phi, tol)
-            recon = series_mul(D.Q_series, x)
-            null_res = max(null_res, (recon - phi).max_abs())
-            checked += 1
-    report.null_vectors_checked = checked
+    phi, failures = _lift_columns(D, im, tol)
+    null = np.max(np.abs(_inner_columns(G, phi, phi)), axis=0) <= bound
+    x, solved = _preimage_columns(D, phi, tol)
+    _raise_first(failures + [{j: err for j, err in stage.items() if null[j]}
+                             for stage in solved])
+    null_res = max(null_res, _max_abs((_apply_charge(Qs, x) - phi)[..., null]))
+    report.null_vectors_checked += int(np.count_nonzero(null))
     report.null_membership_residual = null_res
-    item_ii = null_res <= np.sqrt(tol)
+    item_ii = null_res <= bound
 
     # --- item (iv): faithfulness at leading order -------------------------
     algebra = observable_algebra(base, "even_ghost")
@@ -734,7 +815,7 @@ def deform_check(D: DeformedBRST, samples: int = 50,
     tested = 0
     for A0 in algebra.quotient_basis:
         pi0 = representation_matrix(base, quotient, GradedOperator(A0, 0))
-        if np.max(np.abs(pi0)) <= np.sqrt(tol):
+        if np.max(np.abs(pi0)) <= bound:
             continue
         try:
             A_series = _lift_operator(D, A0, tol)
@@ -747,12 +828,12 @@ def deform_check(D: DeformedBRST, samples: int = 50,
         coords[col] = 1.0
         phi = lift_vector(D, quotient.quotient_reps @ coords, tol)
         image = series_mul(A_series, phi)
-        leading = class_coordinates(quotient, image.coeffs[0], np.sqrt(tol))
+        leading = class_coordinates(quotient, image.coeffs[0], bound)
         min_norm = min(min_norm, float(np.linalg.norm(leading)))
         tested += 1
     report.observables_checked = tested
     report.faithfulness_min_norm = min_norm if tested else 0.0
-    item_iv = tested > 0 and min_norm > np.sqrt(tol)
+    item_iv = tested > 0 and min_norm > bound
 
     report.items_passed = (item_i, item_ii, item_iii, item_iv)
     return report

@@ -110,11 +110,14 @@ def validate_symmetry(K: KreinSpace, matrix, tol: float = DEFAULT_TOL) -> Fundam
 
 
 def krein_adjoint(K: KreinSpace, A) -> np.ndarray:
-    """Adjoint with respect to the indefinite product: G^{-1} A^H G."""
+    """Adjoint with respect to the indefinite product: G^{-1} A^H G.
+
+    A may be a stack of matrices (leading axes); each is adjoined.
+    """
     A = np.asarray(A, dtype=complex)
-    if A.shape != (K.dim, K.dim):
-        raise ValueError(f"expected a {K.dim}x{K.dim} matrix, got {A.shape}")
-    return np.linalg.solve(K.gram, A.conj().T @ K.gram)
+    if A.shape[-2:] != (K.dim, K.dim):
+        raise ValueError(f"expected {K.dim}x{K.dim} matrices, got shape {A.shape}")
+    return np.linalg.solve(K.gram, A.conj().swapaxes(-1, -2) @ K.gram)
 
 
 def wick_rotate(K: KreinSpace, J: FundamentalSymmetry) -> np.ndarray:

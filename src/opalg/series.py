@@ -181,34 +181,69 @@ def is_positive(b: FormalSeries, tol: float = DEFAULT_TOL) -> PositivityVerdict:
     """
     if not b.is_scalar:
         raise ValueError("positivity is decided for scalar series only")
-    coeffs = list(b.coeffs)
-    order = b.order
+    positive, witness, failure = _positive_rows(np.array([b.coeffs]), tol)
+    if not positive[0]:
+        return PositivityVerdict(positive=False, failure_order=int(failure[0]))
+    return PositivityVerdict(positive=True, witness=FormalSeries(witness[0]))
 
-    for n, c in enumerate(coeffs):
-        if abs(c.imag) > tol:
-            return PositivityVerdict(positive=False, failure_order=n)
-    real = [c.real for c in coeffs]
 
-    shift = 0
-    while True:
-        remaining = real[2 * shift:]
-        if not remaining or all(abs(r) <= tol for r in remaining):
-            witness = FormalSeries.zero(order)
-            return PositivityVerdict(positive=True, witness=witness)
-        b0 = remaining[0]
-        if b0 < -tol:
-            return PositivityVerdict(positive=False, failure_order=2 * shift)
-        if b0 <= tol:
-            if len(remaining) > 1 and abs(remaining[1]) > tol:
-                return PositivityVerdict(positive=False, failure_order=2 * shift + 1)
-            shift += 1
-            continue
-        # b0 > 0: solve order by order with real coefficients
-        c = [np.sqrt(b0)]
-        for n in range(1, len(remaining)):
-            conv = sum(c[k] * c[n - k] for k in range(1, n))
-            c.append((remaining[n] - conv) / (2.0 * c[0]))
-        lifted = [0.0] * shift + c
-        lifted += [0.0] * (order + 1 - len(lifted))
-        witness = FormalSeries(lifted[: order + 1])
-        return PositivityVerdict(positive=True, witness=witness)
+def _positive_rows(b: np.ndarray, tol: float = DEFAULT_TOL):
+    """The decision of is_positive for every row of a stack b (S, N+1).
+
+    Returns the verdicts (S,), the real witnesses (S, N+1), zero where a
+    row is not positive, and the failure orders (S,), -1 where it is.
+    """
+    b = np.asarray(b, dtype=complex)
+    rows, length = b.shape
+    failure = np.full(rows, -1)
+    witness = np.zeros((rows, length))
+    bad_imag = np.abs(b.imag) > tol
+    undecided = ~bad_imag.any(axis=1)
+    failure[~undecided] = bad_imag.argmax(axis=1)[~undecided]
+    real = b.real
+    small = np.abs(real) <= tol
+    for shift in range(length // 2 + 1):
+        head = 2 * shift
+        # nothing left above tol (or nothing left): positive, zero witness
+        undecided &= ~small[:, head:].all(axis=1)
+        if not undecided.any():
+            break
+        b0 = real[:, head]
+        negative = undecided & (b0 < -tol)
+        failure[negative] = head
+        solve = undecided & (b0 > tol)
+        witness[solve, shift:length - shift] = _real_root(real[solve, head:])
+        # b0 vanishes: b1 must vanish too, else recurse on the shifted series
+        odd = undecided & ~negative & ~solve
+        if head + 1 < length:
+            odd &= ~small[:, head + 1]
+        failure[odd] = head + 1
+        undecided &= ~(negative | solve | odd)
+    return failure < 0, witness, failure
+
+
+def _real_root(r: np.ndarray) -> np.ndarray:
+    """Real c with c*c = r row by row, for rows with r_0 > 0; the
+    convolutions are summed left to right, as a scalar loop would."""
+    c = np.empty_like(r)
+    c[:, 0] = np.sqrt(r[:, 0])
+    for n in range(1, r.shape[1]):
+        conv = np.cumsum(c[:, 1:n] * c[:, n - 1:0:-1], axis=1)[:, -1] if n > 1 else 0.0
+        c[:, n] = (r[:, n] - conv) / (2.0 * c[:, 0])
+    return c
+
+
+def _star_square_rows(c: np.ndarray) -> np.ndarray:
+    """star(c)*c for every row of a stack of scalar series c (S, N+1).
+
+    Products and sums run in the order of series_mul, with the complex
+    product written out (numpy's may fuse a multiply-add), so every row
+    equals series_mul(series_star(c), c) bit for bit.
+    """
+    c = np.asarray(c, dtype=complex)
+    out = np.empty_like(c)
+    for n in range(c.shape[1]):
+        a, b = c[:, :n + 1], c[:, n::-1]
+        out.real[:, n] = np.cumsum(a.real * b.real + a.imag * b.imag, axis=1)[:, -1]
+        out.imag[:, n] = np.cumsum(a.real * b.imag - a.imag * b.real, axis=1)[:, -1]
+    return out

@@ -230,3 +230,146 @@ def bracket_deviations_reference(mass, grid, test_functions):
             deviations[key] = max(deviations[key],
                                   float(np.sqrt(np.sum(np.abs(got) ** 2)) / ref))
     return deviations
+
+
+def is_positive_reference(coeffs, tol):
+    """The square-root decision on one scalar series by a Python loop:
+    (positive, witness coefficients or None, failure order or None)."""
+    coeffs = [complex(c) for c in coeffs]
+    order = len(coeffs) - 1
+    for n, c in enumerate(coeffs):
+        if abs(c.imag) > tol:
+            return False, None, n
+    real = [c.real for c in coeffs]
+    shift = 0
+    while True:
+        remaining = real[2 * shift:]
+        if not remaining or all(abs(r) <= tol for r in remaining):
+            return True, [0.0] * (order + 1), None
+        b0 = remaining[0]
+        if b0 < -tol:
+            return False, None, 2 * shift
+        if b0 <= tol:
+            if len(remaining) > 1 and abs(remaining[1]) > tol:
+                return False, None, 2 * shift + 1
+            shift += 1
+            continue
+        c = [np.sqrt(b0)]
+        for n in range(1, len(remaining)):
+            conv = sum(c[k] * c[n - k] for k in range(1, n))
+            c.append((remaining[n] - conv) / (2.0 * c[0]))
+        lifted = [0.0] * shift + c
+        lifted += [0.0] * (order + 1 - len(lifted))
+        return True, lifted[: order + 1], None
+
+
+def _charge_product(charges, xs):
+    """Coefficients of sum_k Q_k x_{n-k}, truncated at the shorter series."""
+    return [sum(charges[k] @ xs[n - k] for k in range(n + 1))
+            for n in range(min(len(charges), len(xs)))]
+
+
+def _indefinite_product(G, a, b):
+    return [sum(np.conj(a[k]) @ G @ b[n - k] for k in range(n + 1))
+            for n in range(min(len(a), len(b)))]
+
+
+def _max_abs(coeffs):
+    return float(np.max(np.abs(np.asarray(coeffs)), initial=0.0))
+
+
+def deform_check_reference(D, samples, rng, tol=1e-9):
+    """brst.deform_check one sample at a time.
+
+    Every sample is drawn, lifted, normed, decided and solved on its own,
+    with Python loops over the orders, a fresh pseudo-inverse of Q0 and the
+    scalar square-root recursion above.  Item (iv) calls the package, as it
+    works on observables, not on samples.
+    """
+    from opalg import brst
+
+    base = D.base
+    quotient = brst.physical_space(base)
+    report = brst.DeformationReport(order=D.order, samples=samples)
+    ker, im = quotient.ker_basis, quotient.im_basis
+    k, n = ker.shape[1], base.dim
+    G = base.space.krein.gram
+    charges = list(D.Q_series.coeffs)
+    pinv = np.linalg.pinv(charges[0])
+    bound = np.sqrt(tol)
+
+    def solve(targets, what, first=None, noisy=False):
+        xs = [] if first is None else [first]
+        for m in range(len(xs), len(targets)):
+            rhs = targets[m] - sum(charges[j] @ xs[m - j] for j in range(1, m + 1))
+            sol = pinv @ rhs
+            res = float(np.linalg.norm(charges[0] @ sol - rhs))
+            if res > tol * max(1.0, float(np.linalg.norm(rhs))):
+                raise brst.LiftObstructionError(m, res, what)
+            if noisy and k:
+                sol = sol + ker @ (rng.normal(size=k) + 1j * rng.normal(size=k))
+            xs.append(sol)
+        return xs
+
+    def lift(phi0, noisy=False):
+        if np.linalg.norm(charges[0] @ phi0) > tol * max(1.0, np.linalg.norm(phi0)):
+            raise ValueError("phi0 is not in the kernel of the undeformed charge")
+        return solve([np.zeros(n, dtype=complex)] * len(charges), "lift", phi0, noisy)
+
+    def exactness(phi):
+        x = solve(phi, "image membership")
+        return _max_abs(np.array(_charge_product(charges, x)) - np.array(phi))
+
+    lift_res = 0.0
+    for j in range(k):
+        lift_res = max(lift_res, _max_abs(_charge_product(charges, lift(ker[:, j]))))
+    report.lifted_kernel_dim = k
+    report.lift_residual = lift_res
+
+    worst = 0.0
+    for _ in range(samples):
+        w = rng.normal(size=k) + 1j * rng.normal(size=k)
+        phi = lift(ker @ w, noisy=True)
+        norm2 = _indefinite_product(G, phi, phi)
+        positive, witness, failure = is_positive_reference(norm2, bound)
+        if not positive:
+            raise brst.PositivityViolatedAtOrderError(failure)
+        check = series_product_coeffs(np.conj(witness), witness, len(norm2) - 1)
+        worst = max(worst, _max_abs(check - np.array(norm2)))
+        report.positivity_checked += 1
+    report.positivity_worst_defect = worst
+
+    null_res = 0.0
+    for _ in range(samples):
+        w = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(D.order + 1)]
+        phi = _charge_product(charges, w)
+        if _max_abs(_indefinite_product(G, phi, phi)) > bound:
+            raise brst.NullNotExactError("image vector with nonzero formal norm")
+        null_res = max(null_res, exactness(phi))
+        report.null_vectors_checked += 1
+    for j in range(im.shape[1]):
+        phi = lift(im[:, j])
+        if _max_abs(_indefinite_product(G, phi, phi)) <= bound:
+            null_res = max(null_res, exactness(phi))
+            report.null_vectors_checked += 1
+    report.null_membership_residual = null_res
+
+    min_norm, tested = np.inf, 0
+    for A0 in brst.observable_algebra(base, "even_ghost").quotient_basis:
+        pi0 = brst.representation_matrix(base, quotient, brst.GradedOperator(A0, 0))
+        if np.max(np.abs(pi0)) <= bound:
+            continue
+        try:
+            A_series = brst._lift_operator(D, A0, tol)
+        except brst.LiftObstructionError:
+            continue
+        col = int(np.argmax(np.max(np.abs(pi0), axis=0)))
+        phi = lift(quotient.quotient_reps[:, col])
+        leading = brst.class_coordinates(quotient, A_series.coeffs[0] @ phi[0], bound)
+        min_norm = min(min_norm, float(np.linalg.norm(leading)))
+        tested += 1
+    report.observables_checked = tested
+    report.faithfulness_min_norm = min_norm if tested else 0.0
+    report.items_passed = (True, bool(null_res <= bound), bool(lift_res <= bound),
+                           bool(tested > 0 and min_norm > bound))
+    return report

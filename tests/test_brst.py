@@ -174,8 +174,22 @@ class TestPhysicalSpace:
     def test_negative_norm_kernel_vector_rejected(self):
         space = make_graded_space(np.diag([1.0, -1.0]), [0, 0])
         B = validate_brst(space, np.zeros((2, 2)))
-        with pytest.raises(PositivityViolatedError):
-            physical_space(B)
+        for _ in range(2):  # a failed check is not cached
+            with pytest.raises(PositivityViolatedError):
+                physical_space(B)
+
+    @pytest.mark.parametrize("name", sorted(TOYS))
+    def test_built_once_per_structure(self, name):
+        B = TOYS[name][0]()
+        quotient = physical_space(B)
+        assert physical_space(B) is quotient
+        observable_algebra(B, "even_ghost")
+        assert physical_space(B) is quotient
+        for a in (quotient.ker_basis, quotient.im_basis, quotient.quotient_reps,
+                  quotient.induced_gram):
+            assert not a.flags.writeable
+        other = physical_space(B, tol=1e-8)
+        assert other is not quotient and other.dim == quotient.dim
 
     def test_null_kernel_vectors_are_exact(self):
         # condition (ii): isotropic kernel vectors lie in the image

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from opalg.brst import (DeformedVectorState, LiftObstructionError,
-                        NotNilpotentError, NotNormalizedError, deform_check,
+from opalg.brst import (DeformedBRST, DeformedVectorState, LiftObstructionError,
+                        NotNilpotentError, NotNormalizedError, NullNotExactError,
+                        PositivityViolatedAtOrderError, deform_check,
                         deformation_generators, gupta_bleuler_toy,
-                        inner_product_series, lift_vector,
+                        inner_product_series, lift_vector, null_pair_toy,
                         physical_space, solve_image_membership, two_pair_model,
                         validate_deformation)
 from opalg.krein import krein_adjoint
 from opalg.series import FormalSeries, is_positive, series_mul, series_star
+
+from oracles import deform_check_reference
+
+MODELS = {"null_pair": null_pair_toy, "gupta_bleuler": gupta_bleuler_toy,
+          "two_pair": two_pair_model}
 
 
 def rescaled_charge(B, order):
@@ -85,10 +91,27 @@ class TestLifts:
             solve_image_membership(D, phi)
         assert err.value.order == 0
 
+    def test_membership_rejects_orders_above_the_charge(self):
+        D = rescaled_charge(two_pair_model(), 1)
+        with pytest.raises(ValueError, match="above the charge"):
+            solve_image_membership(D, FormalSeries([np.zeros(6, dtype=complex)] * 3))
+
     def test_lift_rejects_non_kernel_seed(self):
         D = solved_charge(two_pair_model(), 3)
         with pytest.raises(ValueError):
             lift_vector(D, np.array([0, 0, 0, 1.0, 0, 0]))
+
+    def test_kernel_check_comes_before_the_lift(self):
+        # e0 + e2 is off the kernel, and Q1 e0 = e0 is off the image too:
+        # the seed check fails first, as it runs first
+        B = gupta_bleuler_toy()
+        Q1 = np.zeros((3, 3), dtype=complex)
+        Q1[0, 0] = 1.0
+        D = DeformedBRST(base=B, Q_series=FormalSeries([B.Q, Q1]))
+        with pytest.raises(LiftObstructionError):
+            lift_vector(D, np.array([1.0, 0, 0]))
+        with pytest.raises(ValueError, match="not in the kernel"):
+            lift_vector(D, np.array([1.0, 0, 1.0]))
 
 
 class TestStabilityItems:
@@ -175,3 +198,101 @@ class TestDeformedStates:
         phi = lift_vector(D, 2.0 * quotient.quotient_reps[:, 0])
         with pytest.raises(NotNormalizedError):
             DeformedVectorState(D, phi)
+
+
+class TestBlocksAgainstPerSampleReference:
+    """deform_check runs its samples in blocks of 64; the reference runs
+    them one at a time.  Sample counts straddle the block edges."""
+
+    COUNTS = ("lifted_kernel_dim", "positivity_checked", "null_vectors_checked",
+              "observables_checked")
+    RESIDUALS = ("positivity_worst_defect", "null_membership_residual",
+                 "lift_residual", "faithfulness_min_norm")
+
+    @pytest.mark.parametrize("samples", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("mode", ["solved", "rescale"])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_same_report_and_stream(self, model, mode, samples):
+        B = MODELS[model]()
+        D = (rescaled_charge if mode == "rescale" else solved_charge)(B, 3)
+        rng, rng_ref = np.random.default_rng(samples), np.random.default_rng(samples)
+        got = deform_check(D, samples=samples, rng=rng)
+        want = deform_check_reference(D, samples, rng_ref)
+        assert got.items_passed == want.items_passed
+        assert all(type(item) is bool for item in got.items_passed)
+        for name in self.COUNTS:
+            assert getattr(got, name) == getattr(want, name), name
+        for name in self.RESIDUALS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert type(a) is float
+            assert abs(a - b) <= 1e-12 or max(a, b) <= np.sqrt(1e-9), (name, a, b)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+class ScriptedNormals:
+    """Stands in for a generator: normal() hands out a fixed sequence in
+    order, whatever the shapes it is asked for."""
+
+    def __init__(self, values):
+        self.values, self.used = np.asarray(values, dtype=float), 0
+
+    def normal(self, size):
+        count = int(np.prod(size))
+        out = self.values[self.used:self.used + count]
+        self.used += count
+        return out.reshape(size)
+
+
+class TestFailureInsideBlock:
+    """One sample in the middle of a block fails: the block check raises what
+    the per-sample reference raises, for the same sample."""
+
+    SAMPLES = 130
+
+    def check_both(self, D, values, expected):
+        with pytest.raises(expected) as want:
+            deform_check_reference(D, self.SAMPLES, ScriptedNormals(values))
+        with pytest.raises(expected) as got:
+            deform_check(D, samples=self.SAMPLES, rng=ScriptedNormals(values))
+        assert str(got.value) == str(want.value)
+        assert getattr(got.value, "order", None) == getattr(want.value, "order", None)
+
+    @pytest.mark.parametrize("first_order", [1, 3])
+    @pytest.mark.parametrize("early", [30, 100])
+    def test_first_failing_sample_is_raised(self, early, first_order):
+        # Q1 e1 = e1 keeps every lift solvable, but the null kernel vector
+        # e1 as seed gives the norm -2g (not positive at order 1), and the
+        # zero seed with e1 added at order 1 gives -2g^3 (order 3); two
+        # samples of one block fail, ten apart
+        B = gupta_bleuler_toy()
+        Q1 = np.zeros((3, 3), dtype=complex)
+        Q1[1, 1] = 1.0
+        zeros = np.zeros_like(Q1)
+        D = DeformedBRST(base=B, Q_series=FormalSeries([B.Q, Q1, zeros, zeros]))
+        ker = physical_space(B).ker_basis
+        e1 = ker.conj().T @ np.array([0.0, 1.0, 0.0])
+        draws = np.random.default_rng(7).normal(size=(self.SAMPLES, 4, 2, 2))
+        at_order_1, at_order_3 = (early, early + 10) if first_order == 1 \
+            else (early + 10, early)
+        draws[at_order_1, 0] = e1.real, e1.imag
+        draws[at_order_3, 0] = 0.0
+        draws[at_order_3, 1] = e1.real, e1.imag
+        self.check_both(D, draws.ravel(), PositivityViolatedAtOrderError)
+        with pytest.raises(PositivityViolatedAtOrderError) as err:
+            deform_check(D, samples=self.SAMPLES, rng=ScriptedNormals(draws.ravel()))
+        assert err.value.order == first_order
+
+    @pytest.mark.parametrize("bad", [30, 100])
+    def test_null_check_fails_for_one_image_sample(self, bad):
+        # Q1 e2 = e0: Q~ w has the norm |w0_2|^2 g^2, so only samples with an
+        # e2 component are not null
+        B = gupta_bleuler_toy()
+        Q1 = np.zeros((3, 3), dtype=complex)
+        Q1[0, 2] = 1.0
+        D = DeformedBRST(base=B, Q_series=FormalSeries([B.Q, Q1, np.zeros_like(Q1)]))
+        rng = np.random.default_rng(9)
+        kernel_draws = rng.normal(size=(self.SAMPLES, 3, 2, 2))
+        image_draws = rng.normal(size=(self.SAMPLES, 3, 2, 3))
+        image_draws[np.arange(self.SAMPLES) != bad, :, :, 2] = 0.0
+        values = np.concatenate([kernel_draws.ravel(), image_draws.ravel()])
+        self.check_both(D, values, NullNotExactError)

@@ -99,6 +99,20 @@ class TestAdjoint:
         with pytest.raises(ValueError):
             krein_adjoint(K, np.eye(3))
 
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (4, 3, 2), (5, 2, 3, 3)])
+    def test_stack_shape_mismatch(self, shape):
+        with pytest.raises(ValueError):
+            krein_adjoint(make_krein(np.diag([1.0, -1.0])), np.ones(shape))
+
+    def test_stack_equals_per_matrix(self):
+        rng = np.random.default_rng(2)
+        K = make_krein(np.diag([1.0, 1.0, -1.0]))
+        A = rng.normal(size=(4, 5, 3, 3)) + 1j * rng.normal(size=(4, 5, 3, 3))
+        stacked = krein_adjoint(K, A)
+        assert stacked.shape == A.shape
+        for index in np.ndindex(4, 5):
+            np.testing.assert_array_equal(stacked[index], krein_adjoint(K, A[index]))
+
 
 @pytest.mark.parametrize("signature", [(1, 1), (2, 1), (2, 2)])
 class TestInvariants:

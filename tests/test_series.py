@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opalg.series import (FormalSeries, ShapeMismatchError, is_positive,
-                          series_add, series_mul, series_star)
+from opalg.series import (FormalSeries, ShapeMismatchError, _positive_rows,
+                          _star_square_rows, is_positive, series_add,
+                          series_mul, series_star)
 
-from oracles import series_product_coeffs
+from oracles import is_positive_reference, series_product_coeffs
 
 
 def make(coeffs):
@@ -157,3 +158,41 @@ class TestPositivity:
             c[0] = 2.0
         b = series_mul(series_star(make(c)), make(c))
         assert is_positive(b).positive
+
+
+# coefficients that reach every branch of the decision: zero and sub-tol
+# values (shifts), nonzero values after a vanishing head (b1 != 0),
+# negative heads and imaginary parts above and below tol
+COEFFS = st.sampled_from([0.0, 0.0, 1e-12, -1e-12, 1.0, -1.0, 2.5, 0.25,
+                          1e-12j, 0.5j, 1.0 + 1e-3j])
+
+
+class TestStackedPositivity:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7).flatmap(
+        lambda n: st.lists(st.lists(COEFFS, min_size=n, max_size=n),
+                           min_size=1, max_size=12)))
+    @example([[0, 0, 0], [0, 0, 1], [0, 1, 0], [-1, 0, 0]])
+    @example([[1, 1j], [1e-12, 0], [0, 0], [0.25, -1]])
+    @example([[0, 0, 1e-12, 0, 4], [0, 0, 0, 1, 0], [0, 0, 0, 0, 0],
+              [1e-12j, 0, 0, 0, -1], [2.5, 0.5j, 0, 0, 0]])
+    def test_rows_equal_scalar_decision(self, rows):
+        b = np.array(rows, dtype=complex)
+        positive, witness, failure = _positive_rows(b, tol=1e-10)
+        for row, pos, wit, fail in zip(b, positive, witness, failure):
+            scalar = is_positive(FormalSeries(row), tol=1e-10)
+            ref_pos, ref_wit, ref_fail = is_positive_reference(row, 1e-10)
+            assert pos == scalar.positive == ref_pos
+            if pos:
+                assert fail == -1
+                np.testing.assert_array_equal(wit, ref_wit)
+                np.testing.assert_array_equal(np.array(scalar.witness.coeffs), ref_wit)
+            else:
+                assert fail == scalar.failure_order == ref_fail
+                assert not wit.any()
+
+    def test_star_square_rows_equal_series_mul(self):
+        c = np.random.default_rng(11).normal(size=(20, 9, 2)) @ np.array([1.0, 1j])
+        for row, got in zip(c, _star_square_rows(c)):
+            want = series_mul(series_star(make(row)), make(row))
+            np.testing.assert_array_equal(got, np.array(want.coeffs))
