@@ -184,8 +184,10 @@ def _split(A: np.ndarray, tol: float = RANK_TOL) -> _Split:
 
     Singular values at or below tol times the largest count as zero, so the
     rank does not depend on the scale of A; the zero map has rank 0.
+    A tall or square A needs only the thin factors; a wide one needs the
+    whole of Vh, whose last rows span its kernel.
     """
-    u, s, vh = np.linalg.svd(A)
+    u, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     rank = int(np.sum(s > tol * s[0])) if s.size else 0
     image, coimage = u[:, :rank], vh[:rank].conj().T
     return _Split(image=image, kernel=vh[rank:].conj().T,

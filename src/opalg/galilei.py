@@ -165,12 +165,16 @@ def momentum_grid(points_per_axis: int, p_max: float) -> MomentumGrid:
 
 
 def _derivative(psi: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Second-order central difference, zero beyond the boundary."""
+    """Second-order central difference, zero beyond the boundary.
+
+    `axis` counts among the last three (grid) axes of psi; any leading
+    axes are a stack of functions.
+    """
 
     def along(sl: slice) -> Tuple[slice, ...]:
         idx = [slice(None)] * 3
         idx[axis] = sl
-        return tuple(idx)
+        return (Ellipsis, *idx)
 
     out = np.empty_like(psi, dtype=np.result_type(psi, 1.0))
     np.subtract(psi[along(slice(2, None))], psi[along(slice(None, -2))],
@@ -178,41 +182,70 @@ def _derivative(psi: np.ndarray, axis: int, h: float) -> np.ndarray:
     # one-sided contributions at the faces (outside values are zero)
     out[along(slice(0, 1))] = psi[along(slice(1, 2))]
     np.negative(psi[along(slice(-2, -1))], out=out[along(slice(-1, None))])
-    out /= 2.0 * h
+    # the reciprocal is what numpy's complex division by 2h multiplies by
+    out *= 1.0 / (2.0 * h)
     return out
 
 
 Operator = Callable[[np.ndarray], np.ndarray]
+
+# every generator is a real-coefficient operator times one of these phases
+_PHASES: Dict[str, complex] = {
+    **{f"P{i}": 1.0 + 0j for i in range(4)},
+    **{f"K{i}": 1j for i in range(1, 4)},
+    **{f"J{i}": -1j for i in range(1, 4)},
+    "M": 1.0 + 0j,
+}
+
+
+def _real_generators(mass: float, grid: MomentumGrid) -> Dict[str, Operator]:
+    """The real operators behind the generators, on stacks of real functions.
+
+    P_i multiplies by p_i, P0 by p^2/(2m) and M by m; K_i is m d/dp_i and
+    J_i is p_a d_b - p_b d_a.  Each result is a fresh array.
+    """
+    h = grid.spacing
+    p = [grid.coordinate(i) for i in range(3)]
+    energy = sum(pi ** 2 for pi in p) / (2.0 * mass)
+
+    def boost(psi, ax):
+        out = _derivative(psi, ax, h)
+        out *= mass
+        return out
+
+    def angular(psi, a, b):
+        """p_a d_b - p_b d_a, the products formed in the stencil buffers."""
+        out = _derivative(psi, b, h)
+        out *= p[a]
+        rot = _derivative(psi, a, h)
+        rot *= p[b]
+        out -= rot
+        return out
+
+    ops: Dict[str, Operator] = {}
+    for i in range(3):
+        ops[f"P{i + 1}"] = (lambda psi, pi=p[i]: pi * psi)
+    ops["P0"] = lambda psi: energy * psi
+    for i in range(3):
+        ops[f"K{i + 1}"] = (lambda psi, ax=i: boost(psi, ax))
+    for i, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        ops[f"J{i + 1}"] = (lambda psi, a=a, b=b: angular(psi, a, b))
+    ops["M"] = lambda psi: mass * psi
+    return ops
 
 
 def grid_generators(mass: float, grid: MomentumGrid) -> Dict[str, Operator]:
     """Momentum-space generators at fixed mass.
 
     P_i multiplies by p_i, P0 by p^2/(2m); K_i = i m d/dp_i, J_i the
-    angular-momentum difference operators and M multiplication by m.
+    angular-momentum difference operators -i (p_a d_b - p_b d_a) and M
+    multiplication by m.  Each is a real operator times a unit phase.
     """
-    h = grid.spacing
-    p = [grid.coordinate(i) for i in range(3)]
-    energy = sum(pi ** 2 for pi in p) / (2.0 * mass)
-
-    def angular(psi, a, b):
-        """-i (p_a d_b - p_b d_a), the products formed in the stencil buffers."""
-        out = _derivative(psi, b, h)
-        out *= p[a]
-        rot = _derivative(psi, a, h)
-        rot *= p[b]
-        out -= rot
-        return -1j * out
-
     gens: Dict[str, Operator] = {}
-    for i in range(3):
-        gens[f"P{i + 1}"] = (lambda psi, pi=p[i]: pi * psi)
-    gens["P0"] = lambda psi: energy * psi
-    for i in range(3):
-        gens[f"K{i + 1}"] = (lambda psi, ax=i: 1j * mass * _derivative(psi, ax, h))
-    for i, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-        gens[f"J{i + 1}"] = (lambda psi, a=a, b=b: angular(psi, a, b))
-    gens["M"] = lambda psi: mass * psi
+    for name, op in _real_generators(mass, grid).items():
+        phase = _PHASES[name]
+        gens[name] = op if phase == 1 else (lambda psi, op=op, phase=phase:
+                                            phase * op(psi))
     return gens
 
 
@@ -289,25 +322,61 @@ class CommutatorReport:
         return max(self.deviations[k] for k in keys)
 
 
-def _l2(psi: np.ndarray) -> float:
-    # numpy's own pairwise sum: unlike a BLAS dot, its order does not
-    # depend on the BLAS thread count, so the report's last digits do not.
-    return float(np.sqrt(np.sum(np.abs(psi) ** 2)))
+def _real_target(left: str, right: str, target: Dict[str, complex]
+                 ) -> Dict[str, float]:
+    """Target coefficients of one bracket relative to its phase.
+
+    [A, B] of A = a phase_A, B = b phase_B is phase_A phase_B [a, b], so the
+    bracket holds when [a, b] equals the target with each coefficient times
+    phase_target / (phase_A phase_B), which is real for every entry.
+    """
+    phase = _PHASES[left] * _PHASES[right]
+    coeffs = {}
+    for name, coeff in target.items():
+        real = coeff * _PHASES[name] / phase
+        assert real.imag == 0.0, (left, right, name)
+        coeffs[name] = real.real
+    return coeffs
 
 
-_TARGETS = {(left, right): target for left, right, target in COMMUTATOR_TABLE}
+_REAL_TARGETS = {(left, right): _real_target(left, right, target)
+                 for left, right, target in COMMUTATOR_TABLE}
 
 
 def _select_brackets(pairs: Optional[Sequence[Tuple[str, str]]]
-                     ) -> List[Tuple[str, str, Dict[str, complex]]]:
+                     ) -> List[Tuple[str, str]]:
     if pairs is None:
-        return COMMUTATOR_TABLE
+        return list(_REAL_TARGETS)
     selected = []
     for pair in dict.fromkeys(tuple(p) for p in pairs):
-        if pair not in _TARGETS:
+        if pair not in _REAL_TARGETS:
             raise ValueError(f"no bracket {pair} in COMMUTATOR_TABLE")
-        selected.append((pair[0], pair[1], _TARGETS[pair]))
+        selected.append(pair)
     return selected
+
+
+def _real_stack(psi) -> np.ndarray:
+    """A test function as a real (k, n, n, n) stack: k = 1 for a real
+    function, its real and imaginary parts (k = 2) otherwise."""
+    psi = np.asarray(psi)
+    if np.iscomplexobj(psi) and psi.imag.any():
+        return np.stack((psi.real, psi.imag)).astype(float, copy=False)
+    return np.ascontiguousarray(psi.real, dtype=float)[None]
+
+
+def _l2(x: np.ndarray) -> float:
+    """Grid-L2 norm of a real stack: one real function, or the real and
+    imaginary parts of a complex one."""
+    if len(x) == 1:
+        mag = x[0]
+    else:
+        # numpy's complex abs: np.hypot of the parts differs in last bits
+        z = np.empty(x.shape[1:], dtype=complex)
+        z.real, z.imag = x
+        mag = np.abs(z)
+    # numpy's own pairwise sum: unlike a BLAS dot, its order does not
+    # depend on the BLAS thread count, so the report's last digits do not.
+    return float(np.sqrt(np.sum(np.square(mag))))
 
 
 def generator_commutators(mass: float, grid: MomentumGrid,
@@ -320,25 +389,27 @@ def generator_commutators(mass: float, grid: MomentumGrid,
     that the requested brackets and their targets name are applied.
     Deviations are relative grid-L2 norms, which refine smoothly under
     lattice halving (the sup over shifted cell-centered lattices does not).
+    The generators act as their real operators on the real stack of each
+    test function; the unit phases drop out of the norms.
     """
     if grid.points_per_axis < MIN_POINTS_PER_AXIS:
         raise GridTooCoarseError(
             f"need at least {MIN_POINTS_PER_AXIS} points per axis")
     table = _select_brackets(pairs)
-    gens = grid_generators(mass, grid)
-    needed = {name for left, right, target in table
-              for name in (left, right, *target)}
+    ops = _real_generators(mass, grid)
+    needed = {name for pair in table
+              for name in (*pair, *_REAL_TARGETS[pair])}
     if test_functions is None:
         test_functions = _default_test_functions(grid)
-    deviations: Dict[Tuple[str, str], float] = {(l, r): 0.0 for l, r, _ in table}
+    deviations: Dict[Tuple[str, str], float] = dict.fromkeys(table, 0.0)
     for psi in test_functions:
-        psi = np.asarray(psi, dtype=complex)
-        applied = {name: gens[name](psi) for name in needed}
-        ref = _l2(psi)
-        for left, right, target in table:
-            got = gens[left](applied[right])
-            got -= gens[right](applied[left])
-            for name, coeff in target.items():
+        x = _real_stack(psi)
+        applied = {name: ops[name](x) for name in needed}
+        ref = _l2(x)
+        for left, right in table:
+            got = ops[left](applied[right])
+            got -= ops[right](applied[left])
+            for name, coeff in _REAL_TARGETS[(left, right)].items():
                 got -= coeff * applied[name]
             key = (left, right)
             deviations[key] = max(deviations[key], _l2(got) / ref)

@@ -11,6 +11,7 @@ coefficients with a small zero threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -46,14 +47,14 @@ class RelationViolatedError(ValueError):
 # exact arithmetic in Z[zeta_N]
 
 
-def cyclotomic_coefficients(n: int) -> List[int]:
-    """Integer coefficients of the n-th cyclotomic polynomial."""
+@lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> Tuple[int, ...]:
     # divide x^n - 1 by the cyclotomic polynomials of the proper divisors
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d:
             continue
-        phi_d = cyclotomic_coefficients(d)
+        phi_d = _cyclotomic(d)
         quot = [0] * (len(poly) - len(phi_d) + 1)
         rem = list(poly)
         for k in range(len(quot) - 1, -1, -1):
@@ -62,7 +63,12 @@ def cyclotomic_coefficients(n: int) -> List[int]:
             for i, c in enumerate(phi_d):
                 rem[k + i] -= coeff * c
         poly = quot
-    return poly
+    return tuple(poly)
+
+
+def cyclotomic_coefficients(n: int) -> List[int]:
+    """Integer coefficients of the n-th cyclotomic polynomial."""
+    return list(_cyclotomic(n))
 
 
 @dataclass(frozen=True)
@@ -97,13 +103,13 @@ class _Cyclo:
 
     @classmethod
     def _reduction(cls, root: RootOfUnity) -> Tuple[int, ...]:
-        phi = cyclotomic_coefficients(root.N)
+        phi = _cyclotomic(root.N)
         # zeta^deg = -(phi[0] + phi[1] zeta + ...), monic phi
         return tuple(-c for c in phi[:-1])
 
     @classmethod
     def from_power(cls, root: RootOfUnity, power: int) -> "_Cyclo":
-        deg = len(cyclotomic_coefficients(root.N)) - 1
+        deg = len(_cyclotomic(root.N)) - 1
         e = (power * root.k) % root.N
         coeffs = [0] * deg
         if e < deg:

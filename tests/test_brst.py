@@ -17,7 +17,7 @@ from opalg.series import FormalSeries, series_mul
 
 from oracles import (lstsq_series_solve, observable_dims_svd,
                      physical_space_svd, quotient_oracle, quotient_reps, rank,
-                     super_commutator_matrix)
+                     super_commutator_matrix, svd_column_space, svd_null_space)
 
 TOYS = {
     "null_pair": (null_pair_toy, 0),
@@ -505,3 +505,36 @@ class TestOracleTwins:
         for got_n, want_n in zip(x.coeffs, want):
             assert_rel_close(got_n, want_n)
         assert (series_mul(D.Q_series, x) - target).max_abs() < 1e-9
+
+
+def _projector(basis):
+    return basis @ basis.conj().T
+
+
+def _low_rank(rng, m, n, r):
+    def draw(a, b):
+        return rng.normal(size=(a, b)) + 1j * rng.normal(size=(a, b))
+    return draw(m, r) @ draw(r, n)
+
+
+class TestSplit:
+    """One SVD per map, thin when the map is tall or square, against a
+    fresh full SVD per question and numpy's pseudo-inverse."""
+
+    @pytest.mark.parametrize("shape, rank_", [
+        ((144, 16), 16), ((9, 4), 2),     # tall, full and deficient rank
+        ((4, 9), 4), ((5, 12), 3),        # wide
+        ((6, 6), 6), ((6, 6), 4),         # square
+        ((7, 3), 0), ((3, 7), 0), ((5, 5), 0),  # zero maps
+    ])
+    def test_spans_rank_and_pinv(self, shape, rank_):
+        A = _low_rank(np.random.default_rng(sum(shape) + rank_), *shape, rank_)
+        split = brst._split(A)
+        image, kernel = svd_column_space(A), svd_null_space(A)
+        assert split.image.shape == image.shape == (shape[0], rank_)
+        assert split.kernel.shape == kernel.shape == (shape[1], shape[1] - rank_)
+        assert np.allclose(_projector(split.image), _projector(image),
+                           rtol=0, atol=1e-12)
+        assert np.allclose(_projector(split.kernel), _projector(kernel),
+                           rtol=0, atol=1e-12)
+        assert np.allclose(split.pinv, np.linalg.pinv(A), rtol=0, atol=1e-12)

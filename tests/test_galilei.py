@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opalg.galilei import (COMMUTATOR_TABLE, CONVERGENT_BRACKETS,
+from opalg.galilei import (_PHASES, COMMUTATOR_TABLE, CONVERGENT_BRACKETS,
                            EXACT_BRACKETS, BargmannElement,
                            GridTooCoarseError, NotARotationError,
-                           _default_test_functions, bargmann_exponent,
+                           _default_test_functions, _derivative,
+                           _real_generators, bargmann_exponent,
                            bargmann_multiply, clifford_generators,
                            commutator_convergence, degenerate_norm_structure,
                            galilei_compose, galilei_identity,
-                           generator_commutators, levy_leblond_matrices,
+                           generator_commutators, grid_generators,
+                           levy_leblond_matrices,
                            levy_leblond_symbol, make_galilei, momentum_grid)
 
 from oracles import bracket_deviations_reference
@@ -187,7 +189,6 @@ class TestGridCommutators:
 
     def test_central_generator_adds_on_tensor_products(self):
         # the represented mass acts as m + m = 2m on a two-fold product
-        from opalg.galilei import grid_generators
         mass = 1.3
         grid = momentum_grid(32, 10.0)
         gens = grid_generators(mass, grid)
@@ -200,16 +201,62 @@ class TestGridCommutators:
         np.testing.assert_allclose(acted, 2 * mass * np.outer(a, b), atol=1e-12)
 
 
+class TestRealStencils:
+    def test_stack_derivative_equals_slices(self):
+        rng = np.random.default_rng(12)
+        stack = rng.normal(size=(2, 32, 32, 32))
+        for axis in range(3):
+            got = _derivative(stack, axis, 0.3)
+            for k in range(2):
+                assert np.array_equal(got[k], _derivative(stack[k], axis, 0.3))
+
+    def test_complex_derivative_is_the_real_one_on_each_part(self):
+        rng = np.random.default_rng(13)
+        psi = rng.normal(size=(32,) * 3) + 1j * rng.normal(size=(32,) * 3)
+        for axis in range(3):
+            got = _derivative(psi, axis, 0.3)
+            assert np.array_equal(got.real, _derivative(psi.real, axis, 0.3))
+            assert np.array_equal(got.imag, _derivative(psi.imag, axis, 0.3))
+
+    @pytest.mark.parametrize("mass", [1.0, 1.3])
+    def test_generators_are_real_operators_times_phase(self, mass):
+        grid = momentum_grid(32, 10.0)
+        gens, ops = grid_generators(mass, grid), _real_generators(mass, grid)
+        assert gens.keys() == ops.keys() == _PHASES.keys()
+        rng = np.random.default_rng(14)
+        psi = rng.normal(size=(32,) * 3) + 1j * rng.normal(size=(32,) * 3)
+        for name, op in ops.items():
+            parts = op(np.stack((psi.real, psi.imag)))
+            want = np.empty(psi.shape, dtype=complex)
+            want.real, want.imag = parts
+            assert np.array_equal(gens[name](psi), _PHASES[name] * want), name
+
+    def test_boost_and_rotation_keep_their_complex_form(self):
+        grid = momentum_grid(32, 10.0)
+        h, p = grid.spacing, [grid.coordinate(i) for i in range(3)]
+        gens = grid_generators(1.3, grid)
+        rng = np.random.default_rng(15)
+        psi = rng.normal(size=(32,) * 3) + 1j * rng.normal(size=(32,) * 3)
+        assert np.array_equal(gens["K1"](psi), 1j * 1.3 * _derivative(psi, 0, h))
+        assert np.array_equal(gens["J3"](psi), -1j * (
+            p[0] * _derivative(psi, 1, h) - p[1] * _derivative(psi, 0, h)))
+
+    def test_real_and_zero_imaginary_functions_agree(self):
+        grid = momentum_grid(32, 10.0)
+        psi = _default_test_functions(grid, count=1)[0]
+        assert not psi.imag.any()
+        assert generator_commutators(1.0, grid, [psi.real]).deviations == \
+            generator_commutators(1.0, grid, [psi]).deviations
+
+
 class TestBracketsAgainstReference:
-    @pytest.mark.parametrize("mass", [1.0, 2.0])
+    @pytest.mark.parametrize("mass", [1.0, 2.0, 1.3])
     def test_default_functions_every_bracket(self, mass):
         grid = momentum_grid(32, 10.0)
         got = generator_commutators(mass, grid).deviations
         want = bracket_deviations_reference(mass, grid,
                                             _default_test_functions(grid))
-        assert got.keys() == want.keys()
-        for key, ref in want.items():
-            assert abs(got[key] - ref) <= 1e-12 * ref, key
+        assert got == want
 
     def test_random_complex_function_every_bracket(self):
         grid = momentum_grid(32, 10.0)

@@ -39,6 +39,17 @@ class TestCyclotomic:
         assert cyclotomic_coefficients(5) == [1, 1, 1, 1, 1]
         assert cyclotomic_coefficients(6) == [1, -1, 1]
 
+    def test_mutating_the_result_leaves_later_calls_alone(self):
+        first = cyclotomic_coefficients(6)
+        first[0] = 42
+        first.append(7)
+        assert cyclotomic_coefficients(6) == [1, -1, 1]
+        assert cyclotomic_coefficients(12) == [1, 0, -1, 0, 1]
+        assert cyclotomic_coefficients(6) is not cyclotomic_coefficients(6)
+        q = RootOfUnity(6, 1)
+        # zeta_6^3 = -1 through the reduction by x^2 - x + 1
+        assert _Cyclo.from_power(q, 3) == -_Cyclo.from_power(q, 0)
+
     def test_root_powers_cycle_exactly(self):
         q = RootOfUnity(5, 2)
         one = _Cyclo.from_power(q, 0)

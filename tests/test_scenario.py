@@ -20,6 +20,18 @@ SMOKE = str(REPO / "scenarios" / "smoke.json")
 FULL = str(REPO / "scenarios" / "full_suite.json")
 
 
+def run_cli(args, **env_vars):
+    """`python -m opalg.cli ARGS` in a fresh process from the repository
+    root, importing this checkout's opalg first."""
+    env = dict(os.environ, **env_vars)
+    src = str(Path(opalg.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.run([sys.executable, "-m", "opalg.cli", *args],
+                          cwd=REPO, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 def write_scenario(tmp_path, body):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(body))
@@ -227,16 +239,17 @@ class TestCli:
     def test_module_entry_point_is_quiet(self):
         # `python -m opalg.cli` must not find the module already imported
         # by the package (runpy warns about that on stderr)
-        env = dict(os.environ)
-        src = str(Path(opalg.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-        proc = subprocess.run(
-            [sys.executable, "-m", "opalg.cli", "run", "scenarios/smoke.json"],
-            cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
+        proc = run_cli(["run", "scenarios/smoke.json"])
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert proc.stdout
+
+    def test_csv_bytes_do_not_depend_on_blas_threads(self):
+        runs = [run_cli(["run", FULL, "--format", "csv"],
+                        OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+        assert [proc.returncode for proc in runs] == [0, 0]
+        assert runs[0].stdout.startswith("check,status,value,tolerance,ms")
+        assert runs[0].stdout == runs[1].stdout
 
     def test_checks_listing(self, capsys):
         assert main(["checks"]) == 0
