@@ -65,16 +65,17 @@ class FundamentalSymmetry:
 
 
 def make_krein(gram) -> KreinSpace:
-    """Validate a Gram matrix and compute its signature."""
+    """Validate a Gram matrix and compute its signature; both validation
+    tests are relative to the scale of G, so G and mu G share a verdict."""
     G = np.asarray(gram, dtype=complex)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ValueError(f"Gram matrix must be square, got shape {G.shape}")
-    if np.max(np.abs(G - G.conj().T)) > HERMITIAN_TOL:
+    if np.max(np.abs(G - G.conj().T)) > HERMITIAN_TOL * np.max(np.abs(G)):
         raise NotHermitianError("Gram matrix is not Hermitian")
     svals = np.linalg.svd(G, compute_uv=False)
-    if svals[-1] <= SINGULAR_TOL:
-        raise SingularGramError(
-            f"smallest singular value {svals[-1]:.3e} below {SINGULAR_TOL:.0e}")
+    if svals[-1] <= SINGULAR_TOL * svals[0]:
+        raise SingularGramError(f"smallest singular value {svals[-1]:.3e} below "
+                                f"{SINGULAR_TOL:.0e} of the largest")
     eigs = np.linalg.eigvalsh(G)
     p = int(np.sum(eigs > 0))
     q = int(np.sum(eigs < 0))

@@ -529,13 +529,15 @@ def load_scenario(path: str) -> Scenario:
                     tolerances=tolerances, checks=tuple(checks))
 
 
-def _derive_rng(seed: int, check_name: str) -> np.random.Generator:
-    digest = hashlib.sha256(f"{seed}:{check_name}".encode()).digest()
+def _derive_rng(seed: int, index: int, check_name: str) -> np.random.Generator:
+    """Stream of the entry at position `index`: repeated entries of one
+    check draw apart, and equal seeds give equal streams."""
+    digest = hashlib.sha256(f"{seed}:{index}:{check_name}".encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
-def _run_one(scenario: Scenario, spec: CheckSpec) -> CheckRecord:
-    ctx = CheckContext(rng=_derive_rng(scenario.seed, spec.check),
+def _run_one(scenario: Scenario, index: int, spec: CheckSpec) -> CheckRecord:
+    ctx = CheckContext(rng=_derive_rng(scenario.seed, index, spec.check),
                        truncation_order=scenario.truncation_order,
                        tolerances=scenario.tolerances)
     start = time.perf_counter()
@@ -565,25 +567,25 @@ def run_scenario(scenario, jobs: int = 1,
                             checks=scenario.checks)
     report = Report(scenario=scenario.name, seed=scenario.seed)
     if jobs <= 1:
-        for spec in scenario.checks:
-            report.records.append(_run_one(scenario, spec))
+        for index, spec in enumerate(scenario.checks):
+            report.records.append(_run_one(scenario, index, spec))
         return report
     # dependent checks act as barriers between concurrent batches
-    batch: List[CheckSpec] = []
+    batch: List[Tuple[int, CheckSpec]] = []
 
     def flush():
         if not batch:
             return
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            report.records.extend(pool.map(lambda s: _run_one(scenario, s), batch))
+            report.records.extend(pool.map(lambda e: _run_one(scenario, *e), batch))
         batch.clear()
 
-    for spec in scenario.checks:
+    for index, spec in enumerate(scenario.checks):
         if spec.independent:
-            batch.append(spec)
+            batch.append((index, spec))
         else:
             flush()
-            report.records.append(_run_one(scenario, spec))
+            report.records.append(_run_one(scenario, index, spec))
     flush()
     return report
 
@@ -597,7 +599,7 @@ def emit_report(report: Report, fmt: str = "text") -> str:
     if fmt == "csv":
         lines = ["check,status,value,tolerance,ms"]
         for r in report.records:
-            value = r.value.replace(",", ";")
+            value = r.value.replace(",", ";").replace("\r", " ").replace("\n", " ")
             lines.append(f"{r.name},{r.status},{value},{r.tolerance},0")
         return "\n".join(lines) + "\n"
     if fmt != "text":

@@ -76,7 +76,6 @@ class MassShell:
     energies: np.ndarray          # (N,)
     points_per_axis: int
     spacing: float
-    cubic_complete: bool          # full n^3 lattice in row-major axis order
     notes: Tuple[str, ...] = field(default=())
 
 
@@ -109,14 +108,12 @@ def make_shell(kind: str, mass: float, points_per_axis: int,
     grids = np.meshgrid(axis, axis, axis, indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=1)
     notes: Tuple[str, ...] = ()
-    complete = True
     if kind == "massless":
         keep = np.linalg.norm(points, axis=1) > 0
         if not np.all(keep):
             notes = ("dropped p = 0 (singular measure point)",)
             warnings.warn("massless shell: dropping the p = 0 lattice point")
             points = points[keep]
-            complete = False
     energies = _energies(kind, mass, points)
     cell = spacing ** 3
     if kind == "galilean":
@@ -129,7 +126,7 @@ def make_shell(kind: str, mass: float, points_per_axis: int,
     return MassShell(kind=kind, mass=float(mass), points=points,
                      weights=weights, energies=energies,
                      points_per_axis=points_per_axis, spacing=float(spacing),
-                     cubic_complete=complete, notes=notes)
+                     notes=notes)
 
 
 @dataclass(frozen=True)
@@ -183,31 +180,22 @@ def _check_reciprocal(shell: MassShell, grid: SliceGrid, tol: float = 1e-9):
 def restricted_inverse_fourier(f: ShellFunction, grid: SliceGrid) -> np.ndarray:
     """Quadrature sum (2 pi)^{-3/2} sum_i w_i psi(p_i) exp(i(p_i.x - e_i t)).
 
-    Returns slice values in row-major axis order.  Complete cubic shells go
-    through a separable per-axis evaluation; shells with dropped points fall
-    back to blocked direct summation.
+    Returns slice values in row-major axis order.  The kernel factorises
+    per axis, so every shell and slice grid takes one separable path: the
+    weighted values fill the n^3 momentum cube (the origin a massless shell
+    drops comes back as a zero) and each momentum axis in turn is contracted
+    with the (n_x, n_p) phase matrix.
     """
     shell = f.shell
+    n = shell.points_per_axis
     g = shell.weights * f.values * np.exp(-1j * shell.energies * grid.t)
-    norm = (2.0 * np.pi) ** -1.5
-    x_axis = grid.axis()
-    if shell.cubic_complete:
-        n = shell.points_per_axis
-        p_axis = _cubic_axis(n, shell.spacing)
-        cube = g.reshape(n, n, n)
-        phase = np.exp(1j * np.outer(x_axis, p_axis))  # (n_x, n_p) per axis
-        out = np.einsum("ap,pqr->aqr", phase, cube)
-        out = np.einsum("bq,aqr->abr", phase, out)
-        out = np.einsum("cr,abr->abc", phase, out)
-        return norm * out.ravel()
-    xs = grid.points()
-    out = np.empty(len(xs), dtype=complex)
-    block = 2048
-    for start in range(0, len(xs), block):
-        xb = xs[start:start + block]
-        phases = np.exp(1j * (xb @ shell.points.T))
-        out[start:start + block] = phases @ g
-    return norm * out
+    if len(g) < n ** 3:  # make_shell drops only the origin
+        g = np.insert(g, (n // 2) * (n * n + n + 1), 0.0)
+    phase = np.exp(1j * np.outer(grid.axis(), _cubic_axis(n, shell.spacing)))
+    out = g.reshape(n, n, n)
+    for _ in range(3):  # contracts the leading p axis, appends its x axis
+        out = np.tensordot(out, phase, axes=(0, 1))
+    return (2.0 * np.pi) ** -1.5 * out.ravel()
 
 
 def slice_norm_sq(values: np.ndarray, grid: SliceGrid) -> float:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opalg.krein import (InvalidSymmetryError,
                          NotHermitianError, SingularGramError,
@@ -8,6 +10,9 @@ from opalg.krein import (InvalidSymmetryError,
                          wick_rotate)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+_M = np.random.default_rng(11).normal(size=(3, 3))
+GRAMS = {"minkowski": np.diag([1.0, -1.0]), "null": SWAP,
+         "mixed": _M @ np.diag([1.0, 2.0, -0.5]) @ _M.T}
 
 
 def adjoint_oracle(G, A):
@@ -32,6 +37,27 @@ class TestMakeKrein:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             make_krein(np.ones((2, 3)))
+
+
+class TestScaleInvariance:
+    """Validation is relative: G -> mu G keeps the verdict and the adjoint."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(GRAMS)), exponent=st.floats(-12.0, 6.0))
+    def test_rescaled_gram(self, name, exponent):
+        G = GRAMS[name]
+        mu = 10.0 ** exponent
+        K, scaled = make_krein(G), make_krein(mu * G)
+        assert scaled.signature == K.signature
+        A = np.random.default_rng(12).normal(size=(3, K.dim, K.dim))
+        want = krein_adjoint(K, A)
+        got = krein_adjoint(scaled, A)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        with pytest.raises(SingularGramError):
+            make_krein(mu * np.diag([1.0, 0.0]))
+
+    def test_tiny_minkowski_accepted(self):
+        assert make_krein(np.diag([1e-11, -1e-11])).signature == (1, 1)
 
 
 class TestFundamentalSymmetry:

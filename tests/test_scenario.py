@@ -9,10 +9,10 @@ import pytest
 
 import opalg
 from opalg.cli import main
-from opalg.scenario import (DEFAULT_TOLERANCES, Report, ScenarioParseError,
-                            UnknownCheckError, available_checks, emit_report,
-                            load_scenario, run_scenario, series_from_json,
-                            series_to_json)
+from opalg.scenario import (DEFAULT_TOLERANCES, CheckRecord, Report,
+                            ScenarioParseError, UnknownCheckError,
+                            available_checks, emit_report, load_scenario,
+                            run_scenario, series_from_json, series_to_json)
 from opalg.series import FormalSeries
 
 REPO = Path(__file__).resolve().parent.parent
@@ -141,6 +141,16 @@ class TestRunning:
         other = emit_report(run_scenario(SMOKE, seed_override=99), "csv")
         assert base != other
 
+    def test_repeated_entries_draw_apart(self, tmp_path):
+        entry = {"check": "galilei.levy_leblond_shell", "params": {"count": 20}}
+        path = write_scenario(tmp_path, {"name": "twins", "seed": 3,
+                                         "checks": [entry, entry]})
+        first, second = run_scenario(path).records
+        assert first.status == second.status == "pass"
+        assert first.value != second.value
+        assert emit_report(run_scenario(path), "csv") \
+            == emit_report(run_scenario(path), "csv")
+
     def test_jobs_preserve_order_and_results(self):
         serial = run_scenario(SMOKE)
         parallel = run_scenario(SMOKE, jobs=4)
@@ -172,6 +182,15 @@ class TestEmission:
                        {"check": "series.is_positive", "params": {"b": [[1, 0]]}}]})
         text = emit_report(run_scenario(path), "csv")
         assert len(text.strip().splitlines()) == 3
+
+    def test_csv_folds_line_breaks_in_values(self):
+        report = Report(scenario="s", seed=1, records=[CheckRecord(
+            name="x.y", status="error", value="ValueError: line one\nline two,\r\nthree",
+            tolerance="", wall_ms=1.0)])
+        lines = emit_report(report, "csv").splitlines()
+        assert len(lines) == 2
+        assert lines[1].split(",") == [
+            "x.y", "error", "ValueError: line one line two;  three", "", "0"]
 
     def test_text_format_summary(self):
         rendered = emit_report(run_scenario(SMOKE), "text")

@@ -62,28 +62,42 @@ class TestRestrictedTransform:
             * np.exp(1j * (grid.points() @ shell.points[0]))
         np.testing.assert_allclose(psi, expected, atol=1e-14)
 
-    def test_matches_pointwise_oracle(self):
-        shell = make_shell("galilean", 1.0, 4, 0.6)
+    @pytest.mark.parametrize("kind, n, grid_n, grid_spacing", [
+        ("galilean", 4, 3, 0.5),
+        ("galilean", 4, None, None),
+        ("relativistic", 3, 5, 0.45),
+        ("relativistic", 3, None, None),
+    ])
+    def test_matches_pointwise_oracle(self, kind, n, grid_n, grid_spacing):
+        shell = make_shell(kind, 1.0, n, 0.6)
         rng = np.random.default_rng(0)
+        size = n ** 3
         f = ShellFunction(shell=shell,
-                          values=rng.normal(size=64) + 1j * rng.normal(size=64))
-        grid = SliceGrid(t=0.7, points_per_axis=3, spacing=0.5)
+                          values=rng.normal(size=size) + 1j * rng.normal(size=size))
+        grid = reciprocal_slice(shell, 0.7) if grid_n is None \
+            else SliceGrid(t=0.7, points_per_axis=grid_n, spacing=grid_spacing)
         got = restricted_inverse_fourier(f, grid)
         want = direct_shell_sum(shell.points, shell.weights, shell.energies,
                                 f.values, grid.points(), 0.7)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_dropped_point_path_matches_oracle(self):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_dropped_point_path_matches_oracle(self, n):
+        # the cone drops the origin, at row-major index (n//2)(n^2 + n + 1);
+        # n = 1 leaves an empty shell and an all-zero transform
         with pytest.warns(UserWarning):
-            shell = make_shell("massless", 0.0, 3, 0.5)
+            shell = make_shell("massless", 0.0, n, 0.5)
+        size = n ** 3 - 1
         rng = np.random.default_rng(1)
         f = ShellFunction(shell=shell,
-                          values=rng.normal(size=26) + 1j * rng.normal(size=26))
+                          values=rng.normal(size=size) + 1j * rng.normal(size=size))
         grid = SliceGrid(t=0.3, points_per_axis=3, spacing=0.4)
         got = restricted_inverse_fourier(f, grid)
         want = direct_shell_sum(shell.points, shell.weights, shell.energies,
                                 f.values, grid.points(), 0.3)
         np.testing.assert_allclose(got, want, atol=1e-12)
+        if n == 1:
+            assert not np.any(got)
 
     def test_linearity(self):
         shell = make_shell("galilean", 1.0, 4, 0.5)
