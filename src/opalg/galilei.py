@@ -29,7 +29,6 @@ __all__ = [
     "bargmann_exponent",
     "bargmann_multiply",
     "momentum_grid",
-    "grid_generators",
     "generator_commutators",
     "commutator_convergence",
     "clifford_generators",
@@ -232,21 +231,6 @@ def _real_generators(mass: float, grid: MomentumGrid) -> Dict[str, Operator]:
         ops[f"J{i + 1}"] = (lambda psi, a=a, b=b: angular(psi, a, b))
     ops["M"] = lambda psi: mass * psi
     return ops
-
-
-def grid_generators(mass: float, grid: MomentumGrid) -> Dict[str, Operator]:
-    """Momentum-space generators at fixed mass.
-
-    P_i multiplies by p_i, P0 by p^2/(2m); K_i = i m d/dp_i, J_i the
-    angular-momentum difference operators -i (p_a d_b - p_b d_a) and M
-    multiplication by m.  Each is a real operator times a unit phase.
-    """
-    gens: Dict[str, Operator] = {}
-    for name, op in _real_generators(mass, grid).items():
-        phase = _PHASES[name]
-        gens[name] = op if phase == 1 else (lambda psi, op=op, phase=phase:
-                                            phase * op(psi))
-    return gens
 
 
 def _eps(i: int, j: int, k: int) -> float:

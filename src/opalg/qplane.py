@@ -84,10 +84,6 @@ class RootOfUnity:
         if gcd(self.k % self.N if self.N > 1 else 1, self.N) != 1:
             raise ValueError(f"{self.k}/{self.N} is not a primitive root")
 
-    @property
-    def is_odd(self) -> bool:
-        return self.N % 2 == 1
-
     def numeric(self) -> complex:
         return complex(np.exp(2j * np.pi * self.k / self.N))
 
@@ -237,12 +233,6 @@ class QPlanePoly:
 
     def neg(self) -> "QPlanePoly":
         return QPlanePoly(self.q, {k: self.ring.neg(v) for k, v in self.terms.items()})
-
-    def coefficient_numeric(self, key: Tuple[int, int]) -> complex:
-        v = self.terms.get(key)
-        if v is None:
-            return 0.0
-        return v.numeric() if self.ring.exact else complex(v)
 
     def __repr__(self):
         return f"QPlanePoly({self.terms})"

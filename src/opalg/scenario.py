@@ -1,25 +1,26 @@
 """Scenario runner: load check suites from JSON, execute, emit reports.
 
 A scenario file pins a name, a 64-bit seed, a truncation order, named
-tolerances and an ordered list of checks.  Every check draws its randomness
-from a generator derived by hashing the scenario seed with the check name,
-so reruns with an equal seed are bit-reproducible.  Failing checks never
-stop the run; their records carry the failure.
+tolerances and an ordered list of checks.  Every entry draws its randomness
+from a generator derived by hashing (seed, entry index, check name), so
+repeated entries of one check draw apart and reruns with an equal seed are
+bit-reproducible.  Failing checks never stop the run; their records carry
+the failure.  A run imports only the layers its check names start with.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import brst, galilei, qplane, series, wigner
+from . import brst, series
 from . import krein as krein_mod
 
 __all__ = [
@@ -281,6 +282,7 @@ def _check_deform_stability(params, ctx):
 
 @register("galilei.cocycle")
 def _check_cocycle(params, ctx):
+    from . import galilei
     triples = int(params.get("triples", 200))
     tol = ctx.tol()
     # per element: 9 rotation seeds, v, u and eta, in the order of one
@@ -301,6 +303,7 @@ def _check_cocycle(params, ctx):
 
 @register("galilei.commutators")
 def _check_commutators(params, ctx):
+    from . import galilei
     points = int(params.get("points", 32))
     p_max = float(params.get("p_max", 10.0))
     grid = galilei.momentum_grid(points, p_max)
@@ -313,6 +316,7 @@ def _check_commutators(params, ctx):
 
 @register("galilei.commutator_convergence")
 def _check_convergence(params, ctx):
+    from . import galilei
     sizes = [int(s) for s in params.get("sizes", (32, 64))]
     p_max = float(params.get("p_max", 10.0))
     orders = galilei.commutator_convergence(float(params.get("mass", 1.0)),
@@ -325,6 +329,7 @@ def _check_convergence(params, ctx):
 
 @register("galilei.clifford")
 def _check_clifford(params, ctx):
+    from . import galilei
     cl = galilei.clifford_generators()
     worst = 0.0
     for i, gi in enumerate(cl.gammas):
@@ -337,6 +342,7 @@ def _check_clifford(params, ctx):
 
 @register("galilei.levy_leblond_shell")
 def _check_shell_determinant(params, ctx):
+    from . import galilei
     mass = float(params.get("mass", 1.0))
     count = int(params.get("count", 100))
     off = float(params.get("off_shell", 0.5))
@@ -356,6 +362,7 @@ def _check_shell_determinant(params, ctx):
 
 @register("wigner.parseval")
 def _check_parseval(params, ctx):
+    from . import wigner
     kind = params.get("kind", "galilean")
     n = int(params.get("points", 16))
     mass = float(params.get("mass", 1.0))
@@ -379,6 +386,7 @@ def _check_parseval(params, ctx):
 
 @register("wigner.two_particle")
 def _check_two_particle(params, ctx):
+    from . import wigner
     kind = params.get("kind", "relativistic")
     mass = float(params.get("mass", 1.0))
     samples = int(params.get("samples", 1000))
@@ -391,6 +399,7 @@ def _check_two_particle(params, ctx):
 
 @register("wigner.angular")
 def _check_angular(params, ctx):
+    from . import wigner
     name = params.get("amplitude", "isotropic")
     l_max = int(params.get("l_max", 4))
     if name == "isotropic":
@@ -409,6 +418,7 @@ def _check_angular(params, ctx):
 
 @register("qplane.normal_form")
 def _check_normal_form(params, ctx):
+    from . import qplane
     word = list(params.get("word", "yx"))
     q = _decode_q(params.get("q", {"N": 3, "k": 1}))
     poly = qplane.qplane_normal_form(word, q)
@@ -420,6 +430,7 @@ def _check_normal_form(params, ctx):
 
 @register("qplane.center")
 def _check_center(params, ctx):
+    from . import qplane
     q = _decode_q(params["q"])
     max_deg = int(params.get("max_deg", 6))
     central = qplane.center_probe(q, max_deg)
@@ -435,6 +446,7 @@ def _check_center(params, ctx):
 
 @register("qplane.coaction")
 def _check_coaction(params, ctx):
+    from . import qplane
     q = _decode_q(params["q"])
     max_deg = int(params.get("max_deg", 3))
     perturb = bool(params.get("perturb_ab", False))
@@ -449,6 +461,7 @@ def _check_coaction(params, ctx):
 
 
 def _decode_q(data):
+    from . import qplane
     if isinstance(data, dict):
         return qplane.RootOfUnity(N=int(data["N"]), k=int(data.get("k", 1)))
     if isinstance(data, (list, tuple)):
@@ -456,7 +469,7 @@ def _decode_q(data):
     return complex(data)
 
 
-def _dump_field(path: str, grid: wigner.SliceGrid, values: np.ndarray):
+def _dump_field(path: str, grid, values: np.ndarray):
     points = grid.points()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x1,x2,x3,re_psi,im_psi\n")
@@ -561,15 +574,17 @@ def run_scenario(scenario, jobs: int = 1,
     if isinstance(scenario, str):
         scenario = load_scenario(scenario)
     if seed_override is not None:
-        scenario = Scenario(name=scenario.name, seed=int(seed_override),
-                            truncation_order=scenario.truncation_order,
-                            tolerances=scenario.tolerances,
-                            checks=scenario.checks)
+        scenario = replace(scenario, seed=int(seed_override))
+    # the named layers, up front, so that no check's wall_ms carries an import
+    for layer in dict.fromkeys(spec.check.split(".")[0] for spec in scenario.checks
+                               if spec.check in _REGISTRY):
+        importlib.import_module(f"{__package__}.{layer}")
     report = Report(scenario=scenario.name, seed=scenario.seed)
     if jobs <= 1:
         for index, spec in enumerate(scenario.checks):
             report.records.append(_run_one(scenario, index, spec))
         return report
+    from concurrent.futures import ThreadPoolExecutor
     # dependent checks act as barriers between concurrent batches
     batch: List[Tuple[int, CheckSpec]] = []
 

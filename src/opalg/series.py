@@ -77,16 +77,6 @@ class FormalSeries:
             return cls([0.0] * (order + 1))
         return cls([np.zeros(shape, dtype=complex)] * (order + 1))
 
-    @classmethod
-    def constant(cls, value, order: int) -> "FormalSeries":
-        tail = 0.0 if np.isscalar(value) else np.zeros(np.asarray(value).shape, complex)
-        return cls([value] + [tail] * order)
-
-    def truncate(self, order: int) -> "FormalSeries":
-        if order >= self.order:
-            return self
-        return FormalSeries(self.coeffs[: order + 1])
-
     def max_abs(self) -> float:
         return max(float(np.max(np.abs(c))) if isinstance(c, np.ndarray) else abs(c)
                    for c in self.coeffs)
@@ -178,17 +168,21 @@ def is_positive(b: FormalSeries, tol: float = DEFAULT_TOL) -> PositivityVerdict:
     b0 > 0 the order-n equation 2*c0*Re(c_n) = b_n - sum_{k=1}^{n-1}
     conj(c_k) c_{n-k} fixes c_n once Im(c_n) := 0.  A vanishing leading
     coefficient forces b1 = 0 and recurses on the g^2-shifted series.
+    The decision is relative: a coefficient counts as zero when it is at
+    most tol * max|b|, so b and mu*b get one verdict.
     """
     if not b.is_scalar:
         raise ValueError("positivity is decided for scalar series only")
-    positive, witness, failure = _positive_rows(np.array([b.coeffs]), tol)
+    row = np.array([b.coeffs])
+    positive, witness, failure = _positive_rows(row, tol * np.max(np.abs(row)))
     if not positive[0]:
         return PositivityVerdict(positive=False, failure_order=int(failure[0]))
     return PositivityVerdict(positive=True, witness=FormalSeries(witness[0]))
 
 
 def _positive_rows(b: np.ndarray, tol: float = DEFAULT_TOL):
-    """The decision of is_positive for every row of a stack b (S, N+1).
+    """The decision of is_positive for every row of a stack b (S, N+1), at
+    the absolute tolerance tol.
 
     Returns the verdicts (S,), the real witnesses (S, N+1), zero where a
     row is not positive, and the failure orders (S,), -1 where it is.

@@ -232,6 +232,21 @@ def bracket_deviations_reference(mass, grid, test_functions):
     return deviations
 
 
+def grid_generators(mass, grid):
+    """The complex generators on the grid, each the real operator of
+    `galilei._real_generators` times its unit phase: P_i multiplies by p_i,
+    P0 by p^2/(2m) and M by m; K_i = i m d/dp_i and J_i = -i (p_a d_b -
+    p_b d_a)."""
+    from opalg.galilei import _PHASES, _real_generators
+
+    gens = {}
+    for name, op in _real_generators(mass, grid).items():
+        phase = _PHASES[name]
+        gens[name] = op if phase == 1 else (lambda psi, op=op, phase=phase:
+                                            phase * op(psi))
+    return gens
+
+
 def is_positive_reference(coeffs, tol):
     """The square-root decision on one scalar series by a Python loop:
     (positive, witness coefficients or None, failure order or None)."""

@@ -11,11 +11,10 @@ from opalg.galilei import (_PHASES, COMMUTATOR_TABLE, CONVERGENT_BRACKETS,
                            bargmann_multiply, clifford_generators,
                            commutator_convergence, degenerate_norm_structure,
                            galilei_compose, galilei_identity,
-                           generator_commutators, grid_generators,
-                           levy_leblond_matrices,
+                           generator_commutators, levy_leblond_matrices,
                            levy_leblond_symbol, make_galilei, momentum_grid)
 
-from oracles import bracket_deviations_reference
+from oracles import bracket_deviations_reference, grid_generators
 
 
 def random_element(rng):

@@ -20,16 +20,19 @@ SMOKE = str(REPO / "scenarios" / "smoke.json")
 FULL = str(REPO / "scenarios" / "full_suite.json")
 
 
-def run_cli(args, **env_vars):
-    """`python -m opalg.cli ARGS` in a fresh process from the repository
-    root, importing this checkout's opalg first."""
+def run_python(args, **env_vars):
+    """`python ARGS` in a fresh process from the repository root, importing
+    this checkout's opalg first."""
     env = dict(os.environ, **env_vars)
     src = str(Path(opalg.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    return subprocess.run([sys.executable, "-m", "opalg.cli", *args],
-                          cwd=REPO, env=env, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def run_cli(args, **env_vars):
+    return run_python(["-m", "opalg.cli", *args], **env_vars)
 
 
 def write_scenario(tmp_path, body):
@@ -297,3 +300,66 @@ class TestRegistry:
 
     def test_default_tolerances_present(self):
         assert "default" in DEFAULT_TOLERANCES
+
+
+LAZY = ("opalg.galilei", "opalg.wigner", "opalg.qplane", "concurrent.futures")
+CHECK_NAMES = [
+    "brst.deform_stability", "brst.observables", "brst.physical_space",
+    "galilei.clifford", "galilei.cocycle", "galilei.commutator_convergence",
+    "galilei.commutators", "galilei.levy_leblond_shell", "krein.invariants",
+    "qplane.center", "qplane.coaction", "qplane.normal_form",
+    "series.is_positive", "series.witness_roundtrip", "wigner.angular",
+    "wigner.parseval", "wigner.two_particle"]
+
+
+class TestLazyLayers:
+    """A fresh process imports the layers a scenario's checks name, and no
+    others."""
+
+    def loaded_after(self, code, *args):
+        probe = (f"{code}\nimport json, sys\n"
+                 f"print(json.dumps([m for m in {LAZY!r} if m in sys.modules]))")
+        proc = run_python(["-c", probe, *args])
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def run_and_probe(self, tmp_path, checks):
+        path = write_scenario(tmp_path, {"name": "lazy", "seed": 3, "checks": checks})
+        code = ("import sys\nfrom opalg.cli import main\n"
+                "assert main(['run', sys.argv[1], '--out', sys.argv[2]]) == 0")
+        return self.loaded_after(code, path, str(tmp_path / "report.txt"))
+
+    def test_brst_krein_series_run_skips_other_layers(self, tmp_path):
+        checks = [
+            {"check": "series.is_positive", "params": {"b": [[1, 0], [0, 0]]}},
+            {"check": "series.witness_roundtrip", "params": {"count": 4}},
+            {"check": "krein.invariants", "params": {"samples": 4}},
+            {"check": "brst.physical_space",
+             "params": {"model": "null_pair", "expect_dim": 0}},
+            {"check": "brst.deform_stability", "params": {"order": 2, "samples": 4}},
+        ]
+        assert self.run_and_probe(tmp_path, checks) == []
+
+    def test_run_imports_the_named_layer_only(self, tmp_path):
+        checks = [{"check": "galilei.clifford"}]
+        assert self.run_and_probe(tmp_path, checks) == ["opalg.galilei"]
+
+    def test_loading_the_full_suite_imports_no_layer(self):
+        code = ("from opalg.scenario import load_scenario\n"
+                f"assert len(load_scenario({FULL!r}).checks) > 0")
+        assert self.loaded_after(code) == []
+
+    def test_checks_listing_is_unchanged(self):
+        proc = run_cli(["checks"])
+        assert proc.returncode == 0
+        assert proc.stdout.split() == CHECK_NAMES
+
+    def test_layers_on_attribute_access_and_star_import(self):
+        code = ("import opalg\nassert 'wigner' in dir(opalg)\n"
+                "assert callable(opalg.wigner.make_shell)\n"
+                "from opalg import *\n"
+                "assert all(type(globals()[m]) is type(opalg) for m in opalg.__all__)")
+        assert self.loaded_after(code) == ["opalg.galilei", "opalg.wigner",
+                                           "opalg.qplane"]
+        with pytest.raises(AttributeError):
+            getattr(opalg, "no_such_layer")

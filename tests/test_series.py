@@ -159,6 +159,17 @@ class TestPositivity:
         b = series_mul(series_star(make(c)), make(c))
         assert is_positive(b).positive
 
+    def test_tiny_negative_head_rejected(self):
+        verdict = is_positive(make([-1e-11, 0, 0]))
+        assert not verdict.positive
+        assert verdict.failure_order == 0
+
+    def test_tiny_square_keeps_its_witness(self):
+        verdict = is_positive(make(1e-12 * np.array([4, 2, 1])))
+        assert verdict.positive
+        np.testing.assert_allclose(verdict.witness.coeffs,
+                                   1e-6 * np.array([2, 0.5, 0.1875]), rtol=1e-12)
+
 
 # coefficients that reach every branch of the decision: zero and sub-tol
 # values (shifts), nonzero values after a vanishing head (b1 != 0),
@@ -180,19 +191,63 @@ class TestStackedPositivity:
         b = np.array(rows, dtype=complex)
         positive, witness, failure = _positive_rows(b, tol=1e-10)
         for row, pos, wit, fail in zip(b, positive, witness, failure):
-            scalar = is_positive(FormalSeries(row), tol=1e-10)
             ref_pos, ref_wit, ref_fail = is_positive_reference(row, 1e-10)
-            assert pos == scalar.positive == ref_pos
+            assert pos == ref_pos
             if pos:
                 assert fail == -1
                 np.testing.assert_array_equal(wit, ref_wit)
+            else:
+                assert fail == ref_fail
+                assert not wit.any()
+            # is_positive decides at tol relative to the scale of its input
+            scalar = is_positive(FormalSeries(row), tol=1e-10)
+            ref_pos, ref_wit, ref_fail = is_positive_reference(
+                row, 1e-10 * np.max(np.abs(row)))
+            assert scalar.positive == ref_pos
+            if ref_pos:
                 np.testing.assert_array_equal(np.array(scalar.witness.coeffs), ref_wit)
             else:
-                assert fail == scalar.failure_order == ref_fail
-                assert not wit.any()
+                assert scalar.failure_order == ref_fail
 
     def test_star_square_rows_equal_series_mul(self):
         c = np.random.default_rng(11).normal(size=(20, 9, 2)) @ np.array([1.0, 1j])
         for row, got in zip(c, _star_square_rows(c)):
             want = series_mul(series_star(make(row)), make(row))
             np.testing.assert_array_equal(got, np.array(want.coeffs))
+
+
+def assert_squares_back(witness, b):
+    """star(w)*w equals b within 1e-10 of the scale of the Cauchy sums: the
+    witness coefficients can outgrow b, as in series.witness_roundtrip."""
+    redone = series_mul(series_star(witness), witness)
+    scale = max(b.max_abs(), witness.max_abs() ** 2)
+    assert (redone - b).max_abs() <= 1e-10 * scale
+
+
+class TestPositivityScaleInvariance:
+    """b and 10^e b get one verdict, and its witness squares back to b."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
+                    min_size=1, max_size=9), st.integers(-12, 6))
+    def test_scaled_squares(self, pairs, e):
+        c = np.array([complex(re, im) for re, im in pairs])
+        if abs(c[0]) < 1.0:
+            c[0] = 2.0
+        b = series_mul(series_star(make(c)), make(c)).scale(10.0 ** e)
+        verdict = is_positive(b)
+        assert verdict.positive
+        assert_squares_back(verdict.witness, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7).flatmap(
+        lambda n: st.lists(COEFFS, min_size=n, max_size=n)), st.integers(-12, 6))
+    @example([-1e-12, 0, 1e-12j], -6)
+    def test_scaled_branches(self, row, e):
+        b = FormalSeries(row)
+        base = is_positive(b)
+        verdict = is_positive(b.scale(10.0 ** e))
+        assert verdict.positive == base.positive
+        assert verdict.failure_order == base.failure_order
+        if verdict.positive:
+            assert_squares_back(verdict.witness, b.scale(10.0 ** e))
