@@ -153,12 +153,12 @@ def operator_grade(space: GhostGradedSpace, matrix, tol: float = RANK_TOL) -> Op
     M = np.asarray(matrix, dtype=complex)
     g = np.asarray(space.ghost_grades)
     shifts = g[:, None] - g[None, :]
-    present = np.unique(shifts[np.abs(M) > tol])
-    if len(present) == 0:
+    present = set(shifts[np.abs(M) > tol].tolist())
+    if not present:
         return None
     if len(present) > 1:
         raise NonHomogeneousError(f"entries carry ghost shifts {sorted(present)}")
-    return int(present[0])
+    return present.pop()
 
 
 def _check_homogeneous(space: GhostGradedSpace, F: GradedOperator, tol: float = RANK_TOL):

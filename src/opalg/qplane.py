@@ -4,8 +4,14 @@ The plane relation is x y = q y x; the group generators a, b, c, d obey the
 standard relations a b = q b a, a c = q c a, b c = c b, b d = q d b,
 c d = q d c, a d - d a = (q - q^{-1}) b c.  Root-of-unity parameters are
 handled in exact cyclotomic integer arithmetic so that centrality tests do
-not depend on floating-point phases; generic numeric q uses complex
-coefficients with a small zero threshold.
+not depend on floating-point phases: an element of Z[zeta_N] is a cyclic
+vector of N integers, so multiplying by a power of q rotates it, and it is
+reduced modulo the N-th cyclotomic polynomial only to decide whether it
+vanishes.  Generic numeric q uses complex coefficients with a small zero
+threshold.  The coaction check uses that the coaction is an algebra map:
+the image of a word is the image of its prefix times the image of its last
+letter, so each image is built once, and each product of an ordered group
+monomial with one letter is normal ordered once.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import add, neg, sub
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -88,8 +95,14 @@ class RootOfUnity:
         return complex(np.exp(2j * np.pi * self.k / self.N))
 
 
-class _Cyclo:
-    """Element of Z[zeta_N] reduced modulo the cyclotomic polynomial."""
+class _Coeff:
+    """Coefficient arithmetic: exact in Z[zeta_N] for a root of unity q,
+    complex numbers otherwise.
+
+    An exact element holds coeffs[i] of zeta_N^i, read in Z[x]/(x^N - 1):
+    sums and products never reduce, and multiplying by q^e rotates the
+    vector.  Reduction modulo Phi_N happens only in is_zero, == and hash.
+    """
 
     __slots__ = ("root", "coeffs")
 
@@ -97,106 +110,68 @@ class _Cyclo:
         self.root = root
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def _reduction(cls, root: RootOfUnity) -> Tuple[int, ...]:
-        phi = _cyclotomic(root.N)
-        # zeta^deg = -(phi[0] + phi[1] zeta + ...), monic phi
-        return tuple(-c for c in phi[:-1])
+    @staticmethod
+    def power(q: QValue, e: int):
+        """q^e: a cyclic vector for a root of unity, complex otherwise."""
+        if not isinstance(q, RootOfUnity):
+            return complex(q) ** e
+        coeffs = [0] * q.N
+        coeffs[e * q.k % q.N] = 1
+        return _Coeff(q, coeffs)
 
-    @classmethod
-    def from_power(cls, root: RootOfUnity, power: int) -> "_Cyclo":
-        deg = len(_cyclotomic(root.N)) - 1
-        e = (power * root.k) % root.N
-        coeffs = [0] * deg
-        if e < deg:
-            coeffs[e] = 1
-            return cls(root, coeffs)
-        # reduce zeta^e for deg <= e < N by repeated substitution
-        work = {e: 1}
-        red = cls._reduction(root)
-        while any(exp >= deg for exp in work):
-            exp = max(work)
-            mult = work.pop(exp)
-            for i, c in enumerate(red):
-                if c:
-                    work[exp - deg + i] = work.get(exp - deg + i, 0) + mult * c
-        for exp, mult in work.items():
-            coeffs[exp] += mult
-        return cls(root, coeffs)
+    @staticmethod
+    def vanishes(c) -> bool:
+        return c.is_zero() if isinstance(c, _Coeff) else abs(c) <= NUMERIC_TOL
 
-    def __add__(self, other: "_Cyclo") -> "_Cyclo":
-        return _Cyclo(self.root, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+    def __add__(self, other: "_Coeff") -> "_Coeff":
+        return _Coeff(self.root, map(add, self.coeffs, other.coeffs))
 
-    def __neg__(self) -> "_Cyclo":
-        return _Cyclo(self.root, [-a for a in self.coeffs])
+    def __sub__(self, other: "_Coeff") -> "_Coeff":
+        return _Coeff(self.root, map(sub, self.coeffs, other.coeffs))
 
-    def __mul__(self, other: "_Cyclo") -> "_Cyclo":
-        deg = len(self.coeffs)
-        prod = [0] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                prod[i + j] += a * b
-        red = self._reduction(self.root)
-        for e in range(len(prod) - 1, deg - 1, -1):
-            c = prod[e]
-            if not c:
-                continue
-            prod[e] = 0
-            for i, r in enumerate(red):
-                prod[e - deg + i] += c * r
-        return _Cyclo(self.root, prod[:deg])
+    def __neg__(self) -> "_Coeff":
+        return _Coeff(self.root, map(neg, self.coeffs))
 
-    def scaled(self, n: int) -> "_Cyclo":
-        return _Cyclo(self.root, [n * a for a in self.coeffs])
+    def __mul__(self, other: "_Coeff") -> "_Coeff":
+        a, b = self.coeffs, other.coeffs
+        if b.count(0) < a.count(0):
+            a, b = b, a
+        out = None
+        for j, s in enumerate(b):  # the sparser factor b, term by term
+            if s:
+                rot = a[-j:] + a[:-j]  # a zeta^j
+                if s != 1:
+                    rot = [s * r for r in rot]
+                out = rot if out is None else list(map(add, out, rot))
+        return _Coeff(self.root, out or [0] * len(a))
+
+    def _reduced(self) -> Tuple[int, ...]:
+        phi = _cyclotomic(self.root.N)
+        deg = len(phi) - 1
+        rem = list(self.coeffs)
+        for e in range(len(rem) - 1, deg - 1, -1):
+            c = rem[e]
+            if c:
+                for i, p in enumerate(phi):  # monic: rem[e] becomes 0
+                    rem[e - deg + i] -= c * p
+        return tuple(rem[:deg])
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
+        return not any(self._reduced())
 
     def numeric(self) -> complex:
         zeta = complex(np.exp(2j * np.pi / self.root.N))
         return sum(a * zeta ** i for i, a in enumerate(self.coeffs))
 
     def __eq__(self, other):
-        return isinstance(other, _Cyclo) and self.root == other.root \
-            and self.coeffs == other.coeffs
+        return isinstance(other, _Coeff) and self.root == other.root \
+            and self._reduced() == other._reduced()
 
     def __hash__(self):
-        return hash((self.root, self.coeffs))
+        return hash((self.root, self._reduced()))
 
     def __repr__(self):
-        return f"Cyclo{self.coeffs}"
-
-
-class _Ring:
-    """Coefficient arithmetic, exact for roots of unity, complex otherwise."""
-
-    def __init__(self, q: QValue):
-        self.exact = isinstance(q, RootOfUnity)
-        self.q = q
-
-    def q_power(self, e: int):
-        if self.exact:
-            return _Cyclo.from_power(self.q, e)
-        return complex(self.q) ** e
-
-    def one(self):
-        return self.q_power(0)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        if self.exact:
-            return a.is_zero()
-        return abs(a) <= NUMERIC_TOL
+        return f"Coeff{self.coeffs}"
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +183,7 @@ class QPlanePoly:
 
     def __init__(self, q: QValue, terms: Dict[Tuple[int, int], object]):
         self.q = q
-        self.ring = _Ring(q)
-        self.terms = {k: v for k, v in terms.items() if not self.ring.is_zero(v)}
+        self.terms = {k: v for k, v in terms.items() if not _Coeff.vanishes(v)}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -217,7 +191,7 @@ class QPlanePoly:
     def add(self, other: "QPlanePoly") -> "QPlanePoly":
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = self.ring.add(out[k], v) if k in out else v
+            out[k] = out[k] + v if k in out else v
         return QPlanePoly(self.q, out)
 
     def mul(self, other: "QPlanePoly") -> "QPlanePoly":
@@ -226,21 +200,19 @@ class QPlanePoly:
             for (c, d), cb in other.terms.items():
                 # y^b x^c = q^{-bc} x^c y^b
                 key = (a + c, b + d)
-                val = self.ring.mul(self.ring.mul(ca, cb),
-                                    self.ring.q_power(-b * c))
-                out[key] = self.ring.add(out[key], val) if key in out else val
+                val = ca * cb * _Coeff.power(self.q, -b * c)
+                out[key] = out[key] + val if key in out else val
         return QPlanePoly(self.q, out)
 
     def neg(self) -> "QPlanePoly":
-        return QPlanePoly(self.q, {k: self.ring.neg(v) for k, v in self.terms.items()})
+        return QPlanePoly(self.q, {k: -v for k, v in self.terms.items()})
 
     def __repr__(self):
         return f"QPlanePoly({self.terms})"
 
 
 def plane_monomial(q: QValue, a: int, b: int, coeff=None) -> QPlanePoly:
-    ring = _Ring(q)
-    return QPlanePoly(q, {(a, b): coeff if coeff is not None else ring.one()})
+    return QPlanePoly(q, {(a, b): coeff if coeff is not None else _Coeff.power(q, 0)})
 
 
 def plane_monomial_mul(q: QValue, left: Tuple[int, int],
@@ -255,7 +227,6 @@ def qplane_normal_form(word: Sequence[str], q: QValue, coeff=None) -> QPlanePoly
     y x -> q^{-1} x y, so the word collapses to a single monomial with
     coefficient q^{-inversions}.
     """
-    ring = _Ring(q)
     a = b = inversions = 0
     for letter in word:
         if letter == "x":
@@ -265,9 +236,9 @@ def qplane_normal_form(word: Sequence[str], q: QValue, coeff=None) -> QPlanePoly
             b += 1
         else:
             raise ValueError(f"unexpected letter {letter!r}")
-    c = ring.q_power(-inversions)
+    c = _Coeff.power(q, -inversions)
     if coeff is not None:
-        c = ring.mul(c, coeff)
+        c = c * coeff
     return QPlanePoly(q, {(a, b): c})
 
 
@@ -324,10 +295,9 @@ def _glq2_rules(perturb_ab: bool = False):
 def glq2_normal_form(word: str, q: QValue,
                      perturb_ab: bool = False) -> Dict[Tuple[int, int, int, int], object]:
     """Reduce a word in a, b, c, d to the ordered monomial basis."""
-    ring = _Ring(q)
     rules = _glq2_rules(perturb_ab)
     result: Dict[Tuple[int, int, int, int], object] = {}
-    stack: List[Tuple[str, object]] = [(word, ring.one())]
+    stack: List[Tuple[str, object]] = [(word, _Coeff.power(q, 0))]
     while stack:
         w, coeff = stack.pop()
         pos = -1
@@ -336,39 +306,15 @@ def glq2_normal_form(word: str, q: QValue,
                 pos = i
                 break
         if pos < 0:
-            key = tuple(w.count(letter) for letter in _GLQ2_LETTERS)
-            result[key] = ring.add(result[key], coeff) if key in result else coeff
+            key = tuple(map(w.count, _GLQ2_LETTERS))
+            result[key] = result[key] + coeff if key in result else coeff
             continue
         for power, factor, repl in rules[(w[pos], w[pos + 1])]:
-            new_coeff = ring.mul(coeff, ring.q_power(power))
+            new_coeff = coeff * _Coeff.power(q, power)
             if factor == -1:
-                new_coeff = ring.neg(new_coeff)
+                new_coeff = -new_coeff
             stack.append((w[:pos] + repl + w[pos + 2:], new_coeff))
-    return {k: v for k, v in result.items() if not ring.is_zero(v)}
-
-
-class _TensorPoly:
-    """Element of (quantum group) tensor (quantum plane)."""
-
-    def __init__(self, q: QValue, terms=None):
-        self.q = q
-        self.ring = _Ring(q)
-        self.terms: Dict[Tuple[Tuple[int, int, int, int], Tuple[int, int]], object] = {}
-        if terms:
-            for k, v in terms.items():
-                if not self.ring.is_zero(v):
-                    self.terms[k] = v
-
-    def add_term(self, key, val):
-        if key in self.terms:
-            self.terms[key] = self.ring.add(self.terms[key], val)
-            if self.ring.is_zero(self.terms[key]):
-                del self.terms[key]
-        elif not self.ring.is_zero(val):
-            self.terms[key] = val
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    return {k: v for k, v in result.items() if not _Coeff.vanishes(v)}
 
 
 def _coaction_letter(letter: str, form: str) -> List[Tuple[str, str]]:
@@ -379,24 +325,40 @@ def _coaction_letter(letter: str, form: str) -> List[Tuple[str, str]]:
     return [("a", "x"), ("c", "y")] if letter == "x" else [("b", "x"), ("d", "y")]
 
 
-def _coaction_of_word(word: str, q: QValue, perturb_ab: bool,
-                      form: str) -> _TensorPoly:
-    """Image of a plane word under the coaction, fully normal ordered."""
-    ring = _Ring(q)
-    out = _TensorPoly(q)
-    for choice in range(2 ** len(word)):
-        group_word = []
-        plane_word = []
-        for i, letter in enumerate(word):
-            g, p = _coaction_letter(letter, form)[(choice >> i) & 1]
-            group_word.append(g)
-            plane_word.append(p)
-        plane = qplane_normal_form(plane_word, q)
-        ((pa, pb), pcoeff), = plane.terms.items()
-        for gkey, gcoeff in glq2_normal_form("".join(group_word), q,
-                                             perturb_ab).items():
-            out.add_term((gkey, (pa, pb)), ring.mul(gcoeff, pcoeff))
-    return out
+def _coaction_images(q: QValue, perturb_ab: bool):
+    """image(word, form): the coaction of a plane word, normal ordered in
+    both tensor factors, as {(group exponents, plane exponents): coefficient}.
+
+    delta is an algebra map, so delta(w l) = delta(w) delta(l): an image is
+    its prefix's image times the two terms of delta(l).  On the plane side
+    x^a y^b x = q^{-b} x^{a+1} y^b; on the group side an ordered monomial
+    times one letter is normal ordered once, cached by (exponents, letter)
+    for both forms.  The caches live as long as the returned function.
+    """
+    images = {("", form): {((0, 0, 0, 0), (0, 0)): _Coeff.power(q, 0)}
+              for form in ("column", "row")}
+    products: Dict[tuple, list] = {}
+
+    def times(exps, g):
+        if (exps, g) not in products:
+            ordered = "".join(letter * e for letter, e in zip(_GLQ2_LETTERS, exps))
+            products[exps, g] = list(glq2_normal_form(ordered + g, q, perturb_ab).items())
+        return products[exps, g]
+
+    def image(word: str, form: str) -> dict:
+        if (word, form) not in images:
+            out: dict = {}
+            for (exps, (pa, pb)), c in image(word[:-1], form).items():
+                for g, p in _coaction_letter(word[-1], form):
+                    plane, cp = ((pa + 1, pb), c * _Coeff.power(q, -pb)) if p == "x" \
+                        else ((pa, pb + 1), c)
+                    for gkey, gc in times(exps, g):
+                        key, val = (gkey, plane), cp * gc
+                        out[key] = out[key] + val if key in out else val
+            images[word, form] = out
+        return images[word, form]
+
+    return image
 
 
 @dataclass(frozen=True)
@@ -411,7 +373,7 @@ def glq2_coaction_check(q: QValue, max_deg: int,
     """Verify the coaction maps the plane relation to zero, degree by degree.
 
     Every embedding w1 (xy - q yx) w2 of the relation with total degree up
-    to max_deg is expanded through the coaction and reduced in both tensor
+    to max_deg is mapped through the coaction and reduced in both tensor
     factors; a nonzero remainder raises RelationViolatedError naming the
     degree at which it appears.  Both comodule structures of the generator
     matrix (column form and row form) are exercised: together they pin the
@@ -419,26 +381,25 @@ def glq2_coaction_check(q: QValue, max_deg: int,
     """
     if max_deg < 2:
         raise ValueError("max_deg must be at least 2")
-    ring = _Ring(q)
+    q1 = _Coeff.power(q, 1)
+    zero = q1 - q1
+    image = _coaction_images(q, perturb_ab)
     checked = 0
     for degree in range(2, max_deg + 1):
         pad = degree - 2
         for left_len in range(pad + 1):
             for left_bits in range(2 ** left_len):
                 for right_bits in range(2 ** (pad - left_len)):
-                    w1 = ["x" if (left_bits >> i) & 1 else "y"
-                          for i in range(left_len)]
-                    w2 = ["x" if (right_bits >> i) & 1 else "y"
-                          for i in range(pad - left_len)]
-                    good = "".join(w1) + "xy" + "".join(w2)
-                    bad = "".join(w1) + "yx" + "".join(w2)
+                    w1 = "".join("x" if (left_bits >> i) & 1 else "y"
+                                 for i in range(left_len))
+                    w2 = "".join("x" if (right_bits >> i) & 1 else "y"
+                                 for i in range(pad - left_len))
                     for form in ("column", "row"):
-                        image = _coaction_of_word(good, q, perturb_ab, form)
-                        neg = _coaction_of_word(bad, q, perturb_ab, form)
-                        for key, val in neg.terms.items():
-                            image.add_term(key, ring.neg(ring.mul(val, ring.q_power(1))))
-                        if not image.is_zero():
-                            key = next(iter(image.terms))
-                            raise RelationViolatedError(degree, str(key))
+                        good = image(w1 + "xy" + w2, form)
+                        bad = image(w1 + "yx" + w2, form)
+                        for key in good.keys() | bad.keys():
+                            diff = good.get(key, zero) - q1 * bad.get(key, zero)
+                            if not _Coeff.vanishes(diff):
+                                raise RelationViolatedError(degree, str(key))
                     checked += 1
     return CoactionReport(max_deg=max_deg, words_checked=checked, preserved=True)

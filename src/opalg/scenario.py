@@ -10,7 +10,6 @@ the failure.  A run imports only the layers its check names start with.
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 import json
 import os
@@ -545,6 +544,7 @@ def load_scenario(path: str) -> Scenario:
 def _derive_rng(seed: int, index: int, check_name: str) -> np.random.Generator:
     """Stream of the entry at position `index`: repeated entries of one
     check draw apart, and equal seeds give equal streams."""
+    import hashlib  # not at module level: loading a scenario never hashes
     digest = hashlib.sha256(f"{seed}:{index}:{check_name}".encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 

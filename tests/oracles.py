@@ -4,9 +4,13 @@ Everything here avoids the code paths of the package under test: linear
 algebra is plain Gaussian elimination, or one SVD or least-squares solve
 per question with an absolute cut (the generic BRST route), series
 products go through numpy.convolve, shell sums are evaluated point by
-point, and grid brackets apply every generator through a zero-padded
-stencil.
+point, grid brackets apply every generator through a zero-padded
+stencil, cyclotomic integers are reduced modulo Phi_N after every product,
+and the quantum-plane coaction is expanded over every choice of letters.
 """
+
+from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -388,3 +392,138 @@ def deform_check_reference(D, samples, rng, tol=1e-9):
     report.items_passed = (True, bool(null_res <= bound), bool(lift_res <= bound),
                            bool(tested > 0 and min_norm > bound))
     return report
+
+
+# ---------------------------------------------------------------------------
+# quantum plane
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_reference(n):
+    """Integer coefficients of Phi_n, lowest first, from its primitive roots."""
+    roots = [np.exp(2j * np.pi * k / n) for k in range(1, n + 1) if gcd(k, n) == 1]
+    return tuple(int(round(c.real)) for c in np.poly(roots)[::-1])
+
+
+class Cyclo:
+    """Element of Z[zeta_N] kept reduced modulo Phi_N after every operation."""
+
+    def __init__(self, root, coeffs):
+        self.root = root
+        self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def _reduction(cls, root):
+        # zeta^deg = -(phi[0] + phi[1] zeta + ...), monic phi
+        return tuple(-c for c in cyclotomic_reference(root.N)[:-1])
+
+    @classmethod
+    def from_power(cls, root, power):
+        deg = len(cyclotomic_reference(root.N)) - 1
+        e = (power * root.k) % root.N
+        coeffs = [0] * deg
+        if e < deg:
+            coeffs[e] = 1
+            return cls(root, coeffs)
+        # reduce zeta^e for deg <= e < N by repeated substitution
+        work = {e: 1}
+        red = cls._reduction(root)
+        while any(exp >= deg for exp in work):
+            exp = max(work)
+            mult = work.pop(exp)
+            for i, c in enumerate(red):
+                if c:
+                    work[exp - deg + i] = work.get(exp - deg + i, 0) + mult * c
+        for exp, mult in work.items():
+            coeffs[exp] += mult
+        return cls(root, coeffs)
+
+    def __add__(self, other):
+        return Cyclo(self.root, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return Cyclo(self.root, [-a for a in self.coeffs])
+
+    def __mul__(self, other):
+        deg = len(self.coeffs)
+        prod = [0] * (2 * deg - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                prod[i + j] += a * b
+        red = self._reduction(self.root)
+        for e in range(len(prod) - 1, deg - 1, -1):
+            c = prod[e]
+            prod[e] = 0
+            for i, r in enumerate(red):
+                prod[e - deg + i] += c * r
+        return Cyclo(self.root, prod[:deg])
+
+    def is_zero(self):
+        return all(a == 0 for a in self.coeffs)
+
+    def numeric(self):
+        zeta = complex(np.exp(2j * np.pi / self.root.N))
+        return sum(a * zeta ** i for i, a in enumerate(self.coeffs))
+
+    def __eq__(self, other):
+        return isinstance(other, Cyclo) and self.root == other.root \
+            and self.coeffs == other.coeffs
+
+
+_COACTION_LETTERS = {
+    # column form: x -> a (x) x + b (x) y ; y -> c (x) x + d (x) y
+    # row form:    x -> a (x) x + c (x) y ; y -> b (x) x + d (x) y
+    ("column", "x"): (("a", "x"), ("b", "y")), ("column", "y"): (("c", "x"), ("d", "y")),
+    ("row", "x"): (("a", "x"), ("c", "y")), ("row", "y"): (("b", "x"), ("d", "y")),
+}
+
+
+def _vanishes(c, tol=ORACLE_TOL):
+    return c.is_zero() if hasattr(c, "is_zero") else abs(c) <= tol
+
+
+def coaction_of_word(word, q, perturb_ab, form):
+    """Image of a plane word under the coaction: each of the 2^len(word)
+    choices of letters is normal ordered in full, in both tensor factors."""
+    from opalg.qplane import glq2_normal_form, qplane_normal_form
+    out = {}
+    for choice in range(2 ** len(word)):
+        picks = [_COACTION_LETTERS[form, letter][(choice >> i) & 1]
+                 for i, letter in enumerate(word)]
+        ((plane, pc),) = qplane_normal_form([p for _, p in picks], q).terms.items()
+        group = "".join(g for g, _ in picks)
+        for gkey, gc in glq2_normal_form(group, q, perturb_ab).items():
+            key, val = (gkey, plane), gc * pc
+            out[key] = out[key] + val if key in out else val
+    return out
+
+
+def coaction_check_reference(q, max_deg, perturb_ab=False):
+    """("preserved", words checked) or ("violated", first failing degree).
+
+    Every embedding w1 (y x - q^{-1} x y) w2 up to max_deg, in the order of
+    the program's check, is expanded word by word; q^{-1} is read off the
+    plane normal form of y x.
+    """
+    from opalg.qplane import qplane_normal_form
+    ((_, q_inv),) = qplane_normal_form("yx", q).terms.items()
+    checked = 0
+    for degree in range(2, max_deg + 1):
+        pad = degree - 2
+        for left_len in range(pad + 1):
+            for left_bits in range(2 ** left_len):
+                for right_bits in range(2 ** (pad - left_len)):
+                    w1 = "".join("x" if (left_bits >> i) & 1 else "y"
+                                 for i in range(left_len))
+                    w2 = "".join("x" if (right_bits >> i) & 1 else "y"
+                                 for i in range(pad - left_len))
+                    for form in ("column", "row"):
+                        good = coaction_of_word(w1 + "xy" + w2, q, perturb_ab, form)
+                        bad = coaction_of_word(w1 + "yx" + w2, q, perturb_ab, form)
+                        diff = {k: q_inv * v for k, v in good.items()}
+                        for k, v in bad.items():
+                            diff[k] = diff[k] + -v if k in diff else -v
+                        if not all(_vanishes(v) for v in diff.values()):
+                            return ("violated", degree)
+                    checked += 1
+    return ("preserved", checked)

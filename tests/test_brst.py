@@ -278,6 +278,27 @@ class TestObservableAlgebra:
         with pytest.raises(ValueError):
             observable_algebra(gupta_bleuler_toy(), "both")
 
+    # not null_pair: there the adjoint maps the pushed column back into the span
+    @pytest.mark.parametrize("name", ["gupta_bleuler", "two_pair"])
+    def test_closure_fails_once_a_column_leaves_the_kernel(self, name):
+        B = TOYS[name][0]()
+        n = B.dim
+        alg = observable_algebra(B, "full")
+        ker = np.array([op.ravel() for op in alg.ker_basis]).T
+        tol = brst.RANK_TOL
+        ops = ker.T.reshape(-1, n, n)
+        brst._verify_product_closure(ker, ops, tol)
+        brst._verify_adjoint_closure(B, ker, ops, tol)
+        # a unit vector orthogonal to ker s replaces the first kernel column
+        off = np.linalg.svd(ker.conj().T)[2][ker.shape[1]].conj()
+        pushed = ker.copy()
+        pushed[:, 0] = off
+        ops = pushed.T.reshape(-1, n, n)
+        with pytest.raises(NotObservableError):
+            brst._verify_product_closure(pushed, ops, tol)
+        with pytest.raises(NotObservableError):
+            brst._verify_adjoint_closure(B, pushed, ops, tol)
+
 
 class TestRepresentation:
     def test_projector_acts_as_identity_class(self):

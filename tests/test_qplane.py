@@ -1,11 +1,17 @@
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opalg.qplane import (QPlanePoly, RelationViolatedError, RootOfUnity,
                           center_probe, cyclotomic_coefficients,
                           glq2_coaction_check, glq2_normal_form,
                           plane_monomial_mul, qplane_normal_form)
-from opalg.qplane import _Cyclo, _Ring
+from opalg.qplane import _Coeff
+
+from oracles import Cyclo, coaction_check_reference, cyclotomic_reference
 
 
 def random_word(rng, length):
@@ -14,8 +20,7 @@ def random_word(rng, length):
 
 def rewrite_random_order(word, q, rng):
     """Step-by-step rewriting y x -> q^{-1} x y at random positions."""
-    ring = _Ring(q)
-    coeff = ring.one()
+    coeff = _Coeff.power(q, 0)
     letters = list(word)
     while True:
         spots = [i for i in range(len(letters) - 1)
@@ -24,7 +29,7 @@ def rewrite_random_order(word, q, rng):
             break
         i = rng.choice(spots)
         letters[i], letters[i + 1] = letters[i + 1], letters[i]
-        coeff = ring.mul(coeff, ring.q_power(-1))
+        coeff = coeff * _Coeff.power(q, -1)
     a = letters.count("x")
     b = letters.count("y")
     return QPlanePoly(q, {(a, b): coeff})
@@ -48,21 +53,21 @@ class TestCyclotomic:
         assert cyclotomic_coefficients(6) is not cyclotomic_coefficients(6)
         q = RootOfUnity(6, 1)
         # zeta_6^3 = -1 through the reduction by x^2 - x + 1
-        assert _Cyclo.from_power(q, 3) == -_Cyclo.from_power(q, 0)
+        assert _Coeff.power(q, 3) == -_Coeff.power(q, 0)
 
     def test_root_powers_cycle_exactly(self):
         q = RootOfUnity(5, 2)
-        one = _Cyclo.from_power(q, 0)
-        assert _Cyclo.from_power(q, 5) == one
-        total = _Cyclo.from_power(q, 0)
+        one = _Coeff.power(q, 0)
+        assert _Coeff.power(q, 5) == one
+        total = _Coeff.power(q, 0)
         for j in range(1, 5):
-            total = total + _Cyclo.from_power(q, j)
+            total = total + _Coeff.power(q, j)
         assert total.is_zero()  # 1 + q + ... + q^4 = 0 exactly
 
     def test_numeric_value_matches(self):
         q = RootOfUnity(7, 3)
         for j in range(7):
-            got = _Cyclo.from_power(q, j).numeric()
+            got = _Coeff.power(q, j).numeric()
             want = np.exp(2j * np.pi * 3 * j / 7)
             assert abs(got - want) < 1e-12
 
@@ -162,8 +167,7 @@ class TestGLq2:
     def test_exact_root_coefficients(self):
         q = RootOfUnity(3, 1)
         out = glq2_normal_form("da", q)
-        ring = _Ring(q)
-        expected = ring.add(ring.neg(ring.q_power(1)), ring.q_power(-1))
+        expected = -_Coeff.power(q, 1) + _Coeff.power(q, -1)
         assert out[(0, 1, 1, 0)] == expected
 
     def test_pbw_confluence_on_overlap_word(self):
@@ -200,3 +204,87 @@ class TestGLq2:
     def test_min_degree_validated(self):
         with pytest.raises(ValueError):
             glq2_coaction_check(2.0 + 0j, 1)
+
+
+RING_NS = (1, 2, 3, 4, 5, 6, 8, 9, 12)
+
+
+def ring_expressions(divisors):
+    """Trees over q^e leaves and Phi_d(zeta_N) leaves for the divisors d of
+    N; the Phi_N leaf is an exact zero stored as a nonzero cyclic vector."""
+    leaves = (st.tuples(st.just("pow"), st.integers(-40, 40))
+              | st.tuples(st.just("phi"), st.sampled_from(divisors)))
+    return st.recursive(
+        leaves, lambda kids: (st.tuples(st.sampled_from(("add", "sub", "mul")), kids, kids)
+                              | st.tuples(st.just("neg"), kids)), max_leaves=8)
+
+
+RING_EXPRESSIONS = {n: ring_expressions([d for d in range(1, n + 1) if n % d == 0])
+                    for n in RING_NS}
+
+
+def evaluate(expr, power, k_inv):
+    op = expr[0]
+    if op == "pow":
+        return power(expr[1])
+    if op == "phi":  # sum_i c_i zeta^i with zeta = q^(k^-1)
+        total = power(0) + -power(0)
+        for i, c in enumerate(cyclotomic_reference(expr[1])):
+            term = power(i * k_inv)
+            for _ in range(abs(c)):
+                total = total + (term if c > 0 else -term)
+        return total
+    if op == "neg":
+        return -evaluate(expr[1], power, k_inv)
+    left, right = (evaluate(e, power, k_inv) for e in expr[1:])
+    return {"add": left + right, "sub": left + -right, "mul": left * right}[op]
+
+
+class TestRingTwin:
+    """The cyclic-vector ring, reduced only at the zero test, against the
+    reference ring that reduces modulo Phi_N after every operation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_zero_test_equality_and_value_agree(self, data):
+        n = data.draw(st.sampled_from(RING_NS))
+        k = data.draw(st.sampled_from([k for k in range(1, n + 1) if gcd(k, n) == 1]))
+        root = RootOfUnity(n, k)
+        exprs = RING_EXPRESSIONS[n]
+        e1, other = data.draw(exprs), data.draw(exprs)
+        # e1 + other * Phi_N(zeta) equals e1; a free draw mostly does not
+        e2 = data.draw(st.sampled_from([("add", e1, ("mul", other, ("phi", n))), other]))
+        k_inv = pow(k, -1, n)
+
+        def both(expr):
+            return (evaluate(expr, lambda e: _Coeff.power(root, e), k_inv),
+                    evaluate(expr, lambda e: Cyclo.from_power(root, e), k_inv))
+
+        (new1, old1), (new2, old2) = both(e1), both(e2)
+        assert new1.is_zero() == old1.is_zero()
+        assert (new1 == new2) == (old1 == old2)
+        if new1 == new2:
+            assert hash(new1) == hash(new2)
+        scale = max(1.0, float(sum(map(abs, new1.coeffs))))
+        assert abs(new1.numeric() - old1.numeric()) <= 1e-9 * scale
+
+
+def coaction_outcome(q, max_deg, perturb_ab):
+    try:
+        report = glq2_coaction_check(q, max_deg, perturb_ab=perturb_ab)
+    except RelationViolatedError as err:
+        return ("violated", err.degree)
+    return ("preserved", report.words_checked)
+
+
+class TestCoactionOracle:
+    """The prefix-built images against the word-by-word expansion."""
+
+    @pytest.mark.parametrize("perturb_ab", [False, True])
+    @pytest.mark.parametrize("max_deg", [3, 5])
+    @pytest.mark.parametrize("q", [RootOfUnity(3, 1), RootOfUnity(4, 1),
+                                   RootOfUnity(5, 2), RootOfUnity(6, 1),
+                                   2.0 + 0j, complex(np.exp(0.3j)), 0.7 + 0j], ids=str)
+    def test_matches_expansion(self, q, max_deg, perturb_ab):
+        assert coaction_outcome(q, max_deg, perturb_ab) == \
+            coaction_check_reference(q, max_deg, perturb_ab)

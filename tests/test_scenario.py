@@ -303,6 +303,10 @@ class TestRegistry:
 
 
 LAZY = ("opalg.galilei", "opalg.wigner", "opalg.qplane", "concurrent.futures")
+# numpy.ma: no brst, krein or series check needs it; hashlib (with its
+# OpenSSL backend): only a running check seeds its stream with it
+UNUSED = ("numpy.ma",)
+HASHING = ("hashlib", "_hashlib")
 CHECK_NAMES = [
     "brst.deform_stability", "brst.observables", "brst.physical_space",
     "galilei.clifford", "galilei.cocycle", "galilei.commutator_convergence",
@@ -316,18 +320,19 @@ class TestLazyLayers:
     """A fresh process imports the layers a scenario's checks name, and no
     others."""
 
-    def loaded_after(self, code, *args):
+    def loaded_after(self, code, *args, modules=LAZY):
         probe = (f"{code}\nimport json, sys\n"
-                 f"print(json.dumps([m for m in {LAZY!r} if m in sys.modules]))")
+                 f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
         proc = run_python(["-c", probe, *args])
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.strip().splitlines()[-1])
 
-    def run_and_probe(self, tmp_path, checks):
+    def run_and_probe(self, tmp_path, checks, modules=LAZY):
         path = write_scenario(tmp_path, {"name": "lazy", "seed": 3, "checks": checks})
         code = ("import sys\nfrom opalg.cli import main\n"
                 "assert main(['run', sys.argv[1], '--out', sys.argv[2]]) == 0")
-        return self.loaded_after(code, path, str(tmp_path / "report.txt"))
+        return self.loaded_after(code, path, str(tmp_path / "report.txt"),
+                                 modules=modules)
 
     def test_brst_krein_series_run_skips_other_layers(self, tmp_path):
         checks = [
@@ -337,17 +342,18 @@ class TestLazyLayers:
             {"check": "brst.physical_space",
              "params": {"model": "null_pair", "expect_dim": 0}},
             {"check": "brst.deform_stability", "params": {"order": 2, "samples": 4}},
+            {"check": "brst.observables", "params": {"model": "two_pair"}},
         ]
-        assert self.run_and_probe(tmp_path, checks) == []
+        assert self.run_and_probe(tmp_path, checks, LAZY + UNUSED) == []
 
     def test_run_imports_the_named_layer_only(self, tmp_path):
         checks = [{"check": "galilei.clifford"}]
         assert self.run_and_probe(tmp_path, checks) == ["opalg.galilei"]
 
     def test_loading_the_full_suite_imports_no_layer(self):
-        code = ("from opalg.scenario import load_scenario\n"
+        code = ("import opalg.cli\nfrom opalg.scenario import load_scenario\n"
                 f"assert len(load_scenario({FULL!r}).checks) > 0")
-        assert self.loaded_after(code) == []
+        assert self.loaded_after(code, modules=LAZY + UNUSED + HASHING) == []
 
     def test_checks_listing_is_unchanged(self):
         proc = run_cli(["checks"])
