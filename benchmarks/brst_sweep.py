@@ -1,0 +1,50 @@
+"""BRST quotient timings of one or more source trees, with fitted exponents.
+
+    python3 benchmarks/brst_sweep.py --rev parent=HEAD~1 --tree change=src \
+        --out BENCH_brst.json
+
+Times one call on the pair model of n dimensions: two physical modes of
+ghost number 0 plus (n - 2) / 2 null pairs, as in `two_pair_model` and
+`perfbench/sweep.py`.  `observable_algebra(B, "full")` is swept over
+n = 12/16/20/28, and `physical_space(B)` over n = 16/32/64/128.  The
+structure is built fresh in each child, so its cached decompositions count
+in the timing, as they do for a scenario check.  `treebench` holds the
+options (`--tree`, `--rev`, `--out`), the alternating fresh child processes
+and the exponent fit.  Uses only public names that every tree has.
+"""
+
+from __future__ import annotations
+
+import treebench
+
+CHILD = r"""
+import sys, time
+import numpy as np
+from opalg import brst
+kind, n = sys.argv[1], int(sys.argv[2])
+m = (n - 2) // 2
+gram = np.zeros((n, n))
+gram[0, 0] = gram[1, 1] = 1
+Q = np.zeros((n, n), dtype=complex)
+for a in range(2, n, 2):
+    gram[a, a + 1] = gram[a + 1, a] = 1
+    Q[a, a + 1] = 1
+B = brst.validate_brst(brst.make_graded_space(gram, [0, 0] + [1, 0] * m), Q)
+start = time.perf_counter()
+if kind == "full":
+    assert brst.observable_algebra(B, "full").quotient_dim == 4
+else:
+    assert brst.physical_space(B).dim == 2
+print(time.perf_counter() - start)
+"""
+
+SWEEPS = (
+    ("observable_algebra_full", "full", "n", (12, 16, 20, 28),
+     "observable_algebra(B, \"full\") on the n-dimensional pair model"),
+    ("physical_space", "physical", "n", (16, 32, 64, 128),
+     "physical_space(B) on the n-dimensional pair model"),
+)
+
+
+if __name__ == "__main__":
+    raise SystemExit(treebench.main("brst", CHILD, SWEEPS, __doc__.splitlines()[0]))

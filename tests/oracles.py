@@ -141,6 +141,90 @@ def observable_dims_svd(Q, grades, variant, tol=ORACLE_TOL):
     return ker.shape[1], im.shape[1], quot.shape[1]
 
 
+def physical_space_three_step(ker, im, G, W, tol=ORACLE_TOL):
+    """The three separate checks that once decided the physical quotient:
+    the product restricted to the kernel has no eigenvalue below -tol, its
+    null eigenvectors lie in the image, and the product induced on the
+    W-orthogonal representatives is positive definite.  Raises the
+    package's errors, as brst.physical_space does."""
+    from opalg import brst
+
+    restricted = ker.conj().T @ G @ ker
+    eigs, vecs = np.linalg.eigh((restricted + restricted.conj().T) / 2)
+    if np.any(eigs < -tol):
+        raise brst.PositivityViolatedError(f"kernel vector of norm {eigs.min():.3e} found")
+    null = ker @ vecs[:, np.abs(eigs) <= tol]
+    res = np.linalg.norm(null - im @ (im.conj().T @ null), axis=0)
+    if np.any(res > np.sqrt(tol)):
+        raise brst.NullNotExactError(f"null kernel vector misses the image by {res.max():.3e}")
+    reps = ker @ svd_null_space(im.conj().T @ W @ ker, tol) if im.shape[1] else ker
+    gram = reps.conj().T @ G @ reps
+    if reps.shape[1] and np.min(np.linalg.eigvalsh((gram + gram.conj().T) / 2)) <= tol:
+        raise brst.PositivityViolatedError("induced product is not positive definite")
+
+
+def _off_span(ops, basis_ops):
+    """Frobenius norm of each operator's component off the span of the
+    orthonormal operators basis_ops."""
+    rows = ops.reshape(len(ops), -1)
+    basis = basis_ops.reshape(len(basis_ops), -1).T
+    return np.linalg.norm(rows - (rows @ basis.conj()) @ basis.T, axis=1)
+
+
+def product_closure_pairwise(ker_ops, tol=ORACLE_TOL):
+    """Every product a_i a_j of the orthonormal kernel basis, projected off
+    its span: NotObservableError above sqrt(tol)."""
+    from opalg import brst
+
+    for a in ker_ops:
+        if np.any(_off_span(a @ ker_ops, ker_ops) > np.sqrt(tol)):
+            raise brst.NotObservableError("kernel not closed under products")
+
+
+def adjoint_closure_pairwise(G, ker_ops, tol=ORACLE_TOL):
+    """Every Krein adjoint G^-1 a^H G of the kernel basis, projected off its
+    span: NotObservableError above sqrt(tol)."""
+    from opalg import brst
+
+    adjoints = np.array([np.linalg.inv(G) @ a.conj().T @ G for a in ker_ops])
+    if np.any(_off_span(adjoints, ker_ops) > np.sqrt(tol)):
+        raise brst.NotObservableError("kernel not closed under the adjoint")
+
+
+def represented_star_closure(B, quotient_basis, tol=ORACLE_TOL):
+    """The even-ghost quotient, represented on the physical space, must be
+    closed under the adjoint of the induced (positive) product; nothing is
+    checked where there is no nonzero physical quotient."""
+    from opalg import brst
+
+    try:
+        quotient = brst.physical_space(B, tol)
+    except (brst.PositivityViolatedError, brst.NullNotExactError):
+        return
+    if quotient.dim == 0 or not len(quotient_basis):
+        return
+    mats = np.array([brst.representation_matrix(B, quotient, brst.GradedOperator(A0, 0))
+                     for A0 in quotient_basis])
+    gram = quotient.induced_gram
+    adjoints = np.linalg.inv(gram) @ mats.conj().transpose(0, 2, 1) @ gram
+    span, targets = (m.reshape(len(mats), -1).T for m in (mats, adjoints))
+    coeffs = np.linalg.lstsq(span, targets, rcond=None)[0]
+    res = np.linalg.norm(span @ coeffs - targets, axis=0)
+    if np.any(res > np.sqrt(tol) * np.maximum(1.0, np.linalg.norm(targets, axis=0))):
+        raise brst.NotObservableError("represented quotient not closed under the adjoint")
+
+
+def closure_pairwise(B, ker_ops, quotient_basis=None, tol=ORACLE_TOL):
+    """brst._verify_closure by brute force: the pairwise products, then the
+    pairwise adjoints (given no quotient_basis, the full variant) or the
+    represented adjoints of quotient_basis (the even-ghost variant)."""
+    product_closure_pairwise(ker_ops, tol)
+    if quotient_basis is None:
+        adjoint_closure_pairwise(B.space.krein.gram, ker_ops, tol)
+    else:
+        represented_star_closure(B, quotient_basis, tol)
+
+
 def lstsq_series_solve(charges, targets, first=None):
     """Order by order, x_n = the least-squares solution of
     Q_0 x_n = t_n - sum_{k>=1} Q_k x_{n-k}; with first given, x_0 = first

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opalg import brst
-from opalg.brst import (GradedOperator, NonHomogeneousError,
-                        NotKreinSelfAdjointError, NotNilpotentError,
-                        NotNormalizedError, NotObservableError,
+from opalg.brst import (GradeViolationError, GradedOperator,
+                        NonHomogeneousError, NotKreinSelfAdjointError,
+                        NotNilpotentError, NotNormalizedError,
+                        NotObservableError, NullNotExactError,
                         PositivityViolatedError, VectorState, brst_derivation,
                         gupta_bleuler_toy, make_graded_space, null_pair_toy,
                         observable_algebra, operator_grade, physical_space,
@@ -15,9 +16,10 @@ from opalg.brst import (GradedOperator, NonHomogeneousError,
 from opalg.krein import fundamental_symmetry, krein_adjoint
 from opalg.series import FormalSeries, series_mul
 
-from oracles import (lstsq_series_solve, observable_dims_svd,
-                     physical_space_svd, quotient_oracle, quotient_reps, rank,
-                     super_commutator_matrix, svd_column_space, svd_null_space)
+from oracles import (closure_pairwise, lstsq_series_solve, observable_dims_svd,
+                     physical_space_svd, physical_space_three_step, quotient_oracle,
+                     quotient_reps, rank, super_commutator_matrix, svd_column_space,
+                     svd_null_space)
 
 TOYS = {
     "null_pair": (null_pair_toy, 0),
@@ -63,6 +65,13 @@ class TestGrading:
         with pytest.raises(NonHomogeneousError):
             operator_grade(B.space, M)
 
+    @pytest.mark.parametrize("scale", [1e-14, 1e-11, 1.0, 1e8])
+    def test_grade_independent_of_scale(self, scale):
+        B = gupta_bleuler_toy()
+        assert operator_grade(B.space, scale * B.Q) == 1
+        with pytest.raises(NonHomogeneousError):
+            operator_grade(B.space, scale * (unit(3, 1, 2) + unit(3, 0, 0)))
+
     def test_wrong_grade_count_rejected(self):
         with pytest.raises(ValueError):
             make_graded_space(np.eye(3), [0, 1])
@@ -77,6 +86,12 @@ class TestValidation:
         space = make_graded_space(np.eye(3), [0, 0, 0])
         with pytest.raises(NotNilpotentError):
             validate_brst(space, np.eye(3))
+
+    def test_tiny_charge_not_nilpotent(self):
+        # neither nilpotent nor homogeneous, whatever its size
+        space = make_graded_space(np.eye(2), [0, 1])
+        with pytest.raises(NotNilpotentError):
+            validate_brst(space, 1e-11 * np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_minkowski_charge_not_selfadjoint(self):
         space = make_graded_space(np.diag([1.0, -1.0]), [1, 0])
@@ -278,26 +293,21 @@ class TestObservableAlgebra:
         with pytest.raises(ValueError):
             observable_algebra(gupta_bleuler_toy(), "both")
 
-    # not null_pair: there the adjoint maps the pushed column back into the span
-    @pytest.mark.parametrize("name", ["gupta_bleuler", "two_pair"])
+    @pytest.mark.parametrize("name", sorted(TOYS))
     def test_closure_fails_once_a_column_leaves_the_kernel(self, name):
         B = TOYS[name][0]()
         n = B.dim
         alg = observable_algebra(B, "full")
         ker = np.array([op.ravel() for op in alg.ker_basis]).T
         tol = brst.RANK_TOL
-        ops = ker.T.reshape(-1, n, n)
-        brst._verify_product_closure(ker, ops, tol)
-        brst._verify_adjoint_closure(B, ker, ops, tol)
-        # a unit vector orthogonal to ker s replaces the first kernel column
+        brst._verify_closure(B, ker.T.reshape(-1, n, n), tol)
+        # a unit vector orthogonal to ker s replaces the first kernel column;
+        # on null_pair the pairwise adjoint test maps it back into the span
         off = np.linalg.svd(ker.conj().T)[2][ker.shape[1]].conj()
         pushed = ker.copy()
         pushed[:, 0] = off
-        ops = pushed.T.reshape(-1, n, n)
         with pytest.raises(NotObservableError):
-            brst._verify_product_closure(pushed, ops, tol)
-        with pytest.raises(NotObservableError):
-            brst._verify_adjoint_closure(B, pushed, ops, tol)
+            brst._verify_closure(B, pushed.T.reshape(-1, n, n), tol)
 
 
 class TestRepresentation:
@@ -456,6 +466,70 @@ class TestScaleInvariance:
                 observable_algebra(B, variant).quotient_dim
 
 
+    @settings(max_examples=25, deadline=None)
+    @given(B=pair_models, exponent=st.integers(-14, 10))
+    def test_pair_models_unchanged_under_rescaled_charge(self, B, exponent):
+        scaled = validate_brst(B.space, 10.0 ** exponent * B.Q)
+        assert physical_space(scaled).dim == physical_space(B).dim
+        for variant in ("even_ghost", "full"):
+            assert observable_algebra(scaled, variant).quotient_dim == \
+                observable_algebra(B, variant).quotient_dim
+
+
+def change_basis(B, S):
+    """The structure in the basis S: G -> S^H G S, Q -> S^-1 Q S."""
+    G = B.space.krein.gram
+    space = make_graded_space(S.conj().T @ G @ S, B.space.ghost_grades)
+    return validate_brst(space, np.linalg.solve(S, B.Q @ S))
+
+
+def conditioned(rng, size, cond):
+    """Random complex size x size matrix with singular values in [1, cond]."""
+    def unitary():
+        Z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        return np.linalg.qr(Z)[0]
+    return unitary() @ np.diag(rng.uniform(1.0, cond, size=size)) @ unitary()
+
+
+models = st.one_of(st.sampled_from([make for make, _ in TOYS.values()]).map(lambda m: m()),
+                   pair_models)
+
+
+class TestChangeOfBasis:
+    """Quotients are basis independent, for bases that respect ghost number."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(B=models, seed=st.integers(0, 2**32 - 1))
+    def test_dimensions_unchanged(self, B, seed):
+        rng = np.random.default_rng(seed)
+        grades = np.asarray(B.space.ghost_grades)
+        S = np.zeros((B.dim, B.dim), dtype=complex)
+        for g in np.unique(grades):
+            idx = np.flatnonzero(grades == g)
+            S[np.ix_(idx, idx)] = conditioned(rng, idx.size, 10.0)
+        moved = change_basis(B, S)
+        assert physical_space(moved).dim == physical_space(B).dim
+        for variant in ("even_ghost", "full"):
+            assert observable_algebra(moved, variant).quotient_dim == \
+                observable_algebra(B, variant).quotient_dim
+
+    @pytest.mark.parametrize("name", ["gupta_bleuler", "two_pair"])
+    def test_generic_basis_breaks_the_grading(self, name):
+        B = TOYS[name][0]()
+        S = conditioned(np.random.default_rng(8), B.dim, 10.0)
+        with pytest.raises(GradeViolationError):
+            change_basis(B, S)
+
+
+def verdict(check, *args):
+    """The error type a check raises, or None."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return type(exc)
+    return None
+
+
 class TestOracleTwins:
     """The cached-split route against the SVD-per-question reference and
     the row-reduction oracles, on randomly rotated pair models."""
@@ -500,6 +574,55 @@ class TestOracleTwins:
             got = (len(alg.ker_basis), len(alg.im_basis), alg.quotient_dim)
             assert got == observable_dims_svd(B.Q, grades, variant) \
                 == (ker_dim, im_dim, ker_dim - im_dim)
+
+    @settings(max_examples=20, deadline=None)
+    @given(B=models)
+    def test_closure_certificate_against_pairwise(self, B):
+        n, tol = B.dim, brst.RANK_TOL
+        for variant in ("even_ghost", "full"):
+            alg = observable_algebra(B, variant)
+            ops = np.array(alg.ker_basis)
+            represented = alg.quotient_basis if variant == "even_ghost" else None
+            assert verdict(brst._verify_closure, B, ops, tol) is None
+            assert verdict(closure_pairwise, B, ops, represented, tol) is None
+            # one column pushed off the kernel: the certificate always sees
+            # it; the pairwise loops see it at least for the full variant
+            vecs = ops.reshape(len(ops), -1).T
+            ops[0] = np.linalg.svd(vecs.conj().T)[2][vecs.shape[1]].conj().reshape(n, n)
+            assert verdict(brst._verify_closure, B, ops, tol) is NotObservableError
+            if variant == "full":
+                assert verdict(closure_pairwise, B, ops, None, tol) is NotObservableError
+
+    def test_closure_on_a_gram_matrix_that_mixes_parity(self):
+        # Q = 0 and a positive Gram matrix pairing ghost 0 with ghost 1: the
+        # kernel is everything, but the represented even quotient (the
+        # diagonal operators) is not closed under the induced adjoint
+        B = validate_brst(make_graded_space([[1.0, 0.5], [0.5, 1.0]], [0, 1]),
+                          np.zeros((2, 2)))
+        for variant, want in (("even_ghost", NotObservableError), ("full", None)):
+            assert verdict(observable_algebra, B, variant) is want
+        diagonal = np.array([unit(2, 0, 0), unit(2, 1, 1)])
+        assert verdict(closure_pairwise, B, diagonal, diagonal) is NotObservableError
+
+    @pytest.mark.parametrize("norm, tol, want", [
+        (-1.0, brst.RANK_TOL, PositivityViolatedError),  # the negative-norm model
+        (1e-7, 1e-6, NullNotExactError),
+        (-1e-7, 1e-6, NullNotExactError),
+    ])
+    def test_physical_decision_on_degenerate_products(self, norm, tol, want):
+        B = validate_brst(make_graded_space(np.diag([1.0, norm]), [0, 0]), np.zeros((2, 2)))
+        W = B.space.krein.gram @ fundamental_symmetry(B.space.krein).matrix
+        assert verdict(physical_space_three_step, B._charge.kernel, B._charge.image,
+                       B.space.krein.gram, W, tol) is want
+        assert verdict(physical_space, B, tol) is want
+
+    @settings(max_examples=20, deadline=None)
+    @given(B=models)
+    def test_physical_decision(self, B):
+        W = B.space.krein.gram @ fundamental_symmetry(B.space.krein).matrix
+        assert verdict(physical_space_three_step, B._charge.kernel, B._charge.image,
+                       B.space.krein.gram, W) is None
+        assert verdict(physical_space, B) is None
 
     @settings(max_examples=20, deadline=None)
     @given(B=pair_models, seed=st.integers(0, 2**32 - 1))
@@ -559,3 +682,6 @@ class TestSplit:
         assert np.allclose(_projector(split.kernel), _projector(kernel),
                            rtol=0, atol=1e-12)
         assert np.allclose(split.pinv, np.linalg.pinv(A), rtol=0, atol=1e-12)
+        kept = np.linalg.svd(A, compute_uv=False)[:rank_]
+        assert np.isclose(split.floor, kept[-1], rtol=1e-12) if rank_ else \
+            split.floor == np.inf
