@@ -27,7 +27,7 @@ CHEAP = {
     "brst": '{"check": "brst.physical_space", "params": {"model": "null_pair"}}',
     "galilei": '{"check": "galilei.clifford"}',
     "wigner": '{"check": "wigner.angular", "params": {"l_max": 2}}',
-    "qplane": '{"check": "qplane.normal_form", "params": {"word": "yx"}}',
+    "qplane": '{"check": "qplane.normal_form", "params": {"word": "yx", "q": {"N": 3}}}',
 }
 layers = int(sys.argv[2])
 fd, path = tempfile.mkstemp(suffix=".json")

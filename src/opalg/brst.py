@@ -382,13 +382,14 @@ def _physical_space(B: BRSTStructure, tol: float) -> BRSTQuotient:
 
 
 def class_coordinates(quotient: BRSTQuotient, vector, tol: float = 1e-8) -> np.ndarray:
-    """Coordinates of [vector] with respect to the chosen representatives."""
+    """Coordinates of [vector] with respect to the chosen representatives;
+    a matrix of vectors gives one column of coordinates per column."""
     v = np.asarray(vector, dtype=complex)
     basis, pinv = quotient._basis
     x = pinv @ v
-    res = float(np.linalg.norm(basis @ x - v))
-    if res > tol * max(1.0, float(np.linalg.norm(v))):
-        raise ValueError(f"vector is not in the kernel (residual {res:.3e})")
+    res = np.linalg.norm(basis @ x - v, axis=0)
+    if np.any(res > tol * np.maximum(1.0, np.linalg.norm(v, axis=0))):
+        raise ValueError(f"vector is not in the kernel (residual {np.max(res):.3e})")
     return x[: quotient.dim]
 
 
@@ -491,22 +492,26 @@ def _verify_closure(B: BRSTStructure, ker_ops: np.ndarray, tol: float):
 def represent(B: BRSTStructure, quotient: BRSTQuotient, A: GradedOperator,
               phi_coords, tol: float = 1e-8) -> np.ndarray:
     """Induced action [A][phi] = [A phi] in quotient coordinates."""
-    if A.ghost % 2 != 0:
-        raise NotObservableError(f"ghost number {A.ghost} is odd")
-    if np.max(np.abs(s_action(B, A.matrix))) > tol:
-        raise NotObservableError("operator is not in ker s")
-    for V in (quotient.ker_basis, quotient.im_basis):
-        if V.shape[1] and np.max(np.abs(A.matrix @ V - V @ (V.conj().T @ A.matrix @ V))) > tol:
-            raise NotObservableError("operator does not preserve kernel and image")
-    v = quotient.quotient_reps @ np.asarray(phi_coords, dtype=complex)
-    return class_coordinates(quotient, A.matrix @ v, tol)
+    return representation_matrix(B, quotient, A, tol) @ np.asarray(phi_coords, dtype=complex)
 
 
 def representation_matrix(B: BRSTStructure, quotient: BRSTQuotient,
                           A: GradedOperator, tol: float = 1e-8) -> np.ndarray:
-    d = quotient.dim
-    cols = [represent(B, quotient, A, e, tol) for e in np.eye(d, dtype=complex)]
-    return np.array(cols, dtype=complex).reshape(d, d).T
+    """Matrix of [A] on the physical quotient, one column per representative.
+
+    A must be even and in ker s, and must preserve ker Q and im Q, each to
+    tol relative to the scale of A (s(A) to max|Q| max|A|), so every
+    multiple of Q or A shares a verdict.
+    """
+    if A.ghost % 2 != 0:
+        raise NotObservableError(f"ghost number {A.ghost} is odd")
+    scale = _max_abs(A.matrix)
+    if _max_abs(s_action(B, A.matrix)) > tol * _max_abs(B.Q) * scale:
+        raise NotObservableError("operator is not in ker s")
+    for V in (quotient.ker_basis, quotient.im_basis):
+        if _max_abs(A.matrix @ V - V @ (V.conj().T @ A.matrix @ V)) > tol * scale:
+            raise NotObservableError("operator does not preserve kernel and image")
+    return class_coordinates(quotient, A.matrix @ quotient.quotient_reps, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -551,17 +556,20 @@ class DeformedBRST:
 
 def validate_deformation(base: BRSTStructure, Q_series: FormalSeries,
                          tol: float = RANK_TOL) -> DeformedBRST:
-    """Order-by-order nilpotency, self-adjointness and grading of the charge."""
+    """Order-by-order nilpotency, self-adjointness and grading of the charge,
+    each relative to the largest coefficient entry (the square to its
+    square), so every multiple of the series shares a verdict."""
     if Q_series.is_scalar:
         raise ValueError("the deformed charge must have matrix coefficients")
-    if np.max(np.abs(Q_series.coeffs[0] - base.Q)) > tol:
+    scale = max(_max_abs(Qn) for Qn in Q_series.coeffs)
+    if _max_abs(Q_series.coeffs[0] - base.Q) > tol * scale:
         raise ValueError("leading coefficient must equal the undeformed charge")
     square = series_mul(Q_series, Q_series)
     for n, coeff in enumerate(square.coeffs):
-        if np.max(np.abs(coeff)) > tol:
+        if _max_abs(coeff) > tol * scale ** 2:
             raise NotNilpotentError(f"square of the charge is nonzero at order {n}")
     for n, Qn in enumerate(Q_series.coeffs):
-        _check_charge(base.space, Qn, tol, 1.0, f"coefficient {n}")
+        _check_charge(base.space, Qn, tol, scale, f"coefficient {n}")
     return DeformedBRST(base=base, Q_series=Q_series)
 
 

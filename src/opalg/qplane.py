@@ -272,30 +272,26 @@ def center_probe(q: QValue, max_deg: int) -> List[Tuple[int, int]]:
 _GLQ2_LETTERS = "abcd"
 
 
-def _glq2_rules(perturb_ab: bool = False):
-    """Rewrite rules bringing words to the order a <= b <= c <= d.
-
-    Each rule maps a descending two-letter word to a list of
-    (q-power, extra integer factor, replacement word).  perturb_ab swaps in
-    the broken rule b a -> a b for the control case.
-    """
-    inv = -1
-    rules = {
-        ("b", "a"): [(0 if perturb_ab else inv, 1, "ab")],
-        ("c", "a"): [(inv, 1, "ac")],
-        ("c", "b"): [(0, 1, "bc")],
-        ("d", "b"): [(inv, 1, "bd")],
-        ("d", "c"): [(inv, 1, "cd")],
-        # d a = a d - (q - q^{-1}) b c
-        ("d", "a"): [(0, 1, "ad"), (1, -1, "bc"), (inv, 1, "bc")],
-    }
-    return rules
+# rewrite rules bringing words to the order a <= b <= c <= d: each maps a
+# descending two-letter word to a list of (q-power, extra integer factor,
+# replacement word)
+_GLQ2_RULES = {
+    ("b", "a"): [(-1, 1, "ab")],
+    ("c", "a"): [(-1, 1, "ac")],
+    ("c", "b"): [(0, 1, "bc")],
+    ("d", "b"): [(-1, 1, "bd")],
+    ("d", "c"): [(-1, 1, "cd")],
+    # d a = a d - (q - q^{-1}) b c
+    ("d", "a"): [(0, 1, "ad"), (1, -1, "bc"), (-1, 1, "bc")],
+}
+# the broken rule b a -> a b of the control case
+_GLQ2_PERTURBED = {**_GLQ2_RULES, ("b", "a"): [(0, 1, "ab")]}
 
 
 def glq2_normal_form(word: str, q: QValue,
                      perturb_ab: bool = False) -> Dict[Tuple[int, int, int, int], object]:
     """Reduce a word in a, b, c, d to the ordered monomial basis."""
-    rules = _glq2_rules(perturb_ab)
+    rules = _GLQ2_PERTURBED if perturb_ab else _GLQ2_RULES
     result: Dict[Tuple[int, int, int, int], object] = {}
     stack: List[Tuple[str, object]] = [(word, _Coeff.power(q, 0))]
     while stack:

@@ -153,7 +153,9 @@ class CheckResult:
     tolerance: Optional[float] = None
 
 
-CheckFn = Callable[[Dict, CheckContext], CheckResult]
+# fn(ctx, *, name=default, ...): the keyword-only arguments are the check's
+# parameters, and load_scenario validates a scenario's params against them
+CheckFn = Callable[..., CheckResult]
 _REGISTRY: Dict[str, CheckFn] = {}
 
 
@@ -174,18 +176,15 @@ _BLOCK = 16
 
 
 @register("series.is_positive")
-def _check_is_positive(params, ctx):
-    b = series_from_json(params["b"])
-    expect = params.get("expect", "positive")
-    verdict = series.is_positive(b, tol=ctx.tol())
+def _check_is_positive(ctx, *, b, expect="positive"):
+    verdict = series.is_positive(series_from_json(b), tol=ctx.tol())
     got = "positive" if verdict.positive else "not_positive"
     return CheckResult(passed=(got == expect), value=got, tolerance=ctx.tol())
 
 
 @register("series.witness_roundtrip")
-def _check_witness_roundtrip(params, ctx):
-    count = int(params.get("count", 50))
-    order = int(params.get("order", ctx.truncation_order))
+def _check_witness_roundtrip(ctx, *, count=50, order: Optional[int] = None):
+    order = ctx.truncation_order if order is None else order
     tol = ctx.tol("witness")
     worst = 0.0
     for start in range(0, count, _BLOCK):
@@ -207,9 +206,7 @@ def _check_witness_roundtrip(params, ctx):
 
 
 @register("krein.invariants")
-def _check_krein_invariants(params, ctx):
-    signature = tuple(params.get("signature", (1, 1)))
-    samples = int(params.get("samples", 100))
+def _check_krein_invariants(ctx, *, signature=(1, 1), samples=100):
     tol = ctx.tol()
     gram = np.diag([1.0] * signature[0] + [-1.0] * signature[1])
     K = krein_mod.make_krein(gram)
@@ -238,34 +235,25 @@ _MODELS = {
 
 
 @register("brst.physical_space")
-def _check_physical_space(params, ctx):
-    model = params.get("model", "gupta_bleuler")
-    B = _MODELS[model]()
-    quotient = brst.physical_space(B)
-    expect = params.get("expect_dim")
-    ok = True if expect is None else quotient.dim == int(expect)
+def _check_physical_space(ctx, *, model="gupta_bleuler", expect_dim: Optional[int] = None):
+    quotient = brst.physical_space(_MODELS[model]())
+    ok = expect_dim is None or quotient.dim == expect_dim
     return CheckResult(passed=ok, value=f"quotient_dim={quotient.dim}")
 
 
 @register("brst.observables")
-def _check_observables(params, ctx):
-    model = params.get("model", "gupta_bleuler")
-    variant = params.get("variant", "even_ghost")
-    B = _MODELS[model]()
-    algebra = brst.observable_algebra(B, variant)
-    expect = params.get("expect_dim")
-    ok = True if expect is None else algebra.quotient_dim == int(expect)
+def _check_observables(ctx, *, model="gupta_bleuler", variant="even_ghost",
+                       expect_dim: Optional[int] = None):
+    algebra = brst.observable_algebra(_MODELS[model](), variant)
+    ok = expect_dim is None or algebra.quotient_dim == expect_dim
     return CheckResult(passed=ok, value=f"quotient_dim={algebra.quotient_dim}")
 
 
 @register("brst.deform_stability")
-def _check_deform_stability(params, ctx):
-    model = params.get("model", "two_pair")
-    order = int(params.get("order", 3))
-    samples = int(params.get("samples", 20))
+def _check_deform_stability(ctx, *, model="two_pair", order=3, samples=20, mode="solved"):
     B = _MODELS[model]()
     gens = brst.deformation_generators(B)
-    if params.get("mode", "solved") == "rescale" or not gens:
+    if mode == "rescale" or not gens:
         coeffs = [B.Q, B.Q] + [np.zeros_like(B.Q)] * (order - 1)
         q_series = series.FormalSeries(coeffs[: order + 1])
     else:
@@ -280,9 +268,8 @@ def _check_deform_stability(params, ctx):
 
 
 @register("galilei.cocycle")
-def _check_cocycle(params, ctx):
+def _check_cocycle(ctx, *, triples=200):
     from . import galilei
-    triples = int(params.get("triples", 200))
     tol = ctx.tol()
     # per element: 9 rotation seeds, v, u and eta, in the order of one
     # element-by-element draw
@@ -301,12 +288,9 @@ def _check_cocycle(params, ctx):
 
 
 @register("galilei.commutators")
-def _check_commutators(params, ctx):
+def _check_commutators(ctx, *, points=32, p_max=10.0, mass=1.0):
     from . import galilei
-    points = int(params.get("points", 32))
-    p_max = float(params.get("p_max", 10.0))
-    grid = galilei.momentum_grid(points, p_max)
-    report = galilei.generator_commutators(float(params.get("mass", 1.0)), grid,
+    report = galilei.generator_commutators(mass, galilei.momentum_grid(points, p_max),
                                            pairs=galilei.EXACT_BRACKETS)
     tol = ctx.tol("grid_exact")
     worst_exact = report.max_deviation()
@@ -314,12 +298,9 @@ def _check_commutators(params, ctx):
 
 
 @register("galilei.commutator_convergence")
-def _check_convergence(params, ctx):
+def _check_convergence(ctx, *, sizes=(32, 64), p_max=10.0, mass=1.0):
     from . import galilei
-    sizes = [int(s) for s in params.get("sizes", (32, 64))]
-    p_max = float(params.get("p_max", 10.0))
-    orders = galilei.commutator_convergence(float(params.get("mass", 1.0)),
-                                            sizes, p_max)
+    orders = galilei.commutator_convergence(mass, [int(s) for s in sizes], p_max)
     flat = [o for seq in orders.values() for o in seq]
     lo, hi = min(flat), max(flat)
     ok = 1.8 <= lo and hi <= 2.2
@@ -327,7 +308,7 @@ def _check_convergence(params, ctx):
 
 
 @register("galilei.clifford")
-def _check_clifford(params, ctx):
+def _check_clifford(ctx):
     from . import galilei
     cl = galilei.clifford_generators()
     worst = 0.0
@@ -340,11 +321,8 @@ def _check_clifford(params, ctx):
 
 
 @register("galilei.levy_leblond_shell")
-def _check_shell_determinant(params, ctx):
+def _check_shell_determinant(ctx, *, mass=1.0, count=100, off_shell=0.5):
     from . import galilei
-    mass = float(params.get("mass", 1.0))
-    count = int(params.get("count", 100))
-    off = float(params.get("off_shell", 0.5))
     L = galilei.levy_leblond_matrices(mass)
     worst_on = 0.0
     worst_off = np.inf
@@ -354,61 +332,50 @@ def _check_shell_determinant(params, ctx):
         worst_on = max(worst_on, abs(np.linalg.det(
             galilei.levy_leblond_symbol(L, eps, p))))
         worst_off = min(worst_off, abs(np.linalg.det(
-            galilei.levy_leblond_symbol(L, eps + off, p))))
+            galilei.levy_leblond_symbol(L, eps + off_shell, p))))
     ok = worst_on <= 1e-9 and worst_off > 1e-6
     return CheckResult(passed=ok, value=f"on={worst_on:.3e},off={worst_off:.3e}")
 
 
 @register("wigner.parseval")
-def _check_parseval(params, ctx):
+def _check_parseval(ctx, *, kind="galilean", points=16, mass=1.0, spacing=0.4,
+                    reweight="none", times=(0.0, 1.0), expect="isometry", floor=0.05,
+                    dump_field=None):
     from . import wigner
-    kind = params.get("kind", "galilean")
-    n = int(params.get("points", 16))
-    mass = float(params.get("mass", 1.0))
-    spacing = float(params.get("spacing", 0.4))
-    reweight = params.get("reweight", "none")
-    times = params.get("times", (0.0, 1.0))
-    shell = wigner.make_shell(kind, mass, n, spacing)
+    shell = wigner.make_shell(kind, mass, points, spacing)
     defect = max(wigner.isometry_defect(shell, wigner.reciprocal_slice(shell, t),
                                         reweight) for t in times)
     tol = ctx.tol("parseval")
-    mode = params.get("expect", "isometry")
-    ok = defect <= tol if mode == "isometry" else defect > float(params.get("floor", 0.05))
+    ok = defect <= tol if expect == "isometry" else defect > floor
     result = CheckResult(passed=ok, value=float(defect), tolerance=tol)
-    dump = params.get("dump_field")
-    if dump:
+    if dump_field:
         f = wigner.gaussian_family(shell, width=0.5, radius=0.0)[0]
         grid = wigner.reciprocal_slice(shell, float(times[0]))
-        _dump_field(dump, grid, wigner.restricted_inverse_fourier(f, grid))
+        _dump_field(dump_field, grid, wigner.restricted_inverse_fourier(f, grid))
     return result
 
 
 @register("wigner.two_particle")
-def _check_two_particle(params, ctx):
+def _check_two_particle(ctx, *, kind="relativistic", mass=1.0, samples=1000, points=9,
+                        spacing=0.5):
     from . import wigner
-    kind = params.get("kind", "relativistic")
-    mass = float(params.get("mass", 1.0))
-    samples = int(params.get("samples", 1000))
-    shell = wigner.make_shell(kind, mass, int(params.get("points", 9)),
-                              float(params.get("spacing", 0.5)))
+    shell = wigner.make_shell(kind, mass, points, spacing)
     stats = wigner.two_particle_mass_spectrum(shell, samples, rng=ctx.rng)
     ok = stats.min >= 2 * mass - 1e-12 and abs(stats.threshold - 2 * mass) <= 1e-12
     return CheckResult(passed=ok, value=f"min={stats.min:.6f}")
 
 
 @register("wigner.angular")
-def _check_angular(params, ctx):
+def _check_angular(ctx, *, amplitude="isotropic", l_max=4):
     from . import wigner
-    name = params.get("amplitude", "isotropic")
-    l_max = int(params.get("l_max", 4))
-    if name == "isotropic":
+    if amplitude == "isotropic":
         amp = lambda th, ph: np.ones_like(th, dtype=complex)
         main_l = 0
-    elif name == "cos_theta":
+    elif amplitude == "cos_theta":
         amp = lambda th, ph: np.cos(th).astype(complex)
         main_l = 1
     else:
-        raise ValueError(f"unknown amplitude {name!r}")
+        raise ValueError(f"unknown amplitude {amplitude!r}")
     report = wigner.angular_decomposition(amp, l_max)
     leakage = sum(v for l, v in report.channel_norms.items() if l != main_l)
     tol = ctx.tol("parseval")
@@ -416,22 +383,18 @@ def _check_angular(params, ctx):
 
 
 @register("qplane.normal_form")
-def _check_normal_form(params, ctx):
+def _check_normal_form(ctx, *, q, word="yx", expect_monomial=None):
     from . import qplane
-    word = list(params.get("word", "yx"))
-    q = _decode_q(params.get("q", {"N": 3, "k": 1}))
-    poly = qplane.qplane_normal_form(word, q)
+    poly = qplane.qplane_normal_form(list(word), _decode_q(q))
     ((a, b), _), = poly.terms.items()
-    expect = params.get("expect_monomial")
-    ok = True if expect is None else (a, b) == tuple(expect)
+    ok = expect_monomial is None or (a, b) == tuple(expect_monomial)
     return CheckResult(passed=ok, value=f"x^{a}y^{b}")
 
 
 @register("qplane.center")
-def _check_center(params, ctx):
+def _check_center(ctx, *, q, max_deg=6):
     from . import qplane
-    q = _decode_q(params["q"])
-    max_deg = int(params.get("max_deg", 6))
+    q = _decode_q(q)
     central = qplane.center_probe(q, max_deg)
     if isinstance(q, qplane.RootOfUnity) and q.N > 1:
         expected = [(a, b) for total in range(1, max_deg + 1)
@@ -444,17 +407,14 @@ def _check_center(params, ctx):
 
 
 @register("qplane.coaction")
-def _check_coaction(params, ctx):
+def _check_coaction(ctx, *, q, max_deg=3, perturb_ab=False):
     from . import qplane
-    q = _decode_q(params["q"])
-    max_deg = int(params.get("max_deg", 3))
-    perturb = bool(params.get("perturb_ab", False))
     try:
-        report = qplane.glq2_coaction_check(q, max_deg, perturb_ab=perturb)
-        ok = not perturb and report.preserved
+        report = qplane.glq2_coaction_check(_decode_q(q), max_deg, perturb_ab=perturb_ab)
+        ok = not perturb_ab and report.preserved
         value = f"preserved,words={report.words_checked}"
     except qplane.RelationViolatedError as exc:
-        ok = perturb
+        ok = perturb_ab
         value = f"violated@deg{exc.degree}"
     return CheckResult(passed=ok, value=value)
 
@@ -487,6 +447,34 @@ def _number(kind, value, where: str):
         return kind(value)
     except (TypeError, ValueError):
         raise ScenarioParseError(f"{where}: expected a number, got {value!r}") from None
+
+
+def _bind(fn: CheckFn, params: Dict, where: str) -> Dict:
+    """The keyword arguments of check fn from a scenario entry's params.
+
+    Every name must be one of fn's keyword-only arguments, and every argument
+    without a default must be given.  A value whose default is a number or a
+    boolean (or None, for an argument annotated Optional[int]) is cast to
+    that type; any other value is passed on as it is, for the check to decode.
+    """
+    code, defaults = fn.__code__, fn.__kwdefaults__ or {}
+    names = code.co_varnames[code.co_argcount:code.co_argcount + code.co_kwonlyargcount]
+    for key in params:
+        if key not in names:
+            raise ScenarioParseError(f"{where}.{key}: unknown parameter; the check "
+                                     f"takes {', '.join(names) or 'none'}")
+    for key in names:
+        if key not in params and key not in defaults:
+            raise ScenarioParseError(f"{where}.{key}: missing required parameter")
+    kwargs = dict(params)
+    for key, value in params.items():
+        optional = fn.__annotations__.get(key) == "Optional[int]"
+        kind = int if optional else type(defaults.get(key))
+        if kind is bool and not isinstance(value, bool):
+            raise ScenarioParseError(f"{where}.{key}: expected true or false, got {value!r}")
+        if kind in (int, float) and not (optional and value is None):
+            kwargs[key] = _number(kind, value, f"{where}.{key}")
+    return kwargs
 
 
 def _env_tolerances() -> Dict[str, float]:
@@ -529,8 +517,8 @@ def load_scenario(path: str) -> Scenario:
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ScenarioParseError(f"{where}.params: expected an object")
-        if name.startswith("brst.") and "model" in params \
-                and params["model"] not in list(_MODELS):
+        params = _bind(_REGISTRY[name], params, f"{where}.params")
+        if "model" in params and params["model"] not in list(_MODELS):
             raise ScenarioParseError(
                 f"{where}.params.model: unknown model {params['model']!r}")
         checks.append(CheckSpec(check=name, params=params,
@@ -555,7 +543,7 @@ def _run_one(scenario: Scenario, index: int, spec: CheckSpec) -> CheckRecord:
                        tolerances=scenario.tolerances)
     start = time.perf_counter()
     try:
-        result = _REGISTRY[spec.check](spec.params, ctx)
+        result = _REGISTRY[spec.check](ctx, **spec.params)
         status = "pass" if result.passed else "fail"
         value = _fmt(result.value)
         tolerance = _fmt(result.tolerance) if result.tolerance is not None else ""

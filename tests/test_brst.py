@@ -338,6 +338,31 @@ class TestRepresentation:
         with pytest.raises(NotObservableError):
             represent(B, quotient, GradedOperator(bad, 0), [1.0])
 
+    def test_outside_kernel_rejected_at_any_scale(self):
+        # the distance from ker s is measured against max|Q| max|A|: with
+        # Q scaled by 1e-9, |s(E20)| ~ 1e-9 is still far from ker s
+        B = gupta_bleuler_toy()
+        scaled = validate_brst(B.space, 1e-9 * B.Q)
+        quotient = physical_space(scaled)
+        with pytest.raises(NotObservableError, match="not in ker s"):
+            represent(scaled, quotient, GradedOperator(unit(3, 2, 0), 0), [1.0])
+
+    @pytest.mark.parametrize("charge, operator", [(1e-9, 1.0), (1.0, 1e10), (1e6, 1e-6)])
+    def test_matrix_scales_with_the_operator(self, charge, operator):
+        # r X r^H G is in ker s for representatives r: Q r = 0 = r^H G Q
+        B = random_pair_model(2, 2, 7)
+        reps = physical_space(B).quotient_reps
+        M = reps @ np.array([[1.0, 2.0 - 1j], [0.5j, -3.0]]) @ reps.conj().T \
+            @ B.space.krein.gram
+        want = representation_matrix(B, physical_space(B), GradedOperator(M, 0))
+        scaled = validate_brst(B.space, charge * B.Q)
+        pi = representation_matrix(scaled, physical_space(scaled),
+                                   GradedOperator(operator * M, 0))
+        # the scaled structure may pick other representatives: compare spectra
+        np.testing.assert_allclose(np.sort_complex(np.linalg.eigvals(pi)),
+                                   operator * np.sort_complex(np.linalg.eigvals(want)),
+                                   rtol=1e-8, atol=0)
+
     def test_class_independent_of_representative(self):
         B = two_pair_model()
         quotient = physical_space(B)
@@ -474,6 +499,22 @@ class TestScaleInvariance:
         for variant in ("even_ghost", "full"):
             assert observable_algebra(scaled, variant).quotient_dim == \
                 observable_algebra(B, variant).quotient_dim
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(B=pair_models, seed=st.integers(0, 2**32 - 1), exponent=st.integers(-6, 6))
+    def test_deformation_verdict_unchanged_under_rescaled_series(self, B, seed, exponent):
+        gens = brst.deformation_generators(B)
+        weights = np.random.default_rng(seed).normal(size=len(gens))
+        Q1 = sum((w * g for w, g in zip(weights, gens)), np.zeros_like(B.Q))
+        lam = 10.0 ** exponent
+        scaled = validate_brst(B.space, lam * B.Q)
+        D = brst.validate_deformation(
+            scaled, FormalSeries([lam * B.Q, lam * Q1, np.zeros_like(B.Q)]))
+        assert D.order == 2
+        if gens:  # i Q1 is Krein anti-self-adjoint at every scale
+            with pytest.raises(NotKreinSelfAdjointError, match="coefficient 1"):
+                brst.validate_deformation(scaled, FormalSeries([lam * B.Q, 1j * lam * Q1]))
 
 
 def change_basis(B, S):

@@ -94,6 +94,29 @@ class TestLoading:
         assert load_scenario(path2).tolerances["parseval"] == 1e-7
 
 
+    def test_numbers_cast_to_the_type_of_the_default(self, tmp_path):
+        path = write_scenario(tmp_path, {
+            "name": "cast", "seed": 1,
+            "checks": [{"check": "series.witness_roundtrip",
+                        "params": {"count": 4.0, "order": 16.0}},
+                       {"check": "galilei.commutators", "params": {"p_max": 10}},
+                       {"check": "brst.physical_space", "params": {"expect_dim": 1.0}}]})
+        witness, grid, quotient = (spec.params for spec in load_scenario(path).checks)
+        assert witness == {"count": 4, "order": 16}
+        assert type(witness["count"]) is type(witness["order"]) is int
+        assert type(grid["p_max"]) is float
+        assert type(quotient["expect_dim"]) is int
+
+    def test_benchmark_workloads_load(self, tmp_path):
+        # the generated workloads name parameters that the checks must keep
+        proc = run_python(["perfbench/workloads.py", "--seed", "1", "--out", str(tmp_path)])
+        assert proc.returncode == 0, proc.stderr
+        paths = proc.stdout.split()
+        assert len(paths) == 3
+        for path in paths:
+            assert load_scenario(path).checks
+
+
 class TestRunning:
     def test_smoke_all_pass(self):
         report = run_scenario(SMOKE)
@@ -236,6 +259,17 @@ class TestCli:
         ({}, {"OPALG_TOL_DEFAULT": "abc"}, "OPALG_TOL_DEFAULT"),
         ({"checks": [{"check": "brst.physical_space", "params": {"model": "nope"}}]},
          {}, "checks[0].params.model"),
+        ({"checks": [{"check": "galilei.cocycle", "params": {"tripels": 5}}]},
+         {}, "checks[0].params.tripels"),
+        ({"checks": [{"check": "galilei.cocycle", "params": {"triples": "many"}}]},
+         {}, "checks[0].params.triples"),
+        ({"checks": [{"check": "series.is_positive", "params": {"expect": "positive"}}]},
+         {}, "checks[0].params.b"),
+        ({"checks": [{"check": "brst.observables", "params": {"expect_dim": "four"}}]},
+         {}, "checks[0].params.expect_dim"),
+        ({"checks": [{"check": "qplane.coaction",
+                      "params": {"q": [2, 0], "perturb_ab": "false"}}]},
+         {}, "checks[0].params.perturb_ab"),
         ({}, {}, "--out"),
     ])
     def test_exit_two_on_malformed_input(self, tmp_path, capsys, monkeypatch,
