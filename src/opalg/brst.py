@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "PositivityViolatedAtOrderError",
     "make_graded_space",
     "operator_grade",
-    "brst_derivation",
     "validate_brst",
     "physical_space",
     "class_coordinates",
@@ -167,8 +166,7 @@ def operator_grade(space: GhostGradedSpace, matrix, tol: float = RANK_TOL) -> Op
 # one rank-revealing decomposition per map
 
 
-@dataclass(frozen=True)
-class _Split:
+class _Split(NamedTuple):
     image: np.ndarray    # orthonormal columns
     kernel: np.ndarray   # orthonormal columns
     pinv: np.ndarray     # minimum-norm solution operator
@@ -290,13 +288,6 @@ def s_action(B: BRSTStructure, M: np.ndarray) -> np.ndarray:
     Inhomogeneous matrices are handled by acting on their parity parts.
     """
     return B.Q @ M - graded_sign_split(B.space, M) @ B.Q
-
-
-def brst_derivation(B: BRSTStructure, F: GradedOperator) -> GradedOperator:
-    found = operator_grade(B.space, F.matrix)
-    if found is not None and found != F.ghost:
-        raise NonHomogeneousError(f"declared ghost {F.ghost} but entries sit at shift {found}")
-    return GradedOperator(matrix=s_action(B, F.matrix), ghost=F.ghost + 1)
 
 
 def _s_matrix(B: BRSTStructure) -> np.ndarray:

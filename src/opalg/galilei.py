@@ -3,7 +3,9 @@
 Covers the group law with its phase exponent, a fixed-mass momentum-grid
 representation of the generators with finite-difference commutator checks,
 an explicit Euclidean Clifford set, and the first-order wave operator built
-from it together with its plane-wave symbol and degenerate norm form.
+from it together with its plane-wave symbol.  The rank and kernel of its
+degenerate norm form i A are computed by the reference
+`degenerate_norm_structure` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ __all__ = [
     "LevyLeblondMatrices",
     "MomentumGrid",
     "CommutatorReport",
-    "DegenerateFormReport",
     "NotARotationError",
     "GridTooCoarseError",
     "make_galilei",
-    "galilei_identity",
     "galilei_compose",
     "bargmann_exponent",
     "bargmann_multiply",
@@ -34,7 +34,6 @@ __all__ = [
     "clifford_generators",
     "levy_leblond_matrices",
     "levy_leblond_symbol",
-    "degenerate_norm_structure",
     "COMMUTATOR_TABLE",
     "CONVERGENT_BRACKETS",
     "EXACT_BRACKETS",
@@ -100,10 +99,6 @@ def make_galilei(R, v, u, eta) -> GalileiElement:
         raise NotARotationError("R is not a proper rotation")
     eta = float(eta) if not stack else np.asarray(eta, dtype=float)
     return GalileiElement(R=R, v=v, u=u, eta=eta)
-
-
-def galilei_identity() -> GalileiElement:
-    return GalileiElement(R=np.eye(3), v=np.zeros(3), u=np.zeros(3), eta=0.0)
 
 
 def galilei_compose(a: GalileiElement, b: GalileiElement) -> GalileiElement:
@@ -501,36 +496,3 @@ def levy_leblond_symbol(L: LevyLeblondMatrices, eps: float, p) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     return eps * L.A + sum(p[i] * L.B[i] for i in range(3)) + L.C
-
-
-@dataclass(frozen=True)
-class DegenerateFormReport:
-    form: np.ndarray
-    hermitian: bool
-    rank: int
-    kernel_dim: int
-    positive_rank: int
-    negative_rank: int
-
-
-def degenerate_norm_structure(L: LevyLeblondMatrices,
-                              tol: float = 1e-12) -> DegenerateFormReport:
-    """Rank and kernel of the conserved sesquilinear density i A.
-
-    For beta = g4 the form is the projector (1 + g4)/2: positive
-    semi-definite of rank two with a two-dimensional kernel that cannot be
-    removed without losing the wave-operator structure.
-    """
-    form = 1j * L.A
-    herm = bool(np.max(np.abs(form - form.conj().T)) <= tol)
-    svals = np.linalg.svd(form, compute_uv=False)
-    rank = int(np.sum(svals > tol))
-    if herm:
-        eigs = np.linalg.eigvalsh((form + form.conj().T) / 2)
-        pos = int(np.sum(eigs > tol))
-        neg = int(np.sum(eigs < -tol))
-    else:
-        pos = neg = -1
-    return DegenerateFormReport(form=form, hermitian=herm, rank=rank,
-                                kernel_dim=4 - rank, positive_rank=pos,
-                                negative_rank=neg)

@@ -18,18 +18,14 @@ __all__ = [
     "FundamentalSymmetry",
     "NotHermitianError",
     "SingularGramError",
-    "InvalidSymmetryError",
     "make_krein",
     "fundamental_symmetry",
-    "validate_symmetry",
     "krein_adjoint",
     "wick_rotate",
-    "is_krein_selfadjoint",
 ]
 
 HERMITIAN_TOL = 1e-12
 SINGULAR_TOL = 1e-10
-DEFAULT_TOL = 1e-10
 
 
 class NotHermitianError(ValueError):
@@ -40,13 +36,9 @@ class SingularGramError(ValueError):
     """The candidate Gram matrix is (numerically) degenerate.
 
     Degenerate products are rejected here on purpose; the Galilean
-    zero-norm-subspace phenomenon is handled by its own report in
-    :mod:`opalg.galilei`.
+    zero-norm subspace of the Levy-Leblond density is examined by the
+    reference `degenerate_norm_structure` in tests/oracles.py.
     """
-
-
-class InvalidSymmetryError(ValueError):
-    """A candidate fundamental symmetry violates one of its invariants."""
 
 
 @dataclass(frozen=True)
@@ -92,24 +84,6 @@ def fundamental_symmetry(K: KreinSpace) -> FundamentalSymmetry:
     return FundamentalSymmetry(matrix=J)
 
 
-def validate_symmetry(K: KreinSpace, matrix, tol: float = DEFAULT_TOL) -> FundamentalSymmetry:
-    """Check J^2 = 1, symmetry of the pairing, and positivity of G J."""
-    J = np.asarray(matrix, dtype=complex)
-    n = K.dim
-    if J.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix, got {J.shape}")
-    if np.max(np.abs(J @ J - np.eye(n))) > tol:
-        raise InvalidSymmetryError("J^2 != 1")
-    GJ = K.gram @ J
-    if np.max(np.abs(GJ - J.conj().T @ K.gram)) > tol:
-        raise InvalidSymmetryError("(u, Jv) != (Ju, v)")
-    if np.min(np.linalg.eigvalsh((GJ + GJ.conj().T) / 2)) <= 0:
-        raise InvalidSymmetryError("G J is not positive definite")
-    J = J.copy()
-    J.setflags(write=False)
-    return FundamentalSymmetry(matrix=J)
-
-
 def krein_adjoint(K: KreinSpace, A) -> np.ndarray:
     """Adjoint with respect to the indefinite product: G^{-1} A^H G.
 
@@ -124,8 +98,3 @@ def krein_adjoint(K: KreinSpace, A) -> np.ndarray:
 def wick_rotate(K: KreinSpace, J: FundamentalSymmetry) -> np.ndarray:
     """Positive-definite Gram matrix of the rotated product <u, v> = (u, Jv)."""
     return K.gram @ J.matrix
-
-
-def is_krein_selfadjoint(K: KreinSpace, A, tol: float = DEFAULT_TOL) -> bool:
-    A = np.asarray(A, dtype=complex)
-    return bool(np.max(np.abs(A - krein_adjoint(K, A))) <= tol)

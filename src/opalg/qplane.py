@@ -30,11 +30,9 @@ __all__ = [
     "RelationViolatedError",
     "CoactionReport",
     "qplane_normal_form",
-    "plane_monomial_mul",
     "center_probe",
     "glq2_normal_form",
     "glq2_coaction_check",
-    "cyclotomic_coefficients",
 ]
 
 NUMERIC_TOL = 1e-10
@@ -71,11 +69,6 @@ def _cyclotomic(n: int) -> Tuple[int, ...]:
                 rem[k + i] -= coeff * c
         poly = quot
     return tuple(poly)
-
-
-def cyclotomic_coefficients(n: int) -> List[int]:
-    """Integer coefficients of the n-th cyclotomic polynomial."""
-    return list(_cyclotomic(n))
 
 
 @dataclass(frozen=True)
@@ -213,11 +206,6 @@ class QPlanePoly:
 
 def plane_monomial(q: QValue, a: int, b: int, coeff=None) -> QPlanePoly:
     return QPlanePoly(q, {(a, b): coeff if coeff is not None else _Coeff.power(q, 0)})
-
-
-def plane_monomial_mul(q: QValue, left: Tuple[int, int],
-                       right: Tuple[int, int]) -> QPlanePoly:
-    return plane_monomial(q, *left).mul(plane_monomial(q, *right))
 
 
 def qplane_normal_form(word: Sequence[str], q: QValue, coeff=None) -> QPlanePoly:

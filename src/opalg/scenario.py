@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import importlib
 import json
+import math
 import os
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +34,6 @@ __all__ = [
     "run_scenario",
     "emit_report",
     "series_from_json",
-    "series_to_json",
     "available_checks",
     "DEFAULT_TOLERANCES",
 ]
@@ -56,15 +56,13 @@ class UnknownCheckError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(NamedTuple):
     check: str
     params: Dict
     independent: bool = True
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     seed: int
     truncation_order: int
@@ -72,8 +70,7 @@ class Scenario:
     checks: Tuple[CheckSpec, ...]
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     name: str
     status: str                  # pass | fail | error
     value: str
@@ -116,16 +113,6 @@ def series_from_json(data) -> series.FormalSeries:
     return series.FormalSeries([decode(entry) for entry in data])
 
 
-def series_to_json(s: series.FormalSeries):
-    out = []
-    for c in s.coeffs:
-        if isinstance(c, np.ndarray):
-            out.append(np.stack([c.real, c.imag], axis=-1).tolist())
-        else:
-            out.append([c.real, c.imag])
-    return out
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
@@ -136,8 +123,7 @@ def _fmt(value) -> str:
 # check context and registry
 
 
-@dataclass
-class CheckContext:
+class CheckContext(NamedTuple):
     rng: np.random.Generator
     truncation_order: int
     tolerances: Dict[str, float]
@@ -146,8 +132,7 @@ class CheckContext:
         return self.tolerances.get(name, self.tolerances["default"])
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     passed: bool
     value: object
     tolerance: Optional[float] = None
@@ -441,12 +426,30 @@ def _dump_field(path: str, grid, values: np.ndarray):
 # loading and running
 
 
-def _number(kind, value, where: str):
-    """kind(value), or a ScenarioParseError naming where the value came from."""
+def _number(kind, value, where: str, text: bool = False):
+    """A finite int or float from a JSON number, or from a string if text is
+    set; an int only from an integral value, so 16.0 reads as 16.  Anything
+    else (a boolean, a string, NaN, an infinity, 2.9 for an int) raises a
+    ScenarioParseError naming where the value came from."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ScenarioParseError(f"{where}: expected a number, got {value!r}") from None
+        number = kind(value) if text or type(value) in (int, float) else None
+    except (OverflowError, ValueError):  # text that is no number, an int past the floats
+        number = None
+    if number is None or (number != value if kind is int else not math.isfinite(number)):
+        what = "an integer" if kind is int else "a finite number"
+        raise ScenarioParseError(f"{where}: expected {what}, got {value!r}")
+    return number
+
+
+def _refuse_non_finite(value, where: str):
+    """Raise a ScenarioParseError naming the first NaN or infinity in value,
+    which json.load reads from the tokens NaN, Infinity and -Infinity."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioParseError(f"{where}: expected a finite number, got {value!r}")
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _refuse_non_finite(item, f"{where}.{key}" if isinstance(value, dict)
+                               else f"{where}[{key}]")
 
 
 def _bind(fn: CheckFn, params: Dict, where: str) -> Dict:
@@ -478,7 +481,7 @@ def _bind(fn: CheckFn, params: Dict, where: str) -> Dict:
 
 
 def _env_tolerances() -> Dict[str, float]:
-    return {key[len(ENV_PREFIX):].lower(): _number(float, val, f"environment {key}")
+    return {key[len(ENV_PREFIX):].lower(): _number(float, val, f"environment {key}", text=True)
             for key, val in os.environ.items() if key.startswith(ENV_PREFIX)}
 
 
@@ -495,6 +498,8 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioParseError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioParseError(f"{path}: the top level must be an object")
+    for key, value in data.items():
+        _refuse_non_finite(value, f"{path}: {key}")
     for key in ("name", "seed", "checks"):
         if key not in data:
             raise ScenarioParseError(f"{path}: missing required key {key!r}")
@@ -562,7 +567,7 @@ def run_scenario(scenario, jobs: int = 1,
     if isinstance(scenario, str):
         scenario = load_scenario(scenario)
     if seed_override is not None:
-        scenario = replace(scenario, seed=int(seed_override))
+        scenario = scenario._replace(seed=int(seed_override))
     # the named layers, up front, so that no check's wall_ms carries an import
     for layer in dict.fromkeys(spec.check.split(".")[0] for spec in scenario.checks
                                if spec.check in _REGISTRY):

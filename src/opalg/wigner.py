@@ -36,7 +36,6 @@ __all__ = [
     "lorentz_boost",
     "pair_invariant_mass",
     "angular_decomposition",
-    "channel_rank",
     "spherical_harmonic",
 ]
 
@@ -411,25 +410,3 @@ def angular_decomposition(amplitude: Amplitude, l_max: int,
             total += abs(c) ** 2
         norms[l] = total
     return AngularReport(l_max=l_max, coefficients=coeffs, channel_norms=norms)
-
-
-def channel_rank(amplitudes: Sequence[Amplitude], l: int, m: int,
-                 n_theta: Optional[int] = None, n_phi: Optional[int] = None,
-                 tol: float = 1e-10) -> int:
-    """Rank of the Gram matrix of fixed-channel projections.
-
-    A rank of one over any sampled amplitude basis is the finite-sample
-    multiplicity-one statement for the (mass, l) channel per azimuthal
-    component.
-    """
-    if n_theta is None:
-        n_theta = l + 2
-    if n_phi is None:
-        n_phi = 2 * l + 2
-    theta, phi, w = _sphere_quadrature(n_theta, n_phi)
-    y = spherical_harmonic(l, m, theta, phi)
-    coeffs = np.array([complex(np.sum(w * np.conj(y) * f(theta, phi)))
-                       for f in amplitudes])
-    gram = np.outer(np.conj(coeffs), coeffs)
-    svals = np.linalg.svd(gram, compute_uv=False)
-    return int(np.sum(svals > tol * max(1.0, float(svals[0]))))

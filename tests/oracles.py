@@ -7,8 +7,11 @@ products go through numpy.convolve, shell sums are evaluated point by
 point, grid brackets apply every generator through a zero-padded
 stencil, cyclotomic integers are reduced modulo Phi_N after every product,
 and the quantum-plane coaction is expanded over every choice of letters.
+The last section holds references that no check of the package uses: small
+constructions on its public objects that the tests compare against.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -611,3 +614,117 @@ def coaction_check_reference(q, max_deg, perturb_ab=False):
                             return ("violated", degree)
                     checked += 1
     return ("preserved", checked)
+
+
+# ---------------------------------------------------------------------------
+# references on the package's public objects
+
+
+class InvalidSymmetryError(ValueError):
+    """A candidate fundamental symmetry violates one of its invariants."""
+
+
+def validate_symmetry(K, matrix, tol=ORACLE_TOL):
+    """Check J^2 = 1, symmetry of the pairing, and positivity of G J."""
+    from opalg.krein import FundamentalSymmetry
+    J = np.asarray(matrix, dtype=complex)
+    n = K.dim
+    if J.shape != (n, n):
+        raise ValueError(f"expected a {n}x{n} matrix, got {J.shape}")
+    if np.max(np.abs(J @ J - np.eye(n))) > tol:
+        raise InvalidSymmetryError("J^2 != 1")
+    GJ = K.gram @ J
+    if np.max(np.abs(GJ - J.conj().T @ K.gram)) > tol:
+        raise InvalidSymmetryError("(u, Jv) != (Ju, v)")
+    if np.min(np.linalg.eigvalsh((GJ + GJ.conj().T) / 2)) <= 0:
+        raise InvalidSymmetryError("G J is not positive definite")
+    J = J.copy()
+    J.setflags(write=False)
+    return FundamentalSymmetry(matrix=J)
+
+
+def is_krein_selfadjoint(K, A, tol=ORACLE_TOL):
+    from opalg.krein import krein_adjoint
+    A = np.asarray(A, dtype=complex)
+    return bool(np.max(np.abs(A - krein_adjoint(K, A))) <= tol)
+
+
+def brst_derivation(B, F):
+    """s(F) as a graded operator of ghost number one higher than F's."""
+    from opalg.brst import GradedOperator, NonHomogeneousError, operator_grade, s_action
+    found = operator_grade(B.space, F.matrix)
+    if found is not None and found != F.ghost:
+        raise NonHomogeneousError(f"declared ghost {F.ghost} but entries sit at shift {found}")
+    return GradedOperator(matrix=s_action(B, F.matrix), ghost=F.ghost + 1)
+
+
+def galilei_identity():
+    from opalg.galilei import GalileiElement
+    return GalileiElement(R=np.eye(3), v=np.zeros(3), u=np.zeros(3), eta=0.0)
+
+
+@dataclass(frozen=True)
+class DegenerateFormReport:
+    form: np.ndarray
+    hermitian: bool
+    rank: int
+    kernel_dim: int
+    positive_rank: int
+    negative_rank: int
+
+
+def degenerate_norm_structure(L, tol=1e-12):
+    """Rank and kernel of the conserved sesquilinear density i A of the
+    Levy-Leblond matrices L.
+
+    For beta = g4 the form is the projector (1 + g4)/2: positive
+    semi-definite of rank two with a two-dimensional kernel that cannot be
+    removed without losing the wave-operator structure.
+    """
+    form = 1j * L.A
+    herm = bool(np.max(np.abs(form - form.conj().T)) <= tol)
+    svals = np.linalg.svd(form, compute_uv=False)
+    rank = int(np.sum(svals > tol))
+    if herm:
+        eigs = np.linalg.eigvalsh((form + form.conj().T) / 2)
+        pos = int(np.sum(eigs > tol))
+        neg = int(np.sum(eigs < -tol))
+    else:
+        pos = neg = -1
+    return DegenerateFormReport(form=form, hermitian=herm, rank=rank,
+                                kernel_dim=4 - rank, positive_rank=pos,
+                                negative_rank=neg)
+
+
+def channel_rank(amplitudes, l, m, n_theta=None, n_phi=None, tol=ORACLE_TOL):
+    """Rank of the Gram matrix of fixed-channel projections.
+
+    A rank of one over any sampled amplitude basis is the finite-sample
+    multiplicity-one statement for the (mass, l) channel per azimuthal
+    component.
+    """
+    from opalg.wigner import _sphere_quadrature, spherical_harmonic
+    if n_theta is None:
+        n_theta = l + 2
+    if n_phi is None:
+        n_phi = 2 * l + 2
+    theta, phi, w = _sphere_quadrature(n_theta, n_phi)
+    y = spherical_harmonic(l, m, theta, phi)
+    coeffs = np.array([complex(np.sum(w * np.conj(y) * f(theta, phi)))
+                       for f in amplitudes])
+    gram = np.outer(np.conj(coeffs), coeffs)
+    svals = np.linalg.svd(gram, compute_uv=False)
+    return int(np.sum(svals > tol * max(1.0, float(svals[0]))))
+
+
+def series_to_json(s):
+    """The scenario encoding of a series, the inverse of
+    `scenario.series_from_json`: [re, im] pairs, or nested arrays with a
+    trailing [re, im] axis for matrix coefficients."""
+    out = []
+    for c in s.coeffs:
+        if isinstance(c, np.ndarray):
+            out.append(np.stack([c.real, c.imag], axis=-1).tolist())
+        else:
+            out.append([c.real, c.imag])
+    return out

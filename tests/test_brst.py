@@ -8,7 +8,7 @@ from opalg.brst import (GradeViolationError, GradedOperator,
                         NonHomogeneousError, NotKreinSelfAdjointError,
                         NotNilpotentError, NotNormalizedError,
                         NotObservableError, NullNotExactError,
-                        PositivityViolatedError, VectorState, brst_derivation,
+                        PositivityViolatedError, VectorState,
                         gupta_bleuler_toy, make_graded_space, null_pair_toy,
                         observable_algebra, operator_grade, physical_space,
                         represent, representation_matrix, s_action,
@@ -16,10 +16,10 @@ from opalg.brst import (GradeViolationError, GradedOperator,
 from opalg.krein import fundamental_symmetry, krein_adjoint
 from opalg.series import FormalSeries, series_mul
 
-from oracles import (closure_pairwise, lstsq_series_solve, observable_dims_svd,
-                     physical_space_svd, physical_space_three_step, quotient_oracle,
-                     quotient_reps, rank, super_commutator_matrix, svd_column_space,
-                     svd_null_space)
+from oracles import (brst_derivation, closure_pairwise, lstsq_series_solve,
+                     observable_dims_svd, physical_space_svd, physical_space_three_step,
+                     quotient_oracle, quotient_reps, rank, super_commutator_matrix,
+                     svd_column_space, svd_null_space)
 
 TOYS = {
     "null_pair": (null_pair_toy, 0),

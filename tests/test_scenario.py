@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -12,8 +13,10 @@ from opalg.cli import main
 from opalg.scenario import (DEFAULT_TOLERANCES, CheckRecord, Report,
                             ScenarioParseError, UnknownCheckError,
                             available_checks, emit_report, load_scenario,
-                            run_scenario, series_from_json, series_to_json)
+                            run_scenario, series_from_json)
 from opalg.series import FormalSeries
+
+from oracles import series_to_json
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE = str(REPO / "scenarios" / "smoke.json")
@@ -285,6 +288,38 @@ class TestCli:
         assert main(args) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body, env, field", [
+        ({"seed": 1.7}, {}, "seed"),
+        ({"truncation_order": 8.5}, {}, "truncation_order"),
+        ({"checks": [{"check": "galilei.cocycle", "params": {"triples": 2.9}}]},
+         {}, "checks[0].params.triples"),
+        ({"checks": [{"check": "series.witness_roundtrip", "params": {"count": True}}]},
+         {}, "checks[0].params.count"),
+        ({"checks": [{"check": "krein.invariants", "params": {"samples": "20"}}]},
+         {}, "checks[0].params.samples"),
+        ({"tolerances": {"default": True}}, {}, "tolerances.default"),
+        ({"seed": float("inf")}, {}, "seed"),
+        ({"truncation_order": float("inf")}, {}, "truncation_order"),
+        ({"checks": [{"check": "galilei.cocycle", "params": {"triples": -float("inf")}}]},
+         {}, "checks[0].params.triples"),
+        ({"checks": [{"check": "galilei.commutators", "params": {"p_max": float("nan")}}]},
+         {}, "checks[0].params.p_max"),
+        ({"tolerances": {"parseval": float("inf")}}, {}, "tolerances.parseval"),
+        ({"checks": [{"check": "wigner.parseval", "params": {"times": [0.0, float("nan")]}}]},
+         {}, "checks[0].params.times[1]"),
+        ({}, {"OPALG_TOL_DEFAULT": "inf"}, "OPALG_TOL_DEFAULT"),
+        ({}, {"OPALG_TOL_PARSEVAL": "nan"}, "OPALG_TOL_PARSEVAL"),
+    ])
+    def test_exit_two_on_a_number_that_is_not_one(self, tmp_path, body, env, field):
+        # json.dumps writes NaN and the infinities as the tokens json.load reads
+        path = write_scenario(tmp_path, {
+            "name": "bad", "seed": 1,
+            "checks": [{"check": "galilei.clifford"}], **body})
+        proc = run_cli(["run", path], **env)
+        assert proc.returncode == 2
+        assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_out_file_and_rerun_identical(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -334,6 +369,17 @@ class TestRegistry:
 
     def test_default_tolerances_present(self):
         assert "default" in DEFAULT_TOLERANCES
+
+
+@pytest.mark.parametrize("layer", ["series", "krein", "brst", "galilei", "wigner",
+                                   "qplane", "scenario"])
+def test_every_name_in_all_resolves(layer):
+    module = importlib.import_module(f"opalg.{layer}")
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+    namespace = {}
+    exec(f"from opalg.{layer} import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(module.__all__)
 
 
 LAZY = ("opalg.galilei", "opalg.wigner", "opalg.qplane", "concurrent.futures")

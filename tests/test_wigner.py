@@ -5,14 +5,14 @@ from scipy.special import sph_harm_y
 from opalg.wigner import (EmptyLatticeError, IncompatibleLatticesError,
                           InsufficientSphereSamplingError,
                           MassZeroForMassiveKindError, ShellFunction,
-                          SliceGrid, angular_decomposition, channel_rank,
+                          SliceGrid, angular_decomposition,
                           gaussian_family, isometry_defect, lorentz_boost,
                           make_shell, pair_invariant_mass, reciprocal_slice,
                           restricted_inverse_fourier, shell_norm_sq,
                           slice_norm_sq, spherical_harmonic,
                           two_particle_mass_spectrum)
 
-from oracles import direct_shell_sum
+from oracles import channel_rank, direct_shell_sum
 
 
 class TestMakeShell:
