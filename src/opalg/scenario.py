@@ -285,7 +285,7 @@ def _check_commutators(ctx, *, points=32, p_max=10.0, mass=1.0):
 @register("galilei.commutator_convergence")
 def _check_convergence(ctx, *, sizes=(32, 64), p_max=10.0, mass=1.0):
     from . import galilei
-    orders = galilei.commutator_convergence(mass, [int(s) for s in sizes], p_max)
+    orders = galilei.commutator_convergence(mass, sizes, p_max)
     flat = [o for seq in orders.values() for o in seq]
     lo, hi = min(flat), max(flat)
     ok = 1.8 <= lo and hi <= 2.2
@@ -407,7 +407,7 @@ def _check_coaction(ctx, *, q, max_deg=3, perturb_ab=False):
 def _decode_q(data):
     from . import qplane
     if isinstance(data, dict):
-        return qplane.RootOfUnity(N=int(data["N"]), k=int(data.get("k", 1)))
+        return qplane.RootOfUnity(N=data["N"], k=data["k"])
     if isinstance(data, (list, tuple)):
         return complex(data[0], data[1])
     return complex(data)
@@ -452,13 +452,21 @@ def _refuse_non_finite(value, where: str):
                                else f"{where}[{key}]")
 
 
+def _numbers(kind, value, where: str) -> List:
+    if not isinstance(value, list):
+        raise ScenarioParseError(f"{where}: expected a list, got {value!r}")
+    return [_number(kind, item, f"{where}[{i}]") for i, item in enumerate(value)]
+
+
 def _bind(fn: CheckFn, params: Dict, where: str) -> Dict:
     """The keyword arguments of check fn from a scenario entry's params.
 
     Every name must be one of fn's keyword-only arguments, and every argument
     without a default must be given.  A value whose default is a number or a
     boolean (or None, for an argument annotated Optional[int]) is cast to
-    that type; any other value is passed on as it is, for the check to decode.
+    that type, and one whose default is a tuple is read as a list of numbers
+    of the type of its first item; any other value is passed on as it is,
+    for the check to decode.
     """
     code, defaults = fn.__code__, fn.__kwdefaults__ or {}
     names = code.co_varnames[code.co_argcount:code.co_argcount + code.co_kwonlyargcount]
@@ -477,7 +485,31 @@ def _bind(fn: CheckFn, params: Dict, where: str) -> Dict:
             raise ScenarioParseError(f"{where}.{key}: expected true or false, got {value!r}")
         if kind in (int, float) and not (optional and value is None):
             kwargs[key] = _number(kind, value, f"{where}.{key}")
+        if kind is tuple:
+            kwargs[key] = _numbers(type(defaults[key][0]), value, f"{where}.{key}")
     return kwargs
+
+
+# galilei.MIN_POINTS_PER_AXIS, repeated here because loading imports no layer
+_MIN_LADDER_POINTS = 32
+
+
+def _decode_params(params: Dict, where: str) -> Dict:
+    """Check the model name, the size ladder and a root of unity q = {N, k}
+    of a bound params dict, and read the integers of q."""
+    if "model" in params and params["model"] not in list(_MODELS):
+        raise ScenarioParseError(f"{where}.model: unknown model {params['model']!r}")
+    sizes = params.get("sizes")
+    if sizes is not None and (len(set(sizes)) < max(2, len(sizes))
+                              or min(sizes) < _MIN_LADDER_POINTS):
+        raise ScenarioParseError(
+            f"{where}.sizes: expected two or more sizes, no two equal, each of at "
+            f"least {_MIN_LADDER_POINTS} points, got {sizes}")
+    q = params.get("q")
+    if isinstance(q, dict):
+        params["q"] = {"N": _number(int, q.get("N"), f"{where}.q.N"),
+                       "k": _number(int, q.get("k", 1), f"{where}.q.k")}
+    return params
 
 
 def _env_tolerances() -> Dict[str, float]:
@@ -522,10 +554,8 @@ def load_scenario(path: str) -> Scenario:
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ScenarioParseError(f"{where}.params: expected an object")
-        params = _bind(_REGISTRY[name], params, f"{where}.params")
-        if "model" in params and params["model"] not in list(_MODELS):
-            raise ScenarioParseError(
-                f"{where}.params.model: unknown model {params['model']!r}")
+        params = _decode_params(_bind(_REGISTRY[name], params, f"{where}.params"),
+                                f"{where}.params")
         checks.append(CheckSpec(check=name, params=params,
                                 independent=bool(entry.get("independent", True))))
     return Scenario(name=str(data["name"]), seed=_number(int, data["seed"], f"{path}: seed"),

@@ -163,7 +163,8 @@ def test_criterion_05_bargmann_structure():
     flat = [o for seq in orders.values() for o in seq]
     assert min(flat) >= 1.8
     assert max(flat) <= 2.2
-    exact = galilei.generator_commutators(1.0, galilei.momentum_grid(64, 10.0))
+    exact = galilei.generator_commutators(1.0, galilei.momentum_grid(64, 10.0),
+                                          pairs=galilei.EXACT_BRACKETS)
     assert exact.max_deviation(galilei.EXACT_BRACKETS) < 1e-11
     report(5, "cocycle identity and second-order commutator convergence",
            watch)

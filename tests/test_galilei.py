@@ -7,7 +7,8 @@ from opalg.galilei import (_PHASES, COMMUTATOR_TABLE, CONVERGENT_BRACKETS,
                            EXACT_BRACKETS, BargmannElement,
                            GridTooCoarseError, NotARotationError,
                            _default_test_functions, _derivative,
-                           _real_generators, bargmann_exponent,
+                           _offset_gaussian, _real_generators,
+                           _separable_deviations, bargmann_exponent,
                            bargmann_multiply, clifford_generators,
                            commutator_convergence, galilei_compose,
                            generator_commutators, levy_leblond_matrices,
@@ -200,6 +201,59 @@ class TestGridCommutators:
         np.testing.assert_allclose(acted, 2 * mass * np.outer(a, b), atol=1e-12)
 
 
+LADDER = (32, 64, 128)
+
+
+@pytest.fixture(scope="module")
+def ladder_deviations():
+    """Separable and 3-D deviations of the convergent brackets on the uncut
+    offset Gaussian at each size of LADDER."""
+    out = {}
+    for n in LADDER:
+        grid = momentum_grid(n, 10.0)
+        sigma, center = _offset_gaussian(grid)
+        p = [grid.coordinate(i) for i in range(3)]
+        psi = np.exp(-sum((p[i] - center[i]) ** 2 for i in range(3)) / (2.0 * sigma ** 2))
+        out[n] = (_separable_deviations(1.0, grid),
+                  generator_commutators(1.0, grid, [psi],
+                                        pairs=CONVERGENT_BRACKETS).deviations)
+    return out
+
+
+def orders_value(orders):
+    flat = [o for seq in orders.values() for o in seq]
+    return f"orders[{min(flat):.3f};{max(flat):.3f}]"
+
+
+class TestSeparableConvergence:
+    """The separable deviations against the 3-D path on the same function."""
+
+    @pytest.mark.parametrize("n", LADDER)
+    def test_deviations_match_the_3d_path(self, ladder_deviations, n):
+        got, want = ladder_deviations[n]
+        assert list(got) == list(want) == list(CONVERGENT_BRACKETS)
+        for key, ref in want.items():
+            assert abs(got[key] - ref) <= 1e-10 * ref, key
+
+    @pytest.mark.parametrize("sizes", [LADDER[:2], LADDER])
+    def test_orders_match_the_3d_ladder(self, ladder_deviations, sizes):
+        h = [momentum_grid(n, 10.0).spacing for n in sizes]
+        errs = [ladder_deviations[n][1] for n in sizes]
+        want = {pair: [np.log(errs[i][pair] / errs[i + 1][pair]) / np.log(h[i] / h[i + 1])
+                       for i in range(len(sizes) - 1)]
+                for pair in CONVERGENT_BRACKETS}
+        got = commutator_convergence(1.0, sizes, 10.0)
+        assert got.keys() == want.keys()
+        for pair in want:
+            np.testing.assert_allclose(got[pair], want[pair], rtol=0, atol=1e-9)
+        assert orders_value(got) == orders_value(want)
+
+    @pytest.mark.parametrize("sizes", [[32], [32, 32], [64, 32, 64], []])
+    def test_degenerate_ladder_rejected(self, sizes):
+        with pytest.raises(ValueError, match=r"sizes \[.*\]: need at least two"):
+            commutator_convergence(1.0, sizes, 10.0)
+
+
 class TestRealStencils:
     def test_stack_derivative_equals_slices(self):
         rng = np.random.default_rng(12)
@@ -242,7 +296,7 @@ class TestRealStencils:
 
     def test_real_and_zero_imaginary_functions_agree(self):
         grid = momentum_grid(32, 10.0)
-        psi = _default_test_functions(grid, count=1)[0]
+        psi = _default_test_functions(grid)[0]
         assert not psi.imag.any()
         assert generator_commutators(1.0, grid, [psi.real]).deviations == \
             generator_commutators(1.0, grid, [psi]).deviations

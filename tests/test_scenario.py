@@ -110,6 +110,24 @@ class TestLoading:
         assert type(grid["p_max"]) is float
         assert type(quotient["expect_dim"]) is int
 
+    def test_nested_numbers_read_at_load(self, tmp_path):
+        path = write_scenario(tmp_path, {
+            "name": "nested", "seed": 1,
+            "checks": [{"check": "galilei.commutator_convergence",
+                        "params": {"sizes": [32.0, 64]}},
+                       {"check": "krein.invariants", "params": {"signature": [2.0, 1]}},
+                       {"check": "qplane.center", "params": {"q": {"N": 3.0}}},
+                       {"check": "wigner.parseval", "params": {"times": [0, 1]}}]})
+        ladder, krein, center, parseval = (spec.params for spec in load_scenario(path).checks)
+        assert ladder == {"sizes": [32, 64]} and type(ladder["sizes"][0]) is int
+        assert krein == {"signature": [2, 1]} and type(krein["signature"][0]) is int
+        assert center == {"q": {"N": 3, "k": 1}} and type(center["q"]["N"]) is int
+        assert [type(t) for t in parseval["times"]] == [float, float]
+
+    def test_ladder_minimum_is_the_grid_minimum(self):
+        from opalg import galilei, scenario
+        assert scenario._MIN_LADDER_POINTS == galilei.MIN_POINTS_PER_AXIS
+
     def test_benchmark_workloads_load(self, tmp_path):
         # the generated workloads name parameters that the checks must keep
         proc = run_python(["perfbench/workloads.py", "--seed", "1", "--out", str(tmp_path)])
@@ -309,6 +327,16 @@ class TestCli:
          {}, "checks[0].params.times[1]"),
         ({}, {"OPALG_TOL_DEFAULT": "inf"}, "OPALG_TOL_DEFAULT"),
         ({}, {"OPALG_TOL_PARSEVAL": "nan"}, "OPALG_TOL_PARSEVAL"),
+        ({"checks": [{"check": "galilei.commutator_convergence",
+                      "params": {"sizes": [32, 64.2]}}]}, {}, "checks[0].params.sizes[1]"),
+        ({"checks": [{"check": "galilei.commutator_convergence",
+                      "params": {"sizes": 64}}]}, {}, "checks[0].params.sizes"),
+        ({"checks": [{"check": "qplane.center", "params": {"q": {"N": 5.5}}}]},
+         {}, "checks[0].params.q.N"),
+        ({"checks": [{"check": "qplane.center", "params": {"q": {"N": 5, "k": True}}}]},
+         {}, "checks[0].params.q.k"),
+        ({"checks": [{"check": "krein.invariants", "params": {"signature": [1.5, 1]}}]},
+         {}, "checks[0].params.signature[0]"),
     ])
     def test_exit_two_on_a_number_that_is_not_one(self, tmp_path, body, env, field):
         # json.dumps writes NaN and the infinities as the tokens json.load reads
@@ -318,6 +346,18 @@ class TestCli:
         proc = run_cli(["run", path], **env)
         assert proc.returncode == 2
         assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("sizes", [[32], [32, 32], [32, 64, 32], [16, 32], []])
+    def test_exit_two_on_a_degenerate_ladder(self, tmp_path, sizes):
+        path = write_scenario(tmp_path, {
+            "name": "bad", "seed": 1,
+            "checks": [{"check": "galilei.commutator_convergence",
+                        "params": {"sizes": sizes}}]})
+        proc = run_cli(["run", path])
+        assert proc.returncode == 2
+        assert "checks[0].params.sizes: expected two or more sizes" in proc.stderr
+        assert f"got {sizes}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_out_file_and_rerun_identical(self, tmp_path, capsys):
