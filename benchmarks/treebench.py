@@ -8,8 +8,7 @@ child process that imports `opalg` from the given tree, builds its inputs
 and prints the seconds of one timed call; the trees take turns point by
 point, so a slow spell of the host falls on all of them.  The median over
 REPEATS rounds is reported, and the exponent k of t ~ n^k is fitted by
-least squares on log t against log n.  A sweep may name the tree labels it
-times, to leave out a tree that would take minutes at its sizes.
+least squares on log t against log n.
 """
 
 from __future__ import annotations
@@ -52,24 +51,21 @@ def machine():
 
 
 def run_sweeps(trees, child, sweeps):
-    """sweeps: (name, kind, axis, sizes, what) tuples, with an optional
-    sixth entry naming the tree labels to time (default all); the child
-    gets kind and size as its two arguments."""
+    """sweeps: (name, kind, axis, sizes, what) tuples; the child gets kind
+    and size as its two arguments."""
     results = {}
-    for name, kind, axis, sizes, what, *only in sweeps:
-        timed = {label: src for label, src in trees.items()
-                 if not only or label in only[0]}
-        times = {label: {n: [] for n in sizes} for label in timed}
+    for name, kind, axis, sizes, what in sweeps:
+        times = {label: {n: [] for n in sizes} for label in trees}
         for _ in range(REPEATS):
             for n in sizes:
-                for label, src in timed.items():
+                for label, src in trees.items():
                     times[label][n].append(time_once(src, child, kind, n))
         medians = {label: [statistics.median(times[label][n]) for n in sizes]
-                   for label in timed}
+                   for label in trees}
         results[name] = {
             "what": what, "axis": axis, "sizes": list(sizes),
             "median_s": medians,
-            "runs_s": {label: [times[label][n] for n in sizes] for label in timed},
+            "runs_s": {label: [times[label][n] for n in sizes] for label in trees},
             "exponent": {label: round(statistics.linear_regression(
                 [math.log(n) for n in sizes], [math.log(t) for t in ts]).slope, 3)
                 for label, ts in medians.items()},

@@ -8,10 +8,13 @@ not depend on floating-point phases: an element of Z[zeta_N] is a cyclic
 vector of N integers, so multiplying by a power of q rotates it, and it is
 reduced modulo the N-th cyclotomic polynomial only to decide whether it
 vanishes.  Generic numeric q uses complex coefficients with a small zero
-threshold.  The coaction check uses that the coaction is an algebra map:
-the image of a word is the image of its prefix times the image of its last
-letter, so each image is built once, and each product of an ordered group
-monomial with one letter is normal ordered once.
+threshold.  Nothing is normal ordered by rewriting words: a plane word
+collapses to q^{-inversions} x^a y^b, and an ordered group monomial
+a^i b^j c^k d^l times one letter has a closed form in the exponents, so a
+group word is ordered by multiplying in one letter at a time.  The coaction
+check uses that the coaction is an algebra map: the image of a word is the
+image of its prefix times the image of its last letter, so each image is
+built once.  The tests keep a leftmost-descent rewriter as the reference.
 """
 
 from __future__ import annotations
@@ -178,37 +181,11 @@ class QPlanePoly:
         self.q = q
         self.terms = {k: v for k, v in terms.items() if not _Coeff.vanishes(v)}
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add(self, other: "QPlanePoly") -> "QPlanePoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out[k] + v if k in out else v
-        return QPlanePoly(self.q, out)
-
-    def mul(self, other: "QPlanePoly") -> "QPlanePoly":
-        out: Dict[Tuple[int, int], object] = {}
-        for (a, b), ca in self.terms.items():
-            for (c, d), cb in other.terms.items():
-                # y^b x^c = q^{-bc} x^c y^b
-                key = (a + c, b + d)
-                val = ca * cb * _Coeff.power(self.q, -b * c)
-                out[key] = out[key] + val if key in out else val
-        return QPlanePoly(self.q, out)
-
-    def neg(self) -> "QPlanePoly":
-        return QPlanePoly(self.q, {k: -v for k, v in self.terms.items()})
-
     def __repr__(self):
         return f"QPlanePoly({self.terms})"
 
 
-def plane_monomial(q: QValue, a: int, b: int, coeff=None) -> QPlanePoly:
-    return QPlanePoly(q, {(a, b): coeff if coeff is not None else _Coeff.power(q, 0)})
-
-
-def qplane_normal_form(word: Sequence[str], q: QValue, coeff=None) -> QPlanePoly:
+def qplane_normal_form(word: Sequence[str], q: QValue) -> QPlanePoly:
     """Normal order a word in the letters x, y.
 
     Each inversion (a y standing left of an x) contributes one rewrite
@@ -224,81 +201,69 @@ def qplane_normal_form(word: Sequence[str], q: QValue, coeff=None) -> QPlanePoly
             b += 1
         else:
             raise ValueError(f"unexpected letter {letter!r}")
-    c = _Coeff.power(q, -inversions)
-    if coeff is not None:
-        c = c * coeff
-    return QPlanePoly(q, {(a, b): c})
+    return QPlanePoly(q, {(a, b): _Coeff.power(q, -inversions)})
 
 
 def center_probe(q: QValue, max_deg: int) -> List[Tuple[int, int]]:
     """Nonconstant monomials of total degree <= max_deg commuting with x and y.
 
-    Constants are always central and are omitted.  At a primitive N-th root
-    of unity the list is exactly the powers x^{aN} y^{bN}; at generic q it
-    is empty.
+    Constants are always central and are omitted.  Since x^a y^b x =
+    q^{-b} x^{a+1} y^b and y x^a y^b = q^{-a} x^a y^{b+1}, the monomial is
+    central iff q^{-a} = q^{-b} = 1: at a primitive N-th root of unity the
+    list is exactly the powers x^{aN} y^{bN}; at generic q it is empty.
     """
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
-    central = []
-    x = plane_monomial(q, 1, 0)
-    y = plane_monomial(q, 0, 1)
-    for total in range(1, max_deg + 1):
-        for a in range(total + 1):
-            b = total - a
-            mono = plane_monomial(q, a, b)
-            comm_x = mono.mul(x).add(x.mul(mono).neg())
-            comm_y = mono.mul(y).add(y.mul(mono).neg())
-            if comm_x.is_zero() and comm_y.is_zero():
-                central.append((a, b))
-    return central
+    one = _Coeff.power(q, 0)
+    trivial = [_Coeff.vanishes(_Coeff.power(q, -e) - one) for e in range(max_deg + 1)]
+    return [(a, total - a) for total in range(1, max_deg + 1)
+            for a in range(total + 1) if trivial[a] and trivial[total - a]]
 
 
 # ---------------------------------------------------------------------------
 # the quantum group in two generators pairs
 
 
-_GLQ2_LETTERS = "abcd"
+def _times(exps: Tuple[int, int, int, int], g: str, q: QValue,
+           perturb_ab: bool) -> List[Tuple[Tuple[int, int, int, int], object]]:
+    """The ordered monomial a^i b^j c^k d^l times the letter g, in the
+    ordered basis, as (exponents, coefficient) pairs.
 
-
-# rewrite rules bringing words to the order a <= b <= c <= d: each maps a
-# descending two-letter word to a list of (q-power, extra integer factor,
-# replacement word)
-_GLQ2_RULES = {
-    ("b", "a"): [(-1, 1, "ab")],
-    ("c", "a"): [(-1, 1, "ac")],
-    ("c", "b"): [(0, 1, "bc")],
-    ("d", "b"): [(-1, 1, "bd")],
-    ("d", "c"): [(-1, 1, "cd")],
-    # d a = a d - (q - q^{-1}) b c
-    ("d", "a"): [(0, 1, "ad"), (1, -1, "bc"), (-1, 1, "bc")],
-}
-# the broken rule b a -> a b of the control case
-_GLQ2_PERTURBED = {**_GLQ2_RULES, ("b", "a"): [(0, 1, "ab")]}
+    g moves left past the letters after it: d c = q^{-1} c d,
+    d b = q^{-1} b d, c b = b c, c a = q^{-1} a c and b a = q^{-1} a b
+    (b a = a b in the control case); past d^l an a leaves a second term,
+    d^l a = a d^l - (q - q^{1-2l}) b c d^{l-1}, which telescopes from
+    d a = a d - (q - q^{-1}) b c and d (b c) = q^{-2} (b c) d.
+    """
+    i, j, k, l = exps
+    if g == "d":
+        return [((i, j, k, l + 1), _Coeff.power(q, 0))]
+    if g == "c":
+        return [((i, j, k + 1, l), _Coeff.power(q, -l))]
+    if g == "b":
+        return [((i, j + 1, k, l), _Coeff.power(q, -l))]
+    if g != "a":
+        raise ValueError(f"unexpected letter {g!r}")
+    out = [((i + 1, j, k, l), _Coeff.power(q, -k if perturb_ab else -(j + k)))]
+    if l:
+        out.append(((i, j + 1, k + 1, l - 1),
+                    _Coeff.power(q, 1 - 2 * l) - _Coeff.power(q, 1)))
+    return out
 
 
 def glq2_normal_form(word: str, q: QValue,
                      perturb_ab: bool = False) -> Dict[Tuple[int, int, int, int], object]:
-    """Reduce a word in a, b, c, d to the ordered monomial basis."""
-    rules = _GLQ2_PERTURBED if perturb_ab else _GLQ2_RULES
-    result: Dict[Tuple[int, int, int, int], object] = {}
-    stack: List[Tuple[str, object]] = [(word, _Coeff.power(q, 0))]
-    while stack:
-        w, coeff = stack.pop()
-        pos = -1
-        for i in range(len(w) - 1):
-            if w[i] > w[i + 1]:
-                pos = i
-                break
-        if pos < 0:
-            key = tuple(map(w.count, _GLQ2_LETTERS))
-            result[key] = result[key] + coeff if key in result else coeff
-            continue
-        for power, factor, repl in rules[(w[pos], w[pos + 1])]:
-            new_coeff = coeff * _Coeff.power(q, power)
-            if factor == -1:
-                new_coeff = -new_coeff
-            stack.append((w[:pos] + repl + w[pos + 2:], new_coeff))
-    return {k: v for k, v in result.items() if not _Coeff.vanishes(v)}
+    """Reduce a word in a, b, c, d to the ordered monomial basis, one letter
+    at a time from the left."""
+    terms: Dict[Tuple[int, int, int, int], object] = {(0, 0, 0, 0): _Coeff.power(q, 0)}
+    for g in word:
+        out: Dict[Tuple[int, int, int, int], object] = {}
+        for exps, c in terms.items():
+            for key, gc in _times(exps, g, q, perturb_ab):
+                val = c * gc
+                out[key] = out[key] + val if key in out else val
+        terms = out
+    return {k: v for k, v in terms.items() if not _Coeff.vanishes(v)}
 
 
 def _coaction_letter(letter: str, form: str) -> List[Tuple[str, str]]:
@@ -316,18 +281,11 @@ def _coaction_images(q: QValue, perturb_ab: bool):
     delta is an algebra map, so delta(w l) = delta(w) delta(l): an image is
     its prefix's image times the two terms of delta(l).  On the plane side
     x^a y^b x = q^{-b} x^{a+1} y^b; on the group side an ordered monomial
-    times one letter is normal ordered once, cached by (exponents, letter)
-    for both forms.  The caches live as long as the returned function.
+    times one letter is `_times`.  The images live as long as the returned
+    function.
     """
     images = {("", form): {((0, 0, 0, 0), (0, 0)): _Coeff.power(q, 0)}
               for form in ("column", "row")}
-    products: Dict[tuple, list] = {}
-
-    def times(exps, g):
-        if (exps, g) not in products:
-            ordered = "".join(letter * e for letter, e in zip(_GLQ2_LETTERS, exps))
-            products[exps, g] = list(glq2_normal_form(ordered + g, q, perturb_ab).items())
-        return products[exps, g]
 
     def image(word: str, form: str) -> dict:
         if (word, form) not in images:
@@ -336,7 +294,7 @@ def _coaction_images(q: QValue, perturb_ab: bool):
                 for g, p in _coaction_letter(word[-1], form):
                     plane, cp = ((pa + 1, pb), c * _Coeff.power(q, -pb)) if p == "x" \
                         else ((pa, pb + 1), c)
-                    for gkey, gc in times(exps, g):
+                    for gkey, gc in _times(exps, g, q, perturb_ab):
                         key, val = (gkey, plane), cp * gc
                         out[key] = out[key] + val if key in out else val
             images[word, form] = out

@@ -406,11 +406,7 @@ def _check_coaction(ctx, *, q, max_deg=3, perturb_ab=False):
 
 def _decode_q(data):
     from . import qplane
-    if isinstance(data, dict):
-        return qplane.RootOfUnity(N=data["N"], k=data["k"])
-    if isinstance(data, (list, tuple)):
-        return complex(data[0], data[1])
-    return complex(data)
+    return qplane.RootOfUnity(N=data["N"], k=data["k"]) if isinstance(data, dict) else data
 
 
 def _dump_field(path: str, grid, values: np.ndarray):
@@ -495,8 +491,9 @@ _MIN_LADDER_POINTS = 32
 
 
 def _decode_params(params: Dict, where: str) -> Dict:
-    """Check the model name, the size ladder and a root of unity q = {N, k}
-    of a bound params dict, and read the integers of q."""
+    """Check the model name, the size ladder and the signature of a bound
+    params dict, and read q: the integers N and k of a root of unity
+    {N, k}, or a number or a pair [re, im] as a complex number."""
     if "model" in params and params["model"] not in list(_MODELS):
         raise ScenarioParseError(f"{where}.model: unknown model {params['model']!r}")
     sizes = params.get("sizes")
@@ -505,10 +502,22 @@ def _decode_params(params: Dict, where: str) -> Dict:
         raise ScenarioParseError(
             f"{where}.sizes: expected two or more sizes, no two equal, each of at "
             f"least {_MIN_LADDER_POINTS} points, got {sizes}")
+    signature = params.get("signature")
+    if signature is not None and (len(signature) != 2 or min(signature) < 0
+                                  or sum(signature) < 1):
+        raise ScenarioParseError(
+            f"{where}.signature: expected two non-negative integers with a positive "
+            f"sum, got {signature}")
     q = params.get("q")
     if isinstance(q, dict):
         params["q"] = {"N": _number(int, q.get("N"), f"{where}.q.N"),
                        "k": _number(int, q.get("k", 1), f"{where}.q.k")}
+    elif isinstance(q, list):
+        if len(q) != 2:
+            raise ScenarioParseError(f"{where}.q: expected [re, im], got {q!r}")
+        params["q"] = complex(*_numbers(float, q, f"{where}.q"))
+    elif "q" in params:
+        params["q"] = complex(_number(float, q, f"{where}.q"))
     return params
 
 

@@ -1,3 +1,4 @@
+import itertools
 from math import gcd
 
 import numpy as np
@@ -7,14 +8,29 @@ from hypothesis import strategies as st
 
 from opalg.qplane import (QPlanePoly, RelationViolatedError, RootOfUnity,
                           center_probe, glq2_coaction_check, glq2_normal_form,
-                          plane_monomial, qplane_normal_form)
+                          qplane_normal_form)
 from opalg.qplane import _Coeff, _cyclotomic
 
-from oracles import Cyclo, coaction_check_reference, cyclotomic_reference
+from oracles import (Cyclo, center_reference, coaction_check_reference,
+                     cyclotomic_reference, glq2_rewrite, plane_product)
 
 
 def random_word(rng, length):
     return "".join(rng.choice(["x", "y"]) for _ in range(length))
+
+
+# exact roots compare with _Coeff ==, numeric values to 1e-12 relative
+GATE_QS = [RootOfUnity(3, 1), RootOfUnity(4, 1), RootOfUnity(5, 2), RootOfUnity(6, 1),
+           2.0 + 0j, 0.7 + 0j, complex(np.exp(0.3j))]
+
+
+def assert_same_terms(got, want, q):
+    assert set(got) == set(want)
+    for key, value in want.items():
+        if isinstance(q, RootOfUnity):
+            assert got[key] == value
+        else:
+            assert abs(got[key] - value) <= 1e-12 * abs(value)
 
 
 def rewrite_random_order(word, q, rng):
@@ -105,7 +121,8 @@ class TestNormalForm:
 
     def test_monomial_product_reordering_factor(self):
         q = 2.0 + 0j
-        poly = plane_monomial(q, 1, 1).mul(plane_monomial(q, 1, 1))  # (xy)(xy) = q^{-1} x^2 y^2
+        xy = qplane_normal_form("xy", q)
+        poly = plane_product(xy, xy)  # (xy)(xy) = q^{-1} x^2 y^2
         assert poly.terms == {(2, 2): 0.5 + 0j}
 
     def test_bad_letter_rejected(self):
@@ -143,6 +160,13 @@ class TestCenterProbe:
         swapped = sorted((b, a) for a, b in minus)
         assert sorted(plus) == swapped
 
+    @pytest.mark.parametrize("q", [RootOfUnity(n, 1) for n in range(1, 9)]
+                             + [RootOfUnity(5, 2), RootOfUnity(8, 3),
+                                2.0 + 0j, complex(np.exp(0.3j))], ids=str)
+    def test_matches_commutator_reference(self, q):
+        max_deg = 2 * q.N if isinstance(q, RootOfUnity) else 8
+        assert center_probe(q, max_deg) == center_reference(q, max_deg)
+
 
 class TestGLq2:
     def test_normal_form_of_sorted_word(self):
@@ -172,6 +196,29 @@ class TestGLq2:
         assert set(out) == {(1, 1, 0, 1), (0, 2, 1, 0)}
         assert abs(out[(1, 1, 0, 1)] - 1 / 9) < 1e-12
         assert abs(out[(0, 2, 1, 0)] - (1 / 9 - 1)) < 1e-12
+
+    @pytest.mark.parametrize("word", ["ae", "ea"])
+    def test_unknown_letter_rejected(self, word):
+        with pytest.raises(ValueError, match="unexpected letter 'e'"):
+            glq2_normal_form(word, 2.0 + 0j)
+
+    @pytest.mark.parametrize("q", GATE_QS, ids=str)
+    def test_matches_rewriter_on_every_short_word(self, q):
+        for length in range(6):
+            for letters in itertools.product("abcd", repeat=length):
+                word = "".join(letters)
+                assert_same_terms(glq2_normal_form(word, q), glq2_rewrite(word, q), q)
+
+    @pytest.mark.parametrize("perturb_ab", [False, True])
+    @pytest.mark.parametrize("q", GATE_QS, ids=str)
+    def test_ordered_monomial_times_letter_matches_rewriter(self, q, perturb_ab):
+        # the perturbed rules are not confluent: on whole perturbed words the
+        # fold and the rewriter may differ, on these products they may not
+        for exps in itertools.product(range(4), repeat=4):
+            ordered = "".join(letter * e for letter, e in zip("abcd", exps))
+            for g in "abcd":
+                assert_same_terms(glq2_normal_form(ordered + g, q, perturb_ab),
+                                  glq2_rewrite(ordered + g, q, perturb_ab), q)
 
     def test_coaction_preserved_generic(self):
         report = glq2_coaction_check(2.0 + 0j, 4)

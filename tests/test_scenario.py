@@ -124,6 +124,15 @@ class TestLoading:
         assert center == {"q": {"N": 3, "k": 1}} and type(center["q"]["N"]) is int
         assert [type(t) for t in parseval["times"]] == [float, float]
 
+    def test_numeric_q_read_at_load(self, tmp_path):
+        path = write_scenario(tmp_path, {
+            "name": "numeric-q", "seed": 1,
+            "checks": [{"check": "qplane.center", "params": {"q": 2}},
+                       {"check": "qplane.coaction", "params": {"q": [0.5, -1]}}]})
+        center, coaction = (spec.params for spec in load_scenario(path).checks)
+        assert center == {"q": 2 + 0j} and type(center["q"]) is complex
+        assert coaction == {"q": 0.5 - 1j}
+
     def test_ladder_minimum_is_the_grid_minimum(self):
         from opalg import galilei, scenario
         assert scenario._MIN_LADDER_POINTS == galilei.MIN_POINTS_PER_AXIS
@@ -337,6 +346,18 @@ class TestCli:
          {}, "checks[0].params.q.k"),
         ({"checks": [{"check": "krein.invariants", "params": {"signature": [1.5, 1]}}]},
          {}, "checks[0].params.signature[0]"),
+        ({"checks": [{"check": "qplane.center", "params": {"q": [2]}}]},
+         {}, "checks[0].params.q: expected [re, im]"),
+        ({"checks": [{"check": "qplane.center", "params": {"q": [2, 0, 7]}}]},
+         {}, "checks[0].params.q: expected [re, im]"),
+        ({"checks": [{"check": "qplane.center", "params": {"q": "2"}}]},
+         {}, "checks[0].params.q: expected a finite number"),
+        ({"checks": [{"check": "krein.invariants", "params": {"signature": [1]}}]},
+         {}, "checks[0].params.signature: expected two non-negative integers"),
+        ({"checks": [{"check": "krein.invariants", "params": {"signature": [0, 0]}}]},
+         {}, "checks[0].params.signature: expected two non-negative integers"),
+        ({"checks": [{"check": "krein.invariants", "params": {"signature": [-1, 2]}}]},
+         {}, "checks[0].params.signature: expected two non-negative integers"),
     ])
     def test_exit_two_on_a_number_that_is_not_one(self, tmp_path, body, env, field):
         # json.dumps writes NaN and the infinities as the tokens json.load reads
