@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=("text", "csv"), default="text")
     run.add_argument("--out", help="write the report to this path")
     run.add_argument("--jobs", type=int, default=1,
-                     help="max concurrent independent checks")
+                     help="max concurrent checks")
     run.add_argument("--seed", type=int, default=None,
                      help="override the scenario seed")
 

@@ -292,10 +292,11 @@ def _coaction_images(q: QValue, perturb_ab: bool):
             out: dict = {}
             for (exps, (pa, pb)), c in image(word[:-1], form).items():
                 for g, p in _coaction_letter(word[-1], form):
-                    plane, cp = ((pa + 1, pb), c * _Coeff.power(q, -pb)) if p == "x" \
-                        else ((pa, pb + 1), c)
+                    # products by q^0 (x past no y, and every d) are skipped
+                    plane, cp = ((pa + 1, pb), c * _Coeff.power(q, -pb) if pb else c) \
+                        if p == "x" else ((pa, pb + 1), c)
                     for gkey, gc in _times(exps, g, q, perturb_ab):
-                        key, val = (gkey, plane), cp * gc
+                        key, val = (gkey, plane), cp if g == "d" else cp * gc
                         out[key] = out[key] + val if key in out else val
             images[word, form] = out
         return images[word, form]

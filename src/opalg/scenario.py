@@ -10,18 +10,15 @@ the failure.  A run imports only the layers its check names start with.
 
 from __future__ import annotations
 
-import importlib
+import functools
 import json
 import math
-import os
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import brst, series
-from . import krein as krein_mod
+import opalg
 
 __all__ = [
     "Scenario",
@@ -45,9 +42,6 @@ DEFAULT_TOLERANCES = {
     "grid_exact": 1e-11,
 }
 
-ENV_PREFIX = "OPALG_TOL_"
-
-
 class ScenarioParseError(ValueError):
     pass
 
@@ -59,7 +53,6 @@ class UnknownCheckError(ValueError):
 class CheckSpec(NamedTuple):
     check: str
     params: Dict
-    independent: bool = True
 
 
 class Scenario(NamedTuple):
@@ -78,11 +71,10 @@ class CheckRecord(NamedTuple):
     wall_ms: float
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     scenario: str
     seed: int
-    records: List[CheckRecord] = field(default_factory=list)
+    records: Tuple[CheckRecord, ...] = ()
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -101,7 +93,7 @@ class Report:
 # serialization helpers
 
 
-def series_from_json(data) -> series.FormalSeries:
+def series_from_json(data) -> opalg.series.FormalSeries:
     """Series from arrays of [re, im] pairs or nested arrays for matrices."""
     def decode(entry):
         arr = np.asarray(entry, dtype=float)
@@ -110,7 +102,7 @@ def series_from_json(data) -> series.FormalSeries:
         if arr.ndim >= 2 and arr.shape[-1] == 2:
             return arr[..., 0] + 1j * arr[..., 1]
         raise ScenarioParseError(f"cannot decode series coefficient {entry!r}")
-    return series.FormalSeries([decode(entry) for entry in data])
+    return opalg.series.FormalSeries([decode(entry) for entry in data])
 
 
 def _fmt(value) -> str:
@@ -142,11 +134,14 @@ class CheckResult(NamedTuple):
 # parameters, and load_scenario validates a scenario's params against them
 CheckFn = Callable[..., CheckResult]
 _REGISTRY: Dict[str, CheckFn] = {}
+# check name -> {string parameter: the values it may take}
+_CHOICES: Dict[str, Dict[str, Tuple[str, ...]]] = {}
 
 
-def register(name: str):
+def register(name: str, **choices: Tuple[str, ...]):
     def wrap(fn: CheckFn) -> CheckFn:
         _REGISTRY[name] = fn
+        _CHOICES[name] = choices
         return fn
     return wrap
 
@@ -160,9 +155,9 @@ def available_checks() -> List[str]:
 _BLOCK = 16
 
 
-@register("series.is_positive")
+@register("series.is_positive", expect=("positive", "not_positive"))
 def _check_is_positive(ctx, *, b, expect="positive"):
-    verdict = series.is_positive(series_from_json(b), tol=ctx.tol())
+    verdict = opalg.series.is_positive(series_from_json(b), tol=ctx.tol())
     got = "positive" if verdict.positive else "not_positive"
     return CheckResult(passed=(got == expect), value=got, tolerance=ctx.tol())
 
@@ -177,12 +172,12 @@ def _check_witness_roundtrip(ctx, *, count=50, order: Optional[int] = None):
         draws = ctx.rng.normal(size=(min(_BLOCK, count - start), 2, order + 1))
         c = draws[:, 0] + 1j * draws[:, 1]
         c[np.abs(c[:, 0]) < 0.1, 0] += 1.0
-        b = series._star_square_rows(c)
-        positive, witness, failure = series._positive_rows(b, tol)
+        b = opalg.series._star_square_rows(c)
+        positive, witness, failure = opalg.series._positive_rows(b, tol)
         if not positive.all():
             return CheckResult(passed=False,
                                value=f"not_positive@{failure[np.argmin(positive)]}")
-        defect = np.max(np.abs(series._star_square_rows(witness) - b), axis=1)
+        defect = np.max(np.abs(opalg.series._star_square_rows(witness) - b), axis=1)
         # witness coefficients grow like |c0|^-order: compare with the scale
         # of the Cauchy sums, not absolutely
         scale = np.maximum(np.max(np.abs(witness), axis=1) ** 2, np.max(np.abs(b), axis=1))
@@ -192,36 +187,36 @@ def _check_witness_roundtrip(ctx, *, count=50, order: Optional[int] = None):
 
 @register("krein.invariants")
 def _check_krein_invariants(ctx, *, signature=(1, 1), samples=100):
-    tol = ctx.tol()
+    krein, tol = opalg.krein, ctx.tol()
     gram = np.diag([1.0] * signature[0] + [-1.0] * signature[1])
-    K = krein_mod.make_krein(gram)
-    J = krein_mod.fundamental_symmetry(K)
+    K = krein.make_krein(gram)
+    J = krein.fundamental_symmetry(K)
     worst = np.max(np.abs(J.matrix @ J.matrix - np.eye(K.dim)))
     worst = max(worst, float(np.min(np.linalg.eigvalsh(
-        krein_mod.wick_rotate(K, J))) <= 0))
+        krein.wick_rotate(K, J))) <= 0))
     n = K.dim
     for start in range(0, samples, _BLOCK):
         # per sample: Re A, Im A, Re B, Im B, in the order of one-by-one draws
         d = ctx.rng.normal(size=(min(_BLOCK, samples - start), 4, n, n))
         A, B = d[:, 0] + 1j * d[:, 1], d[:, 2] + 1j * d[:, 3]
-        adj = krein_mod.krein_adjoint(K, A)
+        adj = krein.krein_adjoint(K, A)
+        worst = max(worst, float(np.max(np.abs(krein.krein_adjoint(K, adj) - A))))
         worst = max(worst, float(np.max(np.abs(
-            krein_mod.krein_adjoint(K, adj) - A))))
-        worst = max(worst, float(np.max(np.abs(
-            krein_mod.krein_adjoint(K, A @ B) - krein_mod.krein_adjoint(K, B) @ adj))))
+            krein.krein_adjoint(K, A @ B) - krein.krein_adjoint(K, B) @ adj))))
     return CheckResult(passed=worst <= tol, value=float(worst), tolerance=tol)
 
 
+# name -> structure; each entry reaches opalg.brst only when it is called
 _MODELS = {
-    "null_pair": brst.null_pair_toy,
-    "gupta_bleuler": brst.gupta_bleuler_toy,
-    "two_pair": brst.two_pair_model,
+    "null_pair": lambda: opalg.brst.null_pair_toy(),
+    "gupta_bleuler": lambda: opalg.brst.gupta_bleuler_toy(),
+    "two_pair": lambda: opalg.brst.two_pair_model(),
 }
 
 
 @register("brst.physical_space")
 def _check_physical_space(ctx, *, model="gupta_bleuler", expect_dim: Optional[int] = None):
-    quotient = brst.physical_space(_MODELS[model]())
+    quotient = opalg.brst.physical_space(_MODELS[model]())
     ok = expect_dim is None or quotient.dim == expect_dim
     return CheckResult(passed=ok, value=f"quotient_dim={quotient.dim}")
 
@@ -229,33 +224,32 @@ def _check_physical_space(ctx, *, model="gupta_bleuler", expect_dim: Optional[in
 @register("brst.observables")
 def _check_observables(ctx, *, model="gupta_bleuler", variant="even_ghost",
                        expect_dim: Optional[int] = None):
-    algebra = brst.observable_algebra(_MODELS[model](), variant)
+    algebra = opalg.brst.observable_algebra(_MODELS[model](), variant)
     ok = expect_dim is None or algebra.quotient_dim == expect_dim
     return CheckResult(passed=ok, value=f"quotient_dim={algebra.quotient_dim}")
 
 
-@register("brst.deform_stability")
+@register("brst.deform_stability", mode=("solved", "rescale"))
 def _check_deform_stability(ctx, *, model="two_pair", order=3, samples=20, mode="solved"):
     B = _MODELS[model]()
-    gens = brst.deformation_generators(B)
+    gens = opalg.brst.deformation_generators(B)
     if mode == "rescale" or not gens:
         coeffs = [B.Q, B.Q] + [np.zeros_like(B.Q)] * (order - 1)
-        q_series = series.FormalSeries(coeffs[: order + 1])
+        q_series = opalg.series.FormalSeries(coeffs[: order + 1])
     else:
         weights = ctx.rng.normal(size=len(gens))
         Q1 = sum(w * g for w, g in zip(weights, gens))
-        q_series = series.FormalSeries(
+        q_series = opalg.series.FormalSeries(
             [B.Q, Q1] + [np.zeros_like(B.Q)] * (order - 1))
-    D = brst.validate_deformation(B, q_series)
-    report = brst.deform_check(D, samples=samples, rng=ctx.rng)
+    D = opalg.brst.validate_deformation(B, q_series)
+    report = opalg.brst.deform_check(D, samples=samples, rng=ctx.rng)
     items = ",".join("ok" if p else "FAIL" for p in report.items_passed)
     return CheckResult(passed=report.all_passed, value=items)
 
 
 @register("galilei.cocycle")
 def _check_cocycle(ctx, *, triples=200):
-    from . import galilei
-    tol = ctx.tol()
+    galilei, tol = opalg.galilei, ctx.tol()
     # per element: 9 rotation seeds, v, u and eta, in the order of one
     # element-by-element draw
     draws = ctx.rng.normal(size=(triples, 3, 16))
@@ -274,9 +268,8 @@ def _check_cocycle(ctx, *, triples=200):
 
 @register("galilei.commutators")
 def _check_commutators(ctx, *, points=32, p_max=10.0, mass=1.0):
-    from . import galilei
-    report = galilei.generator_commutators(mass, galilei.momentum_grid(points, p_max),
-                                           pairs=galilei.EXACT_BRACKETS)
+    report = opalg.galilei.generator_commutators(
+        mass, opalg.galilei.momentum_grid(points, p_max), pairs=opalg.galilei.EXACT_BRACKETS)
     tol = ctx.tol("grid_exact")
     worst_exact = report.max_deviation()
     return CheckResult(passed=worst_exact <= tol, value=worst_exact, tolerance=tol)
@@ -284,8 +277,7 @@ def _check_commutators(ctx, *, points=32, p_max=10.0, mass=1.0):
 
 @register("galilei.commutator_convergence")
 def _check_convergence(ctx, *, sizes=(32, 64), p_max=10.0, mass=1.0):
-    from . import galilei
-    orders = galilei.commutator_convergence(mass, sizes, p_max)
+    orders = opalg.galilei.commutator_convergence(mass, sizes, p_max)
     flat = [o for seq in orders.values() for o in seq]
     lo, hi = min(flat), max(flat)
     ok = 1.8 <= lo and hi <= 2.2
@@ -294,8 +286,7 @@ def _check_convergence(ctx, *, sizes=(32, 64), p_max=10.0, mass=1.0):
 
 @register("galilei.clifford")
 def _check_clifford(ctx):
-    from . import galilei
-    cl = galilei.clifford_generators()
+    cl = opalg.galilei.clifford_generators()
     worst = 0.0
     for i, gi in enumerate(cl.gammas):
         for j, gj in enumerate(cl.gammas):
@@ -307,52 +298,48 @@ def _check_clifford(ctx):
 
 @register("galilei.levy_leblond_shell")
 def _check_shell_determinant(ctx, *, mass=1.0, count=100, off_shell=0.5):
-    from . import galilei
-    L = galilei.levy_leblond_matrices(mass)
+    L = opalg.galilei.levy_leblond_matrices(mass)
     worst_on = 0.0
     worst_off = np.inf
     for _ in range(count):
         p = ctx.rng.uniform(-2, 2, size=3)
         eps = float(p @ p) / (2 * mass)
         worst_on = max(worst_on, abs(np.linalg.det(
-            galilei.levy_leblond_symbol(L, eps, p))))
+            opalg.galilei.levy_leblond_symbol(L, eps, p))))
         worst_off = min(worst_off, abs(np.linalg.det(
-            galilei.levy_leblond_symbol(L, eps + off_shell, p))))
+            opalg.galilei.levy_leblond_symbol(L, eps + off_shell, p))))
     ok = worst_on <= 1e-9 and worst_off > 1e-6
     return CheckResult(passed=ok, value=f"on={worst_on:.3e},off={worst_off:.3e}")
 
 
-@register("wigner.parseval")
+@register("wigner.parseval", expect=("isometry", "defect"))
 def _check_parseval(ctx, *, kind="galilean", points=16, mass=1.0, spacing=0.4,
                     reweight="none", times=(0.0, 1.0), expect="isometry", floor=0.05,
                     dump_field=None):
-    from . import wigner
-    shell = wigner.make_shell(kind, mass, points, spacing)
-    defect = max(wigner.isometry_defect(shell, wigner.reciprocal_slice(shell, t),
-                                        reweight) for t in times)
+    shell = opalg.wigner.make_shell(kind, mass, points, spacing)
+    defect = max(opalg.wigner.isometry_defect(
+        shell, opalg.wigner.reciprocal_slice(shell, t), reweight) for t in times)
     tol = ctx.tol("parseval")
     ok = defect <= tol if expect == "isometry" else defect > floor
     result = CheckResult(passed=ok, value=float(defect), tolerance=tol)
     if dump_field:
-        f = wigner.gaussian_family(shell, width=0.5, radius=0.0)[0]
-        grid = wigner.reciprocal_slice(shell, float(times[0]))
-        _dump_field(dump_field, grid, wigner.restricted_inverse_fourier(f, grid))
+        f = opalg.wigner.gaussian_family(shell, width=0.5, radius=0.0)[0]
+        grid = opalg.wigner.reciprocal_slice(shell, float(times[0]))
+        _dump_field(dump_field, grid, opalg.wigner.restricted_inverse_fourier(f, grid))
     return result
 
 
 @register("wigner.two_particle")
 def _check_two_particle(ctx, *, kind="relativistic", mass=1.0, samples=1000, points=9,
                         spacing=0.5):
-    from . import wigner
-    shell = wigner.make_shell(kind, mass, points, spacing)
-    stats = wigner.two_particle_mass_spectrum(shell, samples, rng=ctx.rng)
+    shell = opalg.wigner.make_shell(kind, mass, points, spacing)
+    stats = opalg.wigner.two_particle_mass_spectrum(shell, samples, rng=ctx.rng)
     ok = stats.min >= 2 * mass - 1e-12 and abs(stats.threshold - 2 * mass) <= 1e-12
     return CheckResult(passed=ok, value=f"min={stats.min:.6f}")
 
 
 @register("wigner.angular")
 def _check_angular(ctx, *, amplitude="isotropic", l_max=4):
-    from . import wigner
     if amplitude == "isotropic":
         amp = lambda th, ph: np.ones_like(th, dtype=complex)
         main_l = 0
@@ -361,7 +348,7 @@ def _check_angular(ctx, *, amplitude="isotropic", l_max=4):
         main_l = 1
     else:
         raise ValueError(f"unknown amplitude {amplitude!r}")
-    report = wigner.angular_decomposition(amp, l_max)
+    report = opalg.wigner.angular_decomposition(amp, l_max)
     leakage = sum(v for l, v in report.channel_norms.items() if l != main_l)
     tol = ctx.tol("parseval")
     return CheckResult(passed=leakage <= tol, value=float(leakage), tolerance=tol)
@@ -369,8 +356,7 @@ def _check_angular(ctx, *, amplitude="isotropic", l_max=4):
 
 @register("qplane.normal_form")
 def _check_normal_form(ctx, *, q, word="yx", expect_monomial=None):
-    from . import qplane
-    poly = qplane.qplane_normal_form(list(word), _decode_q(q))
+    poly = opalg.qplane.qplane_normal_form(list(word), _decode_q(q))
     ((a, b), _), = poly.terms.items()
     ok = expect_monomial is None or (a, b) == tuple(expect_monomial)
     return CheckResult(passed=ok, value=f"x^{a}y^{b}")
@@ -378,10 +364,9 @@ def _check_normal_form(ctx, *, q, word="yx", expect_monomial=None):
 
 @register("qplane.center")
 def _check_center(ctx, *, q, max_deg=6):
-    from . import qplane
     q = _decode_q(q)
-    central = qplane.center_probe(q, max_deg)
-    if isinstance(q, qplane.RootOfUnity) and q.N > 1:
+    central = opalg.qplane.center_probe(q, max_deg)
+    if isinstance(q, opalg.qplane.RootOfUnity) and q.N > 1:
         expected = [(a, b) for total in range(1, max_deg + 1)
                     for a in range(total + 1) for b in [total - a]
                     if a % q.N == 0 and b % q.N == 0]
@@ -393,20 +378,18 @@ def _check_center(ctx, *, q, max_deg=6):
 
 @register("qplane.coaction")
 def _check_coaction(ctx, *, q, max_deg=3, perturb_ab=False):
-    from . import qplane
     try:
-        report = qplane.glq2_coaction_check(_decode_q(q), max_deg, perturb_ab=perturb_ab)
+        report = opalg.qplane.glq2_coaction_check(_decode_q(q), max_deg, perturb_ab=perturb_ab)
         ok = not perturb_ab and report.preserved
         value = f"preserved,words={report.words_checked}"
-    except qplane.RelationViolatedError as exc:
+    except opalg.qplane.RelationViolatedError as exc:
         ok = perturb_ab
         value = f"violated@deg{exc.degree}"
     return CheckResult(passed=ok, value=value)
 
 
 def _decode_q(data):
-    from . import qplane
-    return qplane.RootOfUnity(N=data["N"], k=data["k"]) if isinstance(data, dict) else data
+    return opalg.qplane.RootOfUnity(**data) if isinstance(data, dict) else data
 
 
 def _dump_field(path: str, grid, values: np.ndarray):
@@ -422,14 +405,14 @@ def _dump_field(path: str, grid, values: np.ndarray):
 # loading and running
 
 
-def _number(kind, value, where: str, text: bool = False):
-    """A finite int or float from a JSON number, or from a string if text is
-    set; an int only from an integral value, so 16.0 reads as 16.  Anything
-    else (a boolean, a string, NaN, an infinity, 2.9 for an int) raises a
-    ScenarioParseError naming where the value came from."""
+def _number(kind, value, where: str):
+    """A finite int or float from a JSON number; an int only from an integral
+    value, so 16.0 reads as 16.  Anything else (a boolean, a string, NaN, an
+    infinity, 2.9 for an int) raises a ScenarioParseError naming where the
+    value came from."""
     try:
-        number = kind(value) if text or type(value) in (int, float) else None
-    except (OverflowError, ValueError):  # text that is no number, an int past the floats
+        number = kind(value) if type(value) in (int, float) else None
+    except (OverflowError, ValueError):  # an int of NaN or an infinity, an int past the floats
         number = None
     if number is None or (number != value if kind is int else not math.isfinite(number)):
         what = "an integer" if kind is int else "a finite number"
@@ -454,16 +437,18 @@ def _numbers(kind, value, where: str) -> List:
     return [_number(kind, item, f"{where}[{i}]") for i, item in enumerate(value)]
 
 
-def _bind(fn: CheckFn, params: Dict, where: str) -> Dict:
-    """The keyword arguments of check fn from a scenario entry's params.
+def _bind(name: str, params: Dict, where: str) -> Dict:
+    """The keyword arguments of the check `name` from a scenario entry's params.
 
-    Every name must be one of fn's keyword-only arguments, and every argument
-    without a default must be given.  A value whose default is a number or a
-    boolean (or None, for an argument annotated Optional[int]) is cast to
-    that type, and one whose default is a tuple is read as a list of numbers
-    of the type of its first item; any other value is passed on as it is,
+    Every name must be one of the check's keyword-only arguments, and every
+    argument without a default must be given.  A value whose default is a
+    number or a boolean (or None, for an argument annotated Optional[int]) is
+    cast to that type, one whose default is a tuple is read as a list of
+    numbers of the type of its first item, and a string the check registered
+    choices for must be one of them; any other value is passed on as it is,
     for the check to decode.
     """
+    fn = _REGISTRY[name]
     code, defaults = fn.__code__, fn.__kwdefaults__ or {}
     names = code.co_varnames[code.co_argcount:code.co_argcount + code.co_kwonlyargcount]
     for key in params:
@@ -483,6 +468,10 @@ def _bind(fn: CheckFn, params: Dict, where: str) -> Dict:
             kwargs[key] = _number(kind, value, f"{where}.{key}")
         if kind is tuple:
             kwargs[key] = _numbers(type(defaults[key][0]), value, f"{where}.{key}")
+        choices = _CHOICES[name].get(key)
+        if choices and value not in choices:
+            raise ScenarioParseError(f"{where}.{key}: expected one of "
+                                     f"{', '.join(choices)}, got {value!r}")
     return kwargs
 
 
@@ -510,8 +499,12 @@ def _decode_params(params: Dict, where: str) -> Dict:
             f"sum, got {signature}")
     q = params.get("q")
     if isinstance(q, dict):
-        params["q"] = {"N": _number(int, q.get("N"), f"{where}.q.N"),
-                       "k": _number(int, q.get("k", 1), f"{where}.q.k")}
+        N = _number(int, q.get("N"), f"{where}.q.N")
+        k = _number(int, q.get("k", 1), f"{where}.q.k")
+        if N < 1 or math.gcd(k, N) != 1:
+            raise ScenarioParseError(f"{where}.q: expected N >= 1 and gcd(k, N) = 1, "
+                                     f"got N={N}, k={k}")
+        params["q"] = {"N": N, "k": k}
     elif isinstance(q, list):
         if len(q) != 2:
             raise ScenarioParseError(f"{where}.q: expected [re, im], got {q!r}")
@@ -519,11 +512,6 @@ def _decode_params(params: Dict, where: str) -> Dict:
     elif "q" in params:
         params["q"] = complex(_number(float, q, f"{where}.q"))
     return params
-
-
-def _env_tolerances() -> Dict[str, float]:
-    return {key[len(ENV_PREFIX):].lower(): _number(float, val, f"environment {key}", text=True)
-            for key, val in os.environ.items() if key.startswith(ENV_PREFIX)}
 
 
 def load_scenario(path: str) -> Scenario:
@@ -539,7 +527,11 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioParseError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioParseError(f"{path}: the top level must be an object")
+    # the keys of a file and of its entries are the fields of their records
     for key, value in data.items():
+        if key not in Scenario._fields:
+            raise ScenarioParseError(f"{path}: {key}: unknown key; a scenario takes "
+                                     f"{', '.join(Scenario._fields)}")
         _refuse_non_finite(value, f"{path}: {key}")
     for key in ("name", "seed", "checks"):
         if key not in data:
@@ -549,7 +541,6 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(data.get("tolerances", {}), dict):
         raise ScenarioParseError(f"{path}: tolerances: expected an object")
     tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(_env_tolerances())
     tolerances.update({k: _number(float, v, f"{path}: tolerances.{k}")
                        for k, v in data.get("tolerances", {}).items()})
     checks = []
@@ -557,16 +548,18 @@ def load_scenario(path: str) -> Scenario:
         where = f"{path}: checks[{i}]"
         if not isinstance(entry, dict) or not isinstance(entry.get("check"), str):
             raise ScenarioParseError(f"{where}: expected an object with a 'check' name")
+        for key in entry:
+            if key not in CheckSpec._fields:
+                raise ScenarioParseError(f"{where}.{key}: unknown key; an entry takes "
+                                         f"{', '.join(CheckSpec._fields)}")
         name = entry["check"]
         if name not in _REGISTRY:
             raise UnknownCheckError(f"{path}: unknown check {name!r}")
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ScenarioParseError(f"{where}.params: expected an object")
-        params = _decode_params(_bind(_REGISTRY[name], params, f"{where}.params"),
-                                f"{where}.params")
-        checks.append(CheckSpec(check=name, params=params,
-                                independent=bool(entry.get("independent", True))))
+        params = _decode_params(_bind(name, params, f"{where}.params"), f"{where}.params")
+        checks.append(CheckSpec(check=name, params=params))
     return Scenario(name=str(data["name"]), seed=_number(int, data["seed"], f"{path}: seed"),
                     truncation_order=_number(int, data.get("truncation_order", 8),
                                              f"{path}: truncation_order"),
@@ -581,7 +574,8 @@ def _derive_rng(seed: int, index: int, check_name: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
-def _run_one(scenario: Scenario, index: int, spec: CheckSpec) -> CheckRecord:
+def _run_one(scenario: Scenario, index: int) -> CheckRecord:
+    spec = scenario.checks[index]
     ctx = CheckContext(rng=_derive_rng(scenario.seed, index, spec.check),
                        truncation_order=scenario.truncation_order,
                        tolerances=scenario.tolerances)
@@ -610,31 +604,15 @@ def run_scenario(scenario, jobs: int = 1,
     # the named layers, up front, so that no check's wall_ms carries an import
     for layer in dict.fromkeys(spec.check.split(".")[0] for spec in scenario.checks
                                if spec.check in _REGISTRY):
-        importlib.import_module(f"{__package__}.{layer}")
-    report = Report(scenario=scenario.name, seed=scenario.seed)
+        getattr(opalg, layer)
+    run, indices = functools.partial(_run_one, scenario), range(len(scenario.checks))
     if jobs <= 1:
-        for index, spec in enumerate(scenario.checks):
-            report.records.append(_run_one(scenario, index, spec))
-        return report
-    from concurrent.futures import ThreadPoolExecutor
-    # dependent checks act as barriers between concurrent batches
-    batch: List[Tuple[int, CheckSpec]] = []
-
-    def flush():
-        if not batch:
-            return
+        records = tuple(map(run, indices))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            report.records.extend(pool.map(lambda e: _run_one(scenario, *e), batch))
-        batch.clear()
-
-    for index, spec in enumerate(scenario.checks):
-        if spec.independent:
-            batch.append((index, spec))
-        else:
-            flush()
-            report.records.append(_run_one(scenario, index, spec))
-    flush()
-    return report
+            records = tuple(pool.map(run, indices))
+    return Report(scenario=scenario.name, seed=scenario.seed, records=records)
 
 
 def emit_report(report: Report, fmt: str = "text") -> str:

@@ -83,19 +83,14 @@ class TestLoading:
         with pytest.raises(ScenarioParseError):
             load_scenario(path)
 
-    def test_env_tolerance_override(self, tmp_path, monkeypatch):
+    def test_tolerances_come_from_the_file_or_the_default(self, tmp_path, monkeypatch):
+        # the environment is no source of tolerances
         monkeypatch.setenv("OPALG_TOL_PARSEVAL", "1e-5")
+        monkeypatch.setenv("OPALG_TOL_DEFAULT", "abc")
         path = write_scenario(tmp_path, {
-            "name": "env", "seed": 1,
+            "name": "tol", "seed": 1, "tolerances": {"witness": 1e-7},
             "checks": [{"check": "galilei.clifford"}]})
-        scenario = load_scenario(path)
-        assert scenario.tolerances["parseval"] == 1e-5
-        # a scenario value still wins over the environment
-        path2 = write_scenario(tmp_path, {
-            "name": "env2", "seed": 1, "tolerances": {"parseval": 1e-7},
-            "checks": [{"check": "galilei.clifford"}]})
-        assert load_scenario(path2).tolerances["parseval"] == 1e-7
-
+        assert load_scenario(path).tolerances == dict(DEFAULT_TOLERANCES, witness=1e-7)
 
     def test_numbers_cast_to_the_type_of_the_default(self, tmp_path):
         path = write_scenario(tmp_path, {
@@ -213,18 +208,6 @@ class TestRunning:
         assert [r.name for r in serial.records] == [r.name for r in parallel.records]
         assert [r.value for r in serial.records] == [r.value for r in parallel.records]
 
-    def test_dependent_check_acts_as_barrier(self, tmp_path):
-        path = write_scenario(tmp_path, {
-            "name": "barrier", "seed": 2,
-            "checks": [
-                {"check": "galilei.clifford", "independent": True},
-                {"check": "series.is_positive", "params": {"b": [[1, 0]]},
-                 "independent": False},
-                {"check": "galilei.clifford", "independent": True},
-            ]})
-        report = run_scenario(path, jobs=3)
-        assert [r.status for r in report.records] == ["pass"] * 3
-
 
 class TestEmission:
     def test_csv_schema(self):
@@ -281,31 +264,44 @@ class TestCli:
         path.write_text("{")
         assert main(["run", str(path)]) == 2
 
-    @pytest.mark.parametrize("body, env, field", [
-        ({"checks": [1]}, {}, "checks[0]"),
-        ({"checks": {"check": "galilei.clifford"}}, {}, "checks"),
-        ({"seed": "abc"}, {}, "seed"),
-        ({"tolerances": {"default": "abc"}}, {}, "tolerances.default"),
-        ({}, {"OPALG_TOL_DEFAULT": "abc"}, "OPALG_TOL_DEFAULT"),
+    @pytest.mark.parametrize("body, field", [
+        ({"checks": [1]}, "checks[0]"),
+        ({"checks": {"check": "galilei.clifford"}}, "checks"),
+        ({"seed": "abc"}, "seed"),
+        ({"tolerances": {"default": "abc"}}, "tolerances.default"),
         ({"checks": [{"check": "brst.physical_space", "params": {"model": "nope"}}]},
-         {}, "checks[0].params.model"),
+         "checks[0].params.model"),
         ({"checks": [{"check": "galilei.cocycle", "params": {"tripels": 5}}]},
-         {}, "checks[0].params.tripels"),
+         "checks[0].params.tripels"),
         ({"checks": [{"check": "galilei.cocycle", "params": {"triples": "many"}}]},
-         {}, "checks[0].params.triples"),
+         "checks[0].params.triples"),
         ({"checks": [{"check": "series.is_positive", "params": {"expect": "positive"}}]},
-         {}, "checks[0].params.b"),
+         "checks[0].params.b"),
         ({"checks": [{"check": "brst.observables", "params": {"expect_dim": "four"}}]},
-         {}, "checks[0].params.expect_dim"),
+         "checks[0].params.expect_dim"),
         ({"checks": [{"check": "qplane.coaction",
                       "params": {"q": [2, 0], "perturb_ab": "false"}}]},
-         {}, "checks[0].params.perturb_ab"),
-        ({}, {}, "--out"),
+         "checks[0].params.perturb_ab"),
+        ({"tolerance": {"default": 1e-30}},
+         "tolerance: unknown key; a scenario takes name, seed, truncation_order"),
+        ({"checks": [{"check": "krein.invariants", "parms": {"samples": 0}}]},
+         "checks[0].parms: unknown key; an entry takes check, params"),
+        ({"checks": [{"check": "galilei.clifford", "independent": False}]},
+         "checks[0].independent: unknown key"),
+        ({"checks": [{"check": "brst.deform_stability", "params": {"mode": "rescal"}}]},
+         "checks[0].params.mode: expected one of solved, rescale, got 'rescal'"),
+        ({"checks": [{"check": "series.is_positive",
+                      "params": {"b": [[1, 0]], "expect": "postive"}}]},
+         "checks[0].params.expect: expected one of positive, not_positive"),
+        ({"checks": [{"check": "wigner.parseval", "params": {"expect": "isometri"}}]},
+         "checks[0].params.expect: expected one of isometry, defect"),
+        ({"checks": [{"check": "qplane.center", "params": {"q": {"N": 4, "k": 2}}}]},
+         "checks[0].params.q: expected N >= 1 and gcd(k, N) = 1, got N=4, k=2"),
+        ({"checks": [{"check": "qplane.coaction", "params": {"q": {"N": 0}}}]},
+         "checks[0].params.q: expected N >= 1"),
+        ({}, "--out"),
     ])
-    def test_exit_two_on_malformed_input(self, tmp_path, capsys, monkeypatch,
-                                         body, env, field):
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
+    def test_exit_two_on_malformed_input(self, tmp_path, capsys, body, field):
         path = write_scenario(tmp_path, {
             "name": "bad", "seed": 1,
             "checks": [{"check": "galilei.clifford"}], **body})
@@ -315,56 +311,54 @@ class TestCli:
         assert main(args) == 2
         assert field in capsys.readouterr().err
 
-    @pytest.mark.parametrize("body, env, field", [
-        ({"seed": 1.7}, {}, "seed"),
-        ({"truncation_order": 8.5}, {}, "truncation_order"),
+    @pytest.mark.parametrize("body, field", [
+        ({"seed": 1.7}, "seed"),
+        ({"truncation_order": 8.5}, "truncation_order"),
         ({"checks": [{"check": "galilei.cocycle", "params": {"triples": 2.9}}]},
-         {}, "checks[0].params.triples"),
+         "checks[0].params.triples"),
         ({"checks": [{"check": "series.witness_roundtrip", "params": {"count": True}}]},
-         {}, "checks[0].params.count"),
+         "checks[0].params.count"),
         ({"checks": [{"check": "krein.invariants", "params": {"samples": "20"}}]},
-         {}, "checks[0].params.samples"),
-        ({"tolerances": {"default": True}}, {}, "tolerances.default"),
-        ({"seed": float("inf")}, {}, "seed"),
-        ({"truncation_order": float("inf")}, {}, "truncation_order"),
+         "checks[0].params.samples"),
+        ({"tolerances": {"default": True}}, "tolerances.default"),
+        ({"seed": float("inf")}, "seed"),
+        ({"truncation_order": float("inf")}, "truncation_order"),
         ({"checks": [{"check": "galilei.cocycle", "params": {"triples": -float("inf")}}]},
-         {}, "checks[0].params.triples"),
+         "checks[0].params.triples"),
         ({"checks": [{"check": "galilei.commutators", "params": {"p_max": float("nan")}}]},
-         {}, "checks[0].params.p_max"),
-        ({"tolerances": {"parseval": float("inf")}}, {}, "tolerances.parseval"),
+         "checks[0].params.p_max"),
+        ({"tolerances": {"parseval": float("inf")}}, "tolerances.parseval"),
         ({"checks": [{"check": "wigner.parseval", "params": {"times": [0.0, float("nan")]}}]},
-         {}, "checks[0].params.times[1]"),
-        ({}, {"OPALG_TOL_DEFAULT": "inf"}, "OPALG_TOL_DEFAULT"),
-        ({}, {"OPALG_TOL_PARSEVAL": "nan"}, "OPALG_TOL_PARSEVAL"),
+         "checks[0].params.times[1]"),
         ({"checks": [{"check": "galilei.commutator_convergence",
-                      "params": {"sizes": [32, 64.2]}}]}, {}, "checks[0].params.sizes[1]"),
+                      "params": {"sizes": [32, 64.2]}}]}, "checks[0].params.sizes[1]"),
         ({"checks": [{"check": "galilei.commutator_convergence",
-                      "params": {"sizes": 64}}]}, {}, "checks[0].params.sizes"),
+                      "params": {"sizes": 64}}]}, "checks[0].params.sizes"),
         ({"checks": [{"check": "qplane.center", "params": {"q": {"N": 5.5}}}]},
-         {}, "checks[0].params.q.N"),
+         "checks[0].params.q.N"),
         ({"checks": [{"check": "qplane.center", "params": {"q": {"N": 5, "k": True}}}]},
-         {}, "checks[0].params.q.k"),
+         "checks[0].params.q.k"),
         ({"checks": [{"check": "krein.invariants", "params": {"signature": [1.5, 1]}}]},
-         {}, "checks[0].params.signature[0]"),
+         "checks[0].params.signature[0]"),
         ({"checks": [{"check": "qplane.center", "params": {"q": [2]}}]},
-         {}, "checks[0].params.q: expected [re, im]"),
+         "checks[0].params.q: expected [re, im]"),
         ({"checks": [{"check": "qplane.center", "params": {"q": [2, 0, 7]}}]},
-         {}, "checks[0].params.q: expected [re, im]"),
+         "checks[0].params.q: expected [re, im]"),
         ({"checks": [{"check": "qplane.center", "params": {"q": "2"}}]},
-         {}, "checks[0].params.q: expected a finite number"),
+         "checks[0].params.q: expected a finite number"),
         ({"checks": [{"check": "krein.invariants", "params": {"signature": [1]}}]},
-         {}, "checks[0].params.signature: expected two non-negative integers"),
+         "checks[0].params.signature: expected two non-negative integers"),
         ({"checks": [{"check": "krein.invariants", "params": {"signature": [0, 0]}}]},
-         {}, "checks[0].params.signature: expected two non-negative integers"),
+         "checks[0].params.signature: expected two non-negative integers"),
         ({"checks": [{"check": "krein.invariants", "params": {"signature": [-1, 2]}}]},
-         {}, "checks[0].params.signature: expected two non-negative integers"),
+         "checks[0].params.signature: expected two non-negative integers"),
     ])
-    def test_exit_two_on_a_number_that_is_not_one(self, tmp_path, body, env, field):
+    def test_exit_two_on_a_number_that_is_not_one(self, tmp_path, body, field):
         # json.dumps writes NaN and the infinities as the tokens json.load reads
         path = write_scenario(tmp_path, {
             "name": "bad", "seed": 1,
             "checks": [{"check": "galilei.clifford"}], **body})
-        proc = run_cli(["run", path], **env)
+        proc = run_cli(["run", path])
         assert proc.returncode == 2
         assert field in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -443,7 +437,9 @@ def test_every_name_in_all_resolves(layer):
     assert sorted(namespace) == sorted(module.__all__)
 
 
-LAZY = ("opalg.galilei", "opalg.wigner", "opalg.qplane", "concurrent.futures")
+LAYERS = ("opalg.series", "opalg.krein", "opalg.brst",
+          "opalg.galilei", "opalg.wigner", "opalg.qplane")
+LAZY = LAYERS[3:] + ("concurrent.futures",)
 # numpy.ma: no brst, krein or series check needs it; hashlib (with its
 # OpenSSL backend): only a running check seeds its stream with it
 UNUSED = ("numpy.ma",)
@@ -492,9 +488,11 @@ class TestLazyLayers:
         assert self.run_and_probe(tmp_path, checks) == ["opalg.galilei"]
 
     def test_loading_the_full_suite_imports_no_layer(self):
+        # nor dataclasses: the runner's records are NamedTuples
         code = ("import opalg.cli\nfrom opalg.scenario import load_scenario\n"
                 f"assert len(load_scenario({FULL!r}).checks) > 0")
-        assert self.loaded_after(code, modules=LAZY + UNUSED + HASHING) == []
+        modules = LAYERS + ("concurrent.futures", "dataclasses") + UNUSED + HASHING
+        assert self.loaded_after(code, modules=modules) == []
 
     def test_checks_listing_is_unchanged(self):
         proc = run_cli(["checks"])
