@@ -61,6 +61,10 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-10
+# class coordinates and induced actions (relative), vector-state normalization
+CLASS_TOL = 1e-8
+# relative residual of an order-by-order solve; deform_check's bound is its root
+LIFT_TOL = 1e-9
 # samples per block of deform_check: bounds the stacked temporaries (and
 # with them the peak memory) while amortizing the per-call overhead
 _BLOCK = 64
@@ -145,16 +149,16 @@ def make_graded_space(gram, ghost_grades: Sequence[int]) -> GhostGradedSpace:
     return GhostGradedSpace(krein=K, ghost_grades=grades)
 
 
-def operator_grade(space: GhostGradedSpace, matrix, tol: float = RANK_TOL) -> Optional[int]:
+def operator_grade(space: GhostGradedSpace, matrix) -> Optional[int]:
     """Ghost shift of a homogeneous matrix; None for the zero matrix.
 
-    Entries at most tol times the largest count as zero; raises
+    Entries at most RANK_TOL times the largest count as zero; raises
     NonHomogeneousError when the others disagree on the shift.
     """
     M = np.abs(np.asarray(matrix, dtype=complex))
     g = np.asarray(space.ghost_grades)
     shifts = g[:, None] - g[None, :]
-    present = set(shifts[M > tol * np.max(M, initial=0.0)].tolist())
+    present = set(shifts[M > RANK_TOL * np.max(M, initial=0.0)].tolist())
     if not present:
         return None
     if len(present) > 1:
@@ -173,28 +177,28 @@ class _Split(NamedTuple):
     floor: float         # smallest kept singular value; inf for the zero map
 
 
-def _split(A: np.ndarray, tol: float = RANK_TOL) -> _Split:
+def _split(A: np.ndarray) -> _Split:
     """Image, kernel and pseudo-inverse of A from one SVD.
 
-    Singular values at or below tol times the largest count as zero, so the
+    Singular values at or below RANK_TOL times the largest count as zero, so the
     rank does not depend on the scale of A; the zero map has rank 0.
     A tall or square A needs only the thin factors; a wide one needs the
     whole of Vh, whose last rows span its kernel.
     """
     u, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
+    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size else 0
     image, coimage = u[:, :rank], vh[:rank].conj().T
     return _Split(image=image, kernel=vh[rank:].conj().T,
                   pinv=coimage @ (image.conj().T / s[:rank, None]),
                   floor=float(s[rank - 1]) if rank else np.inf)
 
 
-def _unsolved(residual: np.ndarray, rhs: np.ndarray, tol: float,
+def _unsolved(residual: np.ndarray, rhs: np.ndarray,
               order: int, what: str) -> Dict[int, Exception]:
-    """LiftObstructionError for each column whose residual exceeds tol
+    """LiftObstructionError for each column whose residual exceeds LIFT_TOL
     relative to the norm of its right-hand side."""
     res = np.linalg.norm(residual, axis=0)
-    bad = res > tol * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
+    bad = res > LIFT_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
     return {int(j): LiftObstructionError(order, float(res[j]), what)
             for j in np.flatnonzero(bad)}
 
@@ -233,9 +237,9 @@ class BRSTStructure:
 
     @cached_property
     def _quotient(self) -> "BRSTQuotient":
-        """physical_space at the default tol; a failing check is raised
-        again on every access, since nothing is cached then."""
-        return _physical_space(self, RANK_TOL)
+        """physical_space; a failing check is raised again on every
+        access, since nothing is cached then."""
+        return _physical_space(self)
 
     @cached_property
     def _derivation(self) -> Tuple[_Split, _Split]:
@@ -246,7 +250,7 @@ class BRSTStructure:
         return _split(S[np.ix_(odd, even)]), _split(S[np.ix_(even, odd)])
 
 
-def validate_brst(space: GhostGradedSpace, Q, tol: float = RANK_TOL) -> BRSTStructure:
+def validate_brst(space: GhostGradedSpace, Q) -> BRSTStructure:
     """Check Q^2 = 0, Krein self-adjointness and ghost shift +1, each relative
     to the scale of Q (Q^2 to max|Q|^2), so every multiple of Q shares a verdict."""
     Q = np.asarray(Q, dtype=complex)
@@ -254,21 +258,20 @@ def validate_brst(space: GhostGradedSpace, Q, tol: float = RANK_TOL) -> BRSTStru
     if Q.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got {Q.shape}")
     scale = _max_abs(Q)
-    if _max_abs(Q @ Q) > tol * scale ** 2:
+    if _max_abs(Q @ Q) > RANK_TOL * scale ** 2:
         raise NotNilpotentError("Q^2 != 0")
-    _check_charge(space, Q, tol, scale, "Q")
+    _check_charge(space, Q, scale, "Q")
     Q = Q.copy()
     Q.setflags(write=False)
     return BRSTStructure(space=space, Q=Q)
 
 
-def _check_charge(space: GhostGradedSpace, Q: np.ndarray, tol: float, scale: float,
-                  what: str):
-    """Krein self-adjointness of Q to tol * scale, and ghost shift +1."""
-    if _max_abs(Q - krein_adjoint(space.krein, Q)) > tol * scale:
+def _check_charge(space: GhostGradedSpace, Q: np.ndarray, scale: float, what: str):
+    """Krein self-adjointness of Q to RANK_TOL * scale, and ghost shift +1."""
+    if _max_abs(Q - krein_adjoint(space.krein, Q)) > RANK_TOL * scale:
         raise NotKreinSelfAdjointError(f"{what} is not Krein self-adjoint")
     try:
-        shift = operator_grade(space, Q, tol)
+        shift = operator_grade(space, Q)
     except NonHomogeneousError as exc:
         raise GradeViolationError(f"{what}: {exc}") from exc
     if shift is not None and shift != 1:
@@ -339,22 +342,22 @@ class BRSTQuotient:
         return basis, _split(basis).pinv
 
 
-def physical_space(B: BRSTStructure, tol: float = RANK_TOL) -> BRSTQuotient:
+def physical_space(B: BRSTStructure) -> BRSTQuotient:
     """Kernel, image, quotient representatives and the induced product.
 
     Kernel and image come from the structure's cached split of Q; the
     representatives are the kernel vectors orthogonal to the image in the
     rotated (positive) product: the harmonic vectors.  As Q is Krein
     self-adjoint, im Q is G-orthogonal to ker Q, so on ker Q the product is
-    the induced one plus zero on im Q: an induced eigenvalue below -tol is
-    a negative kernel vector (PositivityViolatedError), one within tol of 0
-    a null vector off the image (NullNotExactError).  The quotient at the
-    default tol is built once per structure; its arrays are read-only.
+    the induced one plus zero on im Q: an induced eigenvalue below
+    -RANK_TOL is a negative kernel vector (PositivityViolatedError), one
+    within RANK_TOL of 0 a null vector off the image (NullNotExactError).
+    The quotient is built once per structure; its arrays are read-only.
     """
-    return B._quotient if tol == RANK_TOL else _physical_space(B, tol)
+    return B._quotient
 
 
-def _physical_space(B: BRSTStructure, tol: float) -> BRSTQuotient:
+def _physical_space(B: BRSTStructure) -> BRSTQuotient:
     G = B.space.krein.gram
     ker, im = B._charge.kernel, B._charge.image
     W = G @ fundamental_symmetry(B.space.krein).matrix
@@ -362,9 +365,9 @@ def _physical_space(B: BRSTStructure, tol: float) -> BRSTQuotient:
     gram = reps.conj().T @ G @ reps
     gram = (gram + gram.conj().T) / 2
     low = float(np.min(np.linalg.eigvalsh(gram), initial=np.inf))
-    if low < -tol:
+    if low < -RANK_TOL:
         raise PositivityViolatedError(f"kernel vector of norm {low:.3e} found")
-    if low <= tol:
+    if low <= RANK_TOL:
         raise NullNotExactError(f"null kernel vector outside the image (norm {low:.3e})")
     for a in (ker, im, reps, gram):
         a.setflags(write=False)
@@ -372,14 +375,14 @@ def _physical_space(B: BRSTStructure, tol: float) -> BRSTQuotient:
                         quotient_reps=reps, induced_gram=gram)
 
 
-def class_coordinates(quotient: BRSTQuotient, vector, tol: float = 1e-8) -> np.ndarray:
+def class_coordinates(quotient: BRSTQuotient, vector) -> np.ndarray:
     """Coordinates of [vector] with respect to the chosen representatives;
     a matrix of vectors gives one column of coordinates per column."""
     v = np.asarray(vector, dtype=complex)
     basis, pinv = quotient._basis
     x = pinv @ v
     res = np.linalg.norm(basis @ x - v, axis=0)
-    if np.any(res > tol * np.maximum(1.0, np.linalg.norm(v, axis=0))):
+    if np.any(res > CLASS_TOL * np.maximum(1.0, np.linalg.norm(v, axis=0))):
         raise ValueError(f"vector is not in the kernel (residual {np.max(res):.3e})")
     return x[: quotient.dim]
 
@@ -400,8 +403,7 @@ class ObservableAlgebra:
         return len(self.quotient_basis)
 
 
-def observable_algebra(B: BRSTStructure, variant: str = "even_ghost",
-                       tol: float = RANK_TOL) -> ObservableAlgebra:
+def observable_algebra(B: BRSTStructure, variant: str = "even_ghost") -> ObservableAlgebra:
     """Quotient ker s mod im s of the ambient matrix algebra.
 
     s maps even-ghost operators to odd ones and back, so kernel, image and
@@ -410,7 +412,7 @@ def observable_algebra(B: BRSTStructure, variant: str = "even_ghost",
     and verifies that the represented quotient is closed under the physical
     adjoint; "full" is the direct sum of both blocks and verifies that the
     kernel is closed under the Krein adjoint.  Both verify that the kernel
-    is closed under products; tol bounds these checks (_verify_closure).
+    is closed under products; RANK_TOL bounds these checks (_verify_closure).
     """
     if variant not in ("even_ghost", "full"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -425,12 +427,12 @@ def observable_algebra(B: BRSTStructure, variant: str = "even_ghost",
             ops[:, _parity_indices(B.space)[p]] = block.T
             parts.append(ops.reshape(-1, n, n))
     ker_ops, im_ops, quot_ops = (np.concatenate(parts[i::3]) for i in range(3))
-    _verify_closure(B, ker_ops, tol)
+    _verify_closure(B, ker_ops)
     return ObservableAlgebra(variant=variant, ker_basis=list(ker_ops),
                              im_basis=list(im_ops), quotient_basis=list(quot_ops))
 
 
-def _verify_closure(B: BRSTStructure, ker_ops: np.ndarray, tol: float):
+def _verify_closure(B: BRSTStructure, ker_ops: np.ndarray):
     """Certify closure under products and adjoints from one application of
     s per basis operator and per adjoint.
 
@@ -442,9 +444,9 @@ def _verify_closure(B: BRSTStructure, ker_ops: np.ndarray, tol: float):
     added in quadrature for "even_ghost".  s(ab) = s(a) b + Gamma(a) s(b),
     Gamma(F) = Sigma F Sigma, and operator norms are at most the unit
     Frobenius norms, so each product a_i a_j lies within 2 max d(a_i) of T:
-    at most sqrt(tol), the pairwise bound, certifies products.  s commutes
+    at most sqrt(RANK_TOL), the pairwise bound, certifies products.  s commutes
     with the Krein adjoint up to a sign only for a Gram matrix that keeps
-    parity, which the reference models' does not, so d(A_i) <= sqrt(tol) is
+    parity, which the reference models' does not, so d(A_i) <= sqrt(RANK_TOL) is
     asked of each adjoint A_i.  For "even_ghost" the odd part of A_i may be
     exact (its distance from im s_0 replaces its norm): pi(A)^* = pi(A^+)
     on the physical quotient and im s acts there as zero, so the
@@ -464,13 +466,13 @@ def _verify_closure(B: BRSTStructure, ker_ops: np.ndarray, tol: float):
         return np.hypot(np.linalg.norm(moved[:, odd], axis=1) / sigma,
                         np.linalg.norm(part - (part @ exact.conj()) @ exact.T, axis=1))
 
-    bound = np.sqrt(tol)
+    bound = np.sqrt(RANK_TOL)
     eps = 2 * float(np.max(distance(ker_ops, np.zeros((len(odd), 0))), initial=0.0))
     if eps > bound:
         raise NotObservableError(f"kernel not closed under products (bound {eps:.3e})")
     if not full:
         try:
-            if physical_space(B, tol).dim == 0:
+            if physical_space(B).dim == 0:
                 return
         except (PositivityViolatedError, NullNotExactError):
             return
@@ -481,28 +483,28 @@ def _verify_closure(B: BRSTStructure, ker_ops: np.ndarray, tol: float):
 
 
 def represent(B: BRSTStructure, quotient: BRSTQuotient, A: GradedOperator,
-              phi_coords, tol: float = 1e-8) -> np.ndarray:
+              phi_coords) -> np.ndarray:
     """Induced action [A][phi] = [A phi] in quotient coordinates."""
-    return representation_matrix(B, quotient, A, tol) @ np.asarray(phi_coords, dtype=complex)
+    return representation_matrix(B, quotient, A) @ np.asarray(phi_coords, dtype=complex)
 
 
 def representation_matrix(B: BRSTStructure, quotient: BRSTQuotient,
-                          A: GradedOperator, tol: float = 1e-8) -> np.ndarray:
+                          A: GradedOperator) -> np.ndarray:
     """Matrix of [A] on the physical quotient, one column per representative.
 
     A must be even and in ker s, and must preserve ker Q and im Q, each to
-    tol relative to the scale of A (s(A) to max|Q| max|A|), so every
+    CLASS_TOL relative to the scale of A (s(A) to max|Q| max|A|), so every
     multiple of Q or A shares a verdict.
     """
     if A.ghost % 2 != 0:
         raise NotObservableError(f"ghost number {A.ghost} is odd")
     scale = _max_abs(A.matrix)
-    if _max_abs(s_action(B, A.matrix)) > tol * _max_abs(B.Q) * scale:
+    if _max_abs(s_action(B, A.matrix)) > CLASS_TOL * _max_abs(B.Q) * scale:
         raise NotObservableError("operator is not in ker s")
     for V in (quotient.ker_basis, quotient.im_basis):
-        if _max_abs(A.matrix @ V - V @ (V.conj().T @ A.matrix @ V)) > tol * scale:
+        if _max_abs(A.matrix @ V - V @ (V.conj().T @ A.matrix @ V)) > CLASS_TOL * scale:
             raise NotObservableError("operator does not preserve kernel and image")
-    return class_coordinates(quotient, A.matrix @ quotient.quotient_reps, tol)
+    return class_coordinates(quotient, A.matrix @ quotient.quotient_reps)
 
 
 # ---------------------------------------------------------------------------
@@ -512,19 +514,17 @@ def representation_matrix(B: BRSTStructure, quotient: BRSTQuotient,
 class VectorState:
     """Functional [A] -> <[phi], [A phi]> on observables of the base theory."""
 
-    def __init__(self, B: BRSTStructure, quotient: BRSTQuotient, phi_coords,
-                 tol: float = 1e-8):
+    def __init__(self, B: BRSTStructure, quotient: BRSTQuotient, phi_coords):
         coords = np.asarray(phi_coords, dtype=complex)
         norm = complex(np.conj(coords) @ quotient.induced_gram @ coords)
-        if abs(norm - 1.0) > tol:
+        if abs(norm - 1.0) > CLASS_TOL:
             raise NotNormalizedError(f"<[phi],[phi]> = {norm}")
         self.B = B
         self.quotient = quotient
         self.coords = coords
-        self.tol = tol
 
     def __call__(self, A: GradedOperator) -> complex:
-        image = represent(self.B, self.quotient, A, self.coords, self.tol)
+        image = represent(self.B, self.quotient, A, self.coords)
         return complex(np.conj(self.coords) @ self.quotient.induced_gram @ image)
 
 
@@ -545,22 +545,21 @@ class DeformedBRST:
         return self.Q_series.coeffs[n]
 
 
-def validate_deformation(base: BRSTStructure, Q_series: FormalSeries,
-                         tol: float = RANK_TOL) -> DeformedBRST:
+def validate_deformation(base: BRSTStructure, Q_series: FormalSeries) -> DeformedBRST:
     """Order-by-order nilpotency, self-adjointness and grading of the charge,
     each relative to the largest coefficient entry (the square to its
     square), so every multiple of the series shares a verdict."""
     if Q_series.is_scalar:
         raise ValueError("the deformed charge must have matrix coefficients")
     scale = max(_max_abs(Qn) for Qn in Q_series.coeffs)
-    if _max_abs(Q_series.coeffs[0] - base.Q) > tol * scale:
+    if _max_abs(Q_series.coeffs[0] - base.Q) > RANK_TOL * scale:
         raise ValueError("leading coefficient must equal the undeformed charge")
     square = series_mul(Q_series, Q_series)
     for n, coeff in enumerate(square.coeffs):
-        if _max_abs(coeff) > tol * scale ** 2:
+        if _max_abs(coeff) > RANK_TOL * scale ** 2:
             raise NotNilpotentError(f"square of the charge is nonzero at order {n}")
     for n, Qn in enumerate(Q_series.coeffs):
-        _check_charge(base.space, Qn, tol, scale, f"coefficient {n}")
+        _check_charge(base.space, Qn, scale, f"coefficient {n}")
     return DeformedBRST(base=base, Q_series=Q_series)
 
 
@@ -590,7 +589,7 @@ def _apply_charge(Qs: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.stack([_charge_times(Qs, X, m) for m in range(min(len(Qs), len(X)))])
 
 
-def lift_vector(D: DeformedBRST, phi0, tol: float = 1e-9,
+def lift_vector(D: DeformedBRST, phi0,
                 rng: Optional[np.random.Generator] = None) -> FormalSeries:
     """Extend a kernel vector of the base charge to the deformed kernel.
 
@@ -604,13 +603,12 @@ def lift_vector(D: DeformedBRST, phi0, tol: float = 1e-9,
         # per order: the real parts, then the imaginary parts
         draws = rng.normal(size=(D.order, 2, D.base._charge.kernel.shape[1]))
         noise = (draws[:, 0] + 1j * draws[:, 1])[..., None]
-    phi, failures = _lift_columns(D, np.asarray(phi0, dtype=complex)[:, None], tol, noise)
+    phi, failures = _lift_columns(D, np.asarray(phi0, dtype=complex)[:, None], noise)
     _raise_first(failures)
     return FormalSeries(list(phi[..., 0]))
 
 
-def _lift_columns(D: DeformedBRST, phi0: np.ndarray, tol: float,
-                  noise: Optional[np.ndarray] = None):
+def _lift_columns(D: DeformedBRST, phi0: np.ndarray, noise: Optional[np.ndarray] = None):
     """lift_vector for every column of phi0 (n, S) at once.
 
     noise (N, k, S), if given, holds the base-kernel coordinates added at
@@ -620,7 +618,7 @@ def _lift_columns(D: DeformedBRST, phi0: np.ndarray, tol: float,
     Q0, Qs = D.charge(0), np.asarray(D.Q_series.coeffs)
     ker, pinv = D.base._charge.kernel, D.base._charge.pinv
     off = np.linalg.norm(Q0 @ phi0, axis=0) \
-        > tol * np.maximum(1.0, np.linalg.norm(phi0, axis=0))
+        > LIFT_TOL * np.maximum(1.0, np.linalg.norm(phi0, axis=0))
     failures = [{int(j): ValueError("phi0 is not in the kernel of the undeformed charge")
                  for j in np.flatnonzero(off)}]
     phi = np.empty((D.order + 1,) + phi0.shape, dtype=complex)
@@ -628,15 +626,14 @@ def _lift_columns(D: DeformedBRST, phi0: np.ndarray, tol: float,
     for n in range(1, D.order + 1):
         rhs = -_charge_times(Qs, phi, n, first=1)
         sol = pinv @ rhs
-        failures.append(_unsolved(Q0 @ sol - rhs, rhs, tol, n, "lift"))
+        failures.append(_unsolved(Q0 @ sol - rhs, rhs, n, "lift"))
         if noise is not None:
             sol += ker @ noise[n - 1]
         phi[n] = sol
     return phi, failures
 
 
-def solve_image_membership(D: DeformedBRST, phi: FormalSeries,
-                           tol: float = 1e-9) -> FormalSeries:
+def solve_image_membership(D: DeformedBRST, phi: FormalSeries) -> FormalSeries:
     """Find a formal preimage of phi under the deformed charge.
 
     Solves Q0 x_n = phi_n - sum_{k>=1} Q_k x_{n-k}; raises
@@ -644,12 +641,12 @@ def solve_image_membership(D: DeformedBRST, phi: FormalSeries,
     """
     if phi.order > D.order:
         raise ValueError(f"phi has order {phi.order}, above the charge's order {D.order}")
-    x, failures = _preimage_columns(D, np.stack(phi.coeffs)[..., None], tol)
+    x, failures = _preimage_columns(D, np.stack(phi.coeffs)[..., None])
     _raise_first(failures)
     return FormalSeries(list(x[..., 0]))
 
 
-def _preimage_columns(D: DeformedBRST, phi: np.ndarray, tol: float):
+def _preimage_columns(D: DeformedBRST, phi: np.ndarray):
     """solve_image_membership for every column of phi (N+1, n, S) at once;
     returns the preimages and the failures of each column, in check order."""
     Q0, pinv, Qs = D.charge(0), D.base._charge.pinv, np.asarray(D.Q_series.coeffs)
@@ -658,11 +655,11 @@ def _preimage_columns(D: DeformedBRST, phi: np.ndarray, tol: float):
     for n in range(len(phi)):
         rhs = phi[n] - _charge_times(Qs, x, n, first=1)
         x[n] = pinv @ rhs
-        failures.append(_unsolved(Q0 @ x[n] - rhs, rhs, tol, n, "image membership"))
+        failures.append(_unsolved(Q0 @ x[n] - rhs, rhs, n, "image membership"))
     return x, failures
 
 
-def _lift_operator(D: DeformedBRST, A0: np.ndarray, tol: float = 1e-9) -> FormalSeries:
+def _lift_operator(D: DeformedBRST, A0: np.ndarray) -> FormalSeries:
     """Extend an observable of the base theory to the deformed kernel of s."""
     base = D.base
     coeffs = [np.asarray(A0, dtype=complex)]
@@ -672,7 +669,7 @@ def _lift_operator(D: DeformedBRST, A0: np.ndarray, tol: float = 1e-9) -> Formal
                    for k in range(1, m + 1))
         sol = _s_preimage(base, rhs)
         _raise_first([_unsolved((s_action(base, sol) - rhs).reshape(-1, 1),
-                                rhs.reshape(-1, 1), tol, m, "observable lift")])
+                                rhs.reshape(-1, 1), m, "observable lift")])
         coeffs.append(sol)
     return FormalSeries(coeffs)
 
@@ -707,8 +704,7 @@ class DeformationReport:
 
 
 def deform_check(D: DeformedBRST, samples: int = 50,
-                 rng: Optional[np.random.Generator] = None,
-                 tol: float = 1e-9) -> DeformationReport:
+                 rng: Optional[np.random.Generator] = None) -> DeformationReport:
     """Verify the four stability items of the deformed quotient.
 
     (i)   formal positivity of (phi~, phi~) for sampled deformed kernel
@@ -732,10 +728,10 @@ def deform_check(D: DeformedBRST, samples: int = 50,
     ker, im = quotient.ker_basis, quotient.im_basis
     G = base.space.krein.gram
     Qs = np.asarray(D.Q_series.coeffs)
-    bound = float(np.sqrt(tol))
+    bound = float(np.sqrt(LIFT_TOL))
 
     # --- item (iii): lift a basis of the base kernel ---------------------
-    lifts, failures = _lift_columns(D, ker, tol)
+    lifts, failures = _lift_columns(D, ker)
     _raise_first(failures)
     report.lifted_kernel_dim = ker.shape[1]
     report.lift_residual = _max_abs(_apply_charge(Qs, lifts))
@@ -748,7 +744,7 @@ def deform_check(D: DeformedBRST, samples: int = 50,
         # kernel coordinates (order 0: the seed, then the added noise)
         draws = rng.normal(size=(size, D.order + 1, 2, ker.shape[1]))
         coords = (draws[:, :, 0] + 1j * draws[:, :, 1]).transpose(1, 2, 0)
-        phi, failures = _lift_columns(D, ker @ coords[0], tol, coords[1:])
+        phi, failures = _lift_columns(D, ker @ coords[0], coords[1:])
         norm2 = _inner_columns(G, phi, phi).T
         positive, witness, failure = _positive_rows(norm2, tol=bound)
         failures.append({int(j): PositivityViolatedAtOrderError(int(failure[j]))
@@ -765,15 +761,15 @@ def deform_check(D: DeformedBRST, samples: int = 50,
         draws = rng.normal(size=(size, D.order + 1, 2, base.dim))
         phi = _apply_charge(Qs, (draws[:, :, 0] + 1j * draws[:, :, 1]).transpose(1, 2, 0))
         nonzero = np.max(np.abs(_inner_columns(G, phi, phi)), axis=0) > bound
-        x, failures = _preimage_columns(D, phi, tol)
+        x, failures = _preimage_columns(D, phi)
         _raise_first([{int(j): NullNotExactError("image vector with nonzero formal norm")
                        for j in np.flatnonzero(nonzero)}] + failures)
         null_res = max(null_res, _max_abs(_apply_charge(Qs, x) - phi))
         report.null_vectors_checked += size
     # lifts of base null vectors that stay null must also be exact
-    phi, failures = _lift_columns(D, im, tol)
+    phi, failures = _lift_columns(D, im)
     null = np.max(np.abs(_inner_columns(G, phi, phi)), axis=0) <= bound
-    x, solved = _preimage_columns(D, phi, tol)
+    x, solved = _preimage_columns(D, phi)
     _raise_first(failures + [{j: err for j, err in stage.items() if null[j]}
                              for stage in solved])
     null_res = max(null_res, _max_abs((_apply_charge(Qs, x) - phi)[..., null]))
@@ -790,7 +786,7 @@ def deform_check(D: DeformedBRST, samples: int = 50,
         if np.max(np.abs(pi0)) <= bound:
             continue
         try:  # only whether A0 lifts matters: A~ phi~ starts with A0 phi0
-            _lift_operator(D, A0, tol)
+            _lift_operator(D, A0)
         except LiftObstructionError:
             # (iv) quantifies over deformed observables; an unliftable base
             # observable yields no sample rather than a counterexample
@@ -807,7 +803,7 @@ def deform_check(D: DeformedBRST, samples: int = 50,
     return report
 
 
-def deformation_generators(B: BRSTStructure, tol: float = RANK_TOL) -> List[np.ndarray]:
+def deformation_generators(B: BRSTStructure) -> List[np.ndarray]:
     """Basis of first-order charge corrections compatible with the structure.
 
     Solves the real-linear constraints Q X + X Q = 0, X self-adjoint in the
@@ -832,21 +828,20 @@ def deformation_generators(B: BRSTStructure, tol: float = RANK_TOL) -> List[np.n
         sadj = (X - krein_adjoint(K, X)).ravel()
         rows.append(np.concatenate([anti.real, anti.imag, sadj.real, sadj.imag]))
     M = np.array(rows).T
-    basis = _split(M, tol).kernel
+    basis = _split(M).kernel
     return [build(basis[:, j].real) for j in range(basis.shape[1])]
 
 
 class DeformedVectorState:
     """Vector state on deformed observables, valued in formal series."""
 
-    def __init__(self, D: DeformedBRST, phi: FormalSeries, tol: float = 1e-8):
+    def __init__(self, D: DeformedBRST, phi: FormalSeries):
         norm2 = inner_product_series(D.base.space, phi, phi)
-        if abs(norm2.coeffs[0] - 1.0) > tol:
+        if abs(norm2.coeffs[0] - 1.0) > CLASS_TOL:
             raise NotNormalizedError(
                 f"leading coefficient of <phi~, phi~> is {norm2.coeffs[0]}")
         self.D = D
         self.phi = phi
-        self.tol = tol
 
     def __call__(self, A_series: FormalSeries) -> FormalSeries:
         image = series_mul(A_series, self.phi)

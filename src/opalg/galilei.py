@@ -237,24 +237,9 @@ def _commutator_table() -> List[Tuple[str, str, Dict[str, complex]]]:
     table: List[Tuple[str, str, Dict[str, complex]]] = []
     for i in range(1, 4):
         for j in range(1, 4):
-            tgt: Dict[str, complex] = {}
-            for k in range(1, 4):
-                e = _eps(i, j, k)
-                if e:
-                    tgt[f"J{k}"] = 1j * e
-            table.append((f"J{i}", f"J{j}", tgt))
-            tgt = {}
-            for k in range(1, 4):
-                e = _eps(i, j, k)
-                if e:
-                    tgt[f"K{k}"] = 1j * e
-            table.append((f"J{i}", f"K{j}", tgt))
-            tgt = {}
-            for k in range(1, 4):
-                e = _eps(i, j, k)
-                if e:
-                    tgt[f"P{k}"] = 1j * e
-            table.append((f"J{i}", f"P{j}", tgt))
+            for v in "JKP":  # J, K and P each rotate as a vector
+                table.append((f"J{i}", f"{v}{j}", {f"{v}{k}": 1j * _eps(i, j, k)
+                                                   for k in range(1, 4) if _eps(i, j, k)}))
             table.append((f"K{i}", f"P{j}", {"M": 1j} if i == j else {}))
             table.append((f"K{i}", f"K{j}", {}))
             table.append((f"P{i}", f"P{j}", {}))
@@ -402,32 +387,6 @@ def generator_commutators(mass: float, grid: MomentumGrid,
                             spacing=grid.spacing, deviations=deviations)
 
 
-def _convergent_pairs() -> Tuple[Tuple[str, str], ...]:
-    """Brackets whose finite-difference error is genuinely O(h^2).
-
-    The remaining table entries hold exactly on the lattice up to roundoff
-    (multiplications commute entrywise; stencils along distinct axes
-    commute as linear maps).
-    """
-    pairs = []
-    for i in range(1, 4):
-        pairs.append((f"K{i}", f"P{i}"))
-        pairs.append((f"K{i}", "P0"))
-        pairs.append((f"J{i}", "P0"))
-        for j in range(1, 4):
-            if i != j:
-                pairs.append((f"J{i}", f"P{j}"))
-                pairs.append((f"J{i}", f"J{j}"))
-                pairs.append((f"J{i}", f"K{j}"))
-    return tuple(pairs)
-
-
-CONVERGENT_BRACKETS = _convergent_pairs()
-EXACT_BRACKETS = tuple(
-    (left, right) for left, right, _ in COMMUTATOR_TABLE
-    if (left, right) not in CONVERGENT_BRACKETS)
-
-
 def _generator_terms(mass: float) -> Dict[str, List[Tuple[float, Tuple[str, str, str]]]]:
     """Each real generator as a sum of coefficient times 1-D maps per axis.
 
@@ -448,6 +407,31 @@ def _generator_terms(mass: float) -> Dict[str, List[Tuple[float, Tuple[str, str,
         terms[f"J{i + 1}"] = [(1.0, on({a: "p", b: "d"})),
                               (-1.0, on({b: "p", a: "d"}))]
     return terms
+
+
+def _convergent_pairs() -> Tuple[Tuple[str, str], ...]:
+    """Brackets whose finite-difference error is genuinely O(h^2): the two
+    generators differ and, on some axis, one applies the stencil where the
+    other multiplies by p or p^2/(2m).
+
+    The remaining table entries hold exactly on the lattice up to roundoff
+    (multiplications commute entrywise; stencils along distinct axes
+    commute as linear maps).
+    """
+    steps = {name: [{t[axis] for _, t in terms} for axis in range(3)]
+             for name, terms in _generator_terms(1.0).items()}
+
+    def meets(a: str, b: str) -> bool:  # a's stencil on an axis b multiplies
+        return any("d" in sa and sb & {"p", "e"} for sa, sb in zip(steps[a], steps[b]))
+
+    return tuple((left, right) for left, right, _ in COMMUTATOR_TABLE
+                 if left != right and (meets(left, right) or meets(right, left)))
+
+
+CONVERGENT_BRACKETS = _convergent_pairs()
+EXACT_BRACKETS = tuple(
+    (left, right) for left, right, _ in COMMUTATOR_TABLE
+    if (left, right) not in CONVERGENT_BRACKETS)
 
 
 def _separable_deviations(mass: float, grid: MomentumGrid
@@ -559,14 +543,11 @@ class LevyLeblondMatrices:
     beta: np.ndarray
 
 
-def levy_leblond_matrices(mass: float, beta=None,
-                          cliffords: Optional[CliffordSet] = None
-                          ) -> LevyLeblondMatrices:
+def levy_leblond_matrices(mass: float, beta=None) -> LevyLeblondMatrices:
     """A = -i/2 (beta + beta g4), C = i m (beta - beta g4), B^i = beta g^i."""
     if mass <= 0:
         raise ValueError("mass must be positive")
-    cl = cliffords if cliffords is not None else clifford_generators()
-    g1, g2, g3, g4 = cl.gammas
+    g1, g2, g3, g4 = clifford_generators().gammas
     beta = np.asarray(beta, dtype=complex) if beta is not None else g4
     if beta.shape != (4, 4) or np.linalg.matrix_rank(beta) < 4:
         raise ValueError("beta must be an invertible 4x4 matrix")

@@ -64,11 +64,11 @@ def make_krein(gram) -> KreinSpace:
         raise ValueError(f"Gram matrix must be square, got shape {G.shape}")
     if np.max(np.abs(G - G.conj().T)) > HERMITIAN_TOL * np.max(np.abs(G)):
         raise NotHermitianError("Gram matrix is not Hermitian")
-    svals = np.linalg.svd(G, compute_uv=False)
-    if svals[-1] <= SINGULAR_TOL * svals[0]:
-        raise SingularGramError(f"smallest singular value {svals[-1]:.3e} below "
-                                f"{SINGULAR_TOL:.0e} of the largest")
     eigs = np.linalg.eigvalsh(G)
+    svals = np.abs(eigs)  # the singular values of a Hermitian matrix
+    if svals.min() <= SINGULAR_TOL * svals.max():
+        raise SingularGramError(f"smallest singular value {svals.min():.3e} below "
+                                f"{SINGULAR_TOL:.0e} of the largest")
     p = int(np.sum(eigs > 0))
     q = int(np.sum(eigs < 0))
     G = G.copy()

@@ -224,10 +224,18 @@ def center_probe(q: QValue, max_deg: int) -> List[Tuple[int, int]]:
 # the quantum group in two generators pairs
 
 
+def _scaled(c, factor, q: QValue):
+    """c q^factor for an int factor (no product where that is 1), else c factor."""
+    if isinstance(factor, int):
+        one = factor % q.N == 0 if isinstance(q, RootOfUnity) else factor == 0
+        return c if one else c * _Coeff.power(q, factor)
+    return c * factor
+
+
 def _times(exps: Tuple[int, int, int, int], g: str, q: QValue,
            perturb_ab: bool) -> List[Tuple[Tuple[int, int, int, int], object]]:
     """The ordered monomial a^i b^j c^k d^l times the letter g, in the
-    ordered basis, as (exponents, coefficient) pairs.
+    ordered basis, as (exponents, `_scaled` factor) pairs.
 
     g moves left past the letters after it: d c = q^{-1} c d,
     d b = q^{-1} b d, c b = b c, c a = q^{-1} a c and b a = q^{-1} a b
@@ -237,14 +245,14 @@ def _times(exps: Tuple[int, int, int, int], g: str, q: QValue,
     """
     i, j, k, l = exps
     if g == "d":
-        return [((i, j, k, l + 1), _Coeff.power(q, 0))]
+        return [((i, j, k, l + 1), 0)]
     if g == "c":
-        return [((i, j, k + 1, l), _Coeff.power(q, -l))]
+        return [((i, j, k + 1, l), -l)]
     if g == "b":
-        return [((i, j + 1, k, l), _Coeff.power(q, -l))]
+        return [((i, j + 1, k, l), -l)]
     if g != "a":
         raise ValueError(f"unexpected letter {g!r}")
-    out = [((i + 1, j, k, l), _Coeff.power(q, -k if perturb_ab else -(j + k)))]
+    out = [((i + 1, j, k, l), -k if perturb_ab else -(j + k))]
     if l:
         out.append(((i, j + 1, k + 1, l - 1),
                     _Coeff.power(q, 1 - 2 * l) - _Coeff.power(q, 1)))
@@ -259,8 +267,8 @@ def glq2_normal_form(word: str, q: QValue,
     for g in word:
         out: Dict[Tuple[int, int, int, int], object] = {}
         for exps, c in terms.items():
-            for key, gc in _times(exps, g, q, perturb_ab):
-                val = c * gc
+            for key, factor in _times(exps, g, q, perturb_ab):
+                val = _scaled(c, factor, q)
                 out[key] = out[key] + val if key in out else val
         terms = out
     return {k: v for k, v in terms.items() if not _Coeff.vanishes(v)}
@@ -292,11 +300,10 @@ def _coaction_images(q: QValue, perturb_ab: bool):
             out: dict = {}
             for (exps, (pa, pb)), c in image(word[:-1], form).items():
                 for g, p in _coaction_letter(word[-1], form):
-                    # products by q^0 (x past no y, and every d) are skipped
-                    plane, cp = ((pa + 1, pb), c * _Coeff.power(q, -pb) if pb else c) \
+                    plane, cp = ((pa + 1, pb), _scaled(c, -pb, q)) \
                         if p == "x" else ((pa, pb + 1), c)
-                    for gkey, gc in _times(exps, g, q, perturb_ab):
-                        key, val = (gkey, plane), cp if g == "d" else cp * gc
+                    for gkey, factor in _times(exps, g, q, perturb_ab):
+                        key, val = (gkey, plane), _scaled(cp, factor, q)
                         out[key] = out[key] + val if key in out else val
             images[word, form] = out
         return images[word, form]

@@ -71,12 +71,6 @@ class FormalSeries:
     def shape(self):
         return None if self.is_scalar else self.coeffs[0].shape
 
-    @classmethod
-    def zero(cls, order: int, shape=None) -> "FormalSeries":
-        if shape is None:
-            return cls([0.0] * (order + 1))
-        return cls([np.zeros(shape, dtype=complex)] * (order + 1))
-
     def max_abs(self) -> float:
         return max(float(np.max(np.abs(c))) if isinstance(c, np.ndarray) else abs(c)
                    for c in self.coeffs)

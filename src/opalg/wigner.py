@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "MassZeroForMassiveKindError",
     "EmptyLatticeError",
     "IncompatibleLatticesError",
-    "InsufficientSphereSamplingError",
     "make_shell",
     "reciprocal_slice",
     "restricted_inverse_fourier",
@@ -51,10 +50,6 @@ class EmptyLatticeError(ValueError):
 
 
 class IncompatibleLatticesError(ValueError):
-    pass
-
-
-class InsufficientSphereSamplingError(ValueError):
     pass
 
 
@@ -214,10 +209,8 @@ def gaussian_family(shell: MassShell, width: float, radius: float
     return family
 
 
-def isometry_defect(shell: MassShell, grid: SliceGrid,
-                    reweight: str = "none",
-                    family: Optional[Sequence[ShellFunction]] = None) -> float:
-    """Worst relative norm mismatch of the transform over a test family.
+def isometry_defect(shell: MassShell, grid: SliceGrid, reweight: str = "none") -> float:
+    """Worst relative norm mismatch of the transform over a width-0.5 `gaussian_family`.
 
     reweight "newton_wigner" rescales shell functions by (2 e_p)^{1/2}
     before transforming, which restores an exact lattice isometry for the
@@ -226,11 +219,9 @@ def isometry_defect(shell: MassShell, grid: SliceGrid,
     if reweight not in ("none", "newton_wigner"):
         raise ValueError(f"unknown reweight mode {reweight!r}")
     _check_reciprocal(shell, grid)
-    if family is None:
-        radius = shell.mass if shell.kind == "relativistic" else 0.0
-        family = gaussian_family(shell, width=0.5, radius=radius)
+    radius = shell.mass if shell.kind == "relativistic" else 0.0
     worst = 0.0
-    for f in family:
+    for f in gaussian_family(shell, width=0.5, radius=radius):
         ref = shell_norm_sq(f)
         if ref == 0.0:
             continue
@@ -379,25 +370,16 @@ class AngularReport:
     channel_norms: Dict[int, float]
 
 
-def angular_decomposition(amplitude: Amplitude, l_max: int,
-                          n_theta: Optional[int] = None,
-                          n_phi: Optional[int] = None) -> AngularReport:
+def angular_decomposition(amplitude: Amplitude, l_max: int) -> AngularReport:
     """Channel norms of a back-to-back pair amplitude on the sphere.
 
     The product quadrature (Gauss-Legendre in cos(theta), uniform in phi)
-    integrates harmonic products exactly when n_theta >= l_max + 1 and
-    n_phi >= 2 l_max + 1.
+    takes l_max + 2 and 2 l_max + 2 nodes; it integrates harmonic products
+    exactly from l_max + 1 and 2 l_max + 1 on.
     """
     if l_max < 0:
         raise ValueError("l_max must be nonnegative")
-    if n_theta is None:
-        n_theta = l_max + 2
-    if n_phi is None:
-        n_phi = 2 * l_max + 2
-    if n_theta < l_max + 1 or n_phi < 2 * l_max + 1:
-        raise InsufficientSphereSamplingError(
-            f"need n_theta >= {l_max + 1} and n_phi >= {2 * l_max + 1}")
-    theta, phi, w = _sphere_quadrature(n_theta, n_phi)
+    theta, phi, w = _sphere_quadrature(l_max + 2, 2 * l_max + 2)
     values = amplitude(theta, phi)
     coeffs: Dict[Tuple[int, int], complex] = {}
     norms: Dict[int, float] = {}

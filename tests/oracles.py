@@ -202,7 +202,7 @@ def represented_star_closure(B, quotient_basis, tol=ORACLE_TOL):
     from opalg import brst
 
     try:
-        quotient = brst.physical_space(B, tol)
+        quotient = brst.physical_space(B)
     except (brst.PositivityViolatedError, brst.NullNotExactError):
         return
     if quotient.dim == 0 or not len(quotient_basis):
@@ -467,12 +467,12 @@ def deform_check_reference(D, samples, rng, tol=1e-9):
         if np.max(np.abs(pi0)) <= bound:
             continue
         try:
-            A_series = brst._lift_operator(D, A0, tol)
+            A_series = brst._lift_operator(D, A0)
         except brst.LiftObstructionError:
             continue
         col = int(np.argmax(np.max(np.abs(pi0), axis=0)))
         phi = lift(quotient.quotient_reps[:, col])
-        leading = brst.class_coordinates(quotient, A_series.coeffs[0] @ phi[0], bound)
+        leading = brst.class_coordinates(quotient, A_series.coeffs[0] @ phi[0])
         min_norm = min(min_norm, float(np.linalg.norm(leading)))
         tested += 1
     report.observables_checked = tested

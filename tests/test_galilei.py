@@ -165,6 +165,17 @@ class TestGridCommutators:
         report = generator_commutators(1.0, momentum_grid(32, 10.0))
         assert report.max_deviation(EXACT_BRACKETS) < 1e-11
 
+    def test_refinement_classes_match_the_listed_brackets(self):
+        listed = set()
+        for i in range(1, 4):
+            listed |= {(f"K{i}", f"P{i}"), (f"K{i}", "P0"), (f"J{i}", "P0")}
+            for j in set(range(1, 4)) - {i}:
+                listed |= {(f"J{i}", f"P{j}"), (f"J{i}", f"J{j}"), (f"J{i}", f"K{j}")}
+        assert len(CONVERGENT_BRACKETS) == len(listed) == 27
+        assert set(CONVERGENT_BRACKETS) == listed
+        assert sorted(CONVERGENT_BRACKETS + EXACT_BRACKETS) \
+            == sorted((l, r) for l, r, _ in COMMUTATOR_TABLE)
+
     def test_finite_difference_brackets_small_but_nonzero(self):
         report = generator_commutators(1.0, momentum_grid(32, 10.0))
         worst = report.max_deviation(CONVERGENT_BRACKETS)

@@ -3,7 +3,6 @@ import pytest
 from scipy.special import sph_harm_y
 
 from opalg.wigner import (EmptyLatticeError, IncompatibleLatticesError,
-                          InsufficientSphereSamplingError,
                           MassZeroForMassiveKindError, ShellFunction,
                           SliceGrid, angular_decomposition,
                           gaussian_family, isometry_defect, lorentz_boost,
@@ -275,7 +274,3 @@ class TestAngular:
         assert channel_rank(amps, 1, 0, n_theta=8, n_phi=8) == 1
         assert channel_rank(amps, 1, 1, n_theta=8, n_phi=8) == 1
         assert channel_rank(amps, 3, 0, n_theta=8, n_phi=8) == 0
-
-    def test_insufficient_sampling_rejected(self):
-        with pytest.raises(InsufficientSphereSamplingError):
-            angular_decomposition(lambda th, ph: np.cos(th) + 0j, 6, n_theta=4)
