@@ -19,7 +19,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .krein import KreinSpace, fundamental_symmetry, krein_adjoint, make_krein
-from .series import FormalSeries, _positive_rows, _star_square_rows, series_mul
+from .series import FormalSeries, _blocks, _positive_rows, _star_square_rows, series_mul
 
 __all__ = [
     "GhostGradedSpace",
@@ -65,9 +65,6 @@ RANK_TOL = 1e-10
 CLASS_TOL = 1e-8
 # relative residual of an order-by-order solve; deform_check's bound is its root
 LIFT_TOL = 1e-9
-# samples per block of deform_check: bounds the stacked temporaries (and
-# with them the peak memory) while amortizing the per-call overhead
-_BLOCK = 64
 
 
 class NonHomogeneousError(ValueError):
@@ -674,10 +671,6 @@ def _lift_operator(D: DeformedBRST, A0: np.ndarray) -> FormalSeries:
     return FormalSeries(coeffs)
 
 
-def _blocks(samples: int) -> List[int]:
-    return [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
-
-
 def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a), initial=0.0))
 
@@ -716,9 +709,9 @@ def deform_check(D: DeformedBRST, samples: int = 50,
     (iv)  deformed observables with a nonzero undeformed class act
           nontrivially on the deformed quotient.
 
-    Samples are drawn and checked in blocks, one sample per column; the
-    random stream and the first failure raised are those of drawing and
-    checking the samples one at a time.
+    Samples are drawn and checked in blocks of at most series._DRAWS random
+    numbers, one sample per column; the random stream and the first failure
+    raised are those of drawing and checking the samples one at a time.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -739,7 +732,7 @@ def deform_check(D: DeformedBRST, samples: int = 50,
 
     # --- item (i): formal positivity on sampled kernel vectors -----------
     worst = 0.0
-    for size in _blocks(samples):
+    for size in _blocks(samples, (D.order + 1) * 2 * ker.shape[1]):
         # per sample and order: real parts, then imaginary parts, of the
         # kernel coordinates (order 0: the seed, then the added noise)
         draws = rng.normal(size=(size, D.order + 1, 2, ker.shape[1]))
@@ -757,7 +750,7 @@ def deform_check(D: DeformedBRST, samples: int = 50,
 
     # --- item (ii): null vectors lie in the image -------------------------
     null_res = 0.0
-    for size in _blocks(samples):
+    for size in _blocks(samples, (D.order + 1) * 2 * base.dim):
         draws = rng.normal(size=(size, D.order + 1, 2, base.dim))
         phi = _apply_charge(Qs, (draws[:, :, 0] + 1j * draws[:, :, 1]).transpose(1, 2, 0))
         nonzero = np.max(np.abs(_inner_columns(G, phi, phi)), axis=0) > bound

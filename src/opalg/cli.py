@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from typing import Optional, Sequence
@@ -34,6 +35,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(fh, text: str):
+    """Write and flush text.  A reader that has gone (a closed pipe) is no
+    error: the report stays unread and the exit code is still the verdict."""
+    try:
+        fh.write(text)
+        fh.flush()
+    except BrokenPipeError:
+        # text is left in stdout's buffer: point the descriptor at devnull so
+        # that the flush at exit has somewhere to put it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -42,8 +55,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
 
     if args.command == "checks":
-        for name in available_checks():
-            print(name)
+        _write(sys.stdout, "".join(f"{name}\n" for name in available_checks()))
         return EXIT_OK
 
     try:
@@ -60,7 +72,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     with sink as fh:
         report = run_scenario(scenario, jobs=args.jobs, seed_override=args.seed)
-        fh.write(emit_report(report, args.format))
+        _write(fh, emit_report(report, args.format))
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 

@@ -557,11 +557,13 @@ def levy_leblond_matrices(mass: float, beta=None) -> LevyLeblondMatrices:
     return LevyLeblondMatrices(A=A, B=B, C=C, mass=mass, beta=beta)
 
 
-def levy_leblond_symbol(L: LevyLeblondMatrices, eps: float, p) -> np.ndarray:
+def levy_leblond_symbol(L: LevyLeblondMatrices, eps, p) -> np.ndarray:
     """Plane-wave symbol S(eps, p) = eps A + p_i B^i + C.
 
     The wave ansatz is proportional to exp(i(eps t - p.x)); with this
     convention det S vanishes exactly on the shell eps = p^2 / (2 m).
+    Stacks (leading axes on eps and on p before its last) give a stack of
+    symbols.
     """
-    p = np.asarray(p, dtype=float)
-    return eps * L.A + sum(p[i] * L.B[i] for i in range(3)) + L.C
+    eps, p = np.asarray(eps, dtype=float)[..., None, None], np.asarray(p, dtype=float)
+    return eps * L.A + sum(p[..., i, None, None] * L.B[i] for i in range(3)) + L.C

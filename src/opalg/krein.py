@@ -9,6 +9,7 @@ positive-definite one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -46,6 +47,10 @@ class KreinSpace:
     dim: int
     gram: np.ndarray
     signature: Tuple[int, int]
+
+    @cached_property
+    def gram_inverse(self) -> np.ndarray:  # taken once per space
+        return np.linalg.inv(self.gram)
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
         return complex(np.conj(u) @ self.gram @ v)
@@ -92,7 +97,7 @@ def krein_adjoint(K: KreinSpace, A) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.shape[-2:] != (K.dim, K.dim):
         raise ValueError(f"expected {K.dim}x{K.dim} matrices, got shape {A.shape}")
-    return np.linalg.solve(K.gram, A.conj().swapaxes(-1, -2) @ K.gram)
+    return K.gram_inverse @ (A.conj().swapaxes(-1, -2) @ K.gram)
 
 
 def wick_rotate(K: KreinSpace, J: FundamentalSymmetry) -> np.ndarray:

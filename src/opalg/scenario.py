@@ -136,23 +136,21 @@ CheckFn = Callable[..., CheckResult]
 _REGISTRY: Dict[str, CheckFn] = {}
 # check name -> {string parameter: the values it may take}
 _CHOICES: Dict[str, Dict[str, Tuple[str, ...]]] = {}
+# check name -> {count or order parameter: its least value}
+_LEAST: Dict[str, Dict[str, int]] = {}
 
 
-def register(name: str, **choices: Tuple[str, ...]):
+def register(name: str, least: Optional[Dict[str, int]] = None, **choices: Tuple[str, ...]):
     def wrap(fn: CheckFn) -> CheckFn:
         _REGISTRY[name] = fn
         _CHOICES[name] = choices
+        _LEAST[name] = least or {}
         return fn
     return wrap
 
 
 def available_checks() -> List[str]:
     return sorted(_REGISTRY)
-
-
-# samples per stacked draw of the witness and krein checks: small blocks keep
-# the peak memory of a run where the one-by-one loops left it
-_BLOCK = 16
 
 
 @register("series.is_positive", expect=("positive", "not_positive"))
@@ -162,14 +160,14 @@ def _check_is_positive(ctx, *, b, expect="positive"):
     return CheckResult(passed=(got == expect), value=got, tolerance=ctx.tol())
 
 
-@register("series.witness_roundtrip")
+@register("series.witness_roundtrip", least={"count": 1, "order": 0})
 def _check_witness_roundtrip(ctx, *, count=50, order: Optional[int] = None):
     order = ctx.truncation_order if order is None else order
     tol = ctx.tol("witness")
     worst = 0.0
-    for start in range(0, count, _BLOCK):
+    for size in opalg.series._blocks(count, 2 * (order + 1)):
         # per series: the real parts, then the imaginary parts
-        draws = ctx.rng.normal(size=(min(_BLOCK, count - start), 2, order + 1))
+        draws = ctx.rng.normal(size=(size, 2, order + 1))
         c = draws[:, 0] + 1j * draws[:, 1]
         c[np.abs(c[:, 0]) < 0.1, 0] += 1.0
         b = opalg.series._star_square_rows(c)
@@ -185,7 +183,7 @@ def _check_witness_roundtrip(ctx, *, count=50, order: Optional[int] = None):
     return CheckResult(passed=worst <= tol, value=worst, tolerance=tol)
 
 
-@register("krein.invariants")
+@register("krein.invariants", least={"samples": 1})
 def _check_krein_invariants(ctx, *, signature=(1, 1), samples=100):
     krein, tol = opalg.krein, ctx.tol()
     gram = np.diag([1.0] * signature[0] + [-1.0] * signature[1])
@@ -194,10 +192,9 @@ def _check_krein_invariants(ctx, *, signature=(1, 1), samples=100):
     worst = np.max(np.abs(J.matrix @ J.matrix - np.eye(K.dim)))
     worst = max(worst, float(np.min(np.linalg.eigvalsh(
         krein.wick_rotate(K, J))) <= 0))
-    n = K.dim
-    for start in range(0, samples, _BLOCK):
+    for size in opalg.series._blocks(samples, 4 * K.dim ** 2):
         # per sample: Re A, Im A, Re B, Im B, in the order of one-by-one draws
-        d = ctx.rng.normal(size=(min(_BLOCK, samples - start), 4, n, n))
+        d = ctx.rng.normal(size=(size, 4, K.dim, K.dim))
         A, B = d[:, 0] + 1j * d[:, 1], d[:, 2] + 1j * d[:, 3]
         adj = krein.krein_adjoint(K, A)
         worst = max(worst, float(np.max(np.abs(krein.krein_adjoint(K, adj) - A))))
@@ -229,7 +226,8 @@ def _check_observables(ctx, *, model="gupta_bleuler", variant="even_ghost",
     return CheckResult(passed=ok, value=f"quotient_dim={algebra.quotient_dim}")
 
 
-@register("brst.deform_stability", mode=("solved", "rescale"))
+@register("brst.deform_stability", least={"order": 1, "samples": 1},
+          mode=("solved", "rescale"))
 def _check_deform_stability(ctx, *, model="two_pair", order=3, samples=20, mode="solved"):
     B = _MODELS[model]()
     gens = opalg.brst.deformation_generators(B)
@@ -247,7 +245,7 @@ def _check_deform_stability(ctx, *, model="two_pair", order=3, samples=20, mode=
     return CheckResult(passed=report.all_passed, value=items)
 
 
-@register("galilei.cocycle")
+@register("galilei.cocycle", least={"triples": 1})
 def _check_cocycle(ctx, *, triples=200):
     galilei, tol = opalg.galilei, ctx.tol()
     # per element: 9 rotation seeds, v, u and eta, in the order of one
@@ -296,18 +294,19 @@ def _check_clifford(ctx):
     return CheckResult(passed=worst <= tol, value=worst, tolerance=tol)
 
 
-@register("galilei.levy_leblond_shell")
+@register("galilei.levy_leblond_shell", least={"count": 1})
 def _check_shell_determinant(ctx, *, mass=1.0, count=100, off_shell=0.5):
-    L = opalg.galilei.levy_leblond_matrices(mass)
-    worst_on = 0.0
-    worst_off = np.inf
-    for _ in range(count):
-        p = ctx.rng.uniform(-2, 2, size=3)
-        eps = float(p @ p) / (2 * mass)
-        worst_on = max(worst_on, abs(np.linalg.det(
-            opalg.galilei.levy_leblond_symbol(L, eps, p))))
-        worst_off = min(worst_off, abs(np.linalg.det(
-            opalg.galilei.levy_leblond_symbol(L, eps + off_shell, p))))
+    galilei = opalg.galilei
+    L = galilei.levy_leblond_matrices(mass)
+    worst_on, worst_off = 0.0, np.inf
+    for size in opalg.series._blocks(count, 3):
+        p = ctx.rng.uniform(-2, 2, size=(size, 3))
+        # p p^T as stacked 1x3 times 3x1 products: rounds as the dot p @ p
+        eps = (p[:, None] @ p[..., None])[:, 0, 0] / (2 * mass)
+        worst_on = max(worst_on, np.max(np.abs(np.linalg.det(
+            galilei.levy_leblond_symbol(L, eps, p)))))
+        worst_off = min(worst_off, np.min(np.abs(np.linalg.det(
+            galilei.levy_leblond_symbol(L, eps + off_shell, p)))))
     ok = worst_on <= 1e-9 and worst_off > 1e-6
     return CheckResult(passed=ok, value=f"on={worst_on:.3e},off={worst_off:.3e}")
 
@@ -329,7 +328,7 @@ def _check_parseval(ctx, *, kind="galilean", points=16, mass=1.0, spacing=0.4,
     return result
 
 
-@register("wigner.two_particle")
+@register("wigner.two_particle", least={"samples": 1})
 def _check_two_particle(ctx, *, kind="relativistic", mass=1.0, samples=1000, points=9,
                         spacing=0.5):
     shell = opalg.wigner.make_shell(kind, mass, points, spacing)
@@ -444,9 +443,10 @@ def _bind(name: str, params: Dict, where: str) -> Dict:
     argument without a default must be given.  A value whose default is a
     number or a boolean (or None, for an argument annotated Optional[int]) is
     cast to that type, one whose default is a tuple is read as a list of
-    numbers of the type of its first item, and a string the check registered
-    choices for must be one of them; any other value is passed on as it is,
-    for the check to decode.
+    numbers of the type of its first item, a count or order the check
+    registered a least value for must reach it, and a string the check
+    registered choices for must be one of them; any other value is passed on
+    as it is, for the check to decode.
     """
     fn = _REGISTRY[name]
     code, defaults = fn.__code__, fn.__kwdefaults__ or {}
@@ -468,6 +468,10 @@ def _bind(name: str, params: Dict, where: str) -> Dict:
             kwargs[key] = _number(kind, value, f"{where}.{key}")
         if kind is tuple:
             kwargs[key] = _numbers(type(defaults[key][0]), value, f"{where}.{key}")
+        least = _LEAST[name].get(key)
+        if least is not None and value is not None and kwargs[key] < least:
+            raise ScenarioParseError(f"{where}.{key}: expected at least {least}, "
+                                     f"got {value!r}")
         choices = _CHOICES[name].get(key)
         if choices and value not in choices:
             raise ScenarioParseError(f"{where}.{key}: expected one of "

@@ -9,7 +9,7 @@ immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
+_DRAWS = 8192  # random numbers per block of a sampled check: 64 KB of float64
 
 
 class ShapeMismatchError(ValueError):
@@ -235,3 +236,9 @@ def _star_square_rows(c: np.ndarray) -> np.ndarray:
         out.real[:, n] = np.cumsum(a.real * b.real + a.imag * b.imag, axis=1)[:, -1]
         out.imag[:, n] = np.cumsum(a.real * b.imag - a.imag * b.real, axis=1)[:, -1]
     return out
+
+
+def _blocks(samples: int, draws: int) -> List[int]:
+    """Block sizes for `draws` numbers per sample: at most _DRAWS, one sample at least."""
+    size = max(1, _DRAWS // draws)
+    return [min(size, samples - start) for start in range(0, samples, size)]

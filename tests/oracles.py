@@ -733,6 +733,12 @@ def is_krein_selfadjoint(K, A, tol=ORACLE_TOL):
     return bool(np.max(np.abs(A - krein_adjoint(K, A))) <= tol)
 
 
+def krein_adjoint_solve(K, A):
+    """krein_adjoint by one LU solve per matrix: G X = A^H G."""
+    A = np.asarray(A, dtype=complex)
+    return np.linalg.solve(K.gram, A.conj().swapaxes(-1, -2) @ K.gram)
+
+
 def brst_derivation(B, F):
     """s(F) as a graded operator of ghost number one higher than F's."""
     from opalg.brst import GradedOperator, NonHomogeneousError, operator_grade, s_action

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import opalg.series
 from opalg.brst import (DeformedBRST, DeformedVectorState, LiftObstructionError,
                         NotNilpotentError, NotNormalizedError, NullNotExactError,
                         PositivityViolatedAtOrderError, deform_check,
@@ -200,33 +201,80 @@ class TestDeformedStates:
             DeformedVectorState(D, phi)
 
 
+COUNTS = ("lifted_kernel_dim", "positivity_checked", "null_vectors_checked",
+          "observables_checked")
+RESIDUALS = ("positivity_worst_defect", "null_membership_residual",
+             "lift_residual", "faithfulness_min_norm")
+
+
+def assert_same_report(got, want):
+    """Equal items and counts; residuals to 1e-12, since a column's products
+    round differently with the width of its block (BLAS picks its kernels by
+    shape) and the reference runs one column at a time."""
+    assert got.items_passed == want.items_passed
+    assert all(type(item) is bool for item in got.items_passed)
+    for name in COUNTS:
+        assert getattr(got, name) == getattr(want, name), name
+    for name in RESIDUALS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is float
+        assert abs(a - b) <= 1e-12 or max(a, b) <= np.sqrt(1e-9), (name, a, b)
+
+
+# a smaller draw budget than series._DRAWS, so that block edges fall at
+# sample counts the one-at-a-time reference checks quickly
+BUDGET = 1024
+ORDER = 3
+
+
+def straddling_counts(model):
+    """1, and each side of the first block edge of item (ii), and past the
+    second.  Item (ii) draws (N+1) * 2 * dim numbers per sample, item (i)
+    (N+1) * 2 * dim(ker Q); the last count also passes item (i)'s first
+    edge, since dim < 2 dim(ker Q) + 2 on every model."""
+    edge = BUDGET // ((ORDER + 1) * 2 * MODELS[model]().dim)
+    return [1, edge - 1, edge, edge + 1, 2 * edge + 2]
+
+
 class TestBlocksAgainstPerSampleReference:
-    """deform_check runs its samples in blocks of 64; the reference runs
-    them one at a time.  Sample counts straddle the block edges."""
+    """deform_check runs its samples in blocks of at most series._DRAWS
+    random numbers; the reference runs them one at a time.  Sample counts
+    straddle the block edges."""
 
-    COUNTS = ("lifted_kernel_dim", "positivity_checked", "null_vectors_checked",
-              "observables_checked")
-    RESIDUALS = ("positivity_worst_defect", "null_membership_residual",
-                 "lift_residual", "faithfulness_min_norm")
-
-    @pytest.mark.parametrize("samples", [1, 63, 64, 65, 130])
     @pytest.mark.parametrize("mode", ["solved", "rescale"])
-    @pytest.mark.parametrize("model", sorted(MODELS))
-    def test_same_report_and_stream(self, model, mode, samples):
+    @pytest.mark.parametrize("model, samples", [
+        (model, samples) for model in sorted(MODELS) for samples in straddling_counts(model)])
+    def test_same_report_and_stream(self, monkeypatch, model, mode, samples):
+        monkeypatch.setattr(opalg.series, "_DRAWS", BUDGET)
         B = MODELS[model]()
-        D = (rescaled_charge if mode == "rescale" else solved_charge)(B, 3)
+        D = (rescaled_charge if mode == "rescale" else solved_charge)(B, ORDER)
         rng, rng_ref = np.random.default_rng(samples), np.random.default_rng(samples)
         got = deform_check(D, samples=samples, rng=rng)
-        want = deform_check_reference(D, samples, rng_ref)
-        assert got.items_passed == want.items_passed
-        assert all(type(item) is bool for item in got.items_passed)
-        for name in self.COUNTS:
-            assert getattr(got, name) == getattr(want, name), name
-        for name in self.RESIDUALS:
-            a, b = getattr(got, name), getattr(want, name)
-            assert type(a) is float
-            assert abs(a - b) <= 1e-12 or max(a, b) <= np.sqrt(1e-9), (name, a, b)
+        assert_same_report(got, deform_check_reference(D, samples, rng_ref))
         assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_counts_straddle_both_items(self, monkeypatch, model):
+        monkeypatch.setattr(opalg.series, "_DRAWS", BUDGET)
+        B = MODELS[model]()
+        counts = straddling_counts(model)
+        item_i, item_ii = ([len(opalg.series._blocks(samples, (ORDER + 1) * 2 * dim))
+                            for samples in counts]
+                           for dim in (physical_space(B).ker_basis.shape[1], B.dim))
+        assert item_ii == [1, 1, 1, 2, 3]
+        assert item_i[0] == 1 and item_i[-1] == 2
+
+    @pytest.mark.parametrize("mode", ["solved", "rescale"])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_one_block_and_one_sample_per_block(self, monkeypatch, model, mode):
+        D = (rescaled_charge if mode == "rescale" else solved_charge)(MODELS[model](), ORDER)
+        runs = []
+        for budget in (1, 10 ** 9):
+            monkeypatch.setattr(opalg.series, "_DRAWS", budget)
+            rng = np.random.default_rng(7)
+            runs.append((deform_check(D, samples=37, rng=rng), rng.bit_generator.state))
+        assert_same_report(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1]
 
 
 class ScriptedNormals:

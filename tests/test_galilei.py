@@ -391,6 +391,17 @@ class TestWaveOperator:
                 expected = 4 * mass ** 2 * (eps - p @ p / (2 * mass)) ** 2
                 assert abs(det - expected) < 1e-9 * max(1.0, expected)
 
+    def test_stacked_symbol_bit_for_bit(self):
+        # the shell check's stacked form of its old one-sample-at-a-time loop
+        L = levy_leblond_matrices(1.3)
+        p = np.random.default_rng(8).uniform(-2, 2, size=(50, 3))
+        eps = (p[:, None] @ p[..., None])[:, 0, 0] / 2.6
+        assert np.array_equal(eps, [float(q @ q) / 2.6 for q in p])
+        for shift in (0.0, 0.5):
+            stacked = np.linalg.det(levy_leblond_symbol(L, eps + shift, p))
+            assert np.array_equal(stacked, [np.linalg.det(levy_leblond_symbol(L, e + shift, q))
+                                            for e, q in zip(eps, p)])
+
     def test_degenerate_form_for_default_beta(self):
         rep = degenerate_norm_structure(levy_leblond_matrices(1.0))
         assert rep.hermitian

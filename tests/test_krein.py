@@ -7,7 +7,8 @@ from opalg.krein import (NotHermitianError, SingularGramError,
                          fundamental_symmetry, krein_adjoint, make_krein,
                          wick_rotate)
 
-from oracles import InvalidSymmetryError, is_krein_selfadjoint, validate_symmetry
+from oracles import (InvalidSymmetryError, is_krein_selfadjoint, krein_adjoint_solve,
+                     validate_symmetry)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 _M = np.random.default_rng(11).normal(size=(3, 3))
@@ -138,6 +139,35 @@ class TestAdjoint:
         assert stacked.shape == A.shape
         for index in np.ndindex(4, 5):
             np.testing.assert_array_equal(stacked[index], krein_adjoint(K, A[index]))
+
+
+class TestAdjointAgainstSolve:
+    """krein_adjoint multiplies by the cached G^{-1}; the twin solves with G."""
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    @pytest.mark.parametrize("condition", [1e2, 1e5, 1e8])
+    def test_random_hermitian_grams(self, n, condition):
+        rng = np.random.default_rng(int(n * np.log10(condition)))
+        for _ in range(20):
+            U, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            eigs = np.logspace(0, -np.log10(condition), n) * rng.choice([-1.0, 1.0], n)
+            K = make_krein((U * eigs) @ U.conj().T)
+            A = rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))
+            want = krein_adjoint_solve(K, A)
+            assert np.max(np.abs(krein_adjoint(K, A) - want)) \
+                <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("signature", [(1, 1), (3, 2), (1, 8), (0, 4)])
+    def test_sign_diagonal_grams_bit_for_bit(self, signature):
+        K = make_krein(np.diag([1.0] * signature[0] + [-1.0] * signature[1]))
+        rng = np.random.default_rng(sum(signature))
+        A = rng.normal(size=(6, K.dim, K.dim)) + 1j * rng.normal(size=(6, K.dim, K.dim))
+        assert np.array_equal(krein_adjoint(K, A), krein_adjoint_solve(K, A))
+
+    def test_inverse_is_taken_once(self):
+        K = make_krein(GRAMS["mixed"])
+        assert K.gram_inverse is K.gram_inverse
+        np.testing.assert_allclose(K.gram_inverse @ K.gram, np.eye(3), atol=1e-12)
 
 
 @pytest.mark.parametrize("signature", [(1, 1), (2, 1), (2, 2)])

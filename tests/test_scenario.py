@@ -209,6 +209,38 @@ class TestRunning:
         assert [r.value for r in serial.records] == [r.value for r in parallel.records]
 
 
+class TestDrawBudget:
+    """The sampled checks draw and check in blocks of at most series._DRAWS
+    random numbers; one sample per block and one block for all samples give
+    the same result and leave the stream in the same state."""
+
+    @pytest.mark.parametrize("name, params", [
+        ("series.witness_roundtrip", {"count": 70, "order": 9}),
+        ("series.witness_roundtrip", {"count": 33, "order": 16}),
+        ("krein.invariants", {"signature": [3, 2], "samples": 50}),
+        ("krein.invariants", {"signature": [1, 8], "samples": 31}),
+        ("galilei.levy_leblond_shell", {"count": 40}),
+    ])
+    def test_block_size_does_not_matter(self, monkeypatch, name, params):
+        runs = []
+        for budget in (1, 10 ** 9):
+            monkeypatch.setattr(opalg.series, "_DRAWS", budget)
+            ctx = opalg.scenario.CheckContext(
+                rng=np.random.default_rng(3), truncation_order=8,
+                tolerances=dict(DEFAULT_TOLERANCES))
+            runs.append((opalg.scenario._REGISTRY[name](ctx, **params),
+                         ctx.rng.bit_generator.state))
+        assert runs[0] == runs[1]
+        assert runs[0][0].passed
+
+    @pytest.mark.parametrize("samples, draws, sizes", [
+        (0, 5, []), (1, 10 ** 6, [1]), (5, 10 ** 6, [1] * 5),
+        (600, 324, [25] * 24), (601, 324, [25] * 24 + [1]), (500, 34, [240, 240, 20]),
+    ])
+    def test_block_sizes(self, samples, draws, sizes):
+        assert opalg.series._blocks(samples, draws) == sizes
+
+
 class TestEmission:
     def test_csv_schema(self):
         report = Report(scenario="s", seed=1)
@@ -340,6 +372,16 @@ class TestCli:
          "checks[0].params.signature: expected two non-negative integers"),
         ({"checks": [{"check": "krein.invariants", "params": {"signature": [-1, 2]}}]},
          "checks[0].params.signature: expected two non-negative integers"),
+        ({"checks": [{"check": "series.witness_roundtrip", "params": {"count": 0}}]},
+         "checks[0].params.count: expected at least 1, got 0"),
+        ({"checks": [{"check": "series.witness_roundtrip", "params": {"order": -1}}]},
+         "checks[0].params.order: expected at least 0, got -1"),
+        ({"checks": [{"check": "krein.invariants", "params": {"samples": -5}}]},
+         "checks[0].params.samples: expected at least 1, got -5"),
+        ({"checks": [{"check": "brst.deform_stability", "params": {"order": 0}}]},
+         "checks[0].params.order: expected at least 1, got 0"),
+        ({"checks": [{"check": "galilei.levy_leblond_shell", "params": {"count": 0}}]},
+         "checks[0].params.count: expected at least 1, got 0"),
         *[({"checks": [{"check": "galilei.commutator_convergence",
                         "params": {"sizes": sizes}}]},
            "checks[0].params.sizes: expected two or more sizes, no two equal, each of at "
@@ -367,6 +409,19 @@ class TestCli:
         assert proc.returncode == 2
         assert "checks[0].params.p_max" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args", [["run", "scenarios/smoke.json", "--format", "csv"],
+                                      ["checks"]])
+    def test_closed_pipe_is_quiet(self, args):
+        # the reader closes its end before the child, which first imports
+        # numpy, can write (`opalg run ... | head -0`)
+        env = dict(os.environ, PYTHONPATH=str(Path(opalg.__file__).resolve().parent.parent))
+        proc = subprocess.Popen([sys.executable, "-m", "opalg.cli", *args], cwd=REPO,
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0
+        assert err == ""
 
     def test_out_file_and_rerun_identical(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
