@@ -8,7 +8,7 @@ child process that imports `opalg` from the given tree, builds its inputs
 and prints the seconds of one timed call; the trees take turns point by
 point, so a slow spell of the host falls on all of them.  The median over
 REPEATS rounds is reported, and the exponent k of t ~ n^k is fitted by
-least squares on log t against log n.
+least squares on log t against log n, over the sizes above 0.
 """
 
 from __future__ import annotations
@@ -24,20 +24,25 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 REPEATS = 3
 
 
 def time_once(src, child, kind, size):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, "-c", child, kind, str(size)],
+    # the third argument, the time.time() of the spawn, times a child from
+    # its process start
+    out = subprocess.run([sys.executable, "-c", child, kind, str(size), repr(time.time())],
                          env=env, capture_output=True, text=True, check=True)
     return float(out.stdout.strip().splitlines()[-1])
 
 
 def extract(rev, dest):
     """Source tree of commit `rev`, unpacked under `dest`."""
-    archive = subprocess.run(["git", "archive", "--format=tar", rev],
+    # from the repository root: in a subdirectory git archives only that
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=root,
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
@@ -52,7 +57,7 @@ def machine():
 
 def run_sweeps(trees, child, sweeps):
     """sweeps: (name, kind, axis, sizes, what) tuples; the child gets kind
-    and size as its two arguments."""
+    and size as its first two arguments."""
     results = {}
     for name, kind, axis, sizes, what in sweeps:
         times = {label: {n: [] for n in sizes} for label in trees}
@@ -66,8 +71,8 @@ def run_sweeps(trees, child, sweeps):
             "what": what, "axis": axis, "sizes": list(sizes),
             "median_s": medians,
             "runs_s": {label: [times[label][n] for n in sizes] for label in trees},
-            "exponent": {label: round(statistics.linear_regression(
-                [math.log(n) for n in sizes], [math.log(t) for t in ts]).slope, 3)
+            "exponent": {label: round(statistics.linear_regression(*zip(
+                *[(math.log(n), math.log(t)) for n, t in zip(sizes, ts) if n > 0])).slope, 3)
                 for label, ts in medians.items()},
         }
         print(name, json.dumps(medians), file=sys.stderr)

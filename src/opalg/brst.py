@@ -12,7 +12,6 @@ structure of Q and s (Krein self-adjointness, Leibniz rule).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -119,8 +118,7 @@ class PositivityViolatedAtOrderError(RuntimeError):
 # graded spaces and operators
 
 
-@dataclass(frozen=True)
-class GhostGradedSpace:
+class GhostGradedSpace(NamedTuple):
     krein: KreinSpace
     ghost_grades: Tuple[int, ...]
 
@@ -132,8 +130,7 @@ class GhostGradedSpace:
         return np.asarray(self.ghost_grades) % 2
 
 
-@dataclass(frozen=True)
-class GradedOperator:
+class GradedOperator(NamedTuple):
     matrix: np.ndarray
     ghost: int
 
@@ -219,10 +216,12 @@ def _raise_first(stages: Sequence[Dict[int, Exception]]):
 # BRST structure and derivation
 
 
-@dataclass(frozen=True)
 class BRSTStructure:
-    space: GhostGradedSpace
-    Q: np.ndarray
+    """A validated charge Q on a graded space; each decomposition of Q and
+    of s is taken on first use and kept."""
+
+    def __init__(self, space: GhostGradedSpace, Q: np.ndarray):
+        self.space, self.Q = space, Q
 
     @property
     def dim(self) -> int:
@@ -321,12 +320,13 @@ def _s_preimage(B: BRSTStructure, R: np.ndarray) -> np.ndarray:
 # physical quotient
 
 
-@dataclass(frozen=True)
 class BRSTQuotient:
-    ker_basis: np.ndarray       # n x k, orthonormal columns
-    im_basis: np.ndarray        # n x r, orthonormal columns
-    quotient_reps: np.ndarray   # n x (k - r)
-    induced_gram: np.ndarray    # (k - r) x (k - r), positive definite
+    def __init__(self, ker_basis: np.ndarray, im_basis: np.ndarray,
+                 quotient_reps: np.ndarray, induced_gram: np.ndarray):
+        self.ker_basis = ker_basis          # n x k, orthonormal columns
+        self.im_basis = im_basis            # n x r, orthonormal columns
+        self.quotient_reps = quotient_reps  # n x (k - r)
+        self.induced_gram = induced_gram    # (k - r) x (k - r), positive definite
 
     @property
     def dim(self) -> int:
@@ -388,8 +388,7 @@ def class_coordinates(quotient: BRSTQuotient, vector) -> np.ndarray:
 # observable algebras
 
 
-@dataclass(frozen=True)
-class ObservableAlgebra:
+class ObservableAlgebra(NamedTuple):
     variant: str
     ker_basis: List[np.ndarray]
     im_basis: List[np.ndarray]
@@ -529,8 +528,7 @@ class VectorState:
 # deformations
 
 
-@dataclass(frozen=True)
-class DeformedBRST:
+class DeformedBRST(NamedTuple):
     base: BRSTStructure
     Q_series: FormalSeries
 
@@ -675,21 +673,20 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a), initial=0.0))
 
 
-@dataclass
-class DeformationReport:
+class DeformationReport(NamedTuple):
     """Order-by-order verification record for the four stability items."""
 
     order: int
     samples: int
-    positivity_checked: int = 0
-    positivity_worst_defect: float = 0.0
-    null_vectors_checked: int = 0
-    null_membership_residual: float = 0.0
-    lifted_kernel_dim: int = 0
-    lift_residual: float = 0.0
-    observables_checked: int = 0
-    faithfulness_min_norm: float = np.inf
-    items_passed: Tuple[bool, bool, bool, bool] = (False, False, False, False)
+    positivity_checked: int
+    positivity_worst_defect: float
+    null_vectors_checked: int
+    null_membership_residual: float
+    lifted_kernel_dim: int
+    lift_residual: float
+    observables_checked: int
+    faithfulness_min_norm: float
+    items_passed: Tuple[bool, bool, bool, bool]
 
     @property
     def all_passed(self) -> bool:
@@ -717,7 +714,6 @@ def deform_check(D: DeformedBRST, samples: int = 50,
         rng = np.random.default_rng(0)
     base = D.base
     quotient = physical_space(base)
-    report = DeformationReport(order=D.order, samples=samples)
     ker, im = quotient.ker_basis, quotient.im_basis
     G = base.space.krein.gram
     Qs = np.asarray(D.Q_series.coeffs)
@@ -726,12 +722,10 @@ def deform_check(D: DeformedBRST, samples: int = 50,
     # --- item (iii): lift a basis of the base kernel ---------------------
     lifts, failures = _lift_columns(D, ker)
     _raise_first(failures)
-    report.lifted_kernel_dim = ker.shape[1]
-    report.lift_residual = _max_abs(_apply_charge(Qs, lifts))
-    item_iii = report.lift_residual <= bound
+    lift_res = _max_abs(_apply_charge(Qs, lifts))
 
     # --- item (i): formal positivity on sampled kernel vectors -----------
-    worst = 0.0
+    worst, positivity_checked = 0.0, 0
     for size in _blocks(samples, (D.order + 1) * 2 * ker.shape[1]):
         # per sample and order: real parts, then imaginary parts, of the
         # kernel coordinates (order 0: the seed, then the added noise)
@@ -744,12 +738,10 @@ def deform_check(D: DeformedBRST, samples: int = 50,
                          for j in np.flatnonzero(~positive)})
         _raise_first(failures)
         worst = max(worst, _max_abs(_star_square_rows(witness) - norm2))
-        report.positivity_checked += size
-    report.positivity_worst_defect = worst
-    item_i = True
+        positivity_checked += size
 
     # --- item (ii): null vectors lie in the image -------------------------
-    null_res = 0.0
+    null_res, null_checked = 0.0, 0
     for size in _blocks(samples, (D.order + 1) * 2 * base.dim):
         draws = rng.normal(size=(size, D.order + 1, 2, base.dim))
         phi = _apply_charge(Qs, (draws[:, :, 0] + 1j * draws[:, :, 1]).transpose(1, 2, 0))
@@ -758,7 +750,7 @@ def deform_check(D: DeformedBRST, samples: int = 50,
         _raise_first([{int(j): NullNotExactError("image vector with nonzero formal norm")
                        for j in np.flatnonzero(nonzero)}] + failures)
         null_res = max(null_res, _max_abs(_apply_charge(Qs, x) - phi))
-        report.null_vectors_checked += size
+        null_checked += size
     # lifts of base null vectors that stay null must also be exact
     phi, failures = _lift_columns(D, im)
     null = np.max(np.abs(_inner_columns(G, phi, phi)), axis=0) <= bound
@@ -766,9 +758,7 @@ def deform_check(D: DeformedBRST, samples: int = 50,
     _raise_first(failures + [{j: err for j, err in stage.items() if null[j]}
                              for stage in solved])
     null_res = max(null_res, _max_abs((_apply_charge(Qs, x) - phi)[..., null]))
-    report.null_vectors_checked += int(np.count_nonzero(null))
-    report.null_membership_residual = null_res
-    item_ii = null_res <= bound
+    null_checked += int(np.count_nonzero(null))
 
     # --- item (iv): faithfulness at leading order -------------------------
     algebra = observable_algebra(base, "even_ghost")
@@ -788,12 +778,14 @@ def deform_check(D: DeformedBRST, samples: int = 50,
         col = int(np.argmax(np.max(np.abs(pi0), axis=0)))
         min_norm = min(min_norm, float(np.linalg.norm(pi0[:, col])))
         tested += 1
-    report.observables_checked = tested
-    report.faithfulness_min_norm = min_norm if tested else 0.0
-    item_iv = tested > 0 and min_norm > bound
-
-    report.items_passed = (item_i, item_ii, item_iii, item_iv)
-    return report
+    return DeformationReport(
+        order=D.order, samples=samples, positivity_checked=positivity_checked,
+        positivity_worst_defect=worst, null_vectors_checked=null_checked,
+        null_membership_residual=null_res, lifted_kernel_dim=ker.shape[1],
+        lift_residual=lift_res, observables_checked=tested,
+        faithfulness_min_norm=min_norm if tested else 0.0,
+        items_passed=(True, null_res <= bound, lift_res <= bound,
+                      tested > 0 and min_norm > bound))
 
 
 def deformation_generators(B: BRSTStructure) -> List[np.ndarray]:

@@ -10,8 +10,7 @@ degenerate norm form i A are computed by the reference
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,8 +54,7 @@ class GridTooCoarseError(ValueError):
 # group elements and the phase exponent
 
 
-@dataclass(frozen=True)
-class GalileiElement:
+class GalileiElement(NamedTuple):
     """Transformation (x, t) -> (R x + t v + u, t + eta).
 
     A stack of elements carries the same leading axes on every field:
@@ -69,8 +67,7 @@ class GalileiElement:
     eta: float
 
 
-@dataclass(frozen=True)
-class BargmannElement:
+class BargmannElement(NamedTuple):
     theta: float
     g: GalileiElement
 
@@ -129,8 +126,7 @@ def bargmann_multiply(a: BargmannElement, b: BargmannElement) -> BargmannElement
 # momentum-grid representation of the generators
 
 
-@dataclass(frozen=True)
-class MomentumGrid:
+class MomentumGrid(NamedTuple):
     """Uniform cubic momentum lattice with cell-centered points."""
 
     points_per_axis: int
@@ -280,8 +276,7 @@ def _default_test_functions(grid: MomentumGrid) -> List[np.ndarray]:
     return funcs
 
 
-@dataclass
-class CommutatorReport:
+class CommutatorReport(NamedTuple):
     mass: float
     points_per_axis: int
     spacing: float
@@ -517,8 +512,7 @@ def commutator_convergence(mass: float, sizes: Sequence[int], p_max: float
 # Clifford algebra and the first-order wave operator
 
 
-@dataclass(frozen=True)
-class CliffordSet:
+class CliffordSet(NamedTuple):
     gammas: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -534,8 +528,7 @@ def clifford_generators() -> CliffordSet:
     return CliffordSet(gammas=gammas)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class LevyLeblondMatrices:
+class LevyLeblondMatrices(NamedTuple):
     A: np.ndarray
     B: Tuple[np.ndarray, np.ndarray, np.ndarray]
     C: np.ndarray

@@ -8,9 +8,7 @@ positive-definite one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -42,22 +40,17 @@ class SingularGramError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class KreinSpace:
+class KreinSpace(NamedTuple):
     dim: int
     gram: np.ndarray
     signature: Tuple[int, int]
-
-    @cached_property
-    def gram_inverse(self) -> np.ndarray:  # taken once per space
-        return np.linalg.inv(self.gram)
+    gram_inverse: np.ndarray  # taken once per space, by make_krein
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
         return complex(np.conj(u) @ self.gram @ v)
 
 
-@dataclass(frozen=True)
-class FundamentalSymmetry:
+class FundamentalSymmetry(NamedTuple):
     matrix: np.ndarray
 
 
@@ -78,7 +71,8 @@ def make_krein(gram) -> KreinSpace:
     q = int(np.sum(eigs < 0))
     G = G.copy()
     G.setflags(write=False)
-    return KreinSpace(dim=G.shape[0], gram=G, signature=(p, q))
+    return KreinSpace(dim=G.shape[0], gram=G, signature=(p, q),
+                      gram_inverse=np.linalg.inv(G))
 
 
 def fundamental_symmetry(K: KreinSpace) -> FundamentalSymmetry:

@@ -19,11 +19,10 @@ built once.  The tests keep a leftmost-descent rewriter as the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from operator import add, neg, sub
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,18 +73,17 @@ def _cyclotomic(n: int) -> Tuple[int, ...]:
     return tuple(poly)
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
+class RootOfUnity(NamedTuple("RootOfUnity", [("N", int), ("k", int)])):
     """Exact primitive root q = exp(2 pi i k / N) with gcd(k, N) = 1."""
 
-    N: int
-    k: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N < 1:
+    def __new__(cls, N: int, k: int = 1):
+        if N < 1:
             raise ValueError("N must be positive")
-        if gcd(self.k % self.N if self.N > 1 else 1, self.N) != 1:
-            raise ValueError(f"{self.k}/{self.N} is not a primitive root")
+        if gcd(k % N if N > 1 else 1, N) != 1:
+            raise ValueError(f"{k}/{N} is not a primitive root")
+        return super().__new__(cls, N, k)
 
     def numeric(self) -> complex:
         return complex(np.exp(2j * np.pi * self.k / self.N))
@@ -311,8 +309,7 @@ def _coaction_images(q: QValue, perturb_ab: bool):
     return image
 
 
-@dataclass(frozen=True)
-class CoactionReport:
+class CoactionReport(NamedTuple):
     max_deg: int
     words_checked: int
     preserved: bool

@@ -5,7 +5,9 @@ tolerances and an ordered list of checks.  Every entry draws its randomness
 from a generator derived by hashing (seed, entry index, check name), so
 repeated entries of one check draw apart and reruns with an equal seed are
 bit-reproducible.  Failing checks never stop the run; their records carry
-the failure.  A run imports only the layers its check names start with.
+the failure.  A run imports only the layers its check names start with,
+and numpy only in the functions that compute, so loading a file and
+listing the checks import neither.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import time
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
-
-import numpy as np
 
 import opalg
 
@@ -95,6 +96,8 @@ class Report(NamedTuple):
 
 def series_from_json(data) -> opalg.series.FormalSeries:
     """Series from arrays of [re, im] pairs or nested arrays for matrices."""
+    import numpy as np
+
     def decode(entry):
         arr = np.asarray(entry, dtype=float)
         if arr.ndim == 1 and arr.shape == (2,):
@@ -162,6 +165,7 @@ def _check_is_positive(ctx, *, b, expect="positive"):
 
 @register("series.witness_roundtrip", least={"count": 1, "order": 0})
 def _check_witness_roundtrip(ctx, *, count=50, order: Optional[int] = None):
+    import numpy as np
     order = ctx.truncation_order if order is None else order
     tol = ctx.tol("witness")
     worst = 0.0
@@ -185,6 +189,7 @@ def _check_witness_roundtrip(ctx, *, count=50, order: Optional[int] = None):
 
 @register("krein.invariants", least={"samples": 1})
 def _check_krein_invariants(ctx, *, signature=(1, 1), samples=100):
+    import numpy as np
     krein, tol = opalg.krein, ctx.tol()
     gram = np.diag([1.0] * signature[0] + [-1.0] * signature[1])
     K = krein.make_krein(gram)
@@ -218,7 +223,7 @@ def _check_physical_space(ctx, *, model="gupta_bleuler", expect_dim: Optional[in
     return CheckResult(passed=ok, value=f"quotient_dim={quotient.dim}")
 
 
-@register("brst.observables")
+@register("brst.observables", variant=("even_ghost", "full"))
 def _check_observables(ctx, *, model="gupta_bleuler", variant="even_ghost",
                        expect_dim: Optional[int] = None):
     algebra = opalg.brst.observable_algebra(_MODELS[model](), variant)
@@ -229,6 +234,7 @@ def _check_observables(ctx, *, model="gupta_bleuler", variant="even_ghost",
 @register("brst.deform_stability", least={"order": 1, "samples": 1},
           mode=("solved", "rescale"))
 def _check_deform_stability(ctx, *, model="two_pair", order=3, samples=20, mode="solved"):
+    import numpy as np
     B = _MODELS[model]()
     gens = opalg.brst.deformation_generators(B)
     if mode == "rescale" or not gens:
@@ -247,6 +253,7 @@ def _check_deform_stability(ctx, *, model="two_pair", order=3, samples=20, mode=
 
 @register("galilei.cocycle", least={"triples": 1})
 def _check_cocycle(ctx, *, triples=200):
+    import numpy as np
     galilei, tol = opalg.galilei, ctx.tol()
     # per element: 9 rotation seeds, v, u and eta, in the order of one
     # element-by-element draw
@@ -284,6 +291,7 @@ def _check_convergence(ctx, *, sizes=(32, 64), p_max=10.0, mass=1.0):
 
 @register("galilei.clifford")
 def _check_clifford(ctx):
+    import numpy as np
     cl = opalg.galilei.clifford_generators()
     worst = 0.0
     for i, gi in enumerate(cl.gammas):
@@ -296,6 +304,7 @@ def _check_clifford(ctx):
 
 @register("galilei.levy_leblond_shell", least={"count": 1})
 def _check_shell_determinant(ctx, *, mass=1.0, count=100, off_shell=0.5):
+    import numpy as np
     galilei = opalg.galilei
     L = galilei.levy_leblond_matrices(mass)
     worst_on, worst_off = 0.0, np.inf
@@ -311,7 +320,12 @@ def _check_shell_determinant(ctx, *, mass=1.0, count=100, off_shell=0.5):
     return CheckResult(passed=ok, value=f"on={worst_on:.3e},off={worst_off:.3e}")
 
 
-@register("wigner.parseval", expect=("isometry", "defect"))
+# wigner.SHELL_KINDS, repeated here because loading imports no layer
+_SHELL_KINDS = ("galilean", "relativistic", "massless")
+
+
+@register("wigner.parseval", least={"points": 1, "times": 1}, expect=("isometry", "defect"),
+          kind=_SHELL_KINDS, reweight=("none", "newton_wigner"))
 def _check_parseval(ctx, *, kind="galilean", points=16, mass=1.0, spacing=0.4,
                     reweight="none", times=(0.0, 1.0), expect="isometry", floor=0.05,
                     dump_field=None):
@@ -328,7 +342,7 @@ def _check_parseval(ctx, *, kind="galilean", points=16, mass=1.0, spacing=0.4,
     return result
 
 
-@register("wigner.two_particle", least={"samples": 1})
+@register("wigner.two_particle", least={"samples": 1}, kind=_SHELL_KINDS)
 def _check_two_particle(ctx, *, kind="relativistic", mass=1.0, samples=1000, points=9,
                         spacing=0.5):
     shell = opalg.wigner.make_shell(kind, mass, points, spacing)
@@ -337,8 +351,9 @@ def _check_two_particle(ctx, *, kind="relativistic", mass=1.0, samples=1000, poi
     return CheckResult(passed=ok, value=f"min={stats.min:.6f}")
 
 
-@register("wigner.angular")
+@register("wigner.angular", amplitude=("isotropic", "cos_theta"))
 def _check_angular(ctx, *, amplitude="isotropic", l_max=4):
+    import numpy as np
     if amplitude == "isotropic":
         amp = lambda th, ph: np.ones_like(th, dtype=complex)
         main_l = 0
@@ -443,10 +458,10 @@ def _bind(name: str, params: Dict, where: str) -> Dict:
     argument without a default must be given.  A value whose default is a
     number or a boolean (or None, for an argument annotated Optional[int]) is
     cast to that type, one whose default is a tuple is read as a list of
-    numbers of the type of its first item, a count or order the check
-    registered a least value for must reach it, and a string the check
+    numbers of the type of its first item, a count, order or list length the
+    check registered a least value for must reach it, and a string the check
     registered choices for must be one of them; any other value is passed on
-    as it is, for the check to decode.
+    as it is, for _decode_params and the check.
     """
     fn = _REGISTRY[name]
     code, defaults = fn.__code__, fn.__kwdefaults__ or {}
@@ -469,9 +484,10 @@ def _bind(name: str, params: Dict, where: str) -> Dict:
         if kind is tuple:
             kwargs[key] = _numbers(type(defaults[key][0]), value, f"{where}.{key}")
         least = _LEAST[name].get(key)
-        if least is not None and value is not None and kwargs[key] < least:
-            raise ScenarioParseError(f"{where}.{key}: expected at least {least}, "
-                                     f"got {value!r}")
+        if least is not None and value is not None and \
+                (len(value) if kind is tuple else kwargs[key]) < least:
+            raise ScenarioParseError(f"{where}.{key}: expected at least {least}"
+                                     f"{' items' if kind is tuple else ''}, got {value!r}")
         choices = _CHOICES[name].get(key)
         if choices and value not in choices:
             raise ScenarioParseError(f"{where}.{key}: expected one of "
@@ -483,26 +499,54 @@ def _bind(name: str, params: Dict, where: str) -> Dict:
 _MIN_LADDER_POINTS = 32
 
 
+def _shape(value, where: str) -> Tuple[int, ...]:
+    """The shape of rectangular nested lists of finite numbers."""
+    if not isinstance(value, list):
+        _number(float, value, where)
+        return ()
+    shapes = {_shape(item, f"{where}[{i}]") for i, item in enumerate(value)}
+    if len(shapes) > 1:
+        raise ScenarioParseError(f"{where}: expected rectangular nested lists, got {value!r}")
+    return (len(value),) + (shapes.pop() if shapes else ())
+
+
 def _decode_params(params: Dict, where: str) -> Dict:
-    """Check the model name, the size ladder and the signature of a bound
-    params dict, and read q: the integers N and k of a root of unity
-    {N, k}, or a number or a pair [re, im] as a complex number."""
+    """Check the model name, the size ladder, the integer pairs, the series b
+    and the dump path of a bound params dict, and read q: the integers N and
+    k of a root of unity {N, k}, or a number or a pair [re, im] as a complex
+    number."""
     if "model" in params and params["model"] not in list(_MODELS):
         raise ScenarioParseError(f"{where}.model: unknown model {params['model']!r}")
+    b = params.get("b")
+    shape = _shape(b, f"{where}.b") if isinstance(b, list) else ()
+    if "b" in params and (len(shape) < 2 or shape[-1] != 2):
+        raise ScenarioParseError(f"{where}.b: expected a list of [re, im] pairs or of "
+                                 f"rectangular nested lists of them, got {b!r}")
+    dump = params.get("dump_field")
+    if dump is not None and (not isinstance(dump, str) or os.path.isdir(dump)
+                             or not os.path.isdir(os.path.dirname(dump) or ".")):
+        raise ScenarioParseError(f"{where}.dump_field: expected a file path in an "
+                                 f"existing directory, got {dump!r}")
     sizes = params.get("sizes")
     if sizes is not None and (len(set(sizes)) < max(2, len(sizes))
                               or min(sizes) < _MIN_LADDER_POINTS):
         raise ScenarioParseError(
             f"{where}.sizes: expected two or more sizes, no two equal, each of at "
             f"least {_MIN_LADDER_POINTS} points, got {sizes}")
-    signature = params.get("signature")
-    if signature is not None and (len(signature) != 2 or min(signature) < 0
-                                  or sum(signature) < 1):
-        raise ScenarioParseError(
-            f"{where}.signature: expected two non-negative integers with a positive "
-            f"sum, got {signature}")
+    for key, least_sum in (("signature", 1), ("expect_monomial", 0)):
+        if params.get(key) is None:
+            continue
+        pair = params[key] = _numbers(int, params[key], f"{where}.{key}")
+        if len(pair) != 2 or min(pair) < 0 or sum(pair) < least_sum:
+            raise ScenarioParseError(
+                f"{where}.{key}: expected two non-negative integers"
+                f"{' with a positive sum' if least_sum else ''}, got {pair}")
     q = params.get("q")
     if isinstance(q, dict):
+        for key in q:
+            if key not in ("N", "k"):
+                raise ScenarioParseError(f"{where}.q.{key}: unknown key; an exact q "
+                                         f"takes N, k")
         N = _number(int, q.get("N"), f"{where}.q.N")
         k = _number(int, q.get("k", 1), f"{where}.q.k")
         if N < 1 or math.gcd(k, N) != 1:
@@ -574,6 +618,7 @@ def _derive_rng(seed: int, index: int, check_name: str) -> np.random.Generator:
     """Stream of the entry at position `index`: repeated entries of one
     check draw apart, and equal seeds give equal streams."""
     import hashlib  # not at module level: loading a scenario never hashes
+    import numpy as np
     digest = hashlib.sha256(f"{seed}:{index}:{check_name}".encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 

@@ -8,8 +8,7 @@ immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -139,8 +138,7 @@ def series_star(a: FormalSeries) -> FormalSeries:
     return FormalSeries(out)
 
 
-@dataclass(frozen=True)
-class PositivityVerdict:
+class PositivityVerdict(NamedTuple):
     """Outcome of the order-by-order square-root decision for a scalar series.
 
     ``positive`` implies a ``witness`` c with star(c)*c matching the input at

@@ -10,8 +10,7 @@ statistics and spherical-channel decompositions operate on top.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -61,8 +60,7 @@ def _cubic_axis(n: int, spacing: float) -> np.ndarray:
     return (np.arange(n) - n // 2) * spacing
 
 
-@dataclass(frozen=True)
-class MassShell:
+class MassShell(NamedTuple):
     kind: str
     mass: float
     points: np.ndarray            # (N, 3)
@@ -70,7 +68,7 @@ class MassShell:
     energies: np.ndarray          # (N,)
     points_per_axis: int
     spacing: float
-    notes: Tuple[str, ...] = field(default=())
+    notes: Tuple[str, ...] = ()
 
 
 def _energies(kind: str, mass: float, points: np.ndarray) -> np.ndarray:
@@ -123,14 +121,14 @@ def make_shell(kind: str, mass: float, points_per_axis: int,
                      notes=notes)
 
 
-@dataclass(frozen=True)
-class ShellFunction:
-    shell: MassShell
-    values: np.ndarray
+class ShellFunction(NamedTuple("ShellFunction", [("shell", MassShell),
+                                                  ("values", np.ndarray)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.values.shape != (len(self.shell.points),):
+    def __new__(cls, shell: MassShell, values: np.ndarray):
+        if values.shape != (len(shell.points),):
             raise ValueError("one value per shell point required")
+        return super().__new__(cls, shell, values)
 
 
 def shell_norm_sq(f: ShellFunction) -> float:
@@ -141,8 +139,7 @@ def shell_norm_sq(f: ShellFunction) -> float:
 # slices and the restricted transform
 
 
-@dataclass(frozen=True)
-class SliceGrid:
+class SliceGrid(NamedTuple):
     t: float
     points_per_axis: int
     spacing: float
@@ -263,8 +260,7 @@ def lorentz_boost(eps, p, beta: np.ndarray):
     return eps_out, p_out
 
 
-@dataclass(frozen=True)
-class SpectrumStats:
+class SpectrumStats(NamedTuple):
     kind: str
     mass: float
     values: np.ndarray
@@ -363,8 +359,7 @@ def _sphere_quadrature(n_theta: int, n_phi: int):
 Amplitude = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class AngularReport:
+class AngularReport(NamedTuple):
     l_max: int
     coefficients: Dict[Tuple[int, int], complex]
     channel_norms: Dict[int, float]

@@ -397,7 +397,6 @@ def deform_check_reference(D, samples, rng, tol=1e-9):
 
     base = D.base
     quotient = brst.physical_space(base)
-    report = brst.DeformationReport(order=D.order, samples=samples)
     ker, im = quotient.ker_basis, quotient.im_basis
     k, n = ker.shape[1], base.dim
     G = base.space.krein.gram
@@ -430,8 +429,6 @@ def deform_check_reference(D, samples, rng, tol=1e-9):
     lift_res = 0.0
     for j in range(k):
         lift_res = max(lift_res, _max_abs(_charge_product(charges, lift(ker[:, j]))))
-    report.lifted_kernel_dim = k
-    report.lift_residual = lift_res
 
     worst = 0.0
     for _ in range(samples):
@@ -443,23 +440,20 @@ def deform_check_reference(D, samples, rng, tol=1e-9):
             raise brst.PositivityViolatedAtOrderError(failure)
         check = series_product_coeffs(np.conj(witness), witness, len(norm2) - 1)
         worst = max(worst, _max_abs(check - np.array(norm2)))
-        report.positivity_checked += 1
-    report.positivity_worst_defect = worst
 
-    null_res = 0.0
+    null_res, null_checked = 0.0, 0
     for _ in range(samples):
         w = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(D.order + 1)]
         phi = _charge_product(charges, w)
         if _max_abs(_indefinite_product(G, phi, phi)) > bound:
             raise brst.NullNotExactError("image vector with nonzero formal norm")
         null_res = max(null_res, exactness(phi))
-        report.null_vectors_checked += 1
+        null_checked += 1
     for j in range(im.shape[1]):
         phi = lift(im[:, j])
         if _max_abs(_indefinite_product(G, phi, phi)) <= bound:
             null_res = max(null_res, exactness(phi))
-            report.null_vectors_checked += 1
-    report.null_membership_residual = null_res
+            null_checked += 1
 
     min_norm, tested = np.inf, 0
     for A0 in brst.observable_algebra(base, "even_ghost").quotient_basis:
@@ -475,11 +469,13 @@ def deform_check_reference(D, samples, rng, tol=1e-9):
         leading = brst.class_coordinates(quotient, A_series.coeffs[0] @ phi[0])
         min_norm = min(min_norm, float(np.linalg.norm(leading)))
         tested += 1
-    report.observables_checked = tested
-    report.faithfulness_min_norm = min_norm if tested else 0.0
-    report.items_passed = (True, bool(null_res <= bound), bool(lift_res <= bound),
-                           bool(tested > 0 and min_norm > bound))
-    return report
+    return brst.DeformationReport(
+        order=D.order, samples=samples, positivity_checked=samples,
+        positivity_worst_defect=worst, null_vectors_checked=null_checked,
+        null_membership_residual=null_res, lifted_kernel_dim=k, lift_residual=lift_res,
+        observables_checked=tested, faithfulness_min_norm=min_norm if tested else 0.0,
+        items_passed=(True, bool(null_res <= bound), bool(lift_res <= bound),
+                      bool(tested > 0 and min_norm > bound)))
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,32 @@ class TestLoading:
         from opalg import galilei, scenario
         assert scenario._MIN_LADDER_POINTS == galilei.MIN_POINTS_PER_AXIS
 
+    def test_choices_are_the_layers_choices(self):
+        # the strings load admits, repeated in scenario because loading
+        # imports no layer: each one must be one its layer takes
+        from opalg import brst, scenario, wigner
+        choices = scenario._CHOICES
+        assert choices["wigner.parseval"]["kind"] == wigner.SHELL_KINDS
+        assert choices["wigner.two_particle"]["kind"] == wigner.SHELL_KINDS
+        shell = wigner.make_shell("relativistic", 1.0, 3, 0.5)
+        grid = wigner.reciprocal_slice(shell, 0.0)
+        for reweight in choices["wigner.parseval"]["reweight"]:
+            assert wigner.isometry_defect(shell, grid, reweight) >= 0.0
+        for variant in choices["brst.observables"]["variant"]:
+            assert brst.observable_algebra(brst.gupta_bleuler_toy(), variant).variant == variant
+
+    def test_pairs_and_series_read_at_load(self, tmp_path):
+        path = write_scenario(tmp_path, {
+            "name": "pairs", "seed": 1,
+            "checks": [{"check": "qplane.normal_form",
+                        "params": {"q": {"N": 3}, "expect_monomial": [1.0, 1]}},
+                       {"check": "series.is_positive",
+                        "params": {"b": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}}]})
+        monomial, matrix = (spec.params for spec in load_scenario(path).checks)
+        assert monomial["expect_monomial"] == [1, 1]
+        assert type(monomial["expect_monomial"][0]) is int
+        assert matrix["b"] == [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]
+
     def test_benchmark_workloads_load(self, tmp_path):
         # the generated workloads name parameters that the checks must keep
         proc = run_python(["perfbench/workloads.py", "--seed", "1", "--out", str(tmp_path)])
@@ -163,7 +189,9 @@ class TestRunning:
         path = write_scenario(tmp_path, {
             "name": "erroring", "seed": 5,
             "checks": [
-                {"check": "wigner.parseval", "params": {"kind": "bogus"}},
+                # a kind outside the shells is a load error; a negative
+                # spacing is refused only by the layer, at run time
+                {"check": "wigner.parseval", "params": {"spacing": -0.4}},
                 {"check": "galilei.clifford"},
             ]})
         report = run_scenario(path)
@@ -382,6 +410,50 @@ class TestCli:
          "checks[0].params.order: expected at least 1, got 0"),
         ({"checks": [{"check": "galilei.levy_leblond_shell", "params": {"count": 0}}]},
          "checks[0].params.count: expected at least 1, got 0"),
+        ({"checks": [{"check": "wigner.parseval", "params": {"kind": "tachyon"}}]},
+         "checks[0].params.kind: expected one of galilean, relativistic, massless"),
+        ({"checks": [{"check": "wigner.parseval", "params": {"reweight": "x"}}]},
+         "checks[0].params.reweight: expected one of none, newton_wigner, got 'x'"),
+        ({"checks": [{"check": "wigner.parseval", "params": {"points": 0}}]},
+         "checks[0].params.points: expected at least 1, got 0"),
+        ({"checks": [{"check": "wigner.parseval", "params": {"times": []}}]},
+         "checks[0].params.times: expected at least 1 items, got []"),
+        ({"checks": [{"check": "wigner.two_particle", "params": {"kind": "tachyon"}}]},
+         "checks[0].params.kind: expected one of galilean, relativistic, massless"),
+        ({"checks": [{"check": "wigner.angular", "params": {"amplitude": "sin"}}]},
+         "checks[0].params.amplitude: expected one of isotropic, cos_theta, got 'sin'"),
+        ({"checks": [{"check": "brst.observables", "params": {"variant": "odd"}}]},
+         "checks[0].params.variant: expected one of even_ghost, full, got 'odd'"),
+        ({"checks": [{"check": "qplane.center", "params": {"q": {"N": 3, "k": 1, "x": 9}}}]},
+         "checks[0].params.q.x: unknown key; an exact q takes N, k"),
+        ({"checks": [{"check": "qplane.normal_form",
+                      "params": {"q": 2, "expect_monomial": "ab"}}]},
+         "checks[0].params.expect_monomial: expected a list, got 'ab'"),
+        ({"checks": [{"check": "qplane.normal_form",
+                      "params": {"q": 2, "expect_monomial": [1, 1, 0]}}]},
+         "checks[0].params.expect_monomial: expected two non-negative integers, got [1, 1, 0]"),
+        ({"checks": [{"check": "qplane.normal_form",
+                      "params": {"q": 2, "expect_monomial": [-1, 2]}}]},
+         "checks[0].params.expect_monomial: expected two non-negative integers"),
+        ({"checks": [{"check": "qplane.normal_form",
+                      "params": {"q": 2, "expect_monomial": [1.5, 0]}}]},
+         "checks[0].params.expect_monomial[0]"),
+        ({"checks": [{"check": "series.is_positive", "params": {"b": "oops"}}]},
+         "checks[0].params.b: expected a list of [re, im] pairs"),
+        ({"checks": [{"check": "series.is_positive", "params": {"b": [[1, 2, 3]]}}]},
+         "checks[0].params.b: expected a list of [re, im] pairs"),
+        ({"checks": [{"check": "series.is_positive", "params": {"b": []}}]},
+         "checks[0].params.b: expected a list of [re, im] pairs"),
+        ({"checks": [{"check": "series.is_positive",
+                      "params": {"b": [[1, 0], [[1, 0], [0, 0]]]}}]},
+         "checks[0].params.b: expected rectangular nested lists"),
+        ({"checks": [{"check": "series.is_positive", "params": {"b": [[1, True]]}}]},
+         "checks[0].params.b[0][1]: expected a finite number"),
+        ({"checks": [{"check": "wigner.parseval",
+                      "params": {"dump_field": "no-such-directory/field.csv"}}]},
+         "checks[0].params.dump_field: expected a file path in an existing directory"),
+        ({"checks": [{"check": "wigner.parseval", "params": {"dump_field": 5}}]},
+         "checks[0].params.dump_field: expected a file path"),
         *[({"checks": [{"check": "galilei.commutator_convergence",
                         "params": {"sizes": sizes}}]},
            "checks[0].params.sizes: expected two or more sizes, no two equal, each of at "
@@ -413,8 +485,9 @@ class TestCli:
     @pytest.mark.parametrize("args", [["run", "scenarios/smoke.json", "--format", "csv"],
                                       ["checks"]])
     def test_closed_pipe_is_quiet(self, args):
-        # the reader closes its end before the child, which first imports
-        # numpy, can write (`opalg run ... | head -0`)
+        # the reader closes its end before the child can write (`opalg run
+        # ... | head -0`): `run` imports numpy and its layers first, `checks`
+        # imports neither
         env = dict(os.environ, PYTHONPATH=str(Path(opalg.__file__).resolve().parent.parent))
         proc = subprocess.Popen([sys.executable, "-m", "opalg.cli", *args], cwd=REPO,
                                 env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -536,11 +609,19 @@ class TestLazyLayers:
         assert self.run_and_probe(tmp_path, checks) == ["opalg.galilei"]
 
     def test_loading_the_full_suite_imports_no_layer(self):
-        # nor dataclasses: the runner's records are NamedTuples
+        # nor numpy, nor dataclasses: the runner's records are NamedTuples
         code = ("import opalg.cli\nfrom opalg.scenario import load_scenario\n"
                 f"assert len(load_scenario({FULL!r}).checks) > 0")
-        modules = LAYERS + ("concurrent.futures", "dataclasses") + UNUSED + HASHING
+        modules = LAYERS + ("numpy", "concurrent.futures", "dataclasses") + UNUSED + HASHING
         assert self.loaded_after(code, modules=modules) == []
+
+    def test_listing_the_checks_imports_no_numpy(self):
+        code = "from opalg.cli import main\nassert main(['checks']) == 0"
+        assert self.loaded_after(code, modules=LAYERS + ("numpy",)) == []
+
+    def test_layer_records_need_no_dataclasses(self):
+        code = "import opalg\nfor layer in opalg.__all__:\n    getattr(opalg, layer)"
+        assert self.loaded_after(code, modules=LAYERS + ("dataclasses",)) == list(LAYERS)
 
     def test_checks_listing_is_unchanged(self):
         proc = run_cli(["checks"])
