@@ -6,11 +6,14 @@
 Times one call on the pair model of n dimensions: two physical modes of
 ghost number 0 plus (n - 2) / 2 null pairs, as in `two_pair_model` and
 `perfbench/sweep.py`.  `observable_algebra(B, "full")` is swept over
-n = 12/16/20/28, and `physical_space(B)` over n = 16/32/64/128.  The
-structure is built fresh in each child, so its cached decompositions count
-in the timing, as they do for a scenario check.  `treebench` holds the
-options (`--tree`, `--rev`, `--out`), the alternating fresh child processes
-and the exponent fit.  Uses only public names that every tree has.
+n = 12/16/20/28/40, `physical_space(B)` over n = 16/32/64/128, and the
+minimum-norm solve of s, `brst._s_preimage(B, brst.s_action(B, X))` for a
+fixed random X, over n = 20/28/40.  The structure is built fresh in each
+child, so its cached decompositions count in the timing, as they do for a
+scenario check.  `treebench` holds the options (`--tree`, `--rev`,
+`--out`), the alternating fresh child processes and the exponent fit.
+Besides public names only the private `_s_preimage(B, R)` is called; it
+has kept that signature since the derivation was first cached (f8d683b).
 """
 
 from __future__ import annotations
@@ -30,19 +33,24 @@ for a in range(2, n, 2):
     gram[a, a + 1] = gram[a + 1, a] = 1
     Q[a, a + 1] = 1
 B = brst.validate_brst(brst.make_graded_space(gram, [0, 0] + [1, 0] * m), Q)
+X = np.random.default_rng(n).normal(size=(n, n)) + 0j
 start = time.perf_counter()
 if kind == "full":
     assert brst.observable_algebra(B, "full").quotient_dim == 4
+elif kind == "preimage":
+    brst._s_preimage(B, brst.s_action(B, X))
 else:
     assert brst.physical_space(B).dim == 2
 print(time.perf_counter() - start)
 """
 
 SWEEPS = (
-    ("observable_algebra_full", "full", "n", (12, 16, 20, 28),
+    ("observable_algebra_full", "full", "n", (12, 16, 20, 28, 40),
      "observable_algebra(B, \"full\") on the n-dimensional pair model"),
     ("physical_space", "physical", "n", (16, 32, 64, 128),
      "physical_space(B) on the n-dimensional pair model"),
+    ("s_preimage", "preimage", "n", (20, 28, 40),
+     "_s_preimage(B, s_action(B, X)) on a fresh n-dimensional pair model"),
 )
 
 

@@ -217,8 +217,8 @@ def _raise_first(stages: Sequence[Dict[int, Exception]]):
 
 
 class BRSTStructure:
-    """A validated charge Q on a graded space; each decomposition of Q and
-    of s is taken on first use and kept."""
+    """A validated charge Q on a graded space; each decomposition of Q is
+    taken on first use and kept."""
 
     def __init__(self, space: GhostGradedSpace, Q: np.ndarray):
         self.space, self.Q = space, Q
@@ -238,12 +238,22 @@ class BRSTStructure:
         return _physical_space(self)
 
     @cached_property
-    def _derivation(self) -> Tuple[_Split, _Split]:
-        """s on the even-ghost operators (into the odd ones) and on the odd
-        ones (into the even ones), in the coordinates of _parity_indices."""
-        S = _s_matrix(self)
-        even, odd = _parity_indices(self.space)
-        return _split(S[np.ix_(odd, even)]), _split(S[np.ix_(even, odd)])
+    def _hodge(self) -> Tuple[np.ndarray, np.ndarray]:
+        """U and 1 / (d_i + d_j), 0 on harmonic pairs, for Delta_Q = Q Q^H +
+        Q^H Q = U diag(d) U^H: one eigh per ghost degree, so column i of U has
+        the degree of basis vector i.  As Q is odd, s s^H + s^H s maps F to
+        Delta_Q F + F Delta_Q (Kuenneth): s has squared singular values
+        d_i + d_j on the u_i u_j^H.  A pair is harmonic at d_i + d_j <=
+        RANK_TOL max d, an SVD cut near 1e-5, free of the scale of Q."""
+        Q, grades = self.Q, np.asarray(self.space.ghost_grades)
+        lap = Q @ Q.conj().T + Q.conj().T @ Q
+        U, d = np.zeros_like(lap), np.zeros(self.dim)
+        for g in set(self.space.ghost_grades):
+            idx = np.flatnonzero(grades == g)
+            d[idx], U[np.ix_(idx, idx)] = np.linalg.eigh(lap[np.ix_(idx, idx)])
+        pairs = d[:, None] + d[None, :]
+        harmonic = pairs <= RANK_TOL * np.max(d, initial=0.0)
+        return U, np.divide(1.0, pairs, out=np.zeros_like(pairs), where=~harmonic)
 
 
 def validate_brst(space: GhostGradedSpace, Q) -> BRSTStructure:
@@ -274,11 +284,15 @@ def _check_charge(space: GhostGradedSpace, Q: np.ndarray, scale: float, what: st
         raise GradeViolationError(f"{what} shifts ghost number by {shift}, not 1")
 
 
+def _same_parity(space: GhostGradedSpace) -> np.ndarray:
+    """Mask of the matrix entries that an even operator may fill."""
+    par = space.parities()
+    return par[:, None] == par[None, :]
+
+
 def graded_sign_split(space: GhostGradedSpace, M: np.ndarray) -> np.ndarray:
     """Return sum over parities of (-1)^parity times the parity component."""
-    par = space.parities()
-    signs = np.where(((par[:, None] - par[None, :]) % 2) == 0, 1.0, -1.0)
-    return signs * M
+    return np.where(_same_parity(space), M, -M)
 
 
 def s_action(B: BRSTStructure, M: np.ndarray) -> np.ndarray:
@@ -289,31 +303,14 @@ def s_action(B: BRSTStructure, M: np.ndarray) -> np.ndarray:
     return B.Q @ M - graded_sign_split(B.space, M) @ B.Q
 
 
-def _s_matrix(B: BRSTStructure) -> np.ndarray:
-    """Matrix of s on row-major vectorised operators.
-
-    With Sigma = diag((-1)^parity) the graded sign of F is Sigma F Sigma, so
-    s(F) = Q F - Sigma F Sigma Q and vec(A F C) = kron(A, C^T) vec(F).
-    """
-    sigma = np.diag(1.0 - 2.0 * B.space.parities())
-    return np.kron(B.Q, np.eye(B.dim)) - np.kron(sigma, (sigma @ B.Q).T)
-
-
-def _parity_indices(space: GhostGradedSpace) -> Tuple[np.ndarray, np.ndarray]:
-    par = space.parities()
-    flat = ((par[:, None] - par[None, :]) % 2).ravel()
-    return np.where(flat == 0)[0], np.where(flat == 1)[0]
-
-
 def _s_preimage(B: BRSTStructure, R: np.ndarray) -> np.ndarray:
-    """Minimum-norm X with s(X) closest to R, block by block in parity."""
-    r = R.ravel()
-    x = np.zeros_like(r)
-    even, odd = _parity_indices(B.space)
-    s_even, s_odd = B._derivation
-    x[even] = s_even.pinv @ r[odd]
-    x[odd] = s_odd.pinv @ r[even]
-    return x.reshape(R.shape)
+    """Minimum-norm X with s(X) closest to R, for R a matrix or a stack:
+    X = s^H(Y), Y = (s s^H + s^H s)^+ R from the structure's Hodge
+    decomposition, and s^H(Y) = Q^H Y - Sigma Y Q^H Sigma."""
+    U, inverse = B._hodge
+    Uh, Qh = U.conj().T, B.Q.conj().T
+    Y = U @ ((Uh @ R @ U) * inverse) @ Uh
+    return Qh @ Y - graded_sign_split(B.space, Y @ Qh)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +387,6 @@ def class_coordinates(quotient: BRSTQuotient, vector) -> np.ndarray:
 
 class ObservableAlgebra(NamedTuple):
     variant: str
-    ker_basis: List[np.ndarray]
-    im_basis: List[np.ndarray]
     quotient_basis: List[np.ndarray]
 
     @property
@@ -400,70 +395,69 @@ class ObservableAlgebra(NamedTuple):
 
 
 def observable_algebra(B: BRSTStructure, variant: str = "even_ghost") -> ObservableAlgebra:
-    """Quotient ker s mod im s of the ambient matrix algebra.
-
-    s maps even-ghost operators to odd ones and back, so kernel, image and
-    quotient split into an even and an odd block, each read off the
-    structure's cached split of s.  Variant "even_ghost" is the even block
-    and verifies that the represented quotient is closed under the physical
-    adjoint; "full" is the direct sum of both blocks and verifies that the
-    kernel is closed under the Krein adjoint.  Both verify that the kernel
-    is closed under products; RANK_TOL bounds these checks (_verify_closure).
+    """Quotient ker s mod im s of the ambient matrix algebra, represented by
+    the harmonic operators u_i u_j^H of the structure's Hodge decomposition:
+    all of them for "full", the even ones for "even_ghost".  Products of
+    representatives must lie in ker s, and so must their Krein adjoints
+    ("full"), or the represented quotient must be closed under the physical
+    adjoint ("even_ghost"); RANK_TOL bounds these checks (_verify_closure).
     """
     if variant not in ("even_ghost", "full"):
         raise ValueError(f"unknown variant {variant!r}")
-    n = B.dim
-    parts = []
-    for p in (0,) if variant == "even_ghost" else (0, 1):
-        ker, im = B._derivation[p].kernel, B._derivation[1 - p].image
-        # representatives of the quotient: kernel directions orthogonal to the image
-        quot = ker @ _split(im.conj().T @ ker).kernel
-        for block in (ker, im, quot):  # as operators on the n^2-dimensional space
-            ops = np.zeros((block.shape[1], n * n), dtype=complex)
-            ops[:, _parity_indices(B.space)[p]] = block.T
-            parts.append(ops.reshape(-1, n, n))
-    ker_ops, im_ops, quot_ops = (np.concatenate(parts[i::3]) for i in range(3))
-    _verify_closure(B, ker_ops)
-    return ObservableAlgebra(variant=variant, ker_basis=list(ker_ops),
-                             im_basis=list(im_ops), quotient_basis=list(quot_ops))
+    U, inverse = B._hodge
+    keep = inverse == 0
+    if variant == "even_ghost":
+        keep &= _same_parity(B.space)
+    i, j = np.nonzero(keep)
+    reps = U.T[i, :, None] * U.conj().T[j, None, :]
+    _verify_closure(B, reps, full=variant == "full")
+    return ObservableAlgebra(variant=variant, quotient_basis=list(reps))
 
 
-def _verify_closure(B: BRSTStructure, ker_ops: np.ndarray):
+def _floor(B: BRSTStructure, full: bool) -> float:
+    """Least positive singular value of s (full) or of s on the even
+    operators: the root of the least non-harmonic d_i + d_j (over the
+    equal-parity pairs if not full), inf where s is 0."""
+    inverse = B._hodge[1]
+    top = float(np.max(inverse if full else inverse[_same_parity(B.space)], initial=0.0))
+    return top ** -0.5 if top else np.inf
+
+
+def _verify_closure(B: BRSTStructure, ops: np.ndarray, full: bool):
     """Certify closure under products and adjoints from one application of
-    s per basis operator and per adjoint.
+    s per operator and per adjoint.
 
-    ker_ops (K, n, n), orthonormal, spans T = ker s_0 ("even_ghost"; s_p is
-    s on parity p) or T = ker s ("full"); the count tells which, as any odd
-    kernel holds Q.  With sigma the smallest kept singular value of s on
-    T's parities (_Split.floor), the part of X off T has orthogonal images
-    under s, so dist(X, T) <= d(X) = |s(X)| / sigma, the odd part of X
-    added in quadrature for "even_ghost".  s(ab) = s(a) b + Gamma(a) s(b),
-    Gamma(F) = Sigma F Sigma, and operator norms are at most the unit
-    Frobenius norms, so each product a_i a_j lies within 2 max d(a_i) of T:
-    at most sqrt(RANK_TOL), the pairwise bound, certifies products.  s commutes
-    with the Krein adjoint up to a sign only for a Gram matrix that keeps
-    parity, which the reference models' does not, so d(A_i) <= sqrt(RANK_TOL) is
-    asked of each adjoint A_i.  For "even_ghost" the odd part of A_i may be
-    exact (its distance from im s_0 replaces its norm): pi(A)^* = pi(A^+)
-    on the physical quotient and im s acts there as zero, so the
-    represented quotient is closed under the physical adjoint.  Without a
-    nonzero physical quotient that test is void.
+    ops (K, n, n), of unit Frobenius norm, should lie in T = ker s (full)
+    or T = ker s_0 (s on the even operators).  For the harmonic
+    representatives this certifies that they, their products and their
+    adjoints have classes in the quotient; im s is not examined.  With sigma
+    = _floor, the part of X off T has orthogonal images under s, so
+    dist(X, T) <= d(X) = |s(X)| / sigma, the odd part of X added in
+    quadrature if not full.  s(ab) = s(a) b + Gamma(a) s(b), Gamma(F) =
+    Sigma F Sigma, and operator norms are at most the unit Frobenius norms,
+    so a_i a_j lies within 2 max d(a_i) of T: at most sqrt(RANK_TOL), the
+    pairwise bound, certifies products.  s commutes with the Krein adjoint
+    up to a sign only for a Gram matrix that keeps parity, which the
+    reference models' does not, so d(A_i) <= sqrt(RANK_TOL) is asked of each
+    adjoint A_i.  If not full, the odd part P of A_i may be exact: |P -
+    s(_s_preimage(P))| replaces its norm, as pi(A)^* = pi(A^+) on the
+    physical quotient and im s acts there as zero.  Without a nonzero
+    physical quotient that test is void.
     """
-    s_even, s_odd = B._derivation
-    full = len(ker_ops) > s_even.kernel.shape[1]
-    sigma = min(s_even.floor, s_odd.floor) if full else s_even.floor
-    odd = _parity_indices(B.space)[1]
+    same, sigma = _same_parity(B.space), _floor(B, full)
 
-    def distance(X: np.ndarray, exact: np.ndarray) -> np.ndarray:
-        moved = s_action(B, X).reshape(len(X), -1)
+    def distance(X: np.ndarray, exact: bool) -> np.ndarray:
+        moved = s_action(B, X)
         if full:
-            return np.linalg.norm(moved, axis=1) / sigma
-        part = X.reshape(len(X), -1)[:, odd]
-        return np.hypot(np.linalg.norm(moved[:, odd], axis=1) / sigma,
-                        np.linalg.norm(part - (part @ exact.conj()) @ exact.T, axis=1))
+            return np.linalg.norm(moved, axis=(1, 2)) / sigma
+        part = np.where(same, 0, X)
+        if exact:
+            part = part - s_action(B, _s_preimage(B, part))
+        return np.hypot(np.linalg.norm(np.where(same, 0, moved), axis=(1, 2)) / sigma,
+                        np.linalg.norm(part, axis=(1, 2)))
 
     bound = np.sqrt(RANK_TOL)
-    eps = 2 * float(np.max(distance(ker_ops, np.zeros((len(odd), 0))), initial=0.0))
+    eps = 2 * float(np.max(distance(ops, exact=False), initial=0.0))
     if eps > bound:
         raise NotObservableError(f"kernel not closed under products (bound {eps:.3e})")
     if not full:
@@ -472,7 +466,7 @@ def _verify_closure(B: BRSTStructure, ker_ops: np.ndarray):
                 return
         except (PositivityViolatedError, NullNotExactError):
             return
-    miss = float(np.max(distance(krein_adjoint(B.space.krein, ker_ops), s_even.image),
+    miss = float(np.max(distance(krein_adjoint(B.space.krein, ops), exact=True),
                         initial=0.0))
     if miss > bound:
         raise NotObservableError(f"kernel not closed under the adjoint (bound {miss:.3e})")
@@ -761,10 +755,9 @@ def deform_check(D: DeformedBRST, samples: int = 50,
     null_checked += int(np.count_nonzero(null))
 
     # --- item (iv): faithfulness at leading order -------------------------
-    algebra = observable_algebra(base, "even_ghost")
     min_norm = np.inf
     tested = 0
-    for A0 in algebra.quotient_basis:
+    for A0 in observable_algebra(base, "even_ghost").quotient_basis:
         pi0 = representation_matrix(base, quotient, GradedOperator(A0, 0))
         if np.max(np.abs(pi0)) <= bound:
             continue

@@ -139,7 +139,7 @@ CheckFn = Callable[..., CheckResult]
 _REGISTRY: Dict[str, CheckFn] = {}
 # check name -> {string parameter: the values it may take}
 _CHOICES: Dict[str, Dict[str, Tuple[str, ...]]] = {}
-# check name -> {count or order parameter: its least value}
+# check name -> {count, size or order parameter: its least value}
 _LEAST: Dict[str, Dict[str, int]] = {}
 
 
@@ -271,7 +271,11 @@ def _check_cocycle(ctx, *, triples=200):
     return CheckResult(passed=worst <= tol, value=worst, tolerance=tol)
 
 
-@register("galilei.commutators")
+# galilei.MIN_POINTS_PER_AXIS, repeated here because loading imports no layer
+_MIN_LADDER_POINTS = 32
+
+
+@register("galilei.commutators", least={"points": _MIN_LADDER_POINTS})
 def _check_commutators(ctx, *, points=32, p_max=10.0, mass=1.0):
     report = opalg.galilei.generator_commutators(
         mass, opalg.galilei.momentum_grid(points, p_max), pairs=opalg.galilei.EXACT_BRACKETS)
@@ -342,7 +346,7 @@ def _check_parseval(ctx, *, kind="galilean", points=16, mass=1.0, spacing=0.4,
     return result
 
 
-@register("wigner.two_particle", least={"samples": 1}, kind=_SHELL_KINDS)
+@register("wigner.two_particle", least={"samples": 1, "points": 1}, kind=_SHELL_KINDS)
 def _check_two_particle(ctx, *, kind="relativistic", mass=1.0, samples=1000, points=9,
                         spacing=0.5):
     shell = opalg.wigner.make_shell(kind, mass, points, spacing)
@@ -351,7 +355,7 @@ def _check_two_particle(ctx, *, kind="relativistic", mass=1.0, samples=1000, poi
     return CheckResult(passed=ok, value=f"min={stats.min:.6f}")
 
 
-@register("wigner.angular", amplitude=("isotropic", "cos_theta"))
+@register("wigner.angular", least={"l_max": 0}, amplitude=("isotropic", "cos_theta"))
 def _check_angular(ctx, *, amplitude="isotropic", l_max=4):
     import numpy as np
     if amplitude == "isotropic":
@@ -376,7 +380,7 @@ def _check_normal_form(ctx, *, q, word="yx", expect_monomial=None):
     return CheckResult(passed=ok, value=f"x^{a}y^{b}")
 
 
-@register("qplane.center")
+@register("qplane.center", least={"max_deg": 1})
 def _check_center(ctx, *, q, max_deg=6):
     q = _decode_q(q)
     central = opalg.qplane.center_probe(q, max_deg)
@@ -458,10 +462,10 @@ def _bind(name: str, params: Dict, where: str) -> Dict:
     argument without a default must be given.  A value whose default is a
     number or a boolean (or None, for an argument annotated Optional[int]) is
     cast to that type, one whose default is a tuple is read as a list of
-    numbers of the type of its first item, a count, order or list length the
-    check registered a least value for must reach it, and a string the check
-    registered choices for must be one of them; any other value is passed on
-    as it is, for _decode_params and the check.
+    numbers of the type of its first item, a count, size, order or list length
+    the check registered a least value for must reach it, and a string the
+    check registered choices for must be one of them; any other value is
+    passed on as it is, for _decode_params and the check.
     """
     fn = _REGISTRY[name]
     code, defaults = fn.__code__, fn.__kwdefaults__ or {}
@@ -495,10 +499,6 @@ def _bind(name: str, params: Dict, where: str) -> Dict:
     return kwargs
 
 
-# galilei.MIN_POINTS_PER_AXIS, repeated here because loading imports no layer
-_MIN_LADDER_POINTS = 32
-
-
 def _shape(value, where: str) -> Tuple[int, ...]:
     """The shape of rectangular nested lists of finite numbers."""
     if not isinstance(value, list):
@@ -511,10 +511,10 @@ def _shape(value, where: str) -> Tuple[int, ...]:
 
 
 def _decode_params(params: Dict, where: str) -> Dict:
-    """Check the model name, the size ladder, the integer pairs, the series b
-    and the dump path of a bound params dict, and read q: the integers N and
-    k of a root of unity {N, k}, or a number or a pair [re, im] as a complex
-    number."""
+    """Check the model name, the size ladder, the integer pairs, the series b,
+    the word and the dump path of a bound params dict, and read q: the
+    integers N and k of a root of unity {N, k}, or a number or a pair
+    [re, im] as a complex number."""
     if "model" in params and params["model"] not in list(_MODELS):
         raise ScenarioParseError(f"{where}.model: unknown model {params['model']!r}")
     b = params.get("b")
@@ -522,6 +522,10 @@ def _decode_params(params: Dict, where: str) -> Dict:
     if "b" in params and (len(shape) < 2 or shape[-1] != 2):
         raise ScenarioParseError(f"{where}.b: expected a list of [re, im] pairs or of "
                                  f"rectangular nested lists of them, got {b!r}")
+    word = params.get("word", "")
+    if not isinstance(word, str) or set(word) - {"x", "y"}:
+        raise ScenarioParseError(f"{where}.word: expected a string of the letters x "
+                                 f"and y, got {word!r}")
     dump = params.get("dump_field")
     if dump is not None and (not isinstance(dump, str) or os.path.isdir(dump)
                              or not os.path.isdir(os.path.dirname(dump) or ".")):
@@ -589,8 +593,10 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(data.get("tolerances", {}), dict):
         raise ScenarioParseError(f"{path}: tolerances: expected an object")
     tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update({k: _number(float, v, f"{path}: tolerances.{k}")
-                       for k, v in data.get("tolerances", {}).items()})
+    for k, v in data.get("tolerances", {}).items():
+        tolerances[k] = _number(float, v, f"{path}: tolerances.{k}")
+        if tolerances[k] < 0:
+            raise ScenarioParseError(f"{path}: tolerances.{k}: expected at least 0, got {v!r}")
     checks = []
     for i, entry in enumerate(data["checks"]):
         where = f"{path}: checks[{i}]"

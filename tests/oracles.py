@@ -145,6 +145,31 @@ def observable_dims_svd(Q, grades, variant, tol=ORACLE_TOL):
     return ker.shape[1], im.shape[1], quot.shape[1]
 
 
+def derivation_svd(Q, grades, variant, tol=ORACLE_TOL):
+    """The SVD route to s: one SVD of the loop-built derivation matrix on
+    the whole operator space ("full") or on its even-ghost part
+    ("even_ghost").  Returns the orthonormal kernel as (K, n, n) operators
+    and the smallest singular value above tol (inf if there is none)."""
+    n = len(grades)
+    S = super_commutator_matrix(Q, grades)
+    g = np.asarray(grades)
+    cols = np.ones(n * n, dtype=bool) if variant == "full" \
+        else ((g[:, None] - g[None, :]) % 2).ravel() == 0
+    _, s, vh = np.linalg.svd(S[:, cols])
+    rank_ = int(np.sum(s > tol))
+    ker = np.zeros((n * n, int(cols.sum()) - rank_), dtype=complex)
+    ker[cols] = vh[rank_:].conj().T
+    return ker.T.reshape(-1, n, n), float(s[rank_ - 1]) if rank_ else np.inf
+
+
+def s_preimage_svd(Q, grades, R, tol=ORACLE_TOL):
+    """Minimum-norm X with s(X) closest to R, from the pseudo-inverse of the
+    loop-built derivation matrix, singular values cut at tol relative to
+    the largest."""
+    S = super_commutator_matrix(Q, grades)
+    return (np.linalg.pinv(S, rtol=tol) @ np.ravel(R)).reshape(np.shape(R))
+
+
 def physical_space_three_step(ker, im, G, W, tol=ORACLE_TOL):
     """The three separate checks that once decided the physical quotient:
     the product restricted to the kernel has no eigenvalue below -tol, its

@@ -16,10 +16,10 @@ from opalg.brst import (GradeViolationError, GradedOperator,
 from opalg.krein import fundamental_symmetry, krein_adjoint
 from opalg.series import FormalSeries, series_mul
 
-from oracles import (brst_derivation, closure_pairwise, lstsq_series_solve,
+from oracles import (brst_derivation, closure_pairwise, derivation_svd, lstsq_series_solve,
                      observable_dims_svd, physical_space_svd, physical_space_three_step,
-                     quotient_oracle, quotient_reps, rank, super_commutator_matrix,
-                     svd_column_space, svd_null_space)
+                     quotient_oracle, quotient_reps, rank, s_preimage_svd,
+                     super_commutator_matrix, svd_column_space, svd_null_space)
 
 TOYS = {
     "null_pair": (null_pair_toy, 0),
@@ -245,17 +245,10 @@ class TestObservableAlgebra:
         even_cols = np.where(parity == 0)[0]
         odd_cols = np.where(parity == 1)[0]
 
-        alg = observable_algebra(B, "even_ghost")
         ker_even = even_cols.size - rank(S[:, even_cols])
         im_even = rank(S[:, odd_cols])
-        assert len(alg.ker_basis) == ker_even
-        assert len(alg.im_basis) == im_even
-        assert alg.quotient_dim == ker_even - im_even
-
-        alg_full = observable_algebra(B, "full")
-        assert len(alg_full.ker_basis) == n * n - rank(S)
-        assert len(alg_full.im_basis) == rank(S)
-        assert alg_full.quotient_dim == n * n - 2 * rank(S)
+        assert observable_algebra(B, "even_ghost").quotient_dim == ker_even - im_even
+        assert observable_algebra(B, "full").quotient_dim == n * n - 2 * rank(S)
 
     def test_gupta_bleuler_quotient_generated_by_projector(self):
         B = gupta_bleuler_toy()
@@ -273,19 +266,18 @@ class TestObservableAlgebra:
             assert observable_algebra(B, variant).quotient_dim == 4
 
     def test_kernel_and_image_star_closed_full_variant(self):
+        # the oracle's kernel and image, and the representatives in the kernel
         B = two_pair_model()
-        alg = observable_algebra(B, "full")
-        K = B.space.krein
-        vecs = np.array([op.ravel() for op in alg.ker_basis]).T
-        proj = vecs @ np.linalg.pinv(vecs)
-        for op in alg.ker_basis:
-            adj = krein_adjoint(K, op).ravel()
-            assert np.linalg.norm(adj - proj @ adj) < 1e-8
-        ivecs = np.array([op.ravel() for op in alg.im_basis]).T
-        iproj = ivecs @ np.linalg.pinv(ivecs)
-        for op in alg.im_basis:
-            adj = krein_adjoint(K, op).ravel()
-            assert np.linalg.norm(adj - iproj @ adj) < 1e-8
+        n, K, grades = B.dim, B.space.krein, B.space.ghost_grades
+        ker = derivation_svd(B.Q, grades, "full")[0]
+        im = svd_column_space(super_commutator_matrix(B.Q, grades)).T.reshape(-1, n, n)
+        reps = np.array(observable_algebra(B, "full").quotient_basis)
+        for span, ops in ((ker, ker), (im, im), (ker, reps)):
+            vecs = span.reshape(len(span), -1).T
+            proj = vecs @ np.linalg.pinv(vecs)
+            for op in ops:
+                adj = krein_adjoint(K, op).ravel()
+                assert np.linalg.norm(adj - proj @ adj) < 1e-8
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
@@ -294,17 +286,15 @@ class TestObservableAlgebra:
     @pytest.mark.parametrize("name", sorted(TOYS))
     def test_closure_fails_once_a_column_leaves_the_kernel(self, name):
         B = TOYS[name][0]()
-        n = B.dim
-        alg = observable_algebra(B, "full")
-        ker = np.array([op.ravel() for op in alg.ker_basis]).T
-        brst._verify_closure(B, ker.T.reshape(-1, n, n))
+        ker = derivation_svd(B.Q, B.space.ghost_grades, "full")[0]
+        brst._verify_closure(B, ker, full=True)
         # a unit vector orthogonal to ker s replaces the first kernel column;
         # on null_pair the pairwise adjoint test maps it back into the span
-        off = np.linalg.svd(ker.conj().T)[2][ker.shape[1]].conj()
+        vecs = ker.reshape(len(ker), -1).T
         pushed = ker.copy()
-        pushed[:, 0] = off
+        pushed[0] = np.linalg.svd(vecs.conj().T)[2][len(ker)].conj().reshape(B.dim, B.dim)
         with pytest.raises(NotObservableError):
-            brst._verify_closure(B, pushed.T.reshape(-1, n, n))
+            brst._verify_closure(B, pushed, full=True)
 
 
 class TestRepresentation:
@@ -529,8 +519,22 @@ def conditioned(rng, size, cond):
     return unitary() @ np.diag(rng.uniform(1.0, cond, size=size)) @ unitary()
 
 
+def ghost_preserving(rng, B):
+    """A random change of basis within each ghost degree of B, each block
+    of condition number at most 10."""
+    grades = np.asarray(B.space.ghost_grades)
+    S = np.zeros((B.dim, B.dim), dtype=complex)
+    for g in np.unique(grades):
+        idx = np.flatnonzero(grades == g)
+        S[np.ix_(idx, idx)] = conditioned(rng, idx.size, 10.0)
+    return S
+
+
 models = st.one_of(st.sampled_from([make for make, _ in TOYS.values()]).map(lambda m: m()),
                    pair_models)
+moved_pair_models = st.builds(
+    lambda B, seed: change_basis(B, ghost_preserving(np.random.default_rng(seed), B)),
+    pair_models, st.integers(0, 2**32 - 1))
 
 
 class TestChangeOfBasis:
@@ -539,13 +543,7 @@ class TestChangeOfBasis:
     @settings(max_examples=30, deadline=None)
     @given(B=models, seed=st.integers(0, 2**32 - 1))
     def test_dimensions_unchanged(self, B, seed):
-        rng = np.random.default_rng(seed)
-        grades = np.asarray(B.space.ghost_grades)
-        S = np.zeros((B.dim, B.dim), dtype=complex)
-        for g in np.unique(grades):
-            idx = np.flatnonzero(grades == g)
-            S[np.ix_(idx, idx)] = conditioned(rng, idx.size, 10.0)
-        moved = change_basis(B, S)
+        moved = change_basis(B, ghost_preserving(np.random.default_rng(seed), B))
         assert physical_space(moved).dim == physical_space(B).dim
         for variant in ("even_ghost", "full"):
             assert observable_algebra(moved, variant).quotient_dim == \
@@ -569,15 +567,52 @@ def verdict(check, *args):
 
 
 class TestOracleTwins:
-    """The cached-split route against the SVD-per-question reference and
-    the row-reduction oracles, on randomly rotated pair models."""
+    """The cached splits and Hodge decomposition against the SVD-per-question
+    reference and the row-reduction oracles, on randomly rotated pair models."""
 
-    @pytest.mark.parametrize("make", [null_pair_toy, gupta_bleuler_toy, two_pair_model,
-                                      lambda: random_pair_model(2, 3, 0)])
-    def test_derivation_matrix_equals_loop(self, make):
-        B = make()
-        assert np.array_equal(brst._s_matrix(B),
-                              super_commutator_matrix(B.Q, B.space.ghost_grades))
+    @settings(max_examples=20, deadline=None)
+    @given(B=moved_pair_models)
+    def test_laplacian_of_s_is_kunneth(self, B):
+        # s s^H + s^H s = Delta_Q (x) 1 + 1 (x) Delta_Q^T, row-major
+        S = super_commutator_matrix(B.Q, B.space.ghost_grades)
+        lap, eye = B.Q @ B.Q.conj().T + B.Q.conj().T @ B.Q, np.eye(B.dim)
+        assert_rel_close(S @ S.conj().T + S.conj().T @ S,
+                         np.kron(lap, eye) + np.kron(eye, lap.T))
+
+    @settings(max_examples=20, deadline=None)
+    @given(B=moved_pair_models, seed=st.integers(0, 2**32 - 1))
+    def test_s_preimage(self, B, seed):
+        rng = np.random.default_rng(seed)
+        R = rng.normal(size=(2, B.dim, B.dim)) + 1j * rng.normal(size=(2, B.dim, B.dim))
+        got = brst._s_preimage(B, R)
+        for r, x in zip(R, got):
+            assert_rel_close(x, s_preimage_svd(B.Q, B.space.ghost_grades, r))
+
+    @settings(max_examples=20, deadline=None)
+    @given(B=moved_pair_models)
+    def test_quotient_counts_harmonic_vectors(self, B):
+        # h_p = dim ker Q - dim im Q on the vectors of parity p
+        par = B.space.parities()
+        h = [int(np.sum(par == p)) - rank(B.Q[:, par == p]) - rank(B.Q[par == p])
+             for p in (0, 1)]
+        assert observable_algebra(B, "full").quotient_dim == sum(h) ** 2
+        assert observable_algebra(B, "even_ghost").quotient_dim == h[0] ** 2 + h[1] ** 2
+
+    @settings(max_examples=20, deadline=None)
+    @given(B=st.one_of(models, moved_pair_models))
+    def test_certificate_floor(self, B):
+        for variant in ("even_ghost", "full"):
+            want = derivation_svd(B.Q, B.space.ghost_grades, variant)[1]
+            assert np.isclose(brst._floor(B, variant == "full"), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("B, want", [
+        (null_pair_toy(), np.sqrt(2)),  # no harmonic vector: the least pair sum is 2
+        (validate_brst(make_graded_space(np.eye(2), [0, 0]), np.zeros((2, 2))), np.inf),
+    ])
+    def test_floor_without_harmonic_pairs_or_without_charge(self, B, want):
+        for variant in ("even_ghost", "full"):
+            assert derivation_svd(B.Q, B.space.ghost_grades, variant)[1] == pytest.approx(want)
+            assert brst._floor(B, variant == "full") == pytest.approx(want, rel=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(B=pair_models)
@@ -608,27 +643,26 @@ class TestOracleTwins:
         oracle = {"even_ghost": (int(np.sum(parity == 0)) - r_even, r_odd),
                   "full": (S.shape[1] - rank(S), rank(S))}
         for variant, (ker_dim, im_dim) in oracle.items():
-            alg = observable_algebra(B, variant)
-            got = (len(alg.ker_basis), len(alg.im_basis), alg.quotient_dim)
-            assert got == observable_dims_svd(B.Q, grades, variant) \
-                == (ker_dim, im_dim, ker_dim - im_dim)
+            got = observable_algebra(B, variant).quotient_dim
+            assert observable_dims_svd(B.Q, grades, variant) == (ker_dim, im_dim, got)
+            assert got == ker_dim - im_dim
 
     @settings(max_examples=20, deadline=None)
     @given(B=models)
     def test_closure_certificate_against_pairwise(self, B):
         n, tol = B.dim, brst.RANK_TOL
         for variant in ("even_ghost", "full"):
-            alg = observable_algebra(B, variant)
-            ops = np.array(alg.ker_basis)
-            represented = alg.quotient_basis if variant == "even_ghost" else None
-            assert verdict(brst._verify_closure, B, ops) is None
+            full = variant == "full"
+            ops = derivation_svd(B.Q, B.space.ghost_grades, variant)[0]
+            represented = None if full else observable_algebra(B, variant).quotient_basis
+            assert verdict(brst._verify_closure, B, ops, full) is None
             assert verdict(closure_pairwise, B, ops, represented, tol) is None
             # one column pushed off the kernel: the certificate always sees
             # it; the pairwise loops see it at least for the full variant
             vecs = ops.reshape(len(ops), -1).T
             ops[0] = np.linalg.svd(vecs.conj().T)[2][vecs.shape[1]].conj().reshape(n, n)
-            assert verdict(brst._verify_closure, B, ops) is NotObservableError
-            if variant == "full":
+            assert verdict(brst._verify_closure, B, ops, full) is NotObservableError
+            if full:
                 assert verdict(closure_pairwise, B, ops, None, tol) is NotObservableError
 
     def test_closure_on_a_gram_matrix_that_mixes_parity(self):

@@ -84,13 +84,14 @@ class TestLoading:
             load_scenario(path)
 
     def test_tolerances_come_from_the_file_or_the_default(self, tmp_path, monkeypatch):
-        # the environment is no source of tolerances
+        # the environment is no source of tolerances; a zero tolerance is legal
         monkeypatch.setenv("OPALG_TOL_PARSEVAL", "1e-5")
         monkeypatch.setenv("OPALG_TOL_DEFAULT", "abc")
         path = write_scenario(tmp_path, {
-            "name": "tol", "seed": 1, "tolerances": {"witness": 1e-7},
+            "name": "tol", "seed": 1, "tolerances": {"witness": 1e-7, "grid_exact": 0},
             "checks": [{"check": "galilei.clifford"}]})
-        assert load_scenario(path).tolerances == dict(DEFAULT_TOLERANCES, witness=1e-7)
+        assert load_scenario(path).tolerances == dict(DEFAULT_TOLERANCES, witness=1e-7,
+                                                      grid_exact=0.0)
 
     def test_numbers_cast_to_the_type_of_the_default(self, tmp_path):
         path = write_scenario(tmp_path, {
@@ -131,6 +132,7 @@ class TestLoading:
     def test_ladder_minimum_is_the_grid_minimum(self):
         from opalg import galilei, scenario
         assert scenario._MIN_LADDER_POINTS == galilei.MIN_POINTS_PER_AXIS
+        assert scenario._LEAST["galilei.commutators"]["points"] == galilei.MIN_POINTS_PER_AXIS
 
     def test_choices_are_the_layers_choices(self):
         # the strings load admits, repeated in scenario because loading
@@ -454,6 +456,19 @@ class TestCli:
          "checks[0].params.dump_field: expected a file path in an existing directory"),
         ({"checks": [{"check": "wigner.parseval", "params": {"dump_field": 5}}]},
          "checks[0].params.dump_field: expected a file path"),
+        ({"checks": [{"check": "wigner.two_particle", "params": {"points": 0}}]},
+         "checks[0].params.points: expected at least 1, got 0"),
+        ({"checks": [{"check": "wigner.angular", "params": {"l_max": -1}}]},
+         "checks[0].params.l_max: expected at least 0, got -1"),
+        ({"checks": [{"check": "galilei.commutators", "params": {"points": 31}}]},
+         "checks[0].params.points: expected at least 32, got 31"),
+        ({"checks": [{"check": "qplane.center", "params": {"q": 2, "max_deg": 0}}]},
+         "checks[0].params.max_deg: expected at least 1, got 0"),
+        ({"tolerances": {"default": -1}}, "tolerances.default: expected at least 0, got -1"),
+        ({"checks": [{"check": "qplane.normal_form", "params": {"q": 2, "word": "yz"}}]},
+         "checks[0].params.word: expected a string of the letters x and y, got 'yz'"),
+        ({"checks": [{"check": "qplane.normal_form", "params": {"q": 2, "word": ["x"]}}]},
+         "checks[0].params.word: expected a string of the letters x and y"),
         *[({"checks": [{"check": "galilei.commutator_convergence",
                         "params": {"sizes": sizes}}]},
            "checks[0].params.sizes: expected two or more sizes, no two equal, each of at "
