@@ -9,7 +9,8 @@ sample count at order 6, and over the order at 400 samples.  The structure
 is built fresh in each child, so its cached decompositions count in the
 timing, as they do for a scenario check.  `treebench` holds the options
 (`--tree`, `--rev`, `--out`), the alternating fresh child processes and the
-exponent fit.  Uses only public names that every tree has.
+exponent fit; the rounds are raised to 9, because one point is a few
+milliseconds.  Uses only public names that every tree has.
 """
 
 from __future__ import annotations
@@ -45,4 +46,5 @@ SWEEPS = (
 
 
 if __name__ == "__main__":
+    treebench.REPEATS = 9
     raise SystemExit(treebench.main("deform", CHILD, SWEEPS, __doc__.splitlines()[0]))

@@ -5,7 +5,7 @@
 
 Each child writes a scenario of one cheap check per layer for the first 1,
 2, 4 or 6 of the layers series, krein, brst, galilei, wigner and qplane.
-Two sweeps:
+Three sweeps:
 - `layers`: the child imports numpy first, then times `import opalg.cli`,
   `load_scenario` and `run_scenario` together: the set-up a scenario run
   pays on top of numpy.
@@ -14,6 +14,9 @@ Two sweeps:
   at 0 layers the child loads the six-check file and runs nothing, which
   is what `opalg checks`, a malformed file's exit 2 and the benchmark's
   set-up processes pay.
+- `exit`: the child times a `python -m opalg.cli run <file> --format csv`
+  process from its spawn to its exit, so the interpreter's teardown after
+  the report counts as well.
 With lazy layers the time grows with the layers used; a tree that imports
 every layer up front pays the same at every point.  `treebench` holds the
 options (`--tree`, `--rev`, `--out`), the alternating fresh child
@@ -42,6 +45,14 @@ fd, path = tempfile.mkstemp(suffix=".json")
 with os.fdopen(fd, "w") as fh:
     fh.write('{"name": "import", "seed": 1, "checks": [%s]}'
              % ", ".join(list(CHEAP.values())[:layers or len(CHEAP)]))
+if kind == "exit":
+    import subprocess
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "opalg.cli", "run", path, "--format", "csv"],
+                   stdout=subprocess.DEVNULL, check=True)
+    print(time.perf_counter() - start)
+    os.remove(path)
+    sys.exit()
 start = time.perf_counter()
 import opalg.cli
 from opalg.scenario import load_scenario, run_scenario
@@ -62,6 +73,9 @@ SWEEPS = (
      "process start to the end of load_scenario (0 layers) or run_scenario, "
      "nothing imported beforehand, one cheap check per layer of series, "
      "krein, brst, galilei, wigner, qplane"),
+    ("exit", "exit", "layers used", (1, 2, 4, 6),
+     "spawn to exit of `python -m opalg.cli run <file> --format csv`, one "
+     "cheap check per layer of series, krein, brst, galilei, wigner, qplane"),
 )
 
 

@@ -168,7 +168,6 @@ class _Split(NamedTuple):
     image: np.ndarray    # orthonormal columns
     kernel: np.ndarray   # orthonormal columns
     pinv: np.ndarray     # minimum-norm solution operator
-    floor: float         # smallest kept singular value; inf for the zero map
 
 
 def _split(A: np.ndarray) -> _Split:
@@ -183,18 +182,7 @@ def _split(A: np.ndarray) -> _Split:
     rank = int(np.sum(s > RANK_TOL * s[0])) if s.size else 0
     image, coimage = u[:, :rank], vh[:rank].conj().T
     return _Split(image=image, kernel=vh[rank:].conj().T,
-                  pinv=coimage @ (image.conj().T / s[:rank, None]),
-                  floor=float(s[rank - 1]) if rank else np.inf)
-
-
-def _unsolved(residual: np.ndarray, rhs: np.ndarray,
-              order: int, what: str) -> Dict[int, Exception]:
-    """LiftObstructionError for each column whose residual exceeds LIFT_TOL
-    relative to the norm of its right-hand side."""
-    res = np.linalg.norm(residual, axis=0)
-    bad = res > LIFT_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=0))
-    return {int(j): LiftObstructionError(order, float(res[j]), what)
-            for j in np.flatnonzero(bad)}
+                  pinv=coimage @ (image.conj().T / s[:rank, None]))
 
 
 def _raise_first(stages: Sequence[Dict[int, Exception]]):
@@ -218,7 +206,8 @@ def _raise_first(stages: Sequence[Dict[int, Exception]]):
 
 class BRSTStructure:
     """A validated charge Q on a graded space; each decomposition of Q is
-    taken on first use and kept."""
+    taken on first use and kept, read-only, as one structure may serve many
+    callers."""
 
     def __init__(self, space: GhostGradedSpace, Q: np.ndarray):
         self.space, self.Q = space, Q
@@ -229,7 +218,7 @@ class BRSTStructure:
 
     @cached_property
     def _charge(self) -> _Split:
-        return _split(self.Q)
+        return _read_only(_split(self.Q))
 
     @cached_property
     def _quotient(self) -> "BRSTQuotient":
@@ -253,7 +242,13 @@ class BRSTStructure:
             d[idx], U[np.ix_(idx, idx)] = np.linalg.eigh(lap[np.ix_(idx, idx)])
         pairs = d[:, None] + d[None, :]
         harmonic = pairs <= RANK_TOL * np.max(d, initial=0.0)
-        return U, np.divide(1.0, pairs, out=np.zeros_like(pairs), where=~harmonic)
+        return _read_only((U, np.divide(1.0, pairs, out=np.zeros_like(pairs), where=~harmonic)))
+
+
+def _read_only(arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def validate_brst(space: GhostGradedSpace, Q) -> BRSTStructure:
@@ -363,8 +358,7 @@ def _physical_space(B: BRSTStructure) -> BRSTQuotient:
         raise PositivityViolatedError(f"kernel vector of norm {low:.3e} found")
     if low <= RANK_TOL:
         raise NullNotExactError(f"null kernel vector outside the image (norm {low:.3e})")
-    for a in (ker, im, reps, gram):
-        a.setflags(write=False)
+    _read_only((reps, gram))  # ker and im are the structure's, read-only already
     return BRSTQuotient(ker_basis=ker, im_basis=im,
                         quotient_reps=reps, induced_gram=gram)
 
@@ -568,14 +562,69 @@ def _inner_columns(G: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
                      for m in range(min(len(A), len(B)))])
 
 
-def _charge_times(Qs: np.ndarray, X: np.ndarray, m: int, first: int = 0) -> np.ndarray:
-    """Order-m coefficient of the charge series times the formal vectors
-    X (N+1, n, S), counting only the charge coefficients from `first` on."""
-    return np.matmul(Qs[first:m + 1], X[:m + 1 - first][::-1]).sum(axis=0)
+# A jet is a formal vector truncated at the order N of the charge: its N+1
+# coefficients stacked in one column of length (N+1) n, one sample per column.
 
 
-def _apply_charge(Qs: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return np.stack([_charge_times(Qs, X, m) for m in range(min(len(Qs), len(X)))])
+def _charge_matrix(D: DeformedBRST) -> np.ndarray:
+    """The charge series acting on jets: the block lower-triangular Toeplitz
+    matrix with block (m, k) = Q_{m-k}, so that its product with a jet is
+    series_mul of the charge and the formal vector."""
+    L, Qs = D.order + 1, np.asarray(D.Q_series.coeffs)
+    lag = np.subtract.outer(np.arange(L), np.arange(L))
+    blocks = np.where((lag >= 0)[..., None, None], Qs[np.maximum(lag, 0)], 0)
+    return blocks.transpose(0, 2, 1, 3).reshape(L * D.base.dim, -1)
+
+
+def _solve_jets(T: np.ndarray, pinv: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Jets X with X_m = Z_m - pinv sum_{k>=1} Q_k X_{m-k}, order by order.
+
+    With Z the seed and kernel noise this is the lift of the seed; with
+    Z_m = pinv Y_m, the minimum-norm formal solve of T X = Y.  Linear in Z:
+    run on identity columns it gives the map of either.
+    """
+    n = len(pinv)
+    X = np.array(Z, dtype=complex)
+    for m in range(n, len(X), n):
+        X[m:m + n] -= pinv @ (T[m:m + n, :m] @ X[:m])
+    return X
+
+
+def _unsolved(T: np.ndarray, Q0: np.ndarray, X: np.ndarray, Y, what: str):
+    """Residual T X - Y of jets X solved order by order for Y, and per order
+    the LiftObstructionError of each column whose residual exceeds LIFT_TOL
+    relative to its right-hand side Y_m - sum_{k>=1} Q_k X_{m-k}."""
+    res = T @ X
+    res -= Y
+    jets = res.reshape(-1, len(Q0), X.shape[1])
+    rhs = Q0 @ X.reshape(jets.shape)  # Q0 X_m - (T X - Y)_m is the right-hand side
+    rhs -= jets
+    miss = np.linalg.norm(jets, axis=1)
+    limit = LIFT_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=1))
+    stages: List[Dict[int, Exception]] = [{} for _ in miss]
+    for m, j in zip(*np.nonzero(miss > limit)):
+        stages[m][int(j)] = LiftObstructionError(int(m), float(miss[m, j]), what)
+    return res, stages
+
+
+def _draw_jets(rng: np.random.Generator, size: int, L: int, dim: int) -> np.ndarray:
+    """`size` random jets of `dim` complex coordinates per order, one per
+    column: drawn per sample and order, the real parts, then the imaginary
+    parts."""
+    draws = rng.normal(size=(size, L, 2, dim))
+    return (draws[:, :, 0] + 1j * draws[:, :, 1]).transpose(1, 2, 0).reshape(L * dim, size)
+
+
+def _lift_failures(T: np.ndarray, Q0: np.ndarray, X: np.ndarray):
+    """Residual T X of lifted jets X, and their failures in check order: a
+    seed off the kernel of Q0, then each order's unsolved lift equation."""
+    res, stages = _unsolved(T, Q0, X, 0, "lift")
+    n = len(Q0)
+    off = np.linalg.norm(res[:n], axis=0) \
+        > LIFT_TOL * np.maximum(1.0, np.linalg.norm(X[:n], axis=0))
+    seed = {int(j): ValueError("phi0 is not in the kernel of the undeformed charge")
+            for j in np.flatnonzero(off)}
+    return res, [seed] + stages[1:]
 
 
 def lift_vector(D: DeformedBRST, phi0,
@@ -587,39 +636,17 @@ def lift_vector(D: DeformedBRST, phi0,
     rng a random base-kernel component is added at each positive order to
     sample the solution set.
     """
-    noise = None
+    ker = D.base._charge.kernel
+    Z = np.zeros((D.order + 1, D.base.dim), dtype=complex)
+    Z[0] = phi0
     if rng is not None:
         # per order: the real parts, then the imaginary parts
-        draws = rng.normal(size=(D.order, 2, D.base._charge.kernel.shape[1]))
-        noise = (draws[:, 0] + 1j * draws[:, 1])[..., None]
-    phi, failures = _lift_columns(D, np.asarray(phi0, dtype=complex)[:, None], noise)
-    _raise_first(failures)
-    return FormalSeries(list(phi[..., 0]))
-
-
-def _lift_columns(D: DeformedBRST, phi0: np.ndarray, noise: Optional[np.ndarray] = None):
-    """lift_vector for every column of phi0 (n, S) at once.
-
-    noise (N, k, S), if given, holds the base-kernel coordinates added at
-    orders 1..N.  Returns the lifts (N+1, n, S) and, in check order, the
-    failures of each column (see _raise_first).
-    """
-    Q0, Qs = D.charge(0), np.asarray(D.Q_series.coeffs)
-    ker, pinv = D.base._charge.kernel, D.base._charge.pinv
-    off = np.linalg.norm(Q0 @ phi0, axis=0) \
-        > LIFT_TOL * np.maximum(1.0, np.linalg.norm(phi0, axis=0))
-    failures = [{int(j): ValueError("phi0 is not in the kernel of the undeformed charge")
-                 for j in np.flatnonzero(off)}]
-    phi = np.empty((D.order + 1,) + phi0.shape, dtype=complex)
-    phi[0] = phi0
-    for n in range(1, D.order + 1):
-        rhs = -_charge_times(Qs, phi, n, first=1)
-        sol = pinv @ rhs
-        failures.append(_unsolved(Q0 @ sol - rhs, rhs, n, "lift"))
-        if noise is not None:
-            sol += ker @ noise[n - 1]
-        phi[n] = sol
-    return phi, failures
+        draws = rng.normal(size=(D.order, 2, ker.shape[1]))
+        Z[1:] = (draws[:, 0] + 1j * draws[:, 1]) @ ker.T
+    T = _charge_matrix(D)
+    phi = _solve_jets(T, D.base._charge.pinv, Z.reshape(-1, 1))
+    _raise_first(_lift_failures(T, D.charge(0), phi)[1])
+    return FormalSeries(list(phi.reshape(len(Z), -1)))
 
 
 def solve_image_membership(D: DeformedBRST, phi: FormalSeries) -> FormalSeries:
@@ -630,37 +657,30 @@ def solve_image_membership(D: DeformedBRST, phi: FormalSeries) -> FormalSeries:
     """
     if phi.order > D.order:
         raise ValueError(f"phi has order {phi.order}, above the charge's order {D.order}")
-    x, failures = _preimage_columns(D, np.stack(phi.coeffs)[..., None])
-    _raise_first(failures)
-    return FormalSeries(list(x[..., 0]))
+    pinv, Y = D.base._charge.pinv, np.stack(phi.coeffs)
+    T = _charge_matrix(D)[:Y.size, :Y.size]
+    x = _solve_jets(T, pinv, (Y @ pinv.T).reshape(-1, 1))
+    _raise_first(_unsolved(T, D.charge(0), x, Y.reshape(-1, 1), "image membership")[1])
+    return FormalSeries(list(x.reshape(Y.shape)))
 
 
-def _preimage_columns(D: DeformedBRST, phi: np.ndarray):
-    """solve_image_membership for every column of phi (N+1, n, S) at once;
-    returns the preimages and the failures of each column, in check order."""
-    Q0, pinv, Qs = D.charge(0), D.base._charge.pinv, np.asarray(D.Q_series.coeffs)
-    x = np.empty_like(phi)
-    failures = []
-    for n in range(len(phi)):
-        rhs = phi[n] - _charge_times(Qs, x, n, first=1)
-        x[n] = pinv @ rhs
-        failures.append(_unsolved(Q0 @ x[n] - rhs, rhs, n, "image membership"))
-    return x, failures
-
-
-def _lift_operator(D: DeformedBRST, A0: np.ndarray) -> FormalSeries:
-    """Extend an observable of the base theory to the deformed kernel of s."""
+def _unliftable(D: DeformedBRST, A0: np.ndarray) -> np.ndarray:
+    """Which base observables of the stack A0 (K, n, n) do not extend to the
+    deformed kernel of s: solved order by order, some order's residual
+    exceeds LIFT_TOL relative to its right-hand side."""
     base = D.base
-    coeffs = [np.asarray(A0, dtype=complex)]
+    Qs = np.asarray(D.Q_series.coeffs)[1:, None]
+    A = np.empty((D.order + 1,) + A0.shape, dtype=complex)
+    A[0] = A0
+    bad = np.zeros(len(A0), dtype=bool)
     for m in range(1, D.order + 1):
-        rhs = -sum(D.charge(k) @ coeffs[m - k]
-                   - graded_sign_split(base.space, coeffs[m - k]) @ D.charge(k)
-                   for k in range(1, m + 1))
-        sol = _s_preimage(base, rhs)
-        _raise_first([_unsolved((s_action(base, sol) - rhs).reshape(-1, 1),
-                                rhs.reshape(-1, 1), m, "observable lift")])
-        coeffs.append(sol)
-    return FormalSeries(coeffs)
+        # sum_{k=1..m} of -(Q_k A_{m-k} - Gamma(A_{m-k}) Q_k)
+        prev = A[m - 1::-1]
+        rhs = (graded_sign_split(base.space, prev) @ Qs[:m] - Qs[:m] @ prev).sum(axis=0)
+        A[m] = _s_preimage(base, rhs)
+        res, rhs = np.linalg.norm([s_action(base, A[m]) - rhs, rhs], axis=(2, 3))
+        bad |= res > LIFT_TOL * np.maximum(1.0, rhs)
+    return bad
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -709,24 +729,31 @@ def deform_check(D: DeformedBRST, samples: int = 50,
     base = D.base
     quotient = physical_space(base)
     ker, im = quotient.ker_basis, quotient.im_basis
-    G = base.space.krein.gram
-    Qs = np.asarray(D.Q_series.coeffs)
+    n, k, L = base.dim, ker.shape[1], D.order + 1
+    G, Q0, pinv = base.space.krein.gram, D.charge(0), base._charge.pinv
+    T = _charge_matrix(D)
+    # the jet solve on identity columns, and from it the maps taking the
+    # kernel coordinates of seed and noise to a lift, and a jet to its preimage
+    solve = _solve_jets(T, pinv, np.eye(L * n))
+    lift, preimage = (solve @ np.kron(np.eye(L), M) for M in (ker, pinv))
     bound = float(np.sqrt(LIFT_TOL))
 
+    def formal_norms(phi: np.ndarray) -> np.ndarray:
+        jets = phi.reshape(L, n, -1)
+        return _inner_columns(G, jets, jets)
+
     # --- item (iii): lift a basis of the base kernel ---------------------
-    lifts, failures = _lift_columns(D, ker)
+    res, failures = _lift_failures(T, Q0, lift[:, :k])
     _raise_first(failures)
-    lift_res = _max_abs(_apply_charge(Qs, lifts))
+    lift_res = _max_abs(res)
 
     # --- item (i): formal positivity on sampled kernel vectors -----------
     worst, positivity_checked = 0.0, 0
-    for size in _blocks(samples, (D.order + 1) * 2 * ker.shape[1]):
-        # per sample and order: real parts, then imaginary parts, of the
-        # kernel coordinates (order 0: the seed, then the added noise)
-        draws = rng.normal(size=(size, D.order + 1, 2, ker.shape[1]))
-        coords = (draws[:, :, 0] + 1j * draws[:, :, 1]).transpose(1, 2, 0)
-        phi, failures = _lift_columns(D, ker @ coords[0], coords[1:])
-        norm2 = _inner_columns(G, phi, phi).T
+    for size in _blocks(samples, L * 2 * k):
+        # the kernel coordinates of the seed, then of the added noise
+        phi = lift @ _draw_jets(rng, size, L, k)
+        failures = _lift_failures(T, Q0, phi)[1]
+        norm2 = formal_norms(phi).T
         positive, witness, failure = _positive_rows(norm2, tol=bound)
         failures.append({int(j): PositivityViolatedAtOrderError(int(failure[j]))
                          for j in np.flatnonzero(~positive)})
@@ -736,36 +763,35 @@ def deform_check(D: DeformedBRST, samples: int = 50,
 
     # --- item (ii): null vectors lie in the image -------------------------
     null_res, null_checked = 0.0, 0
-    for size in _blocks(samples, (D.order + 1) * 2 * base.dim):
-        draws = rng.normal(size=(size, D.order + 1, 2, base.dim))
-        phi = _apply_charge(Qs, (draws[:, :, 0] + 1j * draws[:, :, 1]).transpose(1, 2, 0))
-        nonzero = np.max(np.abs(_inner_columns(G, phi, phi)), axis=0) > bound
-        x, failures = _preimage_columns(D, phi)
+    for size in _blocks(samples, L * 2 * n):
+        phi = T @ _draw_jets(rng, size, L, n)
+        nonzero = np.max(np.abs(formal_norms(phi)), axis=0) > bound
+        res, failures = _unsolved(T, Q0, preimage @ phi, phi, "image membership")
         _raise_first([{int(j): NullNotExactError("image vector with nonzero formal norm")
                        for j in np.flatnonzero(nonzero)}] + failures)
-        null_res = max(null_res, _max_abs(_apply_charge(Qs, x) - phi))
+        null_res = max(null_res, _max_abs(res))
         null_checked += size
     # lifts of base null vectors that stay null must also be exact
-    phi, failures = _lift_columns(D, im)
-    null = np.max(np.abs(_inner_columns(G, phi, phi)), axis=0) <= bound
-    x, solved = _preimage_columns(D, phi)
+    phi = solve[:, :n] @ im
+    failures = _lift_failures(T, Q0, phi)[1]
+    null = np.max(np.abs(formal_norms(phi)), axis=0) <= bound
+    res, solved = _unsolved(T, Q0, preimage @ phi, phi, "image membership")
     _raise_first(failures + [{j: err for j, err in stage.items() if null[j]}
                              for stage in solved])
-    null_res = max(null_res, _max_abs((_apply_charge(Qs, x) - phi)[..., null]))
+    null_res = max(null_res, _max_abs(res[:, null]))
     null_checked += int(np.count_nonzero(null))
 
     # --- item (iv): faithfulness at leading order -------------------------
+    # (iv) quantifies over deformed observables; an unliftable base
+    # observable yields no sample rather than a counterexample
+    reps = np.reshape(observable_algebra(base, "even_ghost").quotient_basis, (-1, n, n))
+    unliftable = _unliftable(D, reps)
     min_norm = np.inf
     tested = 0
-    for A0 in observable_algebra(base, "even_ghost").quotient_basis:
+    for i, A0 in enumerate(reps):
         pi0 = representation_matrix(base, quotient, GradedOperator(A0, 0))
-        if np.max(np.abs(pi0)) <= bound:
-            continue
-        try:  # only whether A0 lifts matters: A~ phi~ starts with A0 phi0
-            _lift_operator(D, A0)
-        except LiftObstructionError:
-            # (iv) quantifies over deformed observables; an unliftable base
-            # observable yields no sample rather than a counterexample
+        # only whether A0 lifts matters: A~ phi~ starts with A0 phi0
+        if np.max(np.abs(pi0)) <= bound or unliftable[i]:
             continue
         # the class of A0 phi0, for the representative phi0 that A0 moves most
         col = int(np.argmax(np.max(np.abs(pi0), axis=0)))
@@ -774,7 +800,7 @@ def deform_check(D: DeformedBRST, samples: int = 50,
     return DeformationReport(
         order=D.order, samples=samples, positivity_checked=positivity_checked,
         positivity_worst_defect=worst, null_vectors_checked=null_checked,
-        null_membership_residual=null_res, lifted_kernel_dim=ker.shape[1],
+        null_membership_residual=null_res, lifted_kernel_dim=k,
         lift_residual=lift_res, observables_checked=tested,
         faithfulness_min_norm=min_norm if tested else 0.0,
         items_passed=(True, null_res <= bound, lift_res <= bound,

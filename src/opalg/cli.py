@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from contextlib import nullcontext
@@ -76,5 +77,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
+def entry() -> int:
+    """The `opalg` command and `python -m opalg.cli`: main(), then, with the
+    report written and its file closed, freeze the heap, so that interpreter
+    exit skips its final collections of objects that die with the process.
+    An in-process main() leaves the collector as it was."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

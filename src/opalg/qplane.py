@@ -117,6 +117,13 @@ class _Coeff:
     def vanishes(c) -> bool:
         return c.is_zero() if isinstance(c, _Coeff) else abs(c) <= NUMERIC_TOL
 
+    @staticmethod
+    def is_one(c) -> bool:
+        """c is 1 as stored: the vector (1, 0, ..., 0), or the complex 1."""
+        if isinstance(c, _Coeff):
+            return c.coeffs[0] == 1 and c.coeffs.count(0) == len(c.coeffs) - 1
+        return c == 1
+
     def __add__(self, other: "_Coeff") -> "_Coeff":
         return _Coeff(self.root, map(add, self.coeffs, other.coeffs))
 
@@ -223,11 +230,13 @@ def center_probe(q: QValue, max_deg: int) -> List[Tuple[int, int]]:
 
 
 def _scaled(c, factor, q: QValue):
-    """c q^factor for an int factor (no product where that is 1), else c factor."""
+    """c q^factor for an int factor, else c factor; no product where either
+    operand is 1."""
     if isinstance(factor, int):
-        one = factor % q.N == 0 if isinstance(q, RootOfUnity) else factor == 0
-        return c if one else c * _Coeff.power(q, factor)
-    return c * factor
+        if factor % q.N == 0 if isinstance(q, RootOfUnity) else factor == 0:
+            return c
+        factor = _Coeff.power(q, factor)
+    return factor if _Coeff.is_one(c) else c * factor
 
 
 def _times(exps: Tuple[int, int, int, int], g: str, q: QValue,
@@ -328,8 +337,8 @@ def glq2_coaction_check(q: QValue, max_deg: int,
     """
     if max_deg < 2:
         raise ValueError("max_deg must be at least 2")
-    q1 = _Coeff.power(q, 1)
-    zero = q1 - q1
+    one = _Coeff.power(q, 0)
+    zero = one - one
     image = _coaction_images(q, perturb_ab)
     checked = 0
     for degree in range(2, max_deg + 1):
@@ -345,7 +354,7 @@ def glq2_coaction_check(q: QValue, max_deg: int,
                         good = image(w1 + "xy" + w2, form)
                         bad = image(w1 + "yx" + w2, form)
                         for key in good.keys() | bad.keys():
-                            diff = good.get(key, zero) - q1 * bad.get(key, zero)
+                            diff = good.get(key, zero) - _scaled(bad.get(key, zero), 1, q)
                             if not _Coeff.vanishes(diff):
                                 raise RelationViolatedError(degree, str(key))
                     checked += 1

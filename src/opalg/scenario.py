@@ -208,12 +208,12 @@ def _check_krein_invariants(ctx, *, signature=(1, 1), samples=100):
     return CheckResult(passed=worst <= tol, value=float(worst), tolerance=tol)
 
 
-# name -> structure; each entry reaches opalg.brst only when it is called
-_MODELS = {
-    "null_pair": lambda: opalg.brst.null_pair_toy(),
-    "gupta_bleuler": lambda: opalg.brst.gupta_bleuler_toy(),
-    "two_pair": lambda: opalg.brst.two_pair_model(),
-}
+# name -> structure, built on the first call and then shared by every check
+# that names the model, with the decompositions the structure keeps
+_MODELS = {name: functools.cache(lambda builder=builder: getattr(opalg.brst, builder)())
+           for name, builder in (("null_pair", "null_pair_toy"),
+                                 ("gupta_bleuler", "gupta_bleuler_toy"),
+                                 ("two_pair", "two_pair_model"))}
 
 
 @register("brst.physical_space")
@@ -394,7 +394,7 @@ def _check_center(ctx, *, q, max_deg=6):
     return CheckResult(passed=ok, value=f"count={len(central)}")
 
 
-@register("qplane.coaction")
+@register("qplane.coaction", least={"max_deg": 2})
 def _check_coaction(ctx, *, q, max_deg=3, perturb_ab=False):
     try:
         report = opalg.qplane.glq2_coaction_check(_decode_q(q), max_deg, perturb_ab=perturb_ab)
@@ -511,10 +511,10 @@ def _shape(value, where: str) -> Tuple[int, ...]:
 
 
 def _decode_params(params: Dict, where: str) -> Dict:
-    """Check the model name, the size ladder, the integer pairs, the series b,
-    the word and the dump path of a bound params dict, and read q: the
-    integers N and k of a root of unity {N, k}, or a number or a pair
-    [re, im] as a complex number."""
+    """Check the model name, the lattice spacing, the size ladder, the integer
+    pairs, the series b, the word and the dump path of a bound params dict,
+    and read q: the integers N and k of a root of unity {N, k}, or a number
+    or a pair [re, im] as a complex number."""
     if "model" in params and params["model"] not in list(_MODELS):
         raise ScenarioParseError(f"{where}.model: unknown model {params['model']!r}")
     b = params.get("b")
@@ -531,6 +531,9 @@ def _decode_params(params: Dict, where: str) -> Dict:
                              or not os.path.isdir(os.path.dirname(dump) or ".")):
         raise ScenarioParseError(f"{where}.dump_field: expected a file path in an "
                                  f"existing directory, got {dump!r}")
+    if params.get("spacing", 1.0) <= 0:
+        raise ScenarioParseError(f"{where}.spacing: expected a positive number, "
+                                 f"got {params['spacing']!r}")
     sizes = params.get("sizes")
     if sizes is not None and (len(set(sizes)) < max(2, len(sizes))
                               or min(sizes) < _MIN_LADDER_POINTS):

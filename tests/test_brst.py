@@ -648,19 +648,26 @@ class TestOracleTwins:
             assert got == ker_dim - im_dim
 
     @settings(max_examples=20, deadline=None)
-    @given(B=models)
-    def test_closure_certificate_against_pairwise(self, B):
+    @given(B=models, seed=st.integers(0, 2**32 - 1))
+    def test_closure_certificate_against_pairwise(self, B, seed):
         n, tol = B.dim, brst.RANK_TOL
+        rng = np.random.default_rng(seed)
         for variant in ("even_ghost", "full"):
             full = variant == "full"
             ops = derivation_svd(B.Q, B.space.ghost_grades, variant)[0]
             represented = None if full else observable_algebra(B, variant).quotient_basis
             assert verdict(brst._verify_closure, B, ops, full) is None
             assert verdict(closure_pairwise, B, ops, represented, tol) is None
-            # one column pushed off the kernel: the certificate always sees
-            # it; the pairwise loops see it at least for the full variant
+            # one column pushed off the kernel along a random direction of its
+            # complement: the certificate always sees it; the pairwise loops
+            # see it at least for the full variant.  A basis vector of the
+            # complement will not do: in the one-pair model it may be E_10,
+            # and {E_10, 1} is closed under products and the Krein adjoint
             vecs = ops.reshape(len(ops), -1).T
-            ops[0] = np.linalg.svd(vecs.conj().T)[2][vecs.shape[1]].conj().reshape(n, n)
+            complement = np.linalg.svd(vecs.conj().T)[2][vecs.shape[1]:].conj()
+            off = complement.T @ (rng.normal(size=len(complement))
+                                  + 1j * rng.normal(size=len(complement)))
+            ops[0] = (off / np.linalg.norm(off)).reshape(n, n)
             assert verdict(brst._verify_closure, B, ops, full) is NotObservableError
             if full:
                 assert verdict(closure_pairwise, B, ops, None, tol) is NotObservableError
@@ -723,6 +730,46 @@ class TestOracleTwins:
             assert_rel_close(got_n, want_n)
         assert (series_mul(D.Q_series, x) - target).max_abs() < 1e-9
 
+    @settings(max_examples=20, deadline=None)
+    @given(B=pair_models, seed=st.integers(0, 2**32 - 1), solved=st.booleans())
+    def test_unliftable_observables(self, B, seed, solved):
+        # at order 1, A0 lifts iff -(Q1 A0 - Gamma(A0) Q1) lies in the image
+        # of s; a solved Q1 lifts every harmonic observable, a random one none
+        rng = np.random.default_rng(seed)
+        n = B.dim
+        if solved:
+            gens = brst.deformation_generators(B)
+            Q1 = sum((w * g for w, g in zip(rng.normal(size=len(gens)), gens)),
+                     np.zeros((n, n), dtype=complex))
+        else:
+            Q1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        D = brst.DeformedBRST(base=B, Q_series=FormalSeries([B.Q, Q1]))
+        reps = np.reshape(observable_algebra(B, "even_ghost").quotient_basis, (-1, n, n))
+        S = super_commutator_matrix(B.Q, B.space.ghost_grades)
+        want = []
+        for A0 in reps:
+            rhs = -(Q1 @ A0 - brst.graded_sign_split(B.space, A0) @ Q1).ravel()
+            res = np.linalg.norm(S @ np.linalg.lstsq(S, rhs, rcond=None)[0] - rhs)
+            want.append(res > 1e-9 * max(1.0, np.linalg.norm(rhs)))
+        assert brst._unliftable(D, reps).tolist() == want
+        assert not any(want) if solved else all(want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(B=pair_models, order=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+    def test_charge_matrix_is_series_mul(self, B, order, seed):
+        # any coefficients past Q0; rounding is bounded by 1e-15 of the
+        # largest sum of absolute products
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        charge = FormalSeries([B.Q] + [draw(B.dim, B.dim) for _ in range(order)])
+        T = brst._charge_matrix(brst.DeformedBRST(base=B, Q_series=charge))
+        x = draw(order + 1, B.dim)
+        want = np.stack(series_mul(charge, FormalSeries(list(x))).coeffs).ravel()
+        got = T @ x.ravel()
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(T) @ np.abs(x.ravel()))
+
 
 def _projector(basis):
     return basis @ basis.conj().T
@@ -755,6 +802,3 @@ class TestSplit:
         assert np.allclose(_projector(split.kernel), _projector(kernel),
                            rtol=0, atol=1e-12)
         assert np.allclose(split.pinv, np.linalg.pinv(A), rtol=0, atol=1e-12)
-        kept = np.linalg.svd(A, compute_uv=False)[:rank_]
-        assert np.isclose(split.floor, kept[-1], rtol=1e-12) if rank_ else \
-            split.floor == np.inf

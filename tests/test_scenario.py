@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import os
@@ -187,13 +188,16 @@ class TestRunning:
         report = run_scenario(path)
         assert [r.status for r in report.records] == ["fail", "pass"]
 
-    def test_check_error_is_captured(self, tmp_path):
+    def test_check_error_is_captured(self, tmp_path, monkeypatch):
+        # every malformed parameter is a load error, so the layer is made
+        # to raise at run time
+        def refuse(*args, **kwargs):
+            raise ValueError("lattice refused")
+        monkeypatch.setattr(opalg.wigner, "make_shell", refuse)
         path = write_scenario(tmp_path, {
             "name": "erroring", "seed": 5,
             "checks": [
-                # a kind outside the shells is a load error; a negative
-                # spacing is refused only by the layer, at run time
-                {"check": "wigner.parseval", "params": {"spacing": -0.4}},
+                {"check": "wigner.parseval"},
                 {"check": "galilei.clifford"},
             ]})
         report = run_scenario(path)
@@ -237,6 +241,50 @@ class TestRunning:
         parallel = run_scenario(SMOKE, jobs=4)
         assert [r.name for r in serial.records] == [r.name for r in parallel.records]
         assert [r.value for r in serial.records] == [r.value for r in parallel.records]
+
+
+class TestSharedModels:
+    CHECKS = [{"check": "brst.physical_space", "params": {"model": "two_pair"}},
+              {"check": "brst.observables", "params": {"model": "two_pair", "variant": "full"}},
+              {"check": "brst.deform_stability",
+               "params": {"model": "two_pair", "order": 3, "samples": 30}}]
+
+    def test_one_structure_per_model(self, tmp_path, monkeypatch, request):
+        build, builds = opalg.brst.two_pair_model, []
+
+        def counted():
+            builds.append(1)
+            return build()
+        monkeypatch.setattr(opalg.brst, "two_pair_model", counted)
+        shared = opalg.scenario._MODELS["two_pair"]
+        shared.cache_clear()
+        request.addfinalizer(shared.cache_clear)
+        path = write_scenario(tmp_path, {"name": "shared", "seed": 3, "checks": self.CHECKS})
+        csv = emit_report(run_scenario(path), "csv")
+        assert len(builds) == 1
+        # a structure built afresh for each check gives the same bytes
+        monkeypatch.setitem(opalg.scenario._MODELS, "two_pair", counted)
+        assert emit_report(run_scenario(path), "csv") == csv
+        assert len(builds) == 1 + len(self.CHECKS)
+        assert csv.count(",pass,") == len(self.CHECKS)
+
+    def test_threads_share_one_structure(self, tmp_path, request):
+        # four threads on two cores, switching often, build and read the
+        # shared structures and their cached decompositions at once
+        for shared in opalg.scenario._MODELS.values():
+            shared.cache_clear()
+        request.addfinalizer(lambda: [m.cache_clear() for m in opalg.scenario._MODELS.values()])
+        checks = [dict(entry, params=dict(entry["params"], model=model))
+                  for model in ("two_pair", "gupta_bleuler") for entry in self.CHECKS] * 3
+        path = write_scenario(tmp_path, {"name": "threads", "seed": 4, "checks": checks})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = emit_report(run_scenario(path, jobs=4), "csv")
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == emit_report(run_scenario(path), "csv")
+        assert threaded.count(",pass,") == len(checks)
 
 
 class TestDrawBudget:
@@ -420,6 +468,9 @@ class TestCli:
          "checks[0].params.points: expected at least 1, got 0"),
         ({"checks": [{"check": "wigner.parseval", "params": {"times": []}}]},
          "checks[0].params.times: expected at least 1 items, got []"),
+        *[({"checks": [{"check": "wigner.parseval", "params": {"spacing": spacing}}]},
+           f"checks[0].params.spacing: expected a positive number, got {float(spacing)}")
+          for spacing in (0, -0.3)],
         ({"checks": [{"check": "wigner.two_particle", "params": {"kind": "tachyon"}}]},
          "checks[0].params.kind: expected one of galilean, relativistic, massless"),
         ({"checks": [{"check": "wigner.angular", "params": {"amplitude": "sin"}}]},
@@ -464,6 +515,8 @@ class TestCli:
          "checks[0].params.points: expected at least 32, got 31"),
         ({"checks": [{"check": "qplane.center", "params": {"q": 2, "max_deg": 0}}]},
          "checks[0].params.max_deg: expected at least 1, got 0"),
+        ({"checks": [{"check": "qplane.coaction", "params": {"q": 2, "max_deg": 1}}]},
+         "checks[0].params.max_deg: expected at least 2, got 1"),
         ({"tolerances": {"default": -1}}, "tolerances.default: expected at least 0, got -1"),
         ({"checks": [{"check": "qplane.normal_form", "params": {"q": 2, "word": "yz"}}]},
          "checks[0].params.word: expected a string of the letters x and y, got 'yz'"),
@@ -517,6 +570,24 @@ class TestCli:
         assert main(["run", SMOKE, "--format", "csv", "--out", str(out1)]) == 0
         assert main(["run", SMOKE, "--format", "csv", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_in_process_main_leaves_the_heap_unfrozen(self, tmp_path):
+        assert main(["run", SMOKE, "--format", "csv", "--out", str(tmp_path / "a.csv")]) == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_fresh_process_writes_the_whole_report_before_exit(self, tmp_path):
+        # the entry freezes the heap once the report file is closed: the
+        # file is whole, the exit code is the verdict and exit is silent
+        path = write_scenario(tmp_path, {
+            "name": "failing", "seed": 1,
+            "checks": [{"check": "brst.physical_space",
+                        "params": {"model": "gupta_bleuler", "expect_dim": 5}}]})
+        fresh, here = tmp_path / "fresh.csv", tmp_path / "here.csv"
+        proc = run_cli(["run", path, "--format", "csv", "--out", str(fresh)])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "")
+        assert main(["run", path, "--format", "csv", "--out", str(here)]) == 1
+        assert fresh.read_text() == here.read_text()
+        assert "brst.physical_space,fail,quotient_dim=1" in fresh.read_text()
 
     def test_module_entry_point_is_quiet(self):
         # `python -m opalg.cli` must not find the module already imported
