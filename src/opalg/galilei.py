@@ -284,7 +284,8 @@ class CommutatorReport(NamedTuple):
 
     def max_deviation(self, pairs: Optional[Sequence[Tuple[str, str]]] = None) -> float:
         keys = pairs if pairs is not None else self.deviations.keys()
-        return max(self.deviations[k] for k in keys)
+        # np.max keeps a NaN wherever it stands, where max() may drop it
+        return float(np.max([self.deviations[k] for k in keys]))
 
 
 def _real_target(left: str, right: str, target: Dict[str, complex]
@@ -377,7 +378,7 @@ def generator_commutators(mass: float, grid: MomentumGrid,
             for name, coeff in _REAL_TARGETS[(left, right)].items():
                 got -= coeff * applied[name]
             key = (left, right)
-            deviations[key] = max(deviations[key], _l2(got) / ref)
+            deviations[key] = float(np.maximum(deviations[key], _l2(got) / ref))
     return CommutatorReport(mass=mass, points_per_axis=grid.points_per_axis,
                             spacing=grid.spacing, deviations=deviations)
 

@@ -10,8 +10,6 @@ and numpy only in the functions that compute, so loading a file and
 listing the checks import neither.
 """
 
-from __future__ import annotations
-
 import functools
 import json
 import math
@@ -94,7 +92,7 @@ class Report(NamedTuple):
 # serialization helpers
 
 
-def series_from_json(data) -> opalg.series.FormalSeries:
+def series_from_json(data) -> "opalg.series.FormalSeries":
     """Series from arrays of [re, im] pairs or nested arrays for matrices."""
     import numpy as np
 
@@ -115,11 +113,127 @@ def _fmt(value) -> str:
 
 
 # ---------------------------------------------------------------------------
+# parameter declarations: the strings a parameter may take, or a decoder
+# (value, where) -> value that raises a ScenarioParseError naming where
+
+
+def _number(kind, value, where: str):
+    """A finite int or float from a JSON number; an int only from an integral
+    value, so 16.0 reads as 16.  Anything else (a boolean, a string, NaN, an
+    infinity, 2.9 for an int) raises a ScenarioParseError naming where the
+    value came from."""
+    try:
+        number = kind(value) if type(value) in (int, float) else None
+    except (OverflowError, ValueError):  # an int of NaN or an infinity, an int past the floats
+        number = None
+    if number is None or (number != value if kind is int else not math.isfinite(number)):
+        what = "an integer" if kind is int else "a finite number"
+        raise ScenarioParseError(f"{where}: expected {what}, got {value!r}")
+    return number
+
+
+def _numbers(kind, value, where: str) -> List:
+    if not isinstance(value, list):
+        raise ScenarioParseError(f"{where}: expected a list, got {value!r}")
+    return [_number(kind, item, f"{where}[{i}]") for i, item in enumerate(value)]
+
+
+def _least(kind, least):
+    def decode(value, where: str):
+        number = _number(kind, value, where)
+        if number < least:
+            raise ScenarioParseError(f"{where}: expected at least {least}, got {value!r}")
+        return number
+    return decode
+
+
+_count = functools.partial(_least, int)     # a count, size or order and its least value
+_integer = functools.partial(_number, int)
+_real = functools.partial(_number, float)
+
+
+def _domain(ok, expected: str, read=None):
+    """A decoder: read(value, where) when given, then refuse what ok rejects."""
+    def decode(value, where: str):
+        got = read(value, where) if read else value
+        if not ok(got):
+            raise ScenarioParseError(f"{where}: expected {expected}, got {got!r}")
+        return got
+    return decode
+
+
+# galilei.MIN_POINTS_PER_AXIS, repeated here because loading imports no layer
+_MIN_LADDER_POINTS = 32
+
+_positive = _domain(lambda x: x > 0, "a positive number", _real)
+_flag = _domain(lambda v: isinstance(v, bool), "true or false")
+_times = _domain(len, "at least 1 items", functools.partial(_numbers, float))
+_ladder = _domain(lambda sizes: len(sizes) == len(set(sizes)) >= 2
+                  and min(sizes) >= _MIN_LADDER_POINTS,
+                  "two or more sizes, no two equal, each of at least "
+                  f"{_MIN_LADDER_POINTS} points", functools.partial(_numbers, int))
+_word = _domain(lambda w: isinstance(w, str) and not set(w) - {"x", "y"},
+                "a string of the letters x and y")
+_dump_path = _domain(lambda path: isinstance(path, str) and not os.path.isdir(path)
+                     and os.path.isdir(os.path.dirname(path) or "."),
+                     "a file path in an existing directory")
+
+
+def _pair(least_sum: int):
+    return _domain(lambda pair: len(pair) == 2 and min(pair) >= 0 and sum(pair) >= least_sum,
+                   "two non-negative integers" + (" with a positive sum" if least_sum else ""),
+                   functools.partial(_numbers, int))
+
+
+def _shape(value, where: str) -> Tuple[int, ...]:
+    """The shape of rectangular nested lists of finite numbers."""
+    if not isinstance(value, list):
+        _number(float, value, where)
+        return ()
+    shapes = {_shape(item, f"{where}[{i}]") for i, item in enumerate(value)}
+    if len(shapes) > 1:
+        raise ScenarioParseError(f"{where}: expected rectangular nested lists, got {value!r}")
+    return (len(value),) + (shapes.pop() if shapes else ())
+
+
+def _series(value, where: str) -> List:
+    """The lists of a series, checked without numpy; the check builds its arrays."""
+    shape = _shape(value, where) if isinstance(value, list) else ()
+    if len(shape) < 2 or shape[-1] != 2:
+        raise ScenarioParseError(f"{where}: expected a list of [re, im] pairs or of "
+                                 f"rectangular nested lists of them, got {value!r}")
+    return value
+
+
+def _q(value, where: str):
+    """The integers N and k of a root of unity {N, k}, or a number or a pair
+    [re, im] as a nonzero complex number."""
+    if isinstance(value, dict):
+        for key in value:
+            if key not in ("N", "k"):
+                raise ScenarioParseError(f"{where}.{key}: unknown key; an exact q "
+                                         f"takes N, k")
+        N = _number(int, value.get("N"), f"{where}.N")
+        k = _number(int, value.get("k", 1), f"{where}.k")
+        if N < 1 or math.gcd(k, N) != 1:
+            raise ScenarioParseError(f"{where}: expected N >= 1 and gcd(k, N) = 1, "
+                                     f"got N={N}, k={k}")
+        return {"N": N, "k": k}
+    if isinstance(value, list) and len(value) != 2:
+        raise ScenarioParseError(f"{where}: expected [re, im], got {value!r}")
+    q = complex(*_numbers(float, value, where)) if isinstance(value, list) \
+        else complex(_number(float, value, where))
+    if q == 0:
+        raise ScenarioParseError(f"{where}: expected a nonzero number, got {value!r}")
+    return q
+
+
+# ---------------------------------------------------------------------------
 # check context and registry
 
 
 class CheckContext(NamedTuple):
-    rng: np.random.Generator
+    rng: "np.random.Generator"
     truncation_order: int
     tolerances: Dict[str, float]
 
@@ -133,21 +247,15 @@ class CheckResult(NamedTuple):
     tolerance: Optional[float] = None
 
 
-# fn(ctx, *, name=default, ...): the keyword-only arguments are the check's
-# parameters, and load_scenario validates a scenario's params against them
+# fn(ctx, *, name: declaration = default, ...): the keyword-only arguments
+# are the check's parameters, which load_scenario reads by their declarations
 CheckFn = Callable[..., CheckResult]
 _REGISTRY: Dict[str, CheckFn] = {}
-# check name -> {string parameter: the values it may take}
-_CHOICES: Dict[str, Dict[str, Tuple[str, ...]]] = {}
-# check name -> {count, size or order parameter: its least value}
-_LEAST: Dict[str, Dict[str, int]] = {}
 
 
-def register(name: str, least: Optional[Dict[str, int]] = None, **choices: Tuple[str, ...]):
+def register(name: str):
     def wrap(fn: CheckFn) -> CheckFn:
         _REGISTRY[name] = fn
-        _CHOICES[name] = choices
-        _LEAST[name] = least or {}
         return fn
     return wrap
 
@@ -156,15 +264,15 @@ def available_checks() -> List[str]:
     return sorted(_REGISTRY)
 
 
-@register("series.is_positive", expect=("positive", "not_positive"))
-def _check_is_positive(ctx, *, b, expect="positive"):
+@register("series.is_positive")
+def _check_is_positive(ctx, *, b: _series, expect: ("positive", "not_positive") = "positive"):
     verdict = opalg.series.is_positive(series_from_json(b), tol=ctx.tol())
     got = "positive" if verdict.positive else "not_positive"
     return CheckResult(passed=(got == expect), value=got, tolerance=ctx.tol())
 
 
-@register("series.witness_roundtrip", least={"count": 1, "order": 0})
-def _check_witness_roundtrip(ctx, *, count=50, order: Optional[int] = None):
+@register("series.witness_roundtrip")
+def _check_witness_roundtrip(ctx, *, count: _count(1) = 50, order: _count(0) = None):
     import numpy as np
     order = ctx.truncation_order if order is None else order
     tol = ctx.tol("witness")
@@ -187,8 +295,8 @@ def _check_witness_roundtrip(ctx, *, count=50, order: Optional[int] = None):
     return CheckResult(passed=worst <= tol, value=worst, tolerance=tol)
 
 
-@register("krein.invariants", least={"samples": 1})
-def _check_krein_invariants(ctx, *, signature=(1, 1), samples=100):
+@register("krein.invariants")
+def _check_krein_invariants(ctx, *, signature: _pair(1) = (1, 1), samples: _count(1) = 100):
     import numpy as np
     krein, tol = opalg.krein, ctx.tol()
     gram = np.diag([1.0] * signature[0] + [-1.0] * signature[1])
@@ -217,23 +325,25 @@ _MODELS = {name: functools.cache(lambda builder=builder: getattr(opalg.brst, bui
 
 
 @register("brst.physical_space")
-def _check_physical_space(ctx, *, model="gupta_bleuler", expect_dim: Optional[int] = None):
+def _check_physical_space(ctx, *, model: tuple(_MODELS) = "gupta_bleuler",
+                          expect_dim: _integer = None):
     quotient = opalg.brst.physical_space(_MODELS[model]())
     ok = expect_dim is None or quotient.dim == expect_dim
     return CheckResult(passed=ok, value=f"quotient_dim={quotient.dim}")
 
 
-@register("brst.observables", variant=("even_ghost", "full"))
-def _check_observables(ctx, *, model="gupta_bleuler", variant="even_ghost",
-                       expect_dim: Optional[int] = None):
+@register("brst.observables")
+def _check_observables(ctx, *, model: tuple(_MODELS) = "gupta_bleuler",
+                       variant: ("even_ghost", "full") = "even_ghost",
+                       expect_dim: _integer = None):
     algebra = opalg.brst.observable_algebra(_MODELS[model](), variant)
     ok = expect_dim is None or algebra.quotient_dim == expect_dim
     return CheckResult(passed=ok, value=f"quotient_dim={algebra.quotient_dim}")
 
 
-@register("brst.deform_stability", least={"order": 1, "samples": 1},
-          mode=("solved", "rescale"))
-def _check_deform_stability(ctx, *, model="two_pair", order=3, samples=20, mode="solved"):
+@register("brst.deform_stability")
+def _check_deform_stability(ctx, *, model: tuple(_MODELS) = "two_pair", order: _count(1) = 3,
+                            samples: _count(1) = 20, mode: ("solved", "rescale") = "solved"):
     import numpy as np
     B = _MODELS[model]()
     gens = opalg.brst.deformation_generators(B)
@@ -251,8 +361,8 @@ def _check_deform_stability(ctx, *, model="two_pair", order=3, samples=20, mode=
     return CheckResult(passed=report.all_passed, value=items)
 
 
-@register("galilei.cocycle", least={"triples": 1})
-def _check_cocycle(ctx, *, triples=200):
+@register("galilei.cocycle")
+def _check_cocycle(ctx, *, triples: _count(1) = 200):
     import numpy as np
     galilei, tol = opalg.galilei, ctx.tol()
     # per element: 9 rotation seeds, v, u and eta, in the order of one
@@ -271,12 +381,9 @@ def _check_cocycle(ctx, *, triples=200):
     return CheckResult(passed=worst <= tol, value=worst, tolerance=tol)
 
 
-# galilei.MIN_POINTS_PER_AXIS, repeated here because loading imports no layer
-_MIN_LADDER_POINTS = 32
-
-
-@register("galilei.commutators", least={"points": _MIN_LADDER_POINTS})
-def _check_commutators(ctx, *, points=32, p_max=10.0, mass=1.0):
+@register("galilei.commutators")
+def _check_commutators(ctx, *, points: _count(_MIN_LADDER_POINTS) = 32,
+                       p_max: _positive = 10.0, mass: _positive = 1.0):
     report = opalg.galilei.generator_commutators(
         mass, opalg.galilei.momentum_grid(points, p_max), pairs=opalg.galilei.EXACT_BRACKETS)
     tol = ctx.tol("grid_exact")
@@ -285,7 +392,8 @@ def _check_commutators(ctx, *, points=32, p_max=10.0, mass=1.0):
 
 
 @register("galilei.commutator_convergence")
-def _check_convergence(ctx, *, sizes=(32, 64), p_max=10.0, mass=1.0):
+def _check_convergence(ctx, *, sizes: _ladder = (32, 64), p_max: _positive = 10.0,
+                       mass: _positive = 1.0):
     orders = opalg.galilei.commutator_convergence(mass, sizes, p_max)
     flat = [o for seq in orders.values() for o in seq]
     lo, hi = min(flat), max(flat)
@@ -306,8 +414,9 @@ def _check_clifford(ctx):
     return CheckResult(passed=worst <= tol, value=worst, tolerance=tol)
 
 
-@register("galilei.levy_leblond_shell", least={"count": 1})
-def _check_shell_determinant(ctx, *, mass=1.0, count=100, off_shell=0.5):
+@register("galilei.levy_leblond_shell")
+def _check_shell_determinant(ctx, *, mass: _positive = 1.0, count: _count(1) = 100,
+                             off_shell: _real = 0.5):
     import numpy as np
     galilei = opalg.galilei
     L = galilei.levy_leblond_matrices(mass)
@@ -328,11 +437,12 @@ def _check_shell_determinant(ctx, *, mass=1.0, count=100, off_shell=0.5):
 _SHELL_KINDS = ("galilean", "relativistic", "massless")
 
 
-@register("wigner.parseval", least={"points": 1, "times": 1}, expect=("isometry", "defect"),
-          kind=_SHELL_KINDS, reweight=("none", "newton_wigner"))
-def _check_parseval(ctx, *, kind="galilean", points=16, mass=1.0, spacing=0.4,
-                    reweight="none", times=(0.0, 1.0), expect="isometry", floor=0.05,
-                    dump_field=None):
+@register("wigner.parseval")
+def _check_parseval(ctx, *, kind: _SHELL_KINDS = "galilean", points: _count(1) = 16,
+                    mass: _real = 1.0, spacing: _positive = 0.4,
+                    reweight: ("none", "newton_wigner") = "none", times: _times = (0.0, 1.0),
+                    expect: ("isometry", "defect") = "isometry",
+                    floor: _least(float, 0) = 0.05, dump_field: _dump_path = None):
     shell = opalg.wigner.make_shell(kind, mass, points, spacing)
     defect = max(opalg.wigner.isometry_defect(
         shell, opalg.wigner.reciprocal_slice(shell, t), reweight) for t in times)
@@ -346,26 +456,22 @@ def _check_parseval(ctx, *, kind="galilean", points=16, mass=1.0, spacing=0.4,
     return result
 
 
-@register("wigner.two_particle", least={"samples": 1, "points": 1}, kind=_SHELL_KINDS)
-def _check_two_particle(ctx, *, kind="relativistic", mass=1.0, samples=1000, points=9,
-                        spacing=0.5):
+@register("wigner.two_particle")
+def _check_two_particle(ctx, *, kind: _SHELL_KINDS = "relativistic", mass: _real = 1.0,
+                        samples: _count(1) = 1000, points: _count(1) = 9,
+                        spacing: _positive = 0.5):
     shell = opalg.wigner.make_shell(kind, mass, points, spacing)
     stats = opalg.wigner.two_particle_mass_spectrum(shell, samples, rng=ctx.rng)
     ok = stats.min >= 2 * mass - 1e-12 and abs(stats.threshold - 2 * mass) <= 1e-12
     return CheckResult(passed=ok, value=f"min={stats.min:.6f}")
 
 
-@register("wigner.angular", least={"l_max": 0}, amplitude=("isotropic", "cos_theta"))
-def _check_angular(ctx, *, amplitude="isotropic", l_max=4):
+@register("wigner.angular")
+def _check_angular(ctx, *, amplitude: ("isotropic", "cos_theta") = "isotropic",
+                   l_max: _count(0) = 4):
     import numpy as np
-    if amplitude == "isotropic":
-        amp = lambda th, ph: np.ones_like(th, dtype=complex)
-        main_l = 0
-    elif amplitude == "cos_theta":
-        amp = lambda th, ph: np.cos(th).astype(complex)
-        main_l = 1
-    else:
-        raise ValueError(f"unknown amplitude {amplitude!r}")
+    amp, main_l = {"isotropic": (lambda th, ph: np.ones_like(th, dtype=complex), 0),
+                   "cos_theta": (lambda th, ph: np.cos(th).astype(complex), 1)}[amplitude]
     report = opalg.wigner.angular_decomposition(amp, l_max)
     leakage = sum(v for l, v in report.channel_norms.items() if l != main_l)
     tol = ctx.tol("parseval")
@@ -373,15 +479,15 @@ def _check_angular(ctx, *, amplitude="isotropic", l_max=4):
 
 
 @register("qplane.normal_form")
-def _check_normal_form(ctx, *, q, word="yx", expect_monomial=None):
+def _check_normal_form(ctx, *, q: _q, word: _word = "yx", expect_monomial: _pair(0) = None):
     poly = opalg.qplane.qplane_normal_form(list(word), _decode_q(q))
     ((a, b), _), = poly.terms.items()
     ok = expect_monomial is None or (a, b) == tuple(expect_monomial)
     return CheckResult(passed=ok, value=f"x^{a}y^{b}")
 
 
-@register("qplane.center", least={"max_deg": 1})
-def _check_center(ctx, *, q, max_deg=6):
+@register("qplane.center")
+def _check_center(ctx, *, q: _q, max_deg: _count(1) = 6):
     q = _decode_q(q)
     central = opalg.qplane.center_probe(q, max_deg)
     if isinstance(q, opalg.qplane.RootOfUnity) and q.N > 1:
@@ -394,8 +500,8 @@ def _check_center(ctx, *, q, max_deg=6):
     return CheckResult(passed=ok, value=f"count={len(central)}")
 
 
-@register("qplane.coaction", least={"max_deg": 2})
-def _check_coaction(ctx, *, q, max_deg=3, perturb_ab=False):
+@register("qplane.coaction")
+def _check_coaction(ctx, *, q: _q, max_deg: _count(2) = 3, perturb_ab: _flag = False):
     try:
         report = opalg.qplane.glq2_coaction_check(_decode_q(q), max_deg, perturb_ab=perturb_ab)
         ok = not perturb_ab and report.preserved
@@ -410,7 +516,7 @@ def _decode_q(data):
     return opalg.qplane.RootOfUnity(**data) if isinstance(data, dict) else data
 
 
-def _dump_field(path: str, grid, values: np.ndarray):
+def _dump_field(path: str, grid, values: "np.ndarray"):
     points = grid.points()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x1,x2,x3,re_psi,im_psi\n")
@@ -421,21 +527,6 @@ def _dump_field(path: str, grid, values: np.ndarray):
 
 # ---------------------------------------------------------------------------
 # loading and running
-
-
-def _number(kind, value, where: str):
-    """A finite int or float from a JSON number; an int only from an integral
-    value, so 16.0 reads as 16.  Anything else (a boolean, a string, NaN, an
-    infinity, 2.9 for an int) raises a ScenarioParseError naming where the
-    value came from."""
-    try:
-        number = kind(value) if type(value) in (int, float) else None
-    except (OverflowError, ValueError):  # an int of NaN or an infinity, an int past the floats
-        number = None
-    if number is None or (number != value if kind is int else not math.isfinite(number)):
-        what = "an integer" if kind is int else "a finite number"
-        raise ScenarioParseError(f"{where}: expected {what}, got {value!r}")
-    return number
 
 
 def _refuse_non_finite(value, where: str):
@@ -449,23 +540,13 @@ def _refuse_non_finite(value, where: str):
                                else f"{where}[{key}]")
 
 
-def _numbers(kind, value, where: str) -> List:
-    if not isinstance(value, list):
-        raise ScenarioParseError(f"{where}: expected a list, got {value!r}")
-    return [_number(kind, item, f"{where}[{i}]") for i, item in enumerate(value)]
-
-
 def _bind(name: str, params: Dict, where: str) -> Dict:
     """The keyword arguments of the check `name` from a scenario entry's params.
 
     Every name must be one of the check's keyword-only arguments, and every
-    argument without a default must be given.  A value whose default is a
-    number or a boolean (or None, for an argument annotated Optional[int]) is
-    cast to that type, one whose default is a tuple is read as a list of
-    numbers of the type of its first item, a count, size, order or list length
-    the check registered a least value for must reach it, and a string the
-    check registered choices for must be one of them; any other value is
-    passed on as it is, for _decode_params and the check.
+    argument without a default must be given.  Each value is read by the
+    argument's declaration: a tuple of strings holds the values it may take,
+    and a decoder reads and checks it.  JSON null stands for a default of None.
     """
     fn = _REGISTRY[name]
     code, defaults = fn.__code__, fn.__kwdefaults__ or {}
@@ -479,94 +560,15 @@ def _bind(name: str, params: Dict, where: str) -> Dict:
             raise ScenarioParseError(f"{where}.{key}: missing required parameter")
     kwargs = dict(params)
     for key, value in params.items():
-        optional = fn.__annotations__.get(key) == "Optional[int]"
-        kind = int if optional else type(defaults.get(key))
-        if kind is bool and not isinstance(value, bool):
-            raise ScenarioParseError(f"{where}.{key}: expected true or false, got {value!r}")
-        if kind in (int, float) and not (optional and value is None):
-            kwargs[key] = _number(kind, value, f"{where}.{key}")
-        if kind is tuple:
-            kwargs[key] = _numbers(type(defaults[key][0]), value, f"{where}.{key}")
-        least = _LEAST[name].get(key)
-        if least is not None and value is not None and \
-                (len(value) if kind is tuple else kwargs[key]) < least:
-            raise ScenarioParseError(f"{where}.{key}: expected at least {least}"
-                                     f"{' items' if kind is tuple else ''}, got {value!r}")
-        choices = _CHOICES[name].get(key)
-        if choices and value not in choices:
-            raise ScenarioParseError(f"{where}.{key}: expected one of "
-                                     f"{', '.join(choices)}, got {value!r}")
-    return kwargs
-
-
-def _shape(value, where: str) -> Tuple[int, ...]:
-    """The shape of rectangular nested lists of finite numbers."""
-    if not isinstance(value, list):
-        _number(float, value, where)
-        return ()
-    shapes = {_shape(item, f"{where}[{i}]") for i, item in enumerate(value)}
-    if len(shapes) > 1:
-        raise ScenarioParseError(f"{where}: expected rectangular nested lists, got {value!r}")
-    return (len(value),) + (shapes.pop() if shapes else ())
-
-
-def _decode_params(params: Dict, where: str) -> Dict:
-    """Check the model name, the lattice spacing, the size ladder, the integer
-    pairs, the series b, the word and the dump path of a bound params dict,
-    and read q: the integers N and k of a root of unity {N, k}, or a number
-    or a pair [re, im] as a complex number."""
-    if "model" in params and params["model"] not in list(_MODELS):
-        raise ScenarioParseError(f"{where}.model: unknown model {params['model']!r}")
-    b = params.get("b")
-    shape = _shape(b, f"{where}.b") if isinstance(b, list) else ()
-    if "b" in params and (len(shape) < 2 or shape[-1] != 2):
-        raise ScenarioParseError(f"{where}.b: expected a list of [re, im] pairs or of "
-                                 f"rectangular nested lists of them, got {b!r}")
-    word = params.get("word", "")
-    if not isinstance(word, str) or set(word) - {"x", "y"}:
-        raise ScenarioParseError(f"{where}.word: expected a string of the letters x "
-                                 f"and y, got {word!r}")
-    dump = params.get("dump_field")
-    if dump is not None and (not isinstance(dump, str) or os.path.isdir(dump)
-                             or not os.path.isdir(os.path.dirname(dump) or ".")):
-        raise ScenarioParseError(f"{where}.dump_field: expected a file path in an "
-                                 f"existing directory, got {dump!r}")
-    if params.get("spacing", 1.0) <= 0:
-        raise ScenarioParseError(f"{where}.spacing: expected a positive number, "
-                                 f"got {params['spacing']!r}")
-    sizes = params.get("sizes")
-    if sizes is not None and (len(set(sizes)) < max(2, len(sizes))
-                              or min(sizes) < _MIN_LADDER_POINTS):
-        raise ScenarioParseError(
-            f"{where}.sizes: expected two or more sizes, no two equal, each of at "
-            f"least {_MIN_LADDER_POINTS} points, got {sizes}")
-    for key, least_sum in (("signature", 1), ("expect_monomial", 0)):
-        if params.get(key) is None:
+        declared = fn.__annotations__[key]
+        if value is None and defaults.get(key, ...) is None:
             continue
-        pair = params[key] = _numbers(int, params[key], f"{where}.{key}")
-        if len(pair) != 2 or min(pair) < 0 or sum(pair) < least_sum:
-            raise ScenarioParseError(
-                f"{where}.{key}: expected two non-negative integers"
-                f"{' with a positive sum' if least_sum else ''}, got {pair}")
-    q = params.get("q")
-    if isinstance(q, dict):
-        for key in q:
-            if key not in ("N", "k"):
-                raise ScenarioParseError(f"{where}.q.{key}: unknown key; an exact q "
-                                         f"takes N, k")
-        N = _number(int, q.get("N"), f"{where}.q.N")
-        k = _number(int, q.get("k", 1), f"{where}.q.k")
-        if N < 1 or math.gcd(k, N) != 1:
-            raise ScenarioParseError(f"{where}.q: expected N >= 1 and gcd(k, N) = 1, "
-                                     f"got N={N}, k={k}")
-        params["q"] = {"N": N, "k": k}
-    elif isinstance(q, list):
-        if len(q) != 2:
-            raise ScenarioParseError(f"{where}.q: expected [re, im], got {q!r}")
-        params["q"] = complex(*_numbers(float, q, f"{where}.q"))
-    elif "q" in params:
-        params["q"] = complex(_number(float, q, f"{where}.q"))
-    return params
+        if not isinstance(declared, tuple):
+            kwargs[key] = declared(value, f"{where}.{key}")
+        elif value not in declared:
+            raise ScenarioParseError(f"{where}.{key}: expected one of "
+                                     f"{', '.join(declared)}, got {value!r}")
+    return kwargs
 
 
 def load_scenario(path: str) -> Scenario:
@@ -597,9 +599,7 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioParseError(f"{path}: tolerances: expected an object")
     tolerances = dict(DEFAULT_TOLERANCES)
     for k, v in data.get("tolerances", {}).items():
-        tolerances[k] = _number(float, v, f"{path}: tolerances.{k}")
-        if tolerances[k] < 0:
-            raise ScenarioParseError(f"{path}: tolerances.{k}: expected at least 0, got {v!r}")
+        tolerances[k] = _least(float, 0)(v, f"{path}: tolerances.{k}")
     checks = []
     for i, entry in enumerate(data["checks"]):
         where = f"{path}: checks[{i}]"
@@ -615,15 +615,14 @@ def load_scenario(path: str) -> Scenario:
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ScenarioParseError(f"{where}.params: expected an object")
-        params = _decode_params(_bind(name, params, f"{where}.params"), f"{where}.params")
-        checks.append(CheckSpec(check=name, params=params))
+        checks.append(CheckSpec(check=name, params=_bind(name, params, f"{where}.params")))
     return Scenario(name=str(data["name"]), seed=_number(int, data["seed"], f"{path}: seed"),
-                    truncation_order=_number(int, data.get("truncation_order", 8),
-                                             f"{path}: truncation_order"),
+                    truncation_order=_count(0)(data.get("truncation_order", 8),
+                                               f"{path}: truncation_order"),
                     tolerances=tolerances, checks=tuple(checks))
 
 
-def _derive_rng(seed: int, index: int, check_name: str) -> np.random.Generator:
+def _derive_rng(seed: int, index: int, check_name: str) -> "np.random.Generator":
     """Stream of the entry at position `index`: repeated entries of one
     check draw apart, and equal seeds give equal streams."""
     import hashlib  # not at module level: loading a scenario never hashes
@@ -653,7 +652,7 @@ def _run_one(scenario: Scenario, index: int) -> CheckRecord:
 
 
 def run_scenario(scenario, jobs: int = 1,
-                 seed_override: Optional[int] = None) -> Report:
+                 seed_override=None) -> Report:
     """Execute all checks in declared order; never aborts on check failure."""
     if isinstance(scenario, str):
         scenario = load_scenario(scenario)

@@ -198,6 +198,18 @@ class TestGridCommutators:
         with pytest.raises(GridTooCoarseError):
             momentum_grid(16, 10.0)
 
+    def test_nan_deviation_sticks(self):
+        # with a NaN in the test function each bracket's deviation is NaN,
+        # and neither the running maximum nor max_deviation() drops it
+        grid = momentum_grid(32, 10.0)
+        psi = _default_test_functions(grid)[0].copy()
+        psi[3, 4, 5] = np.nan
+        report = generator_commutators(1.0, grid, [psi], pairs=EXACT_BRACKETS)
+        assert np.isnan(report.max_deviation())
+        partial = report._replace(deviations={EXACT_BRACKETS[0]: 0.0,
+                                              EXACT_BRACKETS[1]: np.nan})
+        assert np.isnan(partial.max_deviation())
+
     def test_central_generator_adds_on_tensor_products(self):
         # the represented mass acts as m + m = 2m on a two-fold product
         mass = 1.3

@@ -132,22 +132,47 @@ class TestLoading:
 
     def test_ladder_minimum_is_the_grid_minimum(self):
         from opalg import galilei, scenario
-        assert scenario._MIN_LADDER_POINTS == galilei.MIN_POINTS_PER_AXIS
-        assert scenario._LEAST["galilei.commutators"]["points"] == galilei.MIN_POINTS_PER_AXIS
+        least = galilei.MIN_POINTS_PER_AXIS
+        assert scenario._MIN_LADDER_POINTS == least
+        points = scenario._REGISTRY["galilei.commutators"].__annotations__["points"]
+        assert points(least, "points") == least
+        with pytest.raises(ScenarioParseError, match=f"points: expected at least {least}"):
+            points(least - 1, "points")
 
     def test_choices_are_the_layers_choices(self):
         # the strings load admits, repeated in scenario because loading
         # imports no layer: each one must be one its layer takes
         from opalg import brst, scenario, wigner
-        choices = scenario._CHOICES
-        assert choices["wigner.parseval"]["kind"] == wigner.SHELL_KINDS
-        assert choices["wigner.two_particle"]["kind"] == wigner.SHELL_KINDS
+
+        def choices(name, key):
+            return scenario._REGISTRY[name].__annotations__[key]
+        assert choices("wigner.parseval", "kind") == wigner.SHELL_KINDS
+        assert choices("wigner.two_particle", "kind") == wigner.SHELL_KINDS
         shell = wigner.make_shell("relativistic", 1.0, 3, 0.5)
         grid = wigner.reciprocal_slice(shell, 0.0)
-        for reweight in choices["wigner.parseval"]["reweight"]:
+        for reweight in choices("wigner.parseval", "reweight"):
             assert wigner.isometry_defect(shell, grid, reweight) >= 0.0
-        for variant in choices["brst.observables"]["variant"]:
+        for variant in choices("brst.observables", "variant"):
             assert brst.observable_algebra(brst.gupta_bleuler_toy(), variant).variant == variant
+        for name in ("brst.physical_space", "brst.observables", "brst.deform_stability"):
+            assert choices(name, "model") == tuple(scenario._MODELS)
+
+    @pytest.mark.parametrize("name", available_checks())
+    def test_every_parameter_is_declared(self, name):
+        # a parameter without a declaration would make loading raise a
+        # KeyError traceback, not exit 2; a default, written as JSON, must
+        # lie in its parameter's domain
+        fn = opalg.scenario._REGISTRY[name]
+        code = fn.__code__
+        names = code.co_varnames[code.co_argcount:code.co_argcount + code.co_kwonlyargcount]
+        for key in names:
+            assert key in fn.__annotations__, key
+        for key, default in (fn.__kwdefaults__ or {}).items():
+            declared, wire = fn.__annotations__[key], json.loads(json.dumps(default))
+            if isinstance(declared, tuple):
+                assert wire in declared, key
+            elif default is not None:
+                assert declared(wire, key) == wire, key
 
     def test_pairs_and_series_read_at_load(self, tmp_path):
         path = write_scenario(tmp_path, {
@@ -527,6 +552,20 @@ class TestCli:
            "checks[0].params.sizes: expected two or more sizes, no two equal, each of at "
            f"least 32 points, got {sizes}")
           for sizes in ([32], [32, 32], [32, 64, 32], [16, 32], [])],
+        *[({"checks": [{"check": check, "params": {key: value}}]},
+           f"checks[0].params.{key}: expected a positive number, got {float(value)}")
+          for check in ("galilei.commutators", "galilei.commutator_convergence")
+          for key, value in (("mass", 0), ("p_max", -10), ("p_max", 0))],
+        *[({"checks": [{"check": "galilei.levy_leblond_shell", "params": {"mass": mass}}]},
+           f"checks[0].params.mass: expected a positive number, got {float(mass)}")
+          for mass in (0, -1)],
+        ({"checks": [{"check": "wigner.parseval", "params": {"expect": "defect", "floor": -1}}]},
+         "checks[0].params.floor: expected at least 0, got -1"),
+        *[({"checks": [{"check": check, "params": {"q": q}}]},
+           f"checks[0].params.q: expected a nonzero number, got {q!r}")
+          for check in ("qplane.normal_form", "qplane.center", "qplane.coaction")
+          for q in (0, [0, 0])],
+        ({"truncation_order": -1}, "truncation_order: expected at least 0, got -1"),
     ])
     def test_exit_two_on_malformed_input(self, tmp_path, capsys, body, field):
         # json.dumps writes NaN and the infinities as the tokens json.load reads
