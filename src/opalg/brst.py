@@ -17,7 +17,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .krein import KreinSpace, fundamental_symmetry, krein_adjoint, make_krein
+from .krein import KreinSpace, krein_adjoint, make_krein
 from .series import FormalSeries, _blocks, _positive_rows, _star_square_rows, series_mul
 
 __all__ = [
@@ -160,31 +160,6 @@ def operator_grade(space: GhostGradedSpace, matrix) -> Optional[int]:
     return present.pop()
 
 
-# ---------------------------------------------------------------------------
-# one rank-revealing decomposition per map
-
-
-class _Split(NamedTuple):
-    image: np.ndarray    # orthonormal columns
-    kernel: np.ndarray   # orthonormal columns
-    pinv: np.ndarray     # minimum-norm solution operator
-
-
-def _split(A: np.ndarray) -> _Split:
-    """Image, kernel and pseudo-inverse of A from one SVD.
-
-    Singular values at or below RANK_TOL times the largest count as zero, so the
-    rank does not depend on the scale of A; the zero map has rank 0.
-    A tall or square A needs only the thin factors; a wide one needs the
-    whole of Vh, whose last rows span its kernel.
-    """
-    u, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size else 0
-    image, coimage = u[:, :rank], vh[:rank].conj().T
-    return _Split(image=image, kernel=vh[rank:].conj().T,
-                  pinv=coimage @ (image.conj().T / s[:rank, None]))
-
-
 def _raise_first(stages: Sequence[Dict[int, Exception]]):
     """Raise the failure of the lowest failing column.
 
@@ -205,9 +180,9 @@ def _raise_first(stages: Sequence[Dict[int, Exception]]):
 
 
 class BRSTStructure:
-    """A validated charge Q on a graded space; each decomposition of Q is
-    taken on first use and kept, read-only, as one structure may serve many
-    callers."""
+    """A validated charge Q on a graded space; its one decomposition, and
+    what is read off it, is taken on first use and kept, read-only, as one
+    structure may serve many callers."""
 
     def __init__(self, space: GhostGradedSpace, Q: np.ndarray):
         self.space, self.Q = space, Q
@@ -217,32 +192,45 @@ class BRSTStructure:
         return self.space.dim
 
     @cached_property
-    def _charge(self) -> _Split:
-        return _read_only(_split(self.Q))
-
-    @cached_property
     def _quotient(self) -> "BRSTQuotient":
         """physical_space; a failing check is raised again on every
         access, since nothing is cached then."""
         return _physical_space(self)
 
     @cached_property
-    def _hodge(self) -> Tuple[np.ndarray, np.ndarray]:
-        """U and 1 / (d_i + d_j), 0 on harmonic pairs, for Delta_Q = Q Q^H +
-        Q^H Q = U diag(d) U^H: one eigh per ghost degree, so column i of U has
-        the degree of basis vector i.  As Q is odd, s s^H + s^H s maps F to
-        Delta_Q F + F Delta_Q (Kuenneth): s has squared singular values
-        d_i + d_j on the u_i u_j^H.  A pair is harmonic at d_i + d_j <=
-        RANK_TOL max d, an SVD cut near 1e-5, free of the scale of Q."""
+    def _hodge(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """U, 1 / (d_i + d_j) (0 on harmonic pairs) and the sign of each
+        column, from one eigh per ghost degree of Q Q^H - Q^H Q = U diag(e)
+        U^H, so column i of U has the degree of basis vector i.  As Q^2 = 0
+        the two terms have orthogonal ranges: U diagonalizes Delta_Q = Q Q^H
+        + Q^H Q with d = |e|, and a column is exact (sign 1) for e > 0,
+        coexact (sign -1) for e < 0 and harmonic (sign 0) at d <= RANK_TOL
+        max d, an SVD cut near 1e-5, free of the scale of Q.  As Q is odd,
+        s s^H + s^H s maps F to Delta_Q F + F Delta_Q (Kuenneth): s has
+        squared singular values d_i + d_j on the u_i u_j^H, harmonic where
+        u_i and u_j are."""
         Q, grades = self.Q, np.asarray(self.space.ghost_grades)
-        lap = Q @ Q.conj().T + Q.conj().T @ Q
-        U, d = np.zeros_like(lap), np.zeros(self.dim)
+        signed = Q @ Q.conj().T - Q.conj().T @ Q
+        U, e = np.zeros_like(signed), np.zeros(self.dim)
         for g in set(self.space.ghost_grades):
             idx = np.flatnonzero(grades == g)
-            d[idx], U[np.ix_(idx, idx)] = np.linalg.eigh(lap[np.ix_(idx, idx)])
+            block = np.ix_(idx, idx)
+            e[idx], U[block] = np.linalg.eigh(signed[block])
+        d = np.abs(e)
+        harmonic = d <= RANK_TOL * np.max(d, initial=0.0)
         pairs = d[:, None] + d[None, :]
-        harmonic = pairs <= RANK_TOL * np.max(d, initial=0.0)
-        return _read_only((U, np.divide(1.0, pairs, out=np.zeros_like(pairs), where=~harmonic)))
+        inverse = np.divide(1.0, pairs, out=np.zeros_like(pairs),
+                            where=~(harmonic[:, None] & harmonic))
+        return _read_only((U, inverse, np.where(harmonic, 0.0, np.sign(e))))
+
+    @cached_property
+    def _pinv(self) -> np.ndarray:
+        """Pseudo-inverse of Q, Q^H Delta_Q^+, as Delta_Q commutes with Q;
+        Delta_Q^+ = U diag(1 / d) U^H off the harmonic columns."""
+        U, inverse, _ = self._hodge
+        pinv = self.Q.conj().T @ (U * (2 * np.diagonal(inverse))) @ U.conj().T
+        pinv.setflags(write=False)
+        return pinv
 
 
 def _read_only(arrays):
@@ -302,7 +290,7 @@ def _s_preimage(B: BRSTStructure, R: np.ndarray) -> np.ndarray:
     """Minimum-norm X with s(X) closest to R, for R a matrix or a stack:
     X = s^H(Y), Y = (s s^H + s^H s)^+ R from the structure's Hodge
     decomposition, and s^H(Y) = Q^H Y - Sigma Y Q^H Sigma."""
-    U, inverse = B._hodge
+    U, inverse, _ = B._hodge
     Uh, Qh = U.conj().T, B.Q.conj().T
     Y = U @ ((Uh @ R @ U) * inverse) @ Uh
     return Qh @ Y - graded_sign_split(B.space, Y @ Qh)
@@ -317,40 +305,33 @@ class BRSTQuotient:
                  quotient_reps: np.ndarray, induced_gram: np.ndarray):
         self.ker_basis = ker_basis          # n x k, orthonormal columns
         self.im_basis = im_basis            # n x r, orthonormal columns
-        self.quotient_reps = quotient_reps  # n x (k - r)
+        self.quotient_reps = quotient_reps  # n x (k - r), orthonormal harmonic columns
         self.induced_gram = induced_gram    # (k - r) x (k - r), positive definite
 
     @property
     def dim(self) -> int:
         return self.quotient_reps.shape[1]
 
-    @cached_property
-    def _basis(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Representatives followed by the image, and its pseudo-inverse."""
-        basis = np.hstack([self.quotient_reps, self.im_basis])
-        return basis, _split(basis).pinv
-
 
 def physical_space(B: BRSTStructure) -> BRSTQuotient:
     """Kernel, image, quotient representatives and the induced product.
 
-    Kernel and image come from the structure's cached split of Q; the
-    representatives are the kernel vectors orthogonal to the image in the
-    rotated (positive) product: the harmonic vectors.  As Q is Krein
-    self-adjoint, im Q is G-orthogonal to ker Q, so on ker Q the product is
-    the induced one plus zero on im Q: an induced eigenvalue below
-    -RANK_TOL is a negative kernel vector (PositivityViolatedError), one
-    within RANK_TOL of 0 a null vector off the image (NullNotExactError).
-    The quotient is built once per structure; its arrays are read-only.
+    All three are columns of the structure's U: the exact and harmonic
+    ones, the exact ones, and the harmonic ones, orthonormal and orthogonal
+    to the image.  As Q is Krein self-adjoint, im Q is G-orthogonal to
+    ker Q, so on ker Q the product is the induced one plus zero on im Q:
+    an induced eigenvalue below -RANK_TOL is a negative kernel vector
+    (PositivityViolatedError), one within RANK_TOL of 0 a null vector off
+    the image (NullNotExactError).  The quotient is built once per
+    structure; its arrays are read-only.
     """
     return B._quotient
 
 
 def _physical_space(B: BRSTStructure) -> BRSTQuotient:
     G = B.space.krein.gram
-    ker, im = B._charge.kernel, B._charge.image
-    W = G @ fundamental_symmetry(B.space.krein).matrix
-    reps = ker @ _split(im.conj().T @ W @ ker).kernel
+    U, _, sign = B._hodge
+    ker, im, reps = (U[:, m] for m in (sign >= 0, sign > 0, sign == 0))
     gram = reps.conj().T @ G @ reps
     gram = (gram + gram.conj().T) / 2
     low = float(np.min(np.linalg.eigvalsh(gram), initial=np.inf))
@@ -358,21 +339,22 @@ def _physical_space(B: BRSTStructure) -> BRSTQuotient:
         raise PositivityViolatedError(f"kernel vector of norm {low:.3e} found")
     if low <= RANK_TOL:
         raise NullNotExactError(f"null kernel vector outside the image (norm {low:.3e})")
-    _read_only((reps, gram))  # ker and im are the structure's, read-only already
+    _read_only((ker, im, reps, gram))
     return BRSTQuotient(ker_basis=ker, im_basis=im,
                         quotient_reps=reps, induced_gram=gram)
 
 
 def class_coordinates(quotient: BRSTQuotient, vector) -> np.ndarray:
     """Coordinates of [vector] with respect to the chosen representatives;
-    a matrix of vectors gives one column of coordinates per column."""
+    a matrix of vectors gives one column of coordinates per column.  The
+    representatives and the image are orthonormal columns that together
+    span the kernel, so the coordinates are R^H v."""
     v = np.asarray(vector, dtype=complex)
-    basis, pinv = quotient._basis
-    x = pinv @ v
-    res = np.linalg.norm(basis @ x - v, axis=0)
+    ker = quotient.ker_basis
+    res = np.linalg.norm(ker @ (ker.conj().T @ v) - v, axis=0)
     if np.any(res > CLASS_TOL * np.maximum(1.0, np.linalg.norm(v, axis=0))):
         raise ValueError(f"vector is not in the kernel (residual {np.max(res):.3e})")
-    return x[: quotient.dim]
+    return quotient.quotient_reps.conj().T @ v
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +380,7 @@ def observable_algebra(B: BRSTStructure, variant: str = "even_ghost") -> Observa
     """
     if variant not in ("even_ghost", "full"):
         raise ValueError(f"unknown variant {variant!r}")
-    U, inverse = B._hodge
+    U, inverse, _ = B._hodge
     keep = inverse == 0
     if variant == "even_ghost":
         keep &= _same_parity(B.space)
@@ -489,6 +471,14 @@ def representation_matrix(B: BRSTStructure, quotient: BRSTQuotient,
         if _max_abs(A.matrix @ V - V @ (V.conj().T @ A.matrix @ V)) > CLASS_TOL * scale:
             raise NotObservableError("operator does not preserve kernel and image")
     return class_coordinates(quotient, A.matrix @ quotient.quotient_reps)
+
+
+def _represented(quotient: BRSTQuotient, ops: np.ndarray) -> np.ndarray:
+    """representation_matrix of each observable of the stack ops (K, n, n)
+    that observable_algebra certified, unchecked: the representatives R are
+    orthonormal and orthogonal to im Q, so [A] has the matrix R^H A R."""
+    R = quotient.quotient_reps
+    return R.conj().T @ ops @ R
 
 
 # ---------------------------------------------------------------------------
@@ -634,9 +624,11 @@ def lift_vector(D: DeformedBRST, phi0,
     Solves Q0 phi_n = -sum_{k>=1} Q_k phi_{n-k} order by order (minimum-norm
     solution, from the base structure's cached pseudo-inverse of Q0); with an
     rng a random base-kernel component is added at each positive order to
-    sample the solution set.
+    sample the solution set.  Kernel and pseudo-inverse are read off the
+    base decomposition, so the physical quotient need not exist.
     """
-    ker = D.base._charge.kernel
+    U, _, sign = D.base._hodge
+    ker = U[:, sign >= 0]
     Z = np.zeros((D.order + 1, D.base.dim), dtype=complex)
     Z[0] = phi0
     if rng is not None:
@@ -644,7 +636,7 @@ def lift_vector(D: DeformedBRST, phi0,
         draws = rng.normal(size=(D.order, 2, ker.shape[1]))
         Z[1:] = (draws[:, 0] + 1j * draws[:, 1]) @ ker.T
     T = _charge_matrix(D)
-    phi = _solve_jets(T, D.base._charge.pinv, Z.reshape(-1, 1))
+    phi = _solve_jets(T, D.base._pinv, Z.reshape(-1, 1))
     _raise_first(_lift_failures(T, D.charge(0), phi)[1])
     return FormalSeries(list(phi.reshape(len(Z), -1)))
 
@@ -657,7 +649,7 @@ def solve_image_membership(D: DeformedBRST, phi: FormalSeries) -> FormalSeries:
     """
     if phi.order > D.order:
         raise ValueError(f"phi has order {phi.order}, above the charge's order {D.order}")
-    pinv, Y = D.base._charge.pinv, np.stack(phi.coeffs)
+    pinv, Y = D.base._pinv, np.stack(phi.coeffs)
     T = _charge_matrix(D)[:Y.size, :Y.size]
     x = _solve_jets(T, pinv, (Y @ pinv.T).reshape(-1, 1))
     _raise_first(_unsolved(T, D.charge(0), x, Y.reshape(-1, 1), "image membership")[1])
@@ -730,7 +722,7 @@ def deform_check(D: DeformedBRST, samples: int = 50,
     quotient = physical_space(base)
     ker, im = quotient.ker_basis, quotient.im_basis
     n, k, L = base.dim, ker.shape[1], D.order + 1
-    G, Q0, pinv = base.space.krein.gram, D.charge(0), base._charge.pinv
+    G, Q0, pinv = base.space.krein.gram, D.charge(0), base._pinv
     T = _charge_matrix(D)
     # the jet solve on identity columns, and from it the maps taking the
     # kernel coordinates of seed and noise to a lift, and a jet to its preimage
@@ -785,18 +777,13 @@ def deform_check(D: DeformedBRST, samples: int = 50,
     # (iv) quantifies over deformed observables; an unliftable base
     # observable yields no sample rather than a counterexample
     reps = np.reshape(observable_algebra(base, "even_ghost").quotient_basis, (-1, n, n))
-    unliftable = _unliftable(D, reps)
-    min_norm = np.inf
-    tested = 0
-    for i, A0 in enumerate(reps):
-        pi0 = representation_matrix(base, quotient, GradedOperator(A0, 0))
-        # only whether A0 lifts matters: A~ phi~ starts with A0 phi0
-        if np.max(np.abs(pi0)) <= bound or unliftable[i]:
-            continue
-        # the class of A0 phi0, for the representative phi0 that A0 moves most
-        col = int(np.argmax(np.max(np.abs(pi0), axis=0)))
-        min_norm = min(min_norm, float(np.linalg.norm(pi0[:, col])))
-        tested += 1
+    pis = np.abs(_represented(quotient, reps))
+    # only whether A0 lifts matters, as A~ phi~ starts with A0 phi0; the
+    # class of A0 phi0, for the representative phi0 that A0 moves most
+    norms = [float(np.linalg.norm(pi0[:, np.argmax(np.max(pi0, axis=0))]))
+             for pi0, stuck in zip(pis, _unliftable(D, reps))
+             if np.max(pi0) > bound and not stuck]
+    min_norm, tested = min(norms, default=np.inf), len(norms)
     return DeformationReport(
         order=D.order, samples=samples, positivity_checked=positivity_checked,
         positivity_worst_defect=worst, null_vectors_checked=null_checked,
@@ -831,9 +818,10 @@ def deformation_generators(B: BRSTStructure) -> List[np.ndarray]:
         anti = (B.Q @ X + X @ B.Q).ravel()
         sadj = (X - krein_adjoint(K, X)).ravel()
         rows.append(np.concatenate([anti.real, anti.imag, sadj.real, sadj.imag]))
-    M = np.array(rows).T
-    basis = _split(M).kernel
-    return [build(basis[:, j].real) for j in range(basis.shape[1])]
+    # the kernel of the real constraint matrix: singular values at or below
+    # RANK_TOL times the largest count as zero
+    s, vh = np.linalg.svd(np.array(rows).T, full_matrices=False)[1:]
+    return [build(x) for x in vh[int(np.sum(s > RANK_TOL * s[0])):]]
 
 
 class DeformedVectorState:

@@ -752,6 +752,30 @@ def is_krein_selfadjoint(K, A, tol=ORACLE_TOL):
     return bool(np.max(np.abs(A - krein_adjoint(K, A))) <= tol)
 
 
+def quartet_model(physical, quartets, seed):
+    """Positive modes of ghost 0, then Kugo-Ojima quartets (A, B of ghost 0,
+    c of ghost 1, cbar of ghost -1; <A, B> = <c, cbar> = 1; Q maps A to c
+    and cbar to B), in a basis turned by a random unitary within each ghost
+    degree.  The exact B and the coexact A share the eigenvalue 1 of
+    Delta_Q = Q Q^H + Q^H Q in degree 0."""
+    from opalg.brst import make_graded_space, validate_brst
+    n = physical + 4 * quartets
+    grades = np.array([0] * physical + [0, 0, 1, -1] * quartets)
+    gram = np.zeros((n, n), dtype=complex)
+    gram[:physical, :physical] = np.eye(physical)
+    Q = np.zeros((n, n), dtype=complex)
+    for a in range(physical, n, 4):
+        gram[a, a + 1] = gram[a + 1, a] = gram[a + 2, a + 3] = gram[a + 3, a + 2] = 1
+        Q[a + 2, a] = Q[a + 1, a + 3] = 1
+    rng = np.random.default_rng(seed)
+    U = np.zeros((n, n), dtype=complex)
+    for g in np.unique(grades):
+        idx = np.flatnonzero(grades == g)
+        Z = rng.normal(size=(idx.size, idx.size)) + 1j * rng.normal(size=(idx.size, idx.size))
+        U[np.ix_(idx, idx)] = np.linalg.qr(Z)[0]
+    return validate_brst(make_graded_space(U.conj().T @ gram @ U, grades), U.conj().T @ Q @ U)
+
+
 def krein_adjoint_solve(K, A):
     """krein_adjoint by one LU solve per matrix: G X = A^H G."""
     A = np.asarray(A, dtype=complex)

@@ -18,7 +18,7 @@ from opalg.series import FormalSeries, series_mul
 
 from oracles import (brst_derivation, closure_pairwise, derivation_svd, lstsq_series_solve,
                      observable_dims_svd, physical_space_svd, physical_space_three_step,
-                     quotient_oracle, quotient_reps, rank, s_preimage_svd,
+                     quartet_model, quotient_oracle, quotient_reps, rank, s_preimage_svd,
                      super_commutator_matrix, svd_column_space, svd_null_space)
 
 TOYS = {
@@ -185,6 +185,20 @@ class TestPhysicalSpace:
             quotient = physical_space(make())
             if quotient.dim:
                 assert np.min(np.linalg.eigvalsh(quotient.induced_gram)) > 0
+
+    def test_one_rank_cut_for_every_quotient(self):
+        # a second pair coupled at 1e-7 of the first lies below the Hodge
+        # cut (an SVD cut near 1e-5): all three quotients see the harmonic
+        # vectors e_0, e_3 and e_4, and e_3, e_4 span a null pair
+        gram = np.eye(5)
+        gram[1:3, 1:3] = gram[3:5, 3:5] = [[0, 1], [1, 0]]
+        Q = np.zeros((5, 5), dtype=complex)
+        Q[1, 2], Q[3, 4] = 1, 1e-7
+        B = validate_brst(make_graded_space(gram, [0, 1, 0, 1, 0]), Q)
+        with pytest.raises(PositivityViolatedError):
+            physical_space(B)
+        assert observable_algebra(B, "full").quotient_dim == 9
+        assert observable_algebra(B, "even_ghost").quotient_dim == 5
 
     def test_negative_norm_kernel_vector_rejected(self):
         space = make_graded_space(np.diag([1.0, -1.0]), [0, 0])
@@ -532,6 +546,8 @@ def ghost_preserving(rng, B):
 
 models = st.one_of(st.sampled_from([make for make, _ in TOYS.values()]).map(lambda m: m()),
                    pair_models)
+quartet_models = st.builds(quartet_model, physical=st.integers(0, 2),
+                           quartets=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 moved_pair_models = st.builds(
     lambda B, seed: change_basis(B, ghost_preserving(np.random.default_rng(seed), B)),
     pair_models, st.integers(0, 2**32 - 1))
@@ -567,8 +583,24 @@ def verdict(check, *args):
 
 
 class TestOracleTwins:
-    """The cached splits and Hodge decomposition against the SVD-per-question
-    reference and the row-reduction oracles, on randomly rotated pair models."""
+    """The cached Hodge decomposition against the SVD-per-question reference
+    and the row-reduction oracles, on randomly rotated pair and quartet
+    models."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(B=st.one_of(pair_models, quartet_models))
+    def test_signed_laplacian_against_svd(self, B):
+        # on quartets Delta_Q has the exact B and the coexact A at one
+        # eigenvalue, so only the sign of Q Q^H - Q^H Q tells them apart
+        U, _, sign = B._hodge
+        for got, want in ((U[:, sign >= 0], svd_null_space(B.Q)),
+                          (U[:, sign > 0], svd_column_space(B.Q))):
+            assert got.shape == want.shape
+            assert np.allclose(got @ got.conj().T, want @ want.conj().T, rtol=0, atol=1e-12)
+        assert np.allclose(B._pinv, np.linalg.pinv(B.Q), rtol=0, atol=1e-12)
+        assert np.max(np.linalg.norm(B.Q @ U[:, sign >= 0], axis=0), initial=0.0) <= 1e-12
+        assert np.max(np.linalg.norm(B.Q.conj().T @ U[:, sign <= 0], axis=0),
+                      initial=0.0) <= 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(B=moved_pair_models)
@@ -692,7 +724,7 @@ class TestOracleTwins:
     def test_physical_decision_on_degenerate_products(self, gram, want):
         B = validate_brst(make_graded_space(np.diag(gram), [0, 0]), np.zeros((2, 2)))
         W = B.space.krein.gram @ fundamental_symmetry(B.space.krein).matrix
-        assert verdict(physical_space_three_step, B._charge.kernel, B._charge.image,
+        assert verdict(physical_space_three_step, svd_null_space(B.Q), svd_column_space(B.Q),
                        B.space.krein.gram, W) is want
         assert verdict(physical_space, B) is want
 
@@ -700,7 +732,7 @@ class TestOracleTwins:
     @given(B=models)
     def test_physical_decision(self, B):
         W = B.space.krein.gram @ fundamental_symmetry(B.space.krein).matrix
-        assert verdict(physical_space_three_step, B._charge.kernel, B._charge.image,
+        assert verdict(physical_space_three_step, svd_null_space(B.Q), svd_column_space(B.Q),
                        B.space.krein.gram, W) is None
         assert verdict(physical_space, B) is None
 
@@ -775,30 +807,34 @@ def _projector(basis):
     return basis @ basis.conj().T
 
 
-def _low_rank(rng, m, n, r):
-    def draw(a, b):
-        return rng.normal(size=(a, b)) + 1j * rng.normal(size=(a, b))
-    return draw(m, r) @ draw(r, n)
+SPLIT_MODELS = {
+    "null_pair": (null_pair_toy, 1),
+    "gupta_bleuler": (gupta_bleuler_toy, 1),
+    "two_pair": (two_pair_model, 2),
+    "ghost_pair": (ghost_pair_model, 2),
+    "zero_charge": (lambda: validate_brst(make_graded_space(np.diag([1.0, -1.0]), [0, 0]),
+                                          np.zeros((2, 2))), 0),
+    "pairs-2-5": (lambda: random_pair_model(2, 5, 7), 5),
+    "pairs-0-3": (lambda: random_pair_model(0, 3, 11), 3),
+    "quartets-0-1": (lambda: quartet_model(0, 1, 3), 2),
+    "quartets-1-2": (lambda: quartet_model(1, 2, 9), 4),
+    "quartets-2-3": (lambda: quartet_model(2, 3, 5), 6),
+}
 
 
-class TestSplit:
-    """One SVD per map, thin when the map is tall or square, against a
-    fresh full SVD per question and numpy's pseudo-inverse."""
+class TestHodgeSplit:
+    """Kernel, image, rank and pseudo-inverse read off the signed-Laplacian
+    eigh, against a fresh full SVD per question and numpy's pseudo-inverse,
+    on fixed models: shipped, zero, rotated pair and rotated quartet."""
 
-    @pytest.mark.parametrize("shape, rank_", [
-        ((144, 16), 16), ((9, 4), 2),     # tall, full and deficient rank
-        ((4, 9), 4), ((5, 12), 3),        # wide
-        ((6, 6), 6), ((6, 6), 4),         # square
-        ((7, 3), 0), ((3, 7), 0), ((5, 5), 0),  # zero maps
-    ])
-    def test_spans_rank_and_pinv(self, shape, rank_):
-        A = _low_rank(np.random.default_rng(sum(shape) + rank_), *shape, rank_)
-        split = brst._split(A)
-        image, kernel = svd_column_space(A), svd_null_space(A)
-        assert split.image.shape == image.shape == (shape[0], rank_)
-        assert split.kernel.shape == kernel.shape == (shape[1], shape[1] - rank_)
-        assert np.allclose(_projector(split.image), _projector(image),
-                           rtol=0, atol=1e-12)
-        assert np.allclose(_projector(split.kernel), _projector(kernel),
-                           rtol=0, atol=1e-12)
-        assert np.allclose(split.pinv, np.linalg.pinv(A), rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("name", sorted(SPLIT_MODELS))
+    def test_spans_rank_and_pinv(self, name):
+        make, rank_ = SPLIT_MODELS[name]
+        B = make()
+        U, _, sign = B._hodge
+        image, kernel = svd_column_space(B.Q), svd_null_space(B.Q)
+        assert U[:, sign > 0].shape == image.shape == (B.dim, rank_)
+        assert U[:, sign >= 0].shape == kernel.shape == (B.dim, B.dim - rank_)
+        assert np.allclose(_projector(U[:, sign > 0]), _projector(image), rtol=0, atol=1e-12)
+        assert np.allclose(_projector(U[:, sign >= 0]), _projector(kernel), rtol=0, atol=1e-12)
+        assert np.allclose(B._pinv, np.linalg.pinv(B.Q), rtol=0, atol=1e-12)

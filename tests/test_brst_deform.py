@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 import opalg.series
-from opalg.brst import (DeformedBRST, DeformedVectorState, LiftObstructionError,
-                        NotNilpotentError, NotNormalizedError, NullNotExactError,
-                        PositivityViolatedAtOrderError, deform_check,
-                        deformation_generators, gupta_bleuler_toy,
-                        inner_product_series, lift_vector, null_pair_toy,
-                        physical_space, solve_image_membership, two_pair_model,
-                        validate_deformation)
+from opalg import brst
+from opalg.brst import (DeformedBRST, DeformedVectorState, GradedOperator,
+                        LiftObstructionError, NotNilpotentError, NotNormalizedError,
+                        NullNotExactError, PositivityViolatedAtOrderError,
+                        PositivityViolatedError, deform_check, deformation_generators,
+                        gupta_bleuler_toy, inner_product_series, lift_vector,
+                        make_graded_space, null_pair_toy, observable_algebra,
+                        physical_space, representation_matrix, solve_image_membership,
+                        two_pair_model, validate_brst, validate_deformation)
 from opalg.krein import krein_adjoint
 from opalg.series import FormalSeries, is_positive, series_mul, series_star
 
@@ -102,6 +104,19 @@ class TestLifts:
         with pytest.raises(ValueError):
             lift_vector(D, np.array([0, 0, 0, 1.0, 0, 0]))
 
+    def test_lift_without_a_physical_quotient(self):
+        # Q = 0 with a negative-norm vector: physical_space fails, but
+        # lift_vector reads kernel and pseudo-inverse off the decomposition
+        B = validate_brst(make_graded_space(np.diag([1.0, -1.0]), [0, 0]), np.zeros((2, 2)))
+        with pytest.raises(PositivityViolatedError):
+            physical_space(B)
+        D = validate_deformation(B, FormalSeries([B.Q, B.Q]))
+        phi0 = np.array([0.6, 0.8j])
+        phi = lift_vector(D, phi0)
+        np.testing.assert_array_equal(phi.coeffs[0], phi0)
+        np.testing.assert_array_equal(phi.coeffs[1], np.zeros(2))
+        assert lift_vector(D, phi0, rng=np.random.default_rng(0)).order == 1
+
     def test_kernel_check_comes_before_the_lift(self):
         # e0 + e2 is off the kernel, and Q1 e0 = e0 is off the image too:
         # the seed check fails first, as it runs first
@@ -134,6 +149,18 @@ class TestStabilityItems:
         report = deform_check(rescaled_charge(gupta_bleuler_toy(), 3),
                               samples=15, rng=np.random.default_rng(3))
         assert report.all_passed
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_stacked_action_is_representation_matrix(self, model):
+        # item (iv) acts on the harmonic basis with one stacked product
+        B = MODELS[model]()
+        quotient = physical_space(B)
+        ops = np.reshape(observable_algebra(B, "even_ghost").quotient_basis, (-1, B.dim, B.dim))
+        got = brst._represented(quotient, ops)
+        assert got.shape == (len(ops), quotient.dim, quotient.dim)
+        for A0, pi0 in zip(ops, got):
+            want = representation_matrix(B, quotient, GradedOperator(A0, 0))
+            np.testing.assert_allclose(pi0, want, rtol=0, atol=1e-12)
 
     def test_formal_norms_are_positive_series(self):
         D = solved_charge(two_pair_model(), 3)
