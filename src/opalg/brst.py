@@ -5,8 +5,8 @@ finite-dimensional Krein space whose basis vectors carry integer ghost
 numbers.  A validated charge Q (nilpotent, Krein self-adjoint, raising the
 ghost number by one) induces the graded derivation s(F) = QF - (-1)^d FQ,
 the physical quotient ker Q mod im Q with its positive inner product, two
-observable-algebra quotients, vector states, and an order-by-order verifier
-for one-parameter deformations of Q.  Quotients are checked through the
+observable-algebra quotients, and an order-by-order verifier for
+one-parameter deformations of Q.  Quotients are checked through the
 structure of Q and s (Krein self-adjointness, Leibniz rule).
 """
 
@@ -22,14 +22,11 @@ from .series import FormalSeries, _blocks, _positive_rows, _star_square_rows, se
 
 __all__ = [
     "GhostGradedSpace",
-    "GradedOperator",
     "BRSTStructure",
     "BRSTQuotient",
     "ObservableAlgebra",
     "DeformedBRST",
     "DeformationReport",
-    "VectorState",
-    "DeformedVectorState",
     "NonHomogeneousError",
     "NotNilpotentError",
     "NotKreinSelfAdjointError",
@@ -37,21 +34,14 @@ __all__ = [
     "PositivityViolatedError",
     "NullNotExactError",
     "NotObservableError",
-    "NotNormalizedError",
     "LiftObstructionError",
     "PositivityViolatedAtOrderError",
     "make_graded_space",
     "operator_grade",
     "validate_brst",
     "physical_space",
-    "class_coordinates",
     "observable_algebra",
-    "represent",
-    "representation_matrix",
     "validate_deformation",
-    "lift_vector",
-    "solve_image_membership",
-    "inner_product_series",
     "deform_check",
     "deformation_generators",
     "null_pair_toy",
@@ -60,8 +50,6 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-10
-# class coordinates and induced actions (relative), vector-state normalization
-CLASS_TOL = 1e-8
 # relative residual of an order-by-order solve; deform_check's bound is its root
 LIFT_TOL = 1e-9
 
@@ -91,10 +79,6 @@ class NullNotExactError(ValueError):
 
 
 class NotObservableError(ValueError):
-    pass
-
-
-class NotNormalizedError(ValueError):
     pass
 
 
@@ -128,11 +112,6 @@ class GhostGradedSpace(NamedTuple):
 
     def parities(self) -> np.ndarray:
         return np.asarray(self.ghost_grades) % 2
-
-
-class GradedOperator(NamedTuple):
-    matrix: np.ndarray
-    ghost: int
 
 
 def make_graded_space(gram, ghost_grades: Sequence[int]) -> GhostGradedSpace:
@@ -344,19 +323,6 @@ def _physical_space(B: BRSTStructure) -> BRSTQuotient:
                         quotient_reps=reps, induced_gram=gram)
 
 
-def class_coordinates(quotient: BRSTQuotient, vector) -> np.ndarray:
-    """Coordinates of [vector] with respect to the chosen representatives;
-    a matrix of vectors gives one column of coordinates per column.  The
-    representatives and the image are orthonormal columns that together
-    span the kernel, so the coordinates are R^H v."""
-    v = np.asarray(vector, dtype=complex)
-    ker = quotient.ker_basis
-    res = np.linalg.norm(ker @ (ker.conj().T @ v) - v, axis=0)
-    if np.any(res > CLASS_TOL * np.maximum(1.0, np.linalg.norm(v, axis=0))):
-        raise ValueError(f"vector is not in the kernel (residual {np.max(res):.3e})")
-    return quotient.quotient_reps.conj().T @ v
-
-
 # ---------------------------------------------------------------------------
 # observable algebras
 
@@ -448,58 +414,13 @@ def _verify_closure(B: BRSTStructure, ops: np.ndarray, full: bool):
         raise NotObservableError(f"kernel not closed under the adjoint (bound {miss:.3e})")
 
 
-def represent(B: BRSTStructure, quotient: BRSTQuotient, A: GradedOperator,
-              phi_coords) -> np.ndarray:
-    """Induced action [A][phi] = [A phi] in quotient coordinates."""
-    return representation_matrix(B, quotient, A) @ np.asarray(phi_coords, dtype=complex)
-
-
-def representation_matrix(B: BRSTStructure, quotient: BRSTQuotient,
-                          A: GradedOperator) -> np.ndarray:
-    """Matrix of [A] on the physical quotient, one column per representative.
-
-    A must be even and in ker s, and must preserve ker Q and im Q, each to
-    CLASS_TOL relative to the scale of A (s(A) to max|Q| max|A|), so every
-    multiple of Q or A shares a verdict.
-    """
-    if A.ghost % 2 != 0:
-        raise NotObservableError(f"ghost number {A.ghost} is odd")
-    scale = _max_abs(A.matrix)
-    if _max_abs(s_action(B, A.matrix)) > CLASS_TOL * _max_abs(B.Q) * scale:
-        raise NotObservableError("operator is not in ker s")
-    for V in (quotient.ker_basis, quotient.im_basis):
-        if _max_abs(A.matrix @ V - V @ (V.conj().T @ A.matrix @ V)) > CLASS_TOL * scale:
-            raise NotObservableError("operator does not preserve kernel and image")
-    return class_coordinates(quotient, A.matrix @ quotient.quotient_reps)
-
-
 def _represented(quotient: BRSTQuotient, ops: np.ndarray) -> np.ndarray:
-    """representation_matrix of each observable of the stack ops (K, n, n)
-    that observable_algebra certified, unchecked: the representatives R are
-    orthonormal and orthogonal to im Q, so [A] has the matrix R^H A R."""
+    """Matrix on the physical quotient of each observable of the stack ops
+    (K, n, n), one column per representative: the representatives R are
+    orthonormal and orthogonal to im Q, so [A] has the matrix R^H A R.
+    Nothing is checked; observable_algebra certifies the observables."""
     R = quotient.quotient_reps
     return R.conj().T @ ops @ R
-
-
-# ---------------------------------------------------------------------------
-# vector states
-
-
-class VectorState:
-    """Functional [A] -> <[phi], [A phi]> on observables of the base theory."""
-
-    def __init__(self, B: BRSTStructure, quotient: BRSTQuotient, phi_coords):
-        coords = np.asarray(phi_coords, dtype=complex)
-        norm = complex(np.conj(coords) @ quotient.induced_gram @ coords)
-        if abs(norm - 1.0) > CLASS_TOL:
-            raise NotNormalizedError(f"<[phi],[phi]> = {norm}")
-        self.B = B
-        self.quotient = quotient
-        self.coords = coords
-
-    def __call__(self, A: GradedOperator) -> complex:
-        image = represent(self.B, self.quotient, A, self.coords)
-        return complex(np.conj(self.coords) @ self.quotient.induced_gram @ image)
 
 
 # ---------------------------------------------------------------------------
@@ -534,14 +455,6 @@ def validate_deformation(base: BRSTStructure, Q_series: FormalSeries) -> Deforme
     for n, Qn in enumerate(Q_series.coeffs):
         _check_charge(base.space, Qn, scale, f"coefficient {n}")
     return DeformedBRST(base=base, Q_series=Q_series)
-
-
-def inner_product_series(space: GhostGradedSpace, a: FormalSeries,
-                         b: FormalSeries) -> FormalSeries:
-    """Indefinite product of two formal vectors, one coefficient per order."""
-    order = min(a.order, b.order)
-    A, B = (np.stack(x.coeffs[:order + 1])[..., None] for x in (a, b))
-    return FormalSeries(list(_inner_columns(space.krein.gram, A, B)[:, 0]))
 
 
 def _inner_columns(G: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -617,50 +530,13 @@ def _lift_failures(T: np.ndarray, Q0: np.ndarray, X: np.ndarray):
     return res, [seed] + stages[1:]
 
 
-def lift_vector(D: DeformedBRST, phi0,
-                rng: Optional[np.random.Generator] = None) -> FormalSeries:
-    """Extend a kernel vector of the base charge to the deformed kernel.
-
-    Solves Q0 phi_n = -sum_{k>=1} Q_k phi_{n-k} order by order (minimum-norm
-    solution, from the base structure's cached pseudo-inverse of Q0); with an
-    rng a random base-kernel component is added at each positive order to
-    sample the solution set.  Kernel and pseudo-inverse are read off the
-    base decomposition, so the physical quotient need not exist.
-    """
-    U, _, sign = D.base._hodge
-    ker = U[:, sign >= 0]
-    Z = np.zeros((D.order + 1, D.base.dim), dtype=complex)
-    Z[0] = phi0
-    if rng is not None:
-        # per order: the real parts, then the imaginary parts
-        draws = rng.normal(size=(D.order, 2, ker.shape[1]))
-        Z[1:] = (draws[:, 0] + 1j * draws[:, 1]) @ ker.T
-    T = _charge_matrix(D)
-    phi = _solve_jets(T, D.base._pinv, Z.reshape(-1, 1))
-    _raise_first(_lift_failures(T, D.charge(0), phi)[1])
-    return FormalSeries(list(phi.reshape(len(Z), -1)))
-
-
-def solve_image_membership(D: DeformedBRST, phi: FormalSeries) -> FormalSeries:
-    """Find a formal preimage of phi under the deformed charge.
-
-    Solves Q0 x_n = phi_n - sum_{k>=1} Q_k x_{n-k}; raises
-    LiftObstructionError at the first unsolvable order.
-    """
-    if phi.order > D.order:
-        raise ValueError(f"phi has order {phi.order}, above the charge's order {D.order}")
-    pinv, Y = D.base._pinv, np.stack(phi.coeffs)
-    T = _charge_matrix(D)[:Y.size, :Y.size]
-    x = _solve_jets(T, pinv, (Y @ pinv.T).reshape(-1, 1))
-    _raise_first(_unsolved(T, D.charge(0), x, Y.reshape(-1, 1), "image membership")[1])
-    return FormalSeries(list(x.reshape(Y.shape)))
-
-
 def _unliftable(D: DeformedBRST, A0: np.ndarray) -> np.ndarray:
     """Which base observables of the stack A0 (K, n, n) do not extend to the
     deformed kernel of s: solved order by order, some order's residual
-    exceeds LIFT_TOL relative to its right-hand side."""
-    base = D.base
+    exceeds LIFT_TOL relative to its right-hand side or, where that is
+    larger, to the scale of the series (the solve of the series divided by
+    its scale, as deform_check decides)."""
+    base, scale = D.base, _scale(D)
     Qs = np.asarray(D.Q_series.coeffs)[1:, None]
     A = np.empty((D.order + 1,) + A0.shape, dtype=complex)
     A[0] = A0
@@ -671,8 +547,14 @@ def _unliftable(D: DeformedBRST, A0: np.ndarray) -> np.ndarray:
         rhs = (graded_sign_split(base.space, prev) @ Qs[:m] - Qs[:m] @ prev).sum(axis=0)
         A[m] = _s_preimage(base, rhs)
         res, rhs = np.linalg.norm([s_action(base, A[m]) - rhs, rhs], axis=(2, 3))
-        bad |= res > LIFT_TOL * np.maximum(1.0, rhs)
+        bad |= res > LIFT_TOL * np.maximum(scale, rhs)
     return bad
+
+
+def _scale(D: DeformedBRST) -> float:
+    """The largest coefficient entry of the charge series, the scale of
+    validate_deformation, or 1 for the zero series."""
+    return _max_abs(np.asarray(D.Q_series.coeffs)) or 1.0
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -712,6 +594,8 @@ def deform_check(D: DeformedBRST, samples: int = 50,
     (iv)  deformed observables with a nonzero undeformed class act
           nontrivially on the deformed quotient.
 
+    The items are decided on the charge series divided by its largest
+    coefficient entry, so every multiple of the series shares a verdict.
     Samples are drawn and checked in blocks of at most series._DRAWS random
     numbers, one sample per column; the random stream and the first failure
     raised are those of drawing and checking the samples one at a time.
@@ -722,8 +606,10 @@ def deform_check(D: DeformedBRST, samples: int = 50,
     quotient = physical_space(base)
     ker, im = quotient.ker_basis, quotient.im_basis
     n, k, L = base.dim, ker.shape[1], D.order + 1
-    G, Q0, pinv = base.space.krein.gram, D.charge(0), base._pinv
-    T = _charge_matrix(D)
+    # the series over its scale; scale pinv is the pseudo-inverse of Q0 / scale
+    scale = _scale(D)
+    G, Q0, pinv = base.space.krein.gram, D.charge(0) / scale, base._pinv * scale
+    T = _charge_matrix(D) / scale
     # the jet solve on identity columns, and from it the maps taking the
     # kernel coordinates of seed and noise to a lift, and a jet to its preimage
     solve = _solve_jets(T, pinv, np.eye(L * n))
@@ -822,22 +708,6 @@ def deformation_generators(B: BRSTStructure) -> List[np.ndarray]:
     # RANK_TOL times the largest count as zero
     s, vh = np.linalg.svd(np.array(rows).T, full_matrices=False)[1:]
     return [build(x) for x in vh[int(np.sum(s > RANK_TOL * s[0])):]]
-
-
-class DeformedVectorState:
-    """Vector state on deformed observables, valued in formal series."""
-
-    def __init__(self, D: DeformedBRST, phi: FormalSeries):
-        norm2 = inner_product_series(D.base.space, phi, phi)
-        if abs(norm2.coeffs[0] - 1.0) > CLASS_TOL:
-            raise NotNormalizedError(
-                f"leading coefficient of <phi~, phi~> is {norm2.coeffs[0]}")
-        self.D = D
-        self.phi = phi
-
-    def __call__(self, A_series: FormalSeries) -> FormalSeries:
-        image = series_mul(A_series, self.phi)
-        return inner_product_series(self.D.base.space, self.phi, image)
 
 
 # ---------------------------------------------------------------------------

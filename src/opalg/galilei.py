@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "GalileiElement",
-    "BargmannElement",
     "CliffordSet",
     "LevyLeblondMatrices",
     "MomentumGrid",
@@ -26,7 +25,6 @@ __all__ = [
     "make_galilei",
     "galilei_compose",
     "bargmann_exponent",
-    "bargmann_multiply",
     "momentum_grid",
     "generator_commutators",
     "commutator_convergence",
@@ -65,11 +63,6 @@ class GalileiElement(NamedTuple):
     v: np.ndarray
     u: np.ndarray
     eta: float
-
-
-class BargmannElement(NamedTuple):
-    theta: float
-    g: GalileiElement
 
 
 def _matvec(R: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -115,11 +108,6 @@ def bargmann_exponent(r: GalileiElement, r2: GalileiElement) -> float:
     Rv2 = _matvec(r.R, r2.v)
     return 0.5 * (_dot(r.u, Rv2) - _dot(r.v, _matvec(r.R, r2.u))
                   + r2.eta * _dot(r.v, Rv2))
-
-
-def bargmann_multiply(a: BargmannElement, b: BargmannElement) -> BargmannElement:
-    return BargmannElement(theta=a.theta + b.theta + bargmann_exponent(a.g, b.g),
-                           g=galilei_compose(a.g, b.g))
 
 
 # ---------------------------------------------------------------------------

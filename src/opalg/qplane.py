@@ -33,7 +33,6 @@ __all__ = [
     "CoactionReport",
     "qplane_normal_form",
     "center_probe",
-    "glq2_normal_form",
     "glq2_coaction_check",
 ]
 
@@ -264,21 +263,6 @@ def _times(exps: Tuple[int, int, int, int], g: str, q: QValue,
         out.append(((i, j + 1, k + 1, l - 1),
                     _Coeff.power(q, 1 - 2 * l) - _Coeff.power(q, 1)))
     return out
-
-
-def glq2_normal_form(word: str, q: QValue,
-                     perturb_ab: bool = False) -> Dict[Tuple[int, int, int, int], object]:
-    """Reduce a word in a, b, c, d to the ordered monomial basis, one letter
-    at a time from the left."""
-    terms: Dict[Tuple[int, int, int, int], object] = {(0, 0, 0, 0): _Coeff.power(q, 0)}
-    for g in word:
-        out: Dict[Tuple[int, int, int, int], object] = {}
-        for exps, c in terms.items():
-            for key, factor in _times(exps, g, q, perturb_ab):
-                val = _scaled(c, factor, q)
-                out[key] = out[key] + val if key in out else val
-        terms = out
-    return {k: v for k, v in terms.items() if not _Coeff.vanishes(v)}
 
 
 def _coaction_letter(letter: str, form: str) -> List[Tuple[str, str]]:

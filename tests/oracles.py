@@ -15,10 +15,13 @@ constructions on its public objects that the tests compare against.
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
 ORACLE_TOL = 1e-10
+# class coordinates and induced actions (relative)
+CLASS_TOL = 1e-8
 
 
 def rref(A, tol=ORACLE_TOL):
@@ -232,7 +235,7 @@ def represented_star_closure(B, quotient_basis, tol=ORACLE_TOL):
         return
     if quotient.dim == 0 or not len(quotient_basis):
         return
-    mats = np.array([brst.representation_matrix(B, quotient, brst.GradedOperator(A0, 0))
+    mats = np.array([representation_matrix(B, quotient, GradedOperator(A0, 0))
                      for A0 in quotient_basis])
     gram = quotient.induced_gram
     adjoints = np.linalg.inv(gram) @ mats.conj().transpose(0, 2, 1) @ gram
@@ -415,8 +418,9 @@ def deform_check_reference(D, samples, rng, tol=1e-9):
 
     Every sample is drawn, lifted, normed, decided and solved on its own,
     with Python loops over the orders, a fresh pseudo-inverse of Q0 and the
-    scalar square-root recursion above.  Item (iv) calls the package, as it
-    works on observables, not on samples.
+    scalar square-root recursion above, for the charge series divided by
+    its largest entry (1 for the zero series).  Item (iv) calls the
+    package, as it works on observables, not on samples.
     """
     from opalg import brst
 
@@ -425,7 +429,8 @@ def deform_check_reference(D, samples, rng, tol=1e-9):
     ker, im = quotient.ker_basis, quotient.im_basis
     k, n = ker.shape[1], base.dim
     G = base.space.krein.gram
-    charges = list(D.Q_series.coeffs)
+    scale = _max_abs(D.Q_series.coeffs) or 1.0
+    charges = [c / scale for c in D.Q_series.coeffs]
     pinv = np.linalg.pinv(charges[0])
     bound = np.sqrt(tol)
 
@@ -482,14 +487,14 @@ def deform_check_reference(D, samples, rng, tol=1e-9):
 
     min_norm, tested = np.inf, 0
     for A0 in brst.observable_algebra(base, "even_ghost").quotient_basis:
-        pi0 = brst.representation_matrix(base, quotient, brst.GradedOperator(A0, 0))
+        pi0 = representation_matrix(base, quotient, GradedOperator(A0, 0))
         if np.max(np.abs(pi0)) <= bound:
             continue
         if brst._unliftable(D, A0[None])[0]:
             continue
         col = int(np.argmax(np.max(np.abs(pi0), axis=0)))
         phi = lift(quotient.quotient_reps[:, col])
-        leading = brst.class_coordinates(quotient, A0 @ phi[0])
+        leading = class_coordinates(quotient, A0 @ phi[0])
         min_norm = min(min_norm, float(np.linalg.norm(leading)))
         tested += 1
     return brst.DeformationReport(
@@ -782,9 +787,46 @@ def krein_adjoint_solve(K, A):
     return np.linalg.solve(K.gram, A.conj().swapaxes(-1, -2) @ K.gram)
 
 
+class GradedOperator(NamedTuple):
+    matrix: np.ndarray
+    ghost: int
+
+
+def class_coordinates(quotient, vector) -> np.ndarray:
+    """Coordinates of [vector] with respect to the chosen representatives;
+    a matrix of vectors gives one column of coordinates per column.  The
+    representatives and the image are orthonormal columns that together
+    span the kernel, so the coordinates are R^H v."""
+    v = np.asarray(vector, dtype=complex)
+    ker = quotient.ker_basis
+    res = np.linalg.norm(ker @ (ker.conj().T @ v) - v, axis=0)
+    if np.any(res > CLASS_TOL * np.maximum(1.0, np.linalg.norm(v, axis=0))):
+        raise ValueError(f"vector is not in the kernel (residual {np.max(res):.3e})")
+    return quotient.quotient_reps.conj().T @ v
+
+
+def representation_matrix(B, quotient, A: GradedOperator) -> np.ndarray:
+    """Matrix of [A] on the physical quotient, one column per representative.
+
+    A must be even and in ker s, and must preserve ker Q and im Q, each to
+    CLASS_TOL relative to the scale of A (s(A) to max|Q| max|A|), so every
+    multiple of Q or A shares a verdict.
+    """
+    from opalg.brst import NotObservableError, s_action
+    if A.ghost % 2 != 0:
+        raise NotObservableError(f"ghost number {A.ghost} is odd")
+    scale = _max_abs(A.matrix)
+    if _max_abs(s_action(B, A.matrix)) > CLASS_TOL * _max_abs(B.Q) * scale:
+        raise NotObservableError("operator is not in ker s")
+    for V in (quotient.ker_basis, quotient.im_basis):
+        if _max_abs(A.matrix @ V - V @ (V.conj().T @ A.matrix @ V)) > CLASS_TOL * scale:
+            raise NotObservableError("operator does not preserve kernel and image")
+    return class_coordinates(quotient, A.matrix @ quotient.quotient_reps)
+
+
 def brst_derivation(B, F):
     """s(F) as a graded operator of ghost number one higher than F's."""
-    from opalg.brst import GradedOperator, NonHomogeneousError, operator_grade, s_action
+    from opalg.brst import NonHomogeneousError, operator_grade, s_action
     found = operator_grade(B.space, F.matrix)
     if found is not None and found != F.ghost:
         raise NonHomogeneousError(f"declared ghost {F.ghost} but entries sit at shift {found}")

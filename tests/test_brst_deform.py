@@ -3,18 +3,15 @@ import pytest
 
 import opalg.series
 from opalg import brst
-from opalg.brst import (DeformedBRST, DeformedVectorState, GradedOperator,
-                        LiftObstructionError, NotNilpotentError, NotNormalizedError,
+from opalg.brst import (DeformedBRST, LiftObstructionError, NotNilpotentError,
                         NullNotExactError, PositivityViolatedAtOrderError,
-                        PositivityViolatedError, deform_check, deformation_generators,
-                        gupta_bleuler_toy, inner_product_series, lift_vector,
-                        make_graded_space, null_pair_toy, observable_algebra,
-                        physical_space, representation_matrix, solve_image_membership,
-                        two_pair_model, validate_brst, validate_deformation)
+                        deform_check, deformation_generators, gupta_bleuler_toy,
+                        null_pair_toy, observable_algebra, physical_space, two_pair_model,
+                        validate_brst, validate_deformation)
 from opalg.krein import krein_adjoint
 from opalg.series import FormalSeries, is_positive, series_mul, series_star
 
-from oracles import deform_check_reference
+from oracles import GradedOperator, deform_check_reference, representation_matrix
 
 MODELS = {"null_pair": null_pair_toy, "gupta_bleuler": gupta_bleuler_toy,
           "two_pair": two_pair_model}
@@ -33,6 +30,34 @@ def solved_charge(B, order, seed=42):
     assert np.max(np.abs(Q1)) > 1e-8
     coeffs = [B.Q, Q1] + [np.zeros_like(B.Q)] * (order - 1)
     return validate_deformation(B, FormalSeries(coeffs[: order + 1]))
+
+
+def obstructed_charge(B):
+    """Q1 e0 = e0 on the Gupta-Bleuler model: Q1 e0 is off the image, so the
+    lift of e0 is obstructed at order 1."""
+    Q1 = np.zeros((3, 3), dtype=complex)
+    Q1[0, 0] = 1.0
+    return DeformedBRST(base=B, Q_series=FormalSeries([B.Q, Q1]))
+
+
+def jet_maps(D):
+    """The charge acting on jets, and the linear maps of the jet solve that
+    deform_check runs: kernel coordinates of seed and noise to a lift, and a
+    jet to its formal preimage."""
+    B, L = D.base, D.order + 1
+    T = brst._charge_matrix(D)
+    solve = brst._solve_jets(T, B._pinv, np.eye(L * B.dim))
+    return T, *(solve @ np.kron(np.eye(L), M) for M in (physical_space(B).ker_basis, B._pinv))
+
+
+def lift_seed(D, phi0):
+    """The jet lift of deform_check on the one seed phi0, raising its first
+    failure."""
+    T = brst._charge_matrix(D)
+    seed = np.zeros((len(T), 1), dtype=complex)
+    seed[:len(phi0), 0] = phi0
+    X = brst._solve_jets(T, D.base._pinv, seed)
+    brst._raise_first(brst._lift_failures(T, D.charge(0), X)[1])
 
 
 class TestValidation:
@@ -66,68 +91,51 @@ class TestValidation:
 
 
 class TestLifts:
+    """The order-by-order jet solve of deform_check, on the lifts of kernel
+    vectors and on formal preimages."""
+
     def test_kernel_basis_lifts_and_annihilates(self):
         D = solved_charge(two_pair_model(), 3)
-        quotient = physical_space(D.base)
-        for j in range(quotient.ker_basis.shape[1]):
-            phi = lift_vector(D, quotient.ker_basis[:, j])
-            np.testing.assert_allclose(phi.coeffs[0], quotient.ker_basis[:, j])
-            residual = series_mul(D.Q_series, phi)
-            assert residual.max_abs() < 1e-9
+        ker = physical_space(D.base).ker_basis
+        T, lift, _ = jet_maps(D)
+        phi = lift[:, :ker.shape[1]]  # seeds the kernel basis, no noise
+        np.testing.assert_allclose(phi[:6], ker)
+        assert np.max(np.abs(T @ phi)) < 1e-9
 
     def test_membership_solver_roundtrip(self):
         D = solved_charge(two_pair_model(), 3)
+        T, _, preimage = jet_maps(D)
         rng = np.random.default_rng(0)
-        w = FormalSeries([rng.normal(size=6) + 1j * rng.normal(size=6)
-                          for _ in range(4)])
-        phi = series_mul(D.Q_series, w)
-        x = solve_image_membership(D, phi)
-        recon = series_mul(D.Q_series, x)
-        assert (recon - phi).max_abs() < 1e-9
+        phi = T @ (rng.normal(size=24) + 1j * rng.normal(size=24))
+        assert np.max(np.abs(T @ (preimage @ phi) - phi)) < 1e-9
 
     def test_membership_fails_outside_image(self):
         D = solved_charge(two_pair_model(), 3)
-        quotient = physical_space(D.base)
-        phys = quotient.quotient_reps[:, 0]  # nonzero class: not in the image
-        phi = FormalSeries([phys] + [np.zeros(6, dtype=complex)] * 3)
+        T, _, preimage = jet_maps(D)
+        phi = np.zeros((24, 1), dtype=complex)
+        phi[:6, 0] = physical_space(D.base).quotient_reps[:, 0]  # nonzero class
+        stages = brst._unsolved(T, D.charge(0), preimage @ phi, phi, "image membership")[1]
         with pytest.raises(LiftObstructionError) as err:
-            solve_image_membership(D, phi)
+            brst._raise_first(stages)
         assert err.value.order == 0
-
-    def test_membership_rejects_orders_above_the_charge(self):
-        D = rescaled_charge(two_pair_model(), 1)
-        with pytest.raises(ValueError, match="above the charge"):
-            solve_image_membership(D, FormalSeries([np.zeros(6, dtype=complex)] * 3))
 
     def test_lift_rejects_non_kernel_seed(self):
         D = solved_charge(two_pair_model(), 3)
         with pytest.raises(ValueError):
-            lift_vector(D, np.array([0, 0, 0, 1.0, 0, 0]))
-
-    def test_lift_without_a_physical_quotient(self):
-        # Q = 0 with a negative-norm vector: physical_space fails, but
-        # lift_vector reads kernel and pseudo-inverse off the decomposition
-        B = validate_brst(make_graded_space(np.diag([1.0, -1.0]), [0, 0]), np.zeros((2, 2)))
-        with pytest.raises(PositivityViolatedError):
-            physical_space(B)
-        D = validate_deformation(B, FormalSeries([B.Q, B.Q]))
-        phi0 = np.array([0.6, 0.8j])
-        phi = lift_vector(D, phi0)
-        np.testing.assert_array_equal(phi.coeffs[0], phi0)
-        np.testing.assert_array_equal(phi.coeffs[1], np.zeros(2))
-        assert lift_vector(D, phi0, rng=np.random.default_rng(0)).order == 1
+            lift_seed(D, np.array([0, 0, 0, 1.0, 0, 0]))
 
     def test_kernel_check_comes_before_the_lift(self):
         # e0 + e2 is off the kernel, and Q1 e0 = e0 is off the image too:
-        # the seed check fails first, as it runs first
-        B = gupta_bleuler_toy()
-        Q1 = np.zeros((3, 3), dtype=complex)
-        Q1[0, 0] = 1.0
-        D = DeformedBRST(base=B, Q_series=FormalSeries([B.Q, Q1]))
+        # the seed check fails first, as it runs first; deform_check lifts
+        # only kernel vectors, and meets the obstruction of e0
+        D = obstructed_charge(gupta_bleuler_toy())
         with pytest.raises(LiftObstructionError):
-            lift_vector(D, np.array([1.0, 0, 0]))
+            lift_seed(D, np.array([1.0, 0, 0]))
         with pytest.raises(ValueError, match="not in the kernel"):
-            lift_vector(D, np.array([1.0, 0, 1.0]))
+            lift_seed(D, np.array([1.0, 0, 1.0]))
+        with pytest.raises(LiftObstructionError,
+                           match=r"lift equation unsolvable at order 1 \(residual 1.000e\+00\)"):
+            deform_check(D, samples=25, rng=np.random.default_rng(1))
 
 
 class TestStabilityItems:
@@ -164,68 +172,17 @@ class TestStabilityItems:
 
     def test_formal_norms_are_positive_series(self):
         D = solved_charge(two_pair_model(), 3)
-        quotient = physical_space(D.base)
+        _, lift, _ = jet_maps(D)
         rng = np.random.default_rng(4)
-        for _ in range(10):
-            w = rng.normal(size=4) + 1j * rng.normal(size=4)
-            phi = lift_vector(D, quotient.ker_basis @ w, rng=rng)
-            norm2 = inner_product_series(D.base.space, phi, phi)
+        # ten lifts, each of a random kernel seed with random kernel noise
+        coords = rng.normal(size=(lift.shape[1], 10)) + 1j * rng.normal(size=(lift.shape[1], 10))
+        jets = (lift @ coords).reshape(D.order + 1, D.base.dim, -1)
+        for column in brst._inner_columns(D.base.space.krein.gram, jets, jets).T:
+            norm2 = FormalSeries(list(column))
             verdict = is_positive(norm2, tol=1e-8)
             assert verdict.positive
             redone = series_mul(series_star(verdict.witness), verdict.witness)
             assert (redone - norm2).max_abs() < 1e-8
-
-
-class TestDeformedStates:
-    def _observable_series(self, D, rng):
-        # physical-sector observable, deformation-independent lift
-        M = np.zeros((6, 6), dtype=complex)
-        M[:2, :2] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        zeros = np.zeros_like(M)
-        return FormalSeries([M] + [zeros] * D.order)
-
-    def test_unit_and_linearity(self):
-        D = solved_charge(two_pair_model(), 3)
-        quotient = physical_space(D.base)
-        phi = lift_vector(D, quotient.quotient_reps[:, 0])
-        omega = DeformedVectorState(D, phi)
-        one = FormalSeries([np.eye(6, dtype=complex)]
-                           + [np.zeros((6, 6), dtype=complex)] * 3)
-        val = omega(one)
-        assert abs(val.coeffs[0] - 1.0) < 1e-9
-
-    def test_positivity_of_squares(self):
-        D = solved_charge(two_pair_model(), 3)
-        quotient = physical_space(D.base)
-        phi = lift_vector(D, quotient.quotient_reps[:, 1])
-        omega = DeformedVectorState(D, phi)
-        rng = np.random.default_rng(5)
-        K = D.base.space.krein
-        for _ in range(20):
-            A = self._observable_series(D, rng)
-            A_star = FormalSeries([krein_adjoint(K, c) for c in A.coeffs])
-            verdict = is_positive(omega(series_mul(A_star, A)), tol=1e-8)
-            assert verdict.positive
-
-    def test_star_compatibility(self):
-        D = solved_charge(two_pair_model(), 3)
-        quotient = physical_space(D.base)
-        phi = lift_vector(D, quotient.quotient_reps[:, 0])
-        omega = DeformedVectorState(D, phi)
-        rng = np.random.default_rng(6)
-        K = D.base.space.krein
-        A = self._observable_series(D, rng)
-        A_star = FormalSeries([krein_adjoint(K, c) for c in A.coeffs])
-        lhs = omega(A_star)
-        rhs = series_star(omega(A))
-        assert (lhs - rhs).max_abs() < 1e-9
-
-    def test_unnormalized_rejected(self):
-        D = solved_charge(two_pair_model(), 3)
-        quotient = physical_space(D.base)
-        phi = lift_vector(D, 2.0 * quotient.quotient_reps[:, 0])
-        with pytest.raises(NotNormalizedError):
-            DeformedVectorState(D, phi)
 
 
 COUNTS = ("lifted_kernel_dim", "positivity_checked", "null_vectors_checked",
@@ -371,3 +328,30 @@ class TestFailureInsideBlock:
         image_draws[np.arange(self.SAMPLES) != bad, :, :, 2] = 0.0
         values = np.concatenate([kernel_draws.ravel(), image_draws.ravel()])
         self.check_both(D, values, NullNotExactError)
+
+
+class TestUnitsOfTheCharge:
+    """deform_check decides on the charge series divided by its largest
+    entry: a multiple of the charge changes neither verdict nor report."""
+
+    @pytest.mark.parametrize("exponent", range(-12, 13))
+    def test_report_independent_of_the_units(self, exponent):
+        lam, rng = 10.0 ** exponent, np.random.default_rng
+        B = two_pair_model()
+        base = validate_brst(B.space, lam * B.Q)
+        D = rescaled_charge(B, 3)
+        got = deform_check(validate_deformation(base, D.Q_series.scale(lam)),
+                           samples=25, rng=rng(1))
+        assert got.all_passed
+        assert_same_report(got, deform_check(D, samples=25, rng=rng(1)))
+        # the lifts of item (iv): a random Q1 lifts no harmonic observable
+        Q1 = rng(5).normal(size=(6, 6, 2)) @ [1, 1j]
+        D = DeformedBRST(base=base, Q_series=FormalSeries([lam * B.Q, lam * Q1]))
+        reps = np.reshape(observable_algebra(B, "even_ghost").quotient_basis, (-1, 6, 6))
+        assert brst._unliftable(D, reps).all()
+        B = gupta_bleuler_toy()
+        obstructed = DeformedBRST(base=validate_brst(B.space, lam * B.Q),
+                                  Q_series=obstructed_charge(B).Q_series.scale(lam))
+        with pytest.raises(LiftObstructionError) as err:
+            deform_check(obstructed, samples=25, rng=rng(1))
+        assert err.value.order == 1

@@ -4,15 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opalg.galilei import (_PHASES, COMMUTATOR_TABLE, CONVERGENT_BRACKETS,
-                           EXACT_BRACKETS, BargmannElement,
-                           GridTooCoarseError, NotARotationError,
-                           _default_test_functions, _derivative,
-                           _offset_gaussian, _real_generators,
+                           EXACT_BRACKETS, GridTooCoarseError,
+                           NotARotationError, _default_test_functions,
+                           _derivative, _offset_gaussian, _real_generators,
                            _separable_deviations, bargmann_exponent,
-                           bargmann_multiply, clifford_generators,
-                           commutator_convergence, galilei_compose,
-                           generator_commutators, levy_leblond_matrices,
-                           levy_leblond_symbol, make_galilei, momentum_grid)
+                           clifford_generators, commutator_convergence,
+                           galilei_compose, generator_commutators,
+                           levy_leblond_matrices, levy_leblond_symbol,
+                           make_galilei, momentum_grid)
 
 from oracles import (bracket_deviations_reference, degenerate_norm_structure,
                      galilei_identity, grid_generators)
@@ -134,30 +133,32 @@ class TestStackedGroupLaw:
 
 
 class TestGroupLaw:
+    """The centrally extended product (theta_a, a)(theta_b, b) = (theta_a +
+    theta_b + xi(a, b), a b), from galilei_compose and bargmann_exponent."""
+
     def test_central_element_multiplies_trivially(self):
         rng = np.random.default_rng(2)
-        r = random_element(rng)
-        prod = bargmann_multiply(BargmannElement(0.0, galilei_identity()),
-                                 BargmannElement(0.4, r))
-        assert prod.theta == 0.4
-        np.testing.assert_allclose(prod.g.R, r.R)
+        r, e = random_element(rng), galilei_identity()
+        assert 0.0 + 0.4 + bargmann_exponent(e, r) == 0.4
+        np.testing.assert_allclose(galilei_compose(e, r).R, r.R)
 
     def test_boost_translation_phase_asymmetry(self):
         b, t = boost([1, 0, 0]), translation([1, 0, 0])
-        bt = bargmann_multiply(BargmannElement(0, b), BargmannElement(0, t))
-        tb = bargmann_multiply(BargmannElement(0, t), BargmannElement(0, b))
-        assert abs((bt.theta - tb.theta) + 1.0) < 1e-15
+        bt, tb = bargmann_exponent(b, t), bargmann_exponent(t, b)
+        assert abs((bt - tb) + 1.0) < 1e-15
 
     def test_associativity_of_phases(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            a, b, c = (BargmannElement(rng.normal(), random_element(rng))
-                       for _ in range(3))
-            left = bargmann_multiply(bargmann_multiply(a, b), c)
-            right = bargmann_multiply(a, bargmann_multiply(b, c))
-            assert abs(left.theta - right.theta) < 1e-10
-            np.testing.assert_allclose(left.g.R, right.g.R, atol=1e-12)
-            np.testing.assert_allclose(left.g.u, right.g.u, atol=1e-10)
+            (ta, a), (tb, b), (tc, c) = ((rng.normal(), random_element(rng))
+                                         for _ in range(3))
+            ab, bc = galilei_compose(a, b), galilei_compose(b, c)
+            left = (ta + tb + bargmann_exponent(a, b)) + tc + bargmann_exponent(ab, c)
+            right = ta + (tb + tc + bargmann_exponent(b, c)) + bargmann_exponent(a, bc)
+            assert abs(left - right) < 1e-10
+            left_g, right_g = galilei_compose(ab, c), galilei_compose(a, bc)
+            np.testing.assert_allclose(left_g.R, right_g.R, atol=1e-12)
+            np.testing.assert_allclose(left_g.u, right_g.u, atol=1e-10)
 
 
 class TestGridCommutators:

@@ -1,3 +1,5 @@
+import ast
+import functools
 import gc
 import importlib
 import json
@@ -681,6 +683,69 @@ def test_every_name_in_all_resolves(layer):
     exec(f"from opalg.{layer} import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(module.__all__)
+
+
+LAYER_NAMES = ("series", "krein", "brst", "galilei", "wigner", "qplane")
+
+
+def _definitions(module):
+    """The top-level functions, classes and assigned names (but __all__) of
+    opalg.<module>, by name, parsed from its source."""
+    path = Path(opalg.__file__).resolve().parent / f"{module}.py"
+    defs = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defs.update((t.id, node) for t in targets
+                        if isinstance(t, ast.Name) and t.id != "__all__")
+    return defs
+
+
+def _mentions(node):
+    """The names, attributes and string constants in node; a string may
+    name a definition, as the scenario's model table names its builders."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+@functools.cache
+def _reachability():
+    """The definitions of the six layers, scenario and cli, and the (module,
+    name) pairs reached from the runner (every definition of scenario and
+    cli) and from the layer names the acceptance criteria read, following
+    mentions to a fixpoint.  A mention reaches every definition of its name
+    in any of these modules."""
+    defs = {m: _definitions(m) for m in LAYER_NAMES + ("scenario", "cli")}
+    todo = [(m, name) for m in ("scenario", "cli") for name in defs[m]]
+    acceptance = Path(__file__).resolve().parent / "test_acceptance.py"
+    for node in ast.walk(ast.parse(acceptance.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            todo.append((node.value.id, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("opalg."):
+            todo += [(node.module[len("opalg."):], alias.name) for alias in node.names]
+    reached = set()
+    while todo:
+        module, name = todo.pop()
+        if (module, name) in reached or name not in defs.get(module, ()):
+            continue
+        reached.add((module, name))
+        for mention in set(_mentions(defs[module][name])):
+            todo += [(m, mention) for m in defs if mention in defs[m]]
+    return defs, reached
+
+
+@pytest.mark.parametrize("layer", LAYER_NAMES)
+def test_every_definition_is_reached(layer):
+    # what only tests reach belongs in the tests
+    defs, reached = _reachability()
+    assert sorted(name for name in defs[layer] if (layer, name) not in reached) == []
 
 
 LAYERS = ("opalg.series", "opalg.krein", "opalg.brst",
