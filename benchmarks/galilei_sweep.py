@@ -4,9 +4,10 @@
         --out BENCH_galilei.json
 
 Times three kernels at a few sizes: `generator_commutators` with the whole
-73-bracket table on an n^3 grid, the `commutator_convergence` ladder
-32 -> ... -> n, and the `galilei.cocycle` scenario check over a number of
-triples.  `treebench` holds the options (`--tree`, `--rev`, `--out`), the
+73-bracket table on grids of n points per axis (in separable form, so no
+n^3 array is formed), the `commutator_convergence` ladder 32 -> ... -> n,
+and the `galilei.cocycle` scenario check over a number of triples.
+`treebench` holds the options (`--tree`, `--rev`, `--out`), the
 alternating fresh child processes and the exponent fit.  Uses only
 public names that every tree has, so an older checkout can be timed too.
 The first sweep is the `generator_commutators` row of perfbench/sweep.py,
@@ -40,7 +41,7 @@ print(time.perf_counter() - start)
 
 SWEEPS = (
     ("generator_commutators", "commutators", "n", (32, 64, 128),
-     "all 73 brackets, two default test functions, on an n^3 grid"),
+     "all 73 brackets, two uncut Gaussians, n points per axis"),
     ("commutator_convergence", "ladder", "largest n", (64, 128),
      "convergence ladder 32 -> ... -> n, one test function per size"),
     ("cocycle", "cocycle", "triples", (1000, 3000),

@@ -1,16 +1,18 @@
 """Central extension of the inhomogeneous Galilei group and its generators.
 
 Covers the group law with its phase exponent, a fixed-mass momentum-grid
-representation of the generators with finite-difference commutator checks,
-an explicit Euclidean Clifford set, and the first-order wave operator built
-from it together with its plane-wave symbol.  The rank and kernel of its
-degenerate norm form i A are computed by the reference
+representation of the generators with finite-difference commutator checks
+(each generator a short sum of products of 1-D maps, each bracket's
+deviation on a product Gaussian a Kronecker-product Gram norm: no n^3
+array is formed), an explicit Euclidean Clifford set, and the first-order
+wave operator built from it together with its plane-wave symbol.  The rank
+and kernel of its degenerate norm form i A are computed by the reference
 `degenerate_norm_structure` in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -128,12 +130,6 @@ class MomentumGrid(NamedTuple):
         n, h = self.points_per_axis, self.spacing
         return -self.p_max + (np.arange(n) + 0.5) * h
 
-    def coordinate(self, axis: int) -> np.ndarray:
-        a = self.axis()
-        shape = [1, 1, 1]
-        shape[axis] = self.points_per_axis
-        return a.reshape(shape)
-
 
 def momentum_grid(points_per_axis: int, p_max: float) -> MomentumGrid:
     if points_per_axis < MIN_POINTS_PER_AXIS:
@@ -142,30 +138,17 @@ def momentum_grid(points_per_axis: int, p_max: float) -> MomentumGrid:
     return MomentumGrid(points_per_axis=points_per_axis, p_max=float(p_max))
 
 
-def _derivative(psi: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Second-order central difference, zero beyond the boundary.
-
-    `axis` counts among the last three (grid) axes of psi; any leading
-    axes are a stack of functions.
-    """
-
-    def along(sl: slice) -> Tuple[slice, ...]:
-        idx = [slice(None)] * 3
-        idx[axis] = sl
-        return (Ellipsis, *idx)
-
-    out = np.empty_like(psi, dtype=np.result_type(psi, 1.0))
-    np.subtract(psi[along(slice(2, None))], psi[along(slice(None, -2))],
-                out=out[along(slice(1, -1))])
+def _derivative(v: np.ndarray, h: float) -> np.ndarray:
+    """Second-order central difference of a 1-D vector, zero beyond the boundary."""
+    out = np.empty_like(v, dtype=np.result_type(v, 1.0))
+    np.subtract(v[2:], v[:-2], out=out[1:-1])
     # one-sided contributions at the faces (outside values are zero)
-    out[along(slice(0, 1))] = psi[along(slice(1, 2))]
-    np.negative(psi[along(slice(-2, -1))], out=out[along(slice(-1, None))])
+    out[0] = v[1]
+    out[-1] = -v[-2]
     # the reciprocal is what numpy's complex division by 2h multiplies by
     out *= 1.0 / (2.0 * h)
     return out
 
-
-Operator = Callable[[np.ndarray], np.ndarray]
 
 # every generator is a real-coefficient operator times one of these phases
 _PHASES: Dict[str, complex] = {
@@ -174,42 +157,6 @@ _PHASES: Dict[str, complex] = {
     **{f"J{i}": -1j for i in range(1, 4)},
     "M": 1.0 + 0j,
 }
-
-
-def _real_generators(mass: float, grid: MomentumGrid) -> Dict[str, Operator]:
-    """The real operators behind the generators, on stacks of real functions.
-
-    P_i multiplies by p_i, P0 by p^2/(2m) and M by m; K_i is m d/dp_i and
-    J_i is p_a d_b - p_b d_a.  Each result is a fresh array.
-    """
-    h = grid.spacing
-    p = [grid.coordinate(i) for i in range(3)]
-    energy = sum(pi ** 2 for pi in p) / (2.0 * mass)
-
-    def boost(psi, ax):
-        out = _derivative(psi, ax, h)
-        out *= mass
-        return out
-
-    def angular(psi, a, b):
-        """p_a d_b - p_b d_a, the products formed in the stencil buffers."""
-        out = _derivative(psi, b, h)
-        out *= p[a]
-        rot = _derivative(psi, a, h)
-        rot *= p[b]
-        out -= rot
-        return out
-
-    ops: Dict[str, Operator] = {}
-    for i in range(3):
-        ops[f"P{i + 1}"] = (lambda psi, pi=p[i]: pi * psi)
-    ops["P0"] = lambda psi: energy * psi
-    for i in range(3):
-        ops[f"K{i + 1}"] = (lambda psi, ax=i: boost(psi, ax))
-    for i, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-        ops[f"J{i + 1}"] = (lambda psi, a=a, b=b: angular(psi, a, b))
-    ops["M"] = lambda psi: mass * psi
-    return ops
 
 
 def _eps(i: int, j: int, k: int) -> float:
@@ -240,28 +187,13 @@ COMMUTATOR_TABLE = _commutator_table()
 
 
 def _offset_gaussian(grid: MomentumGrid) -> Tuple[float, np.ndarray]:
-    """Width and center of the offset Gaussian test function."""
+    """Width and center of the offset Gaussian test function.
+
+    The offset keeps every bracket from annihilating it by symmetry (a
+    function radial about the origin is killed by every J_i).
+    """
     sigma = grid.p_max / 8.0
     return sigma, np.array([0.3, -0.2, 0.1]) * sigma
-
-
-def _default_test_functions(grid: MomentumGrid) -> List[np.ndarray]:
-    """Gaussians whose tails fall below 1e-14 inside the grid.
-
-    The first one is offset from the origin so that no bracket annihilates
-    it by symmetry (a function radial about the origin is killed by every
-    J_i).  `commutator_convergence` takes the same offset Gaussian without
-    the cut-off, in separable form: the product of its three 1-D factors.
-    """
-    sigma, offset = _offset_gaussian(grid)
-    p = [grid.coordinate(i) for i in range(3)]
-    funcs = []
-    for center in (offset, np.zeros(3)):
-        r_sq = sum((p[i] - center[i]) ** 2 for i in range(3))
-        psi = np.exp(-r_sq / (2.0 * sigma ** 2)).astype(complex)
-        psi[np.abs(psi) < 1e-14] = 0.0
-        funcs.append(psi)
-    return funcs
 
 
 class CommutatorReport(NamedTuple):
@@ -307,68 +239,6 @@ def _select_brackets(pairs: Optional[Sequence[Tuple[str, str]]]
             raise ValueError(f"no bracket {pair} in COMMUTATOR_TABLE")
         selected.append(pair)
     return selected
-
-
-def _real_stack(psi) -> np.ndarray:
-    """A test function as a real (k, n, n, n) stack: k = 1 for a real
-    function, its real and imaginary parts (k = 2) otherwise."""
-    psi = np.asarray(psi)
-    if np.iscomplexobj(psi) and psi.imag.any():
-        return np.stack((psi.real, psi.imag)).astype(float, copy=False)
-    return np.ascontiguousarray(psi.real, dtype=float)[None]
-
-
-def _l2(x: np.ndarray) -> float:
-    """Grid-L2 norm of a real stack: one real function, or the real and
-    imaginary parts of a complex one."""
-    if len(x) == 1:
-        mag = x[0]
-    else:
-        # numpy's complex abs: np.hypot of the parts differs in last bits
-        z = np.empty(x.shape[1:], dtype=complex)
-        z.real, z.imag = x
-        mag = np.abs(z)
-    # numpy's own pairwise sum: unlike a BLAS dot, its order does not
-    # depend on the BLAS thread count, so the report's last digits do not.
-    return float(np.sqrt(np.sum(np.square(mag))))
-
-
-def generator_commutators(mass: float, grid: MomentumGrid,
-                          test_functions: Optional[List[np.ndarray]] = None,
-                          pairs: Optional[Sequence[Tuple[str, str]]] = None
-                          ) -> CommutatorReport:
-    """Worst deviation of each bracket in `pairs` from its target.
-
-    `pairs` defaults to the whole COMMUTATOR_TABLE; only the generators
-    that the requested brackets and their targets name are applied.
-    Deviations are relative grid-L2 norms, which refine smoothly under
-    lattice halving (the sup over shifted cell-centered lattices does not).
-    The generators act as their real operators on the real stack of each
-    test function; the unit phases drop out of the norms.
-    """
-    if grid.points_per_axis < MIN_POINTS_PER_AXIS:
-        raise GridTooCoarseError(
-            f"need at least {MIN_POINTS_PER_AXIS} points per axis")
-    table = _select_brackets(pairs)
-    ops = _real_generators(mass, grid)
-    needed = {name for pair in table
-              for name in (*pair, *_REAL_TARGETS[pair])}
-    if test_functions is None:
-        test_functions = _default_test_functions(grid)
-    deviations: Dict[Tuple[str, str], float] = dict.fromkeys(table, 0.0)
-    for psi in test_functions:
-        x = _real_stack(psi)
-        applied = {name: ops[name](x) for name in needed}
-        ref = _l2(x)
-        for left, right in table:
-            got = ops[left](applied[right])
-            got -= ops[right](applied[left])
-            for name, coeff in _REAL_TARGETS[(left, right)].items():
-                got -= coeff * applied[name]
-            key = (left, right)
-            deviations[key] = float(np.maximum(deviations[key], _l2(got) / ref))
-    return CommutatorReport(mass=mass, points_per_axis=grid.points_per_axis,
-                            spacing=grid.spacing, deviations=deviations)
 
 
 def _generator_terms(mass: float) -> Dict[str, List[Tuple[float, Tuple[str, str, str]]]]:
@@ -418,10 +288,12 @@ EXACT_BRACKETS = tuple(
     if (left, right) not in CONVERGENT_BRACKETS)
 
 
-def _separable_deviations(mass: float, grid: MomentumGrid
+def _separable_deviations(mass: float, grid: MomentumGrid,
+                          pairs: Sequence[Tuple[str, str]], center: np.ndarray
                           ) -> Dict[Tuple[str, str], float]:
-    """Relative grid-L2 deviation of each convergent bracket on the uncut
-    offset Gaussian, without forming a single n^3 array.
+    """Relative grid-L2 deviation of each bracket in `pairs` on the uncut
+    Gaussian of width `_offset_gaussian` about `center`, without forming a
+    single n^3 array.
 
     The Gaussian is g_0 (x) g_1 (x) g_2, so [a, b] psi minus its target is a
     sum of terms c_t u_t (x) v_t (x) w_t of 1-D vectors.  Terms that agree on
@@ -431,10 +303,10 @@ def _separable_deviations(mass: float, grid: MomentumGrid
     O(T^2 n) per bracket instead of O(n^3).
     """
     h, x = grid.spacing, grid.axis()
-    sigma, center = _offset_gaussian(grid)
+    sigma, _ = _offset_gaussian(grid)
     energy = x ** 2 / (2.0 * mass)
     steps = {"p": lambda v: x * v, "e": lambda v: energy * v,
-             "d": lambda v: _derivative(v[None, None], 2, h)[0, 0]}
+             "d": lambda v: _derivative(v, h)}
     vectors = {(k, ""): np.exp(-(x - center[k]) ** 2 / (2.0 * sigma ** 2))
                for k in range(3)}
 
@@ -447,7 +319,7 @@ def _separable_deviations(mass: float, grid: MomentumGrid
     ref = float(np.prod([np.sqrt(np.sum(np.square(vectors[k, ""])))
                          for k in range(3)]))
     deviations = {}
-    for left, right in CONVERGENT_BRACKETS:
+    for left, right in pairs:
         # [a, b] psi = a(b psi) - b(a psi): the chain of b runs first
         terms = [(sign * ca * cb, tuple(first + then for first, then in zip(*chains)))
                  for ca, a in gens[left] for cb, b in gens[right]
@@ -478,18 +350,42 @@ def _separable_deviations(mass: float, grid: MomentumGrid
     return deviations
 
 
+def generator_commutators(mass: float, grid: MomentumGrid,
+                          pairs: Optional[Sequence[Tuple[str, str]]] = None
+                          ) -> CommutatorReport:
+    """Worst deviation of each bracket in `pairs` from its target.
+
+    `pairs` defaults to the whole COMMUTATOR_TABLE.  Deviations are relative
+    grid-L2 norms, which refine smoothly under lattice halving (the sup over
+    shifted cell-centered lattices does not), taken on two uncut Gaussians:
+    the offset one and one about the origin.  The generators act as their
+    real operators; the unit phases drop out of the norms.
+    """
+    if grid.points_per_axis < MIN_POINTS_PER_AXIS:
+        raise GridTooCoarseError(
+            f"need at least {MIN_POINTS_PER_AXIS} points per axis")
+    table = _select_brackets(pairs)
+    _, offset = _offset_gaussian(grid)
+    offset_devs, origin_devs = (_separable_deviations(mass, grid, table, center)
+                                for center in (offset, np.zeros(3)))
+    deviations = {pair: float(np.maximum(offset_devs[pair], origin_devs[pair]))
+                  for pair in table}
+    return CommutatorReport(mass=mass, points_per_axis=grid.points_per_axis,
+                            spacing=grid.spacing, deviations=deviations)
+
+
 def commutator_convergence(mass: float, sizes: Sequence[int], p_max: float
                            ) -> Dict[Tuple[str, str], List[float]]:
     """Measured convergence orders of each refining bracket between sizes.
 
-    The deviations are those that `generator_commutators` finds on the
-    offset Gaussian of `_default_test_functions` without its 1e-14 cut-off,
-    computed in separable form from the Gaussian's 1-D factors.
+    The deviations are those of the offset Gaussian, computed in separable
+    form from its 1-D factors.
     """
     if len(sizes) < 2 or len(set(sizes)) < len(sizes):
         raise ValueError(f"sizes {list(sizes)}: need at least two, all distinct")
     grids = [momentum_grid(n, p_max) for n in sizes]
-    errs = [_separable_deviations(mass, grid) for grid in grids]
+    errs = [_separable_deviations(mass, grid, CONVERGENT_BRACKETS, _offset_gaussian(grid)[1])
+            for grid in grids]
     hs = [grid.spacing for grid in grids]
     return {pair: [float(np.log(errs[i][pair] / errs[i + 1][pair])
                          / np.log(hs[i] / hs[i + 1]))

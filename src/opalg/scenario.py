@@ -462,13 +462,14 @@ def _check_two_particle(ctx, *, kind: _SHELL_KINDS = "relativistic", mass: _real
                         spacing: _positive = 0.5):
     shell = opalg.wigner.make_shell(kind, mass, points, spacing)
     stats = opalg.wigner.two_particle_mass_spectrum(shell, samples, rng=ctx.rng)
-    ok = stats.min >= 2 * mass - 1e-12 and abs(stats.threshold - 2 * mass) <= 1e-12
+    floor = 0.0 if kind == "massless" else 2 * mass  # the cone ignores `mass`
+    ok = stats.min >= floor - 1e-12 and abs(stats.threshold - floor) <= 1e-12
     return CheckResult(passed=ok, value=f"min={stats.min:.6f}")
 
 
 @register("wigner.angular")
 def _check_angular(ctx, *, amplitude: ("isotropic", "cos_theta") = "isotropic",
-                   l_max: _count(0) = 4):
+                   l_max: _count(1) = 4):
     import numpy as np
     amp, main_l = {"isotropic": (lambda th, ph: np.ones_like(th, dtype=complex), 0),
                    "cos_theta": (lambda th, ph: np.cos(th).astype(complex), 1)}[amplitude]

@@ -5,7 +5,8 @@ algebra is plain Gaussian elimination, or one SVD or least-squares solve
 per question with an absolute cut (the generic BRST route), series
 products go through numpy.convolve, shell sums are evaluated point by
 point, grid brackets apply every generator through a zero-padded
-stencil, cyclotomic integers are reduced modulo Phi_N after every product,
+stencil (and `grid_commutators` through stencil buffers on full n^3
+arrays, the twin of the separable bracket engine), cyclotomic integers are reduced modulo Phi_N after every product,
 group words are normal ordered by rewriting with the defining relations,
 and the quantum-plane coaction is expanded over every choice of letters.
 The last section holds references that no check of the package uses: small
@@ -352,12 +353,154 @@ def bracket_deviations_reference(mass, grid, test_functions):
     return deviations
 
 
+def _coordinate(grid, axis):
+    """The grid's 1-D axis, broadcast along `axis` of a 3-D array."""
+    shape = [1, 1, 1]
+    shape[axis] = grid.points_per_axis
+    return grid.axis().reshape(shape)
+
+
+def _derivative(psi, axis, h):
+    """Second-order central difference, zero beyond the boundary.
+
+    `axis` counts among the last three (grid) axes of psi; any leading
+    axes are a stack of functions.
+    """
+
+    def along(sl):
+        idx = [slice(None)] * 3
+        idx[axis] = sl
+        return (Ellipsis, *idx)
+
+    out = np.empty_like(psi, dtype=np.result_type(psi, 1.0))
+    np.subtract(psi[along(slice(2, None))], psi[along(slice(None, -2))],
+                out=out[along(slice(1, -1))])
+    # one-sided contributions at the faces (outside values are zero)
+    out[along(slice(0, 1))] = psi[along(slice(1, 2))]
+    np.negative(psi[along(slice(-2, -1))], out=out[along(slice(-1, None))])
+    # the reciprocal is what numpy's complex division by 2h multiplies by
+    out *= 1.0 / (2.0 * h)
+    return out
+
+
+def _real_generators(mass, grid):
+    """The real operators behind the generators, on stacks of real functions.
+
+    P_i multiplies by p_i, P0 by p^2/(2m) and M by m; K_i is m d/dp_i and
+    J_i is p_a d_b - p_b d_a.  Each result is a fresh array.
+    """
+    h = grid.spacing
+    p = [_coordinate(grid, i) for i in range(3)]
+    energy = sum(pi ** 2 for pi in p) / (2.0 * mass)
+
+    def boost(psi, ax):
+        out = _derivative(psi, ax, h)
+        out *= mass
+        return out
+
+    def angular(psi, a, b):
+        """p_a d_b - p_b d_a, the products formed in the stencil buffers."""
+        out = _derivative(psi, b, h)
+        out *= p[a]
+        rot = _derivative(psi, a, h)
+        rot *= p[b]
+        out -= rot
+        return out
+
+    ops = {}
+    for i in range(3):
+        ops[f"P{i + 1}"] = (lambda psi, pi=p[i]: pi * psi)
+    ops["P0"] = lambda psi: energy * psi
+    for i in range(3):
+        ops[f"K{i + 1}"] = (lambda psi, ax=i: boost(psi, ax))
+    for i, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        ops[f"J{i + 1}"] = (lambda psi, a=a, b=b: angular(psi, a, b))
+    ops["M"] = lambda psi: mass * psi
+    return ops
+
+
+def uncut_gaussians(grid, origin=True):
+    """The offset Gaussian of `galilei._offset_gaussian` and, unless `origin`
+    is false, one of the same width about the origin, as n^3 arrays."""
+    from opalg.galilei import _offset_gaussian
+
+    sigma, offset = _offset_gaussian(grid)
+    p = [_coordinate(grid, i) for i in range(3)]
+    return [np.exp(-sum((p[i] - center[i]) ** 2 for i in range(3)) / (2.0 * sigma ** 2))
+            for center in (offset, np.zeros(3))[:1 + origin]]
+
+
+def _default_test_functions(grid):
+    """The two `uncut_gaussians` as complex arrays, with their tails below
+    1e-14 set to zero."""
+    funcs = []
+    for g in uncut_gaussians(grid):
+        psi = g.astype(complex)
+        psi[np.abs(psi) < 1e-14] = 0.0
+        funcs.append(psi)
+    return funcs
+
+
+def _real_stack(psi):
+    """A test function as a real (k, n, n, n) stack: k = 1 for a real
+    function, its real and imaginary parts (k = 2) otherwise."""
+    psi = np.asarray(psi)
+    if np.iscomplexobj(psi) and psi.imag.any():
+        return np.stack((psi.real, psi.imag)).astype(float, copy=False)
+    return np.ascontiguousarray(psi.real, dtype=float)[None]
+
+
+def _l2(x):
+    """Grid-L2 norm of a real stack: one real function, or the real and
+    imaginary parts of a complex one."""
+    if len(x) == 1:
+        mag = x[0]
+    else:
+        # numpy's complex abs: np.hypot of the parts differs in last bits
+        z = np.empty(x.shape[1:], dtype=complex)
+        z.real, z.imag = x
+        mag = np.abs(z)
+    # numpy's own pairwise sum: unlike a BLAS dot, its order does not
+    # depend on the BLAS thread count
+    return float(np.sqrt(np.sum(np.square(mag))))
+
+
+def grid_commutators(mass, grid, test_functions, pairs=None):
+    """Worst relative grid-L2 deviation of each bracket in `pairs` over
+    arbitrary n^3 test functions: the real operators of `_real_generators`
+    on the real stack of each function, every result a full array.
+    """
+    from opalg.galilei import (_REAL_TARGETS, MIN_POINTS_PER_AXIS,
+                               GridTooCoarseError, _select_brackets)
+
+    if grid.points_per_axis < MIN_POINTS_PER_AXIS:
+        raise GridTooCoarseError(
+            f"need at least {MIN_POINTS_PER_AXIS} points per axis")
+    table = _select_brackets(pairs)
+    ops = _real_generators(mass, grid)
+    needed = {name for pair in table
+              for name in (*pair, *_REAL_TARGETS[pair])}
+    deviations = dict.fromkeys(table, 0.0)
+    for psi in test_functions:
+        x = _real_stack(psi)
+        applied = {name: ops[name](x) for name in needed}
+        ref = _l2(x)
+        for left, right in table:
+            got = ops[left](applied[right])
+            got -= ops[right](applied[left])
+            for name, coeff in _REAL_TARGETS[(left, right)].items():
+                got -= coeff * applied[name]
+            key = (left, right)
+            deviations[key] = float(np.maximum(deviations[key], _l2(got) / ref))
+    return deviations
+
+
 def grid_generators(mass, grid):
     """The complex generators on the grid, each the real operator of
-    `galilei._real_generators` times its unit phase: P_i multiplies by p_i,
+    `_real_generators` times its unit phase: P_i multiplies by p_i,
     P0 by p^2/(2m) and M by m; K_i = i m d/dp_i and J_i = -i (p_a d_b -
     p_b d_a)."""
-    from opalg.galilei import _PHASES, _real_generators
+    from opalg.galilei import _PHASES
 
     gens = {}
     for name, op in _real_generators(mass, grid).items():

@@ -5,16 +5,18 @@ from hypothesis import strategies as st
 
 from opalg.galilei import (_PHASES, COMMUTATOR_TABLE, CONVERGENT_BRACKETS,
                            EXACT_BRACKETS, GridTooCoarseError,
-                           NotARotationError, _default_test_functions,
-                           _derivative, _offset_gaussian, _real_generators,
+                           NotARotationError, _derivative, _offset_gaussian,
                            _separable_deviations, bargmann_exponent,
                            clifford_generators, commutator_convergence,
                            galilei_compose, generator_commutators,
                            levy_leblond_matrices, levy_leblond_symbol,
                            make_galilei, momentum_grid)
 
-from oracles import (bracket_deviations_reference, degenerate_norm_structure,
-                     galilei_identity, grid_generators)
+import oracles
+from oracles import (_coordinate, _default_test_functions, _real_generators,
+                     bracket_deviations_reference, degenerate_norm_structure,
+                     galilei_identity, grid_commutators, grid_generators,
+                     uncut_gaussians)
 
 
 def random_element(rng):
@@ -200,12 +202,11 @@ class TestGridCommutators:
             momentum_grid(16, 10.0)
 
     def test_nan_deviation_sticks(self):
-        # with a NaN in the test function each bracket's deviation is NaN,
-        # and neither the running maximum nor max_deviation() drops it
+        # a NaN mass makes every bracket that the mass enters NaN on both
+        # Gaussians; neither their maximum nor max_deviation() drops it
         grid = momentum_grid(32, 10.0)
-        psi = _default_test_functions(grid)[0].copy()
-        psi[3, 4, 5] = np.nan
-        report = generator_commutators(1.0, grid, [psi], pairs=EXACT_BRACKETS)
+        report = generator_commutators(float("nan"), grid, pairs=EXACT_BRACKETS)
+        assert np.isnan(report.deviations[("K1", "K2")])
         assert np.isnan(report.max_deviation())
         partial = report._replace(deviations={EXACT_BRACKETS[0]: 0.0,
                                               EXACT_BRACKETS[1]: np.nan})
@@ -231,16 +232,14 @@ LADDER = (32, 64, 128)
 @pytest.fixture(scope="module")
 def ladder_deviations():
     """Separable and 3-D deviations of the convergent brackets on the uncut
-    offset Gaussian at each size of LADDER."""
+    offset Gaussian at each size of LADDER, the 3-D ones from the twin."""
     out = {}
     for n in LADDER:
         grid = momentum_grid(n, 10.0)
-        sigma, center = _offset_gaussian(grid)
-        p = [grid.coordinate(i) for i in range(3)]
-        psi = np.exp(-sum((p[i] - center[i]) ** 2 for i in range(3)) / (2.0 * sigma ** 2))
-        out[n] = (_separable_deviations(1.0, grid),
-                  generator_commutators(1.0, grid, [psi],
-                                        pairs=CONVERGENT_BRACKETS).deviations)
+        _, center = _offset_gaussian(grid)
+        out[n] = (_separable_deviations(1.0, grid, CONVERGENT_BRACKETS, center),
+                  grid_commutators(1.0, grid, uncut_gaussians(grid, origin=False),
+                                   pairs=CONVERGENT_BRACKETS))
     return out
 
 
@@ -250,7 +249,7 @@ def orders_value(orders):
 
 
 class TestSeparableConvergence:
-    """The separable deviations against the 3-D path on the same function."""
+    """The separable deviations against the 3-D twin on the same function."""
 
     @pytest.mark.parametrize("n", LADDER)
     def test_deviations_match_the_3d_path(self, ladder_deviations, n):
@@ -279,21 +278,31 @@ class TestSeparableConvergence:
 
 
 class TestRealStencils:
+    """The n^3 twin's stencils and operators, on which the references rest."""
+
     def test_stack_derivative_equals_slices(self):
         rng = np.random.default_rng(12)
         stack = rng.normal(size=(2, 32, 32, 32))
         for axis in range(3):
-            got = _derivative(stack, axis, 0.3)
+            got = oracles._derivative(stack, axis, 0.3)
             for k in range(2):
-                assert np.array_equal(got[k], _derivative(stack[k], axis, 0.3))
+                assert np.array_equal(got[k], oracles._derivative(stack[k], axis, 0.3))
 
     def test_complex_derivative_is_the_real_one_on_each_part(self):
         rng = np.random.default_rng(13)
         psi = rng.normal(size=(32,) * 3) + 1j * rng.normal(size=(32,) * 3)
         for axis in range(3):
-            got = _derivative(psi, axis, 0.3)
-            assert np.array_equal(got.real, _derivative(psi.real, axis, 0.3))
-            assert np.array_equal(got.imag, _derivative(psi.imag, axis, 0.3))
+            got = oracles._derivative(psi, axis, 0.3)
+            assert np.array_equal(got.real, oracles._derivative(psi.real, axis, 0.3))
+            assert np.array_equal(got.imag, oracles._derivative(psi.imag, axis, 0.3))
+
+    @pytest.mark.parametrize("n", [32, 33])
+    def test_one_dimensional_stencil_is_the_twin_along_each_axis(self, n):
+        rng = np.random.default_rng(16)
+        psi = rng.normal(size=(n,) * 3)
+        for axis in range(3):
+            got = np.apply_along_axis(_derivative, axis, psi, 0.3)
+            assert np.array_equal(got, oracles._derivative(psi, axis, 0.3))
 
     @pytest.mark.parametrize("mass", [1.0, 1.3])
     def test_generators_are_real_operators_times_phase(self, mass):
@@ -310,36 +319,36 @@ class TestRealStencils:
 
     def test_boost_and_rotation_keep_their_complex_form(self):
         grid = momentum_grid(32, 10.0)
-        h, p = grid.spacing, [grid.coordinate(i) for i in range(3)]
+        h, p = grid.spacing, [_coordinate(grid, i) for i in range(3)]
         gens = grid_generators(1.3, grid)
         rng = np.random.default_rng(15)
         psi = rng.normal(size=(32,) * 3) + 1j * rng.normal(size=(32,) * 3)
-        assert np.array_equal(gens["K1"](psi), 1j * 1.3 * _derivative(psi, 0, h))
+        D = oracles._derivative
+        assert np.array_equal(gens["K1"](psi), 1j * 1.3 * D(psi, 0, h))
         assert np.array_equal(gens["J3"](psi), -1j * (
-            p[0] * _derivative(psi, 1, h) - p[1] * _derivative(psi, 0, h)))
+            p[0] * D(psi, 1, h) - p[1] * D(psi, 0, h)))
 
     def test_real_and_zero_imaginary_functions_agree(self):
         grid = momentum_grid(32, 10.0)
         psi = _default_test_functions(grid)[0]
         assert not psi.imag.any()
-        assert generator_commutators(1.0, grid, [psi.real]).deviations == \
-            generator_commutators(1.0, grid, [psi]).deviations
+        assert grid_commutators(1.0, grid, [psi.real]) == \
+            grid_commutators(1.0, grid, [psi])
 
 
 class TestBracketsAgainstReference:
     @pytest.mark.parametrize("mass", [1.0, 2.0, 1.3])
     def test_default_functions_every_bracket(self, mass):
         grid = momentum_grid(32, 10.0)
-        got = generator_commutators(mass, grid).deviations
-        want = bracket_deviations_reference(mass, grid,
-                                            _default_test_functions(grid))
-        assert got == want
+        funcs = _default_test_functions(grid)
+        assert grid_commutators(mass, grid, funcs) == \
+            bracket_deviations_reference(mass, grid, funcs)
 
     def test_random_complex_function_every_bracket(self):
         grid = momentum_grid(32, 10.0)
         rng = np.random.default_rng(11)
         psi = rng.normal(size=(32,) * 3) + 1j * rng.normal(size=(32,) * 3)
-        got = generator_commutators(1.0, grid, [psi]).deviations
+        got = grid_commutators(1.0, grid, [psi])
         want = bracket_deviations_reference(1.0, grid, [psi])
         for key, ref in want.items():
             assert abs(got[key] - ref) <= 1e-12 * ref, key
@@ -361,6 +370,24 @@ class TestBracketsAgainstReference:
     def test_default_is_the_whole_table(self):
         report = generator_commutators(1.0, momentum_grid(32, 10.0))
         assert list(report.deviations) == [(l, r) for l, r, _ in COMMUTATOR_TABLE]
+
+
+class TestOneEngine:
+    """The separable engine against the brute-force reference on the two
+    uncut Gaussians, for every bracket of the table."""
+
+    @pytest.mark.parametrize("n, mass, p_max", [(32, 0.5, 10.0), (33, 1.3, 10.0),
+                                                (48, 2.0, 10.0), (32, 1.0, 3.0)])
+    def test_every_bracket_matches_the_reference(self, n, mass, p_max):
+        grid = momentum_grid(n, p_max)
+        got = generator_commutators(mass, grid).deviations
+        want = bracket_deviations_reference(mass, grid, uncut_gaussians(grid))
+        assert list(got) == list(want)
+        for key in CONVERGENT_BRACKETS:
+            assert abs(got[key] - want[key]) <= 1e-10 * want[key], key
+        for key in EXACT_BRACKETS:
+            assert np.isfinite(got[key]) and got[key] <= 1e-13, key
+            assert want[key] <= 1e-13, key
 
 
 class TestClifford:

@@ -243,6 +243,17 @@ class TestRunning:
         assert record.status == "pass"
         assert float(record.value) <= DEFAULT_TOLERANCES["witness"]
 
+    @pytest.mark.parametrize("params", [{"kind": "massless"},
+                                        {"kind": "massless", "mass": 3}])
+    def test_massless_pair_threshold_ignores_mass(self, tmp_path, params):
+        # the light cone ignores `mass`: its pair threshold is 0, not 2 m
+        path = write_scenario(tmp_path, {
+            "name": "cone", "seed": 2,
+            "checks": [{"check": "wigner.two_particle", "params": params}]})
+        with pytest.warns(UserWarning, match="dropping the p = 0"):
+            record = run_scenario(path).records[0]
+        assert record.status == "pass", record.value
+
     def test_deterministic_csv_bytes(self):
         first = emit_report(run_scenario(SMOKE), "csv")
         second = emit_report(run_scenario(SMOKE), "csv")
@@ -536,8 +547,9 @@ class TestCli:
          "checks[0].params.dump_field: expected a file path"),
         ({"checks": [{"check": "wigner.two_particle", "params": {"points": 0}}]},
          "checks[0].params.points: expected at least 1, got 0"),
-        ({"checks": [{"check": "wigner.angular", "params": {"l_max": -1}}]},
-         "checks[0].params.l_max: expected at least 0, got -1"),
+        *[({"checks": [{"check": "wigner.angular", "params": {"l_max": l_max}}]},
+           f"checks[0].params.l_max: expected at least 1, got {l_max}")
+          for l_max in (0, -1)],
         ({"checks": [{"check": "galilei.commutators", "params": {"points": 31}}]},
          "checks[0].params.points: expected at least 32, got 31"),
         ({"checks": [{"check": "qplane.center", "params": {"q": 2, "max_deg": 0}}]},
