@@ -443,9 +443,10 @@ def validate_deformation(base: BRSTStructure, Q_series: FormalSeries) -> Deforme
     """Order-by-order nilpotency, self-adjointness and grading of the charge,
     each relative to the largest coefficient entry (the square to its
     square), so every multiple of the series shares a verdict."""
-    if Q_series.is_scalar:
-        raise ValueError("the deformed charge must have matrix coefficients")
-    scale = max(_max_abs(Qn) for Qn in Q_series.coeffs)
+    if Q_series.shape != base.Q.shape:
+        raise ValueError(f"charge coefficients have shape {Q_series.shape}, "
+                         f"the undeformed charge {base.Q.shape}")
+    scale = _max_abs(Q_series.coeffs)
     if _max_abs(Q_series.coeffs[0] - base.Q) > RANK_TOL * scale:
         raise ValueError("leading coefficient must equal the undeformed charge")
     square = series_mul(Q_series, Q_series)
@@ -473,7 +474,7 @@ def _charge_matrix(D: DeformedBRST) -> np.ndarray:
     """The charge series acting on jets: the block lower-triangular Toeplitz
     matrix with block (m, k) = Q_{m-k}, so that its product with a jet is
     series_mul of the charge and the formal vector."""
-    L, Qs = D.order + 1, np.asarray(D.Q_series.coeffs)
+    L, Qs = D.order + 1, D.Q_series.coeffs
     lag = np.subtract.outer(np.arange(L), np.arange(L))
     blocks = np.where((lag >= 0)[..., None, None], Qs[np.maximum(lag, 0)], 0)
     return blocks.transpose(0, 2, 1, 3).reshape(L * D.base.dim, -1)
@@ -537,7 +538,7 @@ def _unliftable(D: DeformedBRST, A0: np.ndarray) -> np.ndarray:
     larger, to the scale of the series (the solve of the series divided by
     its scale, as deform_check decides)."""
     base, scale = D.base, _scale(D)
-    Qs = np.asarray(D.Q_series.coeffs)[1:, None]
+    Qs = D.Q_series.coeffs[1:, None]
     A = np.empty((D.order + 1,) + A0.shape, dtype=complex)
     A[0] = A0
     bad = np.zeros(len(A0), dtype=bool)
@@ -554,7 +555,7 @@ def _unliftable(D: DeformedBRST, A0: np.ndarray) -> np.ndarray:
 def _scale(D: DeformedBRST) -> float:
     """The largest coefficient entry of the charge series, the scale of
     validate_deformation, or 1 for the zero series."""
-    return _max_abs(np.asarray(D.Q_series.coeffs)) or 1.0
+    return _max_abs(D.Q_series.coeffs) or 1.0
 
 
 def _max_abs(a: np.ndarray) -> float:

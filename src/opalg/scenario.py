@@ -93,17 +93,11 @@ class Report(NamedTuple):
 
 
 def series_from_json(data) -> "opalg.series.FormalSeries":
-    """Series from arrays of [re, im] pairs or nested arrays for matrices."""
+    """Series from the rectangular [re, im] nesting that `_series` admits:
+    one pair per scalar coefficient, or nested arrays of pairs for arrays."""
     import numpy as np
-
-    def decode(entry):
-        arr = np.asarray(entry, dtype=float)
-        if arr.ndim == 1 and arr.shape == (2,):
-            return complex(arr[0], arr[1])
-        if arr.ndim >= 2 and arr.shape[-1] == 2:
-            return arr[..., 0] + 1j * arr[..., 1]
-        raise ScenarioParseError(f"cannot decode series coefficient {entry!r}")
-    return opalg.series.FormalSeries([decode(entry) for entry in data])
+    pairs = np.asarray(data, dtype=float)
+    return opalg.series.FormalSeries(pairs[..., 0] + 1j * pairs[..., 1])
 
 
 def _fmt(value) -> str:
@@ -347,14 +341,10 @@ def _check_deform_stability(ctx, *, model: tuple(_MODELS) = "two_pair", order: _
     import numpy as np
     B = _MODELS[model]()
     gens = opalg.brst.deformation_generators(B)
-    if mode == "rescale" or not gens:
-        coeffs = [B.Q, B.Q] + [np.zeros_like(B.Q)] * (order - 1)
-        q_series = opalg.series.FormalSeries(coeffs[: order + 1])
-    else:
-        weights = ctx.rng.normal(size=len(gens))
-        Q1 = sum(w * g for w, g in zip(weights, gens))
-        q_series = opalg.series.FormalSeries(
-            [B.Q, Q1] + [np.zeros_like(B.Q)] * (order - 1))
+    # rescale: Q(g) = (1 + g) Q; solved: a random combination of the generators
+    Q1 = B.Q if mode == "rescale" or not gens else \
+        sum(w * g for w, g in zip(ctx.rng.normal(size=len(gens)), gens))
+    q_series = opalg.series.FormalSeries([B.Q, Q1] + [np.zeros_like(B.Q)] * (order - 1))
     D = opalg.brst.validate_deformation(B, q_series)
     report = opalg.brst.deform_check(D, samples=samples, rng=ctx.rng)
     items = ",".join("ok" if p else "FAIL" for p in report.items_passed)

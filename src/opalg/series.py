@@ -1,8 +1,9 @@
 """Truncated formal power series in a real coupling parameter g.
 
 Coefficients are complex scalars or complex arrays of one fixed shape.
-A series of order N stores the N+1 coefficients of 1, g, ..., g^N; every
-operation truncates at the smallest order among its operands.  Values are
+A series of order N stores the N+1 coefficients of 1, g, ..., g^N stacked
+in one complex array, of shape (N+1,) or (N+1, *shape); every operation
+truncates at the smallest order among its operands.  Values are
 immutable after construction and safe to share between threads.
 """
 
@@ -38,23 +39,13 @@ class FormalSeries:
     def __init__(self, coeffs: Sequence):
         if len(coeffs) == 0:
             raise ValueError("a series needs at least the order-0 coefficient")
-        normalized = []
-        shape = None
-        for c in coeffs:
-            if np.isscalar(c) or (isinstance(c, np.ndarray) and c.ndim == 0):
-                normalized.append(complex(c))
-            else:
-                arr = np.asarray(c, dtype=complex)
-                arr.setflags(write=False)
-                if shape is None:
-                    shape = arr.shape
-                elif arr.shape != shape:
-                    raise ShapeMismatchError(
-                        f"coefficient shapes differ: {shape} vs {arr.shape}")
-                normalized.append(arr)
-        if shape is not None and any(not isinstance(c, np.ndarray) for c in normalized):
-            raise ShapeMismatchError("cannot mix scalar and array coefficients")
-        object.__setattr__(self, "coeffs", tuple(normalized))
+        try:
+            stacked = np.array(coeffs, dtype=complex)
+        except ValueError:
+            raise ShapeMismatchError("coefficient shapes differ: "
+                                     f"{sorted({np.shape(c) for c in coeffs})}") from None
+        stacked.setflags(write=False)
+        object.__setattr__(self, "coeffs", stacked)
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalSeries is immutable")
@@ -65,18 +56,18 @@ class FormalSeries:
 
     @property
     def is_scalar(self) -> bool:
-        return not isinstance(self.coeffs[0], np.ndarray)
+        return self.coeffs.ndim == 1
 
     @property
     def shape(self):
-        return None if self.is_scalar else self.coeffs[0].shape
+        """The shape of one coefficient, () for a scalar series."""
+        return self.coeffs.shape[1:]
 
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(c))) if isinstance(c, np.ndarray) else abs(c)
-                   for c in self.coeffs)
+        return float(np.max(np.abs(self.coeffs)))
 
     def isclose(self, other: "FormalSeries", tol: float = DEFAULT_TOL) -> bool:
-        if self.order != other.order or self.is_scalar != other.is_scalar:
+        if self.order != other.order or self.shape != other.shape:
             return False
         return (self - other).max_abs() <= tol
 
@@ -90,7 +81,7 @@ class FormalSeries:
         return series_mul(self, other)
 
     def scale(self, factor: complex) -> "FormalSeries":
-        return FormalSeries([factor * c for c in self.coeffs])
+        return FormalSeries(factor * self.coeffs)
 
     def star(self) -> "FormalSeries":
         return series_star(self)
@@ -101,18 +92,19 @@ class FormalSeries:
 
 
 def series_add(a: FormalSeries, b: FormalSeries) -> FormalSeries:
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"shapes {a.shape} and {b.shape} differ for a sum")
     order = min(a.order, b.order)
-    return FormalSeries([a.coeffs[n] + b.coeffs[n] for n in range(order + 1)])
+    return FormalSeries(a.coeffs[:order + 1] + b.coeffs[:order + 1])
 
 
 def _coeff_mul(x, y):
-    xa, ya = isinstance(x, np.ndarray), isinstance(y, np.ndarray)
-    if xa and ya:
-        if x.ndim >= 1 and y.ndim >= 1 and x.shape[-1] != y.shape[0]:
-            raise ShapeMismatchError(
-                f"shapes {x.shape} and {y.shape} incompatible for a product")
-        return x @ y
-    return x * y
+    if not (x.ndim and y.ndim):
+        return x * y
+    if x.shape[-1] != y.shape[0]:
+        raise ShapeMismatchError(
+            f"shapes {x.shape} and {y.shape} incompatible for a product")
+    return x @ y
 
 
 def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
@@ -128,14 +120,9 @@ def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
 
 
 def series_star(a: FormalSeries) -> FormalSeries:
-    """Coefficient-wise conjugate (conjugate transpose for arrays)."""
-    out = []
-    for c in a.coeffs:
-        if isinstance(c, np.ndarray):
-            out.append(c.conj().T if c.ndim == 2 else c.conj())
-        else:
-            out.append(c.conjugate())
-    return FormalSeries(out)
+    """Coefficient-wise conjugate (conjugate transpose for matrices)."""
+    c = a.coeffs.conj()
+    return FormalSeries(c.transpose(0, 2, 1) if c.ndim == 3 else c)
 
 
 class PositivityVerdict(NamedTuple):
@@ -166,7 +153,7 @@ def is_positive(b: FormalSeries, tol: float = DEFAULT_TOL) -> PositivityVerdict:
     """
     if not b.is_scalar:
         raise ValueError("positivity is decided for scalar series only")
-    row = np.array([b.coeffs])
+    row = b.coeffs[None]
     positive, witness, failure = _positive_rows(row, tol * np.max(np.abs(row)))
     if not positive[0]:
         return PositivityVerdict(positive=False, failure_order=int(failure[0]))

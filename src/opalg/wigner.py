@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 SHELL_KINDS = ("galilean", "relativistic", "massless")
+RECIPROCAL_TOL = 1e-9  # absolute slack of spacing products against 2 pi
 
 
 class MassZeroForMassiveKindError(ValueError):
@@ -160,10 +161,10 @@ def reciprocal_slice(shell: MassShell, t: float) -> SliceGrid:
                      spacing=2.0 * np.pi / (n * shell.spacing))
 
 
-def _check_reciprocal(shell: MassShell, grid: SliceGrid, tol: float = 1e-9):
+def _check_reciprocal(shell: MassShell, grid: SliceGrid):
     n = shell.points_per_axis
     if grid.points_per_axis != n or \
-            abs(grid.spacing * shell.spacing * n - 2.0 * np.pi) > tol:
+            abs(grid.spacing * shell.spacing * n - 2.0 * np.pi) > RECIPROCAL_TOL:
         raise IncompatibleLatticesError(
             "slice lattice is not reciprocal to the shell lattice")
 

@@ -1038,11 +1038,5 @@ def channel_rank(amplitudes, l, m, n_theta=None, n_phi=None, tol=ORACLE_TOL):
 def series_to_json(s):
     """The scenario encoding of a series, the inverse of
     `scenario.series_from_json`: [re, im] pairs, or nested arrays with a
-    trailing [re, im] axis for matrix coefficients."""
-    out = []
-    for c in s.coeffs:
-        if isinstance(c, np.ndarray):
-            out.append(np.stack([c.real, c.imag], axis=-1).tolist())
-        else:
-            out.append([c.real, c.imag])
-    return out
+    trailing [re, im] axis for array coefficients."""
+    return np.stack([s.coeffs.real, s.coeffs.imag], axis=-1).tolist()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,15 @@ class TestValidation:
         B = two_pair_model()
         with pytest.raises(ValueError):
             validate_deformation(B, FormalSeries([2 * B.Q, np.zeros_like(B.Q)]))
+
+    @pytest.mark.parametrize("cut", ["2x2", "1x3", "vector", "scalar"])
+    def test_coefficient_shape_must_be_the_charge_shape(self, cut):
+        # (1, 3) and (3,) would broadcast against the 3x3 charge
+        B = gupta_bleuler_toy()
+        Q0 = {"2x2": B.Q[:2, :2], "1x3": B.Q[:1], "vector": B.Q[0], "scalar": B.Q[0, 1]}[cut]
+        message = f"shape {np.shape(Q0)}, the undeformed charge (3, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate_deformation(B, FormalSeries([Q0, np.zeros_like(Q0)]))
 
 
 class TestLifts:

@@ -60,6 +60,13 @@ class TestSerialization:
         back = series_from_json(series_to_json(s))
         assert back.isclose(s, tol=0)
 
+    def test_vector_series_roundtrip(self):
+        rng = np.random.default_rng(1)
+        s = FormalSeries([rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(4)])
+        back = series_from_json(series_to_json(s))
+        assert back.shape == (3,)
+        assert back.isclose(s, tol=0)
+
 
 class TestLoading:
     def test_smoke_scenario_loads(self):

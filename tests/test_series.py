@@ -63,8 +63,26 @@ class TestProduct:
             series_mul(a, a)
 
     def test_mixed_scalar_matrix_coeffs_rejected(self):
+        for ragged in ([1.0, np.eye(2)], [np.eye(2), np.eye(3)]):
+            with pytest.raises(ShapeMismatchError, match="coefficient shapes differ"):
+                FormalSeries(ragged)
+
+    def test_sum_of_different_shapes_rejected(self):
+        # a scalar series of order 1 would broadcast against 2x2 coefficients
         with pytest.raises(ShapeMismatchError):
-            FormalSeries([1.0, np.eye(2)])
+            series_add(make([1.0, 2.0]), make([np.eye(2), np.eye(2)]))
+
+
+class TestStorage:
+    def test_one_read_only_stack_and_the_input_stays_writeable(self):
+        a = np.eye(2, dtype=complex)
+        s = FormalSeries([a, a])
+        assert a.flags.writeable
+        assert isinstance(s.coeffs, np.ndarray) and s.coeffs.dtype == complex
+        assert s.coeffs.shape == (2, 2, 2) and s.shape == (2, 2)
+        assert not s.coeffs.flags.writeable
+        scalar = FormalSeries([1, 2j, 3.5])
+        assert scalar.coeffs.shape == (3,) and scalar.shape == () and scalar.is_scalar
 
 
 class TestStar:
