@@ -1,4 +1,4 @@
-"""Restricted-transform timings of one or more source trees, with fitted exponents.
+"""Shell-transform and isometry-defect timings of source trees, with fitted exponents.
 
     python3 benchmarks/wigner_sweep.py --rev parent=HEAD~1 --tree change=src \
         --out BENCH_wigner.json
@@ -6,9 +6,12 @@
 Times one `wigner.restricted_inverse_fourier` call of a random shell
 function onto the reciprocal slice at t = 0.7: over n for the complete
 galilean cube (n^3 points), and over n for the massless cone (the cube less
-its origin).  `treebench` holds the options (`--tree`, `--rev`, `--out`), the
-alternating fresh child processes and the exponent fit.  Uses only public
-names that every tree has.
+its origin).  Times one `wigner.isometry_defect(shell, grid, reweight)` call
+on the same slice, over n: for the galilean cube (its one-centre family),
+and for the relativistic shell of mass 1 with reweight "newton_wigner" (its
+six-centre family).  `treebench` holds the options (`--tree`, `--rev`,
+`--out`), the alternating fresh child processes and the exponent fit.
+Uses only public names that every tree has.
 """
 
 from __future__ import annotations
@@ -20,17 +23,25 @@ import sys, time, warnings
 import numpy as np
 from opalg import wigner
 kind, n = sys.argv[1], int(sys.argv[2])
+kind, _, call = kind.partition(":")
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
-    shell = wigner.make_shell(kind, 1.0 if kind == "galilean" else 0.0, n, 0.4)
-rng = np.random.default_rng(n)
-size = len(shell.points)
-f = wigner.ShellFunction(shell, rng.normal(size=size) + 1j * rng.normal(size=size))
+    shell = wigner.make_shell(kind, 0.0 if kind == "massless" else 1.0, n, 0.4)
 grid = wigner.reciprocal_slice(shell, 0.7)
-start = time.perf_counter()
-psi = wigner.restricted_inverse_fourier(f, grid)
-elapsed = time.perf_counter() - start
-assert psi.shape == (n ** 3,)
+if call == "defect":
+    reweight = "newton_wigner" if kind == "relativistic" else "none"
+    start = time.perf_counter()
+    defect = wigner.isometry_defect(shell, grid, reweight)
+    elapsed = time.perf_counter() - start
+    assert defect <= 1e-8
+else:
+    rng = np.random.default_rng(n)
+    size = len(shell.points)
+    f = wigner.ShellFunction(shell, rng.normal(size=size) + 1j * rng.normal(size=size))
+    start = time.perf_counter()
+    psi = wigner.restricted_inverse_fourier(f, grid)
+    elapsed = time.perf_counter() - start
+    assert psi.shape == (n ** 3,)
 print(elapsed)
 """
 
@@ -39,6 +50,10 @@ SWEEPS = (
      "restricted_inverse_fourier, complete galilean cube, reciprocal slice"),
     ("cone", "massless", "n", (12, 16, 24),
      "restricted_inverse_fourier, massless cone (origin dropped), reciprocal slice"),
+    ("defect_cube", "galilean:defect", "n", (32, 64, 96),
+     "isometry_defect, complete galilean cube, one-centre family"),
+    ("defect_newton_wigner", "relativistic:defect", "n", (32, 64, 96),
+     "isometry_defect, relativistic shell, newton_wigner, six-centre family"),
 )
 
 

@@ -26,8 +26,6 @@ __all__ = [
     "make_shell",
     "reciprocal_slice",
     "restricted_inverse_fourier",
-    "shell_norm_sq",
-    "slice_norm_sq",
     "isometry_defect",
     "gaussian_family",
     "two_particle_mass_spectrum",
@@ -132,10 +130,6 @@ class ShellFunction(NamedTuple("ShellFunction", [("shell", MassShell),
         return super().__new__(cls, shell, values)
 
 
-def shell_norm_sq(f: ShellFunction) -> float:
-    return float(np.sum(f.shell.weights * np.abs(f.values) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # slices and the restricted transform
 
@@ -190,10 +184,6 @@ def restricted_inverse_fourier(f: ShellFunction, grid: SliceGrid) -> np.ndarray:
     return (2.0 * np.pi) ** -1.5 * out.ravel()
 
 
-def slice_norm_sq(values: np.ndarray, grid: SliceGrid) -> float:
-    return float(np.sum(np.abs(values) ** 2) * grid.spacing ** 3)
-
-
 def gaussian_family(shell: MassShell, width: float, radius: float
                     ) -> List[ShellFunction]:
     """Gaussians centered on the +/- coordinate axes at the given radius."""
@@ -210,25 +200,34 @@ def gaussian_family(shell: MassShell, width: float, radius: float
 def isometry_defect(shell: MassShell, grid: SliceGrid, reweight: str = "none") -> float:
     """Worst relative norm mismatch of the transform over a width-0.5 `gaussian_family`.
 
-    reweight "newton_wigner" rescales shell functions by (2 e_p)^{1/2}
-    before transforming, which restores an exact lattice isometry for the
+    Between reciprocal lattices (`_check_reciprocal` guards this) the
+    transform is a unitary DFT times (2 pi)^{-3/2} and exp(-i e_p t) has
+    modulus one, so by Parseval's identity the slice norm of f is
+    sum (w |f|)^2 / dp^3 at every t: the defect is read from that closed
+    form, and grid.t is not read.  Each member is first divided by its
+    largest |value|, which leaves the ratio alone and keeps the squares
+    normal.  reweight "newton_wigner" rescales shell functions by
+    (2 e_p)^{1/2}, which restores an exact lattice isometry for the
     hyperboloid measure.
     """
     if reweight not in ("none", "newton_wigner"):
         raise ValueError(f"unknown reweight mode {reweight!r}")
     _check_reciprocal(shell, grid)
     radius = shell.mass if shell.kind == "relativistic" else 0.0
-    worst = 0.0
+    scale_sq = 2.0 * shell.energies if reweight == "newton_wigner" else 1.0
+    slice_weights = shell.weights ** 2 * scale_sq / shell.spacing ** 3
+    defects = []
     for f in gaussian_family(shell, width=0.5, radius=radius):
-        ref = shell_norm_sq(f)
-        if ref == 0.0:
-            continue
-        if reweight == "newton_wigner":
-            f = ShellFunction(shell=shell,
-                              values=f.values * np.sqrt(2.0 * shell.energies))
-        psi = restricted_inverse_fourier(f, grid)
-        worst = max(worst, abs(slice_norm_sq(psi, grid) / ref - 1.0))
-    return worst
+        peak = np.max(f.values, initial=0.0)  # the Gaussians are positive
+        if peak > 0.0:
+            f_sq = (f.values / peak) ** 2
+            ratio = np.sum(slice_weights * f_sq) / np.sum(shell.weights * f_sq)
+            defects.append(abs(float(ratio) - 1.0))
+    if not defects:
+        half = (shell.points_per_axis // 2) * shell.spacing
+        raise ValueError(f"every probe Gaussian vanishes on the lattice: centre "
+                         f"radius {radius:g} against lattice half-extent {half:g}")
+    return max(defects)
 
 
 # ---------------------------------------------------------------------------

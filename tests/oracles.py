@@ -305,6 +305,16 @@ def direct_shell_sum(points, weights, energies, values, xs, t):
     return (2.0 * np.pi) ** -1.5 * out
 
 
+def shell_norm_sq(f):
+    """Quadrature norm sum w |f(p)|^2 of a shell function."""
+    return float(np.sum(f.shell.weights * np.abs(f.values) ** 2))
+
+
+def slice_norm_sq(values, grid):
+    """Quadrature norm sum |psi(x)|^2 dx^3 of slice values on `grid`."""
+    return float(np.sum(np.abs(values) ** 2) * grid.spacing ** 3)
+
+
 def _padded_difference(psi, axis, h):
     """Central difference with explicit zeros padded beyond both faces."""
     width = [(0, 0)] * psi.ndim

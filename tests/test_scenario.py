@@ -239,6 +239,25 @@ class TestRunning:
         assert "ValueError" in report.records[0].value
         assert report.records[1].status == "pass"
 
+    def test_parseval_defect_makes_no_transform(self, tmp_path, monkeypatch):
+        # the defect comes from Parseval's identity; only dump_field transforms
+        calls = []
+        transform = opalg.wigner.restricted_inverse_fourier
+        monkeypatch.setattr(opalg.wigner, "restricted_inverse_fourier",
+                            lambda *args: calls.append(args) or transform(*args))
+        monkeypatch.chdir(tmp_path)
+        entries = [{"check": "wigner.parseval", "params": params} for params in (
+            {"times": [0.0, 1.0, 7.3]},
+            {"kind": "relativistic", "expect": "defect"},
+            {"kind": "relativistic", "reweight": "newton_wigner"})]
+        path = write_scenario(tmp_path, {"name": "parseval", "seed": 5, "checks": entries})
+        assert run_scenario(path).all_passed
+        assert calls == []
+        entries[0]["params"]["dump_field"] = "field.csv"
+        path = write_scenario(tmp_path, {"name": "parseval", "seed": 5, "checks": entries})
+        assert run_scenario(path).all_passed
+        assert [grid.t for _, grid in calls] == [0.0]
+
     def test_witness_roundtrip_relative_to_coefficient_scale(self, tmp_path):
         # witness coefficients grow like |c0|^-order; at order 16 an
         # absolute comparison fails on rounding alone
@@ -408,6 +427,17 @@ class TestCli:
             "checks": [{"check": "series.is_positive",
                         "params": {"b": [[-1, 0]], "expect": "positive"}}]})
         assert main(["run", path]) == 1
+
+    def test_vanishing_parseval_probe_is_an_error_record(self, tmp_path, capsys):
+        # every probe Gaussian underflows on this lattice: no vacuous pass
+        path = write_scenario(tmp_path, {
+            "name": "far", "seed": 5,
+            "checks": [{"check": "wigner.parseval",
+                        "params": {"kind": "relativistic", "points": 16, "mass": 40.0}}]})
+        assert main(["run", path, "--format", "csv"]) == 1
+        record = capsys.readouterr().out.splitlines()[1]
+        assert record.startswith("wigner.parseval,error,ValueError: every probe Gaussian")
+        assert "radius 40 against lattice half-extent 3.2" in record
 
     def test_exit_two_on_unknown_check(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import sph_harm_y
@@ -7,11 +9,10 @@ from opalg.wigner import (EmptyLatticeError, IncompatibleLatticesError,
                           SliceGrid, angular_decomposition,
                           gaussian_family, isometry_defect, lorentz_boost,
                           make_shell, pair_invariant_mass, reciprocal_slice,
-                          restricted_inverse_fourier, shell_norm_sq,
-                          slice_norm_sq, spherical_harmonic,
+                          restricted_inverse_fourier, spherical_harmonic,
                           two_particle_mass_spectrum)
 
-from oracles import channel_rank, direct_shell_sum
+from oracles import channel_rank, direct_shell_sum, shell_norm_sq, slice_norm_sq
 
 
 class TestMakeShell:
@@ -132,6 +133,25 @@ class TestRestrictedTransform:
         early = restricted_inverse_fourier(ShellFunction(shell, shifted), grid_early)
         np.testing.assert_allclose(late, early, atol=1e-13)
 
+    @pytest.mark.parametrize("kind, mass", [("galilean", 1.3), ("relativistic", 0.8),
+                                            ("massless", 0.0)])
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_slice_norm_is_parseval_closed_form(self, kind, mass, n):
+        # between reciprocal lattices the transform is a unitary DFT times
+        # (2 pi)^{-3/2}: the slice norm is sum (w |f|)^2 / dp^3 at every t;
+        # the cone drops its origin at both n
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            shell = make_shell(kind, mass, n, 0.45)
+        rng = np.random.default_rng(n)
+        size = len(shell.points)
+        f = ShellFunction(shell, rng.normal(size=size) + 1j * rng.normal(size=size))
+        closed = np.sum(np.abs(shell.weights * f.values) ** 2) / shell.spacing ** 3
+        for t in rng.uniform(-5.0, 5.0, size=3):
+            grid = reciprocal_slice(shell, t)
+            got = slice_norm_sq(restricted_inverse_fourier(f, grid), grid)
+            assert abs(got / closed - 1.0) <= 1e-14
+
     def test_two_shell_superposition_is_sum_of_transforms(self):
         # one slice of a two-shell decomposition equals the per-shell sum
         shell_a = make_shell("relativistic", 1.0, 3, 0.5)
@@ -175,6 +195,40 @@ class TestIsometryDefect:
         bad = SliceGrid(t=0.0, points_per_axis=8, spacing=1.0)
         with pytest.raises(IncompatibleLatticesError):
             isometry_defect(shell, bad)
+
+    @pytest.mark.parametrize("kind, mass, n, reweight", [
+        ("galilean", 1.0, 8, "none"),
+        ("relativistic", 1.0, 9, "none"),
+        ("relativistic", 1.0, 8, "newton_wigner"),
+        ("massless", 0.0, 7, "newton_wigner"),
+    ])
+    def test_closed_form_matches_the_transform(self, kind, mass, n, reweight):
+        # the defect of the transformed family at any t, from slice norms
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            shell = make_shell(kind, mass, n, 0.4)
+        scale = np.sqrt(2.0 * shell.energies) if reweight == "newton_wigner" else 1.0
+        radius = mass if kind == "relativistic" else 0.0
+        for t in (0.0, 1.0, 7.3):
+            grid = reciprocal_slice(shell, t)
+            want = max(abs(slice_norm_sq(restricted_inverse_fourier(
+                ShellFunction(shell, f.values * scale), grid), grid)
+                / shell_norm_sq(f) - 1.0)
+                for f in gaussian_family(shell, width=0.5, radius=radius))
+            assert abs(isometry_defect(shell, grid, reweight) - want) <= 1e-13
+
+    def test_vanishing_probe_family_is_an_error(self):
+        # centres at +/-40 against a lattice of half-extent 3.2: every
+        # Gaussian underflows to 0, and no norm is left to compare
+        shell = make_shell("relativistic", 40.0, 16, 0.4)
+        with pytest.raises(ValueError, match=r"radius 40 against lattice half-extent 3\.2"):
+            isometry_defect(shell, reciprocal_slice(shell, 0.0))
+
+    def test_far_probe_family_is_measured(self):
+        # at mass 18.4 every |f|^2 underflows, but no |f|: the members are
+        # divided by their peaks, and the broken measure still shows
+        shell = make_shell("relativistic", 18.4, 16, 0.4)
+        assert isometry_defect(shell, reciprocal_slice(shell, 0.0)) > 0.9
 
     def test_norm_bookkeeping(self):
         shell = make_shell("galilean", 1.0, 8, 0.5)
