@@ -329,7 +329,7 @@ def _physical_space(B: BRSTStructure) -> BRSTQuotient:
 
 class ObservableAlgebra(NamedTuple):
     variant: str
-    quotient_basis: List[np.ndarray]
+    quotient_basis: np.ndarray    # (K, n, n), read-only
 
     @property
     def quotient_dim(self) -> int:
@@ -353,7 +353,8 @@ def observable_algebra(B: BRSTStructure, variant: str = "even_ghost") -> Observa
     i, j = np.nonzero(keep)
     reps = U.T[i, :, None] * U.conj().T[j, None, :]
     _verify_closure(B, reps, full=variant == "full")
-    return ObservableAlgebra(variant=variant, quotient_basis=list(reps))
+    _read_only((reps,))
+    return ObservableAlgebra(variant=variant, quotient_basis=reps)
 
 
 def _floor(B: BRSTStructure, full: bool) -> float:
@@ -663,7 +664,7 @@ def deform_check(D: DeformedBRST, samples: int = 50,
     # --- item (iv): faithfulness at leading order -------------------------
     # (iv) quantifies over deformed observables; an unliftable base
     # observable yields no sample rather than a counterexample
-    reps = np.reshape(observable_algebra(base, "even_ghost").quotient_basis, (-1, n, n))
+    reps = observable_algebra(base, "even_ghost").quotient_basis
     pis = np.abs(_represented(quotient, reps))
     # only whether A0 lifts matters, as A~ phi~ starts with A0 phi0; the
     # class of A0 phi0, for the representative phi0 that A0 moves most

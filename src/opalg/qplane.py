@@ -84,9 +84,6 @@ class RootOfUnity(NamedTuple("RootOfUnity", [("N", int), ("k", int)])):
             raise ValueError(f"{k}/{N} is not a primitive root")
         return super().__new__(cls, N, k)
 
-    def numeric(self) -> complex:
-        return complex(np.exp(2j * np.pi * self.k / self.N))
-
 
 class _Coeff:
     """Coefficient arithmetic: exact in Z[zeta_N] for a root of unity q,

@@ -245,11 +245,13 @@ class CheckResult(NamedTuple):
 # are the check's parameters, which load_scenario reads by their declarations
 CheckFn = Callable[..., CheckResult]
 _REGISTRY: Dict[str, CheckFn] = {}
+# rule(**arguments), a constraint across parameters: "name: what is wrong" or None
+_RULES: Dict[str, Callable[..., Optional[str]]] = {}
 
 
-def register(name: str):
+def register(name: str, rule=lambda **_: None):
     def wrap(fn: CheckFn) -> CheckFn:
-        _REGISTRY[name] = fn
+        _REGISTRY[name], _RULES[name] = fn, rule
         return fn
     return wrap
 
@@ -427,7 +429,13 @@ def _check_shell_determinant(ctx, *, mass: _positive = 1.0, count: _count(1) = 1
 _SHELL_KINDS = ("galilean", "relativistic", "massless")
 
 
-@register("wigner.parseval")
+def _shell_mass(*, kind, mass, **_):
+    # the paraboloid and the hyperboloid need m > 0; the cone ignores `mass`
+    if kind != "massless" and mass <= 0:
+        return f"mass: kind {kind!r} requires a positive mass, got {mass!r}"
+
+
+@register("wigner.parseval", rule=_shell_mass)
 def _check_parseval(ctx, *, kind: _SHELL_KINDS = "galilean", points: _count(1) = 16,
                     mass: _real = 1.0, spacing: _positive = 0.4,
                     reweight: ("none", "newton_wigner") = "none", times: _times = (0.0, 1.0),
@@ -445,7 +453,7 @@ def _check_parseval(ctx, *, kind: _SHELL_KINDS = "galilean", points: _count(1) =
     return CheckResult(passed=ok, value=defect, tolerance=tol)
 
 
-@register("wigner.two_particle")
+@register("wigner.two_particle", rule=_shell_mass)
 def _check_two_particle(ctx, *, kind: _SHELL_KINDS = "relativistic", mass: _real = 1.0,
                         samples: _count(1) = 1000, points: _count(1) = 9,
                         spacing: _positive = 0.5):
@@ -537,6 +545,7 @@ def _bind(name: str, params: Dict, where: str) -> Dict:
     argument without a default must be given.  Each value is read by the
     argument's declaration: a tuple of strings holds the values it may take,
     and a decoder reads and checks it.  JSON null stands for a default of None.
+    Last, the check's rule reads all its arguments.
     """
     fn = _REGISTRY[name]
     code, defaults = fn.__code__, fn.__kwdefaults__ or {}
@@ -558,6 +567,9 @@ def _bind(name: str, params: Dict, where: str) -> Dict:
         elif value not in declared:
             raise ScenarioParseError(f"{where}.{key}: expected one of "
                                      f"{', '.join(declared)}, got {value!r}")
+    problem = _RULES[name](**{**defaults, **kwargs})
+    if problem:
+        raise ScenarioParseError(f"{where}.{problem}")
     return kwargs
 
 

@@ -9,7 +9,6 @@ statistics and spherical-channel decompositions operate on top.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -59,19 +58,26 @@ def _cubic_axis(n: int, spacing: float) -> np.ndarray:
     return (np.arange(n) - n // 2) * spacing
 
 
+def _lattice(axis: np.ndarray) -> np.ndarray:
+    """The (n^3, 3) points of the cube axis^3 in row-major axis order."""
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij", copy=False),
+                    axis=-1).reshape(-1, 3)
+
+
 class MassShell(NamedTuple):
     kind: str
     mass: float
-    points: np.ndarray            # (N, 3)
-    weights: np.ndarray           # (N,)
-    energies: np.ndarray          # (N,)
+    points: np.ndarray            # (n^3, 3), row-major axis order
+    weights: np.ndarray           # (n^3,)
+    energies: np.ndarray          # (n^3,)
     points_per_axis: int
     spacing: float
-    notes: Tuple[str, ...] = ()
 
 
-def _energies(kind: str, mass: float, points: np.ndarray) -> np.ndarray:
-    p_sq = np.sum(points ** 2, axis=1)
+def _energies(kind: str, mass: float, axis: np.ndarray) -> np.ndarray:
+    """e_p over the cube axis^3, in row-major axis order."""
+    sq = axis ** 2
+    p_sq = (sq[:, None, None] + sq[:, None] + sq).ravel()
     if kind == "galilean":
         return p_sq / (2.0 * mass)
     if kind == "relativistic":
@@ -84,7 +90,8 @@ def make_shell(kind: str, mass: float, points_per_axis: int,
     """Cubic momentum lattice with the quadrature weights of its measure.
 
     Weights are dp^3 for the paraboloid and dp^3/(2 e_p) for the mass
-    hyperboloid and the light cone; the cone drops the singular origin.
+    hyperboloid and the light cone; the cone keeps its singular apex p = 0
+    at weight 0.
     """
     if kind not in SHELL_KINDS:
         raise ValueError(f"unknown shell kind {kind!r}")
@@ -96,28 +103,19 @@ def make_shell(kind: str, mass: float, points_per_axis: int,
         raise MassZeroForMassiveKindError(
             f"kind {kind!r} requires a positive mass, got {mass}")
     axis = _cubic_axis(points_per_axis, spacing)
-    grids = np.meshgrid(axis, axis, axis, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    notes: Tuple[str, ...] = ()
-    if kind == "massless":
-        keep = np.linalg.norm(points, axis=1) > 0
-        if not np.all(keep):
-            notes = ("dropped p = 0 (singular measure point)",)
-            warnings.warn("massless shell: dropping the p = 0 lattice point")
-            points = points[keep]
-    energies = _energies(kind, mass, points)
+    energies = _energies(kind, mass, axis)
     cell = spacing ** 3
     if kind == "galilean":
-        weights = np.full(len(points), cell)
+        weights = np.full(len(energies), cell)
     else:
-        weights = cell / (2.0 * energies)
-    weights.setflags(write=False)
-    points.setflags(write=False)
-    energies.setflags(write=False)
+        weights = np.divide(cell, 2.0 * energies, out=np.zeros_like(energies),
+                            where=energies > 0)
+    points = _lattice(axis)
+    for a in (points, weights, energies):
+        a.setflags(write=False)
     return MassShell(kind=kind, mass=float(mass), points=points,
                      weights=weights, energies=energies,
-                     points_per_axis=points_per_axis, spacing=float(spacing),
-                     notes=notes)
+                     points_per_axis=points_per_axis, spacing=float(spacing))
 
 
 class ShellFunction(NamedTuple("ShellFunction", [("shell", MassShell),
@@ -143,9 +141,7 @@ class SliceGrid(NamedTuple):
         return _cubic_axis(self.points_per_axis, self.spacing)
 
     def points(self) -> np.ndarray:
-        a = self.axis()
-        grids = np.meshgrid(a, a, a, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        return _lattice(self.axis())
 
 
 def reciprocal_slice(shell: MassShell, t: float) -> SliceGrid:
@@ -168,15 +164,12 @@ def restricted_inverse_fourier(f: ShellFunction, grid: SliceGrid) -> np.ndarray:
 
     Returns slice values in row-major axis order.  The kernel factorises
     per axis, so every shell and slice grid takes one separable path: the
-    weighted values fill the n^3 momentum cube (the origin a massless shell
-    drops comes back as a zero) and each momentum axis in turn is contracted
-    with the (n_x, n_p) phase matrix.
+    weighted values fill the n^3 momentum cube and each momentum axis in
+    turn is contracted with the (n_x, n_p) phase matrix.
     """
     shell = f.shell
     n = shell.points_per_axis
     g = shell.weights * f.values * np.exp(-1j * shell.energies * grid.t)
-    if len(g) < n ** 3:  # make_shell drops only the origin
-        g = np.insert(g, (n // 2) * (n * n + n + 1), 0.0)
     phase = np.exp(1j * np.outer(grid.axis(), _cubic_axis(n, shell.spacing)))
     out = g.reshape(n, n, n)
     for _ in range(3):  # contracts the leading p axis, appends its x axis
@@ -186,14 +179,18 @@ def restricted_inverse_fourier(f: ShellFunction, grid: SliceGrid) -> np.ndarray:
 
 def gaussian_family(shell: MassShell, width: float, radius: float
                     ) -> List[ShellFunction]:
-    """Gaussians centered on the +/- coordinate axes at the given radius."""
+    """Gaussians centered on the +/- coordinate axes at the given radius.
+
+    Each member is the outer product of three 1-D Gaussians on the axis.
+    """
+    axis = _cubic_axis(shell.points_per_axis, shell.spacing)
     centers = [np.zeros(3)] if radius == 0 else [
         sign * radius * e for e in np.eye(3) for sign in (+1.0, -1.0)]
     family = []
     for c in centers:
-        d_sq = np.sum((shell.points - c) ** 2, axis=1)
+        x, y, z = (np.exp(-(axis - ci) ** 2 / (2.0 * width ** 2)) for ci in c)
         family.append(ShellFunction(shell=shell,
-                                    values=np.exp(-d_sq / (2.0 * width ** 2))))
+                                    values=(x[:, None, None] * y[:, None] * z).ravel()))
     return family
 
 
@@ -206,9 +203,10 @@ def isometry_defect(shell: MassShell, grid: SliceGrid, reweight: str = "none") -
     sum (w |f|)^2 / dp^3 at every t: the defect is read from that closed
     form, and grid.t is not read.  Each member is first divided by its
     largest |value|, which leaves the ratio alone and keeps the squares
-    normal.  reweight "newton_wigner" rescales shell functions by
-    (2 e_p)^{1/2}, which restores an exact lattice isometry for the
-    hyperboloid measure.
+    normal; a member of weighted norm 0 (underflowed, or left only on the
+    cone's zero-weight apex) is skipped.  reweight "newton_wigner" rescales
+    shell functions by (2 e_p)^{1/2}, which restores an exact lattice
+    isometry for the hyperboloid measure.
     """
     if reweight not in ("none", "newton_wigner"):
         raise ValueError(f"unknown reweight mode {reweight!r}")
@@ -219,10 +217,10 @@ def isometry_defect(shell: MassShell, grid: SliceGrid, reweight: str = "none") -
     defects = []
     for f in gaussian_family(shell, width=0.5, radius=radius):
         peak = np.max(f.values, initial=0.0)  # the Gaussians are positive
-        if peak > 0.0:
-            f_sq = (f.values / peak) ** 2
-            ratio = np.sum(slice_weights * f_sq) / np.sum(shell.weights * f_sq)
-            defects.append(abs(float(ratio) - 1.0))
+        f_sq = (f.values / peak) ** 2 if peak > 0.0 else f.values  # or all 0
+        norm = np.sum(shell.weights * f_sq)
+        if norm > 0.0:
+            defects.append(abs(float(np.sum(slice_weights * f_sq) / norm) - 1.0))
     if not defects:
         half = (shell.points_per_axis // 2) * shell.spacing
         raise ValueError(f"every probe Gaussian vanishes on the lattice: centre "
@@ -248,16 +246,10 @@ def lorentz_boost(eps, p, beta: np.ndarray):
     if b_sq >= 1.0:
         raise ValueError("boost velocity must have |beta| < 1")
     gamma = 1.0 / np.sqrt(1.0 - b_sq)
-    p = np.atleast_2d(p)
-    eps = np.atleast_1d(eps)
-    p_par = (p @ beta) / b_sq if b_sq > 0 else np.zeros(len(p))
-    eps_out = gamma * (eps + p @ beta)
-    if b_sq > 0:
-        shift = ((gamma - 1.0) * p_par + gamma * eps)[:, None] * beta[None, :]
-        p_out = p + shift
-    else:
-        p_out = p.copy()
-    return eps_out, p_out
+    p, eps = np.atleast_2d(p), np.atleast_1d(eps)
+    p_par = (p @ beta) / b_sq if b_sq > 0 else 0.0  # at beta = 0 the shift is 0
+    shift = ((gamma - 1.0) * p_par + gamma * eps)[:, None] * beta
+    return gamma * (eps + p @ beta), p + shift
 
 
 class SpectrumStats(NamedTuple):
@@ -297,7 +289,7 @@ def two_particle_mass_spectrum(shell: MassShell, samples: int,
     values = pair_invariant_mass(shell.energies[idx1], shell.points[idx1],
                                  shell.energies[idx2], shell.points[idx2])
     origin = np.zeros((1, 3))
-    e0 = _energies(shell.kind, shell.mass, origin)
+    e0 = _energies(shell.kind, shell.mass, np.zeros(1))
     threshold = float(pair_invariant_mass(e0, origin, e0, origin)[0])
     return SpectrumStats(kind=shell.kind, mass=shell.mass, values=values,
                          threshold=threshold)
@@ -307,26 +299,15 @@ def two_particle_mass_spectrum(shell: MassShell, samples: int,
 # spherical channel analysis
 
 
-def _legendre_assoc(l_max: int, m: int, x: np.ndarray) -> Dict[int, np.ndarray]:
-    """Associated Legendre P_l^m for l = m..l_max by upward recurrence."""
-    out: Dict[int, np.ndarray] = {}
-    pmm = np.ones_like(x)
-    if m > 0:
-        somx2 = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-        fact = 1.0
-        for _ in range(m):
-            pmm = -pmm * fact * somx2
-            fact += 2.0
-    out[m] = pmm
-    if l_max == m:
-        return out
-    pmmp1 = x * (2 * m + 1) * pmm
-    out[m + 1] = pmmp1
-    for l in range(m + 2, l_max + 1):
-        pll = (x * (2 * l - 1) * pmmp1 - (l + m - 1) * pmm) / (l - m)
-        pmm, pmmp1 = pmmp1, pll
-        out[l] = pll
-    return out
+def _legendre_assoc(l: int, m: int, x: np.ndarray) -> np.ndarray:
+    """Associated Legendre P_l^m by upward recurrence in l from P_m^m."""
+    somx2 = np.sqrt(np.maximum(1.0 - x * x, 0.0))
+    below, p = np.zeros_like(x), np.ones_like(x)
+    for k in range(m):  # P_m^m = (-1)^m (2m - 1)!! (1 - x^2)^{m/2}
+        p = -p * (2 * k + 1) * somx2
+    for j in range(m + 1, l + 1):
+        below, p = p, (x * (2 * j - 1) * p - (j + m - 1) * below) / (j - m)
+    return p
 
 
 def spherical_harmonic(l: int, m: int, theta, phi) -> np.ndarray:
@@ -337,7 +318,7 @@ def spherical_harmonic(l: int, m: int, theta, phi) -> np.ndarray:
     if am > l:
         raise ValueError("|m| must not exceed l")
     from math import lgamma
-    plm = _legendre_assoc(l, am, np.cos(theta))[l]
+    plm = _legendre_assoc(l, am, np.cos(theta))
     log_norm = 0.5 * (np.log((2 * l + 1) / (4 * np.pi))
                       + lgamma(l - am + 1) - lgamma(l + am + 1))
     y = np.exp(log_norm) * plm * np.exp(1j * am * phi)

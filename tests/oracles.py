@@ -305,6 +305,15 @@ def direct_shell_sum(points, weights, energies, values, xs, t):
     return (2.0 * np.pi) ** -1.5 * out
 
 
+def gaussian_values_reference(points, width, radius):
+    """The values of the Gaussians centred on the +/- coordinate axes at the
+    given radius, exp(-|p - c|^2 / (2 width^2)) from each point's distance."""
+    centers = [np.zeros(3)] if radius == 0 else [
+        sign * radius * e for e in np.eye(3) for sign in (+1.0, -1.0)]
+    return [np.exp(-np.sum((points - c) ** 2, axis=1) / (2.0 * width ** 2))
+            for c in centers]
+
+
 def shell_norm_sq(f):
     """Quadrature norm sum w |f(p)|^2 of a shell function."""
     return float(np.sum(f.shell.weights * np.abs(f.values) ** 2))

@@ -267,8 +267,18 @@ class TestObservableAlgebra:
         B = gupta_bleuler_toy()
         alg = observable_algebra(B, "even_ghost")
         assert alg.quotient_dim == 1
-        pi = brst._represented(physical_space(B), alg.quotient_basis[0][None])
+        pi = brst._represented(physical_space(B), alg.quotient_basis[:1])
         assert np.max(np.abs(pi)) > 1e-8
+
+    @pytest.mark.parametrize("name", sorted(TOYS))
+    def test_quotient_basis_is_one_read_only_stack(self, name):
+        B = TOYS[name][0]()
+        for variant in ("even_ghost", "full"):
+            basis = observable_algebra(B, variant).quotient_basis
+            assert isinstance(basis, np.ndarray)
+            assert basis.shape == (len(basis), B.dim, B.dim)
+            with pytest.raises(ValueError, match="read-only"):
+                basis[...] = 0.0
 
     def test_trivial_charge_gives_full_matrix_algebra(self):
         space = make_graded_space(np.eye(2), [0, 0])
@@ -282,7 +292,7 @@ class TestObservableAlgebra:
         n, K, grades = B.dim, B.space.krein, B.space.ghost_grades
         ker = derivation_svd(B.Q, grades, "full")[0]
         im = svd_column_space(super_commutator_matrix(B.Q, grades)).T.reshape(-1, n, n)
-        reps = np.array(observable_algebra(B, "full").quotient_basis)
+        reps = observable_algebra(B, "full").quotient_basis
         for span, ops in ((ker, ker), (im, im), (ker, reps)):
             vecs = span.reshape(len(span), -1).T
             proj = vecs @ np.linalg.pinv(vecs)
@@ -700,7 +710,7 @@ class TestOracleTwins:
         else:
             Q1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         D = brst.DeformedBRST(base=B, Q_series=FormalSeries([B.Q, Q1]))
-        reps = np.reshape(observable_algebra(B, "even_ghost").quotient_basis, (-1, n, n))
+        reps = observable_algebra(B, "even_ghost").quotient_basis
         S = super_commutator_matrix(B.Q, B.space.ghost_grades)
         want = []
         for A0 in reps:

@@ -174,7 +174,7 @@ class TestStabilityItems:
         # item (iv) acts on the harmonic basis with one stacked product
         B = MODELS[model]()
         quotient = physical_space(B)
-        ops = np.reshape(observable_algebra(B, "even_ghost").quotient_basis, (-1, B.dim, B.dim))
+        ops = observable_algebra(B, "even_ghost").quotient_basis
         got = brst._represented(quotient, ops)
         assert got.shape == (len(ops), quotient.dim, quotient.dim)
         for A0, pi0 in zip(ops, got):
@@ -358,7 +358,7 @@ class TestUnitsOfTheCharge:
         # the lifts of item (iv): a random Q1 lifts no harmonic observable
         Q1 = rng(5).normal(size=(6, 6, 2)) @ [1, 1j]
         D = DeformedBRST(base=base, Q_series=FormalSeries([lam * B.Q, lam * Q1]))
-        reps = np.reshape(observable_algebra(B, "even_ghost").quotient_basis, (-1, 6, 6))
+        reps = observable_algebra(B, "even_ghost").quotient_basis
         assert brst._unliftable(D, reps).all()
         B = gupta_bleuler_toy()
         obstructed = DeformedBRST(base=validate_brst(B.space, lam * B.Q),

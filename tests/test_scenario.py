@@ -183,6 +183,19 @@ class TestLoading:
             elif default is not None:
                 assert declared(wire, key) == wire, key
 
+    def test_defaults_keep_the_rules(self):
+        # a rule ties several parameters; their defaults together must pass it
+        for name, rule in opalg.scenario._RULES.items():
+            assert rule(**(opalg.scenario._REGISTRY[name].__kwdefaults__ or {})) is None, name
+
+    def test_massless_shell_loads_at_any_mass(self, tmp_path):
+        path = write_scenario(tmp_path, {
+            "name": "cone", "seed": 1,
+            "checks": [{"check": check, "params": {"kind": "massless", "mass": mass}}
+                       for check in ("wigner.parseval", "wigner.two_particle")
+                       for mass in (0, -1)]})
+        assert [spec.params["mass"] for spec in load_scenario(path).checks] == [0, -1, 0, -1]
+
     def test_pairs_and_series_read_at_load(self, tmp_path):
         path = write_scenario(tmp_path, {
             "name": "pairs", "seed": 1,
@@ -270,14 +283,15 @@ class TestRunning:
         assert float(record.value) <= DEFAULT_TOLERANCES["witness"]
 
     @pytest.mark.parametrize("params", [{"kind": "massless"},
-                                        {"kind": "massless", "mass": 3}])
+                                        {"kind": "massless", "mass": 3},
+                                        {"kind": "massless", "mass": 0, "points": 1}])
     def test_massless_pair_threshold_ignores_mass(self, tmp_path, params):
-        # the light cone ignores `mass`: its pair threshold is 0, not 2 m
+        # the light cone ignores `mass`: its pair threshold is 0, not 2 m;
+        # the one-point cone is its apex alone
         path = write_scenario(tmp_path, {
             "name": "cone", "seed": 2,
             "checks": [{"check": "wigner.two_particle", "params": params}]})
-        with pytest.warns(UserWarning, match="dropping the p = 0"):
-            record = run_scenario(path).records[0]
+        record = run_scenario(path).records[0]
         assert record.status == "pass", record.value
 
     def test_deterministic_csv_bytes(self):
@@ -548,6 +562,15 @@ class TestCli:
           for spacing in (0, -0.3)],
         ({"checks": [{"check": "wigner.two_particle", "params": {"kind": "tachyon"}}]},
          "checks[0].params.kind: expected one of galilean, relativistic, massless"),
+        # a massive shell needs m > 0, read with the kind and its default
+        *[({"checks": [{"check": check, "params": {"kind": kind, "mass": mass}}]},
+           f"checks[0].params.mass: kind {kind!r} requires a positive mass, got {float(mass)}")
+          for check in ("wigner.parseval", "wigner.two_particle")
+          for kind in ("galilean", "relativistic") for mass in (0, -1)],
+        *[({"checks": [{"check": check, "params": {"mass": 0}}]},
+           f"checks[0].params.mass: kind {kind!r} requires a positive mass, got 0.0")
+          for check, kind in (("wigner.parseval", "galilean"),
+                              ("wigner.two_particle", "relativistic"))],
         ({"checks": [{"check": "wigner.angular", "params": {"amplitude": "sin"}}]},
          "checks[0].params.amplitude: expected one of isotropic, cos_theta, got 'sin'"),
         ({"checks": [{"check": "brst.observables", "params": {"variant": "odd"}}]},

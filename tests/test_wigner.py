@@ -12,7 +12,8 @@ from opalg.wigner import (EmptyLatticeError, IncompatibleLatticesError,
                           restricted_inverse_fourier, spherical_harmonic,
                           two_particle_mass_spectrum)
 
-from oracles import channel_rank, direct_shell_sum, shell_norm_sq, slice_norm_sq
+from oracles import (channel_rank, direct_shell_sum, gaussian_values_reference,
+                     shell_norm_sq, slice_norm_sq)
 
 
 class TestMakeShell:
@@ -20,16 +21,18 @@ class TestMakeShell:
         shell = make_shell("relativistic", 1.0, 1, 0.5)
         np.testing.assert_allclose(shell.weights, [0.5 ** 3 / 2.0])
 
-    def test_massless_drops_origin_with_warning(self):
-        with pytest.warns(UserWarning):
+    def test_massless_keeps_apex_at_weight_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the apex is no special case
             shell = make_shell("massless", 0.0, 3, 0.5)
-        assert len(shell.points) == 26
-        assert shell.notes
-        assert np.min(np.linalg.norm(shell.points, axis=1)) > 0
+        assert len(shell.points) == 27
+        apex = np.flatnonzero(np.all(shell.points == 0.0, axis=1))
+        np.testing.assert_array_equal(apex, [13])  # (n//2)(n^2 + n + 1)
+        assert shell.weights[13] == 0.0
+        assert np.all(np.delete(shell.weights, 13) > 0.0)
 
     def test_massless_energies_exact(self):
-        with pytest.warns(UserWarning):
-            shell = make_shell("massless", 0.0, 5, 0.3)
+        shell = make_shell("massless", 0.0, 5, 0.3)
         np.testing.assert_array_equal(shell.energies,
                                       np.linalg.norm(shell.points, axis=1))
 
@@ -82,12 +85,11 @@ class TestRestrictedTransform:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_dropped_point_path_matches_oracle(self, n):
-        # the cone drops the origin, at row-major index (n//2)(n^2 + n + 1);
-        # n = 1 leaves an empty shell and an all-zero transform
-        with pytest.warns(UserWarning):
-            shell = make_shell("massless", 0.0, n, 0.5)
-        size = n ** 3 - 1
+    def test_cone_apex_matches_oracle(self, n):
+        # the cone's apex, at row-major index (n//2)(n^2 + n + 1), has
+        # weight 0; n = 1 leaves only the apex and an all-zero transform
+        shell = make_shell("massless", 0.0, n, 0.5)
+        size = n ** 3
         rng = np.random.default_rng(1)
         f = ShellFunction(shell=shell,
                           values=rng.normal(size=size) + 1j * rng.normal(size=size))
@@ -139,10 +141,8 @@ class TestRestrictedTransform:
     def test_slice_norm_is_parseval_closed_form(self, kind, mass, n):
         # between reciprocal lattices the transform is a unitary DFT times
         # (2 pi)^{-3/2}: the slice norm is sum (w |f|)^2 / dp^3 at every t;
-        # the cone drops its origin at both n
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            shell = make_shell(kind, mass, n, 0.45)
+        # the cone's apex has weight 0 at both n
+        shell = make_shell(kind, mass, n, 0.45)
         rng = np.random.default_rng(n)
         size = len(shell.points)
         f = ShellFunction(shell, rng.normal(size=size) + 1j * rng.normal(size=size))
@@ -204,9 +204,7 @@ class TestIsometryDefect:
     ])
     def test_closed_form_matches_the_transform(self, kind, mass, n, reweight):
         # the defect of the transformed family at any t, from slice norms
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            shell = make_shell(kind, mass, n, 0.4)
+        shell = make_shell(kind, mass, n, 0.4)
         scale = np.sqrt(2.0 * shell.energies) if reweight == "newton_wigner" else 1.0
         radius = mass if kind == "relativistic" else 0.0
         for t in (0.0, 1.0, 7.3):
@@ -223,6 +221,11 @@ class TestIsometryDefect:
         shell = make_shell("relativistic", 40.0, 16, 0.4)
         with pytest.raises(ValueError, match=r"radius 40 against lattice half-extent 3\.2"):
             isometry_defect(shell, reciprocal_slice(shell, 0.0))
+        # the one-point cone: its Gaussian lives on the weight-0 apex alone,
+        # so the weighted norm is 0 though the peak is 1
+        apex = make_shell("massless", 0.0, 1, 0.4)
+        with pytest.raises(ValueError, match="every probe Gaussian vanishes"):
+            isometry_defect(apex, reciprocal_slice(apex, 0.0), "newton_wigner")
 
     def test_far_probe_family_is_measured(self):
         # at mass 18.4 every |f|^2 underflows, but no |f|: the members are
@@ -238,6 +241,20 @@ class TestIsometryDefect:
         assert abs(slice_norm_sq(psi, grid) / shell_norm_sq(f) - 1) < 1e-12
 
 
+class TestGaussianFamily:
+    @pytest.mark.parametrize("n", [1, 6, 7, 16])
+    @pytest.mark.parametrize("radius", [0.0, 0.9])
+    def test_products_of_axis_factors_match_distance_reference(self, n, radius):
+        # radius 0: one centre; otherwise six, on the +/- coordinate axes
+        shell = make_shell("galilean", 1.0, n, 0.45)
+        family = gaussian_family(shell, width=0.5, radius=radius)
+        want = gaussian_values_reference(shell.points, 0.5, radius)
+        assert len(family) == len(want) == (1 if radius == 0 else 6)
+        for f, values in zip(family, want):
+            assert f.shell is shell
+            assert np.max(np.abs(f.values - values)) <= 1e-15 * np.max(values)
+
+
 class TestTwoParticle:
     def test_threshold_at_rest(self):
         shell = make_shell("relativistic", 1.0, 5, 0.5)
@@ -245,6 +262,16 @@ class TestTwoParticle:
                                            rng=np.random.default_rng(5))
         assert stats.threshold == 2.0
         assert stats.min >= 2.0 - 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_cone_threshold_is_zero(self, n):
+        # the pair at the apex attains the threshold 0, whatever the mass
+        shell = make_shell("massless", 3.0, n, 0.5)
+        stats = two_particle_mass_spectrum(shell, 400, rng=np.random.default_rng(9))
+        assert stats.threshold == 0.0
+        assert stats.min >= 0.0
+        if n == 1:
+            assert not np.any(stats.values)
 
     def test_back_to_back_pair(self):
         e = np.sqrt(2.0)
@@ -269,6 +296,9 @@ class TestTwoParticle:
             b2, q2 = lorentz_boost(e2, p2, np.array(beta))
             after = pair_invariant_mass(b1, q1, b2, q2)
             np.testing.assert_allclose(after, before, atol=1e-10)
+        e0, q0 = lorentz_boost(e1, p1, np.zeros(3))
+        np.testing.assert_array_equal(e0, e1)
+        np.testing.assert_array_equal(q0, p1)
 
     def test_boost_speed_limited(self):
         with pytest.raises(ValueError):
