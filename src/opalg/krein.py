@@ -46,9 +46,6 @@ class KreinSpace(NamedTuple):
     signature: Tuple[int, int]
     gram_inverse: np.ndarray  # taken once per space, by make_krein
 
-    def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
-        return complex(np.conj(u) @ self.gram @ v)
-
 
 class FundamentalSymmetry(NamedTuple):
     matrix: np.ndarray

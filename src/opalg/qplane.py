@@ -2,29 +2,30 @@
 
 The plane relation is x y = q y x; the group generators a, b, c, d obey the
 standard relations a b = q b a, a c = q c a, b c = c b, b d = q d b,
-c d = q d c, a d - d a = (q - q^{-1}) b c.  Root-of-unity parameters are
-handled in exact cyclotomic integer arithmetic so that centrality tests do
-not depend on floating-point phases: an element of Z[zeta_N] is a cyclic
-vector of N integers, so multiplying by a power of q rotates it, and it is
-reduced modulo the N-th cyclotomic polynomial only to decide whether it
-vanishes.  Generic numeric q uses complex coefficients with a small zero
-threshold.  Nothing is normal ordered by rewriting words: a plane word
+c d = q d c, a d - d a = (q - q^{-1}) b c.  Every coefficient that normal
+ordering produces is an integer Laurent polynomial sum c_e q^e, and it is
+stored as one: sums, and products with a term s q^f, are exact in
+Z[q, q^{-1}] for every q, so the relations hold or fail as identities.
+Only the zero test reads q.  At a root of unity q = zeta_N^k it sends q^e
+to zeta_N^{ek} and reduces the cyclic vector modulo the N-th cyclotomic
+polynomial, exactly; at a numeric q it compares |sum c_e q^e| with
+NUMERIC_TOL times sum |c_e| |q|^e, so a verdict does not depend on the
+size of q.  Nothing is normal ordered by rewriting words: a plane word
 collapses to q^{-inversions} x^a y^b, and an ordered group monomial
-a^i b^j c^k d^l times one letter has a closed form in the exponents, so a
-group word is ordered by multiplying in one letter at a time.  The coaction
-check uses that the coaction is an algebra map: the image of a word is the
-image of its prefix times the image of its last letter, so each image is
-built once.  The tests keep a leftmost-descent rewriter as the reference.
+a^i b^j c^k d^l times one letter is one or three terms +-q^e times ordered
+monomials, in closed form in the exponents, so a group word is ordered by
+multiplying in one letter at a time.  The coaction check uses that the
+coaction is an algebra map: the image of a word is the image of its prefix
+times the image of its last letter, so each image is built once.  The
+tests keep a leftmost-descent rewriter as the reference.
 """
 
 from __future__ import annotations
 
+import cmath
 from functools import lru_cache
 from math import gcd
-from operator import add, neg, sub
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
-
-import numpy as np
 
 __all__ = [
     "RootOfUnity",
@@ -50,7 +51,7 @@ class RelationViolatedError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact arithmetic in Z[zeta_N]
+# the coefficient ring Z[q, q^{-1}]
 
 
 @lru_cache(maxsize=None)
@@ -86,89 +87,75 @@ class RootOfUnity(NamedTuple("RootOfUnity", [("N", int), ("k", int)])):
 
 
 class _Coeff:
-    """Coefficient arithmetic: exact in Z[zeta_N] for a root of unity q,
-    complex numbers otherwise.
+    """An integer Laurent polynomial sum c_e q^e at a fixed q, held as
+    terms = {e: c_e} with no zero entry.  Normal ordering only adds
+    coefficients and multiplies them by terms s q^f; both are exact and
+    never read q, only the zero test and the value do."""
 
-    An exact element holds coeffs[i] of zeta_N^i, read in Z[x]/(x^N - 1):
-    sums and products never reduce, and multiplying by q^e rotates the
-    vector.  Reduction modulo Phi_N happens only in is_zero, == and hash.
-    """
+    __slots__ = ("q", "terms")
 
-    __slots__ = ("root", "coeffs")
-
-    def __init__(self, root: RootOfUnity, coeffs: Sequence[int]):
-        self.root = root
-        self.coeffs = tuple(coeffs)
+    def __init__(self, q: QValue, terms: Dict[int, int]):
+        self.q = q
+        self.terms = terms
 
     @staticmethod
-    def power(q: QValue, e: int):
-        """q^e: a cyclic vector for a root of unity, complex otherwise."""
-        if not isinstance(q, RootOfUnity):
-            return complex(q) ** e
-        coeffs = [0] * q.N
-        coeffs[e * q.k % q.N] = 1
-        return _Coeff(q, coeffs)
-
-    @staticmethod
-    def vanishes(c) -> bool:
-        return c.is_zero() if isinstance(c, _Coeff) else abs(c) <= NUMERIC_TOL
-
-    @staticmethod
-    def is_one(c) -> bool:
-        """c is 1 as stored: the vector (1, 0, ..., 0), or the complex 1."""
-        if isinstance(c, _Coeff):
-            return c.coeffs[0] == 1 and c.coeffs.count(0) == len(c.coeffs) - 1
-        return c == 1
+    def power(q: QValue, e: int) -> "_Coeff":
+        return _Coeff(q, {e: 1})
 
     def __add__(self, other: "_Coeff") -> "_Coeff":
-        return _Coeff(self.root, map(add, self.coeffs, other.coeffs))
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            c += out.get(e, 0)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return _Coeff(self.q, out)
 
     def __sub__(self, other: "_Coeff") -> "_Coeff":
-        return _Coeff(self.root, map(sub, self.coeffs, other.coeffs))
+        return self + -other
 
     def __neg__(self) -> "_Coeff":
-        return _Coeff(self.root, map(neg, self.coeffs))
+        return _Coeff(self.q, {e: -c for e, c in self.terms.items()})
 
-    def __mul__(self, other: "_Coeff") -> "_Coeff":
-        a, b = self.coeffs, other.coeffs
-        if b.count(0) < a.count(0):
-            a, b = b, a
-        out = None
-        for j, s in enumerate(b):  # the sparser factor b, term by term
-            if s:
-                rot = a[-j:] + a[:-j]  # a zeta^j
-                if s != 1:
-                    rot = [s * r for r in rot]
-                out = rot if out is None else list(map(add, out, rot))
-        return _Coeff(self.root, out or [0] * len(a))
+    def shifted(self, f: int, s: int = 1) -> "_Coeff":
+        """s q^f times self: a shift of the exponents, where no two terms meet."""
+        return _Coeff(self.q, {e + f: s * c for e, c in self.terms.items()})
 
     def _reduced(self) -> Tuple[int, ...]:
-        phi = _cyclotomic(self.root.N)
+        """The image in Z[zeta_N] at q = zeta_N^k: the cyclic vector of
+        q^e -> zeta_N^{ek}, reduced modulo Phi_N."""
+        N, k = self.q
+        phi = _cyclotomic(N)
         deg = len(phi) - 1
-        rem = list(self.coeffs)
-        for e in range(len(rem) - 1, deg - 1, -1):
+        rem = [0] * N
+        for e, c in self.terms.items():
+            rem[e * k % N] += c
+        for e in range(N - 1, deg - 1, -1):
             c = rem[e]
             if c:
                 for i, p in enumerate(phi):  # monic: rem[e] becomes 0
                     rem[e - deg + i] -= c * p
         return tuple(rem[:deg])
 
-    def is_zero(self) -> bool:
-        return not any(self._reduced())
-
     def numeric(self) -> complex:
-        zeta = complex(np.exp(2j * np.pi / self.root.N))
-        return sum(a * zeta ** i for i, a in enumerate(self.coeffs))
+        """The value sum c_e q^e."""
+        if isinstance(self.q, RootOfUnity):
+            N, k = self.q
+            return complex(sum(c * cmath.exp(2j * cmath.pi * (e * k % N) / N)
+                               for e, c in self.terms.items()))
+        return complex(sum(c * self.q ** e for e, c in self.terms.items()))
 
-    def __eq__(self, other):
-        return isinstance(other, _Coeff) and self.root == other.root \
-            and self._reduced() == other._reduced()
-
-    def __hash__(self):
-        return hash((self.root, self._reduced()))
+    def is_zero(self) -> bool:
+        if not self.terms:
+            return True
+        if isinstance(self.q, RootOfUnity):
+            return not any(self._reduced())
+        scale = sum(abs(c) * abs(self.q) ** e for e, c in self.terms.items())
+        return abs(self.numeric()) <= NUMERIC_TOL * scale
 
     def __repr__(self):
-        return f"Coeff{self.coeffs}"
+        return f"Coeff({self.terms})"
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +165,9 @@ class _Coeff:
 class QPlanePoly:
     """Normal-ordered polynomial sum c_ab x^a y^b."""
 
-    def __init__(self, q: QValue, terms: Dict[Tuple[int, int], object]):
+    def __init__(self, q: QValue, terms: Dict[Tuple[int, int], _Coeff]):
         self.q = q
-        self.terms = {k: v for k, v in terms.items() if not _Coeff.vanishes(v)}
+        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
 
     def __repr__(self):
         return f"QPlanePoly({self.terms})"
@@ -216,7 +203,7 @@ def center_probe(q: QValue, max_deg: int) -> List[Tuple[int, int]]:
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
     one = _Coeff.power(q, 0)
-    trivial = [_Coeff.vanishes(_Coeff.power(q, -e) - one) for e in range(max_deg + 1)]
+    trivial = [(_Coeff.power(q, -e) - one).is_zero() for e in range(max_deg + 1)]
     return [(a, total - a) for total in range(1, max_deg + 1)
             for a in range(total + 1) if trivial[a] and trivial[total - a]]
 
@@ -225,40 +212,30 @@ def center_probe(q: QValue, max_deg: int) -> List[Tuple[int, int]]:
 # the quantum group in two generators pairs
 
 
-def _scaled(c, factor, q: QValue):
-    """c q^factor for an int factor, else c factor; no product where either
-    operand is 1."""
-    if isinstance(factor, int):
-        if factor % q.N == 0 if isinstance(q, RootOfUnity) else factor == 0:
-            return c
-        factor = _Coeff.power(q, factor)
-    return factor if _Coeff.is_one(c) else c * factor
-
-
-def _times(exps: Tuple[int, int, int, int], g: str, q: QValue,
-           perturb_ab: bool) -> List[Tuple[Tuple[int, int, int, int], object]]:
+def _times(exps: Tuple[int, int, int, int], g: str,
+           perturb_ab: bool) -> List[Tuple[Tuple[int, int, int, int], int, int]]:
     """The ordered monomial a^i b^j c^k d^l times the letter g, in the
-    ordered basis, as (exponents, `_scaled` factor) pairs.
+    ordered basis, as (exponents, e, s) triples of the terms s q^e.
 
     g moves left past the letters after it: d c = q^{-1} c d,
     d b = q^{-1} b d, c b = b c, c a = q^{-1} a c and b a = q^{-1} a b
-    (b a = a b in the control case); past d^l an a leaves a second term,
+    (b a = a b in the control case); past d^l an a leaves two more terms,
     d^l a = a d^l - (q - q^{1-2l}) b c d^{l-1}, which telescopes from
     d a = a d - (q - q^{-1}) b c and d (b c) = q^{-2} (b c) d.
     """
     i, j, k, l = exps
     if g == "d":
-        return [((i, j, k, l + 1), 0)]
+        return [((i, j, k, l + 1), 0, 1)]
     if g == "c":
-        return [((i, j, k + 1, l), -l)]
+        return [((i, j, k + 1, l), -l, 1)]
     if g == "b":
-        return [((i, j + 1, k, l), -l)]
+        return [((i, j + 1, k, l), -l, 1)]
     if g != "a":
         raise ValueError(f"unexpected letter {g!r}")
-    out = [((i + 1, j, k, l), -k if perturb_ab else -(j + k))]
+    out = [((i + 1, j, k, l), -k if perturb_ab else -(j + k), 1)]
     if l:
-        out.append(((i, j + 1, k + 1, l - 1),
-                    _Coeff.power(q, 1 - 2 * l) - _Coeff.power(q, 1)))
+        bc = (i, j + 1, k + 1, l - 1)
+        out += [(bc, 1 - 2 * l, 1), (bc, 1, -1)]
     return out
 
 
@@ -288,10 +265,9 @@ def _coaction_images(q: QValue, perturb_ab: bool):
             out: dict = {}
             for (exps, (pa, pb)), c in image(word[:-1], form).items():
                 for g, p in _coaction_letter(word[-1], form):
-                    plane, cp = ((pa + 1, pb), _scaled(c, -pb, q)) \
-                        if p == "x" else ((pa, pb + 1), c)
-                    for gkey, factor in _times(exps, g, q, perturb_ab):
-                        key, val = (gkey, plane), _scaled(cp, factor, q)
+                    plane, shift = ((pa + 1, pb), -pb) if p == "x" else ((pa, pb + 1), 0)
+                    for gkey, e, s in _times(exps, g, perturb_ab):
+                        key, val = (gkey, plane), c.shifted(e + shift, s)
                         out[key] = out[key] + val if key in out else val
             images[word, form] = out
         return images[word, form]
@@ -318,8 +294,7 @@ def glq2_coaction_check(q: QValue, max_deg: int,
     """
     if max_deg < 2:
         raise ValueError("max_deg must be at least 2")
-    one = _Coeff.power(q, 0)
-    zero = one - one
+    zero = _Coeff(q, {})
     image = _coaction_images(q, perturb_ab)
     checked = 0
     for degree in range(2, max_deg + 1):
@@ -335,8 +310,8 @@ def glq2_coaction_check(q: QValue, max_deg: int,
                         good = image(w1 + "xy" + w2, form)
                         bad = image(w1 + "yx" + w2, form)
                         for key in good.keys() | bad.keys():
-                            diff = good.get(key, zero) - _scaled(bad.get(key, zero), 1, q)
-                            if not _Coeff.vanishes(diff):
+                            diff = good.get(key, zero) + bad.get(key, zero).shifted(1, -1)
+                            if not diff.is_zero():
                                 raise RelationViolatedError(degree, str(key))
                     checked += 1
     return CoactionReport(max_deg=max_deg, words_checked=checked, preserved=True)

@@ -232,7 +232,7 @@ class CheckContext(NamedTuple):
     tolerances: Dict[str, float]
 
     def tol(self, name: str = "default") -> float:
-        return self.tolerances.get(name, self.tolerances["default"])
+        return self.tolerances[name]
 
 
 class CheckResult(NamedTuple):
@@ -488,13 +488,16 @@ def _check_normal_form(ctx, *, q: _q, word: _word = "yx", expect_monomial: _pair
 def _check_center(ctx, *, q: _q, max_deg: _count(1) = 6):
     q = _decode_q(q)
     central = opalg.qplane.center_probe(q, max_deg)
-    if isinstance(q, opalg.qplane.RootOfUnity) and q.N > 1:
-        expected = [(a, b) for total in range(1, max_deg + 1)
-                    for a in range(total + 1) for b in [total - a]
-                    if a % q.N == 0 and b % q.N == 0]
-        ok = sorted(central) == sorted(expected)
+    # x^a y^b is central iff q^a = q^b = 1: N | a and N | b at an exact root
+    # (N = 1 too), and at a numeric q the relative rule on complex powers
+    if isinstance(q, opalg.qplane.RootOfUnity):
+        trivial = [e % q.N == 0 for e in range(max_deg + 1)]
     else:
-        ok = central == []
+        trivial = [abs(q ** e - 1) <= opalg.qplane.NUMERIC_TOL * (abs(q) ** e + 1)
+                   for e in range(max_deg + 1)]
+    expected = [(a, total - a) for total in range(1, max_deg + 1)
+                for a in range(total + 1) if trivial[a] and trivial[total - a]]
+    ok = sorted(central) == sorted(expected)
     return CheckResult(passed=ok, value=f"count={len(central)}")
 
 
@@ -601,6 +604,9 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioParseError(f"{path}: tolerances: expected an object")
     tolerances = dict(DEFAULT_TOLERANCES)
     for k, v in data.get("tolerances", {}).items():
+        if k not in DEFAULT_TOLERANCES:
+            raise ScenarioParseError(f"{path}: tolerances.{k}: unknown tolerance; a "
+                                     f"scenario names {', '.join(sorted(DEFAULT_TOLERANCES))}")
         tolerances[k] = _least(float, 0)(v, f"{path}: tolerances.{k}")
     checks = []
     for i, entry in enumerate(data["checks"]):

@@ -66,11 +66,6 @@ class FormalSeries:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
 
-    def isclose(self, other: "FormalSeries", tol: float = DEFAULT_TOL) -> bool:
-        if self.order != other.order or self.shape != other.shape:
-            return False
-        return (self - other).max_abs() <= tol
-
     def __add__(self, other: "FormalSeries") -> "FormalSeries":
         return series_add(self, other)
 
@@ -82,9 +77,6 @@ class FormalSeries:
 
     def scale(self, factor: complex) -> "FormalSeries":
         return FormalSeries(factor * self.coeffs)
-
-    def star(self) -> "FormalSeries":
-        return series_star(self)
 
     def __repr__(self):
         kind = "scalar" if self.is_scalar else f"array{self.shape}"

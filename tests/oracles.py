@@ -744,16 +744,43 @@ class Cyclo:
             and self.coeffs == other.coeffs
 
 
+def ring_product(a, b):
+    """The product of two coefficients of opalg.qplane, which multiply
+    only by the terms s q^f: the shifts of a by the terms of b, summed."""
+    out = a - a
+    for f, s in b.terms.items():
+        out = out + a.shifted(f, s)
+    return out
+
+
+def ring_value_reference(expr, q):
+    """(value, scale) of a ring expression tree at a numeric q in plain
+    complex arithmetic, the twin of the exact ring's value: ("pow", e) is
+    q^e, ("phi", d) is Phi_d(q), and "neg", "add", "sub" and "mul" combine.
+    scale sums the magnitudes of the terms met on the way, which bounds the
+    rounding of the value."""
+    op = expr[0]
+    if op == "pow":
+        value = complex(q) ** expr[1]
+        return value, abs(value)
+    if op == "phi":
+        terms = [c * complex(q) ** i for i, c in enumerate(cyclotomic_reference(expr[1]))]
+        return sum(terms), sum(map(abs, terms))
+    if op == "neg":
+        value, scale = ring_value_reference(expr[1], q)
+        return -value, scale
+    (left, sl), (right, sr) = (ring_value_reference(e, q) for e in expr[1:])
+    if op == "mul":
+        return left * right, sl * sr
+    return (left + right if op == "add" else left - right), sl + sr
+
+
 _COACTION_LETTERS = {
     # column form: x -> a (x) x + b (x) y ; y -> c (x) x + d (x) y
     # row form:    x -> a (x) x + c (x) y ; y -> b (x) x + d (x) y
     ("column", "x"): (("a", "x"), ("b", "y")), ("column", "y"): (("c", "x"), ("d", "y")),
     ("row", "x"): (("a", "x"), ("c", "y")), ("row", "y"): (("b", "x"), ("d", "y")),
 }
-
-
-def _vanishes(c, tol=ORACLE_TOL):
-    return c.is_zero() if hasattr(c, "is_zero") else abs(c) <= tol
 
 
 # rewrite rules bringing words to the order a <= b <= c <= d: each maps a
@@ -797,23 +824,20 @@ def glq2_rewrite(word, q, perturb_ab=False):
             result[key] = result[key] + coeff if key in result else coeff
             continue
         for power, factor, repl in rules[(w[pos], w[pos + 1])]:
-            new_coeff = coeff * _Coeff.power(q, power)
-            if factor == -1:
-                new_coeff = -new_coeff
-            stack.append((w[:pos] + repl + w[pos + 2:], new_coeff))
-    return {k: v for k, v in result.items() if not _vanishes(v)}
+            stack.append((w[:pos] + repl + w[pos + 2:], coeff.shifted(power, factor)))
+    return {k: v for k, v in result.items() if not v.is_zero()}
 
 
 def plane_product(left, right):
     """Product of two normal-ordered plane polynomials, term by term:
     y^b x^c = q^{-bc} x^c y^b."""
-    from opalg.qplane import QPlanePoly, _Coeff
+    from opalg.qplane import QPlanePoly
     q = left.q
     out = {}
     for (a, b), ca in left.terms.items():
         for (c, d), cb in right.terms.items():
             key = (a + c, b + d)
-            val = ca * cb * _Coeff.power(q, -b * c)
+            val = ring_product(ca, cb).shifted(-b * c)
             out[key] = out[key] + val if key in out else val
     return QPlanePoly(q, out)
 
@@ -832,7 +856,7 @@ def center_reference(q, max_deg):
                 comm = dict(plane_product(mono, g).terms)
                 for k, v in plane_product(g, mono).terms.items():
                     comm[k] = comm[k] + -v if k in comm else -v
-                if not all(_vanishes(v) for v in comm.values()):
+                if not all(v.is_zero() for v in comm.values()):
                     break
             else:
                 central.append((a, total - a))
@@ -850,7 +874,7 @@ def coaction_of_word(word, q, perturb_ab, form):
         ((plane, pc),) = qplane_normal_form([p for _, p in picks], q).terms.items()
         group = "".join(g for g, _ in picks)
         for gkey, gc in glq2_rewrite(group, q, perturb_ab).items():
-            key, val = (gkey, plane), gc * pc
+            key, val = (gkey, plane), ring_product(gc, pc)
             out[key] = out[key] + val if key in out else val
     return out
 
@@ -877,10 +901,10 @@ def coaction_check_reference(q, max_deg, perturb_ab=False):
                     for form in ("column", "row"):
                         good = coaction_of_word(w1 + "xy" + w2, q, perturb_ab, form)
                         bad = coaction_of_word(w1 + "yx" + w2, q, perturb_ab, form)
-                        diff = {k: q_inv * v for k, v in good.items()}
+                        diff = {k: ring_product(q_inv, v) for k, v in good.items()}
                         for k, v in bad.items():
                             diff[k] = diff[k] + -v if k in diff else -v
-                        if not all(_vanishes(v) for v in diff.values()):
+                        if not all(v.is_zero() for v in diff.values()):
                             return ("violated", degree)
                     checked += 1
     return ("preserved", checked)

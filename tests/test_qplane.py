@@ -1,3 +1,4 @@
+import cmath
 import itertools
 from math import gcd
 
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opalg.qplane import (QPlanePoly, RelationViolatedError, RootOfUnity,
+from opalg.qplane import (CoactionReport, QPlanePoly, RelationViolatedError, RootOfUnity,
                           center_probe, glq2_coaction_check, qplane_normal_form)
-from opalg.qplane import _Coeff, _cyclotomic, _scaled, _times
+from opalg.qplane import _Coeff, _cyclotomic, _times
 
 from oracles import (Cyclo, center_reference, coaction_check_reference,
-                     cyclotomic_reference, glq2_rewrite, plane_product)
+                     cyclotomic_reference, glq2_rewrite, plane_product,
+                     ring_product, ring_value_reference)
 
 
 def glq2_normal_form(word, q, perturb_ab=False):
@@ -22,29 +24,30 @@ def glq2_normal_form(word, q, perturb_ab=False):
     for g in word:
         out = {}
         for exps, c in terms.items():
-            for key, factor in _times(exps, g, q, perturb_ab):
-                val = _scaled(c, factor, q)
+            for key, e, s in _times(exps, g, perturb_ab):
+                val = c.shifted(e, s)
                 out[key] = out[key] + val if key in out else val
         terms = out
-    return {k: v for k, v in terms.items() if not _Coeff.vanishes(v)}
+    return {k: v for k, v in terms.items() if not v.is_zero()}
 
 
 def random_word(rng, length):
     return "".join(rng.choice(["x", "y"]) for _ in range(length))
 
 
-# exact roots compare with _Coeff ==, numeric values to 1e-12 relative
 GATE_QS = [RootOfUnity(3, 1), RootOfUnity(4, 1), RootOfUnity(5, 2), RootOfUnity(6, 1),
            2.0 + 0j, 0.7 + 0j, complex(np.exp(0.3j))]
+# far from |q| = 1, where an absolute zero threshold misjudges coefficients
+EXTREME_QS = [1e-3 + 0j, 1e3 + 0j, 1e-3 * cmath.exp(0.4j)]
 
 
-def assert_same_terms(got, want, q):
-    assert set(got) == set(want)
-    for key, value in want.items():
-        if isinstance(q, RootOfUnity):
-            assert got[key] == value
-        else:
-            assert abs(got[key] - value) <= 1e-12 * abs(value)
+def assert_same_terms(got, want):
+    # equal as integer Laurent polynomials, which is more than equal at q
+    assert {k: v.terms for k, v in got.items()} == {k: v.terms for k, v in want.items()}
+
+
+def values(terms):
+    return {k: v.numeric() for k, v in terms.items()}
 
 
 def rewrite_random_order(word, q, rng):
@@ -58,7 +61,7 @@ def rewrite_random_order(word, q, rng):
             break
         i = rng.choice(spots)
         letters[i], letters[i + 1] = letters[i + 1], letters[i]
-        coeff = coeff * _Coeff.power(q, -1)
+        coeff = coeff.shifted(-1)
     a = letters.count("x")
     b = letters.count("y")
     return QPlanePoly(q, {(a, b): coeff})
@@ -77,12 +80,12 @@ class TestCyclotomic:
         assert _cyclotomic(12) == (1, 0, -1, 0, 1)
         q = RootOfUnity(6, 1)
         # zeta_6^3 = -1 through the reduction by x^2 - x + 1
-        assert _Coeff.power(q, 3) == -_Coeff.power(q, 0)
+        assert (_Coeff.power(q, 3) + _Coeff.power(q, 0)).is_zero()
 
     def test_root_powers_cycle_exactly(self):
         q = RootOfUnity(5, 2)
         one = _Coeff.power(q, 0)
-        assert _Coeff.power(q, 5) == one
+        assert (_Coeff.power(q, 5) - one).is_zero()
         total = _Coeff.power(q, 0)
         for j in range(1, 5):
             total = total + _Coeff.power(q, j)
@@ -103,15 +106,15 @@ class TestCyclotomic:
 class TestNormalForm:
     def test_already_normal(self):
         poly = qplane_normal_form("xy", 2.0 + 0j)
-        assert poly.terms == {(1, 1): 1.0 + 0j}
+        assert values(poly.terms) == {(1, 1): 1.0 + 0j}
 
     def test_single_swap(self):
         poly = qplane_normal_form("yx", 2.0 + 0j)
-        assert poly.terms == {(1, 1): 0.5 + 0j}
+        assert values(poly.terms) == {(1, 1): 0.5 + 0j}
 
     def test_two_swaps(self):
         poly = qplane_normal_form("yyx", 2.0 + 0j)
-        assert poly.terms == {(1, 2): 0.25 + 0j}
+        assert values(poly.terms) == {(1, 2): 0.25 + 0j}
 
     def test_degree_preserved(self):
         rng = np.random.default_rng(0)
@@ -131,17 +134,24 @@ class TestNormalForm:
             ((k1, c1),) = direct.terms.items()
             ((k2, c2),) = stepped.terms.items()
             assert k1 == k2
-            assert c1 == c2  # exact cyclotomic equality
+            assert c1.terms == c2.terms  # equal Laurent polynomials
 
     def test_monomial_product_reordering_factor(self):
         q = 2.0 + 0j
         xy = qplane_normal_form("xy", q)
         poly = plane_product(xy, xy)  # (xy)(xy) = q^{-1} x^2 y^2
-        assert poly.terms == {(2, 2): 0.5 + 0j}
+        assert values(poly.terms) == {(2, 2): 0.5 + 0j}
 
     def test_bad_letter_rejected(self):
         with pytest.raises(ValueError):
             qplane_normal_form("xz", 2.0 + 0j)
+
+    @pytest.mark.parametrize("q", EXTREME_QS + [1e3 * cmath.exp(2.5j)], ids=str)
+    def test_small_coefficients_are_kept(self, q):
+        # q^{-9} is about 1e-27 at |q| = 1e3: tiny, and no zero
+        ((key, coeff),) = qplane_normal_form("yyyxxx", q).terms.items()
+        assert key == (3, 3) and coeff.terms == {-9: 1}
+        assert abs(coeff.numeric() - q ** -9) <= 1e-12 * abs(q) ** -9
 
 
 class TestCenterProbe:
@@ -185,14 +195,14 @@ class TestCenterProbe:
 class TestGLq2:
     def test_normal_form_of_sorted_word(self):
         out = glq2_normal_form("abcd", 2.0 + 0j)
-        assert out == {(1, 1, 1, 1): 1.0 + 0j}
+        assert values(out) == {(1, 1, 1, 1): 1.0 + 0j}
 
     def test_ba_rule(self):
         out = glq2_normal_form("ba", 2.0 + 0j)
-        assert out == {(1, 1, 0, 0): 0.5 + 0j}
+        assert values(out) == {(1, 1, 0, 0): 0.5 + 0j}
 
     def test_da_rule_branches(self):
-        out = glq2_normal_form("da", 2.0 + 0j)
+        out = values(glq2_normal_form("da", 2.0 + 0j))
         assert out[(1, 0, 0, 1)] == 1.0 + 0j
         assert abs(out[(0, 1, 1, 0)] + (2.0 - 0.5)) < 1e-12
 
@@ -200,13 +210,13 @@ class TestGLq2:
         q = RootOfUnity(3, 1)
         out = glq2_normal_form("da", q)
         expected = -_Coeff.power(q, 1) + _Coeff.power(q, -1)
-        assert out[(0, 1, 1, 0)] == expected
+        assert out[(0, 1, 1, 0)].terms == expected.terms
 
     def test_pbw_confluence_on_overlap_word(self):
         # "dba" reduces along two paths; both give
         #   q^{-2} abd + (q^{-2} - 1) b^2 c   (hand computation)
         q = 3.0 + 0j
-        out = glq2_normal_form("dba", q)
+        out = values(glq2_normal_form("dba", q))
         assert set(out) == {(1, 1, 0, 1), (0, 2, 1, 0)}
         assert abs(out[(1, 1, 0, 1)] - 1 / 9) < 1e-12
         assert abs(out[(0, 2, 1, 0)] - (1 / 9 - 1)) < 1e-12
@@ -221,7 +231,7 @@ class TestGLq2:
         for length in range(6):
             for letters in itertools.product("abcd", repeat=length):
                 word = "".join(letters)
-                assert_same_terms(glq2_normal_form(word, q), glq2_rewrite(word, q), q)
+                assert_same_terms(glq2_normal_form(word, q), glq2_rewrite(word, q))
 
     @pytest.mark.parametrize("perturb_ab", [False, True])
     @pytest.mark.parametrize("q", GATE_QS, ids=str)
@@ -232,7 +242,7 @@ class TestGLq2:
             ordered = "".join(letter * e for letter, e in zip("abcd", exps))
             for g in "abcd":
                 assert_same_terms(glq2_normal_form(ordered + g, q, perturb_ab),
-                                  glq2_rewrite(ordered + g, q, perturb_ab), q)
+                                  glq2_rewrite(ordered + g, q, perturb_ab))
 
     def test_coaction_preserved_generic(self):
         report = glq2_coaction_check(2.0 + 0j, 4)
@@ -254,6 +264,14 @@ class TestGLq2:
     def test_perturbed_relation_violated_exact_root(self):
         with pytest.raises(RelationViolatedError) as err:
             glq2_coaction_check(RootOfUnity(3, 1), 3, perturb_ab=True)
+        assert err.value.degree == 2
+
+    @pytest.mark.parametrize("q", EXTREME_QS, ids=str)
+    def test_verdicts_do_not_depend_on_the_size_of_q(self, q):
+        assert glq2_coaction_check(q, 4) == CoactionReport(max_deg=4, words_checked=17,
+                                                           preserved=True)
+        with pytest.raises(RelationViolatedError) as err:
+            glq2_coaction_check(q, 4, perturb_ab=True)
         assert err.value.degree == 2
 
     def test_min_degree_validated(self):
@@ -292,12 +310,15 @@ def evaluate(expr, power, k_inv):
     if op == "neg":
         return -evaluate(expr[1], power, k_inv)
     left, right = (evaluate(e, power, k_inv) for e in expr[1:])
-    return {"add": left + right, "sub": left + -right, "mul": left * right}[op]
+    if op == "mul":
+        return ring_product(left, right) if isinstance(left, _Coeff) else left * right
+    return left + right if op == "add" else left + -right
 
 
 class TestRingTwin:
-    """The cyclic-vector ring, reduced only at the zero test, against the
-    reference ring that reduces modulo Phi_N after every operation."""
+    """The Laurent-polynomial ring, reduced modulo Phi_N only at the zero
+    test, against the reference ring that reduces after every operation;
+    and its value at a numeric q against plain complex evaluation."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -317,11 +338,28 @@ class TestRingTwin:
 
         (new1, old1), (new2, old2) = both(e1), both(e2)
         assert new1.is_zero() == old1.is_zero()
-        assert (new1 == new2) == (old1 == old2)
-        if new1 == new2:
-            assert hash(new1) == hash(new2)
-        scale = max(1.0, float(sum(map(abs, new1.coeffs))))
+        assert (new1 - new2).is_zero() == (old1 == old2)
+        scale = max(1.0, float(sum(map(abs, new1.terms.values()))))
         assert abs(new1.numeric() - old1.numeric()) <= 1e-9 * scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_numeric_value_matches_complex_twin(self, data):
+        # |q|^e stays finite for the exponents a tree of 8 leaves reaches
+        q = cmath.rect(data.draw(st.floats(0.25, 4.0)), data.draw(st.floats(-np.pi, np.pi)))
+        exprs = RING_EXPRESSIONS[data.draw(st.sampled_from(RING_NS))]
+        e1, e2, e3 = data.draw(exprs), data.draw(exprs), data.draw(exprs)
+
+        def ring(expr):
+            return evaluate(expr, lambda e: _Coeff.power(q, e), 1)  # Phi_d(q) leaves
+
+        value, scale = ring_value_reference(e1, q)
+        assert abs(ring(e1).numeric() - value) <= 1e-12 * scale
+        # identities of the ring leave the empty polynomial, not a rounding residue
+        for zero in (("sub", ("mul", e1, e2), ("mul", e2, e1)),
+                     ("sub", ("mul", e1, ("add", e2, e3)),
+                      ("add", ("mul", e1, e2), ("mul", e1, e3)))):
+            assert ring(zero).terms == {} and ring(zero).is_zero()
 
 
 def coaction_outcome(q, max_deg, perturb_ab):

@@ -51,21 +51,21 @@ class TestSerialization:
     def test_scalar_series_roundtrip(self):
         s = FormalSeries([1 + 2j, -0.5, 3j])
         back = series_from_json(series_to_json(s))
-        assert back.isclose(s, tol=0)
+        np.testing.assert_array_equal(back.coeffs, s.coeffs)
 
     def test_matrix_series_roundtrip(self):
         rng = np.random.default_rng(0)
         s = FormalSeries([rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
                           for _ in range(3)])
         back = series_from_json(series_to_json(s))
-        assert back.isclose(s, tol=0)
+        np.testing.assert_array_equal(back.coeffs, s.coeffs)
 
     def test_vector_series_roundtrip(self):
         rng = np.random.default_rng(1)
         s = FormalSeries([rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(4)])
         back = series_from_json(series_to_json(s))
         assert back.shape == (3,)
-        assert back.isclose(s, tol=0)
+        np.testing.assert_array_equal(back.coeffs, s.coeffs)
 
 
 class TestLoading:
@@ -293,6 +293,26 @@ class TestRunning:
             "checks": [{"check": "wigner.two_particle", "params": params}]})
         record = run_scenario(path).records[0]
         assert record.status == "pass", record.value
+
+    @pytest.mark.parametrize("q, max_deg, count", [
+        ({"N": 1}, 3, 9), ([1, 0], 3, 9), ([-1, 0], 4, 5), ({"N": 2}, 4, 5)], ids=str)
+    def test_center_wherever_q_has_a_finite_order(self, tmp_path, q, max_deg, count):
+        # x^a y^b is central iff q^a = q^b = 1: every monomial at q = 1, the
+        # even ones at q = -1, given exactly or as a number
+        path = write_scenario(tmp_path, {"name": "center", "seed": 1, "checks": [
+            {"check": "qplane.center", "params": {"q": q, "max_deg": max_deg}}]})
+        (record,) = run_scenario(path).records
+        assert (record.status, record.value) == ("pass", f"count={count}")
+
+    def test_qplane_verdicts_do_not_depend_on_the_size_of_q(self, tmp_path):
+        path = write_scenario(tmp_path, {"name": "scale", "seed": 1, "checks": [
+            {"check": "qplane.coaction", "params": {"q": [0.001, 0], "max_deg": 4}},
+            {"check": "qplane.coaction",
+             "params": {"q": [0.001, 0], "max_deg": 4, "perturb_ab": True}},
+            {"check": "qplane.normal_form",
+             "params": {"q": [1000, 0], "word": "yyyxxx", "expect_monomial": [3, 3]}}]})
+        assert [(r.status, r.value) for r in run_scenario(path).records] == [
+            ("pass", "preserved,words=17"), ("pass", "violated@deg2"), ("pass", "x^3y^3")]
 
     def test_deterministic_csv_bytes(self):
         first = emit_report(run_scenario(SMOKE), "csv")
@@ -617,6 +637,8 @@ class TestCli:
         ({"checks": [{"check": "qplane.coaction", "params": {"q": 2, "max_deg": 1}}]},
          "checks[0].params.max_deg: expected at least 2, got 1"),
         ({"tolerances": {"default": -1}}, "tolerances.default: expected at least 0, got -1"),
+        ({"tolerances": {"parsevel": 1e-30}}, "tolerances.parsevel: unknown tolerance; a "
+         "scenario names default, grid_exact, parseval, witness"),
         ({"checks": [{"check": "qplane.normal_form", "params": {"q": 2, "word": "yz"}}]},
          "checks[0].params.word: expected a string of the letters x and y, got 'yz'"),
         ({"checks": [{"check": "qplane.normal_form", "params": {"q": 2, "word": ["x"]}}]},
