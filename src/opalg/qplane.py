@@ -3,26 +3,27 @@
 The plane relation is x y = q y x; the group generators a, b, c, d obey the
 standard relations a b = q b a, a c = q c a, b c = c b, b d = q d b,
 c d = q d c, a d - d a = (q - q^{-1}) b c.  Every coefficient that normal
-ordering produces is an integer Laurent polynomial sum c_e q^e, and it is
-stored as one: sums, and products with a term s q^f, are exact in
-Z[q, q^{-1}] for every q, so the relations hold or fail as identities.
-Only the zero test reads q.  At a root of unity q = zeta_N^k it sends q^e
-to zeta_N^{ek} and reduces the cyclic vector modulo the N-th cyclotomic
-polynomial, exactly; at a numeric q it compares |sum c_e q^e| with
-NUMERIC_TOL times sum |c_e| |q|^e, so a verdict does not depend on the
-size of q.  Nothing is normal ordered by rewriting words: a plane word
-collapses to q^{-inversions} x^a y^b, and an ordered group monomial
-a^i b^j c^k d^l times one letter is one or three terms +-q^e times ordered
-monomials, in closed form in the exponents, so a group word is ordered by
-multiplying in one letter at a time.  The coaction check uses that the
-coaction is an algebra map: the image of a word is the image of its prefix
-times the image of its last letter, so each image is built once.  The
-tests keep a leftmost-descent rewriter as the reference.
+ordering produces is an integer Laurent polynomial sum c_e q^e, held as a
+plain dict {e: c_e} with no zero entry.  Such a polynomial does not depend
+on q: `_add` forms a + s q^f b exactly in Z[q, q^{-1}], so the relations
+hold or fail as identities.  The zero test `_vanishes` is the one place
+that reads q.  At a root of unity q = zeta_N^k it sends q^e to zeta_N^{ek}
+and reduces the cyclic vector modulo the N-th cyclotomic polynomial,
+exactly; at a numeric q it compares |sum c_e q^e| with NUMERIC_TOL times
+sum |c_e| |q|^e, both divided by the largest power, so a verdict does not
+depend on the size of q and no power overflows.  Nothing is normal
+ordered by rewriting words: a plane word collapses to q^{-inversions}
+x^a y^b, and an ordered group monomial a^i b^j c^k d^l times one letter is
+one or three terms +-q^e times ordered monomials, in closed form in the
+exponents, so a group word is ordered by multiplying in one letter at a
+time.  The coaction check uses that the coaction is an algebra map: the
+image of a word is the image of its prefix times the image of its last
+letter, so each image is built once.  The tests keep a leftmost-descent
+rewriter as the reference.
 """
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
 from math import gcd
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
@@ -86,76 +87,47 @@ class RootOfUnity(NamedTuple("RootOfUnity", [("N", int), ("k", int)])):
         return super().__new__(cls, N, k)
 
 
-class _Coeff:
-    """An integer Laurent polynomial sum c_e q^e at a fixed q, held as
-    terms = {e: c_e} with no zero entry.  Normal ordering only adds
-    coefficients and multiplies them by terms s q^f; both are exact and
-    never read q, only the zero test and the value do."""
+def _add(a: Dict[int, int], b: Dict[int, int], f: int = 0, s: int = 1) -> Dict[int, int]:
+    """a + s q^f b, exactly: the terms of b shifted by f and scaled by the integer s."""
+    out = dict(a)
+    for e, c in b.items():
+        e += f
+        c = out.pop(e, 0) + s * c
+        if c:
+            out[e] = c
+    return out
 
-    __slots__ = ("q", "terms")
 
-    def __init__(self, q: QValue, terms: Dict[int, int]):
-        self.q = q
-        self.terms = terms
-
-    @staticmethod
-    def power(q: QValue, e: int) -> "_Coeff":
-        return _Coeff(q, {e: 1})
-
-    def __add__(self, other: "_Coeff") -> "_Coeff":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            c += out.get(e, 0)
-            if c:
-                out[e] = c
-            else:
-                del out[e]
-        return _Coeff(self.q, out)
-
-    def __sub__(self, other: "_Coeff") -> "_Coeff":
-        return self + -other
-
-    def __neg__(self) -> "_Coeff":
-        return _Coeff(self.q, {e: -c for e, c in self.terms.items()})
-
-    def shifted(self, f: int, s: int = 1) -> "_Coeff":
-        """s q^f times self: a shift of the exponents, where no two terms meet."""
-        return _Coeff(self.q, {e + f: s * c for e, c in self.terms.items()})
-
-    def _reduced(self) -> Tuple[int, ...]:
-        """The image in Z[zeta_N] at q = zeta_N^k: the cyclic vector of
-        q^e -> zeta_N^{ek}, reduced modulo Phi_N."""
-        N, k = self.q
+def _vanishes(q: QValue, terms: Dict[int, int]) -> bool:
+    """Whether sum c_e q^e is zero at q, the one place that reads q."""
+    if not terms:
+        return True
+    if isinstance(q, RootOfUnity):
+        # q^e -> zeta_N^{ek} into a cyclic vector, reduced modulo Phi_N
+        N, k = q
         phi = _cyclotomic(N)
         deg = len(phi) - 1
         rem = [0] * N
-        for e, c in self.terms.items():
+        for e, c in terms.items():
             rem[e * k % N] += c
         for e in range(N - 1, deg - 1, -1):
             c = rem[e]
             if c:
                 for i, p in enumerate(phi):  # monic: rem[e] becomes 0
                     rem[e - deg + i] -= c * p
-        return tuple(rem[:deg])
-
-    def numeric(self) -> complex:
-        """The value sum c_e q^e."""
-        if isinstance(self.q, RootOfUnity):
-            N, k = self.q
-            return complex(sum(c * cmath.exp(2j * cmath.pi * (e * k % N) / N)
-                               for e, c in self.terms.items()))
-        return complex(sum(c * self.q ** e for e, c in self.terms.items()))
-
-    def is_zero(self) -> bool:
-        if not self.terms:
-            return True
-        if isinstance(self.q, RootOfUnity):
-            return not any(self._reduced())
-        scale = sum(abs(c) * abs(self.q) ** e for e, c in self.terms.items())
-        return abs(self.numeric()) <= NUMERIC_TOL * scale
-
-    def __repr__(self):
-        return f"Coeff({self.terms})"
+        return not any(rem[:deg])
+    # the relative rule |sum c_e q^e| <= NUMERIC_TOL sum |c_e| |q|^e, read at
+    # 1/q with the exponents negated when |q| > 1, and divided by q^low: no
+    # power then exceeds 1 in modulus, so none overflows
+    if abs(q) > 1:
+        q, terms = 1 / q, {-e: c for e, c in terms.items()}
+    low = min(terms)
+    value = scale = 0
+    for e, c in terms.items():
+        power = q ** (e - low)
+        value += c * power
+        scale += abs(c) * abs(power)
+    return abs(value) <= NUMERIC_TOL * scale
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +137,9 @@ class _Coeff:
 class QPlanePoly:
     """Normal-ordered polynomial sum c_ab x^a y^b."""
 
-    def __init__(self, q: QValue, terms: Dict[Tuple[int, int], _Coeff]):
+    def __init__(self, q: QValue, terms: Dict[Tuple[int, int], Dict[int, int]]):
         self.q = q
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
+        self.terms = {k: v for k, v in terms.items() if not _vanishes(q, v)}
 
     def __repr__(self):
         return f"QPlanePoly({self.terms})"
@@ -189,7 +161,7 @@ def qplane_normal_form(word: Sequence[str], q: QValue) -> QPlanePoly:
             b += 1
         else:
             raise ValueError(f"unexpected letter {letter!r}")
-    return QPlanePoly(q, {(a, b): _Coeff.power(q, -inversions)})
+    return QPlanePoly(q, {(a, b): {-inversions: 1}})
 
 
 def center_probe(q: QValue, max_deg: int) -> List[Tuple[int, int]]:
@@ -202,8 +174,7 @@ def center_probe(q: QValue, max_deg: int) -> List[Tuple[int, int]]:
     """
     if max_deg < 1:
         raise ValueError("max_deg must be at least 1")
-    one = _Coeff.power(q, 0)
-    trivial = [(_Coeff.power(q, -e) - one).is_zero() for e in range(max_deg + 1)]
+    trivial = [_vanishes(q, _add({-e: 1}, {0: 1}, 0, -1)) for e in range(max_deg + 1)]
     return [(a, total - a) for total in range(1, max_deg + 1)
             for a in range(total + 1) if trivial[a] and trivial[total - a]]
 
@@ -257,7 +228,7 @@ def _coaction_images(q: QValue, perturb_ab: bool):
     times one letter is `_times`.  The images live as long as the returned
     function.
     """
-    images = {("", form): {((0, 0, 0, 0), (0, 0)): _Coeff.power(q, 0)}
+    images = {("", form): {((0, 0, 0, 0), (0, 0)): {0: 1}}
               for form in ("column", "row")}
 
     def image(word: str, form: str) -> dict:
@@ -267,8 +238,8 @@ def _coaction_images(q: QValue, perturb_ab: bool):
                 for g, p in _coaction_letter(word[-1], form):
                     plane, shift = ((pa + 1, pb), -pb) if p == "x" else ((pa, pb + 1), 0)
                     for gkey, e, s in _times(exps, g, perturb_ab):
-                        key, val = (gkey, plane), c.shifted(e + shift, s)
-                        out[key] = out[key] + val if key in out else val
+                        key = (gkey, plane)
+                        out[key] = _add(out.get(key, {}), c, e + shift, s)
             images[word, form] = out
         return images[word, form]
 
@@ -294,7 +265,6 @@ def glq2_coaction_check(q: QValue, max_deg: int,
     """
     if max_deg < 2:
         raise ValueError("max_deg must be at least 2")
-    zero = _Coeff(q, {})
     image = _coaction_images(q, perturb_ab)
     checked = 0
     for degree in range(2, max_deg + 1):
@@ -310,8 +280,7 @@ def glq2_coaction_check(q: QValue, max_deg: int,
                         good = image(w1 + "xy" + w2, form)
                         bad = image(w1 + "yx" + w2, form)
                         for key in good.keys() | bad.keys():
-                            diff = good.get(key, zero) + bad.get(key, zero).shifted(1, -1)
-                            if not diff.is_zero():
+                            if not _vanishes(q, _add(good.get(key, {}), bad.get(key, {}), 1, -1)):
                                 raise RelationViolatedError(degree, str(key))
                     checked += 1
     return CoactionReport(max_deg=max_deg, words_checked=checked, preserved=True)

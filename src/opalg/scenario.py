@@ -166,6 +166,7 @@ _ladder = _domain(lambda sizes: len(sizes) == len(set(sizes)) >= 2
                   and min(sizes) >= _MIN_LADDER_POINTS,
                   "two or more sizes, no two equal, each of at least "
                   f"{_MIN_LADDER_POINTS} points", functools.partial(_numbers, int))
+_text = _domain(lambda s: isinstance(s, str), "a string")
 _word = _domain(lambda w: isinstance(w, str) and not set(w) - {"x", "y"},
                 "a string of the letters x and y")
 _dump_path = _domain(lambda path: isinstance(path, str) and not os.path.isdir(path)
@@ -489,11 +490,13 @@ def _check_center(ctx, *, q: _q, max_deg: _count(1) = 6):
     q = _decode_q(q)
     central = opalg.qplane.center_probe(q, max_deg)
     # x^a y^b is central iff q^a = q^b = 1: N | a and N | b at an exact root
-    # (N = 1 too), and at a numeric q the relative rule on complex powers
+    # (N = 1 too), and at a numeric q the relative rule on complex powers,
+    # which gives the same verdict at 1/q: read where no power overflows
     if isinstance(q, opalg.qplane.RootOfUnity):
         trivial = [e % q.N == 0 for e in range(max_deg + 1)]
     else:
-        trivial = [abs(q ** e - 1) <= opalg.qplane.NUMERIC_TOL * (abs(q) ** e + 1)
+        r = q if abs(q) <= 1 else 1 / q
+        trivial = [abs(r ** e - 1) <= opalg.qplane.NUMERIC_TOL * (abs(r) ** e + 1)
                    for e in range(max_deg + 1)]
     expected = [(a, total - a) for total in range(1, max_deg + 1)
                 for a in range(total + 1) if trivial[a] and trivial[total - a]]
@@ -528,17 +531,6 @@ def _dump_field(path: str, grid, values: "np.ndarray"):
 
 # ---------------------------------------------------------------------------
 # loading and running
-
-
-def _refuse_non_finite(value, where: str):
-    """Raise a ScenarioParseError naming the first NaN or infinity in value,
-    which json.load reads from the tokens NaN, Infinity and -Infinity."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ScenarioParseError(f"{where}: expected a finite number, got {value!r}")
-    if isinstance(value, (dict, list)):
-        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
-            _refuse_non_finite(item, f"{where}.{key}" if isinstance(value, dict)
-                               else f"{where}[{key}]")
 
 
 def _bind(name: str, params: Dict, where: str) -> Dict:
@@ -590,11 +582,10 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioParseError(f"{path}: the top level must be an object")
     # the keys of a file and of its entries are the fields of their records
-    for key, value in data.items():
+    for key in data:
         if key not in Scenario._fields:
             raise ScenarioParseError(f"{path}: {key}: unknown key; a scenario takes "
                                      f"{', '.join(Scenario._fields)}")
-        _refuse_non_finite(value, f"{path}: {key}")
     for key in ("name", "seed", "checks"):
         if key not in data:
             raise ScenarioParseError(f"{path}: missing required key {key!r}")
@@ -624,7 +615,8 @@ def load_scenario(path: str) -> Scenario:
         if not isinstance(params, dict):
             raise ScenarioParseError(f"{where}.params: expected an object")
         checks.append(CheckSpec(check=name, params=_bind(name, params, f"{where}.params")))
-    return Scenario(name=str(data["name"]), seed=_number(int, data["seed"], f"{path}: seed"),
+    return Scenario(name=_text(data["name"], f"{path}: name"),
+                    seed=_number(int, data["seed"], f"{path}: seed"),
                     truncation_order=_count(0)(data.get("truncation_order", 8),
                                                f"{path}: truncation_order"),
                     tolerances=tolerances, checks=tuple(checks))

@@ -744,13 +744,46 @@ class Cyclo:
             and self.coeffs == other.coeffs
 
 
+def laurent_sum(*polys):
+    """The sum of integer Laurent polynomials {e: c_e}, with no zero entry."""
+    out = {}
+    for poly in polys:
+        for e, c in poly.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def laurent_shift(poly, f, s=1):
+    """s q^f times the Laurent polynomial poly."""
+    return {e + f: s * c for e, c in poly.items()}
+
+
 def ring_product(a, b):
-    """The product of two coefficients of opalg.qplane, which multiply
-    only by the terms s q^f: the shifts of a by the terms of b, summed."""
-    out = a - a
-    for f, s in b.terms.items():
-        out = out + a.shifted(f, s)
-    return out
+    """The product of two Laurent polynomials, term by term."""
+    return laurent_sum(*({e + f: c * d} for e, c in a.items() for f, d in b.items()))
+
+
+def laurent_value(q, poly):
+    """sum c_e q^e as a complex number; at a root of unity {N, k} q^e is
+    exp(2 pi i e k / N)."""
+    if hasattr(q, "N"):
+        return complex(sum(c * np.exp(2j * np.pi * (e * q.k % q.N) / q.N)
+                           for e, c in poly.items()))
+    return complex(sum(c * complex(q) ** e for e, c in poly.items()))
+
+
+def laurent_vanishes(q, poly):
+    """The zero test in Z[zeta_N] through Cyclo at a root of unity, and at a
+    numeric q |sum c_e q^e| <= ORACLE_TOL sum |c_e| |q|^e in plain complex
+    arithmetic."""
+    if hasattr(q, "N"):
+        total = [0] * (len(cyclotomic_reference(q.N)) - 1)
+        for e, c in poly.items():
+            for i, a in enumerate(Cyclo.from_power(q, e).coeffs):
+                total[i] += c * a
+        return not any(total)
+    scale = sum(abs(c) * abs(complex(q)) ** e for e, c in poly.items())
+    return abs(laurent_value(q, poly)) <= ORACLE_TOL * scale
 
 
 def ring_value_reference(expr, q):
@@ -808,10 +841,9 @@ def glq2_rewrite(word, q, perturb_ab=False):
     not, and agree with a letter-by-letter product only on an ordered
     monomial times one letter.
     """
-    from opalg.qplane import _Coeff
     rules = _GLQ2_PERTURBED if perturb_ab else _GLQ2_RULES
     result = {}
-    stack = [(word, _Coeff.power(q, 0))]
+    stack = [(word, {0: 1})]
     while stack:
         w, coeff = stack.pop()
         pos = -1
@@ -821,11 +853,11 @@ def glq2_rewrite(word, q, perturb_ab=False):
                 break
         if pos < 0:
             key = tuple(map(w.count, "abcd"))
-            result[key] = result[key] + coeff if key in result else coeff
+            result[key] = laurent_sum(result.get(key, {}), coeff)
             continue
         for power, factor, repl in rules[(w[pos], w[pos + 1])]:
-            stack.append((w[:pos] + repl + w[pos + 2:], coeff.shifted(power, factor)))
-    return {k: v for k, v in result.items() if not v.is_zero()}
+            stack.append((w[:pos] + repl + w[pos + 2:], laurent_shift(coeff, power, factor)))
+    return {k: v for k, v in result.items() if not laurent_vanishes(q, v)}
 
 
 def plane_product(left, right):
@@ -837,16 +869,15 @@ def plane_product(left, right):
     for (a, b), ca in left.terms.items():
         for (c, d), cb in right.terms.items():
             key = (a + c, b + d)
-            val = ring_product(ca, cb).shifted(-b * c)
-            out[key] = out[key] + val if key in out else val
+            out[key] = laurent_sum(out.get(key, {}), laurent_shift(ring_product(ca, cb), -b * c))
     return QPlanePoly(q, out)
 
 
 def center_reference(q, max_deg):
     """Nonconstant monomials m of degree <= max_deg with m x - x m and
     m y - y m both zero, from the products of plane polynomials."""
-    from opalg.qplane import QPlanePoly, _Coeff
-    one = _Coeff.power(q, 0)
+    from opalg.qplane import QPlanePoly
+    one = {0: 1}
     letters = [QPlanePoly(q, {(1, 0): one}), QPlanePoly(q, {(0, 1): one})]
     central = []
     for total in range(1, max_deg + 1):
@@ -855,8 +886,8 @@ def center_reference(q, max_deg):
             for g in letters:
                 comm = dict(plane_product(mono, g).terms)
                 for k, v in plane_product(g, mono).terms.items():
-                    comm[k] = comm[k] + -v if k in comm else -v
-                if not all(v.is_zero() for v in comm.values()):
+                    comm[k] = laurent_sum(comm.get(k, {}), laurent_shift(v, 0, -1))
+                if not all(laurent_vanishes(q, v) for v in comm.values()):
                     break
             else:
                 central.append((a, total - a))
@@ -874,8 +905,8 @@ def coaction_of_word(word, q, perturb_ab, form):
         ((plane, pc),) = qplane_normal_form([p for _, p in picks], q).terms.items()
         group = "".join(g for g, _ in picks)
         for gkey, gc in glq2_rewrite(group, q, perturb_ab).items():
-            key, val = (gkey, plane), ring_product(gc, pc)
-            out[key] = out[key] + val if key in out else val
+            key = (gkey, plane)
+            out[key] = laurent_sum(out.get(key, {}), ring_product(gc, pc))
     return out
 
 
@@ -903,8 +934,8 @@ def coaction_check_reference(q, max_deg, perturb_ab=False):
                         bad = coaction_of_word(w1 + "yx" + w2, q, perturb_ab, form)
                         diff = {k: ring_product(q_inv, v) for k, v in good.items()}
                         for k, v in bad.items():
-                            diff[k] = diff[k] + -v if k in diff else -v
-                        if not all(v.is_zero() for v in diff.values()):
+                            diff[k] = laurent_sum(diff.get(k, {}), laurent_shift(v, 0, -1))
+                        if not all(laurent_vanishes(q, v) for v in diff.values()):
                             return ("violated", degree)
                     checked += 1
     return ("preserved", checked)

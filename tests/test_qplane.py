@@ -9,26 +9,25 @@ from hypothesis import strategies as st
 
 from opalg.qplane import (CoactionReport, QPlanePoly, RelationViolatedError, RootOfUnity,
                           center_probe, glq2_coaction_check, qplane_normal_form)
-from opalg.qplane import _Coeff, _cyclotomic, _times
+from opalg.qplane import _add, _cyclotomic, _times, _vanishes
 
 from oracles import (Cyclo, center_reference, coaction_check_reference,
-                     cyclotomic_reference, glq2_rewrite, plane_product,
-                     ring_product, ring_value_reference)
+                     cyclotomic_reference, glq2_rewrite, laurent_shift, laurent_sum,
+                     laurent_value, plane_product, ring_product, ring_value_reference)
 
 
 def glq2_normal_form(word, q, perturb_ab=False):
     """A word in a, b, c, d in the ordered monomial basis: the unit times
     one letter at a time from the left, each product by `qplane._times`, as
     the coaction check builds its images."""
-    terms = {(0, 0, 0, 0): _Coeff.power(q, 0)}
+    terms = {(0, 0, 0, 0): {0: 1}}
     for g in word:
         out = {}
         for exps, c in terms.items():
             for key, e, s in _times(exps, g, perturb_ab):
-                val = c.shifted(e, s)
-                out[key] = out[key] + val if key in out else val
+                out[key] = _add(out.get(key, {}), c, e, s)
         terms = out
-    return {k: v for k, v in terms.items() if not v.is_zero()}
+    return {k: v for k, v in terms.items() if not _vanishes(q, v)}
 
 
 def random_word(rng, length):
@@ -41,18 +40,13 @@ GATE_QS = [RootOfUnity(3, 1), RootOfUnity(4, 1), RootOfUnity(5, 2), RootOfUnity(
 EXTREME_QS = [1e-3 + 0j, 1e3 + 0j, 1e-3 * cmath.exp(0.4j)]
 
 
-def assert_same_terms(got, want):
-    # equal as integer Laurent polynomials, which is more than equal at q
-    assert {k: v.terms for k, v in got.items()} == {k: v.terms for k, v in want.items()}
-
-
-def values(terms):
-    return {k: v.numeric() for k, v in terms.items()}
+def values(terms, q):
+    return {k: laurent_value(q, v) for k, v in terms.items()}
 
 
 def rewrite_random_order(word, q, rng):
     """Step-by-step rewriting y x -> q^{-1} x y at random positions."""
-    coeff = _Coeff.power(q, 0)
+    coeff = {0: 1}
     letters = list(word)
     while True:
         spots = [i for i in range(len(letters) - 1)
@@ -61,7 +55,7 @@ def rewrite_random_order(word, q, rng):
             break
         i = rng.choice(spots)
         letters[i], letters[i + 1] = letters[i + 1], letters[i]
-        coeff = coeff.shifted(-1)
+        coeff = _add({}, coeff, -1)
     a = letters.count("x")
     b = letters.count("y")
     return QPlanePoly(q, {(a, b): coeff})
@@ -80,23 +74,20 @@ class TestCyclotomic:
         assert _cyclotomic(12) == (1, 0, -1, 0, 1)
         q = RootOfUnity(6, 1)
         # zeta_6^3 = -1 through the reduction by x^2 - x + 1
-        assert (_Coeff.power(q, 3) + _Coeff.power(q, 0)).is_zero()
+        assert _vanishes(q, {3: 1, 0: 1})
 
     def test_root_powers_cycle_exactly(self):
         q = RootOfUnity(5, 2)
-        one = _Coeff.power(q, 0)
-        assert (_Coeff.power(q, 5) - one).is_zero()
-        total = _Coeff.power(q, 0)
-        for j in range(1, 5):
-            total = total + _Coeff.power(q, j)
-        assert total.is_zero()  # 1 + q + ... + q^4 = 0 exactly
+        assert _vanishes(q, {5: 1, 0: -1})
+        assert _vanishes(q, {j: 1 for j in range(5)})  # 1 + q + ... + q^4 = 0 exactly
+        assert not _vanishes(q, {j: 1 for j in range(4)})
 
-    def test_numeric_value_matches(self):
+    def test_powers_vanish_where_the_value_is_one(self):
         q = RootOfUnity(7, 3)
-        for j in range(7):
-            got = _Coeff.power(q, j).numeric()
+        for j in range(-7, 15):
             want = np.exp(2j * np.pi * 3 * j / 7)
-            assert abs(got - want) < 1e-12
+            assert abs(laurent_value(q, {j: 1}) - want) < 1e-12
+            assert _vanishes(q, laurent_sum({j: 1}, {0: -1})) == (abs(want - 1) < 1e-9)
 
     def test_non_primitive_rejected(self):
         with pytest.raises(ValueError):
@@ -106,15 +97,16 @@ class TestCyclotomic:
 class TestNormalForm:
     def test_already_normal(self):
         poly = qplane_normal_form("xy", 2.0 + 0j)
-        assert values(poly.terms) == {(1, 1): 1.0 + 0j}
+        assert poly.terms == {(1, 1): {0: 1}}
+        assert values(poly.terms, poly.q) == {(1, 1): 1.0 + 0j}
 
     def test_single_swap(self):
         poly = qplane_normal_form("yx", 2.0 + 0j)
-        assert values(poly.terms) == {(1, 1): 0.5 + 0j}
+        assert values(poly.terms, poly.q) == {(1, 1): 0.5 + 0j}
 
     def test_two_swaps(self):
         poly = qplane_normal_form("yyx", 2.0 + 0j)
-        assert values(poly.terms) == {(1, 2): 0.25 + 0j}
+        assert values(poly.terms, poly.q) == {(1, 2): 0.25 + 0j}
 
     def test_degree_preserved(self):
         rng = np.random.default_rng(0)
@@ -134,13 +126,13 @@ class TestNormalForm:
             ((k1, c1),) = direct.terms.items()
             ((k2, c2),) = stepped.terms.items()
             assert k1 == k2
-            assert c1.terms == c2.terms  # equal Laurent polynomials
+            assert c1 == c2  # equal Laurent polynomials
 
     def test_monomial_product_reordering_factor(self):
         q = 2.0 + 0j
         xy = qplane_normal_form("xy", q)
         poly = plane_product(xy, xy)  # (xy)(xy) = q^{-1} x^2 y^2
-        assert values(poly.terms) == {(2, 2): 0.5 + 0j}
+        assert values(poly.terms, q) == {(2, 2): 0.5 + 0j}
 
     def test_bad_letter_rejected(self):
         with pytest.raises(ValueError):
@@ -150,8 +142,8 @@ class TestNormalForm:
     def test_small_coefficients_are_kept(self, q):
         # q^{-9} is about 1e-27 at |q| = 1e3: tiny, and no zero
         ((key, coeff),) = qplane_normal_form("yyyxxx", q).terms.items()
-        assert key == (3, 3) and coeff.terms == {-9: 1}
-        assert abs(coeff.numeric() - q ** -9) <= 1e-12 * abs(q) ** -9
+        assert key == (3, 3) and coeff == {-9: 1}
+        assert abs(laurent_value(q, coeff) - q ** -9) <= 1e-12 * abs(q) ** -9
 
 
 class TestCenterProbe:
@@ -195,28 +187,27 @@ class TestCenterProbe:
 class TestGLq2:
     def test_normal_form_of_sorted_word(self):
         out = glq2_normal_form("abcd", 2.0 + 0j)
-        assert values(out) == {(1, 1, 1, 1): 1.0 + 0j}
+        assert values(out, 2.0) == {(1, 1, 1, 1): 1.0 + 0j}
 
     def test_ba_rule(self):
         out = glq2_normal_form("ba", 2.0 + 0j)
-        assert values(out) == {(1, 1, 0, 0): 0.5 + 0j}
+        assert values(out, 2.0) == {(1, 1, 0, 0): 0.5 + 0j}
 
     def test_da_rule_branches(self):
-        out = values(glq2_normal_form("da", 2.0 + 0j))
+        out = values(glq2_normal_form("da", 2.0 + 0j), 2.0)
         assert out[(1, 0, 0, 1)] == 1.0 + 0j
         assert abs(out[(0, 1, 1, 0)] + (2.0 - 0.5)) < 1e-12
 
     def test_exact_root_coefficients(self):
         q = RootOfUnity(3, 1)
         out = glq2_normal_form("da", q)
-        expected = -_Coeff.power(q, 1) + _Coeff.power(q, -1)
-        assert out[(0, 1, 1, 0)].terms == expected.terms
+        assert out[(0, 1, 1, 0)] == {1: -1, -1: 1}
 
     def test_pbw_confluence_on_overlap_word(self):
         # "dba" reduces along two paths; both give
         #   q^{-2} abd + (q^{-2} - 1) b^2 c   (hand computation)
         q = 3.0 + 0j
-        out = values(glq2_normal_form("dba", q))
+        out = values(glq2_normal_form("dba", q), q)
         assert set(out) == {(1, 1, 0, 1), (0, 2, 1, 0)}
         assert abs(out[(1, 1, 0, 1)] - 1 / 9) < 1e-12
         assert abs(out[(0, 2, 1, 0)] - (1 / 9 - 1)) < 1e-12
@@ -231,7 +222,8 @@ class TestGLq2:
         for length in range(6):
             for letters in itertools.product("abcd", repeat=length):
                 word = "".join(letters)
-                assert_same_terms(glq2_normal_form(word, q), glq2_rewrite(word, q))
+                # equal as integer Laurent polynomials, which is more than equal at q
+                assert glq2_normal_form(word, q) == glq2_rewrite(word, q)
 
     @pytest.mark.parametrize("perturb_ab", [False, True])
     @pytest.mark.parametrize("q", GATE_QS, ids=str)
@@ -241,8 +233,8 @@ class TestGLq2:
         for exps in itertools.product(range(4), repeat=4):
             ordered = "".join(letter * e for letter, e in zip("abcd", exps))
             for g in "abcd":
-                assert_same_terms(glq2_normal_form(ordered + g, q, perturb_ab),
-                                  glq2_rewrite(ordered + g, q, perturb_ab))
+                assert glq2_normal_form(ordered + g, q, perturb_ab) == \
+                    glq2_rewrite(ordered + g, q, perturb_ab)
 
     def test_coaction_preserved_generic(self):
         report = glq2_coaction_check(2.0 + 0j, 4)
@@ -296,29 +288,40 @@ RING_EXPRESSIONS = {n: ring_expressions([d for d in range(1, n + 1) if n % d == 
                     for n in RING_NS}
 
 
+def combine(a, b, s):
+    """a + s b for s = +-1, in either ring."""
+    if isinstance(a, dict):
+        return _add(a, b, 0, s)
+    return a + (b if s > 0 else -b)
+
+
 def evaluate(expr, power, k_inv):
     op = expr[0]
     if op == "pow":
         return power(expr[1])
     if op == "phi":  # sum_i c_i zeta^i with zeta = q^(k^-1)
-        total = power(0) + -power(0)
+        total = combine(power(0), power(0), -1)
         for i, c in enumerate(cyclotomic_reference(expr[1])):
-            term = power(i * k_inv)
             for _ in range(abs(c)):
-                total = total + (term if c > 0 else -term)
+                total = combine(total, power(i * k_inv), 1 if c > 0 else -1)
         return total
     if op == "neg":
-        return -evaluate(expr[1], power, k_inv)
+        kid = evaluate(expr[1], power, k_inv)
+        return combine(combine(kid, kid, -1), kid, -1)
     left, right = (evaluate(e, power, k_inv) for e in expr[1:])
     if op == "mul":
-        return ring_product(left, right) if isinstance(left, _Coeff) else left * right
-    return left + right if op == "add" else left + -right
+        return ring_product(left, right) if isinstance(left, dict) else left * right
+    return combine(left, right, 1 if op == "add" else -1)
+
+
+LAURENT = st.dictionaries(st.integers(-40, 40), st.integers(-5, 5).filter(bool), max_size=6)
 
 
 class TestRingTwin:
-    """The Laurent-polynomial ring, reduced modulo Phi_N only at the zero
-    test, against the reference ring that reduces after every operation;
-    and its value at a numeric q against plain complex evaluation."""
+    """The Laurent polynomials {e: c_e}, reduced modulo Phi_N only at the
+    zero test, against the reference ring that reduces after every
+    operation; and their value at a numeric q against plain complex
+    evaluation."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -333,14 +336,14 @@ class TestRingTwin:
         k_inv = pow(k, -1, n)
 
         def both(expr):
-            return (evaluate(expr, lambda e: _Coeff.power(root, e), k_inv),
+            return (evaluate(expr, lambda e: {e: 1}, k_inv),
                     evaluate(expr, lambda e: Cyclo.from_power(root, e), k_inv))
 
         (new1, old1), (new2, old2) = both(e1), both(e2)
-        assert new1.is_zero() == old1.is_zero()
-        assert (new1 - new2).is_zero() == (old1 == old2)
-        scale = max(1.0, float(sum(map(abs, new1.terms.values()))))
-        assert abs(new1.numeric() - old1.numeric()) <= 1e-9 * scale
+        assert _vanishes(root, new1) == old1.is_zero()
+        assert _vanishes(root, _add(new1, new2, 0, -1)) == (old1 == old2)
+        scale = max(1.0, float(sum(map(abs, new1.values()))))
+        assert abs(laurent_value(root, new1) - old1.numeric()) <= 1e-9 * scale
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -351,15 +354,36 @@ class TestRingTwin:
         e1, e2, e3 = data.draw(exprs), data.draw(exprs), data.draw(exprs)
 
         def ring(expr):
-            return evaluate(expr, lambda e: _Coeff.power(q, e), 1)  # Phi_d(q) leaves
+            return evaluate(expr, lambda e: {e: 1}, 1)  # Phi_d(q) leaves
 
         value, scale = ring_value_reference(e1, q)
-        assert abs(ring(e1).numeric() - value) <= 1e-12 * scale
+        assert abs(laurent_value(q, ring(e1)) - value) <= 1e-12 * scale
         # identities of the ring leave the empty polynomial, not a rounding residue
         for zero in (("sub", ("mul", e1, e2), ("mul", e2, e1)),
                      ("sub", ("mul", e1, ("add", e2, e3)),
                       ("add", ("mul", e1, e2), ("mul", e1, e3)))):
-            assert ring(zero).terms == {} and ring(zero).is_zero()
+            assert ring(zero) == {} and _vanishes(q, ring(zero))
+
+    @settings(max_examples=200, deadline=None)
+    @given(LAURENT, LAURENT, st.integers(-60, 60), st.integers(-3, 3))
+    def test_add_is_the_sum_with_a_shifted_term(self, a, b, f, s):
+        assert _add(a, b, f, s) == laurent_sum(a, laurent_shift(b, f, s))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_zero_test_does_not_change_under_a_power_of_q(self, data):
+        # q^f far outside the floats at |q| = 1e-3 or 1e3 and |f| = 300; a
+        # multiple of q - n (or of n q - 1) vanishes at q = n (or 1/n)
+        terms = data.draw(LAURENT)
+        if data.draw(st.booleans()):
+            q = cmath.rect(data.draw(st.floats(1e-3, 1e3)), data.draw(st.floats(-np.pi, np.pi)))
+        else:
+            n = data.draw(st.integers(2, 1000))
+            q, root = data.draw(st.sampled_from([(n, {1: 1, 0: -n}), (1 / n, {1: n, 0: -1})]))
+            terms = ring_product(terms, root)
+            assert _vanishes(q, terms)
+        f, s = data.draw(st.integers(-300, 300)), data.draw(st.sampled_from([-1, 1]))
+        assert _vanishes(q, _add({}, terms, f, s)) == _vanishes(q, terms)
 
 
 def coaction_outcome(q, max_deg, perturb_ab):

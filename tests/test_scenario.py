@@ -310,9 +310,16 @@ class TestRunning:
             {"check": "qplane.coaction",
              "params": {"q": [0.001, 0], "max_deg": 4, "perturb_ab": True}},
             {"check": "qplane.normal_form",
-             "params": {"q": [1000, 0], "word": "yyyxxx", "expect_monomial": [3, 3]}}]})
+             "params": {"q": [1000, 0], "word": "yyyxxx", "expect_monomial": [3, 3]}},
+            # q^e far outside the floats: the zero test and the expected set
+            # read only powers of modulus at most 1
+            {"check": "qplane.center", "params": {"q": [0.001, 0], "max_deg": 120}},
+            {"check": "qplane.center", "params": {"q": [1000, 0], "max_deg": 120}},
+            {"check": "qplane.normal_form",
+             "params": {"q": [0.001, 0], "word": "y" * 21 + "x" * 22}}]})
         assert [(r.status, r.value) for r in run_scenario(path).records] == [
-            ("pass", "preserved,words=17"), ("pass", "violated@deg2"), ("pass", "x^3y^3")]
+            ("pass", "preserved,words=17"), ("pass", "violated@deg2"), ("pass", "x^3y^3"),
+            ("pass", "count=0"), ("pass", "count=0"), ("pass", "x^22y^21")]
 
     def test_deterministic_csv_bytes(self):
         first = emit_report(run_scenario(SMOKE), "csv")
@@ -529,6 +536,8 @@ class TestCli:
          "checks[0].params.samples"),
         ({"tolerances": {"default": True}}, "tolerances.default"),
         ({"seed": float("inf")}, "seed"),
+        ({"name": float("nan")}, "name: expected a string, got nan"),
+        ({"name": 5}, "name: expected a string, got 5"),
         ({"truncation_order": float("inf")}, "truncation_order"),
         ({"checks": [{"check": "galilei.cocycle", "params": {"triples": -float("inf")}}]},
          "checks[0].params.triples"),
