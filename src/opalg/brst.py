@@ -279,13 +279,11 @@ def _s_preimage(B: BRSTStructure, R: np.ndarray) -> np.ndarray:
 # physical quotient
 
 
-class BRSTQuotient:
-    def __init__(self, ker_basis: np.ndarray, im_basis: np.ndarray,
-                 quotient_reps: np.ndarray, induced_gram: np.ndarray):
-        self.ker_basis = ker_basis          # n x k, orthonormal columns
-        self.im_basis = im_basis            # n x r, orthonormal columns
-        self.quotient_reps = quotient_reps  # n x (k - r), orthonormal harmonic columns
-        self.induced_gram = induced_gram    # (k - r) x (k - r), positive definite
+class BRSTQuotient(NamedTuple):
+    ker_basis: np.ndarray      # n x k, orthonormal columns
+    im_basis: np.ndarray       # n x r, orthonormal columns
+    quotient_reps: np.ndarray  # n x (k - r), orthonormal harmonic columns
+    induced_gram: np.ndarray   # (k - r) x (k - r), positive definite
 
     @property
     def dim(self) -> int:
@@ -693,23 +691,22 @@ def deformation_generators(B: BRSTStructure) -> List[np.ndarray]:
     if len(allowed) == 0:
         return []
     npar = len(allowed)
-    K = B.space.krein
 
     def build(x: np.ndarray) -> np.ndarray:
-        X = np.zeros((B.dim, B.dim), dtype=complex)
-        X[tuple(allowed.T)] = x[:npar] + 1j * x[npar:]
+        """The (k, n, n) stack of the k coefficient rows x, real parts first."""
+        X = np.zeros((len(x), B.dim, B.dim), dtype=complex)
+        X[(slice(None), *allowed.T)] = x[:, :npar] + 1j * x[:, npar:]
         return X
 
-    rows = []
-    for e in np.eye(2 * npar):
-        X = build(e)
-        anti = (B.Q @ X + X @ B.Q).ravel()
-        sadj = (X - krein_adjoint(K, X)).ravel()
-        rows.append(np.concatenate([anti.real, anti.imag, sadj.real, sadj.imag]))
+    # one candidate per real coefficient, each with a single entry 1 or i
+    X = build(np.eye(2 * npar))
+    anti = (B.Q @ X + X @ B.Q).reshape(2 * npar, -1)
+    sadj = (X - krein_adjoint(B.space.krein, X)).reshape(2 * npar, -1)
+    rows = np.concatenate([anti.real, anti.imag, sadj.real, sadj.imag], axis=1)
     # the kernel of the real constraint matrix: singular values at or below
     # RANK_TOL times the largest count as zero
-    s, vh = np.linalg.svd(np.array(rows).T, full_matrices=False)[1:]
-    return [build(x) for x in vh[int(np.sum(s > RANK_TOL * s[0])):]]
+    s, vh = np.linalg.svd(rows.T, full_matrices=False)[1:]
+    return list(build(vh[int(np.sum(s > RANK_TOL * s[0])):]))
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ _ladder = _domain(lambda sizes: len(sizes) == len(set(sizes)) >= 2
 _text = _domain(lambda s: isinstance(s, str), "a string")
 _word = _domain(lambda w: isinstance(w, str) and not set(w) - {"x", "y"},
                 "a string of the letters x and y")
-_dump_path = _domain(lambda path: isinstance(path, str) and not os.path.isdir(path)
+_dump_path = _domain(lambda path: isinstance(path, str) and path and not os.path.isdir(path)
                      and os.path.isdir(os.path.dirname(path) or "."),
                      "a file path in an existing directory")
 
@@ -180,12 +180,20 @@ def _pair(least_sum: int):
                    functools.partial(_numbers, int))
 
 
-def _shape(value, where: str) -> Tuple[int, ...]:
-    """The shape of rectangular nested lists of finite numbers."""
+# the most axes of a numpy array before numpy 2 (numpy 2 takes 64)
+_MAX_AXES = 32
+
+
+def _shape(value, where: str, depth: int = _MAX_AXES) -> Tuple[int, ...]:
+    """The shape of rectangular nested lists of finite numbers, at most
+    depth lists deep."""
     if not isinstance(value, list):
         _number(float, value, where)
         return ()
-    shapes = {_shape(item, f"{where}[{i}]") for i, item in enumerate(value)}
+    if depth == 0:
+        raise ScenarioParseError(f"{where}: expected at most {_MAX_AXES} levels of "
+                                 f"nested lists")
+    shapes = {_shape(item, f"{where}[{i}]", depth - 1) for i, item in enumerate(value)}
     if len(shapes) > 1:
         raise ScenarioParseError(f"{where}: expected rectangular nested lists, got {value!r}")
     return (len(value),) + (shapes.pop() if shapes else ())
@@ -444,9 +452,9 @@ def _check_parseval(ctx, *, kind: _SHELL_KINDS = "galilean", points: _count(1) =
                     floor: _least(float, 0) = 0.05, dump_field: _dump_path = None):
     # the defect does not depend on t; `times` sets the dumped slice only
     shell = opalg.wigner.make_shell(kind, mass, points, spacing)
-    grid = opalg.wigner.reciprocal_slice(shell, times[0])
-    defect = opalg.wigner.isometry_defect(shell, grid, reweight)
-    if dump_field:
+    defect = opalg.wigner.isometry_defect(shell, reweight)
+    if dump_field is not None:
+        grid = opalg.wigner.reciprocal_slice(shell, times[0])
         f = opalg.wigner.gaussian_family(shell, width=0.5, radius=0.0)[0]
         _dump_field(dump_field, grid, opalg.wigner.restricted_inverse_fourier(f, grid))
     tol = ctx.tol("parseval")
@@ -577,7 +585,9 @@ def load_scenario(path: str) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
+    # text that is not UTF-8, an integer past int's digit limit, nesting past
+    # the recursion limit, and a file that cannot be read
+    except (ValueError, RecursionError, OSError) as exc:
         raise ScenarioParseError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioParseError(f"{path}: the top level must be an object")

@@ -21,7 +21,6 @@ __all__ = [
     "AngularReport",
     "MassZeroForMassiveKindError",
     "EmptyLatticeError",
-    "IncompatibleLatticesError",
     "make_shell",
     "reciprocal_slice",
     "restricted_inverse_fourier",
@@ -35,7 +34,6 @@ __all__ = [
 ]
 
 SHELL_KINDS = ("galilean", "relativistic", "massless")
-RECIPROCAL_TOL = 1e-9  # absolute slack of spacing products against 2 pi
 
 
 class MassZeroForMassiveKindError(ValueError):
@@ -43,10 +41,6 @@ class MassZeroForMassiveKindError(ValueError):
 
 
 class EmptyLatticeError(ValueError):
-    pass
-
-
-class IncompatibleLatticesError(ValueError):
     pass
 
 
@@ -151,14 +145,6 @@ def reciprocal_slice(shell: MassShell, t: float) -> SliceGrid:
                      spacing=2.0 * np.pi / (n * shell.spacing))
 
 
-def _check_reciprocal(shell: MassShell, grid: SliceGrid):
-    n = shell.points_per_axis
-    if grid.points_per_axis != n or \
-            abs(grid.spacing * shell.spacing * n - 2.0 * np.pi) > RECIPROCAL_TOL:
-        raise IncompatibleLatticesError(
-            "slice lattice is not reciprocal to the shell lattice")
-
-
 def restricted_inverse_fourier(f: ShellFunction, grid: SliceGrid) -> np.ndarray:
     """Quadrature sum (2 pi)^{-3/2} sum_i w_i psi(p_i) exp(i(p_i.x - e_i t)).
 
@@ -194,23 +180,22 @@ def gaussian_family(shell: MassShell, width: float, radius: float
     return family
 
 
-def isometry_defect(shell: MassShell, grid: SliceGrid, reweight: str = "none") -> float:
+def isometry_defect(shell: MassShell, reweight: str = "none") -> float:
     """Worst relative norm mismatch of the transform over a width-0.5 `gaussian_family`.
 
-    Between reciprocal lattices (`_check_reciprocal` guards this) the
-    transform is a unitary DFT times (2 pi)^{-3/2} and exp(-i e_p t) has
-    modulus one, so by Parseval's identity the slice norm of f is
-    sum (w |f|)^2 / dp^3 at every t: the defect is read from that closed
-    form, and grid.t is not read.  Each member is first divided by its
-    largest |value|, which leaves the ratio alone and keeps the squares
-    normal; a member of weighted norm 0 (underflowed, or left only on the
-    cone's zero-weight apex) is skipped.  reweight "newton_wigner" rescales
-    shell functions by (2 e_p)^{1/2}, which restores an exact lattice
-    isometry for the hyperboloid measure.
+    The value is the defect of the transform onto `reciprocal_slice(shell, t)`
+    for every t: between reciprocal lattices the transform is a unitary DFT
+    times (2 pi)^{-3/2} and exp(-i e_p t) has modulus one, so by Parseval's
+    identity the slice norm of f is sum (w |f|)^2 / dp^3, and the defect is
+    read from that closed form without a slice.  Each member is first
+    divided by its largest |value|, which leaves the ratio alone and keeps
+    the squares normal; a member of weighted norm 0 (underflowed, or left
+    only on the cone's zero-weight apex) is skipped.  reweight
+    "newton_wigner" rescales shell functions by (2 e_p)^{1/2}, which
+    restores an exact lattice isometry for the hyperboloid measure.
     """
     if reweight not in ("none", "newton_wigner"):
         raise ValueError(f"unknown reweight mode {reweight!r}")
-    _check_reciprocal(shell, grid)
     radius = shell.mass if shell.kind == "relativistic" else 0.0
     scale_sq = 2.0 * shell.energies if reweight == "newton_wigner" else 1.0
     slice_weights = shell.weights ** 2 * scale_sq / shell.spacing ** 3

@@ -174,6 +174,32 @@ def s_preimage_svd(Q, grades, R, tol=ORACLE_TOL):
     return (np.linalg.pinv(S, rtol=tol) @ np.ravel(R)).reshape(np.shape(R))
 
 
+def deformation_generators_loop(B):
+    """brst.deformation_generators with one unit candidate built at a time:
+    the twin of the stacked build, on the package's constraint rows and cut."""
+    from opalg.brst import RANK_TOL
+    from opalg.krein import krein_adjoint
+    grades = np.asarray(B.space.ghost_grades)
+    allowed = np.argwhere((grades[:, None] - grades[None, :]) == 1)
+    if len(allowed) == 0:
+        return []
+    npar = len(allowed)
+
+    def build(x):
+        X = np.zeros((B.dim, B.dim), dtype=complex)
+        X[tuple(allowed.T)] = x[:npar] + 1j * x[npar:]
+        return X
+
+    rows = []
+    for e in np.eye(2 * npar):
+        X = build(e)
+        anti = (B.Q @ X + X @ B.Q).ravel()
+        sadj = (X - krein_adjoint(B.space.krein, X)).ravel()
+        rows.append(np.concatenate([anti.real, anti.imag, sadj.real, sadj.imag]))
+    s, vh = np.linalg.svd(np.array(rows).T, full_matrices=False)[1:]
+    return [build(x) for x in vh[int(np.sum(s > RANK_TOL * s[0])):]]
+
+
 def physical_space_three_step(ker, im, G, W, tol=ORACLE_TOL):
     """The three separate checks that once decided the physical quotient:
     the product restricted to the kernel has no eigenvalue below -tol, its

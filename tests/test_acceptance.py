@@ -199,16 +199,10 @@ def test_criterion_06_wave_operator_shell():
 def test_criterion_07_restricted_transforms():
     watch = Stopwatch(20.0)
     shell = wigner.make_shell("galilean", 1.0, 16, 0.4)
-    for t in (0.0, 1.0):
-        defect = wigner.isometry_defect(shell, wigner.reciprocal_slice(shell, t))
-        assert defect <= 1e-8
+    assert wigner.isometry_defect(shell) <= 1e-8
     rel = wigner.make_shell("relativistic", 1.0, 16, 0.4)
-    naive = wigner.isometry_defect(rel, wigner.reciprocal_slice(rel, 0.0))
-    assert naive > 0.05
-    for t in (0.0, 1.0):
-        fixed = wigner.isometry_defect(rel, wigner.reciprocal_slice(rel, t),
-                                       reweight="newton_wigner")
-        assert fixed <= 1e-8
+    assert wigner.isometry_defect(rel) > 0.05
+    assert wigner.isometry_defect(rel, reweight="newton_wigner") <= 1e-8
     report(7, "Parseval defects: exact, broken, and reweighted", watch)
 
 

@@ -14,11 +14,11 @@ from opalg.krein import fundamental_symmetry, krein_adjoint
 from opalg.series import FormalSeries, series_mul
 
 from oracles import (GradedOperator, brst_derivation, class_coordinates, closure_pairwise,
-                     derivation_svd, lstsq_series_solve, observable_dims_svd,
-                     physical_space_svd, physical_space_three_step, quartet_model,
-                     quotient_oracle, quotient_reps, rank, representation_matrix,
-                     s_preimage_svd, super_commutator_matrix, svd_column_space,
-                     svd_null_space)
+                     deformation_generators_loop, derivation_svd, lstsq_series_solve,
+                     observable_dims_svd, physical_space_svd, physical_space_three_step,
+                     quartet_model, quotient_oracle, quotient_reps, rank,
+                     representation_matrix, s_preimage_svd, super_commutator_matrix,
+                     svd_column_space, svd_null_space)
 
 TOYS = {
     "null_pair": (null_pair_toy, 0),
@@ -514,6 +514,13 @@ def verdict(check, *args):
     return None
 
 
+def assert_same_generators(B):
+    """The stacked build of the generators is bit-identical to the loop."""
+    got, want = brst.deformation_generators(B), deformation_generators_loop(B)
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 class TestOracleTwins:
     """The cached Hodge decomposition against the SVD-per-question reference
     and the row-reduction oracles, on randomly rotated pair and quartet
@@ -577,6 +584,15 @@ class TestOracleTwins:
         for variant in ("even_ghost", "full"):
             assert derivation_svd(B.Q, B.space.ghost_grades, variant)[1] == pytest.approx(want)
             assert brst._floor(B, variant == "full") == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(TOYS))
+    def test_deformation_generators_against_the_loop(self, name):
+        assert_same_generators(TOYS[name][0]())
+
+    @settings(max_examples=20, deadline=None)
+    @given(B=pair_models)
+    def test_deformation_generators_of_pair_models_against_the_loop(self, B):
+        assert_same_generators(B)
 
     @settings(max_examples=20, deadline=None)
     @given(B=pair_models)

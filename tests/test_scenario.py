@@ -158,9 +158,8 @@ class TestLoading:
         assert choices("wigner.parseval", "kind") == wigner.SHELL_KINDS
         assert choices("wigner.two_particle", "kind") == wigner.SHELL_KINDS
         shell = wigner.make_shell("relativistic", 1.0, 3, 0.5)
-        grid = wigner.reciprocal_slice(shell, 0.0)
         for reweight in choices("wigner.parseval", "reweight"):
-            assert wigner.isometry_defect(shell, grid, reweight) >= 0.0
+            assert wigner.isometry_defect(shell, reweight) >= 0.0
         for variant in choices("brst.observables", "variant"):
             assert brst.observable_algebra(brst.gupta_bleuler_toy(), variant).variant == variant
         for name in ("brst.physical_space", "brst.observables", "brst.deform_stability"):
@@ -490,6 +489,21 @@ class TestCli:
         path.write_text("{")
         assert main(["run", str(path)]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+        (b'{"name": "bad", "seed": ' + b"1" * 5000 + b', "checks": []}',
+         "Exceeds the limit (4300 digits) for integer string conversion"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["not-utf-8", "long-integer", "deep-nesting"])
+    def test_exit_two_on_an_unreadable_file(self, tmp_path, capsys, text, message):
+        # json.load raises ValueError or RecursionError here, not JSONDecodeError
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(text)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: {message}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("body, field", [
         ({"checks": [1]}, "checks[0]"),
         ({"checks": {"check": "galilei.clifford"}}, "checks"),
@@ -671,6 +685,12 @@ class TestCli:
           for check in ("qplane.normal_form", "qplane.center", "qplane.coaction")
           for q in (0, [0, 0])],
         ({"truncation_order": -1}, "truncation_order: expected at least 0, got -1"),
+        ({"checks": [{"check": "wigner.parseval", "params": {"dump_field": ""}}]},
+         "checks[0].params.dump_field: expected a file path in an existing directory, got ''"),
+        # json.load reads 500 levels, more than _shape could recurse through
+        ({"checks": [{"check": "series.is_positive",
+                      "params": {"b": functools.reduce(lambda b, _: [b], range(500), [1, 0])}}]},
+         "checks[0].params.b" + "[0]" * 32 + ": expected at most 32 levels of nested lists"),
     ])
     def test_exit_two_on_malformed_input(self, tmp_path, capsys, body, field):
         # json.dumps writes NaN and the infinities as the tokens json.load reads

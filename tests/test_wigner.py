@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
-from opalg.wigner import (EmptyLatticeError, IncompatibleLatticesError,
-                          MassZeroForMassiveKindError, ShellFunction,
-                          SliceGrid, angular_decomposition,
+from opalg.wigner import (EmptyLatticeError, MassZeroForMassiveKindError,
+                          ShellFunction, SliceGrid, angular_decomposition,
                           gaussian_family, isometry_defect, lorentz_boost,
                           make_shell, pair_invariant_mass, reciprocal_slice,
                           restricted_inverse_fourier, spherical_harmonic,
@@ -175,26 +174,15 @@ class TestRestrictedTransform:
 class TestIsometryDefect:
     def test_galilean_parseval(self):
         shell = make_shell("galilean", 1.0, 16, 0.4)
-        for t in (0.0, 1.0):
-            defect = isometry_defect(shell, reciprocal_slice(shell, t))
-            assert defect <= 1e-8
+        assert isometry_defect(shell) <= 1e-8
 
     def test_relativistic_measure_breaks_parseval(self):
         shell = make_shell("relativistic", 1.0, 16, 0.4)
-        defect = isometry_defect(shell, reciprocal_slice(shell, 0.0))
-        assert defect > 0.05
+        assert isometry_defect(shell) > 0.05
 
     def test_reweighting_restores_isometry(self):
         shell = make_shell("relativistic", 1.0, 16, 0.4)
-        defect = isometry_defect(shell, reciprocal_slice(shell, 0.0),
-                                 reweight="newton_wigner")
-        assert defect <= 1e-8
-
-    def test_non_reciprocal_grid_rejected(self):
-        shell = make_shell("galilean", 1.0, 8, 0.4)
-        bad = SliceGrid(t=0.0, points_per_axis=8, spacing=1.0)
-        with pytest.raises(IncompatibleLatticesError):
-            isometry_defect(shell, bad)
+        assert isometry_defect(shell, reweight="newton_wigner") <= 1e-8
 
     @pytest.mark.parametrize("kind, mass, n, reweight", [
         ("galilean", 1.0, 8, "none"),
@@ -207,31 +195,32 @@ class TestIsometryDefect:
         shell = make_shell(kind, mass, n, 0.4)
         scale = np.sqrt(2.0 * shell.energies) if reweight == "newton_wigner" else 1.0
         radius = mass if kind == "relativistic" else 0.0
+        defect = isometry_defect(shell, reweight)
         for t in (0.0, 1.0, 7.3):
             grid = reciprocal_slice(shell, t)
             want = max(abs(slice_norm_sq(restricted_inverse_fourier(
                 ShellFunction(shell, f.values * scale), grid), grid)
                 / shell_norm_sq(f) - 1.0)
                 for f in gaussian_family(shell, width=0.5, radius=radius))
-            assert abs(isometry_defect(shell, grid, reweight) - want) <= 1e-13
+            assert abs(defect - want) <= 1e-13
 
     def test_vanishing_probe_family_is_an_error(self):
         # centres at +/-40 against a lattice of half-extent 3.2: every
         # Gaussian underflows to 0, and no norm is left to compare
         shell = make_shell("relativistic", 40.0, 16, 0.4)
         with pytest.raises(ValueError, match=r"radius 40 against lattice half-extent 3\.2"):
-            isometry_defect(shell, reciprocal_slice(shell, 0.0))
+            isometry_defect(shell)
         # the one-point cone: its Gaussian lives on the weight-0 apex alone,
         # so the weighted norm is 0 though the peak is 1
         apex = make_shell("massless", 0.0, 1, 0.4)
         with pytest.raises(ValueError, match="every probe Gaussian vanishes"):
-            isometry_defect(apex, reciprocal_slice(apex, 0.0), "newton_wigner")
+            isometry_defect(apex, "newton_wigner")
 
     def test_far_probe_family_is_measured(self):
         # at mass 18.4 every |f|^2 underflows, but no |f|: the members are
         # divided by their peaks, and the broken measure still shows
         shell = make_shell("relativistic", 18.4, 16, 0.4)
-        assert isometry_defect(shell, reciprocal_slice(shell, 0.0)) > 0.9
+        assert isometry_defect(shell) > 0.9
 
     def test_norm_bookkeeping(self):
         shell = make_shell("galilean", 1.0, 8, 0.5)
