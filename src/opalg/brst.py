@@ -558,6 +558,7 @@ def _scale(D: DeformedBRST) -> float:
 
 
 def _max_abs(a: np.ndarray) -> float:
+    # np.max keeps a NaN wherever it stands, where max() may drop it
     return float(np.max(np.abs(a), initial=0.0))
 
 
@@ -636,7 +637,7 @@ def deform_check(D: DeformedBRST, samples: int = 50,
         failures.append({int(j): PositivityViolatedAtOrderError(int(failure[j]))
                          for j in np.flatnonzero(~positive)})
         _raise_first(failures)
-        worst = max(worst, _max_abs(_star_square_rows(witness) - norm2))
+        worst = _max_abs([worst, _max_abs(_star_square_rows(witness) - norm2)])
         positivity_checked += size
 
     # --- item (ii): null vectors lie in the image -------------------------
@@ -647,7 +648,7 @@ def deform_check(D: DeformedBRST, samples: int = 50,
         res, failures = _unsolved(T, Q0, preimage @ phi, phi, "image membership")
         _raise_first([{int(j): NullNotExactError("image vector with nonzero formal norm")
                        for j in np.flatnonzero(nonzero)}] + failures)
-        null_res = max(null_res, _max_abs(res))
+        null_res = _max_abs([null_res, _max_abs(res)])
         null_checked += size
     # lifts of base null vectors that stay null must also be exact
     phi = solve[:, :n] @ im
@@ -656,7 +657,7 @@ def deform_check(D: DeformedBRST, samples: int = 50,
     res, solved = _unsolved(T, Q0, preimage @ phi, phi, "image membership")
     _raise_first(failures + [{j: err for j, err in stage.items() if null[j]}
                              for stage in solved])
-    null_res = max(null_res, _max_abs(res[:, null]))
+    null_res = _max_abs([null_res, _max_abs(res[:, null])])
     null_checked += int(np.count_nonzero(null))
 
     # --- item (iv): faithfulness at leading order -------------------------
@@ -669,7 +670,7 @@ def deform_check(D: DeformedBRST, samples: int = 50,
     norms = [float(np.linalg.norm(pi0[:, np.argmax(np.max(pi0, axis=0))]))
              for pi0, stuck in zip(pis, _unliftable(D, reps))
              if np.max(pi0) > bound and not stuck]
-    min_norm, tested = min(norms, default=np.inf), len(norms)
+    min_norm, tested = float(np.min(norms, initial=np.inf)), len(norms)
     return DeformationReport(
         order=D.order, samples=samples, positivity_checked=positivity_checked,
         positivity_worst_defect=worst, null_vectors_checked=null_checked,

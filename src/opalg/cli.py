@@ -36,16 +36,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(fh, text: str):
-    """Write and flush text.  A reader that has gone (a closed pipe) is no
-    error: the report stays unread and the exit code is still the verdict."""
+def _write(fh, text: str, name: str = "stdout") -> bool:
+    """Write and flush text, then close fh unless it is stdout, so that an
+    error at close is caught here too.  A reader that has gone (a closed pipe)
+    is no error: the report stays unread and the exit code is still the
+    verdict.  Any other failure (a full disk) prints one error line naming
+    the sink and returns False."""
     try:
-        fh.write(text)
-        fh.flush()
-    except BrokenPipeError:
-        # text is left in stdout's buffer: point the descriptor at devnull so
-        # that the flush at exit has somewhere to put it
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        try:
+            fh.write(text)
+            fh.flush()
+        finally:
+            if fh is not sys.stdout:
+                fh.close()
+    except OSError as exc:
+        if fh is sys.stdout:
+            # text is left in stdout's buffer: point the descriptor at devnull
+            # so that the flush at exit has somewhere to put it
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            return False
+    return True
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -56,8 +68,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
 
     if args.command == "checks":
-        _write(sys.stdout, "".join(f"{name}\n" for name in available_checks()))
-        return EXIT_OK
+        written = _write(sys.stdout, "".join(f"{name}\n" for name in available_checks()))
+        return EXIT_OK if written else EXIT_USAGE
 
     try:
         scenario = load_scenario(args.scenario)
@@ -73,7 +85,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     with sink as fh:
         report = run_scenario(scenario, jobs=args.jobs, seed_override=args.seed)
-        _write(fh, emit_report(report, args.format))
+        written = _write(fh, emit_report(report, args.format), args.out or "stdout")
+    if not written:
+        return EXIT_USAGE
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 

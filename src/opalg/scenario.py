@@ -93,8 +93,8 @@ class Report(NamedTuple):
 
 
 def series_from_json(data) -> "opalg.series.FormalSeries":
-    """Series from the rectangular [re, im] nesting that `_series` admits:
-    one pair per scalar coefficient, or nested arrays of pairs for arrays."""
+    """Series from [re, im] pairs: a list of them for a scalar series, as a
+    scenario gives one, or nested arrays of them for an array series."""
     import numpy as np
     pairs = np.asarray(data, dtype=float)
     return opalg.series.FormalSeries(pairs[..., 0] + 1j * pairs[..., 1])
@@ -180,32 +180,16 @@ def _pair(least_sum: int):
                    functools.partial(_numbers, int))
 
 
-# the most axes of a numpy array before numpy 2 (numpy 2 takes 64)
-_MAX_AXES = 32
+_re_im = _domain(lambda pair: len(pair) == 2, "[re, im]", functools.partial(_numbers, float))
 
 
-def _shape(value, where: str, depth: int = _MAX_AXES) -> Tuple[int, ...]:
-    """The shape of rectangular nested lists of finite numbers, at most
-    depth lists deep."""
-    if not isinstance(value, list):
-        _number(float, value, where)
-        return ()
-    if depth == 0:
-        raise ScenarioParseError(f"{where}: expected at most {_MAX_AXES} levels of "
-                                 f"nested lists")
-    shapes = {_shape(item, f"{where}[{i}]", depth - 1) for i, item in enumerate(value)}
-    if len(shapes) > 1:
-        raise ScenarioParseError(f"{where}: expected rectangular nested lists, got {value!r}")
-    return (len(value),) + (shapes.pop() if shapes else ())
-
-
-def _series(value, where: str) -> List:
-    """The lists of a series, checked without numpy; the check builds its arrays."""
-    shape = _shape(value, where) if isinstance(value, list) else ()
-    if len(shape) < 2 or shape[-1] != 2:
-        raise ScenarioParseError(f"{where}: expected a list of [re, im] pairs or of "
-                                 f"rectangular nested lists of them, got {value!r}")
-    return value
+def _series(value, where: str) -> List[List[float]]:
+    """The [re, im] pairs of a scalar series, read without numpy; the check
+    builds its array."""
+    if not isinstance(value, list) or not value:
+        raise ScenarioParseError(f"{where}: expected a nonempty list of [re, im] pairs, "
+                                 f"got {value!r}")
+    return [_re_im(item, f"{where}[{i}]") for i, item in enumerate(value)]
 
 
 def _q(value, where: str):
@@ -222,9 +206,7 @@ def _q(value, where: str):
             raise ScenarioParseError(f"{where}: expected N >= 1 and gcd(k, N) = 1, "
                                      f"got N={N}, k={k}")
         return {"N": N, "k": k}
-    if isinstance(value, list) and len(value) != 2:
-        raise ScenarioParseError(f"{where}: expected [re, im], got {value!r}")
-    q = complex(*_numbers(float, value, where)) if isinstance(value, list) \
+    q = complex(*_re_im(value, where)) if isinstance(value, list) \
         else complex(_number(float, value, where))
     if q == 0:
         raise ScenarioParseError(f"{where}: expected a nonzero number, got {value!r}")
@@ -296,8 +278,8 @@ def _check_witness_roundtrip(ctx, *, count: _count(1) = 50, order: _count(0) = N
         # witness coefficients grow like |c0|^-order: compare with the scale
         # of the Cauchy sums, not absolutely
         scale = np.maximum(np.max(np.abs(witness), axis=1) ** 2, np.max(np.abs(b), axis=1))
-        worst = max(worst, float(np.max(defect / scale)))
-    return CheckResult(passed=worst <= tol, value=worst, tolerance=tol)
+        worst = np.maximum(worst, np.max(defect / scale))  # keeps a NaN ratio
+    return CheckResult(passed=worst <= tol, value=float(worst), tolerance=tol)
 
 
 @register("krein.invariants")
@@ -307,17 +289,17 @@ def _check_krein_invariants(ctx, *, signature: _pair(1) = (1, 1), samples: _coun
     gram = np.diag([1.0] * signature[0] + [-1.0] * signature[1])
     K = krein.make_krein(gram)
     J = krein.fundamental_symmetry(K)
-    worst = np.max(np.abs(J.matrix @ J.matrix - np.eye(K.dim)))
-    worst = max(worst, float(np.min(np.linalg.eigvalsh(
-        krein.wick_rotate(K, J))) <= 0))
+    # a Wick rotation that is not positive definite is a residual of 1
+    worst = np.maximum(np.max(np.abs(J.matrix @ J.matrix - np.eye(K.dim))),
+                       not np.min(np.linalg.eigvalsh(krein.wick_rotate(K, J))) > 0)
     for size in opalg.series._blocks(samples, 4 * K.dim ** 2):
         # per sample: Re A, Im A, Re B, Im B, in the order of one-by-one draws
         d = ctx.rng.normal(size=(size, 4, K.dim, K.dim))
         A, B = d[:, 0] + 1j * d[:, 1], d[:, 2] + 1j * d[:, 3]
         adj = krein.krein_adjoint(K, A)
-        worst = max(worst, float(np.max(np.abs(krein.krein_adjoint(K, adj) - A))))
-        worst = max(worst, float(np.max(np.abs(
-            krein.krein_adjoint(K, A @ B) - krein.krein_adjoint(K, B) @ adj))))
+        worst = np.max([worst, np.max(np.abs(krein.krein_adjoint(K, adj) - A)),
+                        np.max(np.abs(krein.krein_adjoint(K, A @ B)
+                                      - krein.krein_adjoint(K, B) @ adj))])
     return CheckResult(passed=worst <= tol, value=float(worst), tolerance=tol)
 
 
@@ -395,9 +377,10 @@ def _check_commutators(ctx, *, points: _count(_MIN_LADDER_POINTS) = 32,
 @register("galilei.commutator_convergence")
 def _check_convergence(ctx, *, sizes: _ladder = (32, 64), p_max: _positive = 10.0,
                        mass: _positive = 1.0):
+    import numpy as np
     orders = opalg.galilei.commutator_convergence(mass, sizes, p_max)
     flat = [o for seq in orders.values() for o in seq]
-    lo, hi = min(flat), max(flat)
+    lo, hi = float(np.min(flat)), float(np.max(flat))
     ok = 1.8 <= lo and hi <= 2.2
     return CheckResult(passed=ok, value=f"orders[{lo:.3f},{hi:.3f}]")
 
@@ -410,9 +393,9 @@ def _check_clifford(ctx):
     for i, gi in enumerate(cl.gammas):
         for j, gj in enumerate(cl.gammas):
             target = 2.0 * (i == j) * np.eye(4)
-            worst = max(worst, float(np.max(np.abs(gi @ gj + gj @ gi - target))))
+            worst = np.maximum(worst, np.max(np.abs(gi @ gj + gj @ gi - target)))
     tol = 1e-12
-    return CheckResult(passed=worst <= tol, value=worst, tolerance=tol)
+    return CheckResult(passed=worst <= tol, value=float(worst), tolerance=tol)
 
 
 @register("galilei.levy_leblond_shell")
@@ -426,9 +409,9 @@ def _check_shell_determinant(ctx, *, mass: _positive = 1.0, count: _count(1) = 1
         p = ctx.rng.uniform(-2, 2, size=(size, 3))
         # p p^T as stacked 1x3 times 3x1 products: rounds as the dot p @ p
         eps = (p[:, None] @ p[..., None])[:, 0, 0] / (2 * mass)
-        worst_on = max(worst_on, np.max(np.abs(np.linalg.det(
+        worst_on = np.maximum(worst_on, np.max(np.abs(np.linalg.det(
             galilei.levy_leblond_symbol(L, eps, p)))))
-        worst_off = min(worst_off, np.min(np.abs(np.linalg.det(
+        worst_off = np.minimum(worst_off, np.min(np.abs(np.linalg.det(
             galilei.levy_leblond_symbol(L, eps + off_shell, p)))))
     ok = worst_on <= 1e-9 and worst_off > 1e-6
     return CheckResult(passed=ok, value=f"on={worst_on:.3e},off={worst_off:.3e}")

@@ -210,7 +210,7 @@ def isometry_defect(shell: MassShell, reweight: str = "none") -> float:
         half = (shell.points_per_axis // 2) * shell.spacing
         raise ValueError(f"every probe Gaussian vanishes on the lattice: centre "
                          f"radius {radius:g} against lattice half-extent {half:g}")
-    return max(defects)
+    return float(np.max(defects))  # keeps a NaN defect
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import ast
+import errno
 import functools
 import gc
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import opalg
-from opalg.cli import main
+from opalg.cli import _write, main
 from opalg.scenario import (DEFAULT_TOLERANCES, CheckRecord, Report,
                             ScenarioParseError, UnknownCheckError,
                             available_checks, emit_report, load_scenario,
@@ -201,11 +203,12 @@ class TestLoading:
             "checks": [{"check": "qplane.normal_form",
                         "params": {"q": {"N": 3}, "expect_monomial": [1.0, 1]}},
                        {"check": "series.is_positive",
-                        "params": {"b": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}}]})
-        monomial, matrix = (spec.params for spec in load_scenario(path).checks)
+                        "params": {"b": [[1, 0], [0.5, -2]]}}]})
+        monomial, series = (spec.params for spec in load_scenario(path).checks)
         assert monomial["expect_monomial"] == [1, 1]
         assert type(monomial["expect_monomial"][0]) is int
-        assert matrix["b"] == [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]
+        assert series["b"] == [[1, 0], [0.5, -2]]
+        assert {type(x) for pair in series["b"] for x in pair} == {float}
 
     def test_benchmark_workloads_load(self, tmp_path):
         # the generated workloads name parameters that the checks must keep
@@ -280,6 +283,49 @@ class TestRunning:
         record = run_scenario(path).records[0]
         assert record.status == "pass"
         assert float(record.value) <= DEFAULT_TOLERANCES["witness"]
+
+    def test_witness_roundtrip_fails_on_ratios_it_cannot_compute(self, tmp_path):
+        # at order 400 some witness rows overflow and their defect ratios are
+        # NaN: the check must not pass on the finite rows alone
+        path = write_scenario(tmp_path, {
+            "name": "witness", "seed": 1,
+            "checks": [{"check": "series.witness_roundtrip",
+                        "params": {"count": 200, "order": 400}}]})
+        with np.errstate(all="ignore"):
+            record = run_scenario(path).records[0]
+        assert (record.status, record.value) == ("fail", "nan")
+
+    @pytest.mark.parametrize("check, layer, function", [
+        ("krein.invariants", "krein", "krein_adjoint"),
+        ("galilei.levy_leblond_shell", "galilei", "levy_leblond_symbol"),
+        ("galilei.commutator_convergence", "galilei", "commutator_convergence"),
+    ])
+    def test_nan_residual_fails(self, tmp_path, monkeypatch, check, layer, function):
+        # Python's max() and min() drop a NaN after the first argument
+        module = getattr(opalg, layer)
+        original = getattr(module, function)
+
+        def poisoned(*args):
+            out = original(*args)
+            if isinstance(out, dict):  # measured orders
+                return {key: orders + [float("nan")] for key, orders in out.items()}
+            return out * np.nan
+        monkeypatch.setattr(module, function, poisoned)
+        path = write_scenario(tmp_path, {"name": "nan", "seed": 1, "checks": [{"check": check}]})
+        with np.errstate(all="ignore"):
+            record = run_scenario(path).records[0]
+        assert record.status == "fail" and "nan" in record.value, record
+
+    def test_readme_example_loads_and_passes(self, tmp_path):
+        # the README's one JSON block documents the file format
+        blocks = (REPO / "README.md").read_text().split("```json\n")[1:]
+        assert len(blocks) == 1
+        path = tmp_path / "example.json"
+        path.write_text(blocks[0].split("```")[0])
+        scenario = load_scenario(str(path))
+        report = run_scenario(scenario)
+        assert len(report.records) == len(scenario.checks) >= 1
+        assert report.all_passed, report.records
 
     @pytest.mark.parametrize("params", [{"kind": "massless"},
                                         {"kind": "massless", "mass": 3},
@@ -633,14 +679,14 @@ class TestCli:
                       "params": {"q": 2, "expect_monomial": [1.5, 0]}}]},
          "checks[0].params.expect_monomial[0]"),
         ({"checks": [{"check": "series.is_positive", "params": {"b": "oops"}}]},
-         "checks[0].params.b: expected a list of [re, im] pairs"),
+         "checks[0].params.b: expected a nonempty list of [re, im] pairs, got 'oops'"),
         ({"checks": [{"check": "series.is_positive", "params": {"b": [[1, 2, 3]]}}]},
-         "checks[0].params.b: expected a list of [re, im] pairs"),
+         "checks[0].params.b[0]: expected [re, im], got [1.0, 2.0, 3.0]"),
         ({"checks": [{"check": "series.is_positive", "params": {"b": []}}]},
-         "checks[0].params.b: expected a list of [re, im] pairs"),
+         "checks[0].params.b: expected a nonempty list of [re, im] pairs, got []"),
         ({"checks": [{"check": "series.is_positive",
                       "params": {"b": [[1, 0], [[1, 0], [0, 0]]]}}]},
-         "checks[0].params.b: expected rectangular nested lists"),
+         "checks[0].params.b[1][0]: expected a finite number, got [1, 0]"),
         ({"checks": [{"check": "series.is_positive", "params": {"b": [[1, True]]}}]},
          "checks[0].params.b[0][1]: expected a finite number"),
         ({"checks": [{"check": "wigner.parseval",
@@ -687,10 +733,13 @@ class TestCli:
         ({"truncation_order": -1}, "truncation_order: expected at least 0, got -1"),
         ({"checks": [{"check": "wigner.parseval", "params": {"dump_field": ""}}]},
          "checks[0].params.dump_field: expected a file path in an existing directory, got ''"),
-        # json.load reads 500 levels, more than _shape could recurse through
+        # a scenario series is scalar: nesting and array coefficients are refused
         ({"checks": [{"check": "series.is_positive",
                       "params": {"b": functools.reduce(lambda b, _: [b], range(500), [1, 0])}}]},
-         "checks[0].params.b" + "[0]" * 32 + ": expected at most 32 levels of nested lists"),
+         "checks[0].params.b[0][0]: expected a finite number"),
+        ({"checks": [{"check": "series.is_positive",
+                      "params": {"b": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}}]},
+         "checks[0].params.b[0][0]: expected a finite number, got [[1, 0], [0, 0]]"),
     ])
     def test_exit_two_on_malformed_input(self, tmp_path, capsys, body, field):
         # json.dumps writes NaN and the infinities as the tokens json.load reads
@@ -727,6 +776,40 @@ class TestCli:
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=120) == 0
         assert err == ""
+
+    def test_unwritable_report_is_a_usage_error(self, monkeypatch, capsys):
+        # a full disk when the report is written or closed: one error line,
+        # exit 2, the file closed
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        sinks = []
+
+        def open_full(*args, **kwargs):
+            sinks.append(Full())
+            return sinks[-1]
+        monkeypatch.setattr(opalg.cli, "open", open_full, raising=False)
+        assert main(["run", SMOKE, "--format", "csv", "--out", "report.csv"]) == 2
+        assert capsys.readouterr().err == \
+            "error: report.csv: [Errno 28] No space left on device\n"
+        assert sinks[0].closed
+        assert _write(Full(), "report\n", "sink") is False
+        assert capsys.readouterr().err == "error: sink: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("args, sink", [
+        (["run", "scenarios/smoke.json", "--format", "csv", "--out", "/dev/full"], "/dev/full"),
+        (["run", "scenarios/smoke.json", "--format", "csv"], "stdout"),
+        (["checks"], "stdout"),
+    ], ids=["out", "run-stdout", "checks-stdout"])
+    def test_full_device_is_a_usage_error(self, args, sink):
+        env = dict(os.environ, PYTHONPATH=str(Path(opalg.__file__).resolve().parent.parent))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "opalg.cli", *args], cwd=REPO,
+                                  env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {sink}: [Errno 28] No space left on device\n"
 
     def test_out_file_and_rerun_identical(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
