@@ -85,7 +85,7 @@ class NotObservableError(ValueError):
 class LiftObstructionError(RuntimeError):
     """Order-by-order linear solve hit an unsolvable order."""
 
-    def __init__(self, order: int, residual: float, what: str = "lift"):
+    def __init__(self, order: int, residual: float, what: str):
         self.order = order
         self.residual = residual
         super().__init__(f"{what} equation unsolvable at order {order} "
@@ -334,7 +334,7 @@ class ObservableAlgebra(NamedTuple):
         return len(self.quotient_basis)
 
 
-def observable_algebra(B: BRSTStructure, variant: str = "even_ghost") -> ObservableAlgebra:
+def observable_algebra(B: BRSTStructure, variant: str) -> ObservableAlgebra:
     """Quotient ker s mod im s of the ambient matrix algebra, represented by
     the harmonic operators u_i u_j^H of the structure's Hodge decomposition:
     all of them for "full", the even ones for "even_ghost".  Products of
@@ -434,9 +434,6 @@ class DeformedBRST(NamedTuple):
     def order(self) -> int:
         return self.Q_series.order
 
-    def charge(self, n: int) -> np.ndarray:
-        return self.Q_series.coeffs[n]
-
 
 def validate_deformation(base: BRSTStructure, Q_series: FormalSeries) -> DeformedBRST:
     """Order-by-order nilpotency, self-adjointness and grading of the charge,
@@ -479,15 +476,13 @@ def _charge_matrix(D: DeformedBRST) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(L * D.base.dim, -1)
 
 
-def _solve_jets(T: np.ndarray, pinv: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Jets X with X_m = Z_m - pinv sum_{k>=1} Q_k X_{m-k}, order by order.
-
-    With Z the seed and kernel noise this is the lift of the seed; with
-    Z_m = pinv Y_m, the minimum-norm formal solve of T X = Y.  Linear in Z:
-    run on identity columns it gives the map of either.
-    """
+def _solve_jets(T: np.ndarray, pinv: np.ndarray) -> np.ndarray:
+    """The map S of jets Z to the jets X with X_m = Z_m - pinv sum_{k>=1}
+    Q_k X_{m-k}, solved order by order on identity columns: with Z the seed
+    and kernel noise, S Z is the lift of the seed; with Z_m = pinv Y_m, the
+    minimum-norm formal solve of T X = Y."""
     n = len(pinv)
-    X = np.array(Z, dtype=complex)
+    X = np.eye(len(T), dtype=complex)
     for m in range(n, len(X), n):
         X[m:m + n] -= pinv @ (T[m:m + n, :m] @ X[:m])
     return X
@@ -582,8 +577,8 @@ class DeformationReport(NamedTuple):
         return all(self.items_passed)
 
 
-def deform_check(D: DeformedBRST, samples: int = 50,
-                 rng: Optional[np.random.Generator] = None) -> DeformationReport:
+def deform_check(D: DeformedBRST, samples: int,
+                 rng: np.random.Generator) -> DeformationReport:
     """Verify the four stability items of the deformed quotient.
 
     (i)   formal positivity of (phi~, phi~) for sampled deformed kernel
@@ -601,19 +596,17 @@ def deform_check(D: DeformedBRST, samples: int = 50,
     numbers, one sample per column; the random stream and the first failure
     raised are those of drawing and checking the samples one at a time.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     base = D.base
     quotient = physical_space(base)
     ker, im = quotient.ker_basis, quotient.im_basis
     n, k, L = base.dim, ker.shape[1], D.order + 1
     # the series over its scale; scale pinv is the pseudo-inverse of Q0 / scale
     scale = _scale(D)
-    G, Q0, pinv = base.space.krein.gram, D.charge(0) / scale, base._pinv * scale
+    G, Q0, pinv = base.space.krein.gram, D.Q_series.coeffs[0] / scale, base._pinv * scale
     T = _charge_matrix(D) / scale
-    # the jet solve on identity columns, and from it the maps taking the
-    # kernel coordinates of seed and noise to a lift, and a jet to its preimage
-    solve = _solve_jets(T, pinv, np.eye(L * n))
+    # the jet solve map, and from it the maps taking the kernel coordinates
+    # of seed and noise to a lift, and a jet to its preimage
+    solve = _solve_jets(T, pinv)
     lift, preimage = (solve @ np.kron(np.eye(L), M) for M in (ker, pinv))
     bound = float(np.sqrt(LIFT_TOL))
 

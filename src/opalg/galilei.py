@@ -418,21 +418,18 @@ class LevyLeblondMatrices(NamedTuple):
     B: Tuple[np.ndarray, np.ndarray, np.ndarray]
     C: np.ndarray
     mass: float
-    beta: np.ndarray
 
 
-def levy_leblond_matrices(mass: float, beta=None) -> LevyLeblondMatrices:
-    """A = -i/2 (beta + beta g4), C = i m (beta - beta g4), B^i = beta g^i."""
+def levy_leblond_matrices(mass: float) -> LevyLeblondMatrices:
+    """A = -i/2 (beta + beta g4), C = i m (beta - beta g4), B^i = beta g^i
+    with beta = g4."""
     if mass <= 0:
         raise ValueError("mass must be positive")
     g1, g2, g3, g4 = clifford_generators().gammas
-    beta = np.asarray(beta, dtype=complex) if beta is not None else g4
-    if beta.shape != (4, 4) or np.linalg.matrix_rank(beta) < 4:
-        raise ValueError("beta must be an invertible 4x4 matrix")
-    A = -0.5j * (beta + beta @ g4)
-    C = 1j * mass * (beta - beta @ g4)
-    B = (beta @ g1, beta @ g2, beta @ g3)
-    return LevyLeblondMatrices(A=A, B=B, C=C, mass=mass, beta=beta)
+    A = -0.5j * (g4 + g4 @ g4)
+    C = 1j * mass * (g4 - g4 @ g4)
+    B = (g4 @ g1, g4 @ g2, g4 @ g3)
+    return LevyLeblondMatrices(A=A, B=B, C=C, mass=mass)
 
 
 def levy_leblond_symbol(L: LevyLeblondMatrices, eps, p) -> np.ndarray:

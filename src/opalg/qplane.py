@@ -87,7 +87,7 @@ class RootOfUnity(NamedTuple("RootOfUnity", [("N", int), ("k", int)])):
         return super().__new__(cls, N, k)
 
 
-def _add(a: Dict[int, int], b: Dict[int, int], f: int = 0, s: int = 1) -> Dict[int, int]:
+def _add(a: Dict[int, int], b: Dict[int, int], f: int, s: int) -> Dict[int, int]:
     """a + s q^f b, exactly: the terms of b shifted by f and scaled by the integer s."""
     out = dict(a)
     for e, c in b.items():
@@ -249,7 +249,7 @@ def _coaction_images(q: QValue, perturb_ab: bool):
 class CoactionReport(NamedTuple):
     max_deg: int
     words_checked: int
-    preserved: bool
+    preserved = True  # a violation raises RelationViolatedError instead
 
 
 def glq2_coaction_check(q: QValue, max_deg: int,
@@ -283,4 +283,4 @@ def glq2_coaction_check(q: QValue, max_deg: int,
                             if not _vanishes(q, _add(good.get(key, {}), bad.get(key, {}), 1, -1)):
                                 raise RelationViolatedError(degree, str(key))
                     checked += 1
-    return CoactionReport(max_deg=max_deg, words_checked=checked, preserved=True)
+    return CoactionReport(max_deg=max_deg, words_checked=checked)

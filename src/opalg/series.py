@@ -66,17 +66,8 @@ class FormalSeries:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
 
-    def __add__(self, other: "FormalSeries") -> "FormalSeries":
-        return series_add(self, other)
-
     def __sub__(self, other: "FormalSeries") -> "FormalSeries":
-        return series_add(self, other.scale(-1.0))
-
-    def __mul__(self, other: "FormalSeries") -> "FormalSeries":
-        return series_mul(self, other)
-
-    def scale(self, factor: complex) -> "FormalSeries":
-        return FormalSeries(factor * self.coeffs)
+        return series_add(self, FormalSeries(-other.coeffs))
 
     def __repr__(self):
         kind = "scalar" if self.is_scalar else f"array{self.shape}"
@@ -152,7 +143,7 @@ def is_positive(b: FormalSeries, tol: float = DEFAULT_TOL) -> PositivityVerdict:
     return PositivityVerdict(positive=True, witness=FormalSeries(witness[0]))
 
 
-def _positive_rows(b: np.ndarray, tol: float = DEFAULT_TOL):
+def _positive_rows(b: np.ndarray, tol: float):
     """The decision of is_positive for every row of a stack b (S, N+1), at
     the absolute tolerance tol.
 

@@ -9,7 +9,7 @@ statistics and spherical-channel decompositions operate on top.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -247,14 +247,9 @@ class SpectrumStats(NamedTuple):
     def min(self) -> float:
         return float(np.min(self.values))
 
-    @property
-    def max(self) -> float:
-        return float(np.max(self.values))
-
 
 def two_particle_mass_spectrum(shell: MassShell, samples: int,
-                               rng: Optional[np.random.Generator] = None
-                               ) -> SpectrumStats:
+                               rng: np.random.Generator) -> SpectrumStats:
     """Invariant masses of sampled point pairs.
 
     Relativistic pairs spread over [2m, inf); the pair at the origin attains
@@ -263,8 +258,6 @@ def two_particle_mass_spectrum(shell: MassShell, samples: int,
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if rng is None:
-        rng = np.random.default_rng(0)
     if shell.kind == "galilean":
         values = np.full(samples, 2.0 * shell.mass)
         return SpectrumStats(kind=shell.kind, mass=shell.mass, values=values,

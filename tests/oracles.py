@@ -1091,15 +1091,23 @@ class DegenerateFormReport:
     negative_rank: int
 
 
-def degenerate_norm_structure(L, tol=1e-12):
-    """Rank and kernel of the conserved sesquilinear density i A of the
-    Levy-Leblond matrices L.
+def levy_leblond_density(beta):
+    """A = -i/2 (beta + beta g4) of the wave operator built on an invertible
+    4x4 beta; galilei.levy_leblond_matrices builds it on beta = g4."""
+    from opalg.galilei import clifford_generators
+    g4 = clifford_generators().gammas[3]
+    return -0.5j * (beta + beta @ g4)
+
+
+def degenerate_norm_structure(A, tol=1e-12):
+    """Rank and kernel of the conserved sesquilinear density i A of a
+    Levy-Leblond matrix A.
 
     For beta = g4 the form is the projector (1 + g4)/2: positive
     semi-definite of rank two with a two-dimensional kernel that cannot be
     removed without losing the wave-operator structure.
     """
-    form = 1j * L.A
+    form = 1j * A
     herm = bool(np.max(np.abs(form - form.conj().T)) <= tol)
     svals = np.linalg.svd(form, compute_uv=False)
     rank = int(np.sum(svals > tol))

@@ -697,7 +697,7 @@ class TestOracleTwins:
         charges, n, L = list(D.Q_series.coeffs), B.dim, 4
         ker = physical_space(B).ker_basis
         T = brst._charge_matrix(D)
-        solve = brst._solve_jets(T, B._pinv, np.eye(L * n))
+        solve = brst._solve_jets(T, B._pinv)
         lift, preimage = (solve @ np.kron(np.eye(L), M) for M in (ker, B._pinv))
         for phi0, phi in zip(ker.T, lift[:, :ker.shape[1]].T):  # no noise
             want, res = lstsq_series_solve(charges, [np.zeros(n)] * L, first=phi0)

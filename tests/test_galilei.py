@@ -16,7 +16,7 @@ import oracles
 from oracles import (_coordinate, _default_test_functions, _real_generators,
                      bracket_deviations_reference, degenerate_norm_structure,
                      galilei_identity, grid_commutators, grid_generators,
-                     uncut_gaussians)
+                     levy_leblond_density, uncut_gaussians)
 
 
 def random_element(rng):
@@ -443,7 +443,9 @@ class TestWaveOperator:
                                             for e, q in zip(eps, p)])
 
     def test_degenerate_form_for_default_beta(self):
-        rep = degenerate_norm_structure(levy_leblond_matrices(1.0))
+        L = levy_leblond_matrices(1.0)
+        assert np.array_equal(L.A, levy_leblond_density(clifford_generators().gammas[3]))
+        rep = degenerate_norm_structure(L.A)
         assert rep.hermitian
         assert rep.rank == 2
         assert rep.kernel_dim == 2
@@ -454,7 +456,7 @@ class TestWaveOperator:
         rng = np.random.default_rng(5)
         for _ in range(10):
             beta = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            rep = degenerate_norm_structure(levy_leblond_matrices(1.0, beta=beta))
+            rep = degenerate_norm_structure(levy_leblond_density(beta))
             assert rep.rank + rep.kernel_dim == 4
             assert rep.kernel_dim == 2
 
@@ -462,14 +464,10 @@ class TestWaveOperator:
         cl = clifford_generators()
         g4 = cl.gammas[3]
         L = levy_leblond_matrices(1.5)
-        np.testing.assert_allclose(L.A, -0.5j * (L.beta + L.beta @ g4), atol=1e-15)
-        np.testing.assert_allclose(L.C, 1.5j * (L.beta - L.beta @ g4), atol=1e-15)
+        np.testing.assert_allclose(L.A, -0.5j * (g4 + g4 @ g4), atol=1e-15)
+        np.testing.assert_allclose(L.C, 1.5j * (g4 - g4 @ g4), atol=1e-15)
         for i in range(3):
-            np.testing.assert_allclose(L.B[i], L.beta @ cl.gammas[i], atol=1e-15)
-
-    def test_singular_beta_rejected(self):
-        with pytest.raises(ValueError):
-            levy_leblond_matrices(1.0, beta=np.zeros((4, 4)))
+            np.testing.assert_allclose(L.B[i], g4 @ cl.gammas[i], atol=1e-15)
 
     def test_nonpositive_mass_rejected(self):
         with pytest.raises(ValueError):

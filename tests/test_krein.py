@@ -57,6 +57,24 @@ class TestScaleInvariance:
         with pytest.raises(SingularGramError):
             make_krein(mu * np.diag([1.0, 0.0]))
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), digits=st.floats(0.0, 8.0),
+           seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-6, 6))
+    def test_inverse_of_random_hermitian_grams(self, n, digits, seed, k):
+        # np.linalg.inv is the twin of the inverse: G and mu G agree with it
+        # to cond(G) times the machine epsilon, and keep the signature
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        signs = rng.choice([-1.0, 1.0], n)
+        G = (U * (signs * np.logspace(0, -digits, n))) @ U.conj().T
+        G = (G + G.conj().T) / 2
+        bound = 10 * n * np.linalg.cond(G) * np.finfo(float).eps
+        for mu in (1.0, 10.0 ** k):
+            K = make_krein(mu * G)
+            assert K.signature == (int(np.sum(signs > 0)), int(np.sum(signs < 0)))
+            want = np.linalg.inv(G) / mu
+            assert np.max(np.abs(K.gram_inverse - want)) <= bound * np.max(np.abs(want))
+
     def test_tiny_minkowski_accepted(self):
         assert make_krein(np.diag([1e-11, -1e-11])).signature == (1, 1)
 

@@ -55,7 +55,7 @@ def rewrite_random_order(word, q, rng):
             break
         i = rng.choice(spots)
         letters[i], letters[i + 1] = letters[i + 1], letters[i]
-        coeff = _add({}, coeff, -1)
+        coeff = _add({}, coeff, -1, 1)
     a = letters.count("x")
     b = letters.count("y")
     return QPlanePoly(q, {(a, b): coeff})
@@ -260,8 +260,7 @@ class TestGLq2:
 
     @pytest.mark.parametrize("q", EXTREME_QS, ids=str)
     def test_verdicts_do_not_depend_on_the_size_of_q(self, q):
-        assert glq2_coaction_check(q, 4) == CoactionReport(max_deg=4, words_checked=17,
-                                                           preserved=True)
+        assert glq2_coaction_check(q, 4) == CoactionReport(max_deg=4, words_checked=17)
         with pytest.raises(RelationViolatedError) as err:
             glq2_coaction_check(q, 4, perturb_ab=True)
         assert err.value.degree == 2

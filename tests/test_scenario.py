@@ -3,6 +3,7 @@ import errno
 import functools
 import gc
 import importlib
+import inspect
 import io
 import json
 import os
@@ -291,8 +292,7 @@ class TestRunning:
             "name": "witness", "seed": 1,
             "checks": [{"check": "series.witness_roundtrip",
                         "params": {"count": 200, "order": 400}}]})
-        with np.errstate(all="ignore"):
-            record = run_scenario(path).records[0]
+        record = run_scenario(path).records[0]
         assert (record.status, record.value) == ("fail", "nan")
 
     @pytest.mark.parametrize("check, layer, function", [
@@ -312,8 +312,7 @@ class TestRunning:
             return out * np.nan
         monkeypatch.setattr(module, function, poisoned)
         path = write_scenario(tmp_path, {"name": "nan", "seed": 1, "checks": [{"check": check}]})
-        with np.errstate(all="ignore"):
-            record = run_scenario(path).records[0]
+        record = run_scenario(path).records[0]
         assert record.status == "fail" and "nan" in record.value, record
 
     def test_readme_example_loads_and_passes(self, tmp_path):
@@ -513,6 +512,29 @@ class TestCli:
             "checks": [{"check": "series.is_positive",
                         "params": {"b": [[-1, 0]], "expect": "positive"}}]})
         assert main(["run", path]) == 1
+
+    def test_overflow_is_a_record_not_a_warning(self, tmp_path, capsys, recwarn):
+        # the order-400 witness rows overflow: numpy's warnings must not
+        # reach stderr in the middle of a run, in any thread (pytest records
+        # warnings instead of printing them, so recwarn holds what would show)
+        path = write_scenario(tmp_path, {
+            "name": "witness", "seed": 1,
+            "checks": [{"check": "series.witness_roundtrip",
+                        "params": {"count": 200, "order": 400}}]})
+        for jobs in ("1", "2"):
+            assert main(["run", path, "--format", "csv", "--jobs", jobs]) == 1
+            captured = capsys.readouterr()
+            assert captured.out.splitlines()[1] == "series.witness_roundtrip,fail,nan,1e-10,0"
+            assert captured.err == ""
+        assert [str(w.message) for w in recwarn] == []
+
+    def test_shipped_and_benchmark_files_keep_stderr_empty(self, tmp_path):
+        # the report goes to stdout; a run that passes writes nothing else
+        proc = run_python(["perfbench/workloads.py", "--seed", "1", "--out", str(tmp_path)])
+        assert proc.returncode == 0, proc.stderr
+        for path in [SMOKE, FULL] + proc.stdout.split():
+            run = run_cli(["run", path, "--format", "csv"])
+            assert (run.returncode, run.stderr) == (0, ""), path
 
     def test_vanishing_parseval_probe_is_an_error_record(self, tmp_path, capsys):
         # every probe Gaussian underflows on this lattice: no vacuous pass
@@ -952,6 +974,276 @@ def test_every_definition_is_reached(layer):
     # what only tests reach belongs in the tests
     defs, reached = _reachability()
     assert sorted(name for name in defs[layer] if (layer, name) not in reached) == []
+
+
+def _parameters(fn: ast.FunctionDef, method: bool):
+    """The positional and keyword-only parameter names of a def, without a
+    method's receiver, and its defaults as source text by name."""
+    a = fn.args
+    positional = [p.arg for p in a.posonlyargs + a.args][1 if method else 0:]
+    defaults = dict(zip(positional[len(positional) - len(a.defaults):],
+                        map(ast.unparse, a.defaults)))
+    defaults.update((p.arg, ast.unparse(d))
+                    for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+    return positional, [p.arg for p in a.kwonlyargs], defaults
+
+
+def _is_member(node) -> bool:
+    return isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+
+
+def _signatures(defs):
+    """(module, name) -> parameters of every callable of the six layers: the
+    top-level functions, the constructors (__init__ or __new__, or the
+    fields of a NamedTuple) and the methods, named "Class.method"."""
+    out = {}
+    for module in LAYER_NAMES:
+        for name, node in defs[module].items():
+            if isinstance(node, ast.FunctionDef):
+                out[module, name] = _parameters(node, method=False)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            body = {sub.name: sub for sub in node.body if isinstance(sub, ast.FunctionDef)}
+            ctor = body.get("__init__") or body.get("__new__")
+            if ctor:
+                out[module, name] = _parameters(ctor, method=True)
+            elif any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                out[module, name] = ([f.target.id for f in fields], [],
+                                     {f.target.id: ast.unparse(f.value)
+                                      for f in fields if f.value is not None})
+            out.update(((module, f"{name}.{m}"), _parameters(sub, method=True))
+                       for m, sub in body.items() if _is_member(sub))
+    return out
+
+
+def _call_sites(defs, signatures):
+    """(module, name) -> the calls of it in src/opalg and the acceptance
+    criteria.  A call names a layer function by its bare name (defined or
+    imported in the calling module) or through a module (`opalg.brst.f`,
+    or `brst.f` for a module bound to its layer's name); any other
+    attribute call `x.m(...)` is a call of every layer method named m."""
+    methods = {}
+    for module, name in signatures:
+        if "." in name:
+            methods.setdefault(name.split(".")[1], []).append((module, name))
+    sources = [(m, Path(opalg.__file__).resolve().parent / f"{m}.py")
+               for m in LAYER_NAMES + ("scenario", "cli", "__init__")]
+    sources.append((None, Path(__file__).resolve().parent / "test_acceptance.py"))
+    sites = {}
+    for module, path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, foreign = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                foreign.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                layer = (node.module or "").removeprefix("opalg.")
+                for a in node.names:
+                    if layer in LAYER_NAMES:
+                        imported[a.asname or a.name] = (layer, a.name)
+                    elif node.module != "opalg":
+                        foreign.add(a.asname or a.name)
+        foreign.discard("opalg")
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            func, callees = call.func, []
+            if isinstance(func, ast.Name):
+                callees = [(module, func.id) if func.id in defs.get(module, ())
+                           else imported.get(func.id)]
+            elif isinstance(func, ast.Attribute):
+                root, chain = func.value, []
+                while isinstance(root, ast.Attribute):
+                    chain.insert(0, root.attr)
+                    root = root.value
+                head = [root.id] + chain if isinstance(root, ast.Name) else None
+                if head and head[-1] in LAYER_NAMES and head[:-1] in ([], ["opalg"]):
+                    callees = [(head[-1], func.attr)]
+                elif head and head[0] not in foreign:
+                    callees = methods.get(func.attr, [])
+            for callee in callees:
+                if callee in signatures:
+                    sites.setdefault(callee, []).append(call)
+    return sites
+
+
+def _binding(call: ast.Call, positional, kwonly):
+    """Parameter name -> the literal's repr, "expr" for another argument, or
+    "star" where a *args or **kwargs may set it; a parameter left out uses
+    its default."""
+    def value(node):
+        try:
+            return repr(ast.literal_eval(node))
+        except (ValueError, TypeError, SyntaxError):
+            return "expr"
+    bound = {}
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            bound.update(dict.fromkeys(positional[i:], "star"))
+            break
+        if i < len(positional):
+            bound[positional[i]] = value(arg)
+    for kw in call.keywords:
+        if kw.arg is None:
+            bound.update(dict.fromkeys([p for p in positional + kwonly if p not in bound],
+                                       "star"))
+        else:
+            bound[kw.arg] = value(kw.value)
+    return bound
+
+
+def _member_mentions(defs, reached):
+    """The methods and properties of reached classes that no reached code
+    mentions, itself excepted: a member counts as code once some other
+    reached code mentions it, so two members that only mention each other
+    are both unmentioned."""
+    members, code = {}, []
+    for module, name in reached:
+        node = defs[module][name]
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if _is_member(sub):
+                    members[module, f"{name}.{sub.name}"] = sub
+                else:
+                    code.append(sub)
+        else:
+            code.append(node)
+    acceptance = Path(__file__).resolve().parent / "test_acceptance.py"
+    code.append(ast.parse(acceptance.read_text(encoding="utf-8")))
+    mentioned = {m for node in code for m in _mentions(node)}
+    used, grew = set(), True
+    while grew:
+        grew = False
+        for key, node in members.items():
+            if key not in used and key[1].split(".")[1] in mentioned:
+                used.add(key)
+                mentioned.update(_mentions(node))
+                grew = True
+    return sorted(f"{m}.{name}: no reached code mentions it"
+                  for m, name in set(members) - used)
+
+
+@functools.cache
+def _settings():
+    """The settings of the six layers that no caller varies: a parameter
+    no call sets, a parameter every call sets to one literal, a default no
+    call uses (at the call sites `_call_sites` finds), and a method or
+    property of a reached class that no reached code mentions."""
+    defs, reached = _reachability()
+    signatures = _signatures(defs)
+    flags = []
+    for key, calls in _call_sites(defs, signatures).items():
+        positional, kwonly, defaults = signatures[key]
+        bindings = [_binding(call, positional, kwonly) for call in calls]
+        where = ".".join(key)
+        for p in positional + kwonly:
+            states = [bound.get(p, "default") for bound in bindings]
+            shown = f"{p}={defaults[p]}" if p in defaults else p
+            if set(states) == {"default"}:
+                flags.append(f"{where}({shown}): no call sets it")
+            elif len(set(states)) == 1 and states[0] not in ("expr", "star", "default"):
+                flags.append(f"{where}({shown}): every call sets it to {states[0]}")
+            if p in defaults and not {"default", "star"} & set(states):
+                flags.append(f"{where}({shown}): no call uses the default")
+    return sorted(flags) + _member_mentions(defs, reached)
+
+
+# flags that a benchmark file keeps: it calls the function with that setting
+PINNED_SETTINGS = {
+    "galilei.generator_commutators(pairs=None): no call uses the default":
+        "perfbench/sweep.py",
+    "wigner.gaussian_family(width): every call sets it to 0.5": "perfbench/sweep.py",
+}
+
+
+@pytest.mark.parametrize("layer", LAYER_NAMES)
+def test_every_setting_is_varied(layer):
+    # a value no caller varies is a constant, and a member no code mentions
+    # belongs in the tests, unless a benchmark file pins the signature
+    assert [flag for flag in _settings()
+            if flag.startswith(f"{layer}.") and flag not in PINNED_SETTINGS] == []
+
+
+def test_pinned_settings_are_flagged_and_called():
+    flags = _settings()
+    for flag, path in PINNED_SETTINGS.items():
+        assert flag in flags
+        assert f"{flag.split('(')[0].split('.')[-1]}(" in (REPO / path).read_text()
+
+
+SCRIPTS = sorted((REPO / "benchmarks").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
+
+
+def _programs(path):
+    """A script's syntax tree, then those of its string constants that are
+    programs importing opalg (the children it runs)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    yield tree
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and "opalg" in node.value:
+            try:
+                child = ast.parse(node.value)
+            except SyntaxError:
+                continue
+            if any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(child)):
+                yield child
+
+
+def _resolve(parts, call):
+    """(dotted name, problem or None) of the opalg name `parts`: a name that
+    does not exist, or a call whose arguments do not bind to the callee's
+    signature, checked with placeholders of the call's shape (a call with
+    *args or **kwargs is not checked).  Past opalg's modules an attribute
+    belongs to a value, and is not read."""
+    obj, dotted = opalg, "opalg"
+    for part in parts[1:]:
+        if not isinstance(obj, type(opalg)):
+            return dotted, None
+        dotted += f".{part}"
+        try:
+            obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(dotted)
+        except ImportError:
+            return dotted, "no such name"
+    if call is None or any(isinstance(a, ast.Starred) for a in call.args) \
+            or not all(k.arg for k in call.keywords):
+        return dotted, None
+    try:
+        inspect.signature(obj).bind(*call.args, **{k.arg: k for k in call.keywords})
+    except TypeError as exc:
+        return dotted, f"{ast.unparse(call)}: {exc}"
+    return dotted, None
+
+
+def _opalg_uses(tree):
+    """What a program reads of opalg: every name it imports from opalg, and
+    every outermost name or attribute chain that starts at one, resolved."""
+    bound = {}  # a name of the program -> the dotted opalg name it holds
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or "opalg", a.name if a.asname else "opalg")
+                         for a in node.names if a.name.split(".")[0] == "opalg")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "opalg":
+            bound.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+    yield from (_resolve(name.split("."), None) for name in bound.values())
+    inner = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    for node in ast.walk(tree):
+        if id(node) in inner or not isinstance(node, (ast.Name, ast.Attribute)):
+            continue
+        chain, root = [], node
+        while isinstance(root, ast.Attribute):
+            chain.insert(0, root.attr)
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in bound:
+            yield _resolve(bound[root.id].split(".") + chain, calls.get(id(node)))
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_scripts_use_names_that_exist(script):
+    # the sweeps and the benchmark call opalg by name, some from the child
+    # programs they start: an API change must not break them unseen
+    uses = [use for tree in _programs(script) for use in _opalg_uses(tree)]
+    assert [f"{name}: {problem}" for name, problem in uses if problem] == []
 
 
 LAYERS = ("opalg.series", "opalg.krein", "opalg.brst",

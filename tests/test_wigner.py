@@ -270,7 +270,7 @@ class TestTwoParticle:
 
     def test_galilean_central_value_exact(self):
         shell = make_shell("galilean", 1.5, 5, 0.5)
-        stats = two_particle_mass_spectrum(shell, 500)
+        stats = two_particle_mass_spectrum(shell, 500, rng=np.random.default_rng(0))
         assert np.all(stats.values == 3.0)
 
     def test_boost_invariance(self):
