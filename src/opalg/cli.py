@@ -95,7 +95,11 @@ def entry() -> int:
     """The `opalg` command and `python -m opalg.cli`: main(), then, with the
     report written and its file closed, freeze the heap, so that interpreter
     exit skips its final collections of objects that die with the process.
-    An in-process main() leaves the collector as it was."""
+    Unless the caller chose a thread count, OpenBLAS runs on one thread: the
+    variable is read when the first check imports numpy.  An in-process
+    main() leaves the collector and the threads as they were."""
+    if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     code = main()
     gc.freeze()
     return code

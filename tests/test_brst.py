@@ -14,11 +14,11 @@ from opalg.krein import fundamental_symmetry, krein_adjoint
 from opalg.series import FormalSeries, series_mul
 
 from oracles import (GradedOperator, brst_derivation, class_coordinates, closure_pairwise,
-                     deformation_generators_loop, derivation_svd, lstsq_series_solve,
-                     observable_dims_svd, physical_space_svd, physical_space_three_step,
-                     quartet_model, quotient_oracle, quotient_reps, rank,
-                     representation_matrix, s_preimage_svd, super_commutator_matrix,
-                     svd_column_space, svd_null_space)
+                     deformation_generators_loop, derivation_svd, leading_class_norms,
+                     lstsq_series_solve, observable_dims_svd, physical_space_svd,
+                     physical_space_three_step, quartet_model, quotient_oracle,
+                     quotient_reps, rank, representation_matrix, s_preimage_svd,
+                     super_commutator_matrix, svd_column_space, svd_null_space)
 
 TOYS = {
     "null_pair": (null_pair_toy, 0),
@@ -267,8 +267,7 @@ class TestObservableAlgebra:
         B = gupta_bleuler_toy()
         alg = observable_algebra(B, "even_ghost")
         assert alg.quotient_dim == 1
-        pi = brst._represented(physical_space(B), alg.quotient_basis[:1])
-        assert np.max(np.abs(pi)) > 1e-8
+        assert np.max(np.abs(represented(B, alg.quotient_basis[0]))) > 1e-8
 
     @pytest.mark.parametrize("name", sorted(TOYS))
     def test_quotient_basis_is_one_read_only_stack(self, name):
@@ -318,18 +317,39 @@ class TestObservableAlgebra:
             brst._verify_closure(B, pushed, full=True)
 
 
+def represented(B, A):
+    """The matrix R^H A R of [A] on the physical quotient: the
+    representatives R are orthonormal and orthogonal to im Q."""
+    R = physical_space(B).quotient_reps
+    return R.conj().T @ A @ R
+
+
+def assert_matrix_units(B):
+    """Each even-ghost quotient-basis observable u_a u_b^H acts on the
+    physical quotient, by the checked twin, as the matrix unit E_ab within
+    1e-12, and no two as the same one."""
+    quotient = physical_space(B)
+    units = set()
+    for A0 in observable_algebra(B, "even_ghost").quotient_basis:
+        pi = representation_matrix(B, quotient, GradedOperator(A0, 0))
+        a, b = np.unravel_index(np.argmax(np.abs(pi)), pi.shape)
+        E = np.zeros_like(pi)
+        E[a, b] = 1.0
+        assert np.max(np.abs(pi - E)) <= 1e-12
+        units.add((a, b))
+    assert len(units) == observable_algebra(B, "even_ghost").quotient_dim
+
+
 class TestRepresentation:
-    """brst._represented, the action of certified observables on the
-    physical quotient, against the checked twin in tests/oracles.py."""
+    """The action R^H A R of certified observables on the physical
+    quotient, against the checked twin in tests/oracles.py."""
 
     def test_projector_acts_as_identity_class(self):
-        B = gupta_bleuler_toy()
-        (pi,) = brst._represented(physical_space(B), unit(3, 0, 0)[None])
+        pi = represented(gupta_bleuler_toy(), unit(3, 0, 0))
         np.testing.assert_allclose(pi @ [1.0], [1.0], atol=1e-10)
 
     def test_identity_operator(self):
-        B = two_pair_model()
-        (pi,) = brst._represented(physical_space(B), np.eye(6, dtype=complex)[None])
+        pi = represented(two_pair_model(), np.eye(6, dtype=complex))
         np.testing.assert_allclose(pi, np.eye(2), atol=1e-10)
 
     @pytest.mark.parametrize("charge, operator", [(1e-9, 1.0), (1.0, 1e10), (1e6, 1e-6)])
@@ -341,7 +361,7 @@ class TestRepresentation:
             @ B.space.krein.gram
         want = representation_matrix(B, physical_space(B), GradedOperator(M, 0))
         scaled = validate_brst(B.space, charge * B.Q)
-        (pi,) = brst._represented(physical_space(scaled), (operator * M)[None])
+        pi = represented(scaled, operator * M)
         # the scaled structure may pick other representatives: compare spectra
         np.testing.assert_allclose(np.sort_complex(np.linalg.eigvals(pi)),
                                    operator * np.sort_complex(np.linalg.eigvals(want)),
@@ -354,11 +374,15 @@ class TestRepresentation:
         rng = np.random.default_rng(4)
         coords = np.array([0.3 + 0.1j, -0.7])
         base_vec = quotient.quotient_reps @ coords
-        reference = brst._represented(quotient, A[None])[0] @ coords
+        reference = represented(B, A) @ coords
         for _ in range(10):
             shift = quotient.im_basis @ (rng.normal(size=2) + 1j * rng.normal(size=2))
             got = class_coordinates(quotient, A @ (base_vec + shift))
             np.testing.assert_allclose(got, reference, atol=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(TOYS))
+    def test_harmonic_observables_act_as_matrix_units(self, name):
+        assert_matrix_units(TOYS[name][0]())
 
     def test_adjoint_compatibility_on_physical_sector(self):
         # pi(A^Krein-adjoint) equals the induced-Gram adjoint of pi(A)
@@ -370,7 +394,7 @@ class TestRepresentation:
         M = np.zeros((6, 6), dtype=complex)
         M[:2, :2] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         ops = np.array([M, krein_adjoint(K, M)])
-        pi, pi_star = brst._represented(quotient, ops)
+        pi, pi_star = represented(B, ops)
         for op, got in zip(ops, (pi, pi_star)):
             want = representation_matrix(B, quotient, GradedOperator(op, 0))
             np.testing.assert_allclose(got, want, atol=1e-10)
@@ -735,6 +759,26 @@ class TestOracleTwins:
             want.append(res > 1e-9 * max(1.0, np.linalg.norm(rhs)))
         assert brst._unliftable(D, reps).tolist() == want
         assert not any(want) if solved else all(want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(B=st.one_of(pair_models, quartet_models))
+    def test_harmonic_observables_act_as_matrix_units(self, B):
+        assert_matrix_units(B)
+
+    @settings(max_examples=20, deadline=None)
+    @given(B=st.one_of(pair_models, quartet_models), seed=st.integers(0, 2**32 - 1))
+    def test_lifted_observables_move_a_class_of_norm_one(self, B, seed):
+        # item (iv) of deform_check counts the even-ghost observables that
+        # lift; the one-at-a-time reference finds each moving a
+        # representative to a class of norm 1
+        gens = brst.deformation_generators(B)
+        weights = np.random.default_rng(seed).normal(size=len(gens))
+        Q1 = sum((w * g for w, g in zip(weights, gens)), np.zeros_like(B.Q))
+        D = brst.DeformedBRST(base=B, Q_series=FormalSeries([B.Q, Q1, np.zeros_like(B.Q)]))
+        reps = observable_algebra(B, "even_ghost").quotient_basis
+        norms = leading_class_norms(D)
+        assert len(norms) == np.count_nonzero(~brst._unliftable(D, reps))
+        assert all(abs(norm - 1.0) <= 1e-12 for norm in norms)
 
     @settings(max_examples=30, deadline=None)
     @given(B=pair_models, order=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))

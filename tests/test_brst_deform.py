@@ -13,7 +13,8 @@ from opalg.brst import (DeformedBRST, LiftObstructionError, NotNilpotentError,
 from opalg.krein import krein_adjoint
 from opalg.series import FormalSeries, is_positive, series_mul, series_star
 
-from oracles import GradedOperator, deform_check_reference, representation_matrix
+from oracles import (GradedOperator, deform_check_reference, leading_class_norms,
+                     representation_matrix)
 
 MODELS = {"null_pair": null_pair_toy, "gupta_bleuler": gupta_bleuler_toy,
           "two_pair": two_pair_model}
@@ -160,9 +161,7 @@ class TestStabilityItems:
         report = deform_check(solved_charge(two_pair_model(), 3),
                               samples=25, rng=np.random.default_rng(2))
         assert report.all_passed
-        assert report.positivity_checked == 25
         assert report.observables_checked > 0
-        assert report.faithfulness_min_norm > 1e-3
 
     def test_gupta_bleuler_rescaling(self):
         report = deform_check(rescaled_charge(gupta_bleuler_toy(), 3),
@@ -171,15 +170,30 @@ class TestStabilityItems:
 
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_stacked_action_is_representation_matrix(self, model):
-        # item (iv) acts on the harmonic basis with one stacked product
+        # the harmonic basis acts on the physical quotient as one stacked
+        # product R^H A R over the representatives R
         B = MODELS[model]()
         quotient = physical_space(B)
         ops = observable_algebra(B, "even_ghost").quotient_basis
-        got = brst._represented(quotient, ops)
+        R = quotient.quotient_reps
+        got = R.conj().T @ ops @ R
         assert got.shape == (len(ops), quotient.dim, quotient.dim)
         for A0, pi0 in zip(ops, got):
             want = representation_matrix(B, quotient, GradedOperator(A0, 0))
             np.testing.assert_allclose(pi0, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["solved", "rescale"])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_lifted_observables_move_a_class_of_norm_one(self, model, mode):
+        # item (iv) counts the quotient-basis observables that lift; the
+        # one-at-a-time reference finds the class of A0 phi0, for the
+        # representative phi0 each moves most, at norm 1, a matrix unit's column
+        B = MODELS[model]()
+        D = (rescaled_charge if mode == "rescale" else solved_charge)(B, ORDER)
+        norms = leading_class_norms(D)
+        report = deform_check(D, samples=5, rng=np.random.default_rng(6))
+        assert len(norms) == report.observables_checked == physical_space(B).dim ** 2
+        assert all(abs(norm - 1.0) <= 1e-12 for norm in norms)
 
     def test_formal_norms_are_positive_series(self):
         D = solved_charge(two_pair_model(), 3)
@@ -196,10 +210,8 @@ class TestStabilityItems:
             assert (redone - norm2).max_abs() < 1e-8
 
 
-COUNTS = ("lifted_kernel_dim", "positivity_checked", "null_vectors_checked",
-          "observables_checked")
-RESIDUALS = ("positivity_worst_defect", "null_membership_residual",
-             "lift_residual", "faithfulness_min_norm")
+COUNTS = ("lifted_kernel_dim", "null_vectors_checked", "observables_checked")
+RESIDUALS = ("positivity_worst_defect", "null_membership_residual", "lift_residual")
 
 
 def assert_same_report(got, want):

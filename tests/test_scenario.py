@@ -31,8 +31,8 @@ FULL = str(REPO / "scenarios" / "full_suite.json")
 
 def run_python(args, **env_vars):
     """`python ARGS` in a fresh process from the repository root, importing
-    this checkout's opalg first."""
-    env = dict(os.environ, **env_vars)
+    this checkout's opalg first; a variable given as None is unset."""
+    env = {k: v for k, v in dict(os.environ, **env_vars).items() if v is not None}
     src = str(Path(opalg.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
@@ -868,10 +868,30 @@ class TestCli:
 
     def test_csv_bytes_do_not_depend_on_blas_threads(self):
         runs = [run_cli(["run", FULL, "--format", "csv"],
-                        OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
-        assert [proc.returncode for proc in runs] == [0, 0]
+                        OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2", None)]
+        assert [proc.returncode for proc in runs] == [0, 0, 0]
         assert runs[0].stdout.startswith("check,status,value,tolerance,ms")
-        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+
+    @pytest.mark.parametrize("given, want", [
+        ({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+        ({"OMP_NUM_THREADS": "2"}, None), ({"GOTO_NUM_THREADS": "2"}, None)])
+    def test_command_runs_on_one_blas_thread_unless_told(self, tmp_path, given, want):
+        # entry() sets OPENBLAS_NUM_THREADS to 1 unless the caller chose a
+        # count through any variable OpenBLAS reads; numpy, which reads it,
+        # is first imported by the first check
+        path = write_scenario(tmp_path, {"name": "brst", "seed": 1,
+                                          "checks": [{"check": "brst.deform_stability"}]})
+        proc = run_python(["-c", (
+            "import os, sys\n"
+            "from opalg import cli\n"
+            f"sys.argv = ['opalg', 'run', {path!r}, '--out', os.devnull]\n"
+            "before = 'numpy' in sys.modules\n"
+            "code = cli.entry()\n"
+            "print(code, before, 'numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))")],
+            **{"OPENBLAS_NUM_THREADS": None, "GOTO_NUM_THREADS": None,
+               "OMP_NUM_THREADS": None, **given})
+        assert (proc.stdout, proc.stderr) == (f"0 False True {want}\n", "")
 
     def test_checks_listing(self, capsys):
         assert main(["checks"]) == 0
@@ -892,7 +912,55 @@ class TestCli:
         assert len(lines) == 4 ** 3 + 1
 
 
+def readme_parameter_table():
+    """README's `| check | parameter | default | domain |` table as
+    {check: {parameter: default cell}}.  A row without a check name goes on
+    with the check above, and a row of several parameters ("`order`,
+    `samples` | 3, 20") gives one default to each."""
+    lines = iter((REPO / "README.md").read_text().splitlines())
+    while next(lines).strip() != "| check | parameter | default | domain |":
+        pass
+    next(lines)  # the |---| rule
+    table = {}
+    for line in lines:
+        if not line.strip().startswith("|"):
+            break
+        check, params, default = (cell.strip() for cell in line.strip()[1:].split("|")[:3])
+        if check:
+            row = table[check.strip("`")] = {}
+        if params == "—":  # a check without parameters
+            continue
+        names = [name.strip(" `") for name in params.split(",")]
+        defaults = [default] if len(names) == 1 else [d.strip() for d in default.split(",")]
+        assert len(defaults) == len(names), line
+        row.update(zip(names, defaults))
+    return table
+
+
 class TestRegistry:
+    def test_readme_parameter_table_is_the_registry(self):
+        # "required" is no default, "none: ..." is None, and any other cell
+        # is the default's JSON, in backticks or bare, or a bare word
+        table = readme_parameter_table()
+        assert sorted(table) == available_checks()
+        for name, cells in table.items():
+            params = {p.name: p.default
+                      for p in inspect.signature(opalg.scenario._REGISTRY[name]).parameters.values()
+                      if p.kind is inspect.Parameter.KEYWORD_ONLY}
+            assert sorted(cells) == sorted(params), name
+            for key, cell in cells.items():
+                if cell == "required":
+                    assert params[key] is inspect.Parameter.empty, (name, key)
+                    continue
+                if cell.startswith("none:"):
+                    stated = None
+                else:
+                    try:
+                        stated = json.loads(cell.strip("`"))
+                    except ValueError:
+                        stated = cell.strip("`")
+                assert json.dumps(stated) == json.dumps(params[key]), (name, key, cell)
+
     def test_full_suite_checks_exist(self):
         names = set(available_checks())
         for spec in load_scenario(FULL).checks:
