@@ -327,32 +327,34 @@ def _physical_space(B: BRSTStructure) -> BRSTQuotient:
 
 class ObservableAlgebra(NamedTuple):
     variant: str
-    quotient_basis: np.ndarray    # (K, n, n), read-only
+    factors: np.ndarray                   # n x n, the structure's U, read-only
+    pairs: Tuple[np.ndarray, np.ndarray]  # the K column pairs (i, j), read-only
 
     @property
     def quotient_dim(self) -> int:
-        return len(self.quotient_basis)
+        return len(self.pairs[0])
+
+    @property
+    def quotient_basis(self) -> np.ndarray:
+        """The (K, n, n) stack of the u_i u_j^H, built read-only per read."""
+        (i, j), U = self.pairs, self.factors
+        return _read_only((U.T[i, :, None] * U.conj().T[j, None, :],))[0]
 
 
 def observable_algebra(B: BRSTStructure, variant: str) -> ObservableAlgebra:
     """Quotient ker s mod im s of the ambient matrix algebra, represented by
-    the harmonic operators u_i u_j^H of the structure's Hodge decomposition:
-    all of them for "full", the even ones for "even_ghost".  Products of
-    representatives must lie in ker s, and so must their Krein adjoints
-    ("full"), or the represented quotient must be closed under the physical
-    adjoint ("even_ghost"); RANK_TOL bounds these checks (_verify_closure).
-    """
+    the harmonic operators u_i u_j^H of the structure's Hodge decomposition,
+    held as factors: all of them for "full", the even ones for "even_ghost".
+    _verify_closure certifies closure under products and adjoints."""
     if variant not in ("even_ghost", "full"):
         raise ValueError(f"unknown variant {variant!r}")
     U, inverse, _ = B._hodge
     keep = inverse == 0
     if variant == "even_ghost":
         keep &= _same_parity(B.space)
-    i, j = np.nonzero(keep)
-    reps = U.T[i, :, None] * U.conj().T[j, None, :]
-    _verify_closure(B, reps, full=variant == "full")
-    _read_only((reps,))
-    return ObservableAlgebra(variant=variant, quotient_basis=reps)
+    i, j = _read_only(np.nonzero(keep))
+    _verify_closure(B, U, i, j, full=variant == "full")
+    return ObservableAlgebra(variant=variant, factors=U, pairs=(i, j))
 
 
 def _floor(B: BRSTStructure, full: bool) -> float:
@@ -364,53 +366,51 @@ def _floor(B: BRSTStructure, full: bool) -> float:
     return top ** -0.5 if top else np.inf
 
 
-def _verify_closure(B: BRSTStructure, ops: np.ndarray, full: bool):
-    """Certify closure under products and adjoints from one application of
-    s per operator and per adjoint.
+def _verify_closure(B: BRSTStructure, V: np.ndarray, i: np.ndarray, j: np.ndarray, full: bool):
+    """Certify closure of the operators v_i v_j^H, V of unit columns, from V.
 
-    ops (K, n, n), of unit Frobenius norm, should lie in T = ker s (full)
-    or T = ker s_0 (s on the even operators).  For the harmonic
-    representatives this certifies that they, their products and their
-    adjoints have classes in the quotient; im s is not examined.  With sigma
-    = _floor, the part of X off T has orthogonal images under s, so
-    dist(X, T) <= d(X) = |s(X)| / sigma, the odd part of X added in
-    quadrature if not full.  s(ab) = s(a) b + Gamma(a) s(b), Gamma(F) =
-    Sigma F Sigma, and operator norms are at most the unit Frobenius norms,
-    so a_i a_j lies within 2 max d(a_i) of T: at most sqrt(RANK_TOL), the
-    pairwise bound, certifies products.  s commutes with the Krein adjoint
-    up to a sign only for a Gram matrix that keeps parity, which the
-    reference models' does not, so d(A_i) <= sqrt(RANK_TOL) is asked of each
-    adjoint A_i.  If not full, the odd part P of A_i may be exact: |P -
-    s(_s_preimage(P))| replaces its norm, as pi(A)^* = pi(A^+) on the
-    physical quotient and im s acts there as zero.  Without a nonzero
-    physical quotient that test is void.
+    They should lie in T = ker s (full) or T = ker s_0 (s on the even
+    operators); for harmonic columns their classes, and those of their
+    products and adjoints, then lie in the quotient (im s is not examined).
+    With sigma = _floor, dist(X, T) <= d(X) = |s(X)| / sigma, where s(a b^H)
+    = (Q a) b^H - (Sigma a)(Q^H Sigma b)^H, and as s(ab) = s(a) b + Gamma(a)
+    s(b), Gamma(F) = Sigma F Sigma, a_i a_j lies within 2 max d(a_i) of T:
+    at most sqrt(RANK_TOL), the pairwise bound, certifies products.  If
+    full, each Krein adjoint (G^-1 v_j)(G v_i)^H must pass too (its terms
+    vanish on harmonic columns as Q^H G = G Q).  If not, the representatives
+    act on the physical quotient as the matrix units E_ab of equal parity,
+    closed under the induced adjoint H^-1 E_ba H exactly when H couples no
+    even class to an odd one: the largest such cosine in H, the norm of L^-1
+    H_mixed L^-H for L L^H the parity blocks of H, must be at most
+    sqrt(RANK_TOL), whatever the scale and basis of each parity.  Without a
+    nonzero physical quotient that test is void.
     """
-    same, sigma = _same_parity(B.space), _floor(B, full)
+    Q, krein, sigma = B.Q, B.space.krein, _floor(B, full)
+    sign = np.where(B.space.parities(), -1.0, 1.0)[:, None]  # Sigma
 
-    def distance(X: np.ndarray, exact: bool) -> np.ndarray:
-        moved = s_action(B, X)
-        if full:
-            return np.linalg.norm(moved, axis=(1, 2)) / sigma
-        part = np.where(same, 0, X)
-        if exact:
-            part = part - s_action(B, _s_preimage(B, part))
-        return np.hypot(np.linalg.norm(np.where(same, 0, moved), axis=(1, 2)) / sigma,
-                        np.linalg.norm(part, axis=(1, 2)))
+    def distance(A, C, p, q):  # d(a_p c_q^H) for the columns of A and C
+        qa, na, nc, qc = np.linalg.norm([Q @ A, A, C, Q.conj().T @ (sign * C)], axis=1)
+        return (qa[p] * nc[q] + na[p] * qc[q]) / sigma
 
     bound = np.sqrt(RANK_TOL)
-    eps = 2 * float(np.max(distance(ops, exact=False), initial=0.0))
+    eps = 2 * _max_abs(distance(V, V, i, j))
     if eps > bound:
         raise NotObservableError(f"kernel not closed under products (bound {eps:.3e})")
-    if not full:
+    if full:
+        miss = _max_abs(distance(krein.gram_inverse @ V, krein.gram @ V, j, i))
+    else:
         try:
-            if physical_space(B).dim == 0:
-                return
+            H = physical_space(B).induced_gram
         except (PositivityViolatedError, NullNotExactError):
             return
-    miss = float(np.max(distance(krein_adjoint(B.space.krein, ops), exact=True),
-                        initial=0.0))
+        parity = B.space.parities()[B._hodge[2] == 0]
+        same = parity[:, None] == parity
+        L = np.linalg.cholesky(np.where(same, H, 0))
+        miss = _max_abs(np.linalg.eigvalsh(
+            np.linalg.solve(L, np.linalg.solve(L, np.where(same, 0, H)).conj().T)))
     if miss > bound:
-        raise NotObservableError(f"kernel not closed under the adjoint (bound {miss:.3e})")
+        raise NotObservableError(f"{'kernel' if full else 'represented quotient'} not "
+                                 f"closed under the adjoint (bound {miss:.3e})")
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,6 @@ def _least(kind, least):
 
 
 _count = functools.partial(_least, int)     # a count, size or order and its least value
-_integer = functools.partial(_number, int)
 _real = functools.partial(_number, float)
 
 
@@ -313,7 +312,7 @@ _MODELS = {name: functools.cache(lambda builder=builder: getattr(opalg.brst, bui
 
 @register("brst.physical_space")
 def _check_physical_space(ctx, *, model: tuple(_MODELS) = "gupta_bleuler",
-                          expect_dim: _integer = None):
+                          expect_dim: _count(0) = None):
     quotient = opalg.brst.physical_space(_MODELS[model]())
     ok = expect_dim is None or quotient.dim == expect_dim
     return CheckResult(passed=ok, value=f"quotient_dim={quotient.dim}")
@@ -322,7 +321,7 @@ def _check_physical_space(ctx, *, model: tuple(_MODELS) = "gupta_bleuler",
 @register("brst.observables")
 def _check_observables(ctx, *, model: tuple(_MODELS) = "gupta_bleuler",
                        variant: ("even_ghost", "full") = "even_ghost",
-                       expect_dim: _integer = None):
+                       expect_dim: _count(0) = None):
     algebra = opalg.brst.observable_algebra(_MODELS[model](), variant)
     ok = expect_dim is None or algebra.quotient_dim == expect_dim
     return CheckResult(passed=ok, value=f"quotient_dim={algebra.quotient_dim}")

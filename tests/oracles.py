@@ -284,6 +284,58 @@ def closure_pairwise(B, ker_ops, quotient_basis=None, tol=ORACLE_TOL):
         represented_star_closure(B, quotient_basis, tol)
 
 
+def closure_certificate_dense(B, ops, full):
+    """The dense closure certificate that brst._verify_closure replaced,
+    from one application of s per operator and per adjoint.
+
+    ops (K, n, n), of unit Frobenius norm, should lie in T = ker s (full)
+    or T = ker s_0 (s on the even operators).  For the harmonic
+    representatives this certifies that they, their products and their
+    adjoints have classes in the quotient; im s is not examined.  With sigma
+    = _floor, the part of X off T has orthogonal images under s, so
+    dist(X, T) <= d(X) = |s(X)| / sigma, the odd part of X added in
+    quadrature if not full.  s(ab) = s(a) b + Gamma(a) s(b), Gamma(F) =
+    Sigma F Sigma, and operator norms are at most the unit Frobenius norms,
+    so a_i a_j lies within 2 max d(a_i) of T: at most sqrt(RANK_TOL), the
+    pairwise bound, certifies products.  s commutes with the Krein adjoint
+    up to a sign only for a Gram matrix that keeps parity, which the
+    reference models' does not, so d(A_i) <= sqrt(RANK_TOL) is asked of each
+    adjoint A_i.  If not full, the odd part P of A_i may be exact: |P -
+    s(_s_preimage(P))| replaces its norm, as pi(A)^* = pi(A^+) on the
+    physical quotient and im s acts there as zero.  Without a nonzero
+    physical quotient that test is void.
+    """
+    from opalg import brst
+    from opalg.krein import krein_adjoint
+
+    same, sigma = brst._same_parity(B.space), brst._floor(B, full)
+
+    def distance(X: np.ndarray, exact: bool) -> np.ndarray:
+        moved = brst.s_action(B, X)
+        if full:
+            return np.linalg.norm(moved, axis=(1, 2)) / sigma
+        part = np.where(same, 0, X)
+        if exact:
+            part = part - brst.s_action(B, brst._s_preimage(B, part))
+        return np.hypot(np.linalg.norm(np.where(same, 0, moved), axis=(1, 2)) / sigma,
+                        np.linalg.norm(part, axis=(1, 2)))
+
+    bound = np.sqrt(brst.RANK_TOL)
+    eps = 2 * float(np.max(distance(ops, exact=False), initial=0.0))
+    if eps > bound:
+        raise brst.NotObservableError(f"kernel not closed under products (bound {eps:.3e})")
+    if not full:
+        try:
+            if brst.physical_space(B).dim == 0:
+                return
+        except (brst.PositivityViolatedError, brst.NullNotExactError):
+            return
+    miss = float(np.max(distance(krein_adjoint(B.space.krein, ops), exact=True),
+                        initial=0.0))
+    if miss > bound:
+        raise brst.NotObservableError(f"kernel not closed under the adjoint (bound {miss:.3e})")
+
+
 def lstsq_series_solve(charges, targets, first=None):
     """Order by order, x_n = the least-squares solution of
     Q_0 x_n = t_n - sum_{k>=1} Q_k x_{n-k}; with first given, x_0 = first

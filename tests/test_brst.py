@@ -13,12 +13,13 @@ from opalg.brst import (GradeViolationError, NonHomogeneousError,
 from opalg.krein import fundamental_symmetry, krein_adjoint
 from opalg.series import FormalSeries, series_mul
 
-from oracles import (GradedOperator, brst_derivation, class_coordinates, closure_pairwise,
-                     deformation_generators_loop, derivation_svd, leading_class_norms,
-                     lstsq_series_solve, observable_dims_svd, physical_space_svd,
-                     physical_space_three_step, quartet_model, quotient_oracle,
-                     quotient_reps, rank, representation_matrix, s_preimage_svd,
-                     super_commutator_matrix, svd_column_space, svd_null_space)
+from oracles import (GradedOperator, brst_derivation, class_coordinates,
+                     closure_certificate_dense, closure_pairwise, deformation_generators_loop,
+                     derivation_svd, leading_class_norms, lstsq_series_solve,
+                     observable_dims_svd, physical_space_svd, physical_space_three_step,
+                     quartet_model, quotient_oracle, quotient_reps, rank,
+                     representation_matrix, s_preimage_svd, super_commutator_matrix,
+                     svd_column_space, svd_null_space)
 
 TOYS = {
     "null_pair": (null_pair_toy, 0),
@@ -272,12 +273,43 @@ class TestObservableAlgebra:
     @pytest.mark.parametrize("name", sorted(TOYS))
     def test_quotient_basis_is_one_read_only_stack(self, name):
         B = TOYS[name][0]()
+        U, inverse, _ = B._hodge
         for variant in ("even_ghost", "full"):
-            basis = observable_algebra(B, variant).quotient_basis
+            algebra = observable_algebra(B, variant)
+            basis = algebra.quotient_basis
             assert isinstance(basis, np.ndarray)
-            assert basis.shape == (len(basis), B.dim, B.dim)
+            assert basis.shape == (algebra.quotient_dim, B.dim, B.dim)
             with pytest.raises(ValueError, match="read-only"):
                 basis[...] = 0.0
+            # each read builds a new stack, bit for bit the one the dense
+            # certificate was given
+            keep = inverse == 0
+            if variant == "even_ghost":
+                keep &= brst._same_parity(B.space)
+            i, j = np.nonzero(keep)
+            assert algebra.quotient_basis is not basis
+            assert np.array_equal(basis, U.T[i, :, None] * U.conj().T[j, None, :])
+            assert all(np.array_equal(got, want) for got, want in
+                       zip(algebra.pairs, harmonic_pairs(B, variant == "full")))
+            assert algebra.factors is U
+            for a in algebra.pairs:
+                assert not a.flags.writeable
+
+    def test_no_dense_stack_unless_the_basis_is_read(self):
+        # n = 176 and K = 256: the stack would take 127 MB
+        import tracemalloc
+        B = quartet_model(16, 40, 1)
+        B._hodge, physical_space(B)
+        stack = 256 * B.dim ** 2 * 16
+        for variant in ("even_ghost", "full"):
+            tracemalloc.start()
+            try:
+                algebra = observable_algebra(B, variant)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert algebra.quotient_dim == 256
+            assert peak < stack / 10
 
     def test_trivial_charge_gives_full_matrix_algebra(self):
         space = make_graded_space(np.eye(2), [0, 0])
@@ -306,15 +338,46 @@ class TestObservableAlgebra:
     @pytest.mark.parametrize("name", sorted(TOYS))
     def test_closure_fails_once_a_column_leaves_the_kernel(self, name):
         B = TOYS[name][0]()
+        rng = np.random.default_rng(0)
+        for full in (False, True):
+            brst._verify_closure(B, B._hodge[0], *harmonic_pairs(B, full), full)
+            V, c = push_off_harmonic(B, rng)
+            with pytest.raises(NotObservableError, match="products"):
+                brst._verify_closure(B, V, *harmonic_pairs(B, full, c), full)
+        # the dense twin: a unit vector orthogonal to ker s replaces the first
+        # kernel column; on null_pair the pairwise adjoint test maps it back
+        # into the span
         ker = derivation_svd(B.Q, B.space.ghost_grades, "full")[0]
-        brst._verify_closure(B, ker, full=True)
-        # a unit vector orthogonal to ker s replaces the first kernel column;
-        # on null_pair the pairwise adjoint test maps it back into the span
+        closure_certificate_dense(B, ker, full=True)
         vecs = ker.reshape(len(ker), -1).T
         pushed = ker.copy()
         pushed[0] = np.linalg.svd(vecs.conj().T)[2][len(ker)].conj().reshape(B.dim, B.dim)
         with pytest.raises(NotObservableError):
-            brst._verify_closure(B, pushed, full=True)
+            closure_certificate_dense(B, pushed, full=True)
+
+
+def harmonic_pairs(B, full, extra=()):
+    """The column pairs (i, j) of B's U over its harmonic columns and the
+    columns extra, of equal parity unless full: observable_algebra's pairs
+    when extra is empty."""
+    cols = np.union1d(np.flatnonzero(B._hodge[2] == 0), extra).astype(int)
+    parity = B.space.parities()[cols]
+    a, b = np.nonzero(np.ones((len(cols),) * 2, dtype=bool) if full
+                      else parity[:, None] == parity)
+    return cols[a], cols[b]
+
+
+def push_off_harmonic(B, rng):
+    """B's U with one column, the first harmonic one (column 0 if there is
+    none), replaced by a random unit vector of the span of the others off
+    ker Q and ker Q^H, mixing the degrees; and that column's index."""
+    U, _, sign = B._hodge
+    c = int(np.argmin(np.abs(sign)))
+    others = U[:, sign != 0]
+    off = others @ (rng.normal(size=others.shape[1]) + 1j * rng.normal(size=others.shape[1]))
+    V = U.copy()
+    V[:, c] = off / np.linalg.norm(off)
+    return V, c
 
 
 def represented(B, A):
@@ -509,6 +572,47 @@ moved_pair_models = st.builds(
     pair_models, st.integers(0, 2**32 - 1))
 
 
+def coupled_gram_model(even, odd, coupling, seed):
+    """Q = 0 on `even` modes of ghost 0 and `odd` of ghost 1, whose Gram
+    matrix couples the two parities by a random block of norm |coupling|."""
+    rng = np.random.default_rng(seed)
+    C = rng.normal(size=(even, odd)) + 1j * rng.normal(size=(even, odd))
+    G = np.eye(even + odd, dtype=complex)
+    G[:even, even:] = coupling * C / np.linalg.norm(C, 2)
+    G[even:, :even] = G[:even, even:].conj().T
+    n = even + odd
+    return validate_brst(make_graded_space(G, [0] * even + [1] * odd), np.zeros((n, n)))
+
+
+def coupled_quartet_model(quartets, coupling, seed):
+    """oracles.quartet_model with one physical mode r, and a physical mode
+    e of ghost 1 after it, with (r, e) = coupling."""
+    B = quartet_model(1, quartets, seed)
+    U, _, sign = B._hodge
+    n = B.dim
+    G = np.eye(n + 1, dtype=complex)
+    G[:n, :n] = B.space.krein.gram
+    G[:n, n:] = coupling * U[:, sign == 0]  # G r = r for the harmonic r
+    G[n:, :n] = G[:n, n:].conj().T
+    Q = np.zeros((n + 1, n + 1), dtype=complex)
+    Q[:n, :n] = B.Q
+    return validate_brst(make_graded_space(G, B.space.ghost_grades + (1,)), Q)
+
+
+def rank_one_stack(V, i, j):
+    """The (K, n, n) stack of the operators v_i v_j^H."""
+    return V.T[i, :, None] * V.conj().T[j, None, :]
+
+
+couplings = st.builds(lambda scale, turn: scale * np.exp(2j * np.pi * turn),
+                      st.sampled_from([0.0, 1e-12, 1e-6, 0.3]), st.floats(0, 1))
+closure_models = st.one_of(
+    models, quartet_models, moved_pair_models,
+    st.builds(coupled_gram_model, st.integers(1, 2), st.integers(1, 2), couplings,
+              st.integers(0, 2**32 - 1)),
+    st.builds(coupled_quartet_model, st.integers(1, 3), couplings, st.integers(0, 2**32 - 1)))
+
+
 class TestChangeOfBasis:
     """Quotients are basis independent, for bases that respect ghost number."""
 
@@ -660,21 +764,93 @@ class TestOracleTwins:
             full = variant == "full"
             ops = derivation_svd(B.Q, B.space.ghost_grades, variant)[0]
             represented = None if full else observable_algebra(B, variant).quotient_basis
-            assert verdict(brst._verify_closure, B, ops, full) is None
+            assert verdict(brst._verify_closure, B, B._hodge[0], *harmonic_pairs(B, full),
+                           full) is None
+            assert verdict(closure_certificate_dense, B, ops, full) is None
             assert verdict(closure_pairwise, B, ops, represented, tol) is None
-            # one column pushed off the kernel along a random direction of its
-            # complement: the certificate always sees it; the pairwise loops
-            # see it at least for the full variant.  A basis vector of the
-            # complement will not do: in the one-pair model it may be E_10,
-            # and {E_10, 1} is closed under products and the Krein adjoint
+            # a harmonic column pushed off ker Q and ker Q^H: the certificate
+            # sees it in the factors
+            V, c = push_off_harmonic(B, rng)
+            assert verdict(brst._verify_closure, B, V, *harmonic_pairs(B, full, c),
+                           full) is NotObservableError
+            # one column of the kernel basis pushed off the kernel along a
+            # random direction of its complement: the dense certificate always
+            # sees it; the pairwise loops see it at least for the full
+            # variant.  A basis vector of the complement will not do: in the
+            # one-pair model it may be E_10, and {E_10, 1} is closed under
+            # products and the Krein adjoint
             vecs = ops.reshape(len(ops), -1).T
             complement = np.linalg.svd(vecs.conj().T)[2][vecs.shape[1]:].conj()
             off = complement.T @ (rng.normal(size=len(complement))
                                   + 1j * rng.normal(size=len(complement)))
             ops[0] = (off / np.linalg.norm(off)).reshape(n, n)
-            assert verdict(brst._verify_closure, B, ops, full) is NotObservableError
+            assert verdict(closure_certificate_dense, B, ops, full) is NotObservableError
             if full:
                 assert verdict(closure_pairwise, B, ops, None, tol) is NotObservableError
+
+    @settings(max_examples=60, deadline=None)
+    @given(B=closure_models)
+    def test_closure_verdicts_agree(self, B):
+        # the factor certificate, the dense one it replaced and the pairwise
+        # gate, on the harmonic representatives and on the kernel of s
+        for variant in ("even_ghost", "full"):
+            full = variant == "full"
+            reps = rank_one_stack(B._hodge[0], *harmonic_pairs(B, full))
+            ops = derivation_svd(B.Q, B.space.ghost_grades, variant)[0]
+            want = verdict(closure_pairwise, B, ops, None if full else reps)
+            assert verdict(observable_algebra, B, variant) is want
+            assert verdict(closure_certificate_dense, B, reps, full) is want
+
+    @pytest.mark.parametrize("stretch, want", [(1.0, None), (1e2, NotObservableError),
+                                               (1e4, NotObservableError)])
+    def test_full_adjoint_check_decides_on_a_stretched_gram(self, stretch, want):
+        # the harmonic column moved 1e-6 off ker Q and ker Q^H stays within
+        # the product bound, but G of condition stretch^2 moves its Krein
+        # adjoints further, so the adjoint check alone decides; the dense
+        # twin, given the rank-one stack, agrees
+        B = change_basis(gupta_bleuler_toy(), np.diag([1.0, stretch, stretch]).astype(complex))
+        U, _, sign = B._hodge
+        c = int(np.flatnonzero(sign == 0)[0])
+        off = U[:, sign != 0].sum(axis=1)
+        V = U.copy()
+        V[:, c] += 1e-6 * off / np.linalg.norm(off)
+        V[:, c] /= np.linalg.norm(V[:, c])
+        i, j = harmonic_pairs(B, True, c)
+        assert verdict(brst._verify_closure, B, V, i, j, True) is want
+        assert verdict(closure_certificate_dense, B, rank_one_stack(V, i, j), True) is want
+        if want:
+            with pytest.raises(NotObservableError, match="adjoint"):
+                brst._verify_closure(B, V, i, j, True)
+
+    @pytest.mark.parametrize("weight", [1.0, 1e-4, 1e-8])
+    def test_parity_coupling_is_read_free_of_the_basis(self, weight):
+        # the second ghost-0 mode is the unit one rescaled by sqrt(weight),
+        # so the cosine of its coupling to the ghost-1 mode stays 1e-6 (a
+        # pass), 0.01 or 0.3 (rejections).  max|H_mixed| / max|H| would pass
+        # 0.01 at weight 1e-8; the dense certificate and the pairwise gate
+        # read the coupling in the basis, and reject 1e-6 from weight 1e-4 on
+        for cosine, want in ((1e-6, None), (0.01, NotObservableError),
+                             (0.3, NotObservableError)):
+            G = np.eye(3, dtype=complex)
+            G[1, 1] = weight
+            G[1, 2] = G[2, 1] = cosine * np.sqrt(weight)
+            B = validate_brst(make_graded_space(G, [0, 0, 1]), np.zeros((3, 3)))
+            assert verdict(observable_algebra, B, "even_ghost") is want
+
+    @settings(max_examples=30, deadline=None)
+    @given(B=closure_models, k=st.integers(-6, 6), exponent=st.integers(-12, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_closure_verdicts_invariant(self, B, k, exponent, seed):
+        # rejections included: G -> 10^k G, Q -> 10^exponent Q and a change
+        # of basis within each ghost degree keep both variants' verdicts
+        def verdicts(C):
+            return [verdict(observable_algebra, C, v) for v in ("even_ghost", "full")]
+        want = verdicts(B)
+        G, grades = B.space.krein.gram, B.space.ghost_grades
+        for moved in (validate_brst(make_graded_space(10.0 ** k * G, grades), B.Q),
+                      validate_brst(B.space, 10.0 ** exponent * B.Q),
+                      change_basis(B, ghost_preserving(np.random.default_rng(seed), B))):
+            assert verdicts(moved) == want
 
     def test_closure_on_a_gram_matrix_that_mixes_parity(self):
         # Q = 0 and a positive Gram matrix pairing ghost 0 with ghost 1: the

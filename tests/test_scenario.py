@@ -587,6 +587,10 @@ class TestCli:
          "checks[0].params.b"),
         ({"checks": [{"check": "brst.observables", "params": {"expect_dim": "four"}}]},
          "checks[0].params.expect_dim"),
+        ({"checks": [{"check": "brst.observables", "params": {"expect_dim": -3}}]},
+         "checks[0].params.expect_dim: expected at least 0, got -3"),
+        ({"checks": [{"check": "brst.physical_space", "params": {"expect_dim": -1}}]},
+         "checks[0].params.expect_dim: expected at least 0, got -1"),
         ({"checks": [{"check": "qplane.coaction",
                       "params": {"q": [2, 0], "perturb_ab": "false"}}]},
          "checks[0].params.perturb_ab"),
