@@ -6,22 +6,20 @@
 Times one call on the pair model of n dimensions: two physical modes of
 ghost number 0 plus (n - 2) / 2 null pairs, as in `two_pair_model` and
 `perfbench/sweep.py`.  `observable_algebra(B, "full")` is swept over
-n = 12/16/20/28/40, `physical_space(B)` over n = 16/32/64/128, and the
-minimum-norm solve of s, `brst._s_preimage(B, brst.s_action(B, X))` for a
-fixed random X, over n = 20/28/40.  Both variants of `observable_algebra`
-are also swept on Kugo-Ojima quartet models of n = 36/88/176 dimensions:
-4/8/16 physical modes of ghost number 0 and 8/20/40 quartets, turned by a
-random unitary (seed 1) within each ghost degree, which gives K = 16/64/256
-harmonic representatives; the builder repeats the test suite's
-`quartet_model`, which a child cannot import.  Each child first makes one
+n = 12/16/20/28/40 and `physical_space(B)` over n = 16/32/64/128.  Both
+variants of `observable_algebra` are also swept on Kugo-Ojima quartet
+models of n = 36/88/176 dimensions: 4/8/16 physical modes of ghost number
+0 and 8/20/40 quartets, turned by a random unitary (seed 1) within each
+ghost degree, which gives K = 16/64/256 harmonic representatives; the
+builder repeats the test suite's `quartet_model`, which a child cannot
+import.  Each child first makes one
 untimed call of the same kind on a structure of its own, so the timing
 leaves out numpy's one-time costs of a first call (lazy imports, BLAS and
 ufunc setup); the timed structure is then built fresh, so its cached
 decompositions count in the timing, as they do for a scenario check.
 `treebench` holds the options (`--tree`, `--rev`, `--out`), the
-alternating fresh child processes and the exponent fit.  Besides public
-names only the private `_s_preimage(B, R)` is called; it has kept that
-signature since the derivation was first cached (f8d683b).
+alternating fresh child processes and the exponent fit.  Uses only public
+names that every tree has.
 """
 
 from __future__ import annotations
@@ -68,23 +66,20 @@ def quartet_model():
 model = quartet_model if kind.startswith("quartet") else pair_model
 
 
-def call(B, X):
+def call(B):
     if kind.startswith("quartet"):
         want = {36: 16, 88: 64, 176: 256}[n]
         assert brst.observable_algebra(B, kind.split("_", 1)[1]).quotient_dim == want
     elif kind == "full":
         assert brst.observable_algebra(B, "full").quotient_dim == 4
-    elif kind == "preimage":
-        brst._s_preimage(B, brst.s_action(B, X))
     else:
         assert brst.physical_space(B).dim == 2
 
 
-X = np.random.default_rng(n).normal(size=(n, n)) + 0j
-call(model(), X)  # untimed, on its own structure: numpy's first calls
+call(model())  # untimed, on its own structure: numpy's first calls
 B = model()
 start = time.perf_counter()
-call(B, X)
+call(B)
 print(time.perf_counter() - start)
 """
 
@@ -93,8 +88,6 @@ SWEEPS = (
      "observable_algebra(B, \"full\") on the n-dimensional pair model"),
     ("physical_space", "physical", "n", (16, 32, 64, 128),
      "physical_space(B) on the n-dimensional pair model"),
-    ("s_preimage", "preimage", "n", (20, 28, 40),
-     "_s_preimage(B, s_action(B, X)) on a fresh n-dimensional pair model"),
     ("observable_algebra_quartet_full", "quartet_full", "n", (36, 88, 176),
      "observable_algebra(B, \"full\") on the n-dimensional quartet model"),
     ("observable_algebra_quartet_even_ghost", "quartet_even_ghost", "n", (36, 88, 176),

@@ -5,8 +5,14 @@
 
 Times one `brst.deform_check` call on the two-pair model with a solved
 first-order deformation (generator weights from a fixed seed): over the
-sample count at order 6, and over the order at 400 samples.  Each child
-first makes one untimed call on a structure of its own, so the timing
+sample count at order 6, and over the order at 400 samples.  It also times
+one call with 20 samples on the rescaled order-3 deformation Q + tQ of
+Kugo-Ojima quartet models of n = 36/88/176 dimensions: 4/8/16 physical
+modes of ghost number 0 and 8/20/40 quartets, turned by a random unitary
+(seed 1) within each ghost degree, with K = 16/64/256 even-ghost
+observables; the builder repeats the test suite's `quartet_model`, which
+a child cannot import.  Each child first makes one untimed call on a
+structure of its own (for the quartets, the one of n = 36), so the timing
 leaves out numpy's one-time costs of a first call (lazy imports, BLAS and
 ufunc setup); the timed structure is then built fresh, so its cached
 decompositions count in the timing, as they do for a scenario check.
@@ -25,7 +31,7 @@ import sys, time
 import numpy as np
 from opalg import brst, series
 kind, size = sys.argv[1], int(sys.argv[2])
-samples, order = (size, 6) if kind == "samples" else (400, size)
+samples, order = {"samples": (size, 6), "order": (400, size), "quartet": (20, 3)}[kind]
 
 
 def deformation():
@@ -37,13 +43,40 @@ def deformation():
         B, series.FormalSeries([B.Q, Q1] + [np.zeros_like(B.Q)] * (order - 1)))
 
 
+def quartet_deformation(n=size):
+    physical = {36: 4, 88: 8, 176: 16}[n]
+    grades = np.array([0] * physical + [0, 0, 1, -1] * ((n - physical) // 4))
+    gram = np.zeros((n, n), dtype=complex)
+    gram[:physical, :physical] = np.eye(physical)
+    Q = np.zeros((n, n), dtype=complex)
+    for a in range(physical, n, 4):
+        gram[a, a + 1] = gram[a + 1, a] = gram[a + 2, a + 3] = gram[a + 3, a + 2] = 1
+        Q[a + 2, a] = Q[a + 1, a + 3] = 1
+    rng = np.random.default_rng(1)
+    U = np.zeros((n, n), dtype=complex)
+    for g in np.unique(grades):
+        idx = np.flatnonzero(grades == g)
+        Z = rng.normal(size=(idx.size, idx.size)) + 1j * rng.normal(size=(idx.size, idx.size))
+        U[np.ix_(idx, idx)] = np.linalg.qr(Z)[0]
+    B = brst.validate_brst(brst.make_graded_space(U.conj().T @ gram @ U, grades),
+                           U.conj().T @ Q @ U)
+    return brst.validate_deformation(
+        B, series.FormalSeries([B.Q, B.Q] + [np.zeros_like(B.Q)] * (order - 1)))
+
+
 def call(D):
     report = brst.deform_check(D, samples=samples, rng=np.random.default_rng(0))
     assert report.all_passed
+    if kind == "quartet":
+        assert report.observables_checked == {36: 16, 88: 64, 176: 256}[D.base.dim]
 
 
-call(deformation())  # untimed, on its own structure: numpy's first calls
-D = deformation()
+if kind == "quartet":  # untimed, on a structure of its own: numpy's first calls
+    call(quartet_deformation(36))
+    D = quartet_deformation()
+else:
+    call(deformation())
+    D = deformation()
 start = time.perf_counter()
 call(D)
 print(time.perf_counter() - start)
@@ -54,6 +87,9 @@ SWEEPS = (
      "deform_check on two_pair, solved deformation of order 6"),
     ("order", "order", "order", (3, 6, 9),
      "deform_check on two_pair, solved deformation, 400 samples"),
+    ("quartet", "quartet", "n", (36, 88, 176),
+     "deform_check on the n-dimensional quartet model, rescaled deformation "
+     "of order 3, 20 samples"),
 )
 
 

@@ -250,38 +250,42 @@ def adjoint_closure_pairwise(G, ker_ops, tol=ORACLE_TOL):
         raise brst.NotObservableError("kernel not closed under the adjoint")
 
 
-def represented_star_closure(B, quotient_basis, tol=ORACLE_TOL):
+def represented_star_closure(B, reps, tol=ORACLE_TOL):
     """The even-ghost quotient, represented on the physical space, must be
     closed under the adjoint of the induced (positive) product; nothing is
-    checked where there is no nonzero physical quotient."""
+    checked where there is no nonzero physical quotient.  The represented
+    matrices are read in coordinates orthonormal for the induced product H
+    = L L^H, M -> L^H M L^-H, where the adjoint is the conjugate transpose,
+    so the verdict does not depend on the basis of the representatives."""
     from opalg import brst
 
     try:
         quotient = brst.physical_space(B)
     except (brst.PositivityViolatedError, brst.NullNotExactError):
         return
-    if quotient.dim == 0 or not len(quotient_basis):
+    if quotient.dim == 0 or not len(reps):
         return
     mats = np.array([representation_matrix(B, quotient, GradedOperator(A0, 0))
-                     for A0 in quotient_basis])
-    gram = quotient.induced_gram
-    adjoints = np.linalg.inv(gram) @ mats.conj().transpose(0, 2, 1) @ gram
-    span, targets = (m.reshape(len(mats), -1).T for m in (mats, adjoints))
+                     for A0 in reps])
+    Lh = np.linalg.cholesky(quotient.induced_gram).conj().T
+    mats = Lh @ mats @ np.linalg.inv(Lh)
+    span, targets = (m.reshape(len(mats), -1).T
+                     for m in (mats, mats.conj().transpose(0, 2, 1)))
     coeffs = np.linalg.lstsq(span, targets, rcond=None)[0]
     res = np.linalg.norm(span @ coeffs - targets, axis=0)
     if np.any(res > np.sqrt(tol) * np.maximum(1.0, np.linalg.norm(targets, axis=0))):
         raise brst.NotObservableError("represented quotient not closed under the adjoint")
 
 
-def closure_pairwise(B, ker_ops, quotient_basis=None, tol=ORACLE_TOL):
+def closure_pairwise(B, ker_ops, reps=None, tol=ORACLE_TOL):
     """brst._verify_closure by brute force: the pairwise products, then the
-    pairwise adjoints (given no quotient_basis, the full variant) or the
-    represented adjoints of quotient_basis (the even-ghost variant)."""
+    pairwise adjoints (given no reps, the full variant) or the
+    represented adjoints of reps (the even-ghost variant)."""
     product_closure_pairwise(ker_ops, tol)
-    if quotient_basis is None:
+    if reps is None:
         adjoint_closure_pairwise(B.space.krein.gram, ker_ops, tol)
     else:
-        represented_star_closure(B, quotient_basis, tol)
+        represented_star_closure(B, reps, tol)
 
 
 def closure_certificate_dense(B, ops, full):
@@ -301,7 +305,7 @@ def closure_certificate_dense(B, ops, full):
     up to a sign only for a Gram matrix that keeps parity, which the
     reference models' does not, so d(A_i) <= sqrt(RANK_TOL) is asked of each
     adjoint A_i.  If not full, the odd part P of A_i may be exact: |P -
-    s(_s_preimage(P))| replaces its norm, as pi(A)^* = pi(A^+) on the
+    s(s_preimage(P))| replaces its norm, as pi(A)^* = pi(A^+) on the
     physical quotient and im s acts there as zero.  Without a nonzero
     physical quotient that test is void.
     """
@@ -311,12 +315,12 @@ def closure_certificate_dense(B, ops, full):
     same, sigma = brst._same_parity(B.space), brst._floor(B, full)
 
     def distance(X: np.ndarray, exact: bool) -> np.ndarray:
-        moved = brst.s_action(B, X)
+        moved = s_action(B, X)
         if full:
             return np.linalg.norm(moved, axis=(1, 2)) / sigma
         part = np.where(same, 0, X)
         if exact:
-            part = part - brst.s_action(B, brst._s_preimage(B, part))
+            part = part - s_action(B, s_preimage(B, part))
         return np.hypot(np.linalg.norm(np.where(same, 0, moved), axis=(1, 2)) / sigma,
                         np.linalg.norm(part, axis=(1, 2)))
 
@@ -736,7 +740,7 @@ def deform_check_reference(D, samples, rng, tol=1e-9):
 
 def leading_class_norms(D):
     """Item (iv) of brst.deform_check, one observable at a time: for each
-    even-ghost quotient-basis observable A0 that lifts (brst._unliftable),
+    even-ghost quotient-basis observable A0 that lifts (unliftable_reference),
     the norm of the class of A0 phi0, for the representative phi0 that A0
     moves most (representation_matrix).  A lifted phi~ starts with phi0, so
     A~ phi~ starts with A0 phi0."""
@@ -745,8 +749,8 @@ def leading_class_norms(D):
     base = D.base
     quotient = brst.physical_space(base)
     norms = []
-    for A0 in brst.observable_algebra(base, "even_ghost").quotient_basis:
-        if brst._unliftable(D, A0[None])[0]:
+    for A0 in quotient_basis(brst.observable_algebra(base, "even_ghost")):
+        if unliftable_reference(D, A0[None])[0]:
             continue
         pi0 = np.abs(representation_matrix(base, quotient, GradedOperator(A0, 0)))
         phi0 = quotient.quotient_reps[:, int(np.argmax(np.max(pi0, axis=0)))]
@@ -1084,6 +1088,62 @@ def quartet_model(physical, quartets, seed):
     return validate_brst(make_graded_space(U.conj().T @ gram @ U, grades), U.conj().T @ Q @ U)
 
 
+def graded_sign_split(space, M):
+    """Return sum over parities of (-1)^parity times the parity component."""
+    from opalg.brst import _same_parity
+    return np.where(_same_parity(space), M, -M)
+
+
+def s_action(B, M):
+    """Graded derivation on an arbitrary matrix, s(F) = QF - (-1)^d FQ.
+
+    Inhomogeneous matrices are handled by acting on their parity parts.
+    """
+    return B.Q @ M - graded_sign_split(B.space, M) @ B.Q
+
+
+def s_preimage(B, R):
+    """Minimum-norm X with s(X) closest to R, for R a matrix or a stack:
+    X = s^H(Y), Y = (s s^H + s^H s)^+ R from the structure's Hodge
+    decomposition, and s^H(Y) = Q^H Y - Sigma Y Q^H Sigma."""
+    U, inverse, _ = B._hodge
+    Uh, Qh = U.conj().T, B.Q.conj().T
+    Y = U @ ((Uh @ R @ U) * inverse) @ Uh
+    return Qh @ Y - graded_sign_split(B.space, Y @ Qh)
+
+
+def unliftable_reference(D, A0):
+    """Which base observables of the stack A0 (K, n, n) do not extend to the
+    deformed kernel of s: solved order by order, some order's residual
+    exceeds LIFT_TOL relative to its right-hand side or, where that is
+    larger, to the scale of the series (the solve of the series divided by
+    its scale, as deform_check decides).  The operator-level twin of
+    deform_check's item (iv), which reads its count off item (iii)."""
+    from opalg.brst import LIFT_TOL, _scale
+    base, scale = D.base, _scale(D)
+    Qs = D.Q_series.coeffs[1:, None]
+    A = np.empty((D.order + 1,) + A0.shape, dtype=complex)
+    A[0] = A0
+    bad = np.zeros(len(A0), dtype=bool)
+    for m in range(1, D.order + 1):
+        # sum_{k=1..m} of -(Q_k A_{m-k} - Gamma(A_{m-k}) Q_k)
+        prev = A[m - 1::-1]
+        rhs = (graded_sign_split(base.space, prev) @ Qs[:m] - Qs[:m] @ prev).sum(axis=0)
+        A[m] = s_preimage(base, rhs)
+        res, rhs = np.linalg.norm([s_action(base, A[m]) - rhs, rhs], axis=(2, 3))
+        bad |= res > LIFT_TOL * np.maximum(scale, rhs)
+    return bad
+
+
+def quotient_basis(algebra):
+    """The (K, n, n) stack of the u_i u_j^H of an ObservableAlgebra, built
+    read-only per call from its factors and pairs."""
+    (i, j), U = algebra.pairs, algebra.factors
+    stack = U.T[i, :, None] * U.conj().T[j, None, :]
+    stack.setflags(write=False)
+    return stack
+
+
 def krein_adjoint_solve(K, A):
     """krein_adjoint by one LU solve per matrix: G X = A^H G."""
     A = np.asarray(A, dtype=complex)
@@ -1115,7 +1175,7 @@ def representation_matrix(B, quotient, A: GradedOperator) -> np.ndarray:
     CLASS_TOL relative to the scale of A (s(A) to max|Q| max|A|), so every
     multiple of Q or A shares a verdict.
     """
-    from opalg.brst import NotObservableError, s_action
+    from opalg.brst import NotObservableError
     if A.ghost % 2 != 0:
         raise NotObservableError(f"ghost number {A.ghost} is odd")
     scale = _max_abs(A.matrix)
@@ -1129,7 +1189,7 @@ def representation_matrix(B, quotient, A: GradedOperator) -> np.ndarray:
 
 def brst_derivation(B, F):
     """s(F) as a graded operator of ghost number one higher than F's."""
-    from opalg.brst import NonHomogeneousError, operator_grade, s_action
+    from opalg.brst import NonHomogeneousError, operator_grade
     found = operator_grade(B.space, F.matrix)
     if found is not None and found != F.ghost:
         raise NonHomogeneousError(f"declared ghost {F.ghost} but entries sit at shift {found}")

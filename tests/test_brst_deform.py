@@ -14,7 +14,7 @@ from opalg.krein import krein_adjoint
 from opalg.series import FormalSeries, is_positive, series_mul, series_star
 
 from oracles import (GradedOperator, deform_check_reference, leading_class_norms,
-                     representation_matrix)
+                     quotient_basis, representation_matrix, unliftable_reference)
 
 MODELS = {"null_pair": null_pair_toy, "gupta_bleuler": gupta_bleuler_toy,
           "two_pair": two_pair_model}
@@ -174,7 +174,7 @@ class TestStabilityItems:
         # product R^H A R over the representatives R
         B = MODELS[model]()
         quotient = physical_space(B)
-        ops = observable_algebra(B, "even_ghost").quotient_basis
+        ops = quotient_basis(observable_algebra(B, "even_ghost"))
         R = quotient.quotient_reps
         got = R.conj().T @ ops @ R
         assert got.shape == (len(ops), quotient.dim, quotient.dim)
@@ -370,8 +370,8 @@ class TestUnitsOfTheCharge:
         # the lifts of item (iv): a random Q1 lifts no harmonic observable
         Q1 = rng(5).normal(size=(6, 6, 2)) @ [1, 1j]
         D = DeformedBRST(base=base, Q_series=FormalSeries([lam * B.Q, lam * Q1]))
-        reps = observable_algebra(B, "even_ghost").quotient_basis
-        assert brst._unliftable(D, reps).all()
+        reps = quotient_basis(observable_algebra(B, "even_ghost"))
+        assert unliftable_reference(D, reps).all()
         B = gupta_bleuler_toy()
         obstructed = DeformedBRST(base=validate_brst(B.space, lam * B.Q),
                                   Q_series=FormalSeries(lam * obstructed_charge(B).Q_series.coeffs))
