@@ -5,7 +5,12 @@
 
 Times one `brst.deform_check` call on the two-pair model with a solved
 first-order deformation (generator weights from a fixed seed): over the
-sample count at order 6, and over the order at 400 samples.  It also times
+sample count at order 6, and over the order at 400 samples.  The
+`high_order` sweep times 20 samples of the rescaling Q + tQ of the two-pair
+model at orders 8 to 400; at order 400 a tree that forms dense (L n)^2 jet
+maps peaks near 460 MB, so run the sweep under a memory cap (`ulimit -v`).
+Every child prints its `ru_maxrss` after the seconds, kept as `peak_mb`:
+the peak of the whole child, numpy's import included.  It also times
 one call with 20 samples on the rescaled order-3 deformation Q + tQ of
 Kugo-Ojima quartet models of n = 36/88/176 dimensions: 4/8/16 physical
 modes of ghost number 0 and 8/20/40 quartets, turned by a random unitary
@@ -14,8 +19,9 @@ observables; the builder repeats the test suite's `quartet_model`, which
 a child cannot import.  Each child first makes one untimed call on a
 structure of its own (for the quartets, the one of n = 36), so the timing
 leaves out numpy's one-time costs of a first call (lazy imports, BLAS and
-ufunc setup); the timed structure is then built fresh, so its cached
-decompositions count in the timing, as they do for a scenario check.
+ufunc setup; for `high_order`, a call at order 8); the timed structure is
+then built fresh, so its cached decompositions count in the timing, as
+they do for a scenario check.
 `treebench` holds the options (`--tree`, `--rev`, `--out`), the
 alternating fresh child processes and the exponent fit; the rounds are
 raised to 9, because one point is a few milliseconds.  Uses only public
@@ -27,18 +33,22 @@ from __future__ import annotations
 import treebench
 
 CHILD = r"""
-import sys, time
+import resource, sys, time
 import numpy as np
 from opalg import brst, series
 kind, size = sys.argv[1], int(sys.argv[2])
-samples, order = {"samples": (size, 6), "order": (400, size), "quartet": (20, 3)}[kind]
+samples, order = {"samples": (size, 6), "order": (400, size), "quartet": (20, 3),
+                  "high_order": (20, size)}[kind]
 
 
-def deformation():
+def deformation(order=order):
     B = brst.two_pair_model()
-    gens = brst.deformation_generators(B)
-    weights = np.random.default_rng(1650).normal(size=len(gens))
-    Q1 = sum(w * g for w, g in zip(weights, gens))
+    if kind == "high_order":  # the rescaling Q + tQ
+        Q1 = B.Q
+    else:
+        gens = brst.deformation_generators(B)
+        weights = np.random.default_rng(1650).normal(size=len(gens))
+        Q1 = sum(w * g for w, g in zip(weights, gens))
     return brst.validate_deformation(
         B, series.FormalSeries([B.Q, Q1] + [np.zeros_like(B.Q)] * (order - 1)))
 
@@ -75,11 +85,11 @@ if kind == "quartet":  # untimed, on a structure of its own: numpy's first calls
     call(quartet_deformation(36))
     D = quartet_deformation()
 else:
-    call(deformation())
+    call(deformation(8) if kind == "high_order" else deformation())
     D = deformation()
 start = time.perf_counter()
 call(D)
-print(time.perf_counter() - start)
+print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 SWEEPS = (
@@ -90,6 +100,8 @@ SWEEPS = (
     ("quartet", "quartet", "n", (36, 88, 176),
      "deform_check on the n-dimensional quartet model, rescaled deformation "
      "of order 3, 20 samples"),
+    ("high_order", "high_order", "order", (8, 16, 32, 64, 128, 256, 400),
+     "deform_check on two_pair, rescaled deformation Q + tQ, 20 samples"),
 )
 
 

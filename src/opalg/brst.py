@@ -416,50 +416,48 @@ def validate_deformation(base: BRSTStructure, Q_series: FormalSeries) -> Deforme
     return DeformedBRST(base=base, Q_series=Q_series)
 
 
-def _inner_columns(G: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Formal products (A, B), column by column: formal vectors stored as
-    (N+1, n, S) arrays, one sample per column, give an (N+1, S) array."""
-    A, GB = A.conj(), G @ B
-    return np.stack([np.einsum("kis,kis->s", A[:m + 1], GB[m::-1])
-                     for m in range(min(len(A), len(B)))])
+def _formal_norms(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Formal norms (X, X) of jets X, column by column: an (N+1, S) array."""
+    Xc, GX = X.conj(), G @ X
+    return np.stack([np.einsum("kis,kis->s", Xc[:m + 1], GX[m::-1]) for m in range(len(X))])
 
 
 # A jet is a formal vector truncated at the order N of the charge: its N+1
-# coefficients stacked in one column of length (N+1) n, one sample per column.
+# coefficients stacked in an (N+1, n, S) array, one sample per column.  A
+# map of jets that commutes with the order shift (block lower-triangular
+# Toeplitz) is kept as its first block column, an (N+1, n, p) array.
 
 
-def _charge_matrix(D: DeformedBRST) -> np.ndarray:
-    """The charge series acting on jets: the block lower-triangular Toeplitz
-    matrix with block (m, k) = Q_{m-k}, so that its product with a jet is
-    series_mul of the charge and the formal vector."""
-    L, Qs = D.order + 1, D.Q_series.coeffs
-    lag = np.subtract.outer(np.arange(L), np.arange(L))
-    blocks = np.where((lag >= 0)[..., None, None], Qs[np.maximum(lag, 0)], 0)
-    return blocks.transpose(0, 2, 1, 3).reshape(L * D.base.dim, -1)
+def _cauchy(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The map of first block column A applied to jets X: the Cauchy product
+    sum_k A_k X_{m-k} at each order m, as series_mul forms it."""
+    out = A[0] @ X
+    for k in range(1, len(X)):
+        out[k:] += A[k] @ X[:-k]
+    return out
 
 
-def _solve_jets(T: np.ndarray, pinv: np.ndarray) -> np.ndarray:
-    """The map S of jets Z to the jets X with X_m = Z_m - pinv sum_{k>=1}
-    Q_k X_{m-k}, solved order by order on identity columns: with Z the seed
-    and kernel noise, S Z is the lift of the seed; with Z_m = pinv Y_m, the
-    minimum-norm formal solve of T X = Y."""
-    n = len(pinv)
-    X = np.eye(len(T), dtype=complex)
-    for m in range(n, len(X), n):
-        X[m:m + n] -= pinv @ (T[m:m + n, :m] @ X[:m])
-    return X
+def _solve_jets(Qs: np.ndarray, pinv: np.ndarray) -> np.ndarray:
+    """First block column s of the map of jets Z to the jets X with X_m =
+    Z_m - pinv sum_{k>=1} Q_k X_{m-k}: s_0 = I, s_m = -pinv sum_{k=1..m}
+    Q_k s_{m-k}.  With Z the seed and kernel noise, it gives the lift of
+    the seed; with Z_m = pinv Y_m, the minimum-norm formal solve of Q~ X = Y."""
+    s = np.empty((len(Qs),) + pinv.shape, dtype=complex)
+    s[0] = np.eye(len(pinv))
+    for m in range(1, len(s)):
+        s[m] = -pinv @ np.sum(Qs[m:0:-1] @ s[:m], axis=0)
+    return s
 
 
-def _unsolved(T: np.ndarray, Q0: np.ndarray, X: np.ndarray, Y, what: str):
-    """Residual T X - Y of jets X solved order by order for Y, and per order
+def _unsolved(Qs: np.ndarray, X: np.ndarray, Y, what: str):
+    """Residual Q~ X - Y of jets X solved order by order for Y, and per order
     the LiftObstructionError of each column whose residual exceeds LIFT_TOL
     relative to its right-hand side Y_m - sum_{k>=1} Q_k X_{m-k}."""
-    res = T @ X
+    res = _cauchy(Qs, X)
     res -= Y
-    jets = res.reshape(-1, len(Q0), X.shape[1])
-    rhs = Q0 @ X.reshape(jets.shape)  # Q0 X_m - (T X - Y)_m is the right-hand side
-    rhs -= jets
-    miss = np.linalg.norm(jets, axis=1)
+    rhs = Qs[0] @ X  # Q0 X_m - (Q~ X - Y)_m is the right-hand side
+    rhs -= res
+    miss = np.linalg.norm(res, axis=1)
     limit = LIFT_TOL * np.maximum(1.0, np.linalg.norm(rhs, axis=1))
     stages: List[Dict[int, Exception]] = [{} for _ in miss]
     for m, j in zip(*np.nonzero(miss > limit)):
@@ -468,20 +466,18 @@ def _unsolved(T: np.ndarray, Q0: np.ndarray, X: np.ndarray, Y, what: str):
 
 
 def _draw_jets(rng: np.random.Generator, size: int, L: int, dim: int) -> np.ndarray:
-    """`size` random jets of `dim` complex coordinates per order, one per
-    column: drawn per sample and order, the real parts, then the imaginary
-    parts."""
+    """`size` random jets of `dim` complex coordinates per order: drawn per
+    sample and order, the real parts, then the imaginary parts."""
     draws = rng.normal(size=(size, L, 2, dim))
-    return (draws[:, :, 0] + 1j * draws[:, :, 1]).transpose(1, 2, 0).reshape(L * dim, size)
+    return (draws[:, :, 0] + 1j * draws[:, :, 1]).transpose(1, 2, 0)
 
 
-def _lift_failures(T: np.ndarray, Q0: np.ndarray, X: np.ndarray):
-    """Residual T X of lifted jets X, and their failures in check order: a
+def _lift_failures(Qs: np.ndarray, X: np.ndarray):
+    """Residual Q~ X of lifted jets X, and their failures in check order: a
     seed off the kernel of Q0, then each order's unsolved lift equation."""
-    res, stages = _unsolved(T, Q0, X, 0, "lift")
-    n = len(Q0)
-    off = np.linalg.norm(res[:n], axis=0) \
-        > LIFT_TOL * np.maximum(1.0, np.linalg.norm(X[:n], axis=0))
+    res, stages = _unsolved(Qs, X, 0, "lift")
+    off = np.linalg.norm(res[0], axis=0) \
+        > LIFT_TOL * np.maximum(1.0, np.linalg.norm(X[0], axis=0))
     seed = {int(j): ValueError("phi0 is not in the kernel of the undeformed charge")
             for j in np.flatnonzero(off)}
     return res, [seed] + stages[1:]
@@ -549,20 +545,15 @@ def deform_check(D: DeformedBRST, samples: int,
     n, k, L = base.dim, ker.shape[1], D.order + 1
     # the series over its scale; scale pinv is the pseudo-inverse of Q0 / scale
     scale = _scale(D)
-    G, Q0, pinv = base.space.krein.gram, D.Q_series.coeffs[0] / scale, base._pinv * scale
-    T = _charge_matrix(D) / scale
-    # the jet solve map, and from it the maps taking the kernel coordinates
-    # of seed and noise to a lift, and a jet to its preimage
-    solve = _solve_jets(T, pinv)
-    lift, preimage = (solve @ np.kron(np.eye(L), M) for M in (ker, pinv))
+    G, Qs, pinv = base.space.krein.gram, D.Q_series.coeffs / scale, base._pinv * scale
+    # the jet solve, and from it the maps taking the kernel coordinates of
+    # seed and noise to a lift, and a jet to its preimage
+    solve = _solve_jets(Qs, pinv)
+    lift, preimage = solve @ ker, solve @ pinv
     bound = float(np.sqrt(LIFT_TOL))
 
-    def formal_norms(phi: np.ndarray) -> np.ndarray:
-        jets = phi.reshape(L, n, -1)
-        return _inner_columns(G, jets, jets)
-
     # --- item (iii): lift a basis of the base kernel ---------------------
-    res, failures = _lift_failures(T, Q0, lift[:, :k])
+    res, failures = _lift_failures(Qs, lift)
     _raise_first(failures)
     lift_res = _max_abs(res)
 
@@ -570,9 +561,9 @@ def deform_check(D: DeformedBRST, samples: int,
     worst = 0.0
     for size in _blocks(samples, L * 2 * k):
         # the kernel coordinates of the seed, then of the added noise
-        phi = lift @ _draw_jets(rng, size, L, k)
-        failures = _lift_failures(T, Q0, phi)[1]
-        norm2 = formal_norms(phi).T
+        phi = _cauchy(lift, _draw_jets(rng, size, L, k))
+        failures = _lift_failures(Qs, phi)[1]
+        norm2 = _formal_norms(G, phi).T
         positive, witness, failure = _positive_rows(norm2, tol=bound)
         failures.append({int(j): PositivityViolatedAtOrderError(int(failure[j]))
                          for j in np.flatnonzero(~positive)})
@@ -582,21 +573,21 @@ def deform_check(D: DeformedBRST, samples: int,
     # --- item (ii): null vectors lie in the image -------------------------
     null_res, null_checked = 0.0, 0
     for size in _blocks(samples, L * 2 * n):
-        phi = T @ _draw_jets(rng, size, L, n)
-        nonzero = np.max(np.abs(formal_norms(phi)), axis=0) > bound
-        res, failures = _unsolved(T, Q0, preimage @ phi, phi, "image membership")
+        phi = _cauchy(Qs, _draw_jets(rng, size, L, n))
+        nonzero = np.max(np.abs(_formal_norms(G, phi)), axis=0) > bound
+        res, failures = _unsolved(Qs, _cauchy(preimage, phi), phi, "image membership")
         _raise_first([{int(j): NullNotExactError("image vector with nonzero formal norm")
                        for j in np.flatnonzero(nonzero)}] + failures)
         null_res = _max_abs([null_res, _max_abs(res)])
         null_checked += size
     # lifts of base null vectors that stay null must also be exact
-    phi = solve[:, :n] @ im
-    failures = _lift_failures(T, Q0, phi)[1]
-    null = np.max(np.abs(formal_norms(phi)), axis=0) <= bound
-    res, solved = _unsolved(T, Q0, preimage @ phi, phi, "image membership")
+    phi = solve @ im
+    failures = _lift_failures(Qs, phi)[1]
+    null = np.max(np.abs(_formal_norms(G, phi)), axis=0) <= bound
+    res, solved = _unsolved(Qs, _cauchy(preimage, phi), phi, "image membership")
     _raise_first(failures + [{j: err for j, err in stage.items() if null[j]}
                              for stage in solved])
-    null_res = _max_abs([null_res, _max_abs(res[:, null])])
+    null_res = _max_abs([null_res, _max_abs(res[..., null])])
     null_checked += int(np.count_nonzero(null))
 
     # --- item (iv): faithfulness at leading order -------------------------

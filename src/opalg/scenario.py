@@ -332,10 +332,9 @@ def _check_deform_stability(ctx, *, model: tuple(_MODELS) = "two_pair", order: _
                             samples: _count(1) = 20, mode: ("solved", "rescale") = "solved"):
     import numpy as np
     B = _MODELS[model]()
-    gens = opalg.brst.deformation_generators(B)
     # rescale: Q(g) = (1 + g) Q; solved: a random combination of the generators
-    Q1 = B.Q if mode == "rescale" or not gens else \
-        sum(w * g for w, g in zip(ctx.rng.normal(size=len(gens)), gens))
+    gens = [] if mode == "rescale" else opalg.brst.deformation_generators(B)
+    Q1 = sum(w * g for w, g in zip(ctx.rng.normal(size=len(gens)), gens)) if gens else B.Q
     q_series = opalg.series.FormalSeries([B.Q, Q1] + [np.zeros_like(B.Q)] * (order - 1))
     D = opalg.brst.validate_deformation(B, q_series)
     report = opalg.brst.deform_check(D, samples=samples, rng=ctx.rng)

@@ -642,6 +642,17 @@ def is_positive_reference(coeffs, tol):
         return True, lifted[: order + 1], None
 
 
+def block_toeplitz(column):
+    """The dense block lower-triangular Toeplitz matrix of first block column
+    `column` (L, n, p): block (m, k) is column[m - k], so that its product
+    with a jet of L coefficients stacked in one column of length L p is the
+    Cauchy product of the column and the jet."""
+    L, n, p = column.shape
+    lag = np.subtract.outer(np.arange(L), np.arange(L))
+    blocks = np.where((lag >= 0)[..., None, None], column[np.maximum(lag, 0)], 0)
+    return blocks.transpose(0, 2, 1, 3).reshape(L * n, L * p)
+
+
 def _charge_product(charges, xs):
     """Coefficients of sum_k Q_k x_{n-k}, truncated at the shorter series."""
     return [sum(charges[k] @ xs[n - k] for k in range(n + 1))

@@ -13,7 +13,7 @@ from opalg.brst import (GradeViolationError, NonHomogeneousError,
 from opalg.krein import fundamental_symmetry, krein_adjoint
 from opalg.series import FormalSeries, series_mul
 
-from oracles import (GradedOperator, brst_derivation, class_coordinates,
+from oracles import (GradedOperator, block_toeplitz, brst_derivation, class_coordinates,
                      closure_certificate_dense, closure_pairwise, deformation_generators_loop,
                      derivation_svd, graded_sign_split, leading_class_norms,
                      lstsq_series_solve, observable_dims_svd, physical_space_svd,
@@ -915,23 +915,22 @@ class TestOracleTwins:
         Q1 = sum(w * gen for w, gen in zip(rng.normal(size=len(gens)), gens))
         zeros = np.zeros_like(B.Q)
         D = brst.validate_deformation(B, FormalSeries([B.Q, Q1, zeros, zeros]))
-        charges, n, L = list(D.Q_series.coeffs), B.dim, 4
+        Qs, n, L = D.Q_series.coeffs, B.dim, 4
         ker = physical_space(B).ker_basis
-        T = brst._charge_matrix(D)
-        solve = brst._solve_jets(T, B._pinv)
-        lift, preimage = (solve @ np.kron(np.eye(L), M) for M in (ker, B._pinv))
-        for phi0, phi in zip(ker.T, lift[:, :ker.shape[1]].T):  # no noise
-            want, res = lstsq_series_solve(charges, [np.zeros(n)] * L, first=phi0)
+        solve = brst._solve_jets(Qs, B._pinv)
+        lift, preimage = solve @ ker, solve @ B._pinv
+        for phi0, phi in zip(ker.T, np.moveaxis(lift, 2, 0)):  # no noise
+            want, res = lstsq_series_solve(list(Qs), [np.zeros(n)] * L, first=phi0)
             assert res < 1e-9
-            for got_n, want_n in zip(phi.reshape(L, n), want):
+            for got_n, want_n in zip(phi, want):
                 assert_rel_close(got_n, want_n)
-        target = T @ (rng.normal(size=L * n) + 1j * rng.normal(size=L * n))
-        x = preimage @ target
-        want, res = lstsq_series_solve(charges, list(target.reshape(L, n)))
+        target = brst._cauchy(Qs, rng.normal(size=(L, n, 1)) + 1j * rng.normal(size=(L, n, 1)))
+        x = brst._cauchy(preimage, target)
+        want, res = lstsq_series_solve(list(Qs), list(target[..., 0]))
         assert res < 1e-9
-        for got_n, want_n in zip(x.reshape(L, n), want):
+        for got_n, want_n in zip(x[..., 0], want):
             assert_rel_close(got_n, want_n)
-        assert np.max(np.abs(T @ x - target)) < 1e-9
+        assert np.max(np.abs(brst._cauchy(Qs, x) - target)) < 1e-9
 
     @settings(max_examples=20, deadline=None)
     @given(B=pair_models, seed=st.integers(0, 2**32 - 1), solved=st.booleans())
@@ -978,20 +977,23 @@ class TestOracleTwins:
         assert all(abs(norm - 1.0) <= 1e-12 for norm in norms)
 
     @settings(max_examples=30, deadline=None)
-    @given(B=pair_models, order=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
-    def test_charge_matrix_is_series_mul(self, B, order, seed):
-        # any coefficients past Q0; rounding is bounded by 1e-15 of the
-        # largest sum of absolute products
+    @given(B=pair_models, order=st.integers(0, 64), seed=st.integers(0, 2**32 - 1))
+    def test_cauchy_is_series_mul(self, B, order, seed):
+        # the charge's stack applied to two jets, against series_mul and the
+        # dense Toeplitz twin; any coefficients past Q0; rounding is bounded
+        # by 1e-15 of the largest sum of absolute products
         rng = np.random.default_rng(seed)
 
         def draw(*shape):
             return rng.normal(size=shape) + 1j * rng.normal(size=shape)
         charge = FormalSeries([B.Q] + [draw(B.dim, B.dim) for _ in range(order)])
-        T = brst._charge_matrix(brst.DeformedBRST(base=B, Q_series=charge))
-        x = draw(order + 1, B.dim)
-        want = np.stack(series_mul(charge, FormalSeries(list(x))).coeffs).ravel()
-        got = T @ x.ravel()
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(T) @ np.abs(x.ravel()))
+        x = draw(order + 1, B.dim, 2)
+        got = brst._cauchy(charge.coeffs, x)
+        T = block_toeplitz(charge.coeffs)
+        flat = x.reshape(-1, 2)
+        bound = 1e-15 * np.max(np.abs(T) @ np.abs(flat))
+        assert np.max(np.abs(got.reshape(-1, 2) - T @ flat)) <= bound
+        assert np.max(np.abs(got - series_mul(charge, FormalSeries(x)).coeffs)) <= bound
 
 
 def _projector(basis):
@@ -1081,12 +1083,12 @@ def lifted_observables(D):
     array, order first; raises item (iii)'s first lift failure."""
     B, L, scale = D.base, D.order + 1, brst._scale(D)
     G, ker = B.space.krein.gram, physical_space(B).ker_basis
-    T = brst._charge_matrix(D) / scale
-    lift = brst._solve_jets(T, B._pinv * scale)[:, :B.dim] @ ker
-    brst._raise_first(brst._lift_failures(T, D.Q_series.coeffs[0] / scale, lift)[1])
+    Qs = D.Q_series.coeffs / scale
+    lift = brst._solve_jets(Qs, B._pinv * scale) @ ker
+    brst._raise_first(brst._lift_failures(Qs, lift)[1])
     U, (i, j) = B._hodge[0], observable_algebra(B, "even_ghost").pairs
     seeds = ker.conj().T @ np.concatenate([U[:, i], np.linalg.solve(G, U[:, j])], axis=1)
-    a, c = np.split((lift @ seeds).reshape(L, B.dim, -1), 2, axis=2)
+    a, c = np.split(lift @ seeds, 2, axis=2)
     Gc = G @ c
     return np.stack([sum(np.einsum("ik,jk->kij", a[p], Gc[m - p].conj())
                          for p in range(m + 1)) for m in range(L)])

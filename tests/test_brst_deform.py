@@ -44,23 +44,20 @@ def obstructed_charge(B):
 
 
 def jet_maps(D):
-    """The charge acting on jets, and the linear maps of the jet solve that
-    deform_check runs: kernel coordinates of seed and noise to a lift, and a
-    jet to its formal preimage."""
-    B, L = D.base, D.order + 1
-    T = brst._charge_matrix(D)
-    solve = brst._solve_jets(T, B._pinv)
-    return T, *(solve @ np.kron(np.eye(L), M) for M in (physical_space(B).ker_basis, B._pinv))
+    """The charge's coefficient stack, and the first block columns of the
+    maps of the jet solve that deform_check runs: kernel coordinates of seed
+    and noise to a lift, and a jet to its formal preimage."""
+    Qs, B = D.Q_series.coeffs, D.base
+    solve = brst._solve_jets(Qs, B._pinv)
+    return Qs, solve @ physical_space(B).ker_basis, solve @ B._pinv
 
 
 def lift_seed(D, phi0):
     """The jet lift of deform_check on the one seed phi0, raising its first
     failure."""
-    T = brst._charge_matrix(D)
-    seed = np.zeros((len(T), 1), dtype=complex)
-    seed[:len(phi0), 0] = phi0
-    X = brst._solve_jets(T, D.base._pinv) @ seed
-    brst._raise_first(brst._lift_failures(T, D.Q_series.coeffs[0], X)[1])
+    Qs = D.Q_series.coeffs
+    X = (brst._solve_jets(Qs, D.base._pinv) @ phi0)[..., None]
+    brst._raise_first(brst._lift_failures(Qs, X)[1])
 
 
 class TestValidation:
@@ -109,24 +106,23 @@ class TestLifts:
     def test_kernel_basis_lifts_and_annihilates(self):
         D = solved_charge(two_pair_model(), 3)
         ker = physical_space(D.base).ker_basis
-        T, lift, _ = jet_maps(D)
-        phi = lift[:, :ker.shape[1]]  # seeds the kernel basis, no noise
-        np.testing.assert_allclose(phi[:6], ker)
-        assert np.max(np.abs(T @ phi)) < 1e-9
+        Qs, lift, _ = jet_maps(D)  # seeds the kernel basis, no noise
+        np.testing.assert_allclose(lift[0], ker)
+        assert np.max(np.abs(brst._cauchy(Qs, lift))) < 1e-9
 
     def test_membership_solver_roundtrip(self):
         D = solved_charge(two_pair_model(), 3)
-        T, _, preimage = jet_maps(D)
+        Qs, _, preimage = jet_maps(D)
         rng = np.random.default_rng(0)
-        phi = T @ (rng.normal(size=24) + 1j * rng.normal(size=24))
-        assert np.max(np.abs(T @ (preimage @ phi) - phi)) < 1e-9
+        phi = brst._cauchy(Qs, rng.normal(size=(4, 6, 1)) + 1j * rng.normal(size=(4, 6, 1)))
+        assert np.max(np.abs(brst._cauchy(Qs, brst._cauchy(preimage, phi)) - phi)) < 1e-9
 
     def test_membership_fails_outside_image(self):
         D = solved_charge(two_pair_model(), 3)
-        T, _, preimage = jet_maps(D)
-        phi = np.zeros((24, 1), dtype=complex)
-        phi[:6, 0] = physical_space(D.base).quotient_reps[:, 0]  # nonzero class
-        stages = brst._unsolved(T, D.Q_series.coeffs[0], preimage @ phi, phi, "image membership")[1]
+        Qs, _, preimage = jet_maps(D)
+        phi = np.zeros((4, 6, 1), dtype=complex)
+        phi[0, :, 0] = physical_space(D.base).quotient_reps[:, 0]  # nonzero class
+        stages = brst._unsolved(Qs, brst._cauchy(preimage, phi), phi, "image membership")[1]
         with pytest.raises(LiftObstructionError) as err:
             brst._raise_first(stages)
         assert err.value.order == 0
@@ -156,6 +152,20 @@ class TestStabilityItems:
                               samples=20, rng=np.random.default_rng(1))
         assert report.all_passed
         assert report.lift_residual < 1e-9
+
+    def test_jet_maps_stay_first_block_columns(self):
+        # at order 200 one dense (L n)^2 jet map takes 23 MB; the first
+        # block columns of the charge and the jet solve take 116 KB each
+        import tracemalloc
+        D = rescaled_charge(two_pair_model(), 200)
+        tracemalloc.start()
+        try:
+            report = deform_check(D, samples=4, rng=np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_passed
+        assert peak < 10 * 2 ** 20
 
     def test_solved_deformation_passes_all_items(self):
         report = deform_check(solved_charge(two_pair_model(), 3),
@@ -200,9 +210,9 @@ class TestStabilityItems:
         _, lift, _ = jet_maps(D)
         rng = np.random.default_rng(4)
         # ten lifts, each of a random kernel seed with random kernel noise
-        coords = rng.normal(size=(lift.shape[1], 10)) + 1j * rng.normal(size=(lift.shape[1], 10))
-        jets = (lift @ coords).reshape(D.order + 1, D.base.dim, -1)
-        for column in brst._inner_columns(D.base.space.krein.gram, jets, jets).T:
+        shape = (D.order + 1, lift.shape[2], 10)
+        jets = brst._cauchy(lift, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        for column in brst._formal_norms(D.base.space.krein.gram, jets).T:
             norm2 = FormalSeries(list(column))
             verdict = is_positive(norm2, tol=1e-8)
             assert verdict.positive

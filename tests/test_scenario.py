@@ -435,6 +435,16 @@ class TestSharedModels:
         assert threaded == emit_report(run_scenario(path), "csv")
         assert threaded.count(",pass,") == len(checks)
 
+    def test_rescale_computes_no_generators(self, tmp_path, monkeypatch):
+        # the rescaled charge (1 + g) Q needs no first-order generators
+        def refuse(B):
+            raise AssertionError("deformation_generators called")
+        monkeypatch.setattr(opalg.brst, "deformation_generators", refuse)
+        checks = [{"check": "brst.deform_stability", "params": {"model": model, "mode": "rescale"}}
+                  for model in ("two_pair", "gupta_bleuler")]
+        path = write_scenario(tmp_path, {"name": "rescale", "seed": 3, "checks": checks})
+        assert emit_report(run_scenario(path), "csv").count(",pass,") == len(checks)
+
 
 class TestDrawBudget:
     """The sampled checks draw and check in blocks of at most series._DRAWS
