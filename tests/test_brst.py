@@ -908,8 +908,8 @@ class TestOracleTwins:
     @settings(max_examples=20, deadline=None)
     @given(B=pair_models, seed=st.integers(0, 2**32 - 1))
     def test_lifts(self, B, seed):
-        # the lift and preimage maps of deform_check's jet solve, against a
-        # least-squares solve per order
+        # the lifts and minimum-norm solves of deform_check's forward pass,
+        # against a least-squares solve per order
         rng = np.random.default_rng(seed)
         gens = brst.deformation_generators(B)
         Q1 = sum(w * gen for w, gen in zip(rng.normal(size=len(gens)), gens))
@@ -917,15 +917,16 @@ class TestOracleTwins:
         D = brst.validate_deformation(B, FormalSeries([B.Q, Q1, zeros, zeros]))
         Qs, n, L = D.Q_series.coeffs, B.dim, 4
         ker = physical_space(B).ker_basis
-        solve = brst._solve_jets(Qs, B._pinv)
-        lift, preimage = solve @ ker, solve @ B._pinv
-        for phi0, phi in zip(ker.T, np.moveaxis(lift, 2, 0)):  # no noise
+        seeds = np.zeros((L, n, ker.shape[1]), dtype=complex)
+        seeds[0] = ker  # no noise
+        lift = brst._forward(brst._nonzero(Qs), B._pinv, Z=seeds)[0]
+        for phi0, phi in zip(ker.T, np.moveaxis(lift, 2, 0)):
             want, res = lstsq_series_solve(list(Qs), [np.zeros(n)] * L, first=phi0)
             assert res < 1e-9
             for got_n, want_n in zip(phi, want):
                 assert_rel_close(got_n, want_n)
         target = brst._cauchy(Qs, rng.normal(size=(L, n, 1)) + 1j * rng.normal(size=(L, n, 1)))
-        x = brst._cauchy(preimage, target)
+        x = brst._forward(brst._nonzero(Qs), B._pinv, Y=target)[0]
         want, res = lstsq_series_solve(list(Qs), list(target[..., 0]))
         assert res < 1e-9
         for got_n, want_n in zip(x[..., 0], want):
@@ -1083,9 +1084,12 @@ def lifted_observables(D):
     array, order first; raises item (iii)'s first lift failure."""
     B, L, scale = D.base, D.order + 1, brst._scale(D)
     G, ker = B.space.krein.gram, physical_space(B).ker_basis
-    Qs = D.Q_series.coeffs / scale
-    lift = brst._solve_jets(Qs, B._pinv * scale) @ ker
-    brst._raise_first(brst._lift_failures(Qs, lift)[1])
+    basis = np.zeros((L,) + ker.shape, dtype=complex)
+    basis[0] = ker
+    lift, _, failures = brst._forward(brst._nonzero(D.Q_series.coeffs) / scale,
+                                      B._pinv * scale, Z=basis)
+    brst._raise_first(failures)
+    # the lifts are linear in their seeds: kernel coordinates pick them
     U, (i, j) = B._hodge[0], observable_algebra(B, "even_ghost").pairs
     seeds = ker.conj().T @ np.concatenate([U[:, i], np.linalg.solve(G, U[:, j])], axis=1)
     a, c = np.split(lift @ seeds, 2, axis=2)

@@ -43,21 +43,25 @@ def obstructed_charge(B):
     return DeformedBRST(base=B, Q_series=FormalSeries([B.Q, Q1]))
 
 
-def jet_maps(D):
-    """The charge's coefficient stack, and the first block columns of the
-    maps of the jet solve that deform_check runs: kernel coordinates of seed
-    and noise to a lift, and a jet to its formal preimage."""
-    Qs, B = D.Q_series.coeffs, D.base
-    solve = brst._solve_jets(Qs, B._pinv)
-    return Qs, solve @ physical_space(B).ker_basis, solve @ B._pinv
+def lift_jets(D, seeds):
+    """The forward pass of deform_check on the lifts of the seed columns,
+    without noise: the jets, the residual and the failures per order."""
+    Qs = brst._nonzero(D.Q_series.coeffs)
+    Z = np.zeros((D.order + 1,) + seeds.shape, dtype=complex)
+    Z[0] = seeds
+    return brst._forward(Qs, D.base._pinv, Z=Z)
+
+
+def solve_jets(D, phi):
+    """The forward pass of deform_check on the minimum-norm solve of Q~ X =
+    phi: the jets X, the residual and the failures per order."""
+    return brst._forward(brst._nonzero(D.Q_series.coeffs), D.base._pinv, Y=phi)
 
 
 def lift_seed(D, phi0):
     """The jet lift of deform_check on the one seed phi0, raising its first
     failure."""
-    Qs = D.Q_series.coeffs
-    X = (brst._solve_jets(Qs, D.base._pinv) @ phi0)[..., None]
-    brst._raise_first(brst._lift_failures(Qs, X)[1])
+    brst._raise_first(lift_jets(D, phi0[:, None])[2])
 
 
 class TestValidation:
@@ -106,25 +110,23 @@ class TestLifts:
     def test_kernel_basis_lifts_and_annihilates(self):
         D = solved_charge(two_pair_model(), 3)
         ker = physical_space(D.base).ker_basis
-        Qs, lift, _ = jet_maps(D)  # seeds the kernel basis, no noise
+        lift = lift_jets(D, ker)[0]  # seeds the kernel basis, no noise
         np.testing.assert_allclose(lift[0], ker)
-        assert np.max(np.abs(brst._cauchy(Qs, lift))) < 1e-9
+        assert np.max(np.abs(brst._cauchy(D.Q_series.coeffs, lift))) < 1e-9
 
     def test_membership_solver_roundtrip(self):
         D = solved_charge(two_pair_model(), 3)
-        Qs, _, preimage = jet_maps(D)
+        Qs = D.Q_series.coeffs
         rng = np.random.default_rng(0)
         phi = brst._cauchy(Qs, rng.normal(size=(4, 6, 1)) + 1j * rng.normal(size=(4, 6, 1)))
-        assert np.max(np.abs(brst._cauchy(Qs, brst._cauchy(preimage, phi)) - phi)) < 1e-9
+        assert np.max(np.abs(brst._cauchy(Qs, solve_jets(D, phi)[0]) - phi)) < 1e-9
 
     def test_membership_fails_outside_image(self):
         D = solved_charge(two_pair_model(), 3)
-        Qs, _, preimage = jet_maps(D)
         phi = np.zeros((4, 6, 1), dtype=complex)
         phi[0, :, 0] = physical_space(D.base).quotient_reps[:, 0]  # nonzero class
-        stages = brst._unsolved(Qs, brst._cauchy(preimage, phi), phi, "image membership")[1]
         with pytest.raises(LiftObstructionError) as err:
-            brst._raise_first(stages)
+            brst._raise_first(solve_jets(D, phi)[2])
         assert err.value.order == 0
 
     def test_lift_rejects_non_kernel_seed(self):
@@ -145,6 +147,32 @@ class TestLifts:
                            match=r"lift equation unsolvable at order 1 \(residual 1.000e\+00\)"):
             deform_check(D, samples=25, rng=np.random.default_rng(1))
 
+    def test_solved_order_16_lifts_for_every_seed(self):
+        # the explicit solve map's blocks grew like rho^m, and its residual
+        # with them: it reported a false LiftObstructionError for 5 of these
+        # 30 generator weights; forward substitution solves each order for
+        # its own right-hand side
+        B = two_pair_model()
+        for seed in range(30):
+            report = deform_check(solved_charge(B, 16, seed), samples=25,
+                                  rng=np.random.default_rng(16))
+            assert report.all_passed, seed
+
+    @pytest.mark.parametrize("coefficient", [1, 2, 5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_charge_fails_items_ii_and_iii(self, bad, coefficient):
+        # the scale, and with it every solve past order 0, is not finite:
+        # no residual is within its bound and none exceeds it, so nothing is
+        # raised; a lift keeps its finite seed at order 0, where pinv 0
+        # would be NaN, so item (i) meets no NaN at order 0
+        B = two_pair_model()
+        coeffs = rescaled_charge(B, 6).Q_series.coeffs.copy()
+        coeffs[coefficient, 2, 3] = bad
+        D = DeformedBRST(base=B, Q_series=FormalSeries(coeffs))
+        with np.errstate(all="ignore"):
+            report = deform_check(D, samples=25, rng=np.random.default_rng(6))
+        assert report.items_passed == (True, False, False, True)
+
 
 class TestStabilityItems:
     def test_rescaling_passes_all_items(self):
@@ -153,9 +181,9 @@ class TestStabilityItems:
         assert report.all_passed
         assert report.lift_residual < 1e-9
 
-    def test_jet_maps_stay_first_block_columns(self):
-        # at order 200 one dense (L n)^2 jet map takes 23 MB; the first
-        # block columns of the charge and the jet solve take 116 KB each
+    def test_jets_stay_coefficient_stacks(self):
+        # at order 200 one dense (L n)^2 jet map would take 23 MB; the
+        # check keeps to (L, n, S) jet stacks
         import tracemalloc
         D = rescaled_charge(two_pair_model(), 200)
         tracemalloc.start()
@@ -207,11 +235,12 @@ class TestStabilityItems:
 
     def test_formal_norms_are_positive_series(self):
         D = solved_charge(two_pair_model(), 3)
-        _, lift, _ = jet_maps(D)
+        ker = physical_space(D.base).ker_basis
         rng = np.random.default_rng(4)
         # ten lifts, each of a random kernel seed with random kernel noise
-        shape = (D.order + 1, lift.shape[2], 10)
-        jets = brst._cauchy(lift, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        shape = (D.order + 1, ker.shape[1], 10)
+        noise = ker @ (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        jets = brst._forward(D.Q_series.coeffs, D.base._pinv, Z=noise)[0]
         for column in brst._formal_norms(D.base.space.krein.gram, jets).T:
             norm2 = FormalSeries(list(column))
             verdict = is_positive(norm2, tol=1e-8)
