@@ -18,7 +18,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .krein import KreinSpace, krein_adjoint, make_krein
-from .series import FormalSeries, _blocks, _positive_rows, _star_square_rows
+from .series import FormalSeries, _blocks, _cauchy, _positive_rows, _require_finite
 
 __all__ = [
     "GhostGradedSpace",
@@ -222,6 +222,7 @@ def validate_brst(space: GhostGradedSpace, Q) -> BRSTStructure:
     """Check Q^2 = 0, Krein self-adjointness and ghost shift +1, each relative
     to the scale of Q (Q^2 to max|Q|^2), so every multiple of Q shares a verdict."""
     Q = np.asarray(Q, dtype=complex)
+    _require_finite(Q, "Q")
     n = space.dim
     if Q.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got {Q.shape}")
@@ -401,6 +402,7 @@ def validate_deformation(base: BRSTStructure, Q_series: FormalSeries) -> Deforme
     """Order-by-order nilpotency, self-adjointness and grading of the charge,
     each relative to the largest coefficient entry (the square to its
     square), so every multiple of the series shares a verdict."""
+    _require_finite(Q_series.coeffs, "the charge series")
     if Q_series.shape != base.Q.shape:
         raise ValueError(f"charge coefficients have shape {Q_series.shape}, "
                          f"the undeformed charge {base.Q.shape}")
@@ -431,15 +433,6 @@ def _nonzero(Qs: np.ndarray) -> np.ndarray:
     least; a NaN counts as nonzero."""
     live = np.flatnonzero(Qs.reshape(len(Qs), -1).any(axis=1))
     return Qs[:max(live, default=0) + 1]
-
-
-def _cauchy(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The Cauchy product sum_k A_k X_{m-k} of the coefficient stacks A and
-    X at each order m of X, as series_mul forms it; A may stop early."""
-    out = A[0] @ X
-    for k in range(1, min(len(A), len(X))):
-        out[k:] += A[k] @ X[:-k]
-    return out
 
 
 def _forward(Qs: np.ndarray, pinv: np.ndarray, Z=None, Y=None):
@@ -564,7 +557,7 @@ def deform_check(D: DeformedBRST, samples: int,
         failures.append({int(j): PositivityViolatedAtOrderError(int(failure[j]))
                          for j in np.flatnonzero(~positive)})
         _raise_first(failures)
-        worst = _max_abs([worst, _max_abs(_star_square_rows(witness) - norm2)])
+        worst = _max_abs([worst, _max_abs(_cauchy(witness.T.conj(), witness.T) - norm2.T)])
 
     # --- item (ii): null vectors lie in the image -------------------------
     null_res, null_checked = 0.0, 0

@@ -12,6 +12,8 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
+from .series import _require_finite
+
 __all__ = [
     "KreinSpace",
     "FundamentalSymmetry",
@@ -55,6 +57,7 @@ def make_krein(gram) -> KreinSpace:
     """Validate a Gram matrix and compute its signature; both validation
     tests are relative to the scale of G, so G and mu G share a verdict."""
     G = np.asarray(gram, dtype=complex)
+    _require_finite(G, "Gram matrix")
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ValueError(f"Gram matrix must be square, got shape {G.shape}")
     if np.max(np.abs(G - G.conj().T)) > HERMITIAN_TOL * np.max(np.abs(G)):

@@ -81,25 +81,35 @@ def series_add(a: FormalSeries, b: FormalSeries) -> FormalSeries:
     return FormalSeries(a.coeffs[:order + 1] + b.coeffs[:order + 1])
 
 
-def _coeff_mul(x, y):
-    if not (x.ndim and y.ndim):
-        return x * y
-    if x.shape[-1] != y.shape[0]:
-        raise ShapeMismatchError(
-            f"shapes {x.shape} and {y.shape} incompatible for a product")
-    return x @ y
-
-
 def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
-    """Cauchy product truncated at the smaller of the two orders."""
-    order = min(a.order, b.order)
-    out = []
-    for n in range(order + 1):
-        acc = _coeff_mul(a.coeffs[0], b.coeffs[n])
-        for k in range(1, n + 1):
-            acc = acc + _coeff_mul(a.coeffs[k], b.coeffs[n - k])
-        out.append(acc)
-    return FormalSeries(out)
+    """Cauchy product truncated at the smaller order, of scalar or matrix coefficients."""
+    x, y = a.shape, b.shape
+    if len(x) not in (0, 2) or len(y) not in (0, 2) or (x and y and x[1] != y[0]):
+        raise ShapeMismatchError(f"shapes {x} and {y} incompatible for a product")
+    return FormalSeries(_cauchy(a.coeffs, b.coeffs[:len(a.coeffs)]))
+
+
+def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Cauchy product sum_k a_k b_{m-k} of the coefficient stacks a and b
+    at each order m of b; a may stop early.  The sums run left to right in
+    k, one k at a time over every order, as the scalar double loop runs
+    them.  Matrix coefficients multiply by @ (b's may be (n, S) columns),
+    any others by _times, broadcast over trailing axes, so every value is
+    the double loop's bit for bit."""
+    times = np.matmul if a.ndim == b.ndim == 3 else _times
+    b = b.reshape(b.shape + (1,) * (a.ndim - b.ndim))  # scalar b, matrix a
+    out = times(a[0], b)
+    for k in range(1, min(len(a), len(b))):
+        out[k:] += times(a[k], b[:-k])
+    return out
+
+
+def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y with the complex product written out, as numpy's may fuse a
+    multiply-add where the scalar product does not."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real, out.imag = x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+    return out
 
 
 def series_star(a: FormalSeries) -> FormalSeries:
@@ -134,6 +144,7 @@ def is_positive(b: FormalSeries, tol: float = DEFAULT_TOL) -> PositivityVerdict:
     The decision is relative: a coefficient counts as zero when it is at
     most tol * max|b|, so b and mu*b get one verdict.
     """
+    _require_finite(b.coeffs, "the series")
     if not b.is_scalar:
         raise ValueError("positivity is decided for scalar series only")
     row = b.coeffs[None]
@@ -150,7 +161,6 @@ def _positive_rows(b: np.ndarray, tol: float):
     Returns the verdicts (S,), the real witnesses (S, N+1), zero where a
     row is not positive, and the failure orders (S,), -1 where it is.
     """
-    b = np.asarray(b, dtype=complex)
     rows, length = b.shape
     failure = np.full(rows, -1)
     witness = np.zeros((rows, length))
@@ -190,20 +200,11 @@ def _real_root(r: np.ndarray) -> np.ndarray:
     return c
 
 
-def _star_square_rows(c: np.ndarray) -> np.ndarray:
-    """star(c)*c for every row of a stack of scalar series c (S, N+1).
-
-    Products and sums run in the order of series_mul, with the complex
-    product written out (numpy's may fuse a multiply-add), so every row
-    equals series_mul(series_star(c), c) bit for bit.
-    """
-    c = np.asarray(c, dtype=complex)
-    out = np.empty_like(c)
-    for n in range(c.shape[1]):
-        a, b = c[:, :n + 1], c[:, n::-1]
-        out.real[:, n] = np.cumsum(a.real * b.real + a.imag * b.imag, axis=1)[:, -1]
-        out.imag[:, n] = np.cumsum(a.real * b.imag - a.imag * b.real, axis=1)[:, -1]
-    return out
+def _require_finite(a: np.ndarray, what: str):
+    """Raise a ValueError naming the first non-finite entry of a, if any."""
+    if not np.isfinite(a).all():
+        index = tuple(np.argwhere(~np.isfinite(a))[0].tolist())
+        raise ValueError(f"{what} has a non-finite entry {a[index]} at {index}")
 
 
 def _blocks(samples: int, draws: int) -> List[int]:

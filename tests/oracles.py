@@ -362,6 +362,24 @@ def series_product_coeffs(a, b, order):
     return conv[: order + 1]
 
 
+def series_mul_reference(a, b):
+    """The Cauchy product of two coefficient stacks, truncated at the shorter,
+    by the double loop over orders: one coefficient product at a time,
+    scalars by *, arrays by @, summed left to right.  The twin of
+    `series._cauchy`, which must give the same values bit for bit."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+
+    def times(x, y):
+        return x * y if not (x.ndim and y.ndim) else x @ y
+    out = []
+    for n in range(min(len(a), len(b))):
+        acc = times(a[0], b[n])
+        for k in range(1, n + 1):
+            acc = acc + times(a[k], b[n - k])
+        out.append(acc)
+    return np.array(out)
+
+
 def super_commutator_matrix(Q, grades):
     """Matrix of F -> QF - (-1)^{|F|} FQ on the operator space, by loops."""
     n = Q.shape[0]
@@ -1210,6 +1228,20 @@ def brst_derivation(B, F):
 def galilei_identity():
     from opalg.galilei import GalileiElement
     return GalileiElement(R=np.eye(3), v=np.zeros(3), u=np.zeros(3), eta=0.0)
+
+
+def cocycle_reference(rng, triples):
+    """The worst cocycle defect of `galilei.cocycle` over `triples` random
+    triples, drawn and checked in one block."""
+    from opalg.galilei import bargmann_exponent, galilei_compose, make_galilei
+    draws = rng.normal(size=(triples, 3, 16))
+    Q, _ = np.linalg.qr(draws[..., :9].reshape(triples, 3, 3, 3))
+    Q[np.linalg.det(Q) < 0, :, 0] *= -1.0
+    r, rp, rpp = (make_galilei(Q[:, j], draws[:, j, 9:12], draws[:, j, 12:15], draws[:, j, 15])
+                  for j in range(3))
+    lhs = bargmann_exponent(r, rp) + bargmann_exponent(galilei_compose(r, rp), rpp)
+    rhs = bargmann_exponent(rp, rpp) + bargmann_exponent(r, galilei_compose(rp, rpp))
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_deformation(B, FormalSeries([2 * B.Q, np.zeros_like(B.Q)]))
 
+    @pytest.mark.parametrize("coefficient", [0, 1, 5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_rejected(self, bad, coefficient):
+        # once accepted: the scale max|Q_k| was not finite, so no comparison
+        # with it could fail
+        B = two_pair_model()
+        coeffs = rescaled_charge(B, 6).Q_series.coeffs.copy()
+        coeffs[coefficient, 2, 3] = bad
+        message = f"the charge series has a non-finite entry {coeffs[coefficient, 2, 3]} " \
+                  f"at ({coefficient}, 2, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate_deformation(B, FormalSeries(coeffs))
+
     @pytest.mark.parametrize("cut", ["2x2", "1x3", "vector", "scalar"])
     def test_coefficient_shape_must_be_the_charge_shape(self, cut):
         # (1, 3) and (3,) would broadcast against the 3x3 charge

@@ -35,6 +35,15 @@ class TestMakeKrein:
         with pytest.raises(NotHermitianError):
             make_krein([[1.0, 1.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN pair once gave signature (1, 0) in three dimensions, and inf
+        # let numpy's LinAlgError escape
+        G = np.eye(3)
+        G[0, 1] = G[1, 0] = bad
+        with pytest.raises(ValueError, match=r"Gram matrix has a non-finite entry .* at \(0, 1\)"):
+            make_krein(G)
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             make_krein(np.ones((2, 3)))

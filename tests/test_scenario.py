@@ -22,7 +22,7 @@ from opalg.scenario import (DEFAULT_TOLERANCES, CheckRecord, Report,
                             run_scenario, series_from_json)
 from opalg.series import FormalSeries
 
-from oracles import series_to_json
+from oracles import cocycle_reference, series_to_json
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE = str(REPO / "scenarios" / "smoke.json")
@@ -457,6 +457,7 @@ class TestDrawBudget:
         ("krein.invariants", {"signature": [3, 2], "samples": 50}),
         ("krein.invariants", {"signature": [1, 8], "samples": 31}),
         ("galilei.levy_leblond_shell", {"count": 40}),
+        ("galilei.cocycle", {"triples": 45}),
     ])
     def test_block_size_does_not_matter(self, monkeypatch, name, params):
         runs = []
@@ -476,6 +477,37 @@ class TestDrawBudget:
     ])
     def test_block_sizes(self, samples, draws, sizes):
         assert opalg.series._blocks(samples, draws) == sizes
+
+
+class TestCocycleBlocks:
+    """galilei.cocycle draws and checks its triples in blocks of
+    series._blocks(triples, 48), 170 triples a block: its value is that of
+    one unblocked draw, and its memory does not grow with the count."""
+
+    @staticmethod
+    def run(triples):
+        ctx = opalg.scenario.CheckContext(rng=np.random.default_rng(5), truncation_order=8,
+                                          tolerances=dict(DEFAULT_TOLERANCES))
+        return opalg.scenario._REGISTRY["galilei.cocycle"](ctx, triples=triples)
+
+    @pytest.mark.parametrize("triples", [1, 169, 170, 171, 340, 341])
+    def test_value_is_the_unblocked_one(self, triples):
+        result = self.run(triples)
+        assert result.passed
+        assert result.value == cocycle_reference(np.random.default_rng(5), triples)
+
+    def test_memory_does_not_grow_with_triples(self):
+        # one draw of 100k triples holds 38 MB of normals, and the check
+        # peaked at 105 MB; a block holds 64 KB
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            result = self.run(100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed
+        assert peak < 2 * 2 ** 20
 
 
 class TestEmission:

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opalg.series import (FormalSeries, ShapeMismatchError, _positive_rows,
-                          _star_square_rows, is_positive, series_add,
-                          series_mul, series_star)
+from opalg.series import (FormalSeries, ShapeMismatchError, _cauchy, _positive_rows,
+                          is_positive, series_add, series_mul, series_star)
 
-from oracles import is_positive_reference, series_product_coeffs
+from oracles import is_positive_reference, series_mul_reference, series_product_coeffs
 
 
 def make(coeffs):
@@ -63,6 +62,24 @@ class TestProduct:
         with pytest.raises(ShapeMismatchError):
             series_mul(a, a)
 
+    def test_vector_coefficients_rejected(self):
+        # only scalars and matrices multiply; a vector has no product of
+        # its own shape
+        vec, mat = make([np.ones(2)] * 3), make([np.eye(2)] * 3)
+        for a, b in ((vec, vec), (vec, mat), (mat, vec), (vec, make([1, 2, 3]))):
+            with pytest.raises(ShapeMismatchError, match="incompatible"):
+                series_mul(a, b)
+
+    def test_scalar_times_matrix_series(self):
+        rng = np.random.default_rng(5)
+        s = make(rng.normal(size=4) + 1j * rng.normal(size=4))
+        m = make(rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2)))
+        for a, b in ((s, m), (m, s)):
+            got = series_mul(a, b)
+            assert got.shape == (2, 2)
+            np.testing.assert_allclose(got.coeffs, series_mul_reference(a.coeffs, b.coeffs),
+                                       rtol=0, atol=1e-12)
+
     def test_mixed_scalar_matrix_coeffs_rejected(self):
         for ragged in ([1.0, np.eye(2)], [np.eye(2), np.eye(3)]):
             with pytest.raises(ShapeMismatchError, match="coefficient shapes differ"):
@@ -112,6 +129,12 @@ class TestStar:
 
 
 class TestPositivity:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_coefficient_refused(self, bad):
+        # inf once read as positive: the scale tol * max|b| was inf
+        with pytest.raises(ValueError, match=r"non-finite entry .* at \(1,\)"):
+            is_positive(make([1, bad, 0.5]))
+
     def test_constant_one(self):
         verdict = is_positive(make([1, 0, 0]))
         assert verdict.positive
@@ -228,11 +251,54 @@ class TestStackedPositivity:
             else:
                 assert scalar.failure_order == ref_fail
 
-    def test_star_square_rows_equal_series_mul(self):
+    def test_star_square_rows_equal_reference(self):
         c = np.random.default_rng(11).normal(size=(20, 9, 2)) @ np.array([1.0, 1j])
-        for row, got in zip(c, _star_square_rows(c)):
-            want = series_mul(series_star(make(row)), make(row))
-            np.testing.assert_array_equal(got, np.array(want.coeffs))
+        for row, got in zip(c, _cauchy(c.conj().T, c.T).T):
+            np.testing.assert_array_equal(got, series_mul_reference(row.conj(), row))
+
+
+def draw_stack(seed, length, shape, zeros):
+    """Complex normal coefficients, a share `zeros` of the entries set to
+    +0 or -0, so that signed zeros and exact cancellations occur."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(length, *shape)) + 1j * rng.normal(size=(length, *shape))
+    z.real[rng.random(z.shape) < zeros] = 0.0
+    z.imag[rng.random(z.shape) < zeros] = -0.0
+    return z
+
+
+class TestCauchyTwin:
+    """The one Cauchy product, series._cauchy, equals the double loop of
+    tests/oracles.py bit for bit, signed zeros included: through series_mul
+    on scalar, square-matrix and 2x3 by 3x2 coefficients, on matrix
+    coefficients against (n, S) columns, and on rows of conjugate
+    products, as the sampled positivity checks form them."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(shapes=st.sampled_from([((), ()), ((3, 3), (3, 3)), ((2, 3), (3, 2)),
+                                   ((4, 4), (4, 5))]),
+           order=st.integers(0, 16), seed=st.integers(0, 2 ** 32 - 1),
+           zeros=st.sampled_from([0.0, 0.3, 0.9]))
+    @example(shapes=((6, 6), (6, 6)), order=400, seed=1, zeros=0.0)
+    def test_series_mul_is_the_double_loop(self, shapes, order, seed, zeros):
+        a = draw_stack(seed, order + 1, shapes[0], zeros)
+        b = draw_stack(seed + 1, order + 1, shapes[1], zeros)
+        got = series_mul(make(a), make(b)).coeffs
+        assert got.tobytes() == series_mul_reference(a, b).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 12), order=st.integers(0, 16),
+           seed=st.integers(0, 2 ** 32 - 1), zeros=st.sampled_from([0.0, 0.3, 0.9]))
+    def test_conjugate_rows_are_the_double_loop(self, rows, order, seed, zeros):
+        c = draw_stack(seed, rows, (order + 1,), zeros)
+        got = np.ascontiguousarray(_cauchy(c.conj().T, c.T).T)
+        want = np.array([series_mul_reference(row.conj(), row) for row in c])
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_may_stop_early(self):
+        a, b = draw_stack(0, 2, (3, 3), 0.0), draw_stack(1, 6, (3, 1), 0.0)
+        padded = np.concatenate([a, np.zeros((4, 3, 3))])
+        np.testing.assert_array_equal(_cauchy(a, b), series_mul_reference(padded, b))
 
 
 def assert_squares_back(witness, b):
