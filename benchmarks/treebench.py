@@ -10,9 +10,9 @@ line by its `ru_maxrss` (KiB); the trees take turns point by point, so a
 slow spell of the host falls on all of them.  The children run OpenBLAS on
 one thread, as the `opalg` command does, unless the caller sets
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS.  The median over
-REPEATS rounds is reported (`median_s`, and `peak_mb` where the child prints
-its peak), and the exponent k of t ~ n^k is fitted by least squares on log t
-against log n, over the sizes above 0.
+REPEATS rounds is reported (`median_s`, and `peak_mb` to 0.001 MB where the
+child prints its peak), and the exponent k of t ~ n^k is fitted by least
+squares on log t against log n, over the sizes above 0.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def run_sweeps(trees, child, sweeps):
                 for label, ts in medians.items()},
         }
         if all(None not in ps for pl in peaks.values() for ps in pl):
-            results[name]["peak_mb"] = {label: [round(statistics.median(ps), 1) for ps in pl]
+            results[name]["peak_mb"] = {label: [round(statistics.median(ps), 3) for ps in pl]
                                         for label, pl in peaks.items()}
         print(name, json.dumps(medians), file=sys.stderr)
     return results

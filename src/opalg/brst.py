@@ -18,7 +18,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .krein import KreinSpace, krein_adjoint, make_krein
-from .series import FormalSeries, _blocks, _cauchy, _positive_rows, _require_finite
+from .series import (FormalSeries, _blocks, _cauchy, _positive_columns, _require_finite,
+                     _roundtrip_defects)
 
 __all__ = [
     "GhostGradedSpace",
@@ -506,7 +507,7 @@ def deform_check(D: DeformedBRST, samples: int,
     """Verify the four stability items of the deformed quotient.
 
     (i)   formal positivity of (phi~, phi~) for sampled deformed kernel
-          vectors, decided by the series square-root procedure;
+          vectors, by the series square root (relative round-trip defect);
     (ii)  sampled null formal vectors of the deformed kernel lie in the
           formal image of the deformed charge;
     (iii) every base kernel vector lifts order by order, and the lift
@@ -552,12 +553,12 @@ def deform_check(D: DeformedBRST, samples: int,
     for size in _blocks(samples, L * 2 * k):
         # the kernel coordinates of the seed, then of the added noise
         phi, _, failures = _forward(Qs, pinv, Z=ker @ _draw_jets(rng, size, L, k))
-        norm2 = _formal_norms(G, phi).T
-        positive, witness, failure = _positive_rows(norm2, tol=bound)
+        norm2 = _formal_norms(G, phi)
+        positive, witness, failure = _positive_columns(norm2, tol=bound)
         failures.append({int(j): PositivityViolatedAtOrderError(int(failure[j]))
                          for j in np.flatnonzero(~positive)})
         _raise_first(failures)
-        worst = _max_abs([worst, _max_abs(_cauchy(witness.T.conj(), witness.T) - norm2.T)])
+        worst = _max_abs([worst, _max_abs(_roundtrip_defects(witness, norm2))])
 
     # --- item (ii): null vectors lie in the image -------------------------
     null_res, null_checked = 0.0, 0

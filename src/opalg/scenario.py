@@ -29,7 +29,6 @@ __all__ = [
     "load_scenario",
     "run_scenario",
     "emit_report",
-    "series_from_json",
     "available_checks",
     "DEFAULT_TOLERANCES",
 ]
@@ -90,14 +89,6 @@ class Report(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # serialization helpers
-
-
-def series_from_json(data) -> "opalg.series.FormalSeries":
-    """Series from [re, im] pairs: a list of them for a scalar series, as a
-    scenario gives one, or nested arrays of them for an array series."""
-    import numpy as np
-    pairs = np.asarray(data, dtype=float)
-    return opalg.series.FormalSeries(pairs[..., 0] + 1j * pairs[..., 1])
 
 
 def _fmt(value) -> str:
@@ -252,7 +243,8 @@ def available_checks() -> List[str]:
 
 @register("series.is_positive")
 def _check_is_positive(ctx, *, b: _series, expect: ("positive", "not_positive") = "positive"):
-    verdict = opalg.series.is_positive(series_from_json(b), tol=ctx.tol())
+    b = opalg.series.FormalSeries([complex(*p) for p in b])
+    verdict = opalg.series.is_positive(b, tol=ctx.tol())
     got = "positive" if verdict.positive else "not_positive"
     return CheckResult(passed=(got == expect), value=got, tolerance=ctx.tol())
 
@@ -266,18 +258,15 @@ def _check_witness_roundtrip(ctx, *, count: _count(1) = 50, order: _count(0) = N
     for size in opalg.series._blocks(count, 2 * (order + 1)):
         # per series: the real parts, then the imaginary parts
         draws = ctx.rng.normal(size=(size, 2, order + 1))
-        c = draws[:, 0] + 1j * draws[:, 1]
-        c[np.abs(c[:, 0]) < 0.1, 0] += 1.0
-        b = opalg.series._cauchy(c.T.conj(), c.T).T
-        positive, witness, failure = opalg.series._positive_rows(b, tol)
+        c = (draws[:, 0] + 1j * draws[:, 1]).T.copy()
+        c[0, np.abs(c[0]) < 0.1] += 1.0
+        b = opalg.series._cauchy(c.conj(), c)
+        positive, witness, failure = opalg.series._positive_columns(b, tol)
         if not positive.all():
             return CheckResult(passed=False,
                                value=f"not_positive@{failure[np.argmin(positive)]}")
-        defect = np.max(np.abs(opalg.series._cauchy(witness.T.conj(), witness.T).T - b), axis=1)
-        # witness coefficients grow like |c0|^-order: compare with the scale
-        # of the Cauchy sums, not absolutely
-        scale = np.maximum(np.max(np.abs(witness), axis=1) ** 2, np.max(np.abs(b), axis=1))
-        worst = np.maximum(worst, np.max(defect / scale))  # keeps a NaN ratio
+        ratios = opalg.series._roundtrip_defects(witness, b)
+        worst = np.maximum(worst, np.max(ratios))  # keeps a NaN ratio
     return CheckResult(passed=worst <= tol, value=float(worst), tolerance=tol)
 
 

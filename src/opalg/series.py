@@ -139,65 +139,64 @@ def is_positive(b: FormalSeries, tol: float = DEFAULT_TOL) -> PositivityVerdict:
 
     The witness is gauged by taking every solved coefficient real: with
     b0 > 0 the order-n equation 2*c0*Re(c_n) = b_n - sum_{k=1}^{n-1}
-    conj(c_k) c_{n-k} fixes c_n once Im(c_n) := 0.  A vanishing leading
-    coefficient forces b1 = 0 and recurses on the g^2-shifted series.
+    conj(c_k) c_{n-k} fixes c_n once Im(c_n) := 0.  The first coefficient
+    above tol decides: it must be a real b_h > 0 at an even order h.
     The decision is relative: a coefficient counts as zero when it is at
     most tol * max|b|, so b and mu*b get one verdict.
     """
     _require_finite(b.coeffs, "the series")
     if not b.is_scalar:
         raise ValueError("positivity is decided for scalar series only")
-    row = b.coeffs[None]
-    positive, witness, failure = _positive_rows(row, tol * np.max(np.abs(row)))
+    column = b.coeffs[:, None]
+    positive, witness, failure = _positive_columns(column, tol * np.max(np.abs(column)))
     if not positive[0]:
         return PositivityVerdict(positive=False, failure_order=int(failure[0]))
-    return PositivityVerdict(positive=True, witness=FormalSeries(witness[0]))
+    return PositivityVerdict(positive=True, witness=FormalSeries(witness[:, 0]))
 
 
-def _positive_rows(b: np.ndarray, tol: float):
-    """The decision of is_positive for every row of a stack b (S, N+1), at
-    the absolute tolerance tol.
+def _positive_columns(b: np.ndarray, tol: float):
+    """The decision of is_positive for every column of a stack b (N+1, S),
+    at the absolute tolerance tol (a NaN real part counts as above tol).
+    The witness is g^(h/2) times the root from the deciding order h on.
 
-    Returns the verdicts (S,), the real witnesses (S, N+1), zero where a
-    row is not positive, and the failure orders (S,), -1 where it is.
+    Returns the verdicts (S,), the real witnesses (N+1, S), zero where a
+    column is not positive, and the failure orders (S,), -1 where it is.
     """
-    rows, length = b.shape
-    failure = np.full(rows, -1)
-    witness = np.zeros((rows, length))
+    witness = np.zeros(b.shape)
     bad_imag = np.abs(b.imag) > tol
-    undecided = ~bad_imag.any(axis=1)
-    failure[~undecided] = bad_imag.argmax(axis=1)[~undecided]
     real = b.real
-    small = np.abs(real) <= tol
-    for shift in range(length // 2 + 1):
-        head = 2 * shift
-        # nothing left above tol (or nothing left): positive, zero witness
-        undecided &= ~small[:, head:].all(axis=1)
-        if not undecided.any():
-            break
-        b0 = real[:, head]
-        negative = undecided & (b0 < -tol)
-        failure[negative] = head
-        solve = undecided & (b0 > tol)
-        witness[solve, shift:length - shift] = _real_root(real[solve, head:])
-        # b0 vanishes: b1 must vanish too, else recurse on the shifted series
-        odd = undecided & ~negative & ~solve
-        if head + 1 < length:
-            odd &= ~small[:, head + 1]
-        failure[odd] = head + 1
-        undecided &= ~(negative | solve | odd)
+    above = ~(np.abs(real) <= tol)
+    head = above.argmax(axis=0)
+    decided = above.any(axis=0)
+    solve = decided & (head % 2 == 0) & (real[head, np.arange(b.shape[1])] > tol)
+    failure = np.where(bad_imag.any(axis=0), bad_imag.argmax(axis=0),
+                       np.where(decided & ~solve, head, -1))
+    solve &= failure < 0
+    for h in set(head[solve].tolist()):
+        cols = solve & (head == h)
+        witness[h // 2:len(b) - h // 2, cols] = _real_root(real[h:, cols])
     return failure < 0, witness, failure
 
 
 def _real_root(r: np.ndarray) -> np.ndarray:
-    """Real c with c*c = r row by row, for rows with r_0 > 0; the
-    convolutions are summed left to right, as a scalar loop would."""
+    """Real c with c*c = r by columns whose r_0 > 0 is the first coefficient
+    above tol; convolutions are summed left to right, as a scalar loop would."""
     c = np.empty_like(r)
-    c[:, 0] = np.sqrt(r[:, 0])
-    for n in range(1, r.shape[1]):
-        conv = np.cumsum(c[:, 1:n] * c[:, n - 1:0:-1], axis=1)[:, -1] if n > 1 else 0.0
-        c[:, n] = (r[:, n] - conv) / (2.0 * c[:, 0])
+    c[0] = np.sqrt(r[0])
+    for n in range(1, len(r)):
+        conv = np.cumsum(c[1:n] * c[n - 1:0:-1], axis=0)[-1] if n > 1 else 0.0
+        c[n] = (r[n] - conv) / (2.0 * c[0])
     return c
+
+
+def _roundtrip_defects(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max|star(c)*c - b| of each column of the stacks c and b (N+1, S),
+    relative to max(max|c|^2, max|b|): witness coefficients grow like
+    |c0|^-order, so the Cauchy sums are compared with their own scale, not
+    absolutely.  A zero column has zero defect."""
+    defect = np.max(np.abs(_cauchy(c.conj(), c) - b), axis=0)
+    scale = np.maximum(np.max(np.abs(c), axis=0) ** 2, np.max(np.abs(b), axis=0))
+    return defect / np.where(scale == 0, 1.0, scale)
 
 
 def _require_finite(a: np.ndarray, what: str):

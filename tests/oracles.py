@@ -742,7 +742,9 @@ def deform_check_reference(D, samples, rng, tol=1e-9):
         if not positive:
             raise brst.PositivityViolatedAtOrderError(failure)
         check = series_product_coeffs(np.conj(witness), witness, len(norm2) - 1)
-        worst = max(worst, _max_abs(check - np.array(norm2)))
+        # relative to the scale of the Cauchy sums; a zero series has no defect
+        scale = max(np.max(np.abs(witness)) ** 2, _max_abs(norm2))
+        worst = max(worst, _max_abs(check - np.array(norm2)) / (scale or 1.0))
 
     null_res, null_checked = 0.0, 0
     for _ in range(samples):
@@ -1307,7 +1309,15 @@ def channel_rank(amplitudes, l, m, n_theta=None, n_phi=None, tol=ORACLE_TOL):
 
 
 def series_to_json(s):
-    """The scenario encoding of a series, the inverse of
-    `scenario.series_from_json`: [re, im] pairs, or nested arrays with a
-    trailing [re, im] axis for array coefficients."""
+    """The scenario encoding of a series, the inverse of `series_from_json`:
+    [re, im] pairs, or nested arrays with a trailing [re, im] axis for
+    array coefficients."""
     return np.stack([s.coeffs.real, s.coeffs.imag], axis=-1).tolist()
+
+
+def series_from_json(data):
+    """Series from [re, im] pairs: a list of them for a scalar series, as a
+    scenario gives one, or nested arrays of them for an array series."""
+    from opalg.series import FormalSeries
+    pairs = np.asarray(data, dtype=float)
+    return FormalSeries(pairs[..., 0] + 1j * pairs[..., 1])

@@ -208,6 +208,14 @@ class TestStabilityItems:
         assert report.all_passed
         assert peak < 10 * 2 ** 20
 
+    @pytest.mark.parametrize("model", ["gupta_bleuler", "two_pair"])
+    def test_positivity_defect_is_relative(self, model):
+        # witness coefficients grow like |c0|^-order: absolutely, this
+        # defect read 1e44 and 1e17
+        report = deform_check(rescaled_charge(MODELS[model](), 64),
+                              samples=20, rng=np.random.default_rng(64))
+        assert report.positivity_worst_defect <= 1e-12
+
     def test_solved_deformation_passes_all_items(self):
         report = deform_check(solved_charge(two_pair_model(), 3),
                               samples=25, rng=np.random.default_rng(2))

@@ -19,10 +19,10 @@ from opalg.cli import _write, main
 from opalg.scenario import (DEFAULT_TOLERANCES, CheckRecord, Report,
                             ScenarioParseError, UnknownCheckError,
                             available_checks, emit_report, load_scenario,
-                            run_scenario, series_from_json)
+                            run_scenario)
 from opalg.series import FormalSeries
 
-from oracles import cocycle_reference, series_to_json
+from oracles import cocycle_reference, series_from_json, series_to_json
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE = str(REPO / "scenarios" / "smoke.json")

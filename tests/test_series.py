@@ -3,8 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opalg.series import (FormalSeries, ShapeMismatchError, _cauchy, _positive_rows,
-                          is_positive, series_add, series_mul, series_star)
+from opalg.series import (FormalSeries, ShapeMismatchError, _cauchy, _positive_columns,
+                          _roundtrip_defects, is_positive, series_add, series_mul,
+                          series_star)
 
 from oracles import is_positive_reference, series_mul_reference, series_product_coeffs
 
@@ -229,10 +230,10 @@ class TestStackedPositivity:
     @example([[1, 1j], [1e-12, 0], [0, 0], [0.25, -1]])
     @example([[0, 0, 1e-12, 0, 4], [0, 0, 0, 1, 0], [0, 0, 0, 0, 0],
               [1e-12j, 0, 0, 0, -1], [2.5, 0.5j, 0, 0, 0]])
-    def test_rows_equal_scalar_decision(self, rows):
-        b = np.array(rows, dtype=complex)
-        positive, witness, failure = _positive_rows(b, tol=1e-10)
-        for row, pos, wit, fail in zip(b, positive, witness, failure):
+    def test_columns_equal_scalar_decision(self, rows):
+        b = np.array(rows, dtype=complex).T  # one series per column
+        positive, witness, failure = _positive_columns(b, tol=1e-10)
+        for row, pos, wit, fail in zip(b.T, positive, witness.T, failure):
             ref_pos, ref_wit, ref_fail = is_positive_reference(row, 1e-10)
             assert pos == ref_pos
             if pos:
@@ -250,6 +251,29 @@ class TestStackedPositivity:
                 np.testing.assert_array_equal(np.array(scalar.witness.coeffs), ref_wit)
             else:
                 assert scalar.failure_order == ref_fail
+
+    # a NaN real part is not within tol, so it decides; a NaN at an even
+    # order fails there (is_positive refuses NaN before deciding)
+    @pytest.mark.parametrize("column, order", [
+        ([0, 0, np.nan, 0, 1], 2), ([np.nan, 0, 1], 0), ([0, np.nan, 0, 1], 1)])
+    def test_nan_decides_where_it_stands(self, column, order):
+        b = np.array(column, dtype=complex)[:, None]
+        positive, witness, failure = _positive_columns(b, tol=1e-10)
+        assert not positive[0] and failure[0] == order
+        assert not witness.any()
+
+    # a power of four scales b and its witness exactly, so the bits agree
+    @pytest.mark.parametrize("mu, same_bits", [
+        (4.0 ** -12, True), (4.0 ** 12, True), (1e-9, False), (3e9, False)])
+    def test_roundtrip_ratio_independent_of_the_units(self, mu, same_bits):
+        c = np.random.default_rng(3).normal(size=(17, 30, 2)) @ np.array([1.0, 1j])
+        c[0] += 2.0
+        b = _cauchy(c.conj(), c)
+        ratios = [_roundtrip_defects(_positive_columns(x, 1e-10 * np.max(np.abs(x)))[1], x)
+                  for x in (b, mu * b)]
+        if same_bits:
+            np.testing.assert_array_equal(ratios[1], ratios[0])
+        assert np.max(ratios) < 1e-15
 
     def test_star_square_rows_equal_reference(self):
         c = np.random.default_rng(11).normal(size=(20, 9, 2)) @ np.array([1.0, 1j])
